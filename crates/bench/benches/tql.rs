@@ -1,5 +1,7 @@
-//! TQL query performance: filter, order, the paper's Fig. 5 query, and
-//! chunk-statistics pruning vs. the naive full scan across selectivities.
+//! TQL query performance: filter, order, the paper's Fig. 5 query,
+//! chunk-statistics pruning vs. the naive full scan across selectivities,
+//! and the columnar kernels vs. the row evaluator on an unprunable scan
+//! and a top-k re-rank.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deeplake_codec::Compression;
@@ -142,5 +144,89 @@ fn bench_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tql, bench_pruning);
+/// 50 000 rows written 256 to a flush (196 chunks a column): an `f32`
+/// `score` no statistics can prune, and a 32-dimensional embedding.
+fn scan_dataset(rows: u64) -> Dataset {
+    let mut ds = Dataset::create(Arc::new(MemoryProvider::new()), "tql-scan").unwrap();
+    ds.create_tensor_opts("score", {
+        let mut o = TensorOptions::new(Htype::Generic);
+        o.dtype = Some(deeplake_tensor::Dtype::F32);
+        o
+    })
+    .unwrap();
+    ds.create_tensor("emb", Htype::Embedding, None).unwrap();
+    for i in 0..rows {
+        // a cheap hash: every chunk spans the whole [0, 1) range
+        let u = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f32 / (1u64 << 24) as f32;
+        let emb: Vec<f32> = (0..32).map(|d| ((i + d) % 17) as f32 - u).collect();
+        ds.append_row(vec![
+            ("score", Sample::scalar(u)),
+            ("emb", Sample::from_slice([32], &emb).unwrap()),
+        ])
+        .unwrap();
+        if i % 256 == 255 {
+            ds.flush().unwrap();
+        }
+    }
+    ds.flush().unwrap();
+    ds
+}
+
+/// The two operators with a columnar kernel, each against
+/// `pruning: false` — the row-at-a-time reference, which for the top-k
+/// shape is the generic sort over every row.
+fn bench_scan(c: &mut Criterion) {
+    let rows = 50_000u64;
+    let ds = scan_dataset(rows);
+    let naive = QueryOptions {
+        pruning: false,
+        ..Default::default()
+    };
+    let mut group = c.benchmark_group("tql_scan");
+    group.sample_size(10);
+
+    let scan = parser::parse("SELECT * FROM d WHERE score > 0.96").unwrap();
+    group.bench_function("scan_50k_kernel", |b| {
+        b.iter(|| {
+            let r = execute(&ds, &scan, &QueryOptions::default()).unwrap();
+            assert_eq!(r.stats.rows_vectorized, rows);
+            r.len()
+        })
+    });
+    group.bench_function("scan_50k_rows", |b| {
+        b.iter(|| {
+            let r = execute(&ds, &scan, &naive).unwrap();
+            assert_eq!(r.stats.rows_vectorized, 0);
+            r.len()
+        })
+    });
+
+    // the exact operator re-ranks every row: a 1000-row sibling dataset
+    // is exactly 1000 candidates
+    let small = scan_dataset(1000);
+    let query_vector: Vec<String> = (0..32).map(|d| format!("{}.5", d % 7)).collect();
+    let topk = parser::parse(&format!(
+        "SELECT * FROM d ORDER BY COSINE_SIMILARITY(emb, [{}]) DESC LIMIT 10",
+        query_vector.join(", ")
+    ))
+    .unwrap();
+    group.bench_function("topk_1k_kernel", |b| {
+        b.iter(|| {
+            let r = execute(&small, &topk, &QueryOptions::default()).unwrap();
+            assert_eq!(r.stats.candidates_reranked, 1000);
+            assert_eq!(r.stats.rows_vectorized, 1000);
+            r.len()
+        })
+    });
+    group.bench_function("topk_1k_rows", |b| {
+        b.iter(|| {
+            let r = execute(&small, &topk, &naive).unwrap();
+            assert_eq!(r.stats.rows_vectorized, 0);
+            r.len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_tql, bench_pruning, bench_scan);
 criterion_main!(benches);

@@ -141,6 +141,17 @@ impl Compression {
         }
     }
 
+    /// The body of a framed blob stored uncompressed (what
+    /// [`Compression::None`] writes), borrowed; `None` for any other
+    /// frame. Lets columnar readers use stored bytes in place where
+    /// [`Compression::decompress`] would copy them out.
+    pub fn raw_body(blob: &[u8]) -> Option<&[u8]> {
+        match blob.split_first() {
+            Some((&MAGIC_NONE, rest)) => Some(rest),
+            _ => None,
+        }
+    }
+
     /// Decompress an image blob, returning geometry when the blob carries it.
     pub fn decompress_image(blob: &[u8]) -> Result<DecodedImage, CodecError> {
         let (&magic, rest) = blob
@@ -182,6 +193,13 @@ mod tests {
         let blob = Compression::None.compress(&data);
         assert_eq!(Compression::decompress(&blob).unwrap(), data);
         assert_eq!(blob.len(), data.len() + 1);
+        // only uncompressed frames lend their body out in place
+        assert_eq!(Compression::raw_body(&blob), Some(&data[..]));
+        assert_eq!(
+            Compression::raw_body(&Compression::Lz4.compress(&data)),
+            None
+        );
+        assert_eq!(Compression::raw_body(&[]), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::row::Row;
 use crate::sample_id::{self, ID_TENSOR};
-use crate::tensor_store::TensorStore;
+use crate::tensor_store::{ColumnRun, TensorStore};
 use crate::version::merge::{MergePolicy, MergeReport};
 use crate::version::{
     tensor_prefix, CommitDiff, DiffSummary, TensorDiff, VersionTree, VERSION_INFO_KEY,
@@ -113,6 +113,21 @@ impl PrefetchedChunks {
         self.by_tensor.get(tensor)
     }
 
+    /// `tensor`'s rows `[start, end)` as runs inside the pinned (or
+    /// already memoized) decoded chunks — see
+    /// [`TensorStore::column_runs`]. `None` also when the tensor was
+    /// unknown at prefetch time.
+    pub fn column_runs<'d>(
+        &self,
+        ds: &'d Dataset,
+        tensor: &str,
+        start: u64,
+        end: u64,
+    ) -> Option<Vec<ColumnRun<'d>>> {
+        let pinned = self.by_tensor.get(tensor)?;
+        ds.store(tensor).ok()?.column_runs(start, end, pinned)
+    }
+
     /// Read one sample through the pinned chunks, falling back to the
     /// dataset's single-key path for anything not prefetched.
     pub fn get(&self, ds: &Dataset, tensor: &str, row: u64) -> Result<Sample> {
@@ -155,6 +170,14 @@ pub struct Dataset {
     /// invalidate them and on checkout.
     vindex_cache: Mutex<HashMap<String, Option<Arc<VectorIndex>>>>,
 }
+
+// Reads take `&self` and one handle serves many threads at once (loader
+// workers, the hub's pool workers on a mount's shared handle): keep that
+// a compile-time fact.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Dataset>();
+};
 
 fn now_ms() -> u64 {
     std::time::SystemTime::now()
@@ -566,6 +589,40 @@ impl Dataset {
             fetch_ns,
             decode_ns,
         })
+    }
+
+    /// [`prefetch_chunks`](Dataset::prefetch_chunks) for whole row
+    /// ranges — what the query executor's span scans ask for. Planned
+    /// per chunk run, not per row, and chunks the memo already holds are
+    /// pinned too: a span scan reads its chunks in place
+    /// ([`PrefetchedChunks::column_runs`]), so one that was resident when
+    /// the fetch was planned must not be evicted by the fetch's own
+    /// admissions.
+    pub fn prefetch_spans(
+        &self,
+        tensors: &[String],
+        spans: &[(u64, u64)],
+    ) -> Result<PrefetchedChunks> {
+        let mut resident = Vec::new();
+        let mut probe = Vec::new();
+        for name in tensors {
+            if let Ok(store) = self.store(name) {
+                let mut pinned = HashMap::new();
+                store.pin_resident(spans, &mut pinned, &mut probe);
+                resident.push((name, pinned));
+            }
+        }
+        probe.sort_unstable();
+        probe.dedup();
+        let mut prefetched = self.prefetch_chunks(tensors, &probe)?;
+        for (name, pinned) in resident {
+            prefetched
+                .by_tensor
+                .entry(name.clone())
+                .or_default()
+                .extend(pinned);
+        }
+        Ok(prefetched)
     }
 
     /// Read one sample, preferring pinned decoded chunks over the shared

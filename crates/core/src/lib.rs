@@ -45,6 +45,7 @@ pub mod view;
 pub use dataset::{Dataset, IndexBuildReport, PrefetchedChunks};
 pub use error::CoreError;
 pub use row::Row;
+pub use tensor_store::ColumnRun;
 pub use view::DatasetView;
 
 // Re-exported for layers (query planning, streaming) that reason about

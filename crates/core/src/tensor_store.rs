@@ -56,6 +56,34 @@ impl VersionDir {
     }
 }
 
+/// One run of consecutive rows resident in a single decoded chunk:
+/// records `first..first + len` of [`chunk`](ColumnRun::chunk) — what
+/// [`TensorStore::column_runs`] resolves a row range to, once per run
+/// rather than once per row.
+pub struct ColumnRun<'a> {
+    chunk: RunChunk<'a>,
+    /// Index of the run's first record inside the chunk.
+    pub first: usize,
+    /// Rows in the run.
+    pub len: usize,
+}
+
+enum RunChunk<'a> {
+    /// Unflushed rows: the builder's open chunk.
+    Open(&'a Chunk),
+    Sealed(Arc<Chunk>),
+}
+
+impl ColumnRun<'_> {
+    /// The decoded chunk holding the run.
+    pub fn chunk(&self) -> &Chunk {
+        match &self.chunk {
+            RunChunk::Open(chunk) => chunk,
+            RunChunk::Sealed(chunk) => chunk,
+        }
+    }
+}
+
 /// Storage engine for one tensor.
 pub struct TensorStore {
     meta: TensorMeta,
@@ -551,6 +579,86 @@ impl TensorStore {
         out
     }
 
+    /// Plan a batched fetch by row ranges instead of by row: pin into
+    /// `pinned` every chunk rows of `spans` need that the memo already
+    /// holds (before the fetch's own admissions can evict it), and push
+    /// onto `probe` one row per chunk run plus every tiled row — a row
+    /// list [`batch_fetches`](Self::batch_fetches) plans the same chunks
+    /// from, at one index lookup per run rather than per row. Ranges
+    /// are clamped to the tensor's rows.
+    pub fn pin_resident(
+        &self,
+        spans: &[(u64, u64)],
+        pinned: &mut HashMap<u64, Arc<Chunk>>,
+        probe: &mut Vec<u64>,
+    ) {
+        let sealed = self.encoder.num_rows();
+        let memo = self.chunk_memo.lock();
+        for &(start, end) in spans {
+            let end = end.min(sealed);
+            if start >= end {
+                continue;
+            }
+            probe.extend(self.tiles.rows_in(start, end));
+            let mut row = start;
+            for (id, _, n) in self.encoder.locate_range(start, end).unwrap_or_default() {
+                probe.push(row);
+                row += n as u64;
+                if let Some((_, chunk)) = memo.iter().find(|(m, _)| *m == id) {
+                    pinned.entry(id).or_insert_with(|| chunk.clone());
+                }
+            }
+        }
+    }
+
+    /// Rows `[start, end)` as runs inside already-decoded chunks —
+    /// sealed chunks from `pinned` (else the memo), trailing rows from
+    /// the open chunk — for columnar readers that walk chunk payloads
+    /// in place. Never touches storage and never fails: `None` when the
+    /// range is out of bounds, holds a tiled row, needs a chunk that is
+    /// not decoded yet, or a chunk is shorter than the index map says,
+    /// which sends the caller down the row path ([`get`](Self::get)) and
+    /// its error reporting.
+    pub fn column_runs<'a>(
+        &'a self,
+        start: u64,
+        end: u64,
+        pinned: &HashMap<u64, Arc<Chunk>>,
+    ) -> Option<Vec<ColumnRun<'a>>> {
+        if start > end || end > self.len() || self.tiles.rows_in(start, end).next().is_some() {
+            return None;
+        }
+        let sealed = self.encoder.num_rows();
+        let mut runs = Vec::new();
+        if start < sealed {
+            for (id, first, n) in self.encoder.locate_range(start, end.min(sealed)).ok()? {
+                let chunk = match pinned.get(&id) {
+                    Some(chunk) => chunk.clone(),
+                    None => {
+                        let memo = self.chunk_memo.lock();
+                        memo.iter().find(|(m, _)| *m == id)?.1.clone()
+                    }
+                };
+                runs.push(ColumnRun {
+                    chunk: RunChunk::Sealed(chunk),
+                    first: first as usize,
+                    len: n as usize,
+                });
+            }
+        }
+        if end > sealed {
+            let from = start.max(sealed);
+            runs.push(ColumnRun {
+                chunk: RunChunk::Open(self.builder.open_chunk()),
+                first: (from - sealed) as usize,
+                len: (end - from) as usize,
+            });
+        }
+        runs.iter()
+            .all(|run| run.first + run.len <= run.chunk().sample_count())
+            .then_some(runs)
+    }
+
     /// Per-chunk spans covering rows `[start, end)` — the streaming
     /// layer's fetch plan. Rows still in the open chunk are reported with
     /// chunk id `u64::MAX`.
@@ -967,6 +1075,71 @@ mod tests {
         if t.sealed_rows() < 9 {
             assert_eq!(plan.last().unwrap().0, u64::MAX);
         }
+    }
+
+    #[test]
+    fn column_runs_follow_updates_tiles_and_the_open_chunk() {
+        let mut m = TensorMeta::new("v", Htype::Generic, Some(Dtype::U8));
+        m.chunk_target_bytes = 8; // four scalars a chunk
+        let mut t = TensorStore::create(m, head()).unwrap();
+        for i in 0..10u8 {
+            t.append(&Sample::scalar(i)).unwrap();
+        }
+        t.update(5, &Sample::scalar(50u8)).unwrap(); // seals, then splits a run
+        for i in 10..13u8 {
+            t.append(&Sample::scalar(i)).unwrap(); // open chunk again
+        }
+        let decode = |runs: &[ColumnRun<'_>]| -> Vec<f64> {
+            let mut out = Vec::new();
+            for run in runs {
+                let col = run.chunk().scalar_column().expect("scalars");
+                col.decode_rows(run.first..run.first + run.len, &mut out);
+            }
+            out
+        };
+        // nothing decoded yet (the update cleared the memo): sealed rows
+        // refuse, open rows resolve
+        let none = HashMap::new();
+        assert!(t.column_runs(0, 13, &none).is_none());
+        let sealed = t.sealed_rows();
+        assert!(sealed < 13, "the tail is in the open chunk");
+        let open_rows = decode(&t.column_runs(sealed, 13, &none).unwrap());
+
+        let want: Vec<f64> = (0..13)
+            .map(|r| t.get(r).unwrap().get_f64(0).unwrap())
+            .collect();
+        assert_eq!(want[5], 50.0);
+        assert_eq!(open_rows, want[sealed as usize..]);
+
+        // pinned chunks resolve every sub-range, runs in row order
+        let mut pinned = HashMap::new();
+        for (id, _, _) in t.chunk_spans() {
+            if let Some(id) = id {
+                pinned.insert(id, t.read_chunk(id).unwrap());
+            }
+        }
+        for (start, end) in [(0, 13), (4, 7), (5, 6), (6, 6), (9, 13)] {
+            let runs = t.column_runs(start, end, &pinned).unwrap();
+            assert_eq!(runs.iter().map(|r| r.len as u64).sum::<u64>(), end - start);
+            assert_eq!(decode(&runs), want[start as usize..end as usize]);
+        }
+        // `read_chunk` memoized them: the memo alone serves too
+        assert_eq!(decode(&t.column_runs(0, 13, &none).unwrap()), want);
+        // out of range, inverted
+        assert!(t.column_runs(0, 14, &pinned).is_none());
+        assert!(t.column_runs(7, 6, &pinned).is_none());
+
+        // a tiled row refuses exactly the ranges that contain it
+        let big = Sample::from_slice([100], &[1u8; 100]).unwrap();
+        t.append(&big).unwrap();
+        assert!(t.is_tiled(13));
+        let mut pinned = HashMap::new();
+        for (id, _, _) in t.chunk_spans() {
+            pinned.insert(id.unwrap(), t.read_chunk(id.unwrap()).unwrap());
+        }
+        assert!(t.column_runs(12, 14, &pinned).is_none());
+        assert!(t.column_runs(13, 14, &pinned).is_none());
+        assert_eq!(decode(&t.column_runs(0, 13, &pinned).unwrap()), want);
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! level compression is applied *before* a blob enters the chunk, so
 //! pre-compressed images are copied in verbatim.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use deeplake_codec::Compression;
+use deeplake_tensor::sample::read_f64;
 use deeplake_tensor::{Dtype, Sample, Shape};
 
 use crate::consts::{CHUNK_MAGIC, CHUNK_VERSION};
@@ -129,6 +132,50 @@ impl Chunk {
         decode_sample(blob, self.dtype, shape)
     }
 
+    /// The chunk as a column of scalars: `Some` only when every record
+    /// is an uncompressed one-element blob. Eligibility is checked here,
+    /// per call — parsing a chunk costs nothing extra for readers that
+    /// never ask.
+    pub fn scalar_column(&self) -> Option<ColumnView<'_>> {
+        self.column(1, |shape| shape.num_elements() == 1)
+    }
+
+    /// The chunk as a column of rank-1 vectors of exactly `dim`
+    /// elements: `Some` only when every record is an uncompressed blob
+    /// of shape `[dim]`.
+    pub fn vector_column(&self, dim: usize) -> Option<ColumnView<'_>> {
+        if dim == 0 {
+            return None;
+        }
+        self.column(dim, |shape| shape.dims() == [dim as u64])
+    }
+
+    /// A fixed-width view, when every record is one uncompressed frame
+    /// of `width` elements whose directory shape passes `shape_ok`. The
+    /// payload length is checked against the record count up front, so a
+    /// view can never index past the bytes it borrows, whatever the
+    /// directory claims.
+    fn column(&self, width: usize, shape_ok: impl Fn(&Shape) -> bool) -> Option<ColumnView<'_>> {
+        let stride = width.checked_mul(self.dtype.size())?.checked_add(1)?;
+        if self.records.len().checked_mul(stride)? != self.payload.len() {
+            return None;
+        }
+        let uniform = self
+            .records
+            .iter()
+            .zip(self.payload.chunks_exact(stride))
+            .all(|(r, blob)| {
+                r.stored_len as usize == stride
+                    && shape_ok(&r.shape)
+                    && Compression::raw_body(blob).is_some()
+            });
+        uniform.then_some(ColumnView {
+            dtype: self.dtype,
+            stride,
+            payload: &self.payload,
+        })
+    }
+
     /// Serialize the chunk, compressing the payload with `chunk_codec`.
     pub fn serialize(&self, chunk_codec: Compression) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + self.records.len() * 8 + 16);
@@ -187,6 +234,69 @@ impl Chunk {
     /// whole).
     pub fn parse_header(data: &[u8]) -> Result<(ChunkHeader, usize)> {
         ChunkHeader::parse(data)
+    }
+}
+
+/// A chunk borrowed as a fixed-width column (see
+/// [`Chunk::scalar_column`] / [`Chunk::vector_column`]): every row is
+/// one uncompressed frame of the same element count, so row `i` sits at
+/// a computed offset and decodes without touching the sample directory
+/// or allocating a [`Sample`].
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnView<'a> {
+    dtype: Dtype,
+    /// Bytes per row: the frame byte plus the elements.
+    stride: usize,
+    payload: &'a [u8],
+}
+
+impl ColumnView<'_> {
+    /// Rows in the column.
+    pub fn len(&self) -> usize {
+        self.payload.len() / self.stride
+    }
+
+    /// Whether the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.payload.is_empty()
+    }
+
+    /// Append the elements of rows `rows`, in order, to `out` as `f64`
+    /// (one per row for a scalar column, `dim` per row for a vector
+    /// column) through the conversion [`Sample::get_f64`] uses. Panics
+    /// if `rows` reaches past [`len`](Self::len).
+    pub fn decode_rows(&self, rows: Range<usize>, out: &mut Vec<f64>) {
+        let stride = self.stride;
+        let records = &self.payload[rows.start * stride..rows.end * stride];
+        // one monomorphic loop per dtype: the conversion's dtype match
+        // folds away inside each arm
+        macro_rules! typed {
+            ($($d:ident),*) => {
+                match self.dtype {
+                    $(Dtype::$d => decode_records(records, stride, Dtype::$d.size(), out, |raw| {
+                        read_f64(Dtype::$d, raw)
+                    }),)*
+                }
+            };
+        }
+        typed!(U8, I8, U16, I16, U32, I32, U64, I64, F32, F64, Bool);
+    }
+}
+
+#[inline(always)]
+fn decode_records(
+    records: &[u8],
+    stride: usize,
+    size: usize,
+    out: &mut Vec<f64>,
+    read: impl Fn(&[u8]) -> f64,
+) {
+    if stride == 1 + size {
+        out.extend(records.chunks_exact(stride).map(|rec| read(&rec[1..])));
+    } else {
+        for rec in records.chunks_exact(stride) {
+            out.extend(rec[1..].chunks_exact(size).map(&read));
+        }
     }
 }
 
@@ -510,6 +620,210 @@ mod tests {
         assert_eq!(c.blob(0).unwrap(), &blob[..]);
         let decoded = c.sample(0).unwrap();
         assert_eq!(decoded.shape(), img.shape());
+    }
+
+    /// One value of `dtype` near `v` (NaN and signed zeros survive for
+    /// floats; integers take the truncated value).
+    fn scalar_of(dtype: Dtype, v: f64) -> Sample {
+        deeplake_tensor::sample::from_f64_values(dtype, Shape::scalar(), &[v])
+    }
+
+    #[test]
+    fn scalar_column_decodes_every_dtype_like_get_f64() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            200.0,
+            -70000.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for dtype in Dtype::ALL {
+            let mut c = Chunk::new(dtype);
+            for &v in &values {
+                c.append_sample(&scalar_of(dtype, v), Compression::None)
+                    .unwrap();
+            }
+            // a round trip through bytes must not change eligibility
+            for chunk in [
+                c.clone(),
+                Chunk::deserialize(&c.serialize(Compression::Lz4)).unwrap(),
+            ] {
+                let col = chunk.scalar_column().expect("all-scalar chunk");
+                assert_eq!(col.len(), values.len());
+                let mut got = Vec::new();
+                col.decode_rows(0..col.len(), &mut got);
+                let want: Vec<f64> = (0..values.len())
+                    .map(|i| chunk.sample(i).unwrap().get_f64(0).unwrap())
+                    .collect();
+                // bit-for-bit: NaN payloads and the sign of zero included
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{dtype}"
+                );
+                // a sub-range appends after what the buffer already holds
+                let mut tail = vec![7.0];
+                col.decode_rows(2..4, &mut tail);
+                assert_eq!(tail[1..], want[2..4], "{dtype}");
+                assert!(chunk.vector_column(1).is_none(), "rank 0 is not a vector");
+            }
+        }
+    }
+
+    #[test]
+    fn one_element_shapes_of_any_rank_are_scalars() {
+        let mut c = Chunk::new(Dtype::I32);
+        c.append_sample(&Sample::scalar(4i32), Compression::None)
+            .unwrap();
+        c.append_sample(
+            &Sample::from_slice([1], &[5i32]).unwrap(),
+            Compression::None,
+        )
+        .unwrap();
+        c.append_sample(
+            &Sample::from_slice([1, 1], &[6i32]).unwrap(),
+            Compression::None,
+        )
+        .unwrap();
+        let mut got = Vec::new();
+        c.scalar_column().unwrap().decode_rows(0..3, &mut got);
+        assert_eq!(got, [4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn scalar_column_refuses_anything_but_uncompressed_scalars() {
+        let scalars = |n: usize| {
+            let mut c = Chunk::new(Dtype::F32);
+            for i in 0..n {
+                c.append_sample(&Sample::scalar(i as f32), Compression::None)
+                    .unwrap();
+            }
+            c
+        };
+        assert!(scalars(4).scalar_column().is_some());
+        assert!(scalars(0).scalar_column().is_some_and(|c| c.is_empty()));
+
+        // one sample-compressed record
+        let mut c = scalars(3);
+        c.append_sample(&Sample::scalar(9f32), Compression::Lz4)
+            .unwrap();
+        assert!(c.scalar_column().is_none());
+        // every record sample-compressed, all of one stored length
+        let mut c = Chunk::new(Dtype::F32);
+        for i in 0..4 {
+            c.append_sample(&Sample::scalar(i as f32), Compression::Lz4)
+                .unwrap();
+        }
+        assert!(c.scalar_column().is_none());
+        // one multi-element sample
+        let mut c = scalars(3);
+        c.append_sample(
+            &Sample::from_slice([2], &[1f32, 2.0]).unwrap(),
+            Compression::None,
+        )
+        .unwrap();
+        assert!(c.scalar_column().is_none());
+        // one empty marker
+        let mut c = scalars(3);
+        c.append_sample(&Sample::empty(Dtype::F32), Compression::None)
+            .unwrap();
+        assert!(c.scalar_column().is_none());
+        // a foreign blob that happens to have a scalar's stored length
+        let mut c = scalars(3);
+        c.append_blob(&[0x01, 4, 0, 0, 0], Shape::scalar());
+        assert!(c.scalar_column().is_none());
+    }
+
+    #[test]
+    fn vector_column_refuses_anything_but_uniform_rank_one() {
+        let vectors = |lens: &[usize]| {
+            let mut c = Chunk::new(Dtype::F32);
+            for (i, &n) in lens.iter().enumerate() {
+                c.append_sample(
+                    &Sample::from_slice([n as u64], &vec![i as f32; n]).unwrap(),
+                    Compression::None,
+                )
+                .unwrap();
+            }
+            c
+        };
+        let c = vectors(&[3, 3, 3]);
+        let col = c.vector_column(3).expect("uniform vectors");
+        assert_eq!(col.len(), 3);
+        let mut got = Vec::new();
+        col.decode_rows(1..3, &mut got);
+        assert_eq!(got, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
+        // not the length asked for, zero length, scalars asked of vectors
+        assert!(c.vector_column(2).is_none());
+        assert!(c.vector_column(0).is_none());
+        assert!(c.vector_column(usize::MAX).is_none(), "stride overflow");
+        assert!(c.scalar_column().is_none());
+        // one wrong-length vector, one empty marker
+        assert!(vectors(&[3, 3, 2]).vector_column(3).is_none());
+        assert!(vectors(&[3, 0, 3]).vector_column(3).is_none());
+        // right element count, wrong rank
+        let mut c = vectors(&[3]);
+        c.append_sample(
+            &Sample::from_slice([1, 3], &[0f32; 3]).unwrap(),
+            Compression::None,
+        )
+        .unwrap();
+        assert!(c.vector_column(3).is_none());
+        // sample-compressed
+        let mut c = vectors(&[3]);
+        c.append_sample(
+            &Sample::from_slice([3], &[0f32; 3]).unwrap(),
+            Compression::Lz4,
+        )
+        .unwrap();
+        assert!(c.vector_column(3).is_none());
+    }
+
+    /// Serialized F32 chunk with a hand-written directory: `records` are
+    /// `(stored_len, dims)`, `payload` whatever follows.
+    fn forged(records: &[(u32, &[u32])], payload: &[u8]) -> Vec<u8> {
+        let mut out = CHUNK_MAGIC.to_vec();
+        out.extend_from_slice(&[CHUNK_VERSION, 0, dtype_tag(Dtype::F32)]);
+        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for (stored_len, dims) in records {
+            out.extend_from_slice(&stored_len.to_le_bytes());
+            out.push(dims.len() as u8);
+            for d in *dims {
+                out.extend_from_slice(&d.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn views_never_trust_a_lying_directory() {
+        // directory claims scalars but the blobs are two elements long:
+        // row reads fail on the length, views refuse
+        let c = Chunk::deserialize(&forged(&[(9, &[]), (9, &[])], &[0u8; 18])).unwrap();
+        assert!(c.sample(0).is_err());
+        assert!(c.scalar_column().is_none());
+        assert!(c.vector_column(2).is_none());
+        // directory claims 2-vectors over scalar-sized blobs
+        let c = Chunk::deserialize(&forged(&[(5, &[2]), (5, &[2])], &[0u8; 10])).unwrap();
+        assert!(c.sample(0).is_err());
+        assert!(c.scalar_column().is_none());
+        assert!(c.vector_column(2).is_none());
+        // stored lengths that disagree with each other but sum to n × stride
+        let c = Chunk::deserialize(&forged(&[(4, &[]), (6, &[])], &[0u8; 10])).unwrap();
+        assert!(c.scalar_column().is_none());
+        // a huge claimed dimension cannot overflow the stride arithmetic
+        let c = Chunk::deserialize(&forged(&[(5, &[u32::MAX])], &[0u8; 5])).unwrap();
+        assert!(c.vector_column(u32::MAX as usize).is_none());
+        // a payload shorter than the directory total never becomes a chunk
+        assert!(Chunk::deserialize(&forged(&[(5, &[]), (5, &[])], &[0u8; 9])).is_err());
+        // and an honest one of the same shape does
+        let c = Chunk::deserialize(&forged(&[(5, &[]), (5, &[])], &[0u8; 10])).unwrap();
+        assert_eq!(c.scalar_column().unwrap().len(), 2);
     }
 
     #[test]

@@ -147,6 +147,15 @@ impl TileEncoder {
             .map(|i| &self.entries[i].1)
     }
 
+    /// The tiled rows in `[start, end)`, ascending.
+    pub fn rows_in(&self, start: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
+        let i = self.entries.partition_point(|(r, _)| *r < start);
+        self.entries[i..]
+            .iter()
+            .map(|(r, _)| *r)
+            .take_while(move |r| *r < end)
+    }
+
     /// Remove a row's tiling entry (after re-chunking or update).
     pub fn remove(&mut self, row: u64) {
         if let Ok(i) = self.entries.binary_search_by_key(&row, |(r, _)| *r) {
@@ -380,6 +389,27 @@ mod tests {
         let n = (h * w * c) as usize;
         let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
         Sample::from_slice([h, w, c], &data).unwrap()
+    }
+
+    #[test]
+    fn rows_in_is_a_half_open_range_probe() {
+        let layout = TileLayout {
+            sample_shape: Shape::from([8]),
+            tile_shape: Shape::from([4]),
+            tile_chunks: vec![1, 2],
+        };
+        let mut enc = TileEncoder::new();
+        let rows_in = |enc: &TileEncoder, s, e| enc.rows_in(s, e).collect::<Vec<_>>();
+        assert!(rows_in(&enc, 0, u64::MAX).is_empty());
+        enc.insert(5, layout.clone());
+        enc.insert(9, layout);
+        assert_eq!(rows_in(&enc, 0, 6), [5]);
+        assert_eq!(rows_in(&enc, 5, 10), [5, 9]);
+        assert_eq!(rows_in(&enc, 6, 10), [9]);
+        assert!(rows_in(&enc, 0, 5).is_empty());
+        assert!(rows_in(&enc, 6, 9).is_empty());
+        assert!(rows_in(&enc, 10, 99).is_empty());
+        assert!(rows_in(&enc, 5, 5).is_empty(), "empty range");
     }
 
     #[test]

@@ -30,9 +30,11 @@
 //! the connection's outbound queue and the owning loop is woken to
 //! write it out — nonblocking, with partial-write tracking — so a peer
 //! that stops draining can never pin a pool worker. Its outbound queue
-//! is bounded instead: past [`HubOptions::conn_buffer_bytes`] the loop
-//! stops *reading* that connection (admitting no further requests, so
-//! no further responses accrue), and a connection that makes no read or
+//! is bounded instead: past [`HubOptions::conn_buffer_bytes`] —
+//! counting responses committed but unwritten *and* responses finished
+//! out of order that wait in the legacy reorder buffer — the loop stops
+//! *reading* that connection (admitting no further requests, so no
+//! further responses accrue), and a connection that makes no read or
 //! write progress for [`HubOptions::stall_timeout`] is disconnected.
 //!
 //! ## Response order
@@ -179,6 +181,7 @@ pub struct HubStats {
     queries: Counter,
     busy_rejections: Counter,
     peak_conn_buffered: Counter,
+    dataset_opens: Counter,
     wire: StorageStats,
 }
 
@@ -209,6 +212,15 @@ impl HubStats {
         self.peak_conn_buffered.get()
     }
 
+    /// Dataset handles opened to execute queries: one per `(mount,
+    /// reference)` per invalidation epoch, however many queries miss
+    /// the result cache in between — a count near [`queries`](Self::queries)
+    /// means writes (or invalidations) are arriving between every pair
+    /// of queries.
+    pub fn dataset_opens(&self) -> u64 {
+        self.dataset_opens.get()
+    }
+
     /// Wire traffic: one round trip per frame answered, request bytes in
     /// `bytes_read`, response bytes in `bytes_written` (mirror-image of
     /// the client's view).
@@ -222,6 +234,7 @@ impl HubStats {
         registry.register_counter("hub.queries", &self.queries);
         registry.register_counter("hub.busy_rejections", &self.busy_rejections);
         registry.register_counter("hub.peak_conn_buffered", &self.peak_conn_buffered);
+        registry.register_counter("hub.dataset_opens", &self.dataset_opens);
         self.wire.register_into(registry, "hub.wire");
     }
 }
@@ -333,6 +346,20 @@ struct OutState {
     woff: usize,
     /// Total unwritten bytes across `wbuf`.
     buffered: usize,
+    /// Total bytes of the frames waiting in `pending`.
+    held: usize,
+}
+
+impl OutState {
+    /// Response bytes the connection holds in memory: committed and
+    /// unwritten, plus finished out of order and waiting their turn.
+    /// This — not `buffered` alone — is what admission and read interest
+    /// are capped on: while one slow request blocks the head of the
+    /// legacy order, everything finishing behind it piles up in
+    /// `pending`, and a cap blind to that pile keeps admitting.
+    fn queued(&self) -> usize {
+        self.buffered + self.held
+    }
 }
 
 /// The slice of connection state shared with pool workers. The socket
@@ -362,18 +389,20 @@ fn deposit(shared: &Shared, conn: &ConnShared, slot: Slot, request_len: u64, fra
     }
     match slot {
         Slot::Seq(seq) => {
+            out.held += frame.len();
             out.pending.insert(seq, (frame, request_len));
             while let Some((frame, req_len)) = {
                 let next = out.next_seq;
                 out.pending.remove(&next)
             } {
                 out.next_seq += 1;
+                out.held -= frame.len();
                 commit(shared, &mut out, None, req_len, frame);
             }
         }
         Slot::Id(id) => commit(shared, &mut out, Some(id), request_len, frame),
     }
-    let peak = out.buffered as u64;
+    let peak = out.queued() as u64;
     drop(out);
     shared.stats.peak_conn_buffered.record_max(peak);
 }
@@ -444,14 +473,17 @@ struct HubObs {
     queue_wait: Histogram,
     /// Head resolution + result-cache probe (`hub.cache_lookup_ns`).
     cache_lookup: Histogram,
-    /// Dataset open + TQL execution on a cache miss (`hub.execute_ns`).
+    /// TQL execution on a cache miss, with the dataset open when the
+    /// mount has no handle for this epoch yet (`hub.execute_ns`).
     execute: Histogram,
     /// Service time of batched read ops (`Execute`/`GetMany`) on a pool
     /// worker (`hub.read_ns`) — the hub-side cost of one loader worker
     /// task's scatter-gather fetch, queue wait excluded.
     read: Histogram,
-    /// Nanoseconds inside the mounted provider per query
-    /// (`hub.storage_ns`) — a child of the execute span.
+    /// Nanoseconds a missed query kept the mounted provider busy
+    /// (`hub.storage_ns`): head resolution, the dataset open when one
+    /// happens, and the executor's batched chunk fetches — a child of
+    /// the execute span.
     storage: Histogram,
     /// Depositing the finished response onto the connection's write
     /// queue (`hub.flush_ns`).
@@ -1107,6 +1139,7 @@ fn adopt(
             wbuf: VecDeque::new(),
             woff: 0,
             buffered: 0,
+            held: 0,
         }),
         inflight: AtomicUsize::new(0),
         attached: Mutex::new(None),
@@ -1157,6 +1190,7 @@ fn disconnect(
     out.pending.clear();
     out.wbuf.clear();
     out.buffered = 0;
+    out.held = 0;
     drop(out);
     let _ = me.poller.remove(conn.stream.as_raw_fd());
     // socket closes when `conn.stream` drops here
@@ -1265,7 +1299,7 @@ fn parse_frames(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
         if conn.read_closed && conn.rpos >= conn.rbuf.len() {
             break;
         }
-        if conn.state.out.lock().buffered >= shared.opts.conn_buffer_bytes {
+        if conn.state.out.lock().queued() >= shared.opts.conn_buffer_bytes {
             break; // backpressured: stop admitting requests
         }
         let avail = conn.rbuf.len() - conn.rpos;
@@ -1329,7 +1363,7 @@ fn flush_out(conn: &mut Conn) -> Result<usize, ()> {
 /// open and backpressure allows, write while bytes are queued.
 fn update_interest(me: &LoopShared, conn: &mut Conn, conn_buffer_bytes: usize) {
     let out = conn.state.out.lock();
-    let want_r = !conn.read_closed && out.buffered < conn_buffer_bytes;
+    let want_r = !conn.read_closed && out.queued() < conn_buffer_bytes;
     let want_w = !out.wbuf.is_empty();
     drop(out);
     if want_r != conn.read_on || want_w != conn.write_on {
@@ -1838,14 +1872,13 @@ fn handle_query(
     shared.stats.queries.inc();
     shared.obs.queries_rate.inc();
     let total = SpanTimer::start();
-    // per-query storage attribution: every provider call below — head
-    // resolution, dataset open, the scan workers' chunk reads — goes
-    // through this wrapper, so the accumulated nanoseconds are the
-    // query's storage round-trip span even though the calls come from
-    // several threads
-    let timed = TimingProvider::new(mount.provider.clone());
-    let storage_nanos = timed.nanos_counter();
-    let provider: DynProvider = Arc::new(timed);
+    // per-query storage attribution: the nanoseconds this query kept the
+    // mount's storage busy — head resolution and a dataset open when
+    // they happen, then what the executor's batched chunk fetches took
+    // (`QueryStats::fetch_ns`, summed over its scan threads). Reads made
+    // on the mount's shared handle belong to no per-query wrapper, so
+    // the executor's own ledger is what attributes them.
+    let mut storage_ns = 0;
     let epoch = mount.epoch();
     // one parse serves canonicalization, cacheability analysis and (via
     // the canonical text) every whitespace/case variant of this query
@@ -1856,15 +1889,19 @@ fn handle_query(
     let lookup = SpanTimer::start();
     let resolved = match mount.head_memo(reference) {
         Some(memo) => Some(memo),
-        None => match resolve_reference(&provider, reference) {
-            Ok(head) => {
-                mount.memoize_head(reference, head.clone(), epoch);
-                Some(head)
+        None => {
+            let (head, ns) = mount.timed(|p| resolve_reference(p, reference));
+            storage_ns += ns;
+            match head {
+                Ok(head) => {
+                    mount.memoize_head(reference, head.clone(), epoch);
+                    Some(head)
+                }
+                // let the dataset open below render the error (a hub can
+                // be queried before any dataset exists under the mount)
+                Err(_) => None,
             }
-            // let the dataset open below render the error (a hub can be
-            // queried before any dataset exists under the mount)
-            Err(_) => None,
-        },
+        }
     };
     let mut hit = None;
     if let (Some(tk), Some(head)) = (&text_key, &resolved) {
@@ -1882,20 +1919,20 @@ fn handle_query(
         Some(frame) => (frame, resolved, 0),
         None => {
             let exec = SpanTimer::start();
-            let (frame, version) = execute_query(
-                shared, mount, &provider, reference, text, options, epoch, parsed, &text_key,
+            let (frame, version, execute_storage_ns) = execute_query(
+                shared, mount, reference, text, options, epoch, parsed, &text_key,
             );
             let execute_ns = exec.record(&shared.obs.execute);
+            storage_ns += execute_storage_ns;
             // recorded per cache MISS only: hits cost zero (or one
             // memoized head re-resolution) storage nanoseconds, and on a
             // hot-cache workload those near-zero samples would drag
             // hub.storage_ns p50/p99 far below the real round-trip
             // latency the histogram exists to size
-            shared.obs.storage.record(storage_nanos.get());
+            shared.obs.storage.record(storage_ns);
             (frame, version, execute_ns)
         }
     };
-    let storage_ns = storage_nanos.get();
     let total_ns = ctx.queue_wait_ns + total.stop();
     shared.obs.query_window.record(total_ns);
     if frame.first() != Some(&proto::STATUS_OK) {
@@ -1945,30 +1982,42 @@ fn handle_query(
     frame
 }
 
-/// The cache-miss path: open a fresh dataset handle, execute, install
-/// the head memo and (when cacheable) the result-cache entry. Returns
-/// the response frame and the head the query resolved to.
+/// The cache-miss path: execute on the mount's shared handle for
+/// `reference` (opening it when this epoch has none yet), install the
+/// head memo and (when cacheable) the result-cache entry. Returns the
+/// response frame, the head the query resolved to, and the storage
+/// nanoseconds to attribute to the query.
 #[allow(clippy::too_many_arguments)]
 fn execute_query(
     shared: &Shared,
     mount: &Arc<Mounted>,
-    provider: &DynProvider,
     reference: &str,
     text: &str,
     options: QueryOptions,
     epoch: u64,
     parsed: Option<deeplake_tql::ast::Query>,
     text_key: &Option<String>,
-) -> (Vec<u8>, Option<String>) {
-    // a fresh handle per query: always serves the storage's current
-    // state, and queries from many clients never share mutable dataset
-    // state
-    let ds = match Dataset::open_at(provider.clone(), reference) {
+) -> (Vec<u8>, Option<String>, u64) {
+    // one handle per reference per epoch: every write routed through the
+    // hub, `HubHandle::invalidate` and unmount drop it with the head
+    // memo, so it serves the storage's state as of the last write the
+    // hub knows of — what the result cache serves, too. Reads are
+    // `&self`: pool workers execute on it concurrently. (`AT VERSION`
+    // still reopens per query inside the executor.)
+    let mut storage_ns = 0;
+    let handle = mount.dataset(reference, epoch, || {
+        shared.stats.dataset_opens.inc();
+        let (ds, ns) = mount.timed(|p| Dataset::open_at(p.clone(), reference));
+        storage_ns = ns;
+        ds
+    });
+    let ds = match handle {
         Ok(ds) => ds,
         Err(e) => {
             return (
                 proto::resp_query_err(&format!("open {reference:?}: {e}")),
                 None,
+                storage_ns,
             )
         }
     };
@@ -1977,6 +2026,7 @@ fn execute_query(
     mount.memoize_head(reference, head.clone(), epoch);
     match deeplake_tql::query_opts(&ds, text, &options) {
         Ok(result) => {
+            storage_ns += result.stats.fetch_ns;
             let frame = proto::resp_query(&result);
             if let (Some(tk), Some(q)) = (text_key, parsed) {
                 // pinned = the result can never change: the version the
@@ -2001,8 +2051,12 @@ fn execute_query(
                     .cache
                     .insert_if(key, frame.clone(), pinned, || mount.epoch() == epoch);
             }
-            (frame, Some(head))
+            (frame, Some(head), storage_ns)
         }
-        Err(e) => (proto::resp_query_err(&e.to_string()), Some(head)),
+        Err(e) => (
+            proto::resp_query_err(&e.to_string()),
+            Some(head),
+            storage_ns,
+        ),
     }
 }

@@ -34,7 +34,10 @@
 //!   provider method, TQL offload and loader *unchanged*; unattached
 //!   connections fall back to a default mount, which is how the
 //!   single-dataset `DatasetServer` facade is now a two-line wrapper
-//!   over the hub runtime.
+//!   over the hub runtime. A mount also holds one opened `Dataset` per
+//!   queried reference, shared by every query (and pool worker) until a
+//!   write through the hub, an explicit invalidation or an unmount
+//!   drops it with the head memo.
 //! * **[`hub`]** — the event-loop reader tier and the bounded worker
 //!   pool. One or two reader threads multiplex *every* connection via
 //!   readiness notification (epoll through the `polling` stand-in):

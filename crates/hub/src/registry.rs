@@ -9,18 +9,36 @@
 //! behaviour on the hub runtime.
 //!
 //! A mount also owns the serving-side memoization that makes repeated
-//! query offload cheap: `reference → (resolved head, committed)` — the
-//! lookup that would otherwise cost storage reads per query — plus an
-//! invalidation epoch bumped on every write routed into the dataset, so
-//! a query racing a write can never install a stale memo or cache entry.
+//! query offload cheap: `reference → resolved head` — the lookup that
+//! would otherwise cost storage reads per query — and `reference → one
+//! opened [`Dataset`]` every query against that reference executes on,
+//! so metadata, chunk statistics and the decoded vector index load once
+//! rather than once per query. Both live and die under one invalidation
+//! epoch, bumped on every write routed into the dataset, so a query
+//! racing a write can never install a stale memo, handle or cache entry.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use deeplake_storage::DynProvider;
+use deeplake_core::Dataset;
+use deeplake_obs::Counter;
+use deeplake_storage::{DynProvider, TimingProvider};
 use parking_lot::{Mutex, RwLock};
+
+/// What a mount remembers per reference, valid for the current epoch.
+#[derive(Default)]
+struct Memo {
+    /// `reference → resolved head node`. Resolving a branch name costs
+    /// storage reads; memoizing it is what lets a cache hit answer with
+    /// *zero* storage round trips.
+    heads: HashMap<String, String>,
+    /// `reference → the opened dataset` queries share. A mutable tip and
+    /// a committed reference are different keys, so they never share a
+    /// handle.
+    datasets: HashMap<String, Arc<Dataset>>,
+}
 
 /// One mounted dataset.
 pub struct Mounted {
@@ -28,23 +46,33 @@ pub struct Mounted {
     pub name: String,
     /// The dataset's (namespaced) storage.
     pub provider: DynProvider,
-    /// `reference → resolved head node` memo. Resolving a branch name
-    /// costs storage reads; memoizing it is what lets a cache hit
-    /// answer with *zero* storage round trips. Cleared on every write
-    /// into the dataset (an uncommitted tip mutates without changing
-    /// its id, and a commit moves the branch).
-    heads: Mutex<HashMap<String, String>>,
+    /// `provider` behind a [`TimingProvider`] that lives as long as the
+    /// mount: shared handles open over it, so the storage time of a read
+    /// made on one is measurable after the query that opened it is gone.
+    timed: DynProvider,
+    storage_nanos: Counter,
+    /// Cleared on every write into the dataset (an uncommitted tip
+    /// mutates without changing its id, and a commit moves the branch).
+    memo: Mutex<Memo>,
+    /// Serializes opens, so queries that miss the handle together open
+    /// it once.
+    opening: Mutex<()>,
     /// Bumped on every invalidation; queries capture it before resolving
-    /// and refuse to install memo/cache entries if it moved meanwhile.
+    /// and refuse to install memo/handle/cache entries if it moved
+    /// meanwhile.
     epoch: AtomicU64,
 }
 
 impl Mounted {
     fn new(name: String, provider: DynProvider) -> Arc<Self> {
+        let timed = TimingProvider::new(provider.clone());
         Arc::new(Mounted {
             name,
             provider,
-            heads: Mutex::new(HashMap::new()),
+            storage_nanos: timed.nanos_counter(),
+            timed: Arc::new(timed),
+            memo: Mutex::new(Memo::default()),
+            opening: Mutex::new(()),
             epoch: AtomicU64::new(0),
         })
     }
@@ -54,26 +82,63 @@ impl Mounted {
         self.epoch.load(Ordering::Acquire)
     }
 
+    /// Run `f` against the mount's timed provider; returns its result
+    /// and the nanoseconds the mount's storage was busy meanwhile (`f`'s
+    /// own calls, plus whatever a concurrent query on this mount read).
+    pub fn timed<T>(&self, f: impl FnOnce(&DynProvider) -> T) -> (T, u64) {
+        let before = self.storage_nanos.get();
+        let out = f(&self.timed);
+        (out, self.storage_nanos.get() - before)
+    }
+
     /// Memoized resolution of `reference`, if still valid.
     pub fn head_memo(&self, reference: &str) -> Option<String> {
-        self.heads.lock().get(reference).cloned()
+        self.memo.lock().heads.get(reference).cloned()
     }
 
     /// Install a resolution memo, unless the dataset was invalidated
     /// since `seen_epoch` was captured (a concurrent write may have
     /// moved the head the resolution observed).
     pub fn memoize_head(&self, reference: &str, head: String, seen_epoch: u64) {
-        let mut memo = self.heads.lock();
+        let mut memo = self.memo.lock();
         if self.epoch.load(Ordering::Acquire) == seen_epoch {
-            memo.insert(reference.to_string(), head);
+            memo.heads.insert(reference.to_string(), head);
         }
     }
 
-    /// Forget every memoized resolution and advance the epoch.
+    /// The dataset handle queries at `reference` share: the installed
+    /// one, else `open`'s — installed for the next query unless the
+    /// dataset was invalidated since `seen_epoch` was captured (the
+    /// open may have read state a concurrent write has replaced; this
+    /// query still runs on it, as it would have on a private handle).
+    pub fn dataset<E>(
+        &self,
+        reference: &str,
+        seen_epoch: u64,
+        open: impl FnOnce() -> Result<Dataset, E>,
+    ) -> Result<Arc<Dataset>, E> {
+        let installed = |memo: &Memo| memo.datasets.get(reference).cloned();
+        if let Some(ds) = installed(&self.memo.lock()) {
+            return Ok(ds);
+        }
+        let _opening = self.opening.lock();
+        if let Some(ds) = installed(&self.memo.lock()) {
+            return Ok(ds);
+        }
+        let ds = Arc::new(open()?);
+        let mut memo = self.memo.lock();
+        if self.epoch.load(Ordering::Acquire) == seen_epoch {
+            memo.datasets.insert(reference.to_string(), ds.clone());
+        }
+        Ok(ds)
+    }
+
+    /// Forget every memoized resolution and shared handle, and advance
+    /// the epoch.
     pub fn invalidate(&self) {
-        let mut memo = self.heads.lock();
+        let mut memo = self.memo.lock();
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        memo.clear();
+        *memo = Memo::default();
     }
 }
 
@@ -230,5 +295,51 @@ mod tests {
         // a fresh installer lands
         m.memoize_head("main", "h2".into(), m.epoch());
         assert_eq!(m.head_memo("main").unwrap(), "h2");
+    }
+
+    #[test]
+    fn dataset_handle_respects_epochs() {
+        let reg = DatasetRegistry::new();
+        let store = provider();
+        Dataset::create(store.clone(), "d")
+            .unwrap()
+            .flush()
+            .unwrap();
+        let m = reg.mount("d", store.clone()).unwrap();
+        let opens = std::cell::Cell::new(0);
+        let open = || {
+            opens.set(opens.get() + 1);
+            Dataset::open_at(store.clone(), "main")
+        };
+
+        let first = m.dataset("main", m.epoch(), open).unwrap();
+        let again = m.dataset("main", m.epoch(), open).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(opens.get(), 1, "the installed handle is reused");
+        // another reference is another handle
+        let other = m.dataset("other", m.epoch(), open).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other));
+
+        // a write invalidates: the next query opens afresh
+        let stale_epoch = m.epoch();
+        m.invalidate();
+        let fresh = m.dataset("main", m.epoch(), open).unwrap();
+        assert!(!Arc::ptr_eq(&first, &fresh));
+        assert_eq!(opens.get(), 3);
+
+        // an opener that captured its epoch before a write keeps its
+        // handle to itself
+        m.invalidate();
+        let private = m.dataset("main", stale_epoch, open).unwrap();
+        let next = m.dataset("main", m.epoch(), open).unwrap();
+        assert!(!Arc::ptr_eq(&private, &next));
+        assert_eq!(opens.get(), 5);
+        // a failed open installs nothing
+        m.invalidate();
+        assert!(m
+            .dataset("main", m.epoch(), || Dataset::open_at(provider(), "main"))
+            .is_err());
+        m.dataset("main", m.epoch(), open).unwrap();
+        assert_eq!(opens.get(), 6);
     }
 }

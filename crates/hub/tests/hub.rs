@@ -581,3 +581,307 @@ fn explicit_invalidation_for_out_of_band_writes() {
         "explicit invalidation must flush the stale entry"
     );
 }
+
+// ---------------------------------------------------------------------
+// one opened dataset handle per mount reference
+// ---------------------------------------------------------------------
+
+/// A `MemoryProvider` that counts reads of the keys only a dataset open
+/// (or a first ANN query on a fresh handle) touches.
+struct MetadataCounter {
+    inner: MemoryProvider,
+    reads: std::sync::atomic::AtomicU64,
+}
+
+impl MetadataCounter {
+    fn new() -> Arc<Self> {
+        Arc::new(MetadataCounter {
+            inner: MemoryProvider::new(),
+            reads: std::sync::atomic::AtomicU64::new(0),
+        })
+    }
+
+    fn note(&self, key: &str) {
+        if key == "dataset.json"
+            || key == "version_control_info.json"
+            || key.ends_with("vector_index/index")
+        {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    fn metadata_reads(&self) -> u64 {
+        self.reads.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl StorageProvider for MetadataCounter {
+    fn get(&self, key: &str) -> deeplake_storage::Result<Bytes> {
+        self.note(key);
+        self.inner.get(key)
+    }
+    fn get_range(&self, key: &str, start: u64, end: u64) -> deeplake_storage::Result<Bytes> {
+        self.note(key);
+        self.inner.get_range(key, start, end)
+    }
+    fn put(&self, key: &str, value: Bytes) -> deeplake_storage::Result<()> {
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &str) -> deeplake_storage::Result<()> {
+        self.inner.delete(key)
+    }
+    fn exists(&self, key: &str) -> deeplake_storage::Result<bool> {
+        self.inner.exists(key)
+    }
+    fn len_of(&self, key: &str) -> deeplake_storage::Result<u64> {
+        self.inner.len_of(key)
+    }
+    fn list(&self, prefix: &str) -> deeplake_storage::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn describe(&self) -> String {
+        format!("metadata-counter({})", self.inner.describe())
+    }
+}
+
+/// `rows` rows of clustered `labels` and a 4-dimensional `emb` with an
+/// IVF index, flushed.
+fn indexed_dataset(provider: DynProvider, rows: u64) {
+    let mut ds = Dataset::create(provider, "shared").unwrap();
+    ds.create_tensor_opts("labels", {
+        let mut o = TensorOptions::new(Htype::ClassLabel);
+        o.chunk_target_bytes = Some(256);
+        o
+    })
+    .unwrap();
+    ds.create_tensor("emb", Htype::Embedding, None).unwrap();
+    for i in 0..rows {
+        let v = [(i % 7) as f32, (i % 3) as f32, 1.0, (i / 50) as f32];
+        ds.append_row(vec![
+            ("labels", Sample::scalar((i / 10) as i32)),
+            ("emb", Sample::from_slice([4], &v).unwrap()),
+        ])
+        .unwrap();
+    }
+    ds.flush().unwrap();
+    ds.build_vector_index("emb", &deeplake_core::IndexSpec::default())
+        .unwrap();
+    ds.flush().unwrap();
+}
+
+const ANN: QueryOptions = QueryOptions {
+    workers: 2,
+    pruning: true,
+    ann: true,
+    nprobe: 2,
+};
+
+/// The three query shapes of an interactive session, each text distinct
+/// per `i` so none is answered from the result cache.
+fn distinct_texts(i: u64) -> [String; 3] {
+    [
+        format!("SELECT * FROM d WHERE labels = {i}"),
+        format!("SELECT * FROM d WHERE labels > {i} AND labels != 3"),
+        format!("SELECT * FROM d ORDER BY L2_DISTANCE(emb, [{i}.5, 1, 1, 2]) LIMIT 5"),
+    ]
+}
+
+/// (c) Distinct-text queries on an unchanged mount share one opened
+/// handle: after the first of each shape, no query reads dataset or
+/// version metadata or the vector index again.
+#[test]
+fn distinct_queries_on_an_unchanged_mount_reuse_one_handle() {
+    let storage = MetadataCounter::new();
+    indexed_dataset(storage.clone(), 300);
+    let reference = Dataset::open(storage.clone()).unwrap();
+    let hub = Hub::builder()
+        .mount("shared", storage.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    client.attach("shared").unwrap();
+
+    let run = |i: u64| {
+        for text in distinct_texts(i) {
+            let got = client.query(&text, &ANN).unwrap();
+            let want = deeplake_tql::query_opts(&reference, &text, &ANN).unwrap();
+            assert_eq!(got.indices, want.indices, "{text}");
+        }
+    };
+    run(0);
+    assert_eq!(hub.stats().dataset_opens(), 1);
+    let after_first = storage.metadata_reads();
+    let _ = reference.vector_index("emb"); // the reference's own load is done too
+    let reference_reads = storage.metadata_reads() - after_first;
+    assert_eq!(reference_reads, 0, "reference handle already warm");
+    for i in 1..12 {
+        run(i);
+    }
+    assert_eq!(
+        storage.metadata_reads(),
+        after_first,
+        "queries on a warm handle re-read metadata"
+    );
+    assert_eq!(hub.stats().dataset_opens(), 1);
+    assert_eq!(hub.cache().stats().cache_hits(), 0, "every text was new");
+    assert_eq!(
+        hub.metrics().counter("hub.dataset_opens"),
+        Some(1),
+        "the open count is a registered instrument"
+    );
+}
+
+/// (a) A write routed through the hub drops the shared handle with the
+/// head memo: the next query opens afresh and sees the new rows.
+#[test]
+fn writes_through_the_hub_reopen_the_shared_handle() {
+    let storage = MetadataCounter::new();
+    indexed_dataset(storage.clone(), 100);
+    let hub = Hub::builder()
+        .mount("shared", storage.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = Arc::new(RemoteProvider::connect(hub.addr()).unwrap());
+    client.attach("shared").unwrap();
+
+    let before = client
+        .query("SELECT * FROM d WHERE labels >= 0", &ANN)
+        .unwrap();
+    assert_eq!(before.len(), 100);
+    assert_eq!(hub.stats().dataset_opens(), 1);
+
+    {
+        let mut ds = Dataset::open(client.clone()).unwrap();
+        for i in 0..5 {
+            ds.append_row(vec![("labels", Sample::scalar(100 + i))])
+                .unwrap();
+        }
+        ds.flush().unwrap();
+    }
+    let reads_before = storage.metadata_reads();
+    // a text the cache has never seen: only a fresh handle can answer it
+    let after = client
+        .query("SELECT * FROM d WHERE labels >= 0 AND labels < 999", &ANN)
+        .unwrap();
+    assert_eq!(after.len(), 105, "the shared handle outlived a write");
+    assert_eq!(hub.stats().dataset_opens(), 2);
+    assert!(
+        storage.metadata_reads() > reads_before,
+        "the backing store saw no fresh open"
+    );
+}
+
+/// (b) An out-of-band write is invisible to the hub until
+/// `HubHandle::invalidate`, which drops the shared handle like it drops
+/// cached results.
+#[test]
+fn invalidate_reopens_the_shared_handle_after_an_out_of_band_write() {
+    let storage = MetadataCounter::new();
+    indexed_dataset(storage.clone(), 100);
+    let hub = Hub::builder()
+        .mount("shared", storage.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    client.attach("shared").unwrap();
+    assert_eq!(
+        client
+            .query("SELECT * FROM d WHERE labels >= 0", &ANN)
+            .unwrap()
+            .len(),
+        100
+    );
+    {
+        let mut ds = Dataset::open(storage.clone()).unwrap();
+        ds.append_row(vec![("labels", Sample::scalar(7i32))])
+            .unwrap();
+        ds.flush().unwrap();
+    }
+    let reads_before = storage.metadata_reads();
+    hub.invalidate("shared");
+    assert_eq!(
+        client
+            .query("SELECT * FROM d WHERE labels >= 0 AND labels < 999", &ANN)
+            .unwrap()
+            .len(),
+        101
+    );
+    assert_eq!(hub.stats().dataset_opens(), 2);
+    assert!(storage.metadata_reads() > reads_before);
+}
+
+/// (d) Pool workers execute on one handle at once: eight threads firing
+/// distinct queries at one mount all get the in-process answer, from a
+/// single open.
+#[test]
+fn eight_threads_share_one_handle_and_agree_with_the_reference() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    indexed_dataset(storage.clone(), 400);
+    let reference = Dataset::open(storage.clone()).unwrap();
+    let hub = Hub::builder()
+        .mount("shared", storage)
+        .options(HubOptions {
+            workers: 4,
+            ..HubOptions::default()
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let addr = hub.addr();
+    // every thread is dialled and attached before any queries, so the
+    // pool really does hold several queries on the handle at a time
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8u64 {
+            let (barrier, reference) = (&barrier, &reference);
+            scope.spawn(move || {
+                let client = RemoteProvider::connect(addr).unwrap();
+                client.attach("shared").unwrap();
+                barrier.wait();
+                for i in 0..6 {
+                    for text in distinct_texts(t * 6 + i) {
+                        let got = client.query(&text, &ANN).unwrap();
+                        let want = deeplake_tql::query_opts(reference, &text, &ANN).unwrap();
+                        assert_eq!(got.indices, want.indices, "{text}");
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(hub.stats().dataset_opens(), 1);
+}
+
+/// (e) A committed reference and the mutable tip are different handles:
+/// each opens once, and neither answers for the other.
+#[test]
+fn committed_and_tip_references_keep_separate_handles() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    let commit = {
+        let mut ds = Dataset::create(storage.clone(), "refs").unwrap();
+        ds.create_tensor("labels", Htype::ClassLabel, None).unwrap();
+        for i in 0..10 {
+            ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+        }
+        let commit = ds.commit("ten rows").unwrap();
+        for i in 10..13 {
+            ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+        }
+        ds.flush().unwrap();
+        commit
+    };
+    let hub = Hub::builder()
+        .mount("refs", storage)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    client.attach("refs").unwrap();
+    let opts = QueryOptions::default();
+    for round in 0..3 {
+        let text = format!("SELECT * FROM d WHERE labels >= {round}");
+        let at_commit = client.query_at(&commit, &text, &opts).unwrap();
+        assert_eq!(at_commit.len(), 10 - round);
+        let at_tip = client.query_at("main", &text, &opts).unwrap();
+        assert_eq!(at_tip.len(), 13 - round);
+    }
+    assert_eq!(hub.stats().dataset_opens(), 2, "one handle per reference");
+}

@@ -388,7 +388,15 @@ fn concurrent_scrapes_stay_monotonic_under_load() {
 
     let scraper = RemoteProvider::connect(addr).unwrap();
     let mut last = scraper.hub_metrics().unwrap();
-    for _ in 0..20 {
+    // at least 20 scrapes, and on until the load has demonstrably run
+    // beside them (on a busy box 40 scrape round trips can finish before
+    // three fresh clients have dialled, attached and queried 20 times)
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let mut scrapes = 0;
+    while scrapes < 20
+        || (last.counter("hub.queries").unwrap_or(0) < 20 && std::time::Instant::now() < deadline)
+    {
+        scrapes += 1;
         let _ = scraper.hub_health().unwrap();
         let next = scraper.hub_metrics().unwrap();
         for (name, value) in &last.counters {

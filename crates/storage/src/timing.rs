@@ -2,13 +2,16 @@
 //! any provider and accumulates the nanoseconds (and call count) spent
 //! inside it.
 //!
-//! The hub uses one per query: the mounted provider is wrapped just
-//! before execution, the query runs (its scan workers hit storage from
-//! several threads), and afterwards the accumulated nanoseconds are the
-//! query's *storage round-trip span* — attribution that thread-locals
-//! cannot provide across a scoped worker pool. The accumulator is a
-//! pair of shared counters, so wrapping costs two `Arc` clones and each
-//! call adds two relaxed atomic ops around the inner call.
+//! The hub wraps a batched read op's provider just before executing
+//! it (the op's scatter-gather hits storage from several threads), and
+//! afterwards the accumulated nanoseconds are the op's *storage
+//! round-trip span* — attribution that thread-locals cannot provide
+//! across a scoped worker pool. A mount keeps one for its lifetime, too:
+//! the dataset handles its queries share are opened over it, and the
+//! counter's advance across a head resolution or an open is that
+//! step's storage time. The accumulator is a pair of shared counters,
+//! so wrapping costs two `Arc` clones and each call adds two relaxed
+//! atomic ops around the inner call.
 
 use bytes::Bytes;
 use deeplake_obs::{Counter, SpanTimer};

@@ -253,8 +253,11 @@ pub fn from_f64_values(to: Dtype, shape: Shape, values: &[f64]) -> Sample {
     Sample::from_bytes(to, shape, Bytes::from(buf)).expect("length computed from values")
 }
 
+/// One little-endian element of `dtype` (exactly `dtype.size()` bytes) as
+/// `f64` — the conversion [`Sample::get_f64`] applies, exposed so columnar
+/// readers over raw chunk bytes produce bit-identical values.
 #[inline]
-fn read_f64(dtype: Dtype, raw: &[u8]) -> f64 {
+pub fn read_f64(dtype: Dtype, raw: &[u8]) -> f64 {
     match dtype {
         Dtype::U8 => u8::read_le(raw) as f64,
         Dtype::I8 => i8::read_le(raw) as f64,

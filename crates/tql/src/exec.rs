@@ -1,5 +1,5 @@
 //! Query execution: a chunk-granular physical pipeline with statistics
-//! pruning.
+//! pruning and columnar kernels.
 //!
 //! The embedded engine "runs along with the client" (§4.4) — no external
 //! service. Execution consumes the physical [`Plan`] end to end:
@@ -11,22 +11,70 @@
 //!    (pruned), a provably-full span passes whole, and the undecided
 //!    remainder is grouped into worker tasks that fetch all their spans'
 //!    chunks in one batched [`ReadPlan`] each (through
-//!    [`Dataset::prefetch_chunks`]), decode every chunk once, and
-//!    evaluate the predicate across its rows. Expressions pruning can't
-//!    analyze fall back to the general per-row [`eval`].
+//!    [`Dataset::prefetch_chunks`]), parse every chunk once, and
+//!    evaluate the predicate over each span.
 //! 2. **Order/Arrange** — sort keys evaluate in parallel over row
 //!    blocks, each block prefetching the plan's sort columns in one
-//!    batched call.
+//!    batched call. `ORDER BY <similarity> LIMIT k` takes the physical
+//!    top-k operator instead (`topk_stage`).
 //! 3. **Window** then **Project** — projections evaluate over row blocks
 //!    with the plan's project columns prefetched per block.
 //!
-//! The pipeline is behavior-preserving: on readable datasets, results
-//! (indices, order, rows, and errors) are identical to a naive per-row
-//! scan. The one caveat is inherent to pushdown: a span decided from
-//! statistics alone is never fetched, so storage faults or corrupt
-//! bytes *inside skipped chunks* go unnoticed where the naive scan
-//! would have surfaced them. [`QueryResult::stats`] reports how much
-//! work pruning saved.
+//! # What evaluates how
+//!
+//! Two evaluators produce the same values. The **row evaluator**
+//! ([`eval`]) builds one `Sample` per referenced column per row and
+//! walks the expression tree; it handles every expression and is where
+//! every error message comes from. The **kernels** never build a
+//! `Sample`: they borrow a parsed chunk as a fixed-width column
+//! ([`deeplake_core::Chunk::scalar_column`] / `vector_column`), decode
+//! a run of rows into one reused `f64` buffer through the conversion
+//! `Sample::get_f64` uses, and work on that. Two operators have one:
+//!
+//! * **Scanned filter spans** (`span_mask`) — when the filter lowers
+//!   to a [`PruneExpr`] with no `Opaque` leaf (conjunctions,
+//!   disjunctions and negations of `column <op> number`, and
+//!   `CONTAINS(column, number)`) and compares no text column, each leaf
+//!   becomes one compare over the span's decoded column and
+//!   `And`/`Or`/`Not` combine the resulting masks.
+//! * **Top-k candidate scoring** (`score_group`) — each span's
+//!   candidates are scored from the payload bytes with the same
+//!   `Metric::score(column vector, query literal)` call the similarity
+//!   functions make.
+//!
+//! A kernel takes a span (filter) or a span's candidate group (top-k)
+//! only where no row of it *can* raise, and otherwise hands exactly that
+//! span or group to the row evaluator, which reports what it always
+//! reported:
+//!
+//! * every referenced column must resolve the rows to already-decoded
+//!   chunks (each leaf by its own column's runs — after `update()` they
+//!   need not line up with the driving column's), none of the rows
+//!   tiled; rows still in the open chunk qualify through the builder's
+//!   chunk;
+//! * every record of each such chunk must be one uncompressed frame of
+//!   the expected length — one element for a filter column, exactly the
+//!   query vector's length and rank 1 for an embedding. A
+//!   sample-compressed blob, an empty tensor, a multi-element sample in
+//!   a scalar column or a wrong-length vector anywhere in the chunk
+//!   refuses the whole chunk;
+//! * text columns never qualify (their rows compare as strings).
+//!
+//! On a span that qualifies a compare is total (NaN compares false, as
+//! in the row evaluator), so evaluating both arms of an `AND` where the
+//! row evaluator would short-circuit is unobservable; scores are the
+//! same bits, so ties and the stable-sort/reverse merge are unchanged.
+//! [`QueryStats::rows_vectorized`] counts the rows kernels decided.
+//!
+//! `QueryOptions { pruning: false }` is the reference: a naive scan that
+//! evaluates every row through the row evaluator alone — no statistics,
+//! no batching, no top-k operator, no kernel. Results (indices, order,
+//! rows, and errors) of the default path are identical to it on
+//! readable datasets. The one caveat is inherent to pushdown: a span
+//! decided from statistics alone is never fetched, so storage faults or
+//! corrupt bytes *inside skipped chunks* go unnoticed where the naive
+//! scan would have surfaced them. [`QueryResult::stats`] reports how
+//! much work pruning saved.
 //!
 //! [`Dataset::prefetch_chunks`]: deeplake_core::Dataset::prefetch_chunks
 //! [`ReadPlan`]: deeplake_storage::ReadPlan
@@ -42,7 +90,7 @@ use parking_lot::Mutex;
 use crate::ast::{BinOp, Expr, Query, SortDir};
 use crate::error::TqlError;
 use crate::functions;
-use crate::plan::{plan, Plan, TopKPlan};
+use crate::plan::{plan, CmpOp, Plan, PruneExpr, TopKPlan};
 use crate::value::Value;
 use crate::Result;
 
@@ -54,9 +102,9 @@ pub struct QueryOptions {
     /// Chunk-statistics predicate pushdown (on by default). Off forces
     /// the naive row-at-a-time full scan — kept as the reference
     /// implementation pruned execution must match exactly. Also gates
-    /// the physical top-k similarity operator and the `LIMIT`
-    /// short-circuit, so `pruning: false` is *the* naive reference for
-    /// every optimized path.
+    /// the physical top-k similarity operator, the `LIMIT`
+    /// short-circuit and the columnar kernels, so `pruning: false` is
+    /// *the* naive reference for every optimized path.
     pub pruning: bool,
     /// Approximate nearest-neighbor execution for top-k similarity
     /// queries (off by default). On, the executor probes the column's
@@ -94,7 +142,7 @@ impl Default for QueryOptions {
 /// may fetch one chunk per referenced column.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Spans fetched, decoded and evaluated row by row.
+    /// Spans fetched, decoded and evaluated (by kernel or row by row).
     pub chunks_scanned: u64,
     /// Spans skipped because statistics prove no row can match.
     pub chunks_pruned: u64,
@@ -113,17 +161,23 @@ pub struct QueryStats {
     /// the flat path, the probed clusters' union (plus any unindexed
     /// tail) for ANN.
     pub candidates_reranked: u64,
+    /// Rows decided by a columnar kernel instead of the row evaluator:
+    /// rows of scanned filter spans evaluated as bitmaps plus top-k
+    /// candidates scored straight from chunk bytes.
+    pub rows_vectorized: u64,
     /// Wall-clock nanoseconds deciding spans from chunk statistics alone
     /// (the no-I/O pruning phase). Single-threaded, so this is elapsed
     /// time.
     pub prune_ns: u64,
-    /// Wall-clock nanoseconds inside batched chunk fetches
-    /// (`prefetch_chunks`) across all stages, **summed over worker
-    /// threads** — under parallelism this can exceed the query's elapsed
-    /// time.
+    /// Wall-clock nanoseconds inside the storage provider for the
+    /// batched chunk fetches of all stages — I/O wait only — **summed
+    /// over worker threads**: under parallelism this can exceed the
+    /// query's elapsed time. A serving tier attributes a query's storage
+    /// time from it.
     pub fetch_ns: u64,
-    /// Wall-clock nanoseconds decoding pinned chunks and evaluating
-    /// expressions row by row, summed over worker threads. The naive
+    /// Wall-clock nanoseconds planning those fetches, parsing the
+    /// fetched chunks and evaluating expressions over them (kernels and
+    /// row evaluator alike), summed over worker threads. The naive
     /// (pruning-off) scan folds its unbatched fetches in here too.
     pub decode_ns: u64,
     /// Wall-clock nanoseconds the top-k operator spent scoring
@@ -206,6 +260,7 @@ struct StatsAcc {
     round_trips: AtomicU64,
     clusters_probed: AtomicU64,
     candidates_reranked: AtomicU64,
+    rows_vectorized: AtomicU64,
     prune_ns: AtomicU64,
     fetch_ns: AtomicU64,
     decode_ns: AtomicU64,
@@ -218,6 +273,43 @@ impl StatsAcc {
         dst.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// One batched fetch of every chunk `columns` need for `rows`,
+    /// accounted: the storage call's own time into `fetch_ns`, the rest
+    /// of the prefetch (planning, chunk parsing) into `decode_ns`.
+    fn prefetch(
+        &self,
+        ds: &Dataset,
+        columns: &[String],
+        rows: &[u64],
+    ) -> deeplake_core::Result<PrefetchedChunks> {
+        self.account(|| ds.prefetch_chunks(columns, rows))
+    }
+
+    /// [`prefetch`](Self::prefetch) for whole row ranges.
+    fn prefetch_spans(
+        &self,
+        ds: &Dataset,
+        columns: &[String],
+        spans: &[(u64, u64)],
+    ) -> deeplake_core::Result<PrefetchedChunks> {
+        self.account(|| ds.prefetch_spans(columns, spans))
+    }
+
+    fn account(
+        &self,
+        fetch: impl FnOnce() -> deeplake_core::Result<PrefetchedChunks>,
+    ) -> deeplake_core::Result<PrefetchedChunks> {
+        let t = Instant::now();
+        let prefetched = fetch()?;
+        let elapsed = t.elapsed().as_nanos() as u64;
+        let io = prefetched.fetch_ns().min(elapsed);
+        self.fetch_ns.fetch_add(io, Ordering::Relaxed);
+        self.decode_ns.fetch_add(elapsed - io, Ordering::Relaxed);
+        self.round_trips
+            .fetch_add(prefetched.round_trips(), Ordering::Relaxed);
+        Ok(prefetched)
+    }
+
     fn snapshot(&self) -> QueryStats {
         QueryStats {
             chunks_scanned: self.chunks_scanned.load(Ordering::Relaxed),
@@ -226,12 +318,49 @@ impl StatsAcc {
             round_trips: self.round_trips.load(Ordering::Relaxed),
             clusters_probed: self.clusters_probed.load(Ordering::Relaxed),
             candidates_reranked: self.candidates_reranked.load(Ordering::Relaxed),
+            rows_vectorized: self.rows_vectorized.load(Ordering::Relaxed),
             prune_ns: self.prune_ns.load(Ordering::Relaxed),
             fetch_ns: self.fetch_ns.load(Ordering::Relaxed),
             decode_ns: self.decode_ns.load(Ordering::Relaxed),
             rerank_ns: self.rerank_ns.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The plan's per-stage column sets as the slices the batched fetches
+/// take, plus which of the referenced columns are text — resolved once
+/// per query, not per stage, block or row.
+struct Columns {
+    filter: Vec<String>,
+    sort: Vec<String>,
+    project: Vec<String>,
+    /// Referenced columns of [`Htype::Text`](deeplake_tensor::Htype::Text):
+    /// they evaluate as strings, never as tensors.
+    text: Vec<String>,
+}
+
+impl Columns {
+    fn resolve(ds: &Dataset, plan: &Plan) -> Self {
+        let text = plan
+            .filter_columns
+            .iter()
+            .chain(&plan.sort_columns)
+            .chain(&plan.project_columns)
+            .filter(|c| is_text(ds, c))
+            .cloned()
+            .collect();
+        Columns {
+            filter: plan.filter_columns.iter().cloned().collect(),
+            sort: plan.sort_columns.iter().cloned().collect(),
+            project: plan.project_columns.iter().cloned().collect(),
+            text,
+        }
+    }
+}
+
+fn is_text(ds: &Dataset, column: &str) -> bool {
+    ds.tensor_meta(column)
+        .is_ok_and(|meta| matches!(meta.htype.base(), deeplake_tensor::Htype::Text))
 }
 
 /// Evaluation context: the dataset plus whatever chunks the current task
@@ -241,13 +370,11 @@ impl StatsAcc {
 struct EvalCtx<'a> {
     ds: &'a Dataset,
     pinned: Option<&'a PrefetchedChunks>,
+    /// The query's text columns (see [`Columns::text`]).
+    text: &'a [String],
 }
 
-impl<'a> EvalCtx<'a> {
-    fn bare(ds: &'a Dataset) -> Self {
-        EvalCtx { ds, pinned: None }
-    }
-
+impl EvalCtx<'_> {
     fn get(&self, tensor: &str, row: u64) -> deeplake_core::Result<deeplake_tensor::Sample> {
         match self.pinned {
             Some(p) => p.get(self.ds, tensor, row),
@@ -270,6 +397,7 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
     }
 
     let plan = plan(query);
+    let cols = Columns::resolve(ds, &plan);
     let n = ds.len();
     let workers = opts.workers.max(1);
     let stats = StatsAcc::default();
@@ -278,11 +406,13 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
     //
     // `ORDER BY <similarity>(col, [..]) LIMIT k` (no filter/arrange)
     // bypasses the generic sort: candidates (index-probed under `ann`,
-    // every row otherwise) are scored through the same row evaluator in
-    // chunk-span tasks with one batched fetch each, and only the best
-    // `LIMIT + OFFSET` survive. Gated on `pruning` so `pruning: false`
-    // stays the byte-identical naive reference; an unknown column falls
-    // through so the generic path reports the error exactly as before.
+    // every row otherwise) are scored in chunk-span tasks with one
+    // batched fetch each — straight from the chunk bytes where the
+    // column view allows, through the row evaluator otherwise — and
+    // only the best `LIMIT + OFFSET` survive. Gated on `pruning` so
+    // `pruning: false` stays the byte-identical naive reference; an
+    // unknown column falls through so the generic path reports the
+    // error exactly as before.
     let top_k = plan
         .top_k
         .as_ref()
@@ -291,7 +421,7 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
     let mut selected: Vec<u64>;
     if let Some(tk) = top_k {
         let (key_expr, dir) = query.order_by.as_ref().expect("top-k implies ORDER BY");
-        selected = topk_stage(ds, key_expr, *dir, tk, &plan, opts, workers, &stats)?;
+        selected = topk_stage(ds, key_expr, *dir, tk, &cols, opts, workers, &stats)?;
     } else {
         // -------- filter stage (parallel, chunk-granular) --------
         // `LIMIT k` with no ORDER BY / ARRANGE BY lets the span scan
@@ -309,6 +439,7 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
                 ds,
                 filter,
                 &plan,
+                &cols,
                 n,
                 workers,
                 opts.pruning,
@@ -319,7 +450,7 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
 
         // -------- order stage --------
         if let Some((key_expr, dir)) = &query.order_by {
-            let keys = eval_keys(ds, &selected, workers, key_expr, &plan, &stats)?;
+            let keys = eval_keys(ds, &selected, workers, key_expr, &cols, &stats)?;
             let mut paired: Vec<(Scalar, u64)> =
                 keys.into_iter().zip(selected.iter().copied()).collect();
             paired.sort_by(|a, b| a.0.order_cmp(&b.0));
@@ -332,7 +463,7 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
         // -------- arrange stage: group rows by key, groups ordered by
         // first appearance (Fig. 5's ARRANGE BY labels) --------
         if let Some(key_expr) = &query.arrange_by {
-            let keys = eval_keys(ds, &selected, workers, key_expr, &plan, &stats)?;
+            let keys = eval_keys(ds, &selected, workers, key_expr, &cols, &stats)?;
             let mut groups: Vec<(Scalar, Vec<u64>)> = Vec::new();
             for (key, row) in keys.into_iter().zip(selected.iter().copied()) {
                 match groups
@@ -361,19 +492,14 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
         (Vec::new(), None)
     } else {
         let columns: Vec<String> = query.projections.iter().map(|p| p.name.clone()).collect();
-        let project_columns: Vec<String> = plan.project_columns.iter().cloned().collect();
         let mut out = Vec::with_capacity(selected.len());
         const BLOCK: usize = 256;
         for block in selected.chunks(BLOCK.max(1)) {
-            let t = Instant::now();
-            let prefetched = ds.prefetch_chunks(&project_columns, block)?;
-            StatsAcc::lap(&stats.fetch_ns, t);
-            stats
-                .round_trips
-                .fetch_add(prefetched.round_trips(), Ordering::Relaxed);
+            let prefetched = stats.prefetch(ds, &cols.project, block)?;
             let ctx = EvalCtx {
                 ds,
                 pinned: Some(&prefetched),
+                text: &cols.text,
             };
             let t = Instant::now();
             for &row in block {
@@ -404,14 +530,13 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
 /// evaluator compares.
 fn span_stats(
     ds: &Dataset,
+    cols: &Columns,
     column: &str,
     start: u64,
     end: u64,
 ) -> Option<deeplake_core::ChunkStats> {
-    if let Ok(meta) = ds.tensor_meta(column) {
-        if matches!(meta.htype.base(), deeplake_tensor::Htype::Text) {
-            return None;
-        }
+    if cols.text.iter().any(|c| c == column) {
+        return None;
     }
     ds.chunk_stats_for_rows(column, start, end)
 }
@@ -422,7 +547,9 @@ fn span_stats(
 ///    I/O): pruned, matched whole, or left undecided;
 /// 2. undecided spans are grouped into worker tasks, each task fetching
 ///    *all* its spans' chunks through one batched call, decoding each
-///    chunk once, and evaluating the predicate across its rows.
+///    chunk once, and evaluating the predicate across its rows — a span
+///    at a time through [`span_mask`] where the filter and the span's
+///    chunks allow, row by row otherwise.
 ///
 /// `stop_after` (set for `LIMIT k` queries with no ORDER BY / ARRANGE
 /// BY) short-circuits phase 2: spans are scanned **in row order**, in
@@ -439,6 +566,7 @@ fn filter_stage(
     ds: &Dataset,
     filter: &Expr,
     plan: &Plan,
+    cols: &Columns,
     n: u64,
     workers: usize,
     pruning: bool,
@@ -460,13 +588,25 @@ fn filter_stage(
         // no resolvable column (the per-row path reports unknown-column
         // errors exactly as before), or pruning disabled: naive scan
         let t = Instant::now();
-        let keep = parallel_eval(ds, n, workers, |row| Ok(eval(filter, ds, row)?.truthy()))?;
+        let ctx = EvalCtx {
+            ds,
+            pinned: None,
+            text: &cols.text,
+        };
+        let keep = parallel_eval(n, workers, |row| Ok(eval_in(&ctx, filter, row)?.truthy()))?;
         StatsAcc::lap(&stats.decode_ns, t);
         return Ok((0..n).filter(|&r| keep[r as usize]).collect());
     };
 
     let spans = clamped_spans(ds, driving, n)?;
-    let filter_columns: Vec<String> = plan.filter_columns.iter().cloned().collect();
+    let scan = SpanScan {
+        ds,
+        filter,
+        kernel: filter_kernel(&plan.prune, cols),
+        cols,
+        spans: &spans,
+        stats,
+    };
     let slots: Vec<Mutex<Vec<u64>>> = spans.iter().map(|_| Mutex::new(Vec::new())).collect();
 
     // ---- phase 1: decide spans from statistics alone (no I/O) ----
@@ -476,7 +616,10 @@ fn filter_stage(
     let mut undecided: Vec<usize> = Vec::new();
     for (i, &(_, start, len)) in spans.iter().enumerate() {
         let end = start + len;
-        match plan.prune.evaluate(&|col| span_stats(ds, col, start, end)) {
+        match plan
+            .prune
+            .evaluate(&|col| span_stats(ds, cols, col, start, end))
+        {
             Some(false) => {
                 // statistics prove no row matches: the slot stays empty
                 stats.chunks_pruned.fetch_add(1, Ordering::Relaxed);
@@ -548,9 +691,7 @@ fn filter_stage(
             let results: Vec<Mutex<Vec<(usize, u64)>>> =
                 wave.iter().map(|_| Mutex::new(Vec::new())).collect();
             run_tasks(workers.min(wave.len()), wave.len(), |t| {
-                let counts =
-                    scan_task(ds, filter, &filter_columns, &spans, &wave[t], &slots, stats)?;
-                *results[t].lock() = counts;
+                *results[t].lock() = scan.task(&wave[t], &slots)?;
                 Ok(())
             })?;
             for m in results {
@@ -569,16 +710,7 @@ fn filter_stage(
             .map(|task| task.into_iter().map(|j| undecided[j]).collect())
             .collect();
         run_tasks(workers, tasks.len(), |t| {
-            scan_task(
-                ds,
-                filter,
-                &filter_columns,
-                &spans,
-                &tasks[t],
-                &slots,
-                stats,
-            )
-            .map(|_| ())
+            scan.task(&tasks[t], &slots).map(|_| ())
         })?;
     }
     // spans are ascending and disjoint: concatenation is row order
@@ -652,51 +784,143 @@ fn group_into_tasks(sizes: &[u64], max_rows: u64, max_spans: usize) -> Vec<Vec<u
     tasks
 }
 
-/// Scan one task's spans: one batched fetch for every chunk its rows
-/// need across the filter columns, then per-row evaluation over the
-/// pinned, decoded chunks. Returns `(span index, matching rows)` per
-/// span for the short-circuiting LIMIT scan's progress accounting.
-fn scan_task(
-    ds: &Dataset,
-    filter: &Expr,
-    filter_columns: &[String],
-    spans: &[(Option<u64>, u64, u64)],
-    task: &[usize],
-    slots: &[Mutex<Vec<u64>>],
-    stats: &StatsAcc,
-) -> Result<Vec<(usize, u64)>> {
-    let rows: Vec<u64> = task
-        .iter()
-        .flat_map(|&i| spans[i].1..spans[i].1 + spans[i].2)
-        .collect();
-    let t = Instant::now();
-    let prefetched = ds.prefetch_chunks(filter_columns, &rows)?;
-    StatsAcc::lap(&stats.fetch_ns, t);
-    stats
-        .round_trips
-        .fetch_add(prefetched.round_trips(), Ordering::Relaxed);
-    stats
-        .chunks_scanned
-        .fetch_add(task.len() as u64, Ordering::Relaxed);
-    let ctx = EvalCtx {
-        ds,
-        pinned: Some(&prefetched),
-    };
-    let t = Instant::now();
-    let mut counts = Vec::with_capacity(task.len());
-    for &i in task {
-        let (_, start, len) = spans[i];
-        let mut kept = Vec::new();
-        for row in start..start + len {
-            if eval_in(&ctx, filter, row)?.truthy() {
-                kept.push(row);
-            }
+/// What every scan task of one filter stage shares.
+struct SpanScan<'a> {
+    ds: &'a Dataset,
+    filter: &'a Expr,
+    /// The filter as columnar kernels, when it lowers to them (see
+    /// [`filter_kernel`]).
+    kernel: Option<&'a PruneExpr>,
+    cols: &'a Columns,
+    spans: &'a [(Option<u64>, u64, u64)],
+    stats: &'a StatsAcc,
+}
+
+impl SpanScan<'_> {
+    /// Scan one task's spans: one batched fetch for every chunk its rows
+    /// need across the filter columns, then evaluation over the pinned,
+    /// decoded chunks — a whole span at a time through the kernels, or
+    /// row by row where a span does not qualify. Returns `(span index,
+    /// matching rows)` per span for the short-circuiting LIMIT scan's
+    /// progress accounting.
+    fn task(&self, task: &[usize], slots: &[Mutex<Vec<u64>>]) -> Result<Vec<(usize, u64)>> {
+        let (ds, spans, stats) = (self.ds, self.spans, self.stats);
+        let ranges: Vec<(u64, u64)> = task
+            .iter()
+            .map(|&i| (spans[i].1, spans[i].1 + spans[i].2))
+            .collect();
+        let prefetched = stats.prefetch_spans(ds, &self.cols.filter, &ranges)?;
+        stats
+            .chunks_scanned
+            .fetch_add(task.len() as u64, Ordering::Relaxed);
+        let ctx = EvalCtx {
+            ds,
+            pinned: Some(&prefetched),
+            text: &self.cols.text,
+        };
+        let t = Instant::now();
+        let mut counts = Vec::with_capacity(task.len());
+        let mut values = Vec::new();
+        for &i in task {
+            let (_, start, len) = spans[i];
+            let mask = self
+                .kernel
+                .and_then(|k| span_mask(k, ds, &prefetched, start, start + len, &mut values));
+            let kept: Vec<u64> = match mask {
+                Some(mask) => {
+                    stats.rows_vectorized.fetch_add(len, Ordering::Relaxed);
+                    (start..start + len)
+                        .zip(mask)
+                        .filter_map(|(row, keep)| keep.then_some(row))
+                        .collect()
+                }
+                None => {
+                    let mut kept = Vec::new();
+                    for row in start..start + len {
+                        if eval_in(&ctx, self.filter, row)?.truthy() {
+                            kept.push(row);
+                        }
+                    }
+                    kept
+                }
+            };
+            counts.push((i, kept.len() as u64));
+            *slots[i].lock() = kept;
         }
-        counts.push((i, kept.len() as u64));
-        *slots[i].lock() = kept;
+        StatsAcc::lap(&stats.decode_ns, t);
+        Ok(counts)
     }
-    StatsAcc::lap(&stats.decode_ns, t);
-    Ok(counts)
+}
+
+/// The lowered filter as the program the columnar kernels run: `Some`
+/// when it has no opaque leaf — then its truth value per row IS the
+/// filter's — and compares no text column (those compare as strings).
+fn filter_kernel<'p>(prune: &'p PruneExpr, cols: &Columns) -> Option<&'p PruneExpr> {
+    let mut leaves = Vec::new();
+    prune.columns(&mut leaves);
+    (!prune.has_opaque_leaf() && !leaves.iter().any(|c| cols.text.contains(c))).then_some(prune)
+}
+
+/// Evaluate a lowered filter over rows `[start, end)` column-at-a-time:
+/// each `Cmp` leaf decodes its column's runs into `values` (a reused
+/// scratch buffer) and compares them into one `bool` per row;
+/// `And`/`Or`/`Not` combine those masks.
+///
+/// `None` — evaluate the span row by row instead — unless every leaf's
+/// column resolves `[start, end)` to decoded chunks that each yield a
+/// scalar view: an undecoded chunk, a tiled row, a sample-compressed,
+/// empty or multi-element record anywhere in a covering chunk all
+/// refuse. On a span that passes, no row can raise (a scalar compare is
+/// total; NaN compares false exactly as in [`binary`]), so evaluating
+/// both arms of an `And`/`Or` instead of short-circuiting changes
+/// nothing observable.
+fn span_mask(
+    expr: &PruneExpr,
+    ds: &Dataset,
+    pinned: &PrefetchedChunks,
+    start: u64,
+    end: u64,
+    values: &mut Vec<f64>,
+) -> Option<Vec<bool>> {
+    match expr {
+        PruneExpr::Cmp { column, op, value } => {
+            values.clear();
+            // the leaf's own column decides its runs: after updates it
+            // may split `[start, end)` differently from the driving column
+            for run in pinned.column_runs(ds, column, start, end)? {
+                run.chunk()
+                    .scalar_column()?
+                    .decode_rows(run.first..run.first + run.len, values);
+            }
+            let v = *value;
+            Some(match op {
+                CmpOp::Eq => values.iter().map(|&a| a == v).collect(),
+                CmpOp::Ne => values.iter().map(|&a| a != v).collect(),
+                CmpOp::Lt => values.iter().map(|&a| a < v).collect(),
+                CmpOp::Le => values.iter().map(|&a| a <= v).collect(),
+                CmpOp::Gt => values.iter().map(|&a| a > v).collect(),
+                CmpOp::Ge => values.iter().map(|&a| a >= v).collect(),
+            })
+        }
+        PruneExpr::And(l, r) => {
+            let mut mask = span_mask(l, ds, pinned, start, end, values)?;
+            let right = span_mask(r, ds, pinned, start, end, values)?;
+            mask.iter_mut().zip(right).for_each(|(a, b)| *a &= b);
+            Some(mask)
+        }
+        PruneExpr::Or(l, r) => {
+            let mut mask = span_mask(l, ds, pinned, start, end, values)?;
+            let right = span_mask(r, ds, pinned, start, end, values)?;
+            mask.iter_mut().zip(right).for_each(|(a, b)| *a |= b);
+            Some(mask)
+        }
+        PruneExpr::Not(inner) => {
+            let mut mask = span_mask(inner, ds, pinned, start, end, values)?;
+            mask.iter_mut().for_each(|a| *a = !*a);
+            Some(mask)
+        }
+        PruneExpr::Opaque => None,
+    }
 }
 
 /// The physical top-k similarity operator (index-probe → candidate chunk
@@ -707,23 +931,30 @@ fn scan_task(
 /// posting-list union plus the exact-scanned unindexed tail (rows
 /// appended after the index was built). Candidate rows group into
 /// chunk-span tasks of the driving column; each task fetches all its
-/// chunks in one batched call and evaluates the *original* ORDER BY key
-/// expression through the shared row evaluator, so scores, type errors,
-/// and tie-breaking are identical to the naive sort stage. The merged
-/// scores order exactly like that stage (stable ascending sort, whole
-/// list reversed for DESC) and truncate to `LIMIT + OFFSET`.
+/// chunks in one batched call and scores each span's candidates through
+/// [`score_group`] — the same conversion and the same
+/// `Metric::score` call the similarity functions make, minus the
+/// `Sample` per row — or, where a span's chunk refuses a vector view,
+/// evaluates the *original* ORDER BY key expression through the shared
+/// row evaluator, so scores, type errors, and tie-breaking are
+/// identical to the naive sort stage. The merged scores order exactly
+/// like that stage (stable ascending sort, whole list reversed for
+/// DESC) and truncate to `LIMIT + OFFSET`.
 #[allow(clippy::too_many_arguments)]
 fn topk_stage(
     ds: &Dataset,
     key_expr: &Expr,
     dir: SortDir,
     tk: &TopKPlan,
-    plan: &Plan,
+    cols: &Columns,
     opts: &QueryOptions,
     workers: usize,
     stats: &StatsAcc,
 ) -> Result<Vec<u64>> {
     let n = ds.len();
+    // a text column reaches the similarity function as a string (and
+    // fails there): never score its bytes as a vector
+    let vectorize = !cols.text.contains(&tk.column);
 
     // candidate rows: IVF probe under `ann`, every row otherwise. The
     // index only answers "nearest first" — a direction asking for the
@@ -786,33 +1017,38 @@ fn topk_stage(
     let sizes: Vec<u64> = groups.iter().map(|g| g.len() as u64).collect();
     let tasks = group_into_tasks(&sizes, 4096, 64);
 
-    let sort_columns: Vec<String> = plan.sort_columns.iter().cloned().collect();
     let slots: Vec<Mutex<Vec<(Scalar, u64)>>> =
         groups.iter().map(|_| Mutex::new(Vec::new())).collect();
     run_tasks(workers, tasks.len(), |t| {
         let task = &tasks[t];
-        let rows: Vec<u64> = task
+        // each group lies inside one chunk span: its row range names
+        // the same chunks its rows do
+        let ranges: Vec<(u64, u64)> = task
             .iter()
-            .flat_map(|&g| groups[g].iter().copied())
+            .map(|&g| (groups[g][0], groups[g][groups[g].len() - 1] + 1))
             .collect();
-        let t = Instant::now();
-        let prefetched = ds.prefetch_chunks(&sort_columns, &rows)?;
-        StatsAcc::lap(&stats.fetch_ns, t);
-        stats
-            .round_trips
-            .fetch_add(prefetched.round_trips(), Ordering::Relaxed);
+        let prefetched = stats.prefetch_spans(ds, &cols.sort, &ranges)?;
         stats
             .chunks_scanned
             .fetch_add(task.len() as u64, Ordering::Relaxed);
         let ctx = EvalCtx {
             ds,
             pinned: Some(&prefetched),
+            text: &cols.text,
         };
         let t = Instant::now();
         let mut scored: Vec<(Scalar, u64)> =
             Vec::with_capacity(task.iter().map(|&g| groups[g].len()).sum());
+        let mut vector = Vec::with_capacity(tk.query.len());
         for &g in task {
-            for &row in &groups[g] {
+            let group = &groups[g];
+            if vectorize && score_group(ds, &prefetched, tk, group, &mut vector, &mut scored) {
+                stats
+                    .rows_vectorized
+                    .fetch_add(group.len() as u64, Ordering::Relaxed);
+                continue;
+            }
+            for &row in group {
                 scored.push((eval_in(&ctx, key_expr, row)?.to_scalar(), row));
             }
         }
@@ -851,30 +1087,73 @@ fn topk_stage(
     Ok(paired.into_iter().map(|(_, r)| r).collect())
 }
 
+/// Score one span's candidate rows (ascending, non-empty) straight from
+/// the chunk bytes: each row's elements decode into `vector` (one
+/// reused buffer) and go to the same `Metric::score(column, query)`
+/// call `functions::call` makes, so every score is the bit pattern the
+/// row evaluator would have produced. All or nothing: returns `false`
+/// with `scored` untouched — score the group row by row — unless the
+/// rows resolve to decoded chunks that all yield a vector view of the
+/// query's length, and then no row can raise.
+fn score_group(
+    ds: &Dataset,
+    pinned: &PrefetchedChunks,
+    tk: &TopKPlan,
+    rows: &[u64],
+    vector: &mut Vec<f64>,
+    scored: &mut Vec<(Scalar, u64)>,
+) -> bool {
+    let (lo, hi) = (rows[0], rows[rows.len() - 1] + 1);
+    let Some(runs) = pinned.column_runs(ds, &tk.column, lo, hi) else {
+        return false;
+    };
+    let views: Option<Vec<_>> = runs
+        .iter()
+        .map(|run| run.chunk().vector_column(tk.query.len()))
+        .collect();
+    let Some(views) = views else {
+        return false;
+    };
+    // walk rows and runs together: both ascend
+    let (mut k, mut run_start) = (0, lo);
+    for &row in rows {
+        while row - run_start >= runs[k].len as u64 {
+            run_start += runs[k].len as u64;
+            k += 1;
+        }
+        let local = runs[k].first + (row - run_start) as usize;
+        vector.clear();
+        views[k].decode_rows(local..local + 1, vector);
+        scored.push((Scalar::Float(tk.metric.score(vector, &tk.query)), row));
+    }
+    true
+}
+
 /// Evaluate `f` for rows `0..n` in parallel, preserving order — the
 /// naive row-at-a-time reference path.
 fn parallel_eval(
-    ds: &Dataset,
     n: u64,
     workers: usize,
     f: impl Fn(u64) -> Result<bool> + Sync,
 ) -> Result<Vec<bool>> {
-    let _ = ds;
-    let out: Vec<Mutex<bool>> = (0..n).map(|_| Mutex::new(false)).collect();
-    let error: Mutex<Option<TqlError>> = Mutex::new(None);
-    let next = AtomicUsize::new(0);
     const STRIDE: usize = 64;
+    let mut out = vec![false; n as usize];
+    // workers claim whole stride blocks of the output, so each writes a
+    // slice no other thread holds
+    let blocks = Mutex::new(out.chunks_mut(STRIDE).enumerate());
+    let error: Mutex<Option<TqlError>> = Mutex::new(None);
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| loop {
-                let start = next.fetch_add(STRIDE, Ordering::Relaxed);
-                if start >= n as usize || error.lock().is_some() {
+                let Some((b, block)) = blocks.lock().next() else {
+                    break;
+                };
+                if error.lock().is_some() {
                     break;
                 }
-                let end = (start + STRIDE).min(n as usize);
-                for (row, slot) in out.iter().enumerate().take(end).skip(start) {
-                    match f(row as u64) {
-                        Ok(v) => *slot.lock() = v,
+                for (j, slot) in block.iter_mut().enumerate() {
+                    match f((b * STRIDE + j) as u64) {
+                        Ok(v) => *slot = v,
                         Err(e) => {
                             *error.lock() = Some(e);
                             return;
@@ -885,10 +1164,10 @@ fn parallel_eval(
         }
     })
     .map_err(|_| TqlError::Type("query worker panicked".into()))?;
-    if let Some(e) = error.into_inner() {
-        return Err(e);
+    match error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(out),
     }
-    Ok(out.into_iter().map(|m| m.into_inner()).collect())
 }
 
 /// Evaluate a key expression for each row in `rows` (parallel, preserving
@@ -898,10 +1177,9 @@ fn eval_keys(
     rows: &[u64],
     workers: usize,
     key: &Expr,
-    plan: &Plan,
+    cols: &Columns,
     stats: &StatsAcc,
 ) -> Result<Vec<Scalar>> {
-    let sort_columns: Vec<String> = plan.sort_columns.iter().cloned().collect();
     let out: Vec<Mutex<Scalar>> = rows.iter().map(|_| Mutex::new(Scalar::Null)).collect();
     let error: Mutex<Option<TqlError>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
@@ -914,21 +1192,17 @@ fn eval_keys(
                     break;
                 }
                 let end = (start + STRIDE).min(rows.len());
-                let t = Instant::now();
-                let prefetched = match ds.prefetch_chunks(&sort_columns, &rows[start..end]) {
+                let prefetched = match stats.prefetch(ds, &cols.sort, &rows[start..end]) {
                     Ok(p) => p,
                     Err(e) => {
                         *error.lock() = Some(e.into());
                         return;
                     }
                 };
-                StatsAcc::lap(&stats.fetch_ns, t);
-                stats
-                    .round_trips
-                    .fetch_add(prefetched.round_trips(), Ordering::Relaxed);
                 let ctx = EvalCtx {
                     ds,
                     pinned: Some(&prefetched),
+                    text: &cols.text,
                 };
                 let t = Instant::now();
                 for i in start..end {
@@ -953,7 +1227,15 @@ fn eval_keys(
 
 /// Evaluate an expression for one dataset row.
 pub fn eval(expr: &Expr, ds: &Dataset, row: u64) -> Result<Value> {
-    eval_in(&EvalCtx::bare(ds), expr, row)
+    let mut text = Vec::new();
+    expr.columns(&mut text);
+    text.retain(|c| is_text(ds, c));
+    let ctx = EvalCtx {
+        ds,
+        pinned: None,
+        text: &text,
+    };
+    eval_in(&ctx, expr, row)
 }
 
 /// Evaluate an expression for one row through an evaluation context
@@ -974,11 +1256,9 @@ fn eval_in(ctx: &EvalCtx<'_>, expr: &Expr, row: u64) -> Result<Value> {
                 .map_err(|_| TqlError::UnknownColumn(name.clone()))?;
             // text-htype columns are first-class strings: they compare and
             // sort lexicographically, not as byte tensors
-            if let Ok(meta) = ds.tensor_meta(name) {
-                if matches!(meta.htype.base(), deeplake_tensor::Htype::Text) {
-                    if let Some(text) = sample.to_text() {
-                        return Ok(Value::Str(text));
-                    }
+            if ctx.text.contains(name) {
+                if let Some(text) = sample.to_text() {
+                    return Ok(Value::Str(text));
                 }
             }
             Ok(Value::Tensor(sample))

@@ -30,12 +30,17 @@
 //! decides from statistics alone whether the span can be **pruned** (no
 //! row can match — zero I/O), **matched whole** (every row matches —
 //! zero I/O), or must be **scanned** (one batched storage call fetches
-//! the span's chunks, each decoded once and evaluated across its rows).
-//! Anything the analyzer cannot bound — arbitrary expressions, text
-//! columns, stat-less legacy datasets — scans exactly like before, so
-//! pruned execution is always result-identical to a naive full scan.
-//! [`QueryResult::stats`] reports `chunks_pruned` / `chunks_matched` /
-//! `chunks_scanned` / `round_trips`:
+//! the span's chunks, each parsed once). A scanned span of a filter that
+//! lowered completely is evaluated column-at-a-time by typed kernels
+//! over the chunk bytes wherever no row of it can raise; every other
+//! span — and anything the analyzer cannot bound: arbitrary
+//! expressions, text columns, stat-less legacy datasets — goes through
+//! the row evaluator exactly like before (the rules are in [`exec`]),
+//! so the default path is always result-identical, errors included, to
+//! the naive full scan `QueryOptions { pruning: false }` keeps as the
+//! reference. [`QueryResult::stats`] reports `chunks_pruned` /
+//! `chunks_matched` / `chunks_scanned` / `round_trips` /
+//! `rows_vectorized`:
 //!
 //! ```text
 //! let r = query(&ds, "SELECT * FROM d WHERE labels = 3")?;
@@ -50,9 +55,11 @@
 //! embedding columns against a literal query vector, and the planner
 //! lowers `ORDER BY <similarity> LIMIT k` (no filter/arrange) onto a
 //! physical top-k operator: candidate rows → chunk spans → one batched
-//! [`ReadPlan`] per worker task → exact re-rank through the shared row
-//! evaluator, so results (order, ties, errors) are identical to the
-//! naive sort stage. With [`QueryOptions::ann`] the operator probes the
+//! `ReadPlan` per worker task → exact re-rank, scored straight from the
+//! chunk bytes with the call the similarity functions make (or through
+//! the row evaluator where a chunk is not uniform vectors of the
+//! query's length), so results (order, ties, errors) are identical to
+//! the naive sort stage. With [`QueryOptions::ann`] the operator probes the
 //! column's IVF vector index ([`deeplake_index`](deeplake_core::VectorIndex))
 //! for candidates — [`QueryOptions::nprobe`] trades recall for fetched
 //! chunks — and silently falls back to the exact flat scan when no valid

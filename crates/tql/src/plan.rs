@@ -138,6 +138,20 @@ impl PruneExpr {
         }
     }
 
+    /// Whether any leaf is [`PruneExpr::Opaque`]. Without one the
+    /// predicate is the whole filter — its value per row is the filter's
+    /// — which is what lets the executor evaluate it column-at-a-time.
+    pub fn has_opaque_leaf(&self) -> bool {
+        match self {
+            PruneExpr::Opaque => true,
+            PruneExpr::Cmp { .. } => false,
+            PruneExpr::And(l, r) | PruneExpr::Or(l, r) => {
+                l.has_opaque_leaf() || r.has_opaque_leaf()
+            }
+            PruneExpr::Not(inner) => inner.has_opaque_leaf(),
+        }
+    }
+
     /// Columns whose statistics the predicate consults, in first-use
     /// order (the executor drives its scan off the first one).
     pub fn columns(&self, out: &mut Vec<String>) {

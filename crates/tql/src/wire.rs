@@ -211,7 +211,8 @@ pub fn decode_options(r: &mut WireReader<'_>) -> WireResult<QueryOptions> {
     })
 }
 
-/// Encode [`QueryStats`] (counters, then the stage-nanos fields).
+/// Encode [`QueryStats`] (counters, then the stage-nanos fields, then
+/// fields added since — see [`decode_stats`]).
 pub fn encode_stats(stats: &QueryStats, out: &mut Vec<u8>) {
     for v in [
         stats.chunks_scanned,
@@ -224,12 +225,15 @@ pub fn encode_stats(stats: &QueryStats, out: &mut Vec<u8>) {
         stats.fetch_ns,
         stats.decode_ns,
         stats.rerank_ns,
+        stats.rows_vectorized,
     ] {
         put_u64(out, v);
     }
 }
 
-/// Decode [`QueryStats`].
+/// Decode [`QueryStats`]. The stats close a result frame, so a field
+/// added after the original ten is additive: a peer that predates it
+/// ends the frame early and the field decodes as 0.
 pub fn decode_stats(r: &mut WireReader<'_>) -> WireResult<QueryStats> {
     Ok(QueryStats {
         chunks_scanned: r.u64()?,
@@ -242,6 +246,7 @@ pub fn decode_stats(r: &mut WireReader<'_>) -> WireResult<QueryStats> {
         fetch_ns: r.u64()?,
         decode_ns: r.u64()?,
         rerank_ns: r.u64()?,
+        rows_vectorized: if r.remaining() == 0 { 0 } else { r.u64()? },
     })
 }
 
@@ -493,10 +498,32 @@ mod tests {
             fetch_ns: 8,
             decode_ns: 9,
             rerank_ns: 10,
+            rows_vectorized: 11,
         };
         let mut buf = Vec::new();
         encode_stats(&stats, &mut buf);
         assert_eq!(decode_stats(&mut WireReader::new(&buf)).unwrap(), stats);
+    }
+
+    #[test]
+    fn frame_from_a_peer_without_rows_vectorized_decodes() {
+        let result = sample_result();
+        let mut buf = Vec::new();
+        encode_result(&result, &mut buf);
+        // what a hub built before the field sends: the same frame, ending
+        // after `rerank_ns`
+        buf.truncate(buf.len() - 8);
+        let mut r = WireReader::new(&buf);
+        let back = decode_result(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.indices, result.indices);
+        assert_eq!(
+            back.stats,
+            QueryStats {
+                rows_vectorized: 0,
+                ..result.stats
+            }
+        );
     }
 
     fn sample_result() -> QueryResult {
@@ -524,6 +551,7 @@ mod tests {
                 fetch_ns: 250_000,
                 decode_ns: 90_000,
                 rerank_ns: 0,
+                rows_vectorized: 512,
             },
         }
     }
@@ -560,8 +588,10 @@ mod tests {
     fn truncated_and_corrupt_input_errors_cleanly() {
         let mut buf = Vec::new();
         encode_result(&sample_result(), &mut buf);
-        // every truncation point errors, never panics
-        for cut in 0..buf.len() {
+        // every truncation point errors, never panics — but for the one
+        // that drops exactly the additive trailing stats field, which is
+        // a well-formed older frame
+        for cut in (0..buf.len()).filter(|&cut| cut != buf.len() - 8) {
             assert!(
                 decode_result(&mut WireReader::new(&buf[..cut])).is_err(),
                 "cut at {cut} must error"

@@ -19,6 +19,13 @@
 //!   to pixel count) without binding libjpeg.
 //! * [`Compression`] — the registry enum stored in tensor metadata, with
 //!   self-describing magic headers so blobs can be decoded without context.
+//! * [`Frame`] — a stored blob with its header read and checked: lengths
+//!   in blobs are untrusted, so a decoder asks the frame how much to
+//!   allocate and decodes into that one buffer.
+//!
+//! Every codec has `*_into` forms (`compress_into(.., &mut Vec<u8>)`,
+//! `decompress_into(.., &mut [u8])`) that write into the caller's buffer;
+//! the `Vec`-returning functions are wrappers over them.
 
 pub mod error;
 pub mod lz4;
@@ -27,7 +34,7 @@ pub mod rle;
 pub mod synthimg;
 
 pub use error::CodecError;
-pub use registry::Compression;
+pub use registry::{Compression, Frame};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CodecError>;

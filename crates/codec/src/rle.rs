@@ -9,6 +9,12 @@ use crate::error::CodecError;
 /// Encode `input` as `(varint run length, byte)` pairs.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 4 + 8);
+    compress_into(input, &mut out);
+    out
+}
+
+/// Append the RLE stream of `input` to `out`.
+pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
     let mut i = 0usize;
     while i < input.len() {
         let byte = input[i];
@@ -16,16 +22,68 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         while i + run < input.len() && input[i + run] == byte {
             run += 1;
         }
-        write_varint(&mut out, run as u64);
+        write_varint(out, run as u64);
         out.push(byte);
         i += run;
     }
-    out
+}
+
+/// Total length of the runs in an RLE stream, with every run header
+/// checked. A run may legitimately be far longer than the stream, so this
+/// sum — not a ratio to the input size — is what an untrusted frame length
+/// is held against before anything is allocated for it.
+pub(crate) fn decoded_len(input: &[u8]) -> Result<usize, CodecError> {
+    let mut total = 0usize;
+    for_each_run(input, |run, _| {
+        total = usize::try_from(run)
+            .ok()
+            .and_then(|run| total.checked_add(run))
+            .ok_or(CodecError::Corrupt("run lengths overflow"))?;
+        Ok(())
+    })?;
+    Ok(total)
 }
 
 /// Decode an RLE stream, verifying the output length.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(expected_len);
+    let actual = decoded_len(input)?;
+    if actual != expected_len {
+        return Err(CodecError::LengthMismatch {
+            expected: expected_len,
+            actual,
+        });
+    }
+    let mut out = vec![0u8; expected_len];
+    decompress_into(input, &mut out)?;
+    Ok(out)
+}
+
+/// Decode an RLE stream into `out`, which it must fill exactly.
+pub fn decompress_into(input: &[u8], out: &mut [u8]) -> Result<(), CodecError> {
+    let mut filled = 0usize;
+    for_each_run(input, |run, byte| {
+        let run = usize::try_from(run)
+            .ok()
+            .filter(|&run| run <= out.len() - filled)
+            .ok_or(CodecError::Corrupt("run overflows output"))?;
+        out[filled..filled + run].fill(byte);
+        filled += run;
+        Ok(())
+    })?;
+    if filled != out.len() {
+        return Err(CodecError::LengthMismatch {
+            expected: out.len(),
+            actual: filled,
+        });
+    }
+    Ok(())
+}
+
+/// Walk the `(run length, byte)` pairs of a stream.
+fn for_each_run(
+    input: &[u8],
+    mut f: impl FnMut(u64, u8) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
     let mut pos = 0usize;
     while pos < input.len() {
         let (run, used) = read_varint(&input[pos..]).ok_or(CodecError::Corrupt("varint"))?;
@@ -34,18 +92,9 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
             .get(pos)
             .ok_or(CodecError::Corrupt("missing run byte"))?;
         pos += 1;
-        if out.len() + run as usize > expected_len {
-            return Err(CodecError::Corrupt("run overflows output"));
-        }
-        out.resize(out.len() + run as usize, byte);
+        f(run, byte)?;
     }
-    if out.len() != expected_len {
-        return Err(CodecError::LengthMismatch {
-            expected: expected_len,
-            actual: out.len(),
-        });
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// LEB128 unsigned varint.
@@ -150,5 +199,28 @@ mod tests {
         let c = compress(&data);
         assert!(c.len() <= 5);
         roundtrip(&data);
+    }
+
+    #[test]
+    fn run_totals_are_checked_before_allocating() {
+        // two runs of 2^63 overflow the total; one run of 2^45 is a
+        // length the caller did not expect
+        let mut huge = Vec::new();
+        write_varint(&mut huge, 1 << 63);
+        huge.push(0);
+        assert_eq!(decoded_len(&huge), Ok(1 << 63));
+        assert!(decompress(&huge, 16).is_err());
+        huge.extend_from_slice(&huge.clone());
+        assert_eq!(
+            decoded_len(&huge),
+            Err(CodecError::Corrupt("run lengths overflow"))
+        );
+        // a run longer than the output slice is refused, not written
+        let c = compress(&[3u8; 100]);
+        assert!(decompress_into(&c, &mut [0u8; 99]).is_err());
+        assert!(decompress_into(&c, &mut [0u8; 101]).is_err());
+        let mut out = [0u8; 100];
+        decompress_into(&c, &mut out).unwrap();
+        assert_eq!(out, [3u8; 100]);
     }
 }

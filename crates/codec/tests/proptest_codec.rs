@@ -1,7 +1,7 @@
 //! Property tests for the codec layer.
 
 use deeplake_codec::synthimg::{self, Quality};
-use deeplake_codec::{lz4, rle, Compression};
+use deeplake_codec::{lz4, rle, Compression, Frame};
 use proptest::prelude::*;
 
 proptest! {
@@ -71,14 +71,95 @@ proptest! {
 
     #[test]
     fn corrupted_frames_error_not_panic(
-        data in proptest::collection::vec(any::<u8>(), 1..256),
+        data in proptest::collection::vec(any::<u8>(), 1..200),
+        runs in proptest::collection::vec((0u8..3, 1usize..40), 1..8),
+        h in 1u32..8, w in 1u32..8, c in 1u32..4,
         flip in any::<usize>(),
+        garbage in proptest::collection::vec(any::<u8>(), 1..24),
     ) {
-        let blob = Compression::Lz4.compress(&data);
-        let mut bad = blob.clone();
-        let i = flip % bad.len();
-        bad[i] ^= 0xA5;
-        // must either fail cleanly or decode to *something* — never panic
-        let _ = Compression::decompress(&bad);
+        // one frame of every kind, on data each codec is meant for
+        let runny: Vec<u8> =
+            runs.iter().flat_map(|&(b, n)| std::iter::repeat_n(b, n)).collect();
+        let pixels: Vec<u8> =
+            (0..(h * w * c) as usize).map(|i| data[i % data.len()]).collect();
+        let frames = [
+            Compression::None.compress(&data),
+            Compression::Lz4.compress(&data),
+            Compression::Lz4.compress(&runny),
+            Compression::Rle.compress(&runny),
+            Compression::JPEG_LIKE.compress_image(&pixels, h, w, c).unwrap(),
+        ];
+        for frame in &frames {
+            decodes_or_errs(frame); // the frame itself decodes
+            // flip bits
+            let mut bad = frame.clone();
+            bad[flip % frame.len()] ^= 1 << (flip % 8);
+            decodes_or_errs(&bad);
+            bad[flip % frame.len()] ^= 0xA5;
+            decodes_or_errs(&bad);
+            // truncate at every length
+            for len in 0..frame.len() {
+                decodes_or_errs(&frame[..len]);
+            }
+            // append garbage
+            let mut bad = frame.clone();
+            bad.extend_from_slice(&garbage);
+            decodes_or_errs(&bad);
+            if frame[0] == 0 {
+                continue; // an uncompressed frame is its magic byte and the data
+            }
+            // splice the frame length: the same value padded with 1..=10
+            // continuation bytes, then zero and the largest value
+            let len_end = 1 + frame[1..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+            let respliced = |varint: &[u8]| [&frame[..1], varint, &frame[len_end..]].concat();
+            for pad in 1..=10 {
+                let mut varint = frame[1..len_end].to_vec();
+                *varint.last_mut().unwrap() |= 0x80;
+                varint.extend(std::iter::repeat_n(0x80, pad - 1));
+                varint.push(0x00);
+                decodes_or_errs(&respliced(&varint));
+            }
+            decodes_or_errs(&respliced(&[0x00]));
+            decodes_or_errs(&respliced(&[0xFF; 9]));
+            let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+            decodes_or_errs(&respliced(&max));
+            // zero and max every header field behind the length: the magic
+            // byte, and an image frame's bits / h / w / c
+            let mut fields = vec![(0, 1)];
+            if frame[0] == 3 {
+                let header = [(0, 1), (1, 4), (5, 4), (9, 4)];
+                fields.extend(header.map(|(at, len)| (len_end + at, len)));
+            }
+            for (at, len) in fields {
+                for byte in [0x00, 0xFF] {
+                    let mut bad = frame.clone();
+                    bad[at..at + len].fill(byte);
+                    decodes_or_errs(&bad);
+                }
+            }
+        }
+    }
+}
+
+/// `blob` decodes or errors through both entry points — a panic fails the
+/// test — and whatever parses claims no more output than its input could
+/// expand to, so nothing larger is ever allocated for it. (The inputs'
+/// RLE frames stay under 64 KiB; a longer run is legitimate RLE, held to
+/// the total of its runs instead.)
+fn decodes_or_errs(blob: &[u8]) {
+    let limit = 255 * blob.len() + (64 << 10);
+    if let Ok(frame) = Frame::parse(blob) {
+        assert!(
+            frame.decoded_len() <= limit,
+            "frame claims {}",
+            frame.decoded_len()
+        );
+    }
+    let flat = Compression::decompress(blob);
+    let image = Compression::decompress_image(blob);
+    assert_eq!(flat.is_ok(), image.is_ok());
+    if let (Ok(flat), Ok((pixels, _))) = (flat, image) {
+        assert!(flat.len() <= limit);
+        assert_eq!(flat, pixels);
     }
 }

@@ -23,8 +23,8 @@
 
 use std::ops::Range;
 
-use bytes::Bytes;
-use deeplake_codec::Compression;
+use bytes::BytesMut;
+use deeplake_codec::{Compression, Frame};
 use deeplake_tensor::sample::read_f64;
 use deeplake_tensor::{Dtype, Sample, Shape};
 
@@ -101,8 +101,14 @@ impl Chunk {
         sample: &Sample,
         sample_compression: Compression,
     ) -> Result<()> {
-        let blob = encode_sample(sample, sample_compression)?;
-        self.append_blob(&blob, sample.shape().clone());
+        // the frame is encoded straight onto the end of the payload
+        let start = self.payload.len();
+        encode_sample_into(sample, sample_compression, &mut self.payload)?;
+        self.offsets.push(start as u32);
+        self.records.push(SampleRecord {
+            stored_len: (self.payload.len() - start) as u32,
+            shape: sample.shape().clone(),
+        });
         Ok(())
     }
 
@@ -193,7 +199,7 @@ impl Chunk {
         }
         match chunk_codec {
             Compression::None => out.extend_from_slice(&self.payload),
-            codec => out.extend_from_slice(&codec.compress(&self.payload)),
+            codec => codec.compress_into(&self.payload, &mut out),
         }
         out
     }
@@ -381,29 +387,42 @@ impl ChunkHeader {
 /// which is what allows pre-compressed blobs to be copied into chunks
 /// verbatim and still decode correctly.
 pub fn encode_sample(sample: &Sample, compression: Compression) -> Result<Vec<u8>> {
-    match compression {
-        Compression::SynthImg { .. } => {
-            // image codecs need geometry; require h×w×c u8
-            let shape = sample.shape();
-            if sample.dtype() == Dtype::U8 && shape.rank() == 3 {
-                Ok(compression.compress_image(
-                    sample.bytes(),
-                    shape.dim(0) as u32,
-                    shape.dim(1) as u32,
-                    shape.dim(2) as u32,
-                )?)
-            } else {
-                Ok(compression.compress(sample.bytes()))
-            }
-        }
-        codec => Ok(codec.compress(sample.bytes())),
-    }
+    let mut blob = Vec::new();
+    encode_sample_into(sample, compression, &mut blob)?;
+    Ok(blob)
 }
 
-/// Decode a stored blob back into a sample of known dtype/shape.
+/// [`encode_sample`], appending the blob to `out`. Nothing is appended on
+/// error.
+pub fn encode_sample_into(
+    sample: &Sample,
+    compression: Compression,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let shape = sample.shape();
+    match compression {
+        // image codecs need geometry; require h×w×c u8
+        Compression::SynthImg { .. } if sample.dtype() == Dtype::U8 && shape.rank() == 3 => {
+            compression.compress_image_into(
+                sample.bytes(),
+                shape.dim(0) as u32,
+                shape.dim(1) as u32,
+                shape.dim(2) as u32,
+                out,
+            )?
+        }
+        codec => codec.compress_into(sample.bytes(), out),
+    }
+    Ok(())
+}
+
+/// Decode a stored blob back into a sample of known dtype/shape. The
+/// frame decodes into the one buffer that becomes the sample's bytes.
 pub fn decode_sample(blob: &[u8], dtype: Dtype, shape: Shape) -> Result<Sample> {
-    let raw = Compression::decompress(blob)?;
-    Ok(Sample::from_bytes(dtype, shape, Bytes::from(raw))?)
+    let frame = Frame::parse(blob)?;
+    let mut raw = BytesMut::zeroed(frame.decoded_len());
+    frame.decode_into(&mut raw)?;
+    Ok(Sample::from_bytes(dtype, shape, raw.freeze())?)
 }
 
 fn dtype_tag(d: Dtype) -> u8 {
@@ -551,6 +570,43 @@ mod tests {
         {
             assert!(a.abs_diff(b) <= err);
         }
+    }
+
+    #[test]
+    fn append_sample_writes_the_blob_encode_sample_returns() {
+        let img = sample_u8([8, 8, 3], 100);
+        let label = Sample::scalar(7i32);
+        for (sample, codec) in [
+            (&img, Compression::JPEG_LIKE),
+            (&img, Compression::Lz4),
+            (&label, Compression::JPEG_LIKE), // not an image: LZ4 frame
+            (&label, Compression::None),
+        ] {
+            // twice, so the second frame lands behind a non-empty payload
+            let (mut direct, mut copied) = (Chunk::new(sample.dtype()), Chunk::new(sample.dtype()));
+            for _ in 0..2 {
+                direct.append_sample(sample, codec).unwrap();
+                let blob = encode_sample(sample, codec).unwrap();
+                copied.append_blob(&blob, sample.shape().clone());
+            }
+            assert_eq!(direct, copied);
+            assert_eq!(direct.sample(1).unwrap().shape(), sample.shape());
+        }
+        // a refused sample leaves the chunk as it was
+        let mut c = Chunk::new(Dtype::U8);
+        c.append_sample(&img, Compression::JPEG_LIKE).unwrap();
+        let before = c.clone();
+        assert!(c
+            .append_sample(&img, Compression::SynthImg { bits: 0 })
+            .is_err());
+        assert_eq!(c, before);
+    }
+
+    #[test]
+    fn decode_sample_refuses_hostile_lengths() {
+        // an LZ4 frame of one empty block claiming 2^45 bytes
+        let blob = [0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00];
+        assert!(decode_sample(&blob, Dtype::U8, Shape::from([1u64 << 45])).is_err());
     }
 
     #[test]

@@ -573,7 +573,7 @@ impl Dataset {
                     // path retries it and reports the row-level error,
                     // matching `Dataset::get` semantics
                     let name = &tensors[tensor_index];
-                    if let Ok(chunk) = self.store(name)?.admit_chunk(chunk_id, data) {
+                    if let Ok(chunk) = self.store(name)?.admit_chunk(chunk_id, data.clone()) {
                         pinned
                             .get_mut(name)
                             .expect("entry created above")

@@ -278,6 +278,16 @@ impl TensorStore {
         self.seal_open_chunk()?;
         debug_assert_eq!(row, self.encoder.num_rows());
 
+        let first = self.write_tiles(row, sample)?;
+        // the encoder still owns row accounting: point the row at its first
+        // tile chunk (readers consult the tile encoder before the map)
+        self.encoder.append_run(first, 0, 1);
+        Ok(())
+    }
+
+    /// Split `sample` into tiles, write each as a chunk of its own and
+    /// record the layout for `row`. Returns the first tile's chunk id.
+    fn write_tiles(&mut self, row: u64, sample: &Sample) -> Result<u64> {
         let tile_shape = deeplake_format::tile_encoder::compute_tile_shape(
             sample.shape(),
             sample.dtype().size(),
@@ -288,8 +298,7 @@ impl TensorStore {
         for (_, tile) in &pieces {
             let mut chunk = Chunk::new(self.meta.dtype);
             chunk.append_sample(tile, self.meta.sample_compression)?;
-            let id = self.put_chunk(&chunk)?;
-            tile_chunks.push(id);
+            tile_chunks.push(self.put_chunk(&chunk)?);
         }
         let first = tile_chunks[0];
         self.tiles.insert(
@@ -300,10 +309,7 @@ impl TensorStore {
                 tile_chunks,
             },
         );
-        // the encoder still owns row accounting: point the row at its first
-        // tile chunk (readers consult the tile encoder before the map)
-        self.encoder.append_run(first, 0, 1);
-        Ok(())
+        Ok(first)
     }
 
     /// Update a row in place (§3.5 random access writes). The new value is
@@ -333,27 +339,7 @@ impl TensorStore {
         let blob = encode_sample(sample, self.meta.sample_compression)?;
         if blob.len() > self.builder.policy().max_bytes && !self.builder.policy().allow_oversized {
             // oversized replacement: tile it
-            let tile_shape = deeplake_format::tile_encoder::compute_tile_shape(
-                sample.shape(),
-                sample.dtype().size(),
-                self.builder.policy().target_bytes,
-            );
-            let pieces = deeplake_format::tile_encoder::split_into_tiles(sample, &tile_shape)?;
-            let mut tile_chunks = Vec::with_capacity(pieces.len());
-            for (_, tile) in &pieces {
-                let mut chunk = Chunk::new(self.meta.dtype);
-                chunk.append_sample(tile, self.meta.sample_compression)?;
-                tile_chunks.push(self.put_chunk(&chunk)?);
-            }
-            let first = tile_chunks[0];
-            self.tiles.insert(
-                row,
-                TileLayout {
-                    sample_shape: sample.shape().clone(),
-                    tile_shape,
-                    tile_chunks,
-                },
-            );
+            let first = self.write_tiles(row, sample)?;
             self.encoder.replace_row(
                 row,
                 SampleLocation {
@@ -363,7 +349,7 @@ impl TensorStore {
             )?;
         } else {
             let mut chunk = Chunk::new(self.meta.dtype);
-            chunk.append_blob(&blob, sample.shape().clone());
+            chunk.append_blob(&blob, sample.shape());
             let id = self.put_chunk(&chunk)?;
             if sample.num_elements() == 1 {
                 if let Ok(v) = sample.get_f64(0) {
@@ -453,11 +439,11 @@ impl TensorStore {
         }
         if row >= self.encoder.num_rows() {
             let local = (row - self.encoder.num_rows()) as usize;
-            return Ok(self.builder.open_chunk().records()[local].shape.clone());
+            return Ok(self.builder.open_chunk().shape(local)?);
         }
         let loc = self.encoder.locate(row)?;
         let chunk = self.read_chunk(loc.chunk_id)?;
-        Ok(chunk.records()[loc.local_index as usize].shape.clone())
+        Ok(chunk.shape(loc.local_index as usize)?)
     }
 
     /// Recorded statistics of one chunk, if any.
@@ -634,10 +620,7 @@ impl TensorStore {
             for (id, first, n) in self.encoder.locate_range(start, end.min(sealed)).ok()? {
                 let chunk = match pinned.get(&id) {
                     Some(chunk) => chunk.clone(),
-                    None => {
-                        let memo = self.chunk_memo.lock();
-                        memo.iter().find(|(m, _)| *m == id)?.1.clone()
-                    }
+                    None => self.memoized(id)?,
                 };
                 runs.push(ColumnRun {
                     chunk: RunChunk::Sealed(chunk),
@@ -681,34 +664,23 @@ impl TensorStore {
 
     /// Fetch and decode a chunk by id, resolving through the version chain.
     pub fn read_chunk(&self, chunk_id: u64) -> Result<Arc<Chunk>> {
-        if let Some((_, chunk)) = self
-            .chunk_memo
-            .lock()
-            .iter()
-            .find(|(id, _)| *id == chunk_id)
-        {
-            return Ok(chunk.clone());
+        if let Some(chunk) = self.memoized(chunk_id) {
+            return Ok(chunk);
         }
         let key = chunk_key(chunk_id);
-        for dir in &self.chain {
-            if dir.chunk_set.contains(&chunk_id) {
-                let data = dir.provider.get(&key)?;
-                let chunk = Arc::new(Chunk::deserialize(&data)?);
-                self.memoize(chunk_id, chunk.clone());
-                return Ok(chunk);
-            }
-        }
-        // fall back to probing directories (tolerates missing chunk_set files)
-        for dir in &self.chain {
-            if let Ok(data) = dir.provider.get(&key) {
-                let chunk = Arc::new(Chunk::deserialize(&data)?);
-                self.memoize(chunk_id, chunk.clone());
-                return Ok(chunk);
-            }
-        }
-        Err(CoreError::Corrupt(format!(
-            "chunk {chunk_id} not found in any version"
-        )))
+        let owner = self.chain.iter().find(|d| d.chunk_set.contains(&chunk_id));
+        let data = match owner {
+            Some(dir) => dir.provider.get(&key)?,
+            // fall back to probing directories (tolerates missing chunk_set files)
+            None => self
+                .chain
+                .iter()
+                .find_map(|dir| dir.provider.get(&key).ok())
+                .ok_or_else(|| {
+                    CoreError::Corrupt(format!("chunk {chunk_id} not found in any version"))
+                })?,
+        };
+        self.admit_chunk(chunk_id, data)
     }
 
     /// The chunks rows `rows` need that are not already decoded, as
@@ -749,13 +721,23 @@ impl TensorStore {
             .map(|dir| dir.provider.absolute(&key))
     }
 
-    /// Decode fetched chunk bytes into the memo so subsequent
-    /// [`get`](Self::get) calls on its rows hit memory. The batched read
-    /// path fetches bytes through one storage call and admits them here.
-    pub fn admit_chunk(&self, chunk_id: u64, data: &bytes::Bytes) -> Result<Arc<Chunk>> {
-        let chunk = Arc::new(Chunk::deserialize(data)?);
+    /// Parse fetched chunk bytes into the memo so subsequent
+    /// [`get`](Self::get) calls on its rows hit memory — the one place a
+    /// stored blob becomes a [`Chunk`]. The chunk is a view of `data`
+    /// (which it keeps alive), not a copy. The batched read path fetches
+    /// bytes through one storage call and admits them here.
+    pub fn admit_chunk(&self, chunk_id: u64, data: Bytes) -> Result<Arc<Chunk>> {
+        let chunk = Arc::new(Chunk::parse(data)?);
         self.memoize(chunk_id, chunk.clone());
         Ok(chunk)
+    }
+
+    /// The memo's copy of a chunk, if it holds one.
+    fn memoized(&self, chunk_id: u64) -> Option<Arc<Chunk>> {
+        let memo = self.chunk_memo.lock();
+        memo.iter()
+            .find(|(id, _)| *id == chunk_id)
+            .map(|(_, chunk)| chunk.clone())
     }
 
     /// Insert a decoded chunk into the bounded memo (FIFO eviction).

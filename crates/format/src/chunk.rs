@@ -1,11 +1,10 @@
-//! Chunk binary layout.
+//! Chunk binary layout, and the one in-memory form of a chunk.
 //!
 //! A chunk is the unit of storage I/O: one object-store blob holding a
 //! contiguous run of samples from one tensor. Per §3.4 a chunk carries
 //! "header information such as byte ranges, shapes of the samples, and the
-//! sample data itself" — the header is what lets the streaming layer issue
-//! *range* requests for single samples out of an 8 MB chunk without
-//! fetching the rest (§3.5).
+//! sample data itself" — the header is what lets a reader index into the
+//! chunk without touching the rest of it (§3.5).
 //!
 //! Binary layout (all integers little-endian):
 //!
@@ -20,10 +19,32 @@
 //! region as a whole (LZ4 for labels in the paper's §5 example); sample
 //! level compression is applied *before* a blob enters the chunk, so
 //! pre-compressed images are copied in verbatim.
+//!
+//! # What a [`Chunk`] owns
+//!
+//! The sample directory as flat tables: one prefix-sum `offsets` table
+//! (`n + 1` entries; a stored length is a difference) and either the one
+//! [`Shape`] every record shares or, for ragged chunks, flat `dims` with
+//! per-record starts. [`Chunk::parse`] fills them in one walk over the
+//! directory, in a number of allocations that does not depend on the
+//! record count.
+//!
+//! The payload of a *parsed* chunk is a window, not a copy: a [`Bytes`]
+//! slice of the blob handed to the parser (payload codec `None`), or the
+//! one buffer the payload codec decoded into. The window holds a
+//! reference on the blob's buffer — all of it, so hand the parser a
+//! stored object rather than a slice of something larger — and that is
+//! what keeps the bytes alive: for an in-memory store the chunk shares
+//! the store's copy of the object instead of duplicating it. A chunk
+//! *being built* ([`Chunk::append_sample`] / [`Chunk::append_blob`]) owns
+//! a `Vec<u8>` it appends to; appending to a parsed chunk copies its
+//! window out first. Every accessor reads both the same way, and chunks
+//! with the same records are equal however they were made. None of this
+//! shows on the wire: the layout above is unchanged.
 
 use std::ops::Range;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use deeplake_codec::{Compression, Frame};
 use deeplake_tensor::sample::read_f64;
 use deeplake_tensor::{Dtype, Sample, Shape};
@@ -32,25 +53,65 @@ use crate::consts::{CHUNK_MAGIC, CHUNK_VERSION};
 use crate::error::FormatError;
 use crate::Result;
 
-/// Directory entry for one sample inside a chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleRecord {
-    /// Stored (possibly sample-compressed) byte length.
-    pub stored_len: u32,
-    /// Logical shape of the decoded sample.
-    pub shape: Shape,
-}
+/// Bytes of the fixed chunk header, up to and including the record count.
+const HEADER_LEN: usize = 11;
 
-/// An in-memory chunk: directory + payload.
+/// An in-memory chunk: sample directory + payload (see the module docs
+/// for what it owns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     dtype: Dtype,
-    records: Vec<SampleRecord>,
-    /// Cumulative start offset of each record's blob in `payload`
-    /// (`offsets[i]..offsets[i] + records[i].stored_len`). Maintained
-    /// incrementally so per-sample access is O(1).
+    /// Prefix sums of the stored lengths, `n + 1` entries from 0: record
+    /// `i`'s blob is `payload[offsets[i]..offsets[i + 1]]`, and the last
+    /// entry is the payload length.
     offsets: Vec<u32>,
-    payload: Vec<u8>,
+    shapes: Shapes,
+    payload: Payload,
+}
+
+/// The shapes of a chunk's records.
+#[derive(Debug, Clone, PartialEq)]
+enum Shapes {
+    /// Every record has this shape (`[]` while the chunk is empty).
+    Uniform(Shape),
+    /// At least two records differ: record `i`'s dims are
+    /// `dims[starts[i]..starts[i + 1]]` (`starts` has `n + 1` entries).
+    Ragged { dims: Vec<u64>, starts: Vec<u32> },
+}
+
+/// Where a chunk's stored blobs live.
+#[derive(Debug, Clone)]
+enum Payload {
+    /// Being built: appended to until the chunk is sealed.
+    Owned(Vec<u8>),
+    /// Parsed: a window onto the stored blob, or the payload codec's one
+    /// decoded buffer.
+    Shared(Bytes),
+}
+
+impl Payload {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(b) => b,
+        }
+    }
+
+    fn to_mut(&mut self) -> &mut Vec<u8> {
+        if let Payload::Shared(b) = self {
+            *self = Payload::Owned(b.to_vec());
+        }
+        let Payload::Owned(v) = self else {
+            unreachable!("just made owned")
+        };
+        v
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
 }
 
 impl Chunk {
@@ -58,9 +119,9 @@ impl Chunk {
     pub fn new(dtype: Dtype) -> Self {
         Chunk {
             dtype,
-            records: Vec::new(),
-            offsets: Vec::new(),
-            payload: Vec::new(),
+            offsets: vec![0],
+            shapes: Shapes::Uniform(Shape::scalar()),
+            payload: Payload::Owned(Vec::new()),
         }
     }
 
@@ -71,28 +132,19 @@ impl Chunk {
 
     /// Number of samples.
     pub fn sample_count(&self) -> usize {
-        self.records.len()
+        self.offsets.len() - 1
     }
 
     /// Uncompressed payload size in bytes.
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Sample directory.
-    pub fn records(&self) -> &[SampleRecord] {
-        &self.records
+        self.payload.as_slice().len()
     }
 
     /// Append a stored blob (already sample-compressed if applicable) with
     /// its logical shape.
-    pub fn append_blob(&mut self, blob: &[u8], shape: Shape) {
-        self.offsets.push(self.payload.len() as u32);
-        self.records.push(SampleRecord {
-            stored_len: blob.len() as u32,
-            shape,
-        });
-        self.payload.extend_from_slice(blob);
+    pub fn append_blob(&mut self, blob: &[u8], shape: &Shape) {
+        self.payload.to_mut().extend_from_slice(blob);
+        self.push_record(shape);
     }
 
     /// Append a raw (uncompressed) sample, applying `sample_compression`.
@@ -102,145 +154,284 @@ impl Chunk {
         sample_compression: Compression,
     ) -> Result<()> {
         // the frame is encoded straight onto the end of the payload
-        let start = self.payload.len();
-        encode_sample_into(sample, sample_compression, &mut self.payload)?;
-        self.offsets.push(start as u32);
-        self.records.push(SampleRecord {
-            stored_len: (self.payload.len() - start) as u32,
-            shape: sample.shape().clone(),
-        });
+        encode_sample_into(sample, sample_compression, self.payload.to_mut())?;
+        self.push_record(sample.shape());
         Ok(())
+    }
+
+    /// Enter the record whose blob was just appended to the payload. The
+    /// shape is cloned once per chunk, not per record: later records only
+    /// compare against it, until one differs and the tables go ragged.
+    fn push_record(&mut self, shape: &Shape) {
+        let n = self.sample_count();
+        let end = u32::try_from(self.payload_len()).expect("a chunk payload stays below 4 GiB");
+        self.offsets.push(end);
+        match &mut self.shapes {
+            Shapes::Uniform(shared) if n == 0 => shared.clone_from(shape),
+            Shapes::Uniform(shared) if shared == shape => {}
+            Shapes::Uniform(shared) => {
+                let rank = shared.rank();
+                let mut dims = shared.dims().repeat(n);
+                dims.extend_from_slice(shape.dims());
+                let mut starts: Vec<u32> = (0..=n).map(|i| (i * rank) as u32).collect();
+                starts.push(dims.len() as u32);
+                self.shapes = Shapes::Ragged { dims, starts };
+            }
+            Shapes::Ragged { dims, starts } => {
+                dims.extend_from_slice(shape.dims());
+                starts.push(dims.len() as u32);
+            }
+        }
+    }
+
+    /// Axis lengths of record `i` (which must exist), borrowed.
+    fn dims(&self, i: usize) -> &[u64] {
+        match &self.shapes {
+            Shapes::Uniform(shared) => shared.dims(),
+            Shapes::Ragged { dims, starts } => &dims[starts[i] as usize..starts[i + 1] as usize],
+        }
+    }
+
+    /// Logical shape of sample `i`.
+    pub fn shape(&self, i: usize) -> Result<Shape> {
+        self.blob_range(i)?; // the bounds check
+        Ok(Shape::new(self.dims(i)))
+    }
+
+    /// Stored (possibly sample-compressed) byte length of sample `i`.
+    pub fn stored_len(&self, i: usize) -> Result<usize> {
+        let (start, end) = self.blob_range(i)?;
+        Ok(end - start)
     }
 
     /// Byte range `(start, end)` of sample `i`'s stored blob within the
     /// payload region.
     pub fn blob_range(&self, i: usize) -> Result<(usize, usize)> {
-        if i >= self.records.len() {
+        if i >= self.sample_count() {
             return Err(FormatError::SampleOutOfRange {
                 index: i as u64,
-                len: self.records.len() as u64,
+                len: self.sample_count() as u64,
             });
         }
-        let start = self.offsets[i] as usize;
-        Ok((start, start + self.records[i].stored_len as usize))
+        Ok((self.offsets[i] as usize, self.offsets[i + 1] as usize))
     }
 
     /// Borrow sample `i`'s stored blob.
     pub fn blob(&self, i: usize) -> Result<&[u8]> {
         let (s, e) = self.blob_range(i)?;
-        Ok(&self.payload[s..e])
+        Ok(&self.payload.as_slice()[s..e])
     }
 
     /// Decode sample `i` back into a [`Sample`].
     pub fn sample(&self, i: usize) -> Result<Sample> {
-        let blob = self.blob(i)?;
-        let shape = self.records[i].shape.clone();
-        decode_sample(blob, self.dtype, shape)
+        decode_sample(self.blob(i)?, self.dtype, Shape::new(self.dims(i)))
     }
 
     /// The chunk as a column of scalars: `Some` only when every record
-    /// is an uncompressed one-element blob. Eligibility is checked here,
-    /// per call — parsing a chunk costs nothing extra for readers that
-    /// never ask.
+    /// is an uncompressed one-element blob.
     pub fn scalar_column(&self) -> Option<ColumnView<'_>> {
-        self.column(1, |shape| shape.num_elements() == 1)
+        // one element means every axis is 1, in every record
+        let all_dims = match &self.shapes {
+            Shapes::Uniform(shared) => shared.dims(),
+            Shapes::Ragged { dims, .. } => dims,
+        };
+        self.column(1, all_dims.iter().all(|&d| d == 1))
     }
 
     /// The chunk as a column of rank-1 vectors of exactly `dim`
     /// elements: `Some` only when every record is an uncompressed blob
     /// of shape `[dim]`.
     pub fn vector_column(&self, dim: usize) -> Option<ColumnView<'_>> {
-        if dim == 0 {
-            return None;
-        }
-        self.column(dim, |shape| shape.dims() == [dim as u64])
+        // ragged tables hold two shapes that differ: not all are `[dim]`
+        let shapes_ok = self.sample_count() == 0
+            || matches!(&self.shapes, Shapes::Uniform(shared) if shared.dims() == [dim as u64]);
+        self.column(dim, dim != 0 && shapes_ok)
     }
 
-    /// A fixed-width view, when every record is one uncompressed frame
-    /// of `width` elements whose directory shape passes `shape_ok`. The
-    /// payload length is checked against the record count up front, so a
-    /// view can never index past the bytes it borrows, whatever the
-    /// directory claims.
-    fn column(&self, width: usize, shape_ok: impl Fn(&Shape) -> bool) -> Option<ColumnView<'_>> {
+    /// A fixed-width view, when the directory shapes passed (`shapes_ok`,
+    /// read off the tables the parse built) and every record is one
+    /// uncompressed frame of `width` elements. The payload length is
+    /// checked against the record count up front, so a view can never
+    /// index past the bytes it borrows, whatever the directory claims.
+    fn column(&self, width: usize, shapes_ok: bool) -> Option<ColumnView<'_>> {
         let stride = width.checked_mul(self.dtype.size())?.checked_add(1)?;
-        if self.records.len().checked_mul(stride)? != self.payload.len() {
+        let payload = self.payload.as_slice();
+        if !shapes_ok || self.sample_count().checked_mul(stride)? != payload.len() {
             return None;
         }
         let uniform = self
-            .records
-            .iter()
-            .zip(self.payload.chunks_exact(stride))
-            .all(|(r, blob)| {
-                r.stored_len as usize == stride
-                    && shape_ok(&r.shape)
-                    && Compression::raw_body(blob).is_some()
+            .offsets
+            .windows(2)
+            .zip(payload.chunks_exact(stride))
+            .all(|(w, blob)| {
+                (w[1] - w[0]) as usize == stride && Compression::raw_body(blob).is_some()
             });
         uniform.then_some(ColumnView {
             dtype: self.dtype,
             stride,
-            payload: &self.payload,
+            payload,
         })
     }
 
     /// Serialize the chunk, compressing the payload with `chunk_codec`.
     pub fn serialize(&self, chunk_codec: Compression) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + self.records.len() * 8 + 16);
+        let n = self.sample_count();
+        let payload = self.payload.as_slice();
+        let mut out = Vec::with_capacity(payload.len() + n * 8 + 16);
         out.extend_from_slice(&CHUNK_MAGIC);
         out.push(CHUNK_VERSION);
         out.push(codec_tag(chunk_codec));
         out.push(dtype_tag(self.dtype));
-        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for r in &self.records {
-            out.extend_from_slice(&r.stored_len.to_le_bytes());
-            out.push(r.shape.rank() as u8);
-            for &d in r.shape.dims() {
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+        for (i, w) in self.offsets.windows(2).enumerate() {
+            out.extend_from_slice(&(w[1] - w[0]).to_le_bytes());
+            let dims = self.dims(i);
+            out.push(dims.len() as u8);
+            for &d in dims {
                 out.extend_from_slice(&(d as u32).to_le_bytes());
             }
         }
         match chunk_codec {
-            Compression::None => out.extend_from_slice(&self.payload),
-            codec => codec.compress_into(&self.payload, &mut out),
+            Compression::None => out.extend_from_slice(payload),
+            codec => codec.compress_into(payload, &mut out),
         }
         out
     }
 
-    /// Deserialize a chunk blob (inverse of [`Chunk::serialize`]).
+    /// [`Chunk::parse`] for callers that only borrow the blob: copies it
+    /// once.
     pub fn deserialize(data: &[u8]) -> Result<Chunk> {
-        let (header, header_len) = ChunkHeader::parse(data)?;
-        let body = &data[header_len..];
-        let payload = match header.payload_codec {
-            Compression::None => body.to_vec(),
-            _ => Compression::decompress(body)?,
-        };
-        let expected: usize = header.records.iter().map(|r| r.stored_len as usize).sum();
-        if payload.len() != expected {
-            return Err(FormatError::Corrupt(format!(
-                "payload length {} != directory total {expected}",
-                payload.len()
-            )));
-        }
-        let mut offsets = Vec::with_capacity(header.records.len());
-        let mut acc = 0u32;
-        for r in &header.records {
-            offsets.push(acc);
-            acc += r.stored_len;
-        }
-        Ok(Chunk {
-            dtype: header.dtype,
-            records: header.records,
-            offsets,
-            payload,
-        })
+        Chunk::parse(Bytes::copy_from_slice(data))
     }
 
-    /// Parse only the header of a serialized chunk. Enables sub-chunk
-    /// range reads: callers fetch the first `max_header_len` bytes, parse
-    /// the directory, then range-request a single sample's blob. Only valid
-    /// when the payload codec is `None` (compressed payloads must be read
-    /// whole).
-    pub fn parse_header(data: &[u8]) -> Result<(ChunkHeader, usize)> {
-        ChunkHeader::parse(data)
+    /// Parse a chunk blob (inverse of [`Chunk::serialize`]) into a view of
+    /// it: one walk over the sample directory fills the flat tables, and
+    /// the payload becomes a window onto `blob` — or, under a payload
+    /// codec, the one buffer the codec decodes into.
+    pub fn parse(blob: Bytes) -> Result<Chunk> {
+        if blob.len() < HEADER_LEN || blob[..4] != CHUNK_MAGIC {
+            return Err(corrupt("bad chunk magic"));
+        }
+        if blob[4] != CHUNK_VERSION {
+            return Err(corrupt(format!("unsupported chunk version {}", blob[4])));
+        }
+        let payload_codec = codec_from_tag(blob[5])?;
+        let dtype = dtype_from_tag(blob[6])?;
+        let (offsets, shapes, payload_at) = walk_directory(&blob)?;
+        // the directory admits the payload's length before any of it is
+        // allocated or decoded
+        let total = *offsets.last().expect("offsets start at 0") as usize;
+        let frame = match payload_codec {
+            Compression::None => None,
+            _ => Some(Frame::parse(&blob[payload_at..])?),
+        };
+        let len = frame
+            .as_ref()
+            .map_or(blob.len() - payload_at, Frame::decoded_len);
+        if len != total {
+            return Err(corrupt(format!(
+                "payload length {len} != directory total {total}"
+            )));
+        }
+        let payload = match frame {
+            None => blob.slice(payload_at..),
+            Some(frame) => decode_frame(&frame)?,
+        };
+        Ok(Chunk {
+            dtype,
+            offsets,
+            shapes,
+            payload: Payload::Shared(payload),
+        })
     }
+}
+
+/// The one directory walk, over a blob whose fixed header is present:
+/// the offsets table, the shapes, and where the payload starts. Every
+/// count and length is admitted against the bytes that remain before
+/// anything is reserved for it, and stored lengths are summed in `u64`,
+/// so nothing a blob claims can make this allocate beyond the blob's own
+/// size, overflow, or index out of bounds.
+fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
+    let n = le_u32(&data[7..HEADER_LEN]) as usize;
+    // an entry is at least a stored length and a rank byte
+    if n > (data.len() - HEADER_LEN) / 5 {
+        return Err(corrupt("truncated sample directory"));
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut total = 0u64;
+    let mut push_len = |stored_len: &[u8]| -> Result<()> {
+        total += u64::from(le_u32(stored_len));
+        offsets.push(u32::try_from(total).map_err(|_| corrupt("directory total exceeds u32"))?);
+        Ok(())
+    };
+    // `[rank][dims]` bytes of the first record (rank 0 for an empty
+    // chunk). Records shaped like it are all `entry_len` bytes, so the
+    // walk reads fixed-size entries for as long as they are.
+    let dir = &data[HEADER_LEN..];
+    let first = match n {
+        0 => &[0],
+        _ => dir
+            .get(4..5 + 4 * dir[4] as usize)
+            .ok_or_else(|| corrupt("truncated shape"))?,
+    };
+    let entry_len = 4 + first.len();
+    let mut uniform = 0;
+    for entry in dir.chunks_exact(entry_len).take(n) {
+        if entry[4..] != *first {
+            break;
+        }
+        push_len(entry)?;
+        uniform += 1;
+    }
+    let mut pos = HEADER_LEN + uniform * entry_len;
+    let shapes = if uniform == n {
+        Shapes::Uniform(Shape::new(le_dims(&first[1..]).collect::<Vec<_>>()))
+    } else {
+        // one differs (or the directory is cut short): from here each
+        // record's `[rank][dims]` position is noted, and the dims are
+        // copied once their number is known
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.extend((0..uniform).map(|k| (HEADER_LEN + 4 + k * entry_len) as u32));
+        let mut dim_count = uniform * ((first.len() - 1) / 4);
+        for _ in uniform..n {
+            let entry = data
+                .get(pos..pos + 5)
+                .ok_or_else(|| corrupt("truncated sample directory"))?;
+            let rank = entry[4] as usize;
+            if data.len() < pos + 5 + 4 * rank {
+                return Err(corrupt("truncated shape"));
+            }
+            push_len(entry)?;
+            starts
+                .push(u32::try_from(pos + 4).map_err(|_| corrupt("sample directory exceeds u32"))?);
+            dim_count += rank;
+            pos += 5 + 4 * rank;
+        }
+        let mut dims = Vec::with_capacity(dim_count);
+        for start in &mut starts {
+            // a byte position turns into an index into `dims`
+            let at = *start as usize;
+            *start = dims.len() as u32;
+            dims.extend(le_dims(&data[at + 1..at + 1 + 4 * data[at] as usize]));
+        }
+        starts.push(dims.len() as u32);
+        Shapes::Ragged { dims, starts }
+    };
+    Ok((offsets, shapes, pos))
+}
+
+fn corrupt(what: impl Into<String>) -> FormatError {
+    FormatError::Corrupt(what.into())
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
+}
+
+fn le_dims(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(4).map(|d| u64::from(le_u32(d)))
 }
 
 /// A chunk borrowed as a fixed-width column (see
@@ -306,80 +497,6 @@ fn decode_records(
     }
 }
 
-/// Parsed chunk header: directory without payload.
-#[derive(Debug, Clone)]
-pub struct ChunkHeader {
-    /// Chunk-level codec of the payload region.
-    pub payload_codec: Compression,
-    /// Element dtype.
-    pub dtype: Dtype,
-    /// Sample directory.
-    pub records: Vec<SampleRecord>,
-}
-
-impl ChunkHeader {
-    /// Byte offset of sample `i`'s blob relative to the payload start, plus
-    /// its length. Valid for uncompressed payloads.
-    pub fn payload_range(&self, i: usize) -> Result<(u64, u64)> {
-        if i >= self.records.len() {
-            return Err(FormatError::SampleOutOfRange {
-                index: i as u64,
-                len: self.records.len() as u64,
-            });
-        }
-        let start: u64 = self.records[..i].iter().map(|r| r.stored_len as u64).sum();
-        Ok((start, start + self.records[i].stored_len as u64))
-    }
-
-    fn parse(data: &[u8]) -> Result<(ChunkHeader, usize)> {
-        if data.len() < 11 || data[..4] != CHUNK_MAGIC {
-            return Err(FormatError::Corrupt("bad chunk magic".into()));
-        }
-        if data[4] != CHUNK_VERSION {
-            return Err(FormatError::Corrupt(format!(
-                "unsupported chunk version {}",
-                data[4]
-            )));
-        }
-        let payload_codec = codec_from_tag(data[5])?;
-        let dtype = dtype_from_tag(data[6])?;
-        let n = u32::from_le_bytes(data[7..11].try_into().unwrap()) as usize;
-        let mut pos = 11usize;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            if pos + 5 > data.len() {
-                return Err(FormatError::Corrupt("truncated sample directory".into()));
-            }
-            let stored_len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-            let rank = data[pos + 4] as usize;
-            pos += 5;
-            if pos + rank * 4 > data.len() {
-                return Err(FormatError::Corrupt("truncated shape".into()));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for r in 0..rank {
-                dims.push(
-                    u32::from_le_bytes(data[pos + r * 4..pos + r * 4 + 4].try_into().unwrap())
-                        as u64,
-                );
-            }
-            pos += rank * 4;
-            records.push(SampleRecord {
-                stored_len,
-                shape: Shape(dims),
-            });
-        }
-        Ok((
-            ChunkHeader {
-                payload_codec,
-                dtype,
-                records,
-            },
-            pos,
-        ))
-    }
-}
-
 /// Encode one sample into its stored blob under `compression`.
 ///
 /// Blobs are always framed (self-describing magic byte), so `None` costs
@@ -419,10 +536,15 @@ pub fn encode_sample_into(
 /// Decode a stored blob back into a sample of known dtype/shape. The
 /// frame decodes into the one buffer that becomes the sample's bytes.
 pub fn decode_sample(blob: &[u8], dtype: Dtype, shape: Shape) -> Result<Sample> {
-    let frame = Frame::parse(blob)?;
+    let raw = decode_frame(&Frame::parse(blob)?)?;
+    Ok(Sample::from_bytes(dtype, shape, raw)?)
+}
+
+/// Decode a frame into the one buffer that becomes its [`Bytes`].
+fn decode_frame(frame: &Frame<'_>) -> Result<Bytes> {
     let mut raw = BytesMut::zeroed(frame.decoded_len());
     frame.decode_into(&mut raw)?;
-    Ok(Sample::from_bytes(dtype, shape, raw.freeze())?)
+    Ok(raw.freeze())
 }
 
 fn dtype_tag(d: Dtype) -> u8 {
@@ -454,7 +576,7 @@ fn dtype_from_tag(t: u8) -> Result<Dtype> {
         8 => Dtype::F32,
         9 => Dtype::F64,
         10 => Dtype::Bool,
-        other => return Err(FormatError::Corrupt(format!("bad dtype tag {other}"))),
+        other => return Err(corrupt(format!("bad dtype tag {other}"))),
     })
 }
 
@@ -473,420 +595,9 @@ fn codec_from_tag(t: u8) -> Result<Compression> {
         1 => Compression::Lz4,
         2 => Compression::Rle,
         t if t & 0x80 != 0 => Compression::SynthImg { bits: t & 0x7f },
-        other => return Err(FormatError::Corrupt(format!("bad codec tag {other}"))),
+        other => return Err(corrupt(format!("bad codec tag {other}"))),
     })
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_u8(shape: impl Into<Shape>, fill: u8) -> Sample {
-        let shape = shape.into();
-        let n = shape.num_elements() as usize;
-        Sample::from_slice(shape, &vec![fill; n]).unwrap()
-    }
-
-    #[test]
-    fn append_and_read_back() {
-        let mut c = Chunk::new(Dtype::U8);
-        c.append_sample(&sample_u8([2, 3], 7), Compression::None)
-            .unwrap();
-        c.append_sample(&sample_u8([4], 9), Compression::None)
-            .unwrap();
-        assert_eq!(c.sample_count(), 2);
-        assert_eq!(c.sample(0).unwrap(), sample_u8([2, 3], 7));
-        assert_eq!(c.sample(1).unwrap(), sample_u8([4], 9));
-        assert!(c.sample(2).is_err());
-    }
-
-    #[test]
-    fn serialize_roundtrip_uncompressed() {
-        let mut c = Chunk::new(Dtype::F32);
-        c.append_sample(
-            &Sample::from_slice([3], &[1.0f32, 2.0, 3.0]).unwrap(),
-            Compression::None,
-        )
-        .unwrap();
-        c.append_sample(&Sample::scalar(9.0f32), Compression::None)
-            .unwrap();
-        let blob = c.serialize(Compression::None);
-        let back = Chunk::deserialize(&blob).unwrap();
-        assert_eq!(back.sample_count(), 2);
-        assert_eq!(
-            back.sample(0).unwrap().to_vec::<f32>().unwrap(),
-            vec![1.0, 2.0, 3.0]
-        );
-        assert_eq!(back.sample(1).unwrap().get_f64(0).unwrap(), 9.0);
-    }
-
-    #[test]
-    fn serialize_roundtrip_lz4_chunk_compression() {
-        let mut c = Chunk::new(Dtype::I32);
-        for i in 0..1000 {
-            c.append_sample(&Sample::scalar(i % 10), Compression::None)
-                .unwrap();
-        }
-        let blob = c.serialize(Compression::Lz4);
-        let raw = c.serialize(Compression::None);
-        // the 5000-byte payload shrinks to almost nothing; the sample
-        // directory (9 bytes/sample) is unaffected by chunk compression
-        assert!(
-            raw.len() - blob.len() > c.payload_len() * 8 / 10,
-            "lz4 chunk should shrink labels: raw={} compressed={}",
-            raw.len(),
-            blob.len()
-        );
-        let back = Chunk::deserialize(&blob).unwrap();
-        assert_eq!(back.sample_count(), 1000);
-        assert_eq!(back.sample(123).unwrap().get_f64(0).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn sample_compression_lz4_roundtrip() {
-        let mut c = Chunk::new(Dtype::U8);
-        let s = sample_u8([100, 100], 5);
-        c.append_sample(&s, Compression::Lz4).unwrap();
-        // stored blob is much smaller than raw
-        assert!(c.payload_len() < s.nbytes() / 10);
-        assert_eq!(c.sample(0).unwrap(), s);
-    }
-
-    #[test]
-    fn image_sample_compression_roundtrip_shape() {
-        let mut c = Chunk::new(Dtype::U8);
-        let img = sample_u8([32, 32, 3], 100);
-        c.append_sample(&img, Compression::JPEG_LIKE).unwrap();
-        let back = c.sample(0).unwrap();
-        assert_eq!(back.shape(), img.shape());
-        assert_eq!(back.dtype(), Dtype::U8);
-        // lossy: values within quantization error
-        let err = deeplake_codec::synthimg::max_error(deeplake_codec::synthimg::Quality::MEDIUM);
-        for (a, b) in img
-            .to_vec::<u8>()
-            .unwrap()
-            .iter()
-            .zip(back.to_vec::<u8>().unwrap())
-        {
-            assert!(a.abs_diff(b) <= err);
-        }
-    }
-
-    #[test]
-    fn append_sample_writes_the_blob_encode_sample_returns() {
-        let img = sample_u8([8, 8, 3], 100);
-        let label = Sample::scalar(7i32);
-        for (sample, codec) in [
-            (&img, Compression::JPEG_LIKE),
-            (&img, Compression::Lz4),
-            (&label, Compression::JPEG_LIKE), // not an image: LZ4 frame
-            (&label, Compression::None),
-        ] {
-            // twice, so the second frame lands behind a non-empty payload
-            let (mut direct, mut copied) = (Chunk::new(sample.dtype()), Chunk::new(sample.dtype()));
-            for _ in 0..2 {
-                direct.append_sample(sample, codec).unwrap();
-                let blob = encode_sample(sample, codec).unwrap();
-                copied.append_blob(&blob, sample.shape().clone());
-            }
-            assert_eq!(direct, copied);
-            assert_eq!(direct.sample(1).unwrap().shape(), sample.shape());
-        }
-        // a refused sample leaves the chunk as it was
-        let mut c = Chunk::new(Dtype::U8);
-        c.append_sample(&img, Compression::JPEG_LIKE).unwrap();
-        let before = c.clone();
-        assert!(c
-            .append_sample(&img, Compression::SynthImg { bits: 0 })
-            .is_err());
-        assert_eq!(c, before);
-    }
-
-    #[test]
-    fn decode_sample_refuses_hostile_lengths() {
-        // an LZ4 frame of one empty block claiming 2^45 bytes
-        let blob = [0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00];
-        assert!(decode_sample(&blob, Dtype::U8, Shape::from([1u64 << 45])).is_err());
-    }
-
-    #[test]
-    fn header_only_parse_gives_ranges() {
-        let mut c = Chunk::new(Dtype::U8);
-        c.append_sample(&sample_u8([10], 1), Compression::None)
-            .unwrap();
-        c.append_sample(&sample_u8([20], 2), Compression::None)
-            .unwrap();
-        c.append_sample(&sample_u8([5], 3), Compression::None)
-            .unwrap();
-        let blob = c.serialize(Compression::None);
-        let (header, header_len) = Chunk::parse_header(&blob).unwrap();
-        assert_eq!(header.records.len(), 3);
-        let (s, e) = header.payload_range(1).unwrap();
-        // stored blobs are framed with 1 magic byte of overhead
-        assert_eq!((s, e), (11, 32));
-        // range-read just sample 1's blob out of the serialized chunk and decode it
-        let sub = &blob[header_len + s as usize..header_len + e as usize];
-        let decoded = decode_sample(sub, Dtype::U8, Shape::from([20])).unwrap();
-        assert_eq!(decoded.to_vec::<u8>().unwrap(), vec![2u8; 20]);
-        assert!(header.payload_range(3).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_garbage() {
-        assert!(Chunk::deserialize(b"nope").is_err());
-        let mut c = Chunk::new(Dtype::U8);
-        c.append_sample(&sample_u8([4], 1), Compression::None)
-            .unwrap();
-        let mut blob = c.serialize(Compression::None);
-        blob.truncate(blob.len() - 2);
-        assert!(Chunk::deserialize(&blob).is_err());
-        blob[0] = b'X';
-        assert!(Chunk::deserialize(&blob).is_err());
-    }
-
-    #[test]
-    fn ragged_shapes_roundtrip() {
-        let mut c = Chunk::new(Dtype::U8);
-        let shapes: Vec<Shape> = vec![
-            Shape::from([600, 800, 3]).union_min(&Shape::from([6, 8, 3])), // [6,8,3]
-            Shape::from([3, 5, 3]),
-            Shape::from([10]),
-            Shape::scalar(),
-        ];
-        for (i, sh) in shapes.iter().enumerate() {
-            c.append_sample(&sample_u8(sh.clone(), i as u8), Compression::None)
-                .unwrap();
-        }
-        let blob = c.serialize(Compression::None);
-        let back = Chunk::deserialize(&blob).unwrap();
-        for (i, sh) in shapes.iter().enumerate() {
-            assert_eq!(back.sample(i).unwrap().shape(), sh);
-        }
-    }
-
-    #[test]
-    fn precompressed_blob_copied_verbatim() {
-        // §5: matching compression -> binary copied without decode
-        let img = sample_u8([16, 16, 3], 50);
-        let blob = Compression::JPEG_LIKE
-            .compress_image(img.bytes(), 16, 16, 3)
-            .unwrap();
-        let mut c = Chunk::new(Dtype::U8);
-        c.append_blob(&blob, img.shape().clone());
-        assert_eq!(c.blob(0).unwrap(), &blob[..]);
-        let decoded = c.sample(0).unwrap();
-        assert_eq!(decoded.shape(), img.shape());
-    }
-
-    /// One value of `dtype` near `v` (NaN and signed zeros survive for
-    /// floats; integers take the truncated value).
-    fn scalar_of(dtype: Dtype, v: f64) -> Sample {
-        deeplake_tensor::sample::from_f64_values(dtype, Shape::scalar(), &[v])
-    }
-
-    #[test]
-    fn scalar_column_decodes_every_dtype_like_get_f64() {
-        let values = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            2.5,
-            200.0,
-            -70000.0,
-            f64::NAN,
-            f64::INFINITY,
-        ];
-        for dtype in Dtype::ALL {
-            let mut c = Chunk::new(dtype);
-            for &v in &values {
-                c.append_sample(&scalar_of(dtype, v), Compression::None)
-                    .unwrap();
-            }
-            // a round trip through bytes must not change eligibility
-            for chunk in [
-                c.clone(),
-                Chunk::deserialize(&c.serialize(Compression::Lz4)).unwrap(),
-            ] {
-                let col = chunk.scalar_column().expect("all-scalar chunk");
-                assert_eq!(col.len(), values.len());
-                let mut got = Vec::new();
-                col.decode_rows(0..col.len(), &mut got);
-                let want: Vec<f64> = (0..values.len())
-                    .map(|i| chunk.sample(i).unwrap().get_f64(0).unwrap())
-                    .collect();
-                // bit-for-bit: NaN payloads and the sign of zero included
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{dtype}"
-                );
-                // a sub-range appends after what the buffer already holds
-                let mut tail = vec![7.0];
-                col.decode_rows(2..4, &mut tail);
-                assert_eq!(tail[1..], want[2..4], "{dtype}");
-                assert!(chunk.vector_column(1).is_none(), "rank 0 is not a vector");
-            }
-        }
-    }
-
-    #[test]
-    fn one_element_shapes_of_any_rank_are_scalars() {
-        let mut c = Chunk::new(Dtype::I32);
-        c.append_sample(&Sample::scalar(4i32), Compression::None)
-            .unwrap();
-        c.append_sample(
-            &Sample::from_slice([1], &[5i32]).unwrap(),
-            Compression::None,
-        )
-        .unwrap();
-        c.append_sample(
-            &Sample::from_slice([1, 1], &[6i32]).unwrap(),
-            Compression::None,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        c.scalar_column().unwrap().decode_rows(0..3, &mut got);
-        assert_eq!(got, [4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn scalar_column_refuses_anything_but_uncompressed_scalars() {
-        let scalars = |n: usize| {
-            let mut c = Chunk::new(Dtype::F32);
-            for i in 0..n {
-                c.append_sample(&Sample::scalar(i as f32), Compression::None)
-                    .unwrap();
-            }
-            c
-        };
-        assert!(scalars(4).scalar_column().is_some());
-        assert!(scalars(0).scalar_column().is_some_and(|c| c.is_empty()));
-
-        // one sample-compressed record
-        let mut c = scalars(3);
-        c.append_sample(&Sample::scalar(9f32), Compression::Lz4)
-            .unwrap();
-        assert!(c.scalar_column().is_none());
-        // every record sample-compressed, all of one stored length
-        let mut c = Chunk::new(Dtype::F32);
-        for i in 0..4 {
-            c.append_sample(&Sample::scalar(i as f32), Compression::Lz4)
-                .unwrap();
-        }
-        assert!(c.scalar_column().is_none());
-        // one multi-element sample
-        let mut c = scalars(3);
-        c.append_sample(
-            &Sample::from_slice([2], &[1f32, 2.0]).unwrap(),
-            Compression::None,
-        )
-        .unwrap();
-        assert!(c.scalar_column().is_none());
-        // one empty marker
-        let mut c = scalars(3);
-        c.append_sample(&Sample::empty(Dtype::F32), Compression::None)
-            .unwrap();
-        assert!(c.scalar_column().is_none());
-        // a foreign blob that happens to have a scalar's stored length
-        let mut c = scalars(3);
-        c.append_blob(&[0x01, 4, 0, 0, 0], Shape::scalar());
-        assert!(c.scalar_column().is_none());
-    }
-
-    #[test]
-    fn vector_column_refuses_anything_but_uniform_rank_one() {
-        let vectors = |lens: &[usize]| {
-            let mut c = Chunk::new(Dtype::F32);
-            for (i, &n) in lens.iter().enumerate() {
-                c.append_sample(
-                    &Sample::from_slice([n as u64], &vec![i as f32; n]).unwrap(),
-                    Compression::None,
-                )
-                .unwrap();
-            }
-            c
-        };
-        let c = vectors(&[3, 3, 3]);
-        let col = c.vector_column(3).expect("uniform vectors");
-        assert_eq!(col.len(), 3);
-        let mut got = Vec::new();
-        col.decode_rows(1..3, &mut got);
-        assert_eq!(got, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
-        // not the length asked for, zero length, scalars asked of vectors
-        assert!(c.vector_column(2).is_none());
-        assert!(c.vector_column(0).is_none());
-        assert!(c.vector_column(usize::MAX).is_none(), "stride overflow");
-        assert!(c.scalar_column().is_none());
-        // one wrong-length vector, one empty marker
-        assert!(vectors(&[3, 3, 2]).vector_column(3).is_none());
-        assert!(vectors(&[3, 0, 3]).vector_column(3).is_none());
-        // right element count, wrong rank
-        let mut c = vectors(&[3]);
-        c.append_sample(
-            &Sample::from_slice([1, 3], &[0f32; 3]).unwrap(),
-            Compression::None,
-        )
-        .unwrap();
-        assert!(c.vector_column(3).is_none());
-        // sample-compressed
-        let mut c = vectors(&[3]);
-        c.append_sample(
-            &Sample::from_slice([3], &[0f32; 3]).unwrap(),
-            Compression::Lz4,
-        )
-        .unwrap();
-        assert!(c.vector_column(3).is_none());
-    }
-
-    /// Serialized F32 chunk with a hand-written directory: `records` are
-    /// `(stored_len, dims)`, `payload` whatever follows.
-    fn forged(records: &[(u32, &[u32])], payload: &[u8]) -> Vec<u8> {
-        let mut out = CHUNK_MAGIC.to_vec();
-        out.extend_from_slice(&[CHUNK_VERSION, 0, dtype_tag(Dtype::F32)]);
-        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-        for (stored_len, dims) in records {
-            out.extend_from_slice(&stored_len.to_le_bytes());
-            out.push(dims.len() as u8);
-            for d in *dims {
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(payload);
-        out
-    }
-
-    #[test]
-    fn views_never_trust_a_lying_directory() {
-        // directory claims scalars but the blobs are two elements long:
-        // row reads fail on the length, views refuse
-        let c = Chunk::deserialize(&forged(&[(9, &[]), (9, &[])], &[0u8; 18])).unwrap();
-        assert!(c.sample(0).is_err());
-        assert!(c.scalar_column().is_none());
-        assert!(c.vector_column(2).is_none());
-        // directory claims 2-vectors over scalar-sized blobs
-        let c = Chunk::deserialize(&forged(&[(5, &[2]), (5, &[2])], &[0u8; 10])).unwrap();
-        assert!(c.sample(0).is_err());
-        assert!(c.scalar_column().is_none());
-        assert!(c.vector_column(2).is_none());
-        // stored lengths that disagree with each other but sum to n × stride
-        let c = Chunk::deserialize(&forged(&[(4, &[]), (6, &[])], &[0u8; 10])).unwrap();
-        assert!(c.scalar_column().is_none());
-        // a huge claimed dimension cannot overflow the stride arithmetic
-        let c = Chunk::deserialize(&forged(&[(5, &[u32::MAX])], &[0u8; 5])).unwrap();
-        assert!(c.vector_column(u32::MAX as usize).is_none());
-        // a payload shorter than the directory total never becomes a chunk
-        assert!(Chunk::deserialize(&forged(&[(5, &[]), (5, &[])], &[0u8; 9])).is_err());
-        // and an honest one of the same shape does
-        let c = Chunk::deserialize(&forged(&[(5, &[]), (5, &[])], &[0u8; 10])).unwrap();
-        assert_eq!(c.scalar_column().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn empty_chunk_roundtrip() {
-        let c = Chunk::new(Dtype::U8);
-        let blob = c.serialize(Compression::None);
-        let back = Chunk::deserialize(&blob).unwrap();
-        assert_eq!(back.sample_count(), 0);
-    }
-}
+mod tests;

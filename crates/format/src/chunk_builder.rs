@@ -140,7 +140,7 @@ impl ChunkBuilder {
         let scalar = (sample.num_elements() == 1)
             .then(|| sample.get_f64(0).ok())
             .flatten();
-        self.push_blob(blob, sample.shape().clone(), scalar)
+        self.push_blob(blob, sample.shape(), scalar)
     }
 
     /// Push an already-encoded blob (the §5 verbatim-copy path for
@@ -148,13 +148,13 @@ impl ChunkBuilder {
     /// builder never decodes the blob, so the open chunk loses statistics
     /// eligibility — conservative, not an error.
     pub fn push_encoded(&mut self, blob: Vec<u8>, shape: Shape) -> Result<FlushReason> {
-        self.push_blob(blob, shape, None)
+        self.push_blob(blob, &shape, None)
     }
 
     fn push_blob(
         &mut self,
         blob: Vec<u8>,
-        shape: Shape,
+        shape: &Shape,
         scalar: Option<f64>,
     ) -> Result<FlushReason> {
         if blob.len() > self.policy.max_bytes && !self.policy.allow_oversized {

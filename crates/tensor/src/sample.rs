@@ -23,10 +23,14 @@ impl Sample {
     /// Construct from raw little-endian bytes, validating the length against
     /// `shape` and `dtype`.
     pub fn from_bytes(dtype: Dtype, shape: Shape, data: Bytes) -> Result<Self, TensorError> {
-        let expected = shape.num_elements() as usize * dtype.size();
-        if data.len() != expected {
+        // the shape may come from stored bytes: no product may overflow
+        let expected = shape
+            .checked_num_elements()
+            .and_then(|n| n.checked_mul(dtype.size() as u64))
+            .and_then(|n| usize::try_from(n).ok());
+        if expected != Some(data.len()) {
             return Err(TensorError::LengthMismatch {
-                expected,
+                expected: expected.unwrap_or(usize::MAX),
                 actual: data.len(),
             });
         }

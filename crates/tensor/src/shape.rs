@@ -35,6 +35,15 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// [`num_elements`](Self::num_elements) for a shape read from bytes
+    /// this program did not write: `None` when the product overflows.
+    pub fn checked_num_elements(&self) -> Option<u64> {
+        if self.0.contains(&0) {
+            return Some(0);
+        }
+        self.0.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d))
+    }
+
     /// Axis lengths as a slice.
     #[inline]
     pub fn dims(&self) -> &[u64] {
@@ -150,6 +159,14 @@ mod tests {
         assert_eq!(Shape::from([2, 3, 4]).num_elements(), 24);
         assert_eq!(Shape::from([5]).num_elements(), 5);
         assert_eq!(Shape::from([0, 7]).num_elements(), 0);
+        assert_eq!(Shape::from([2, 3, 4]).checked_num_elements(), Some(24));
+        assert_eq!(Shape::scalar().checked_num_elements(), Some(1));
+        let huge = u64::from(u32::MAX);
+        assert_eq!(Shape::from([huge, huge, huge]).checked_num_elements(), None);
+        assert_eq!(
+            Shape::from([huge, huge, huge, 0]).checked_num_elements(),
+            Some(0)
+        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! reader tier is two event-loop threads and whose execution tier is
 //! four pool workers. Every response is byte-verified; `Busy` is the
 //! only admissible rejection (retried, counted). Emits queries/s and
-//! p50/p99 into `BENCH_hub.json` (merged — the cache bench's metrics in
-//! the same file survive).
+//! p50/p99 into `BENCH_c10k.json`.
 //!
 //! Knobs: `DL_C10K_CLIENTS` (default 1000), `DL_C10K_REQS` per client
 //! (default 5) — CI's smoke step runs a reduced count.
@@ -84,8 +83,8 @@ fn bench_c10k(_c: &mut Criterion) {
         );
     }
 
-    // per-stage quantiles off the serving hub's registry, merged into
-    // the same trajectory file
+    // per-stage quantiles off the serving hub's registry, into the
+    // same trajectory file
     let snap = hub.metrics();
     let stage_ms = |name: &str, q: f64| -> f64 {
         snap.histogram(name)
@@ -93,7 +92,7 @@ fn bench_c10k(_c: &mut Criterion) {
             .unwrap_or(0.0)
     };
 
-    let mut out = BenchReport::new("hub");
+    let mut out = BenchReport::new("c10k");
     out.metric("c10k_clients", report.clients as f64)
         .metric("c10k_requests_per_client", cfg.requests_per_client as f64)
         .metric("c10k_reader_threads", hub.reader_threads() as f64)
@@ -118,7 +117,7 @@ fn bench_c10k(_c: &mut Criterion) {
         )
         .metric("c10k_hub_flush_p50_ms", stage_ms("hub.flush_ns", 0.50))
         .metric("c10k_hub_flush_p99_ms", stage_ms("hub.flush_ns", 0.99));
-    let path = out.write_merged().expect("write BENCH_hub.json");
+    let path = out.write().expect("write BENCH_c10k.json");
     eprintln!("c10k: wrote {}", path.display());
 }
 

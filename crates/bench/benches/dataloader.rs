@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use deeplake_baselines::formats::{BetonWriter, FormatWriter, JpegDirWriter, WebDatasetWriter};
 use deeplake_baselines::loaders::{BetonLoader, FilePerSampleLoader, Loader, TarStreamLoader};
-use deeplake_bench::{build_deeplake_dataset, deeplake_epoch, deeplake_epoch_mode, BenchReport};
+use deeplake_bench::{build_deeplake_dataset, deeplake_epoch, BenchReport};
 use deeplake_core::Dataset;
 use deeplake_hub::Hub;
 use deeplake_loader::DataLoader;
@@ -105,7 +105,7 @@ fn emit_loader_report(local: &Arc<Dataset>) {
         let ds = Arc::new(Dataset::open(remote as DynProvider).unwrap());
         (0..3)
             .map(|_| {
-                let (samples, _, wall) = deeplake_epoch_mode(ds.clone(), 4, 32, false, true);
+                let (samples, _, wall) = deeplake_epoch(ds.clone(), 4, 32, false);
                 assert_eq!(samples, 300);
                 wall
             })
@@ -134,7 +134,7 @@ fn emit_loader_report(local: &Arc<Dataset>) {
         .metric("loader_traced_epoch_secs", traced.as_secs_f64())
         .metric("loader_untraced_epoch_secs", untraced.as_secs_f64())
         .metric("loader_tracing_overhead_pct", overhead_pct);
-    let path = out.write_merged().expect("write BENCH_loader.json");
+    let path = out.write().expect("write BENCH_loader.json");
     println!("dataloader: wrote {}", path.display());
 }
 

@@ -151,7 +151,7 @@ fn bench_hub(c: &mut Criterion) {
         .metric("hub_execute_p99_ms", stage_ms("hub.execute_ns", 0.99))
         .metric("hub_storage_p50_ms", stage_ms("hub.storage_ns", 0.50))
         .metric("hub_storage_p99_ms", stage_ms("hub.storage_ns", 0.99));
-    let path = report.write_merged().expect("write BENCH_hub.json");
+    let path = report.write().expect("write BENCH_hub.json");
     eprintln!("hub: wrote {}", path.display());
 
     let mut group = c.benchmark_group("hub_serving");

@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use deeplake_bench::BenchReport;
 use deeplake_core::dataset::{Dataset, TensorOptions};
 use deeplake_core::IndexSpec;
+use deeplake_hub::{Hub, HubHandle};
 use deeplake_remote::{RemoteOptions, RemoteProvider};
-use deeplake_server::{DatasetServer, ServerHandle};
 use deeplake_sim::{run_served_loaders, ServingConfig};
 use deeplake_storage::{DynProvider, MemoryProvider, NetworkProfile};
 use deeplake_tensor::{Htype, Sample};
@@ -81,7 +81,7 @@ fn ann_text() -> String {
 }
 
 fn report_case(
-    server: &ServerHandle,
+    server: &HubHandle,
     report: &mut BenchReport,
     tag: &str,
     text: &str,
@@ -119,7 +119,10 @@ fn report_case(
 fn bench_remote(c: &mut Criterion) {
     let mounted: DynProvider = Arc::new(MemoryProvider::new());
     build_dataset(mounted.clone());
-    let server = DatasetServer::bind("127.0.0.1:0", mounted.clone()).unwrap();
+    let server = Hub::builder()
+        .default_mount(mounted.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
     let addr = server.addr();
 
     let pruned_text = "SELECT labels FROM remote_bench WHERE labels = 7";

@@ -1,16 +1,14 @@
 //! Criterion counterpart of Fig. 8: the same epoch over local vs
-//! simulated-remote storage, in both I/O modes — `batched` issues one
-//! coalesced storage call per loader task (the read-plan path), `single`
-//! pays one round trip per chunk. The gap between the two *is* the
-//! paper's streaming claim: it grows with the backend's first-byte
-//! latency and vanishes on local storage.
+//! simulated-remote storage. Every loader task issues one coalesced
+//! storage call (the read-plan path), so the remote rows track the
+//! backend's first-byte latency per *task*, not per chunk — the paper's
+//! streaming claim.
 //!
 //! Each timed iteration re-opens the dataset so its chunk memo is cold —
-//! otherwise every epoch after the first is served from memory and both
-//! modes measure the same thing.
+//! otherwise every epoch after the first is served from memory.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use deeplake_bench::{build_deeplake_dataset, deeplake_epoch_mode};
+use deeplake_bench::{build_deeplake_dataset, deeplake_epoch};
 use deeplake_sim::datagen;
 use deeplake_storage::{DynProvider, MemoryProvider, NetworkProfile, SimulatedCloudProvider};
 use std::sync::Arc;
@@ -27,24 +25,21 @@ fn bench_streaming(c: &mut Criterion) {
     ];
     for (name, profile) in backends {
         let backing = Arc::new(MemoryProvider::new());
-        // 64 KB chunks → every 32-row task spans several chunks, which is
-        // what the batched mode coalesces into one round trip
+        // 64 KB chunks → every 32-row task spans several chunks, which it
+        // coalesces into one round trip
         let ds = build_deeplake_dataset(backing.clone(), &images, true, 1 << 16);
         drop(ds);
         let charged: DynProvider = Arc::new(SimulatedCloudProvider::new(name, backing, profile));
-        for (mode, batched) in [("batched", true), ("single", false)] {
-            let charged = charged.clone();
-            group.bench_function(format!("deeplake_{name}_{mode}"), |b| {
-                b.iter_batched(
-                    || Arc::new(deeplake_core::Dataset::open(charged.clone()).unwrap()),
-                    |ds| {
-                        let (samples, ..) = deeplake_epoch_mode(ds, 4, 32, false, batched);
-                        assert_eq!(samples, 200);
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
-        }
+        group.bench_function(format!("deeplake_{name}"), |b| {
+            b.iter_batched(
+                || Arc::new(deeplake_core::Dataset::open(charged.clone()).unwrap()),
+                |ds| {
+                    let (samples, ..) = deeplake_epoch(ds, 4, 32, false);
+                    assert_eq!(samples, 200);
+                },
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use deeplake_baselines::formats::{BetonWriter, FormatWriter, JpegDirWriter, WebDatasetWriter};
 use deeplake_baselines::loaders::{BetonLoader, FilePerSampleLoader, Loader, TarStreamLoader};
 use deeplake_bench::{
-    build_deeplake_dataset, deeplake_epoch_mode, env_usize, net_scale, print_table, secs,
+    build_deeplake_dataset, deeplake_epoch, env_usize, net_scale, print_table, secs,
 };
 use deeplake_sim::datagen;
 use deeplake_storage::{DynProvider, MemoryProvider, NetworkProfile, SimulatedCloudProvider};
@@ -38,19 +38,16 @@ fn main() {
 
     let mut rows = Vec::new();
     for (loc, profile) in backends(scale) {
-        // Deep Lake, batched (read-plan) vs single-key I/O — the gap is
-        // the coalesced-round-trip win and widens with backend latency.
-        // 128 KB chunks give each 64-row task several chunks to batch.
-        for (mode, batched) in [("deeplake", true), ("deeplake-single-key", false)] {
-            let backing = Arc::new(MemoryProvider::new());
-            let ds = build_deeplake_dataset(backing.clone(), &images, true, 1 << 17);
-            drop(ds);
-            let charged: DynProvider = Arc::new(SimulatedCloudProvider::new(loc, backing, profile));
-            let ds = Arc::new(deeplake_core::Dataset::open(charged).unwrap());
-            let (samples, _, wall) = deeplake_epoch_mode(ds, workers, 64, false, batched);
-            assert_eq!(samples, n as u64);
-            rows.push(vec![mode.into(), loc.into(), secs(wall)]);
-        }
+        // Deep Lake: 128 KB chunks give each 64-row task several chunks
+        // to coalesce into its one round trip.
+        let backing = Arc::new(MemoryProvider::new());
+        let ds = build_deeplake_dataset(backing.clone(), &images, true, 1 << 17);
+        drop(ds);
+        let charged: DynProvider = Arc::new(SimulatedCloudProvider::new(loc, backing, profile));
+        let ds = Arc::new(deeplake_core::Dataset::open(charged).unwrap());
+        let (samples, _, wall) = deeplake_epoch(ds, workers, 64, false);
+        assert_eq!(samples, n as u64);
+        rows.push(vec!["deeplake".into(), loc.into(), secs(wall)]);
         // baselines over the same backend
         let cases: Vec<(Box<dyn FormatWriter>, Box<dyn Loader>)> = vec![
             (

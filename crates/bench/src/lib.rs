@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use deeplake_baselines::RawImage;
 use deeplake_codec::Compression;
 use deeplake_core::dataset::{Dataset, TensorOptions};
-use deeplake_loader::{DataLoader, EpochReport};
-use deeplake_storage::{DynProvider, MemoryProvider, NetworkProfile, SimulatedCloudProvider};
+use deeplake_loader::DataLoader;
+use deeplake_storage::DynProvider;
 use deeplake_tensor::{Htype, Sample, Shape};
 
 /// Read an integer knob from the environment.
@@ -270,32 +270,17 @@ pub fn build_deeplake_dataset(
 }
 
 /// One full Deep Lake loader epoch; returns `(samples, decoded_bytes,
-/// wall)`. Uses the batched scatter-gather read path (the default).
+/// wall)`. Each worker task issues one coalesced storage call.
 pub fn deeplake_epoch(
     ds: Arc<Dataset>,
     workers: usize,
     batch: usize,
     shuffle: bool,
 ) -> (u64, u64, Duration) {
-    deeplake_epoch_mode(ds, workers, batch, shuffle, true)
-}
-
-/// One full Deep Lake loader epoch with the I/O mode explicit:
-/// `batched = true` issues one coalesced storage call per task,
-/// `batched = false` pays one round trip per chunk (the pre-read-plan
-/// behaviour, kept for A/B comparison).
-pub fn deeplake_epoch_mode(
-    ds: Arc<Dataset>,
-    workers: usize,
-    batch: usize,
-    shuffle: bool,
-    batched: bool,
-) -> (u64, u64, Duration) {
     let mut builder = DataLoader::builder(ds)
         .batch_size(batch)
         .num_workers(workers)
-        .prefetch(4)
-        .batched_io(batched);
+        .prefetch(4);
     if shuffle {
         builder = builder.shuffle(7);
     }
@@ -309,81 +294,6 @@ pub fn deeplake_epoch_mode(
         bytes += b.nbytes() as u64;
     }
     (samples, bytes, start.elapsed())
-}
-
-/// The deterministic loader-observability scenario shared by the
-/// `baseline` writer and the `regress` gate: one fully instrumented
-/// epoch of JPEG-like images streamed through a simulated cloud whose
-/// 2 ms first-byte latency dominates raw CPU, so the resulting rows/s
-/// and fetch quantiles are comparable run-over-run on one machine.
-/// Returns the [`EpochReport`] with per-stage quantiles and the
-/// attributed bottleneck.
-pub fn loader_obs_run(samples: usize, workers: usize, batch: usize) -> EpochReport {
-    let images = deeplake_sim::datagen::imagenet_like(samples, 32, 9);
-    let inner = Arc::new(MemoryProvider::new());
-    build_deeplake_dataset(inner.clone(), &images, true, 1 << 18);
-    let net = NetworkProfile {
-        first_byte_latency: Duration::from_millis(2),
-        bandwidth_bps: 500_000_000,
-        put_overhead: Duration::ZERO,
-        scale: 1.0,
-    };
-    let charged: DynProvider = Arc::new(SimulatedCloudProvider::new("s3", inner, net));
-    let ds = Arc::new(Dataset::open(charged).unwrap());
-    let loader = DataLoader::builder(ds)
-        .batch_size(batch)
-        .num_workers(workers)
-        .prefetch(4)
-        .tensors(["images", "labels"])
-        .build()
-        .unwrap();
-    let mut epoch = loader.epoch();
-    let mut rows = 0usize;
-    for b in epoch.by_ref() {
-        rows += b.unwrap().len();
-    }
-    assert_eq!(rows, samples);
-    epoch.report()
-}
-
-/// Best-of-`runs` over [`loader_obs_run`]: a 512-sample epoch at batch
-/// 32 has only 16 worker tasks, so its fetch p99 is effectively a max —
-/// one unlucky scheduler stall moves it by 2×. Taking the best rows/s
-/// and the best (lowest) fetch p99 across a few epochs, on BOTH the
-/// baseline and the fresh side, keeps the regression gate sensitive to
-/// real slowdowns (which shift every run) while ignoring one-off
-/// stalls. Returns `(representative report, best rows/s, best fetch
-/// p99 ms)` — the report is the highest-throughput run, rendered for
-/// humans; the two scalars are the per-metric bests the gate compares.
-pub fn loader_obs_best(
-    samples: usize,
-    workers: usize,
-    batch: usize,
-    runs: usize,
-) -> (EpochReport, f64, f64) {
-    let mut reports: Vec<EpochReport> = (0..runs.max(1))
-        .map(|_| loader_obs_run(samples, workers, batch))
-        .collect();
-    let best_rows_ps = reports
-        .iter()
-        .map(|r| r.stats.rows_per_sec())
-        .fold(0.0f64, f64::max);
-    let best_fetch_p99_ms = reports
-        .iter()
-        .map(|r| r.fetch.p99_ns as f64 / 1e6)
-        .fold(f64::INFINITY, f64::min);
-    let best = reports
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            a.stats
-                .rows_per_sec()
-                .partial_cmp(&b.stats.rows_per_sec())
-                .unwrap()
-        })
-        .map(|(i, _)| i)
-        .unwrap();
-    (reports.swap_remove(best), best_rows_ps, best_fetch_p99_ms)
 }
 
 /// Mean images/s given samples and wall time.
@@ -473,63 +383,6 @@ impl BenchReport {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// Like [`BenchReport::write`], but keeps metrics an existing
-    /// `BENCH_<name>.json` recorded under keys this run did not touch —
-    /// so several benches can contribute to one trajectory file (the hub
-    /// cache bench and the C10K bench both feed `BENCH_hub.json`).
-    /// Re-recorded keys take this run's value in their original position.
-    pub fn write_merged(&self) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::env::var("DL_BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_string());
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.name));
-        let mut merged: Vec<(String, f64)> = std::fs::read_to_string(&path)
-            .map(|old| parse_metrics(&old))
-            .unwrap_or_default();
-        for (k, v) in &self.metrics {
-            match merged.iter_mut().find(|(mk, _)| mk == k) {
-                Some(slot) => slot.1 = *v,
-                None => merged.push((k.clone(), *v)),
-            }
-        }
-        let on_disk = BenchReport {
-            name: self.name.clone(),
-            metrics: merged,
-        };
-        std::fs::write(&path, on_disk.to_json())?;
-        Ok(path)
-    }
-}
-
-/// Parse the flat `"key": number` pairs out of a [`BenchReport`] JSON
-/// file. Only the shape `to_json` emits is understood — one metric per
-/// line — which is all `write_merged` and the `regress` gate need.
-pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut in_metrics = false;
-    for line in json.lines() {
-        let line = line.trim();
-        if line.starts_with("\"metrics\"") {
-            in_metrics = true;
-            continue;
-        }
-        if !in_metrics {
-            continue;
-        }
-        let Some((key, value)) = line.split_once("\": ") else {
-            continue;
-        };
-        let Some(key) = key.strip_prefix('"') else {
-            continue;
-        };
-        if let Ok(v) = value.trim_end_matches(',').parse::<f64>() {
-            // escaped keys are not round-tripped; benchmark metric names
-            // are plain identifiers, so this never loses real data
-            if !key.contains('\\') {
-                out.push((key.to_string(), v));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -553,30 +406,6 @@ mod tests {
     fn env_knobs_default() {
         assert_eq!(env_usize("DL_NO_SUCH_VAR", 7), 7);
         assert_eq!(env_f64("DL_NO_SUCH_VAR", 0.5), 0.5);
-    }
-
-    #[test]
-    fn bench_report_merge_preserves_foreign_keys() {
-        let dir = std::env::temp_dir().join(format!("dl_bench_merge_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("DL_BENCH_JSON_DIR", &dir);
-        let mut a = BenchReport::new("merge_unit");
-        a.metric("cache_hits", 10.0).metric("shared", 1.0);
-        a.write_merged().unwrap();
-        let mut b = BenchReport::new("merge_unit");
-        b.metric("c10k_qps", 999.0).metric("shared", 2.0);
-        let path = b.write_merged().unwrap();
-        std::env::remove_var("DL_BENCH_JSON_DIR");
-        let merged = parse_metrics(&std::fs::read_to_string(&path).unwrap());
-        assert_eq!(
-            merged,
-            vec![
-                ("cache_hits".to_string(), 10.0),
-                ("shared".to_string(), 2.0),
-                ("c10k_qps".to_string(), 999.0),
-            ]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

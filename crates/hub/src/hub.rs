@@ -17,12 +17,13 @@
 //!
 //! ## Overload is an answer, not a stall
 //!
-//! When a connection exceeds its in-flight cap, or the shared queue is
-//! full, the loop answers that request immediately with a `Busy` frame
-//! instead of enqueueing it. The response slot is preserved in request
-//! order — the stream never desynchronizes, which is what makes the
-//! rejection *lossless*: the client sees exactly one response per
-//! request and can back off and retry.
+//! When a pipelined connection exceeds its in-flight cap, or the shared
+//! queue is full, the loop answers that request immediately with a
+//! `Busy` frame instead of enqueueing it. The rejection takes the
+//! request's own place in the stream (its correlation id, or the next
+//! frame of an untagged connection) — the stream never desynchronizes,
+//! which is what makes it *lossless*: the client sees exactly one
+//! response per request and can back off and retry.
 //!
 //! ## Write-side backpressure
 //!
@@ -30,32 +31,36 @@
 //! the connection's outbound queue and the owning loop is woken to
 //! write it out — nonblocking, with partial-write tracking — so a peer
 //! that stops draining can never pin a pool worker. Its outbound queue
-//! is bounded instead: past [`HubOptions::conn_buffer_bytes`] —
-//! counting responses committed but unwritten *and* responses finished
-//! out of order that wait in the legacy reorder buffer — the loop stops
-//! *reading* that connection (admitting no further requests, so no
-//! further responses accrue), and a connection that makes no read or
-//! write progress for [`HubOptions::stall_timeout`] is disconnected.
+//! is bounded instead: past [`HubOptions::conn_buffer_bytes`] of
+//! responses committed but unwritten the loop stops *reading* that
+//! connection (admitting no further requests, so no further responses
+//! accrue), and a connection that makes no read or write progress for
+//! [`HubOptions::stall_timeout`] is disconnected.
 //!
 //! ## Response order
 //!
-//! A legacy connection may pipeline frames; workers finish out of
-//! order, so each connection keeps a reorder buffer and responses are
-//! committed strictly in request order. A connection that switched to
-//! pipelined framing (`Request::Pipeline`) carries correlation ids
-//! instead: responses are committed in completion order and the client
+//! An untagged connection is strictly request/response: while one of
+//! its data ops is queued or executing the loop slices no further frame
+//! from it (and stops reading once bytes of a next one are buffered),
+//! resuming on the worker's flush wake-up — so admission order *is* the
+//! response order, with nothing to reorder. A connection that switched
+//! to pipelined framing (`Request::Pipeline`) carries correlation ids
+//! instead: up to [`HubOptions::max_inflight_per_conn`] requests run at
+//! once, responses are committed in completion order and the client
 //! demultiplexes by id.
 //!
 //! ## Shutdown
 //!
 //! Graceful and fully event-driven — no poll ticks. [`HubHandle::
 //! shutdown`] flags the hub and *wakes every loop through its poller*:
-//! the listener closes, loops finish slicing the frames they already
-//! buffered (a request that was read always drains to a response) and
-//! stop reading; the workers drain the queue; the loops flush every
-//! outbound byte (stalled peers are cut at `stall_timeout`) and exit.
+//! the listener closes, each loop slices the frames it already buffered
+//! and may admit, then closes intake for good — bytes a pause left
+//! unparsed are dropped, so no request can reach the queue once the
+//! loop has reported in; the workers drain the queue; the loops flush
+//! every response owed (stalled peers are cut at `stall_timeout`), close
+//! each connection as it empties, and exit.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -116,10 +121,10 @@ pub struct HubOptions {
     /// Decoded requests the shared queue holds before the loops start
     /// answering `Busy`.
     pub queue_depth: usize,
-    /// Requests one connection may have queued + executing before its
-    /// loop answers `Busy`. Well-behaved request/response clients
-    /// never exceed 1; the cap exists so one pipelining client cannot
-    /// monopolize the pool.
+    /// Requests one pipelined (tagged) connection may have queued +
+    /// executing before its loop answers `Busy`, so one pipelining
+    /// client cannot monopolize the pool. An untagged connection never
+    /// has more than one: it is served request/response.
     pub max_inflight_per_conn: usize,
     /// Outbound bytes one connection may have queued before its loop
     /// stops reading it (admitting no further requests). The
@@ -243,18 +248,11 @@ impl HubStats {
 // bounded job queue
 // ---------------------------------------------------------------------
 
-/// Which response slot a finished job fills: the connection's next
-/// in-order sequence number (legacy framing, reorder buffer) or its
-/// correlation id (pipelined framing, completion order).
-#[derive(Clone, Copy)]
-enum Slot {
-    Seq(u64),
-    Id(u64),
-}
-
 struct Job {
     conn: Arc<ConnShared>,
-    slot: Slot,
+    /// Correlation id the response carries back (`None` on an untagged
+    /// connection, where the response is simply the next frame).
+    id: Option<u64>,
     request_len: u64,
     mount: Arc<Mounted>,
     request: Request,
@@ -334,32 +332,15 @@ impl JobQueue {
 /// Outbound side of one connection. Workers deposit here; only the
 /// owning event loop performs socket writes.
 struct OutState {
-    /// Legacy-mode responses finished out of order, keyed by sequence
-    /// number, awaiting their turn.
-    pending: BTreeMap<u64, (Vec<u8>, u64)>,
-    /// Next legacy sequence number to commit.
-    next_seq: u64,
     /// Committed wire frames (length header included) not yet fully
     /// written to the socket.
     wbuf: VecDeque<Vec<u8>>,
     /// Bytes of `wbuf.front()` already written.
     woff: usize,
-    /// Total unwritten bytes across `wbuf`.
+    /// Total unwritten bytes across `wbuf` — every response byte the
+    /// connection holds in memory, and what admission and read interest
+    /// are capped on.
     buffered: usize,
-    /// Total bytes of the frames waiting in `pending`.
-    held: usize,
-}
-
-impl OutState {
-    /// Response bytes the connection holds in memory: committed and
-    /// unwritten, plus finished out of order and waiting their turn.
-    /// This — not `buffered` alone — is what admission and read interest
-    /// are capped on: while one slow request blocks the head of the
-    /// legacy order, everything finishing behind it piles up in
-    /// `pending`, and a cap blind to that pile keeps admitting.
-    fn queued(&self) -> usize {
-        self.buffered + self.held
-    }
 }
 
 /// The slice of connection state shared with pool workers. The socket
@@ -379,35 +360,14 @@ struct ConnShared {
     flush_queued: AtomicBool,
 }
 
-/// Commit one response onto the connection's write queue (legacy mode:
-/// only once it is next in request order) and account it. The socket
-/// write itself happens later, on the owning event loop.
-fn deposit(shared: &Shared, conn: &ConnShared, slot: Slot, request_len: u64, frame: Vec<u8>) {
+/// Commit one response onto the connection's write queue — tagged with
+/// `id` on a pipelined connection — and account it. The socket write
+/// itself happens later, on the owning event loop.
+fn deposit(shared: &Shared, conn: &ConnShared, id: Option<u64>, request_len: u64, frame: Vec<u8>) {
     let mut out = conn.out.lock();
     if conn.dead.load(Ordering::Acquire) {
         return;
     }
-    match slot {
-        Slot::Seq(seq) => {
-            out.held += frame.len();
-            out.pending.insert(seq, (frame, request_len));
-            while let Some((frame, req_len)) = {
-                let next = out.next_seq;
-                out.pending.remove(&next)
-            } {
-                out.next_seq += 1;
-                out.held -= frame.len();
-                commit(shared, &mut out, None, req_len, frame);
-            }
-        }
-        Slot::Id(id) => commit(shared, &mut out, Some(id), request_len, frame),
-    }
-    let peak = out.queued() as u64;
-    drop(out);
-    shared.stats.peak_conn_buffered.record_max(peak);
-}
-
-fn commit(shared: &Shared, out: &mut OutState, id: Option<u64>, request_len: u64, frame: Vec<u8>) {
     let tag_len = if id.is_some() { 8 } else { 0 };
     let mut wire = Vec::with_capacity(4 + tag_len + frame.len());
     wire.extend_from_slice(&((frame.len() + tag_len) as u32).to_le_bytes());
@@ -418,6 +378,9 @@ fn commit(shared: &Shared, out: &mut OutState, id: Option<u64>, request_len: u64
     out.buffered += wire.len();
     let wire_len = wire.len() as u64;
     out.wbuf.push_back(wire);
+    let peak = out.buffered as u64;
+    drop(out);
+    shared.stats.peak_conn_buffered.record_max(peak);
     shared.stats.requests.inc();
     shared.obs.bytes_out_rate.add(wire_len);
     shared
@@ -609,8 +572,8 @@ impl HubBuilder {
     }
 
     /// Mount `provider` under the name `"default"` and make it the
-    /// mount unattached connections resolve to — the single-dataset
-    /// `DatasetServer` behaviour.
+    /// mount unattached connections resolve to — a single-dataset
+    /// server is `Hub::builder().default_mount(p).bind(addr)`.
     pub fn default_mount(mut self, provider: DynProvider) -> Self {
         self.default = Some(provider);
         self
@@ -850,10 +813,12 @@ impl HubHandle {
     }
 
     /// Stop gracefully, waking every thread explicitly (event-driven,
-    /// no poll ticks): the listener closes and the loops stop reading
-    /// (frames already buffered are still served), the worker pool
-    /// drains every queued request to a deposited response, the loops
-    /// flush every outbound byte, then all threads are joined.
+    /// no poll ticks): the listener closes and every loop closes intake
+    /// (frames already buffered that the connection may admit are still
+    /// served; the rest are dropped), the worker pool drains every
+    /// queued request to a deposited response, the loops flush every
+    /// outbound byte, then all threads are joined. A peer gets one
+    /// response for each request that was admitted, then EOF.
     /// Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
@@ -866,8 +831,8 @@ impl HubHandle {
                 done = self.shared.intake_cv.wait(done).unwrap();
             }
         }
-        // intake has stopped on every loop: no new job can appear, so
-        // the workers may exit on empty
+        // intake is closed on every loop (`Conn::close_intake`): no new
+        // job can appear, so the workers may exit on empty
         self.shared.drain.store(true, Ordering::Release);
         self.shared.queue.notify_all();
         for h in std::mem::take(&mut self.workers) {
@@ -905,8 +870,6 @@ struct Conn {
     rbuf: Vec<u8>,
     /// Parse offset into `rbuf` (compacted after each parse pass).
     rpos: usize,
-    /// Next legacy-mode request sequence number.
-    seq: u64,
     /// Switched to correlation-id framing via `Request::Pipeline`.
     pipelined: bool,
     /// Read interest currently registered with the poller.
@@ -927,6 +890,23 @@ struct Conn {
 impl Conn {
     fn mid_frame(&self) -> bool {
         self.rpos < self.rbuf.len() && !self.read_closed
+    }
+
+    /// An untagged connection with a data op queued or executing: its
+    /// next frame waits for that response (request/response order).
+    fn awaiting_response(&self) -> bool {
+        !self.pipelined && self.state.inflight.load(Ordering::Acquire) > 0
+    }
+
+    /// Close intake for good: nothing further is read, and bytes
+    /// already buffered but not yet sliced are dropped — a later service
+    /// pass must not admit them. The connection closes once every
+    /// response it is owed has been flushed.
+    fn close_intake(&mut self) {
+        self.rbuf.clear();
+        self.rpos = 0;
+        self.read_closed = true;
+        self.close_after_flush = true;
     }
 }
 
@@ -958,7 +938,11 @@ fn event_loop(shared: &Arc<Shared>, idx: usize, mut listener: Option<TcpListener
                 }
                 LoopMsg::Flush(token) => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        conn.state.flush_queued.store(false, Ordering::Release);
+                        // a swap, not a store: reading the worker's
+                        // `true` is what orders its `inflight` decrement
+                        // before the pass below, which resumes a paused
+                        // untagged connection only if it sees zero
+                        conn.state.flush_queued.swap(false, Ordering::AcqRel);
                         if !service(shared, &me, conn, &mut deadlines, &mut scratch, false, true) {
                             let cut = Some(FlightEvent::CONN_CUT);
                             disconnect(shared, &me, &mut conns, &mut deadlines, token, cut);
@@ -1038,14 +1022,16 @@ fn event_loop(shared: &Arc<Shared>, idx: usize, mut listener: Option<TcpListener
             if let Some(l) = listener.take() {
                 let _ = me.poller.remove(l.as_raw_fd());
             }
-            // requests already buffered are still sliced and served;
-            // nothing further is read
+            // requests already buffered are sliced and served where the
+            // connection may admit them now; then intake closes for good,
+            // because once this loop reports in below the pool may be gone
+            // and a request admitted later would never be answered
             let tokens: Vec<u64> = conns.keys().copied().collect();
             for token in tokens {
                 let conn = conns.get_mut(&token).expect("token just listed");
                 let ok = service(shared, &me, conn, &mut deadlines, &mut scratch, false, true);
                 let conn = conns.get_mut(&token).expect("token just listed");
-                conn.read_closed = true;
+                conn.close_intake();
                 if !ok {
                     let cut = Some(FlightEvent::CONN_CUT);
                     disconnect(shared, &me, &mut conns, &mut deadlines, token, cut);
@@ -1134,12 +1120,9 @@ fn adopt(
         token,
         loop_idx: idx,
         out: Mutex::new(OutState {
-            pending: BTreeMap::new(),
-            next_seq: 0,
             wbuf: VecDeque::new(),
             woff: 0,
             buffered: 0,
-            held: 0,
         }),
         inflight: AtomicUsize::new(0),
         attached: Mutex::new(None),
@@ -1153,7 +1136,6 @@ fn adopt(
             stream,
             rbuf: Vec::new(),
             rpos: 0,
-            seq: 0,
             pipelined: false,
             read_on: true,
             write_on: false,
@@ -1187,10 +1169,8 @@ fn disconnect(
     }
     conn.state.dead.store(true, Ordering::Release);
     let mut out = conn.state.out.lock();
-    out.pending.clear();
     out.wbuf.clear();
     out.buffered = 0;
-    out.held = 0;
     drop(out);
     let _ = me.poller.remove(conn.stream.as_raw_fd());
     // socket closes when `conn.stream` drops here
@@ -1236,17 +1216,18 @@ fn service(
             break;
         }
     }
-    let (buffered, pending_empty) = {
-        let out = conn.state.out.lock();
-        (out.buffered, out.pending.is_empty() && out.wbuf.is_empty())
-    };
-    if conn.close_after_flush && pending_empty && conn.state.inflight.load(Ordering::Acquire) == 0 {
+    // in-flight first: a worker deposits before it decrements, so a zero
+    // here means every response is already counted in `buffered` below
+    let idle = conn.state.inflight.load(Ordering::Acquire) == 0;
+    let buffered = conn.state.out.lock().buffered;
+    if conn.close_after_flush && idle && buffered == 0 {
         return false;
     }
     update_interest(me, conn, shared.opts.conn_buffer_bytes);
-    // a connection is "stalled" while it owes progress: a frame is
-    // partially read or responses are partially written
-    let stalled = buffered > 0 || conn.mid_frame();
+    // a connection is "stalled" while the peer owes progress: responses
+    // are partially written, or a frame is partially read — not while
+    // its next frame waits on the hub's own answer
+    let stalled = buffered > 0 || (conn.mid_frame() && !conn.awaiting_response());
     let want = if !stalled {
         None
     } else if progress || conn.armed.is_none() {
@@ -1293,14 +1274,18 @@ fn pull_bytes(conn: &mut Conn, scratch: &mut [u8]) -> Result<usize, ()> {
 }
 
 /// Slice complete frames off the accumulator and dispatch them, until
-/// bytes run out or backpressure pauses admission.
+/// bytes run out or admission pauses: on outbound backpressure, and on
+/// an untagged connection while its previous request is unanswered.
 fn parse_frames(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
     loop {
         if conn.read_closed && conn.rpos >= conn.rbuf.len() {
             break;
         }
-        if conn.state.out.lock().queued() >= shared.opts.conn_buffer_bytes {
+        if conn.state.out.lock().buffered >= shared.opts.conn_buffer_bytes {
             break; // backpressured: stop admitting requests
+        }
+        if conn.awaiting_response() {
+            break; // request/response: the worker's flush wake-up resumes
         }
         let avail = conn.rbuf.len() - conn.rpos;
         if avail < 4 {
@@ -1360,10 +1345,15 @@ fn flush_out(conn: &mut Conn) -> Result<usize, ()> {
 }
 
 /// Re-register poller interest from current state: read while intake is
-/// open and backpressure allows, write while bytes are queued.
+/// open and neither pause holds (outbound backpressure; an untagged
+/// connection already holding bytes of the request *after* the one in
+/// flight — a request/response peer never sends those, and a peer that
+/// does is held back by TCP instead of by this process's memory), write
+/// while bytes are queued.
 fn update_interest(me: &LoopShared, conn: &mut Conn, conn_buffer_bytes: usize) {
     let out = conn.state.out.lock();
-    let want_r = !conn.read_closed && out.queued() < conn_buffer_bytes;
+    let held_back = conn.awaiting_response() && !conn.rbuf.is_empty();
+    let want_r = !conn.read_closed && out.buffered < conn_buffer_bytes && !held_back;
     let want_w = !out.wbuf.is_empty();
     drop(out);
     if want_r != conn.read_on || want_w != conn.write_on {
@@ -1406,17 +1396,15 @@ fn is_control(req: &Request) -> bool {
 /// only for violations the stream cannot recover from.
 fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool {
     let request_len = payload.len() as u64;
-    let (slot, body): (Slot, &[u8]) = if conn.pipelined {
+    let (id, body): (Option<u64>, &[u8]) = if conn.pipelined {
         match proto::split_tagged(&payload) {
-            Some((id, body)) => (Slot::Id(id), body),
+            Some((id, body)) => (Some(id), body),
             // a pipelined frame too short for its id cannot be answered
-            // in any slot: fail the connection
+            // under any id: fail the connection
             None => return false,
         }
     } else {
-        let seq = conn.seq;
-        conn.seq += 1;
-        (Slot::Seq(seq), &payload[..])
+        (None, &payload[..])
     };
     let request = match proto::decode_request(body) {
         Ok(r) => r,
@@ -1424,7 +1412,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
             deposit(
                 shared,
                 &conn.state,
-                slot,
+                id,
                 request_len,
                 proto::resp_proto_err(&e.to_string()),
             );
@@ -1448,13 +1436,12 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
         );
         let switch = matches!(&request, Request::Pipeline);
         let response = dispatch_control(shared, &conn.state, request);
-        deposit(shared, &conn.state, slot, request_len, response);
+        deposit(shared, &conn.state, id, request_len, response);
         if version_mismatch {
             // an incompatible client's later frames could decode to
             // nonsense; the lossless rejection above is the last frame
             // this connection gets
-            conn.read_closed = true;
-            conn.close_after_flush = true;
+            conn.close_intake();
         }
         if switch {
             // the acknowledgement above went out untagged; every later
@@ -1473,7 +1460,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
                 deposit(
                     shared,
                     &conn.state,
-                    slot,
+                    id,
                     request_len,
                     proto::resp_storage_err(&StorageError::NotFound(format!(
                         "dataset {name:?} is not mounted"
@@ -1488,7 +1475,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
                 deposit(
                     shared,
                     &conn.state,
-                    slot,
+                    id,
                     request_len,
                     proto::resp_proto_err(
                         "no dataset attached and the hub has no default mount; send Attach",
@@ -1498,8 +1485,10 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
             }
         },
     };
-    // lossless back-pressure: over-cap or queue-full answers Busy in
-    // this request's response slot instead of blocking the loop
+    // lossless back-pressure: over-cap (pipelined connections only — an
+    // untagged one is never sliced with a request in flight) or
+    // queue-full answers Busy in this request's place in the stream
+    // instead of blocking the loop
     let cap = shared.opts.max_inflight_per_conn.max(1);
     let trace_id = trace.map_or(0, |(id, _)| id);
     if conn.state.inflight.load(Ordering::Acquire) >= cap {
@@ -1512,7 +1501,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
         deposit(
             shared,
             &conn.state,
-            slot,
+            id,
             request_len,
             proto::resp_busy(&format!(
                 "connection has {cap} requests in flight; back off and retry"
@@ -1524,7 +1513,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
     shared.in_flight.fetch_add(1, Ordering::AcqRel);
     let job = Job {
         conn: conn.state.clone(),
-        slot,
+        id,
         request_len,
         mount,
         request,
@@ -1543,7 +1532,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
         deposit(
             shared,
             &conn.state,
-            slot,
+            id,
             request_len,
             proto::resp_busy(&format!(
                 "worker queue of {} is full; back off and retry",
@@ -1670,7 +1659,7 @@ fn worker_loop(shared: &Shared) {
         };
         let response = dispatch_data(shared, &job.mount, job.request, &ctx);
         let flush = SpanTimer::start();
-        deposit(shared, &job.conn, job.slot, job.request_len, response);
+        deposit(shared, &job.conn, job.id, job.request_len, response);
         flush.record(&shared.obs.flush);
         job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -1735,20 +1724,8 @@ fn dispatch_data(shared: &Shared, mount: &Arc<Mounted>, request: Request, ctx: &
             }
         }
         Request::GetMany { requests } => {
-            let n = requests.len();
-            let timed = TimingProvider::new(p.clone());
-            let storage_nanos = timed.nanos_counter();
-            let exec = SpanTimer::start();
-            let results = timed.get_many(&requests);
-            let execute_ns = exec.stop();
-            record_read_op(
-                shared,
-                mount,
-                ctx,
-                format!("GETMANY {n} keys"),
-                execute_ns,
-                storage_nanos.get(),
-            );
+            let text = format_args!("GETMANY {} keys", requests.len());
+            let results = timed_read(shared, mount, ctx, text, |p| p.get_many(&requests));
             proto::resp_results(&results)
         }
         Request::Execute {
@@ -1760,19 +1737,8 @@ fn dispatch_data(shared: &Shared, mount: &Arc<Mounted>, request: Request, ctx: &
             for r in requests {
                 plan.push(r);
             }
-            let timed = TimingProvider::new(p.clone());
-            let storage_nanos = timed.nanos_counter();
-            let exec = SpanTimer::start();
-            let outcome = timed.execute(&plan);
-            let execute_ns = exec.stop();
-            record_read_op(
-                shared,
-                mount,
-                ctx,
-                format!("EXECUTE {n} ranges"),
-                execute_ns,
-                storage_nanos.get(),
-            );
+            let text = format_args!("EXECUTE {n} ranges");
+            let outcome = timed_read(shared, mount, ctx, text, |p| p.execute(&plan));
             proto::resp_execute(outcome.fetches, &outcome.results)
         }
         Request::Query {
@@ -1784,59 +1750,82 @@ fn dispatch_data(shared: &Shared, mount: &Arc<Mounted>, request: Request, ctx: &
     }
 }
 
-/// Account one batched read op (`Execute`/`GetMany`): service time into
-/// `hub.read_ns`, and — when the op is over the slow threshold — a
-/// span-tree entry in the slow log shaped exactly like a query's
-/// (`queue_wait`/`execute` under a fresh root, `storage` under the
-/// execute span, `parent_span` = the client's span from the trace
-/// envelope). This is what connects a loader worker's fetch span to the
-/// hub stages that served it: the loader sends its fetch `Execute`
-/// under an ambient trace context, and this entry's `parent_span` is
-/// that fetch span's id.
-fn record_read_op(
+/// Run one batched read op (`Execute`/`GetMany`) against the mount and
+/// account it: service time into `hub.read_ns`, and — when the op is
+/// over the slow threshold — a slow-log entry shaped exactly like a
+/// query's (see [`log_slow`]). This is what connects a loader worker's
+/// fetch span to the hub stages that served it: the loader sends its
+/// fetch `Execute` under an ambient trace context, and the entry's
+/// `parent_span` is that fetch span's id.
+fn timed_read<T>(
     shared: &Shared,
     mount: &Arc<Mounted>,
     ctx: &JobCtx,
-    text: String,
-    execute_ns: u64,
-    storage_ns: u64,
-) {
-    shared.obs.read.record(execute_ns);
+    text: std::fmt::Arguments<'_>,
+    read: impl FnOnce(&TimingProvider) -> T,
+) -> T {
+    let timed = TimingProvider::new(mount.provider.clone());
+    let exec = SpanTimer::start();
+    let out = read(&timed);
+    let execute_ns = exec.record(&shared.obs.read);
     let total_ns = ctx.queue_wait_ns + execute_ns;
-    if total_ns < shared.opts.slow_query_threshold.as_nanos() as u64 {
-        return;
+    if total_ns >= shared.opts.slow_query_threshold.as_nanos() as u64 {
+        let stages = [
+            ("queue_wait", ctx.queue_wait_ns),
+            ("execute", execute_ns),
+            ("storage", timed.nanos()),
+        ];
+        let text = text.to_string();
+        log_slow(shared, mount, ctx, String::new(), text, total_ns, &stages);
     }
+    out
+}
+
+/// Push one slow-log entry: a fresh root span (`parent_span` = the
+/// client's span from the trace envelope) with `stages` as its children
+/// in order — except `storage`, which hangs under the `execute` stage
+/// listed before it.
+fn log_slow(
+    shared: &Shared,
+    mount: &Mounted,
+    ctx: &JobCtx,
+    version: String,
+    text: String,
+    total_ns: u64,
+    stages: &[(&str, u64)],
+) {
     let (trace_id, client_span) = ctx.trace.unwrap_or((0, 0));
     let root_span = next_id();
-    let execute_span = next_id();
+    let mut execute_span = root_span;
+    let spans = stages
+        .iter()
+        .map(|&(name, dur_ns)| {
+            let span_id = next_id();
+            let parent_span = if name == "storage" {
+                execute_span
+            } else {
+                root_span
+            };
+            if name == "execute" {
+                execute_span = span_id;
+            }
+            SpanRecord {
+                name: name.into(),
+                span_id,
+                parent_span,
+                dur_ns,
+            }
+        })
+        .collect();
     shared.obs.slowlog.push(SlowQueryEntry {
         trace_id,
         root_span,
         parent_span: client_span,
         dataset: mount.name.clone(),
-        version: String::new(),
+        version,
         text,
         total_ns,
-        spans: vec![
-            SpanRecord {
-                name: "queue_wait".into(),
-                span_id: next_id(),
-                parent_span: root_span,
-                dur_ns: ctx.queue_wait_ns,
-            },
-            SpanRecord {
-                name: "execute".into(),
-                span_id: execute_span,
-                parent_span: root_span,
-                dur_ns: execute_ns,
-            },
-            SpanRecord {
-                name: "storage".into(),
-                span_id: next_id(),
-                parent_span: execute_span,
-                dur_ns: storage_ns,
-            },
-        ],
+        spans,
     });
 }
 
@@ -1939,45 +1928,16 @@ fn handle_query(
         shared.obs.errors_rate.inc();
     }
     if total_ns >= shared.opts.slow_query_threshold.as_nanos() as u64 {
-        let (trace_id, client_span) = ctx.trace.unwrap_or((0, 0));
-        let root_span = next_id();
-        let execute_span = next_id();
-        shared.obs.slowlog.push(SlowQueryEntry {
-            trace_id,
-            root_span,
-            parent_span: client_span,
-            dataset: mount.name.clone(),
-            version: version.unwrap_or_default(),
-            // the canonical rendering, never the raw client bytes
-            text: text_key.unwrap_or_else(|| "<unparseable>".into()),
-            total_ns,
-            spans: vec![
-                SpanRecord {
-                    name: "queue_wait".into(),
-                    span_id: next_id(),
-                    parent_span: root_span,
-                    dur_ns: ctx.queue_wait_ns,
-                },
-                SpanRecord {
-                    name: "cache_lookup".into(),
-                    span_id: next_id(),
-                    parent_span: root_span,
-                    dur_ns: cache_lookup_ns,
-                },
-                SpanRecord {
-                    name: "execute".into(),
-                    span_id: execute_span,
-                    parent_span: root_span,
-                    dur_ns: execute_ns,
-                },
-                SpanRecord {
-                    name: "storage".into(),
-                    span_id: next_id(),
-                    parent_span: execute_span,
-                    dur_ns: storage_ns,
-                },
-            ],
-        });
+        let stages = [
+            ("queue_wait", ctx.queue_wait_ns),
+            ("cache_lookup", cache_lookup_ns),
+            ("execute", execute_ns),
+            ("storage", storage_ns),
+        ];
+        // the canonical rendering, never the raw client bytes
+        let text = text_key.unwrap_or_else(|| "<unparseable>".into());
+        let version = version.unwrap_or_default();
+        log_slow(shared, mount, ctx, version, text, total_ns, &stages);
     }
     frame
 }

@@ -14,7 +14,7 @@
 //!        ├────── frames ──────▶│ event loops (1-2 threads,    │
 //!        │  (many conns per    │  epoll: ALL conns; framing,  │
 //!        │   loop; pipelined   │  control ops, backpressure)  │
-//!        │   ids or in-order)  │     │ bounded job queue      │──Busy on overload
+//!        │   ids or one by one)│     │ bounded job queue      │──Busy on overload
 //!        │                     │     ▼                        │
 //!        │                     │ worker pool (N threads)      │
 //!        │                     │     │                        │
@@ -32,12 +32,12 @@
 //! * **[`registry`]** — named datasets behind one listener. Clients
 //!   `Attach(name)` once per connection and then use every existing
 //!   provider method, TQL offload and loader *unchanged*; unattached
-//!   connections fall back to a default mount, which is how the
-//!   single-dataset `DatasetServer` facade is now a two-line wrapper
-//!   over the hub runtime. A mount also holds one opened `Dataset` per
-//!   queried reference, shared by every query (and pool worker) until a
-//!   write through the hub, an explicit invalidation or an unmount
-//!   drops it with the head memo.
+//!   connections fall back to a default mount, which is how a
+//!   single-dataset server is one call on the hub runtime
+//!   (`Hub::builder().default_mount(p).bind(addr)`). A mount also holds
+//!   one opened `Dataset` per queried reference, shared by every query
+//!   (and pool worker) until a write through the hub, an explicit
+//!   invalidation or an unmount drops it with the head memo.
 //! * **[`hub`]** — the event-loop reader tier and the bounded worker
 //!   pool. One or two reader threads multiplex *every* connection via
 //!   readiness notification (epoll through the `polling` stand-in):
@@ -46,8 +46,10 @@
 //!   connections cost registrations, not parked OS threads, and
 //!   storage/query concurrency is bounded by configuration, not by
 //!   connection count. Overload is answered with a lossless `Busy`
-//!   frame in the request's response slot — clients back off, streams
-//!   never desynchronize. Workers never touch sockets: responses are
+//!   frame in the request's place in the stream — clients back off,
+//!   streams never desynchronize. An untagged connection is served one
+//!   request at a time, in order; a pipelined one by correlation id, in
+//!   completion order. Workers never touch sockets: responses are
 //!   deposited into per-connection bounded write queues and flushed by
 //!   the owning loop, so a peer that stops draining pauses only its own
 //!   reads, never a worker.

@@ -5,8 +5,8 @@
 //! backing store, but any provider works (server-side mounts can point
 //! different datasets at different backends). Connections `Attach` to a
 //! name; unattached connections fall back to the *default* mount, which
-//! is how the single-dataset `DatasetServer` facade keeps its exact PR-4
-//! behaviour on the hub runtime.
+//! is how a hub with one `default_mount` behaves exactly like the PR-4
+//! single-dataset server.
 //!
 //! A mount also owns the serving-side memoization that makes repeated
 //! query offload cheap: `reference → resolved head` — the lookup that

@@ -344,26 +344,64 @@ fn cache_byte_budget_evicts_and_counts() {
     );
 }
 
-/// Overload answers a lossless Busy frame: with a worker pool of one, a
-/// queue of one and an in-flight cap of one, a burst of pipelined
-/// requests gets exactly one response per request, in order, some of
-/// them Busy — and the stream stays synchronized.
-#[test]
-fn overload_answers_lossless_busy_frames() {
-    use std::io::Write;
+/// A mount whose every read takes `latency_ms`, holding `k0`/`k1` →
+/// `<tag>-0`/`<tag>-1`.
+fn slow_mount(tag: &str, latency_ms: u64) -> DynProvider {
     let slow = Arc::new(SimulatedCloudProvider::new(
         "slow",
         MemoryProvider::new(),
         NetworkProfile {
-            first_byte_latency: std::time::Duration::from_millis(150),
+            first_byte_latency: std::time::Duration::from_millis(latency_ms),
             bandwidth_bps: u64::MAX,
             put_overhead: std::time::Duration::ZERO,
             scale: 1.0,
         },
     ));
-    slow.inner().put("k", Bytes::from_static(b"v")).unwrap();
+    for i in 0..2 {
+        let value = Bytes::from(format!("{tag}-{i}"));
+        slow.inner().put(&format!("k{i}"), value).unwrap();
+    }
+    slow
+}
+
+/// Hand-speak the protocol so a test can write frames ahead without
+/// waiting: Hello, then Attach to `dataset`, both untagged.
+fn raw_attached(hub: &HubHandle, dataset: &str) -> std::net::TcpStream {
+    let mut raw = std::net::TcpStream::connect(hub.addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let hello = proto::encode_request(&proto::Request::Hello {
+        version: proto::PROTO_VERSION,
+    });
+    proto::write_frame(&mut raw, &hello).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(proto::expect_hello(&resp).unwrap(), proto::PROTO_VERSION);
+    proto::write_frame(&mut raw, &attach_frame(dataset)).unwrap();
+    proto::expect_unit(&proto::read_frame(&mut raw).unwrap().unwrap()).unwrap();
+    raw
+}
+
+fn attach_frame(dataset: &str) -> Vec<u8> {
+    proto::encode_request(&proto::Request::Attach {
+        dataset: dataset.into(),
+    })
+}
+
+fn get_frame(key: &str) -> Vec<u8> {
+    proto::encode_request(&proto::Request::Get { key: key.into() })
+}
+
+/// Overload answers a lossless Busy frame: with a worker pool of one, a
+/// queue of one and an in-flight cap of one, a burst of tagged requests
+/// gets exactly one response per id, some of them Busy — and the stream
+/// stays synchronized. (The in-flight cap lives on pipelined framing: an
+/// untagged connection never has more than one request in flight.)
+#[test]
+fn overload_answers_lossless_busy_frames() {
+    use std::io::Write;
     let hub = Hub::builder()
-        .mount("slow", slow)
+        .mount("slow", slow_mount("slow", 150))
         .options(HubOptions {
             workers: 1,
             queue_depth: 1,
@@ -372,41 +410,32 @@ fn overload_answers_lossless_busy_frames() {
         })
         .bind("127.0.0.1:0")
         .unwrap();
-
-    // hand-speak the protocol so we can pipeline without waiting
-    let mut raw = std::net::TcpStream::connect(hub.addr()).unwrap();
-    raw.set_nodelay(true).unwrap();
-    let hello = proto::encode_request(&proto::Request::Hello {
-        version: proto::PROTO_VERSION,
-    });
-    proto::write_frame(&mut raw, &hello).unwrap();
-    let resp = proto::read_frame(&mut raw).unwrap().unwrap();
-    assert_eq!(proto::expect_hello(&resp).unwrap(), proto::PROTO_VERSION);
-    let attach = proto::encode_request(&proto::Request::Attach {
-        dataset: "slow".into(),
-    });
-    proto::write_frame(&mut raw, &attach).unwrap();
+    let mut raw = raw_attached(&hub, "slow");
+    let pipeline = proto::encode_request(&proto::Request::Pipeline);
+    proto::write_frame(&mut raw, &pipeline).unwrap();
     proto::expect_unit(&proto::read_frame(&mut raw).unwrap().unwrap()).unwrap();
 
-    // burst of 4 Gets; the first occupies the single worker for ~150 ms,
-    // so the cap of 1 rejects the rest
-    const BURST: usize = 4;
-    let get = proto::encode_request(&proto::Request::Get { key: "k".into() });
+    // burst of 4 tagged Gets; the first occupies the single worker for
+    // ~150 ms, so the cap of 1 rejects the rest
+    const BURST: u64 = 4;
     let mut wire = Vec::new();
-    for _ in 0..BURST {
-        proto::write_frame(&mut wire, &get).unwrap();
+    for id in 0..BURST {
+        proto::write_frame(&mut wire, &proto::tag_request(10 + id, &get_frame("k0"))).unwrap();
     }
     raw.write_all(&wire).unwrap();
 
     let mut ok = 0;
     let mut busy = 0;
+    let mut answered = std::collections::BTreeSet::new();
     for _ in 0..BURST {
         let resp = proto::read_frame(&mut raw)
             .unwrap()
             .expect("one response per request");
-        match proto::expect_bytes(&resp) {
+        let (id, body) = proto::split_tagged(&resp).expect("tagged response");
+        assert!(answered.insert(id), "id {id} answered twice");
+        match proto::expect_bytes(body) {
             Ok(data) => {
-                assert_eq!(data, Bytes::from_static(b"v"));
+                assert_eq!(data, Bytes::from_static(b"slow-0"));
                 ok += 1;
             }
             Err(StorageError::Busy(hint)) => {
@@ -416,17 +445,105 @@ fn overload_answers_lossless_busy_frames() {
             Err(other) => panic!("unexpected {other:?}"),
         }
     }
+    assert_eq!(
+        answered.into_iter().collect::<Vec<_>>(),
+        (10..10 + BURST).collect::<Vec<_>>(),
+        "lossless: every request answered under its own id"
+    );
     assert!(ok >= 1, "the in-flight request must complete");
     assert!(busy >= 1, "the burst must overflow the cap");
-    assert_eq!(ok + busy, BURST, "lossless: every request answered");
     assert_eq!(hub.stats().busy_rejections(), busy as u64);
 
     // the connection is still synchronized: a polite request works
-    proto::write_frame(&mut raw, &get).unwrap();
+    proto::write_frame(&mut raw, &proto::tag_request(99, &get_frame("k1"))).unwrap();
     let resp = proto::read_frame(&mut raw).unwrap().unwrap();
+    let (id, body) = proto::split_tagged(&resp).unwrap();
+    assert_eq!(id, 99);
     assert_eq!(
-        proto::expect_bytes(&resp).unwrap(),
-        Bytes::from_static(b"v")
+        proto::expect_bytes(body).unwrap(),
+        Bytes::from_static(b"slow-1")
+    );
+}
+
+/// An untagged connection is request/response even when the client
+/// writes ahead: the same burst that overflows a tagged connection's cap
+/// is served one at a time, in order, with no `Busy` — and an `Attach`
+/// in the middle of the burst renames only the requests behind it.
+#[test]
+fn untagged_burst_is_served_in_order_without_busy() {
+    use std::io::Write;
+    let hub = Hub::builder()
+        .mount("slow", slow_mount("slow", 40))
+        .mount("other", slow_mount("other", 40))
+        .options(HubOptions {
+            workers: 2,
+            max_inflight_per_conn: 1,
+            ..HubOptions::default()
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut raw = raw_attached(&hub, "slow");
+    let mut wire = Vec::new();
+    for frame in [
+        get_frame("k0"),
+        get_frame("k1"),
+        attach_frame("other"),
+        get_frame("k0"),
+        get_frame("k1"),
+    ] {
+        proto::write_frame(&mut wire, &frame).unwrap();
+    }
+    raw.write_all(&wire).unwrap();
+    let mut next = || proto::read_frame(&mut raw).unwrap().expect("a response");
+    assert_eq!(proto::expect_bytes(&next()).unwrap(), b"slow-0");
+    assert_eq!(proto::expect_bytes(&next()).unwrap(), b"slow-1");
+    proto::expect_unit(&next()).unwrap();
+    assert_eq!(proto::expect_bytes(&next()).unwrap(), b"other-0");
+    assert_eq!(proto::expect_bytes(&next()).unwrap(), b"other-1");
+    assert_eq!(hub.stats().busy_rejections(), 0);
+}
+
+/// Shutdown with an untagged burst paused behind its in-flight request:
+/// the requests admitted before intake closed are answered, the rest
+/// are dropped unanswered, the stream ends in a clean EOF, nothing is
+/// left queued for a pool that has gone, and `shutdown` returns.
+#[test]
+fn shutdown_with_a_paused_untagged_burst_ends_cleanly() {
+    use std::io::Write;
+    let mut hub = Hub::builder()
+        .mount("slow", slow_mount("slow", 150))
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut raw = raw_attached(&hub, "slow");
+    const BURST: usize = 4;
+    let mut wire = Vec::new();
+    for _ in 0..BURST {
+        proto::write_frame(&mut wire, &get_frame("k0")).unwrap();
+    }
+    raw.write_all(&wire).unwrap();
+    // long enough for the hub to read the burst and start its first
+    // request, far shorter than that request's 150 ms
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        hub.shutdown();
+        let _ = tx.send(hub.health().in_flight);
+    });
+    let mut answered = 0;
+    while let Some(resp) = proto::read_frame(&mut raw).expect("responses, then a clean EOF") {
+        assert_eq!(proto::expect_bytes(&resp).unwrap(), b"slow-0");
+        answered += 1;
+    }
+    assert!(
+        (1..=BURST).contains(&answered),
+        "{answered} responses to {BURST} requests"
+    );
+    let in_flight = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("shutdown must return with a paused connection attached");
+    assert_eq!(
+        in_flight, 0,
+        "a request was admitted after the pool drained"
     );
 }
 
@@ -436,19 +553,8 @@ fn overload_answers_lossless_busy_frames() {
 #[test]
 fn client_retries_absorb_transient_busy() {
     use deeplake_remote::RemoteOptions;
-    let slow = Arc::new(SimulatedCloudProvider::new(
-        "slow",
-        MemoryProvider::new(),
-        NetworkProfile {
-            first_byte_latency: std::time::Duration::from_millis(60),
-            bandwidth_bps: u64::MAX,
-            put_overhead: std::time::Duration::ZERO,
-            scale: 1.0,
-        },
-    ));
-    slow.inner().put("k", Bytes::from_static(b"v")).unwrap();
     let hub = Hub::builder()
-        .mount("slow", slow)
+        .mount("slow", slow_mount("slow", 60))
         .options(HubOptions {
             workers: 1,
             queue_depth: 1,
@@ -470,7 +576,7 @@ fn client_retries_absorb_transient_busy() {
                 scope.spawn(move || {
                     let client = RemoteProvider::connect_with(addr, opts).unwrap();
                     client.attach("slow").unwrap();
-                    assert_eq!(client.get("k").unwrap(), Bytes::from_static(b"v"));
+                    assert_eq!(client.get("k0").unwrap(), Bytes::from_static(b"slow-0"));
                 });
             }
         });

@@ -1,22 +1,30 @@
-//! Loopback end-to-end tests: a real TCP server on 127.0.0.1, real
-//! `RemoteProvider` clients.
+//! Loopback end-to-end tests of the single-dataset shape — a hub with
+//! one default mount and unattached clients: a real TCP server on
+//! 127.0.0.1, real `RemoteProvider` clients.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use deeplake_core::Dataset;
+use deeplake_hub::{Hub, HubHandle};
 use deeplake_loader::DataLoader;
 use deeplake_remote::{RemoteOptions, RemoteProvider};
-use deeplake_server::DatasetServer;
 use deeplake_storage::{
-    contract, MemoryProvider, NetworkProfile, ReadPlan, SimulatedCloudProvider, StorageError,
-    StorageProvider,
+    contract, DynProvider, MemoryProvider, NetworkProfile, ReadPlan, SimulatedCloudProvider,
+    StorageError, StorageProvider,
 };
 use deeplake_tensor::{Htype, Sample};
 use deeplake_tql::QueryOptions;
 
-fn serve_memory() -> (deeplake_server::ServerHandle, RemoteProvider) {
-    let server = DatasetServer::bind("127.0.0.1:0", Arc::new(MemoryProvider::new())).unwrap();
+fn serve(mounted: DynProvider) -> HubHandle {
+    Hub::builder()
+        .default_mount(mounted)
+        .bind("127.0.0.1:0")
+        .unwrap()
+}
+
+fn serve_memory() -> (HubHandle, RemoteProvider) {
+    let server = serve(Arc::new(MemoryProvider::new()));
     let client = RemoteProvider::connect(server.addr()).unwrap();
     (server, client)
 }
@@ -40,7 +48,7 @@ fn remote_provider_passes_contract_over_sim_cloud() {
         MemoryProvider::new(),
         NetworkProfile::instant(),
     ));
-    let server = DatasetServer::bind("127.0.0.1:0", mounted).unwrap();
+    let server = serve(mounted);
     let client = RemoteProvider::connect(server.addr()).unwrap();
     contract::check_provider_contract("remote(sim-s3)", &client);
     drop(server);
@@ -220,7 +228,7 @@ fn eight_concurrent_loader_clients() {
         }
         ds.flush().unwrap();
     }
-    let mut server = DatasetServer::bind("127.0.0.1:0", mounted).unwrap();
+    let mut server = serve(mounted);
     let addr = server.addr();
     let expected_sum: u64 = (0..ROWS).sum();
 
@@ -277,7 +285,7 @@ fn shutdown_drains_in_flight_requests() {
         .inner()
         .put("slow/key", Bytes::from(vec![9u8; 256]))
         .unwrap();
-    let mut server = DatasetServer::bind("127.0.0.1:0", mounted).unwrap();
+    let mut server = serve(mounted);
     let addr = server.addr();
 
     let in_flight = std::thread::spawn(move || {
@@ -364,7 +372,7 @@ fn corrupt_frames_do_not_kill_the_server() {
 /// so batching shows up as wall-clock wins too.
 #[test]
 fn latency_injection_charges_per_round_trip() {
-    let server = DatasetServer::bind("127.0.0.1:0", Arc::new(MemoryProvider::new())).unwrap();
+    let server = serve(Arc::new(MemoryProvider::new()));
     let profile = NetworkProfile {
         first_byte_latency: std::time::Duration::from_millis(5),
         bandwidth_bps: u64::MAX,

@@ -60,11 +60,6 @@ pub struct LoaderConfig {
     /// when tighter (§4.6 "predicting memory consumption to avoid
     /// breaking the training process").
     pub memory_budget_bytes: Option<u64>,
-    /// Fetch each task's chunks through one batched storage call
-    /// ([`deeplake_core::Dataset::get_rows_batch`]) instead of one
-    /// round trip per chunk. On: the §3.5 scatter-gather path (default).
-    /// Off: the legacy single-key path, kept for A/B benchmarks.
-    pub batched_io: bool,
 }
 
 impl Default for LoaderConfig {
@@ -78,7 +73,6 @@ impl Default for LoaderConfig {
             transform: None,
             drop_last: false,
             memory_budget_bytes: None,
-            batched_io: true,
         }
     }
 }
@@ -168,12 +162,6 @@ impl LoaderBuilder {
     /// Cap in-flight memory.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.config.memory_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Toggle batched scatter-gather chunk fetching (default on).
-    pub fn batched_io(mut self, yes: bool) -> Self {
-        self.config.batched_io = yes;
         self
     }
 

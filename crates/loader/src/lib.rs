@@ -12,7 +12,7 @@
 //! served mount (`deeplake-remote`), each worker task's single batched
 //! storage call becomes a single network frame — N≥8 clients streaming
 //! one server concurrently is exercised in
-//! `crates/server/tests/loopback.rs` and `deeplake-sim`'s serving
+//! `crates/hub/tests/loopback.rs` and `deeplake-sim`'s serving
 //! scenario.
 //!
 //! Every stage is instrumented (see [`report`]): log-scale histograms

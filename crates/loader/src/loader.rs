@@ -167,7 +167,6 @@ impl DataLoader {
             let scheduler = scheduler.clone();
             let tensor_names = self.tensor_names.clone();
             let transform = self.config.transform.clone();
-            let batched_io = self.config.batched_io;
             let tx = tx.clone();
             let epoch_busy = Counter::new();
             let epoch_tasks = Counter::new();
@@ -197,113 +196,68 @@ impl DataLoader {
                     // it from the wire and parents its own span tree
                     // under it.
                     let fetch_ctx = root.child();
-                    // Batched path: ONE storage call covers every chunk
-                    // this task touches (§3.5 scatter-gather). A batch
-                    // failure falls back to single-key reads below so the
-                    // per-row error message stays precise.
-                    let batch: Option<Vec<Row>> = if batched_io {
-                        let fetch_t = Instant::now();
-                        let prefetched = with_current(fetch_ctx, || {
-                            dataset.prefetch_chunks(&tensor_names, &rows).ok()
-                        });
-                        let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
-                        prefetched.and_then(|pf| {
+                    // ONE storage call covers every chunk this task
+                    // touches (§3.5 scatter-gather). A chunk the call
+                    // could not deliver is retried by
+                    // `PrefetchedChunks::get` on the single-key path, so
+                    // a sample that cannot be read fails with the error
+                    // `Dataset::get` reports for it.
+                    let fetch_t = Instant::now();
+                    let prefetched =
+                        with_current(fetch_ctx, || dataset.prefetch_chunks(&tensor_names, &rows));
+                    let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
+                    let mut batch_rows: Vec<Row> = Vec::with_capacity(rows.len());
+                    let failure: Option<String> = match prefetched {
+                        Ok(pf) => {
                             let decode_t = Instant::now();
-                            let assembled: Option<Vec<Row>> = rows
-                                .iter()
-                                .map(|&row_idx| {
-                                    let mut row = Row::new();
-                                    for name in tensor_names.iter() {
-                                        row.set(
-                                            name.clone(),
-                                            pf.get(&dataset, name, row_idx).ok()?,
-                                        );
+                            let failure = rows.iter().find_map(|&row_idx| {
+                                let mut row = Row::new();
+                                for name in tensor_names.iter() {
+                                    match pf.get(&dataset, name, row_idx) {
+                                        Ok(sample) => row.set(name.clone(), sample),
+                                        Err(e) => {
+                                            return Some(format!("fetch {name}[{row_idx}]: {e}"))
+                                        }
                                     }
-                                    Some(row)
-                                })
-                                .collect();
-                            let assembled = assembled?;
+                                }
+                                batch_rows.push(row);
+                                None
+                            });
                             // Stage samples land the moment the stage
                             // finishes — before any send can block — so
                             // a consumer dropping mid-epoch loses none.
                             w.stages.fetch(pf.fetch_ns());
                             w.stages
                                 .decode(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
-                            w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
-                            Some(assembled)
-                        })
-                    } else {
-                        None
-                    };
-                    if let Some(batch_rows) = batch {
-                        let batch_rows = match &transform {
-                            Some(f) => {
-                                let t = Instant::now();
-                                let out: Vec<Row> =
-                                    batch_rows.into_iter().map(|row| f(row)).collect();
-                                w.stages.transform(t.elapsed().as_nanos() as u64);
-                                out
-                            }
-                            None => batch_rows,
-                        };
-                        w.task_done(busy_t.elapsed().as_nanos() as u64);
-                        for (pos, row) in (task.start..task.end).zip(batch_rows) {
-                            if tx.send(Ok((pos, row))).is_err() {
-                                return; // consumer hung up
-                            }
-                            w.sent_one();
+                            failure
                         }
-                        continue;
-                    }
-                    let mut fetch_span_ns = 0u64;
-                    let mut task_busy_ns = 0u64;
-                    for pos in task.start..task.end {
-                        let row_idx = order[pos];
-                        let row_t = Instant::now();
-                        let fetched: std::result::Result<Row, String> =
-                            with_current(fetch_ctx, || {
-                                let mut row = Row::new();
-                                for name in tensor_names.iter() {
-                                    let sample = dataset
-                                        .get(name, row_idx)
-                                        .map_err(|e| format!("fetch {name}[{row_idx}]: {e}"))?;
-                                    row.set(name.clone(), sample);
-                                }
-                                Ok(row)
-                            });
-                        // Single-key path: one fetch sample per ROW (the
-                        // decode happens inside `get`, inseparable).
-                        let row_ns = row_t.elapsed().as_nanos() as u64;
-                        w.stages.fetch(row_ns);
-                        fetch_span_ns += row_ns;
-                        task_busy_ns += row_ns;
-                        let msg = match fetched {
-                            Ok(row) => {
-                                let row = match &transform {
-                                    Some(f) => {
-                                        let t = Instant::now();
-                                        let row = f(row);
-                                        let t_ns = t.elapsed().as_nanos() as u64;
-                                        w.stages.transform(t_ns);
-                                        task_busy_ns += t_ns;
-                                        row
-                                    }
-                                    None => row,
-                                };
-                                Ok((pos, row))
-                            }
-                            Err(e) => Err(e),
-                        };
-                        if tx.send(msg).is_err() {
-                            // consumer hung up; flush the task's span
-                            // so the partial work stays attributable
-                            w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
-                            return;
+                        Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
+                    };
+                    w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
+                    let batch_rows = match &transform {
+                        Some(f) => {
+                            let t = Instant::now();
+                            let out: Vec<Row> = batch_rows.into_iter().map(|row| f(row)).collect();
+                            w.stages.transform(t.elapsed().as_nanos() as u64);
+                            out
+                        }
+                        None => batch_rows,
+                    };
+                    w.task_done(busy_t.elapsed().as_nanos() as u64);
+                    // rows before a failing sample are delivered, then the
+                    // failure, which ends the epoch
+                    for (pos, row) in (task.start..task.end).zip(batch_rows) {
+                        if tx.send(Ok((pos, row))).is_err() {
+                            return; // consumer hung up
                         }
                         w.sent_one();
                     }
-                    w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
-                    w.task_done(task_busy_ns);
+                    if let Some(message) = failure {
+                        if tx.send(Err(message)).is_ok() {
+                            w.sent_one();
+                        }
+                        return;
+                    }
                 }
             }));
         }

@@ -182,8 +182,9 @@ pub struct WorkerSummary {
 /// attribution the paper's Figure-8 style loader studies do by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
-    /// Storage round trips dominate: raise `num_workers` / `prefetch`,
-    /// or keep `batched_io` on so each task costs one round trip.
+    /// Storage round trips dominate: raise `num_workers` / `prefetch`
+    /// or move data closer (a task already costs one batched round
+    /// trip).
     Fetch,
     /// Decompression dominates: raise `num_workers` (decode
     /// parallelism) or store lighter compression.
@@ -227,12 +228,10 @@ pub struct EpochReport {
     pub stats: LoaderStats,
     /// Epoch-order + schedule build time (one sample).
     pub schedule: StageSummary,
-    /// Storage round-trip time per worker task (batched path: the pure
-    /// I/O wait of the one scatter-gather call; single-key path: the
-    /// whole per-row read, decode inseparable).
+    /// Storage round-trip time per worker task: the pure I/O wait of
+    /// its one scatter-gather call.
     pub fetch: StageSummary,
-    /// Chunk decompression + row assembly per worker task (batched path
-    /// only — the single-key path cannot split it out of fetch).
+    /// Chunk decompression + row assembly per worker task.
     pub decode: StageSummary,
     /// User transform per worker task (absent transform records
     /// nothing).

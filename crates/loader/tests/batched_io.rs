@@ -48,11 +48,10 @@ fn simulated_dataset() -> (
     (charged, ds)
 }
 
-fn run_epoch(ds: Arc<Dataset>, batched: bool) -> u64 {
+fn run_epoch(ds: Arc<Dataset>) -> u64 {
     let loader = DataLoader::builder(ds)
         .batch_size(32)
         .num_workers(4)
-        .batched_io(batched)
         .build()
         .unwrap();
     let mut rows = 0u64;
@@ -62,10 +61,22 @@ fn run_epoch(ds: Arc<Dataset>, batched: bool) -> u64 {
     rows
 }
 
+/// The reference the loader's batched tasks are compared against: every
+/// sample read on its own through `Dataset::get`, one round trip per
+/// chunk not yet decoded. Returns the labels in row order.
+fn single_key_epoch(ds: &Dataset) -> Vec<i32> {
+    (0..ds.len())
+        .map(|row| {
+            ds.get("images", row).unwrap();
+            ds.get("labels", row).unwrap().get_f64(0).unwrap() as i32
+        })
+        .collect()
+}
+
 #[test]
 fn epoch_round_trips_at_least_4x_below_logical_chunk_reads() {
     let (charged, ds) = simulated_dataset();
-    assert_eq!(run_epoch(ds, true), 200);
+    assert_eq!(run_epoch(ds), 200);
     let stats = charged.stats();
     let logical = stats.logical_reads();
     let round_trips = stats.round_trips();
@@ -83,16 +94,16 @@ fn epoch_round_trips_at_least_4x_below_logical_chunk_reads() {
 
 #[test]
 fn batched_epoch_issues_fewer_round_trips_than_single_key_epoch() {
-    // each epoch re-opens the dataset so its chunk memo is COLD — on a
-    // shared handle the second epoch would be served from the memo and
+    // each side opens the dataset itself so its chunk memo is COLD — on
+    // a shared handle the second pass would be served from the memo and
     // measure nothing
     let (charged, ds) = simulated_dataset();
-    assert_eq!(run_epoch(ds, false), 200);
+    assert_eq!(single_key_epoch(&ds).len(), 200);
     let single_key_rt = charged.stats().round_trips();
     charged.stats().reset();
     let reopened = Arc::new(Dataset::open(charged.clone() as DynProvider).unwrap());
     charged.stats().reset(); // drop the reopen metadata traffic
-    assert_eq!(run_epoch(reopened, true), 200);
+    assert_eq!(run_epoch(reopened), 200);
     let batched_rt = charged.stats().round_trips();
     assert!(batched_rt > 0, "cold batched epoch must reach the provider");
     assert!(
@@ -103,24 +114,22 @@ fn batched_epoch_issues_fewer_round_trips_than_single_key_epoch() {
 
 #[test]
 fn batched_and_single_key_epochs_deliver_identical_data() {
-    let (_charged, ds) = simulated_dataset();
-    let collect = |batched: bool| -> Vec<i32> {
-        let loader = DataLoader::builder(ds.clone())
-            .batch_size(16)
-            .num_workers(4)
-            .batched_io(batched)
-            .build()
-            .unwrap();
-        loader
-            .epoch()
-            .flat_map(|b| {
-                let b = b.unwrap();
-                let col = b.column("labels").unwrap();
-                (0..col.len())
-                    .map(|i| col.get(i).unwrap().get_f64(0).unwrap() as i32)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-    assert_eq!(collect(true), collect(false));
+    let (charged, ds) = simulated_dataset();
+    let loader = DataLoader::builder(ds)
+        .batch_size(16)
+        .num_workers(4)
+        .build()
+        .unwrap();
+    let batched: Vec<i32> = loader
+        .epoch()
+        .flat_map(|b| {
+            let b = b.unwrap();
+            let col = b.column("labels").unwrap();
+            (0..col.len())
+                .map(|i| col.get(i).unwrap().get_f64(0).unwrap() as i32)
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let cold = Dataset::open(charged as DynProvider).unwrap();
+    assert_eq!(batched, single_key_epoch(&cold));
 }

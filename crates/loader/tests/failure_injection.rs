@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use deeplake_core::dataset::TensorOptions;
 use deeplake_core::Dataset;
 use deeplake_loader::DataLoader;
 use deeplake_storage::{DynProvider, MemoryProvider, StorageProvider};
@@ -95,6 +96,59 @@ fn iterator_terminates_after_error() {
         }
     }
     assert_eq!(errs, 1, "exactly one error, then clean termination");
+}
+
+/// One worker, one chunk deleted mid-dataset: every row before the
+/// first unreadable sample is delivered — the ones sharing its task
+/// included — then exactly one error naming that sample, then the end.
+#[test]
+fn rows_before_the_bad_sample_are_delivered_then_one_error() {
+    let provider = Arc::new(MemoryProvider::new());
+    {
+        let mut ds = Dataset::create(provider.clone(), "inject").unwrap();
+        ds.create_tensor_opts("labels", {
+            let mut o = TensorOptions::new(Htype::ClassLabel);
+            o.chunk_target_bytes = Some(120); // several chunks, cut off the task grid
+            o
+        })
+        .unwrap();
+        for i in 0..300 {
+            ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+        }
+        ds.flush().unwrap();
+    }
+    let mut chunks: Vec<String> = provider
+        .list("")
+        .unwrap()
+        .into_iter()
+        .filter(|k| k.contains("labels/chunks/"))
+        .collect();
+    chunks.sort();
+    assert!(chunks.len() >= 3, "{chunks:?}");
+    provider.delete(&chunks[chunks.len() / 2]).unwrap();
+    let probe = Dataset::open(provider.clone()).unwrap();
+    let bad = (0..probe.len())
+        .find(|&row| probe.get("labels", row).is_err())
+        .expect("a deleted chunk makes some row unreadable");
+    assert!(
+        bad % 32 != 0,
+        "row {bad} must share its task with good rows"
+    );
+
+    let loader = DataLoader::builder(Arc::new(Dataset::open(provider).unwrap()))
+        .batch_size(1)
+        .num_workers(1)
+        .build()
+        .unwrap();
+    let mut epoch = loader.epoch();
+    for row in 0..bad {
+        let batch = epoch.next().expect("a row before the bad one").unwrap();
+        let label = batch.column("labels").unwrap().get(0).unwrap();
+        assert_eq!(label.get_f64(0).unwrap() as u64, row);
+    }
+    let err = epoch.next().expect("the failure").unwrap_err().to_string();
+    assert!(err.contains(&format!("fetch labels[{bad}]")), "{err}");
+    assert!(epoch.next().is_none(), "the error ends the epoch");
 }
 
 #[test]

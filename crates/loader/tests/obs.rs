@@ -52,15 +52,13 @@ proptest! {
         batch in 1usize..9,
         workers in 1usize..5,
         shuffle in any::<bool>(),
-        batched in any::<bool>(),
         drop_last in any::<bool>(),
     ) {
         let ds = dataset(rows, false);
         let mut b = DataLoader::builder(ds)
             .batch_size(batch)
             .num_workers(workers)
-            .drop_last(drop_last)
-            .batched_io(batched);
+            .drop_last(drop_last);
         if shuffle {
             b = b.shuffle(rows ^ 0xC0FFEE);
         }

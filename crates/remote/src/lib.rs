@@ -2,7 +2,7 @@
 //!
 //! The client half of the Deep Lake serving tier. The paper positions
 //! the format as a lakehouse feeding *many concurrent training clients*;
-//! this crate (with its sibling `deeplake-server`) turns the in-process
+//! this crate (with its sibling `deeplake-hub`) turns the in-process
 //! library into exactly that: a dataset mounted once on a server, served
 //! to any number of loaders over a plain-TCP, length-prefixed binary
 //! protocol ([`proto`]).

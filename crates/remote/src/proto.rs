@@ -20,15 +20,19 @@
 //! same [`StorageError::NotFound`] (naming the same key) the mounted
 //! provider would have returned locally.
 //!
-//! **Pipelined mode.** A connection starts in *legacy* mode: untagged
-//! frames, responses strictly in request order (the server keeps a
-//! reorder buffer). Sending [`Request::Pipeline`] switches the
-//! connection — the switch response itself is still untagged — and from
-//! then on every frame in both directions carries an 8-byte
-//! little-endian correlation id before its payload ([`tag_request`] /
-//! [`split_tagged`]). Responses may then arrive in *completion* order:
+//! **Pipelined mode.** A connection starts *untagged*: plain
+//! request/response. The server answers one request at a time, in the
+//! order they were sent — a client may write several frames ahead, but
+//! the next one is not looked at until the previous response is
+//! committed, so nothing runs in parallel and nothing is ever reordered.
+//! Sending [`Request::Pipeline`] switches the connection — the switch
+//! response itself is still untagged — and from then on every frame in
+//! both directions carries an 8-byte little-endian correlation id before
+//! its payload ([`tag_request`] / [`split_tagged`]). Tagged requests run
+//! concurrently (up to the server's per-connection in-flight cap, past
+//! which it answers `Busy`) and responses arrive in *completion* order:
 //! many callers share one socket, a demux reader routes each response to
-//! its waiting request by id. The opcode is additive, so legacy peers
+//! its waiting request by id. The opcode is additive, so untagged peers
 //! and hand-rolled test clients keep working unchanged and
 //! [`PROTO_VERSION`] stays put.
 //!

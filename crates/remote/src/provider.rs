@@ -288,7 +288,7 @@ pub struct RemoteProvider {
     traced: AtomicBool,
     /// Dataset this client is attached to in a multi-dataset hub.
     /// `None` targets the hub's default mount (the single-dataset
-    /// `DatasetServer` behaviour). Every socket the pool dials re-plays
+    /// server behaviour). Every socket the pool dials re-plays
     /// the attach, so all connections agree on the namespace.
     attached: Mutex<Option<String>>,
 }

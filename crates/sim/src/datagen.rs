@@ -1,14 +1,19 @@
-//! Synthetic image generation.
+//! Synthetic data generation.
 //!
 //! Loader and format performance depend on sample *size distribution* and
-//! codec cost, not pixel content (DESIGN.md). The generators below emit
-//! natural-ish images (smooth gradients + mild texture) so the lossy
-//! image codec achieves realistic compression ratios.
+//! codec cost, not pixel content (DESIGN.md). The image generators below
+//! emit natural-ish images (smooth gradients + mild texture) so the lossy
+//! image codec achieves realistic compression ratios. The serving
+//! scenarios share a labelled dataset with known query answers and a
+//! Zipf popularity draw.
 
 use bytes::Bytes;
 use deeplake_baselines::RawImage;
+use deeplake_core::dataset::{Dataset, TensorOptions};
+use deeplake_storage::DynProvider;
+use deeplake_tensor::{Htype, Sample};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 
 /// Parameters for a generated image set.
 #[derive(Debug, Clone, Copy)]
@@ -21,6 +26,36 @@ pub struct DataGenConfig {
     pub channels: u32,
     /// RNG seed.
     pub seed: u64,
+}
+
+/// Build a dataset called `name` where `labels[i] = i % distinct`, so
+/// the query `labels = k` has a known answer.
+pub(crate) fn labelled_dataset(provider: DynProvider, name: &str, rows: u64, distinct: usize) {
+    let mut ds = Dataset::create(provider, name).unwrap();
+    ds.create_tensor_opts("labels", {
+        let mut o = TensorOptions::new(Htype::ClassLabel);
+        o.chunk_target_bytes = Some(256);
+        o
+    })
+    .unwrap();
+    for i in 0..rows {
+        ds.append_row(vec![(
+            "labels",
+            Sample::scalar((i % distinct as u64) as i32),
+        )])
+        .unwrap();
+    }
+    ds.flush().unwrap();
+}
+
+/// Draw an index from a Zipf-like distribution given its cumulative
+/// weights.
+pub(crate) fn zipf_draw(rng: &mut StdRng, cumulative: &[f64]) -> usize {
+    let total = *cumulative.last().expect("non-empty universe");
+    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
+    cumulative
+        .partition_point(|&c| c <= u)
+        .min(cumulative.len() - 1)
 }
 
 /// Natural-ish pixel content for one image.

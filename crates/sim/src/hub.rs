@@ -16,17 +16,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use deeplake_core::dataset::TensorOptions;
-use deeplake_core::Dataset;
 use deeplake_hub::{Hub, HubOptions};
 use deeplake_remote::{RemoteOptions, RemoteProvider};
-use deeplake_storage::{
-    DynProvider, MemoryProvider, NetworkProfile, SimulatedCloudProvider, StorageStats,
-};
-use deeplake_tensor::{Htype, Sample};
+use deeplake_storage::{MemoryProvider, NetworkProfile, SimulatedCloudProvider, StorageStats};
 use deeplake_tql::QueryOptions;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
+
+use crate::datagen::{labelled_dataset, zipf_draw};
 
 /// One hub-serving experiment.
 #[derive(Debug, Clone, Copy)]
@@ -88,35 +85,6 @@ pub struct HubScenarioReport {
     pub wall: Duration,
 }
 
-/// Draw from a Zipf-like distribution over `0..n` with exponent `skew`.
-fn zipf_draw(rng: &mut StdRng, cumulative: &[f64]) -> usize {
-    let total = *cumulative.last().expect("non-empty universe");
-    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
-    cumulative
-        .partition_point(|&c| c <= u)
-        .min(cumulative.len() - 1)
-}
-
-/// Build one labelled dataset where `labels[i] = i % distinct`, so the
-/// query `labels = k` has a known answer.
-fn build_dataset(provider: DynProvider, rows: u64, distinct: usize) {
-    let mut ds = Dataset::create(provider, "hub_sim").unwrap();
-    ds.create_tensor_opts("labels", {
-        let mut o = TensorOptions::new(Htype::ClassLabel);
-        o.chunk_target_bytes = Some(256);
-        o
-    })
-    .unwrap();
-    for i in 0..rows {
-        ds.append_row(vec![(
-            "labels",
-            Sample::scalar((i % distinct as u64) as i32),
-        )])
-        .unwrap();
-    }
-    ds.flush().unwrap();
-}
-
 /// Run the scenario: mount, attach, fire skewed queries, validate every
 /// result, shut the hub down gracefully.
 pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
@@ -136,7 +104,12 @@ pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
         ..HubOptions::default()
     });
     for (d, storage) in storages.iter().enumerate() {
-        build_dataset(storage.clone(), cfg.rows_per_dataset, cfg.distinct_queries);
+        labelled_dataset(
+            storage.clone(),
+            "hub_sim",
+            cfg.rows_per_dataset,
+            cfg.distinct_queries,
+        );
         storage.stats().reset();
         builder = builder.mount(&format!("ds{d}"), storage.clone());
     }

@@ -28,16 +28,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use deeplake_cluster::{Cluster, ClusterMount};
-use deeplake_core::dataset::{Dataset, TensorOptions};
 use deeplake_hub::HubOptions;
 use deeplake_obs::MetricsRegistry;
 use deeplake_storage::{
     DynProvider, FaultPlan, FaultProvider, MemoryProvider, NetworkProfile, SimulatedCloudProvider,
 };
-use deeplake_tensor::{Htype, Sample};
 use deeplake_tql::QueryOptions;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
+
+use crate::datagen::{labelled_dataset, zipf_draw};
 
 /// One serving-cluster experiment.
 #[derive(Debug, Clone, Copy)]
@@ -136,35 +136,6 @@ pub struct ClusterQueryReport {
     pub queries_per_sec: f64,
 }
 
-/// Draw from a Zipf-like distribution via its cumulative weights.
-fn zipf_draw(rng: &mut StdRng, cumulative: &[f64]) -> usize {
-    let total = *cumulative.last().expect("non-empty universe");
-    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
-    cumulative
-        .partition_point(|&c| c <= u)
-        .min(cumulative.len() - 1)
-}
-
-/// Build one labelled dataset where `labels[i] = i % distinct`, so the
-/// query `labels = k` has a known answer.
-fn build_dataset(provider: DynProvider, rows: u64, distinct: usize) {
-    let mut ds = Dataset::create(provider, "cluster_sim").unwrap();
-    ds.create_tensor_opts("labels", {
-        let mut o = TensorOptions::new(Htype::ClassLabel);
-        o.chunk_target_bytes = Some(256);
-        o
-    })
-    .unwrap();
-    for i in 0..rows {
-        ds.append_row(vec![(
-            "labels",
-            Sample::scalar((i % distinct as u64) as i32),
-        )])
-        .unwrap();
-    }
-    ds.flush().unwrap();
-}
-
 /// Run the scenario: build the fleet, seed replicas, fire skewed
 /// queries through routing mounts, optionally kill a node mid-run,
 /// validate every result.
@@ -208,7 +179,12 @@ pub fn run_cluster_queries(cfg: &ClusterQueryConfig) -> ClusterQueryReport {
         });
     for d in 0..cfg.datasets {
         let seed: DynProvider = Arc::new(MemoryProvider::new());
-        build_dataset(seed.clone(), cfg.rows_per_dataset, cfg.distinct_queries);
+        labelled_dataset(
+            seed.clone(),
+            "cluster_sim",
+            cfg.rows_per_dataset,
+            cfg.distinct_queries,
+        );
         builder = builder.dataset_from(&format!("ds{d}"), seed);
     }
     let mut cluster = builder.build().expect("cluster build");

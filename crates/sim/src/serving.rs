@@ -3,8 +3,8 @@
 //!
 //! The paper's deployment story is a lakehouse serving *fleets* of
 //! training clients. This module packages that as a reproducible
-//! experiment: mount a provider in a [`DatasetServer`], spawn `clients`
-//! threads that each connect a latency-injected
+//! experiment: mount a provider as a [`Hub`]'s default mount, spawn
+//! `clients` threads that each connect a latency-injected
 //! [`RemoteProvider`], open the dataset remotely, and stream one full
 //! epoch; report per-client correctness checksums and the wire traffic
 //! each client paid. The benches use it to show that batched frames
@@ -16,9 +16,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use deeplake_core::Dataset;
+use deeplake_hub::Hub;
 use deeplake_loader::DataLoader;
 use deeplake_remote::{RemoteOptions, RemoteProvider};
-use deeplake_server::DatasetServer;
 use deeplake_storage::{DynProvider, NetworkProfile};
 
 /// One serving experiment.
@@ -95,7 +95,10 @@ pub fn run_served_loaders(
     tensor: &str,
     cfg: &ServingConfig,
 ) -> ServingReport {
-    let mut server = DatasetServer::bind("127.0.0.1:0", provider).expect("bind loopback");
+    let mut server = Hub::builder()
+        .default_mount(provider)
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
     let addr = server.addr();
     let started = Instant::now();
     let clients: Vec<ClientReport> = std::thread::scope(|scope| {

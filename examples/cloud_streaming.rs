@@ -2,13 +2,12 @@
 //! GPU utilization stay high, then add an LRU cache tier (§3.6 provider
 //! chaining) and watch the second epoch run at local speed.
 //!
-//! Loader workers use the **batched read path** by default: every task
+//! Loader workers read through the **batched read path**: every task
 //! builds one `ReadPlan` covering all the chunks its rows touch and the
 //! provider chain executes it as a single round trip — the LRU tier fills
 //! all misses with one base batch, and the simulated S3 below charges one
-//! amortized first-byte latency per batch instead of one per chunk
-//! (compare `.batched_io(false)`, or see `benches/streaming.rs` for the
-//! A/B numbers).
+//! amortized first-byte latency per batch instead of one per chunk (the
+//! printed logical-reads / round-trips pair is that ratio).
 //!
 //! ```sh
 //! cargo run --release --example cloud_streaming

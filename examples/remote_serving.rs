@@ -34,7 +34,10 @@ fn main() {
     }
 
     // ---- serve it ----
-    let server = DatasetServer::bind("127.0.0.1:0", mounted).unwrap();
+    let server = Hub::builder()
+        .default_mount(mounted)
+        .bind("127.0.0.1:0")
+        .unwrap();
     println!("{}", server.describe());
 
     // the sim-latency transport: every wire round trip charges an

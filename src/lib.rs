@@ -34,7 +34,7 @@
 //!
 //! // stream to training — loader workers fetch each task's chunks with
 //! // ONE batched storage call (a ReadPlan the provider coalesces and
-//! // parallelizes; pass .batched_io(false) for the single-key path)
+//! // parallelizes)
 //! let ds = Arc::new(ds);
 //! let loader = DataLoader::builder(ds).batch_size(8).build().unwrap();
 //! let batches: usize = loader.epoch().count();
@@ -128,8 +128,8 @@
 //!
 //! ## Serving datasets
 //!
-//! One dataset can feed a fleet of loaders: mount any provider in a
-//! [`server::DatasetServer`] and point [`remote::RemoteProvider`]
+//! One dataset can feed a fleet of loaders: mount any provider as the
+//! default mount of a [`hub::Hub`] and point [`remote::RemoteProvider`]
 //! clients at it. The remote provider implements
 //! [`storage::StorageProvider`], so datasets, TQL and the dataloader
 //! work over the network unchanged — batched reads travel as single
@@ -142,7 +142,10 @@
 //! use std::sync::Arc;
 //!
 //! // serve an (empty) in-memory store on an ephemeral loopback port
-//! let server = DatasetServer::bind("127.0.0.1:0", Arc::new(MemoryProvider::new())).unwrap();
+//! let server = Hub::builder()
+//!     .default_mount(Arc::new(MemoryProvider::new()))
+//!     .bind("127.0.0.1:0")
+//!     .unwrap();
 //! let remote = Arc::new(RemoteProvider::connect(server.addr()).unwrap());
 //!
 //! // everything works over the wire, unchanged
@@ -202,7 +205,7 @@
 //! See the crate-level docs of each member for the subsystem details:
 //! [`tensor`], [`codec`], [`storage`], [`format`], [`core`], [`tql`],
 //! [`loader`], [`baselines`], [`sim`], [`viz`], [`index`],
-//! [`remote`], [`server`], [`hub`], [`cluster`], [`obs`].
+//! [`remote`], [`hub`], [`cluster`], [`obs`].
 
 pub use deeplake_baselines as baselines;
 pub use deeplake_cluster as cluster;
@@ -214,7 +217,6 @@ pub use deeplake_index as index;
 pub use deeplake_loader as loader;
 pub use deeplake_obs as obs;
 pub use deeplake_remote as remote;
-pub use deeplake_server as server;
 pub use deeplake_sim as sim;
 pub use deeplake_storage as storage;
 pub use deeplake_tensor as tensor;
@@ -236,7 +238,6 @@ pub mod prelude {
     pub use deeplake_loader::{Batch, BatchColumn, DataLoader};
     pub use deeplake_obs::{Histogram, MetricsRegistry, MetricsSnapshot, TraceContext};
     pub use deeplake_remote::{RemoteOptions, RemoteProvider};
-    pub use deeplake_server::{DatasetServer, ServerHandle};
     pub use deeplake_storage::{
         DynProvider, LocalProvider, LruCacheProvider, MemoryProvider, NetworkProfile,
         SimulatedCloudProvider, StorageProvider,

@@ -123,8 +123,7 @@ fn hub_serves_two_datasets_to_eight_clients_byte_identically() {
 /// The acceptance ratio: a repeated version-pinned query costs ≥ 10x
 /// fewer server-side storage round trips than its first execution —
 /// measured on the mounted provider's `StorageStats`, with the hub's
-/// `ServerStats`-compatible counters confirming both queries were
-/// served.
+/// `HubStats` counters confirming both queries were served.
 #[test]
 fn repeated_query_is_10x_cheaper_in_storage_round_trips() {
     let storage = metered();

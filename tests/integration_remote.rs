@@ -7,13 +7,19 @@ use std::sync::Arc;
 
 use deeplake::prelude::*;
 use deeplake::remote::RemoteProvider;
-use deeplake::server::DatasetServer;
 use deeplake::storage::DynProvider;
 use deeplake::tql;
 
 const ROWS: u64 = 10_000;
 const DIM: usize = 8;
 const NLIST: usize = 16;
+
+fn serve(mounted: DynProvider) -> HubHandle {
+    Hub::builder()
+        .default_mount(mounted)
+        .bind("127.0.0.1:0")
+        .unwrap()
+}
 
 /// Build the shared evaluation dataset on `provider`: sorted labels
 /// (`i / 100` → 1%-selectivity equality predicates, prunable via chunk
@@ -73,7 +79,7 @@ fn ann_query_text() -> String {
 fn remote_results_byte_identical_to_direct() {
     let mounted: DynProvider = Arc::new(MemoryProvider::new());
     build_dataset(mounted.clone());
-    let server = DatasetServer::bind("127.0.0.1:0", mounted.clone()).unwrap();
+    let server = serve(mounted.clone());
     let remote: DynProvider = Arc::new(RemoteProvider::connect(server.addr()).unwrap());
 
     let direct = Dataset::open(mounted.clone()).unwrap();
@@ -145,7 +151,7 @@ fn remote_results_byte_identical_to_direct() {
 #[test]
 fn writes_through_remote_land_in_mounted_storage() {
     let mounted: DynProvider = Arc::new(MemoryProvider::new());
-    let server = DatasetServer::bind("127.0.0.1:0", mounted.clone()).unwrap();
+    let server = serve(mounted.clone());
     let remote: DynProvider = Arc::new(RemoteProvider::connect(server.addr()).unwrap());
 
     let mut ds = Dataset::create(remote.clone(), "written_remotely").unwrap();
@@ -174,7 +180,7 @@ fn writes_through_remote_land_in_mounted_storage() {
 fn offload_beats_chunk_pulls_by_5x() {
     let mounted: DynProvider = Arc::new(MemoryProvider::new());
     build_dataset(mounted.clone());
-    let server = DatasetServer::bind("127.0.0.1:0", mounted).unwrap();
+    let server = serve(mounted);
     // the sim-latency transport: a deterministic per-round-trip charge
     // (scaled down so the test stays fast; ratios are what matter)
     let transport = deeplake::remote::RemoteOptions {
@@ -229,7 +235,7 @@ fn offload_beats_chunk_pulls_by_5x() {
 #[test]
 fn at_version_queries_offload() {
     let mounted: DynProvider = Arc::new(MemoryProvider::new());
-    let server = DatasetServer::bind("127.0.0.1:0", mounted.clone()).unwrap();
+    let server = serve(mounted.clone());
     let remote = Arc::new(RemoteProvider::connect(server.addr()).unwrap());
 
     let mut ds = Dataset::create(remote.clone(), "versioned").unwrap();

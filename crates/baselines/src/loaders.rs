@@ -385,10 +385,11 @@ mod tests {
         let sim =
             SimulatedCloudProvider::new("s3", MemoryProvider::new(), NetworkProfile::instant());
         JpegDirWriter.write(&sim, "pt", &imgs).unwrap();
-        sim.stats().reset();
+        let before = sim.stats().snapshot();
         FilePerSampleLoader.epoch(&sim, "pt", 4).unwrap();
         // 25 image GETs + 1 labels GET
-        assert_eq!(sim.stats().get_requests(), 26);
+        let epoch = sim.stats().snapshot().delta_since(&before);
+        assert_eq!(epoch.get_requests, 26);
     }
 
     #[test]
@@ -404,8 +405,9 @@ mod tests {
         .write(&sim, "wd", &imgs)
         .unwrap();
         let shards = sim.inner().list("wd/").unwrap().len() as u64;
-        sim.stats().reset();
+        let before = sim.stats().snapshot();
         TarStreamLoader.epoch(&sim, "wd", 4).unwrap();
-        assert_eq!(sim.stats().get_requests(), shards);
+        let epoch = sim.stats().snapshot().delta_since(&before);
+        assert_eq!(epoch.get_requests, shards);
     }
 }

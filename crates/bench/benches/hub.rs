@@ -59,18 +59,18 @@ fn bench_hub(c: &mut Criterion) {
     let text = "SELECT labels FROM hub_bench WHERE labels = 7";
 
     // first execution: full storage cost
-    storage_a.stats().reset();
+    let before = storage_a.stats().snapshot();
     let (first, first_wall) = {
         let t = Instant::now();
         let r = client.query(text, &QueryOptions::default()).unwrap();
         (r, t.elapsed())
     };
     assert_eq!(first.len(), 100);
-    let first_rts = storage_a.stats().round_trips();
-    let first_bytes = storage_a.stats().bytes_read();
+    let after_first = storage_a.stats().snapshot();
+    let first_cost = after_first.delta_since(&before);
+    let (first_rts, first_bytes) = (first_cost.round_trips, first_cost.bytes_read);
 
     // repeats: pure frame copies
-    storage_a.stats().reset();
     const REPEATS: u32 = 200;
     let t = Instant::now();
     for _ in 0..REPEATS {
@@ -78,7 +78,11 @@ fn bench_hub(c: &mut Criterion) {
         assert_eq!(r.len(), 100);
     }
     let repeat_wall = t.elapsed();
-    let repeat_rts = storage_a.stats().round_trips();
+    let repeat_rts = storage_a
+        .stats()
+        .snapshot()
+        .delta_since(&after_first)
+        .round_trips;
     let cached_ops = REPEATS as f64 / repeat_wall.as_secs_f64();
     eprintln!(
         "hub/cache: first execution {first_rts} storage round trips / {first_bytes} bytes in {first_wall:?} \

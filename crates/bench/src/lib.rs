@@ -72,164 +72,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Pretty-print an obs [`MetricsSnapshot`] (as returned by
-/// `RemoteProvider::hub_metrics`, `HubHandle::metrics`, or a merged
-/// fleet view): counters and gauges first, then windowed rates, then
-/// histogram quantiles in milliseconds, then the flight-recorder tail,
-/// then the slow-query ring. Named sections are sorted by instrument
-/// name so two snapshots diff line-by-line; ring sections (events,
-/// slow queries) keep their ring order, which *is* the information.
-/// Empty sections are skipped.
-pub fn print_metrics(title: &str, snap: &deeplake_obs::MetricsSnapshot) {
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let sorted = |rows: Vec<Vec<String>>| {
-        let mut rows = rows;
-        rows.sort();
-        rows
-    };
-    if !snap.counters.is_empty() || !snap.gauges.is_empty() {
-        let mut rows: Vec<Vec<String>> = snap
-            .counters
-            .iter()
-            .map(|(k, v)| vec![k.clone(), v.to_string()])
-            .collect();
-        rows.extend(
-            snap.gauges
-                .iter()
-                .map(|(k, v)| vec![k.clone(), v.to_string()]),
-        );
-        print_table(
-            &format!("{title}: counters"),
-            &["name", "value"],
-            &sorted(rows),
-        );
-    }
-    if !snap.rates.is_empty() {
-        let rows: Vec<Vec<String>> = snap
-            .rates
-            .iter()
-            .map(|(k, r)| {
-                let mut row = vec![k.clone()];
-                for i in 0..deeplake_obs::WINDOW_SECS.len() {
-                    row.push(r.counts[i].to_string());
-                    row.push(format!("{:.1}", r.per_sec(i)));
-                }
-                row
-            })
-            .collect();
-        print_table(
-            &format!("{title}: rates"),
-            &["name", "1s", "/s", "10s", "/s", "60s", "/s"],
-            &sorted(rows),
-        );
-    }
-    if !snap.histograms.is_empty() {
-        let rows: Vec<Vec<String>> = snap
-            .histograms
-            .iter()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(k, h)| {
-                vec![
-                    k.clone(),
-                    h.count.to_string(),
-                    ms(h.quantile(0.50)),
-                    ms(h.quantile(0.90)),
-                    ms(h.quantile(0.99)),
-                    ms(h.max),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("{title}: histograms (ms)"),
-            &["name", "count", "p50", "p90", "p99", "max"],
-            &sorted(rows),
-        );
-    }
-    if !snap.events.is_empty() {
-        let rows: Vec<Vec<String>> = snap
-            .events
-            .iter()
-            .map(|e| {
-                vec![
-                    e.seq.to_string(),
-                    e.at_unix_ms.to_string(),
-                    e.kind.clone(),
-                    if e.trace_id == 0 {
-                        "-".to_string()
-                    } else {
-                        format!("{:016x}", e.trace_id)
-                    },
-                    e.detail.clone(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("{title}: flight recorder"),
-            &["seq", "at_unix_ms", "kind", "trace", "detail"],
-            &rows,
-        );
-    }
-    if !snap.slow_queries.is_empty() {
-        let rows: Vec<Vec<String>> = snap
-            .slow_queries
-            .iter()
-            .map(|e| {
-                vec![
-                    format!("{:016x}", e.trace_id),
-                    e.dataset.clone(),
-                    ms(e.total_ns),
-                    e.spans
-                        .iter()
-                        .map(|s| format!("{}={}", s.name, ms(s.dur_ns)))
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                    e.text.clone(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("{title}: slow queries"),
-            &["trace", "dataset", "total_ms", "spans_ms", "text"],
-            &rows,
-        );
-    }
-}
-
-/// Pretty-print a fleet view from
-/// [`deeplake_cluster::ClusterClient::cluster_metrics`]: the merged
-/// snapshot first, then a one-line-per-node breakdown (queries,
-/// connections, cuts, bytes out) sorted by address so runs diff
-/// cleanly. Per-node detail beyond the summary line is available by
-/// calling [`print_metrics`] on any `per_node` snapshot.
-pub fn print_cluster_metrics(title: &str, fleet: &deeplake_cluster::ClusterMetrics) {
-    print_metrics(
-        &format!("{title} (merged, {} nodes)", fleet.per_node.len()),
-        &fleet.merged,
-    );
-    let rows: Vec<Vec<String>> = fleet
-        .per_node
-        .iter()
-        .map(|(addr, snap)| {
-            let c = |name: &str| snap.counter(name).unwrap_or(0).to_string();
-            vec![
-                addr.clone(),
-                c("hub.requests"),
-                c("hub.queries"),
-                c("hub.busy_rejections"),
-                c("hub.wire.bytes_written"),
-                snap.events.len().to_string(),
-            ]
-        })
-        .collect();
-    let mut rows = rows;
-    rows.sort();
-    print_table(
-        &format!("{title}: per node"),
-        &["node", "requests", "queries", "busy", "bytes_out", "events"],
-        &rows,
-    );
-}
-
 /// Ingest raw images into a fresh Deep Lake dataset on `provider`.
 /// `compress` picks raw (Fig. 6 writes uncompressed arrays) vs JPEG-like
 /// sample compression (Fig. 7's JPEG dataset).

@@ -51,26 +51,18 @@ use parking_lot::{Mutex, RwLock};
 use crate::map::ClusterMap;
 
 /// Routing-client configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterClientOptions {
     /// Per-connection transport options (pool size, injected latency,
     /// `Busy` retry budget) for every replica connection.
     pub remote: RemoteOptions,
-    /// Placement-refresh rounds after every replica in the cached
-    /// placement failed: each extra round re-asks the seeds `WhereIs`
-    /// and retries the whole replica set once. 1 is enough to survive
-    /// any single membership change between refreshes.
-    pub refresh_rounds: usize,
 }
 
-impl Default for ClusterClientOptions {
-    fn default() -> Self {
-        ClusterClientOptions {
-            remote: RemoteOptions::default(),
-            refresh_rounds: 1,
-        }
-    }
-}
+/// Placement-refresh rounds after every replica in the cached placement
+/// failed: each round re-asks the seeds `WhereIs` and retries the whole
+/// replica set once. One survives any single membership change between
+/// refreshes.
+const REFRESH_ROUNDS: usize = 1;
 
 /// `Io` and `Busy` mean the *node* failed, not the request — another
 /// replica can serve it. Everything else is a property of the data and
@@ -591,7 +583,7 @@ impl ClusterMount {
         options: &QueryOptions,
     ) -> deeplake_tql::Result<QueryResult> {
         let mut last_err: Option<TqlError> = None;
-        for round in 0..=self.shared.options.refresh_rounds {
+        for round in 0..=REFRESH_ROUNDS {
             if round > 0 && self.refresh().is_err() {
                 break;
             }
@@ -631,7 +623,7 @@ impl ClusterMount {
         op: &dyn Fn(&RemoteProvider) -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
         let mut last_err: Option<StorageError> = None;
-        for round in 0..=self.shared.options.refresh_rounds {
+        for round in 0..=REFRESH_ROUNDS {
             if round > 0 && self.refresh().is_err() {
                 break;
             }
@@ -672,7 +664,7 @@ impl ClusterMount {
         op: &dyn Fn(&RemoteProvider) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let mut last_err: Option<StorageError> = None;
-        for round in 0..=self.shared.options.refresh_rounds {
+        for round in 0..=REFRESH_ROUNDS {
             if round > 0 && self.refresh().is_err() {
                 break;
             }

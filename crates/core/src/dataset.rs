@@ -894,11 +894,6 @@ impl Dataset {
             .collect())
     }
 
-    /// The version tree (read access for tooling).
-    pub fn version_tree(&self) -> &VersionTree {
-        &self.tree
-    }
-
     /// Accumulated per-tensor changes of `tip` since `base` (both node
     /// ids), read from the stored commit-diff files.
     fn accumulated_diffs(&self, tip: &str, base: &str) -> Result<HashMap<String, CommitDiff>> {

@@ -10,7 +10,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use deeplake_codec::Compression;
 use deeplake_format::chunk::{decode_sample, encode_sample};
 use deeplake_format::{
     Chunk, ChunkBuilder, ChunkEncoder, ChunkSizePolicy, ChunkStats, ChunkStatsIndex, FlushReason,
@@ -187,12 +186,6 @@ impl TensorStore {
     /// Tensor metadata.
     pub fn meta(&self) -> &TensorMeta {
         &self.meta
-    }
-
-    /// Mutable metadata access (schema tweaks; callers must flush).
-    pub fn meta_mut(&mut self) -> &mut TensorMeta {
-        self.dirty = true;
-        &mut self.meta
     }
 
     /// Number of rows, including unflushed ones.
@@ -757,12 +750,6 @@ impl TensorStore {
         memo.push((chunk_id, chunk));
     }
 
-    /// Decode one sample out of the open chunk (rows past the sealed
-    /// region). `local` is relative to the open chunk.
-    pub fn open_chunk_sample(&self, local: usize) -> Result<Sample> {
-        Ok(self.builder.open_chunk().sample(local)?)
-    }
-
     /// Number of rows safely covered by sealed chunks.
     pub fn sealed_rows(&self) -> u64 {
         self.encoder.num_rows()
@@ -906,13 +893,6 @@ impl TensorStore {
 
 fn chunk_key(id: u64) -> String {
     format!("chunks/{id:016x}")
-}
-
-/// Compression the §5 verbatim-copy path expects for a tensor: raw files
-/// may be appended via [`TensorStore::append_encoded`] only when their
-/// codec equals this.
-pub fn expected_sample_compression(meta: &TensorMeta) -> Compression {
-    meta.sample_compression
 }
 
 #[cfg(test)]

@@ -123,11 +123,6 @@ impl ChunkBuilder {
         self.open.sample_count()
     }
 
-    /// Payload bytes buffered in the open chunk.
-    pub fn open_bytes(&self) -> usize {
-        self.open.payload_len()
-    }
-
     /// Borrow the open (not yet flushed) chunk — lets readers see rows that
     /// have been appended but not yet written to storage.
     pub fn open_chunk(&self) -> &Chunk {

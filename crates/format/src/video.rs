@@ -60,11 +60,6 @@ impl VideoIndex {
         self.num_frames
     }
 
-    /// Number of key frames.
-    pub fn num_key_frames(&self) -> usize {
-        self.key_frames.len()
-    }
-
     /// The byte range to fetch and the first frame of that range, for
     /// decoding `frame`: `(byte_start, byte_end, segment_first_frame)`.
     ///

@@ -95,6 +95,16 @@ const LISTEN_KEY: u64 = u64::MAX - 1;
 /// so one firehose peer cannot starve the loop's other connections.
 const READ_BURST: usize = 256 * 1024;
 
+/// Slow-query ring capacity: the most recent entries, read oldest first
+/// via [`HubHandle::metrics`] or the wire `Metrics` opcode.
+const SLOW_LOG_ENTRIES: usize = 64;
+
+/// Flight-recorder ring capacity: how many recent notable events —
+/// connections cut, `Busy` rejections, stall cuts, mount changes,
+/// observed node deaths — the hub retains for `Metrics`, `Health` and
+/// [`HubHandle::flight_recorder`].
+const FLIGHT_EVENTS: usize = 128;
+
 /// Key prefix wire-`Mount`ed datasets are namespaced under on the hub's
 /// backing store.
 const WIRE_MOUNT_PREFIX: &str = "datasets";
@@ -147,16 +157,6 @@ pub struct HubOptions {
     /// breakdown. `Duration::ZERO` logs every query — useful in tests
     /// and when chasing a tail you have not caught yet.
     pub slow_query_threshold: Duration,
-    /// Slow-query ring capacity (0 disables the log). The ring keeps
-    /// the most recent entries; readers see them oldest first via
-    /// [`HubHandle::metrics`] or the wire `Metrics` opcode.
-    pub slow_log_entries: usize,
-    /// Flight-recorder ring capacity (0 disables it): how many recent
-    /// notable events — connections cut, `Busy` rejections, stall cuts,
-    /// mount changes, observed node deaths — the hub retains. The ring
-    /// is always on and surfaces through `Metrics`, `Health` and
-    /// [`HubHandle::flight_recorder`].
-    pub flight_events: usize,
 }
 
 impl Default for HubOptions {
@@ -170,8 +170,6 @@ impl Default for HubOptions {
             stall_timeout: Duration::from_secs(30),
             cache_bytes: 64 << 20,
             slow_query_threshold: Duration::from_millis(250),
-            slow_log_entries: 64,
-            flight_events: 128,
         }
     }
 }
@@ -466,13 +464,13 @@ struct HubObs {
 }
 
 impl HubObs {
-    fn new(opts: &HubOptions) -> Self {
+    fn new() -> Self {
         let registry = MetricsRegistry::new();
-        let slowlog = SlowQueryLog::new(opts.slow_log_entries);
+        let slowlog = SlowQueryLog::new(SLOW_LOG_ENTRIES);
         registry.register_counter("hub.slow_log.evicted", slowlog.evicted_counter());
         HubObs {
             slowlog,
-            recorder: FlightRecorder::new(opts.flight_events),
+            recorder: FlightRecorder::new(FLIGHT_EVENTS),
             queue_wait: registry.histogram("hub.queue_wait_ns"),
             cache_lookup: registry.histogram("hub.cache_lookup_ns"),
             execute: registry.histogram("hub.execute_ns"),
@@ -638,7 +636,7 @@ impl HubBuilder {
             wire_mounts: Mutex::new(std::collections::HashSet::new()),
             placement: self.placement,
             stats: HubStats::default(),
-            obs: HubObs::new(&self.opts),
+            obs: HubObs::new(),
             queue: JobQueue::new(self.opts.queue_depth),
             loops,
             next_token: AtomicU64::new(0),
@@ -713,14 +711,6 @@ impl HubHandle {
     /// `Metrics` opcode.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.obs.snapshot()
-    }
-
-    /// The hub's instrument registry. Mounted providers, embedding
-    /// layers, or tests can register additional instruments here and
-    /// they will surface in [`metrics`](HubHandle::metrics) and the wire
-    /// `Metrics` opcode alongside the hub's own.
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.shared.obs.registry
     }
 
     /// The hub's always-on flight recorder. A cheap-clone handle: a

@@ -209,18 +209,20 @@ fn repeated_queries_hit_the_result_cache() {
     let client = RemoteProvider::connect(hub.addr()).unwrap();
     client.attach("cached").unwrap();
 
-    storage.stats().reset();
+    let before = storage.stats().snapshot();
     let first = client
         .query(
             "SELECT labels FROM d WHERE labels = 3",
             &QueryOptions::default(),
         )
         .unwrap();
-    let first_rts = storage.stats().round_trips();
-    assert!(first_rts > 0, "the first execution touches storage");
+    let after_first = storage.stats().snapshot();
+    assert!(
+        after_first.delta_since(&before).round_trips > 0,
+        "the first execution touches storage"
+    );
     assert_eq!(hub.cache().stats().cache_misses(), 1);
 
-    storage.stats().reset();
     let again = client
         .query(
             "SELECT labels FROM d WHERE labels = 3",
@@ -228,7 +230,11 @@ fn repeated_queries_hit_the_result_cache() {
         )
         .unwrap();
     assert_eq!(
-        storage.stats().round_trips(),
+        storage
+            .stats()
+            .snapshot()
+            .delta_since(&after_first)
+            .round_trips,
         0,
         "a hit is a pure frame copy"
     );
@@ -238,14 +244,20 @@ fn repeated_queries_hit_the_result_cache() {
     assert_eq!(hub.cache().stats().cache_hits(), 1);
 
     // canonicalization: a formatting variant is the same cache entry
-    storage.stats().reset();
     let variant = client
         .query(
             "select   labels from d  where labels=3",
             &QueryOptions::default(),
         )
         .unwrap();
-    assert_eq!(storage.stats().round_trips(), 0);
+    assert_eq!(
+        storage
+            .stats()
+            .snapshot()
+            .delta_since(&after_first)
+            .round_trips,
+        0
+    );
     assert_eq!(variant.indices, first.indices);
     assert_eq!(hub.cache().stats().cache_hits(), 2);
 
@@ -303,12 +315,12 @@ fn writes_invalidate_mutable_entries_but_not_pinned_ones() {
     let head_r = client.query(text, &QueryOptions::default()).unwrap();
     assert_eq!(head_r.indices.len(), 12, "stale cache served after write");
     // the committed-version query still answers 10, from cache
-    hub.cache().stats().reset();
+    let hits_before = hub.cache().stats().cache_hits();
     let pinned_again = client.query(&at_commit, &QueryOptions::default()).unwrap();
     assert_eq!(pinned_again.indices.len(), 10);
     assert_eq!(
         hub.cache().stats().cache_hits(),
-        1,
+        hits_before + 1,
         "pinned entry must survive the write"
     );
 }
@@ -587,24 +599,26 @@ fn client_retries_absorb_transient_busy() {
     panic!("20 rounds of 3-way concurrency never overflowed a 1-slot queue");
 }
 
-/// A client speaking the wrong protocol generation is rejected with the
-/// lossless hello error — over a real socket, not just the codec.
+/// A client speaking the wrong protocol generation — the next one, or
+/// the previous one (which could not promise the `Traced` envelope) —
+/// is rejected with the lossless hello error, over a real socket, not
+/// just the codec.
 #[test]
 fn version_mismatch_rejected_over_tcp() {
     let (hub, _, _) = two_dataset_hub();
-    let mut raw = std::net::TcpStream::connect(hub.addr()).unwrap();
-    let hello = proto::encode_request(&proto::Request::Hello {
-        version: proto::PROTO_VERSION + 1,
-    });
-    proto::write_frame(&mut raw, &hello).unwrap();
-    let resp = proto::read_frame(&mut raw).unwrap().unwrap();
-    let err = proto::expect_hello(&resp).unwrap_err();
-    assert!(
-        err.to_string().contains("unsupported"),
-        "unexpected {err:?}"
-    );
-    // the hub hangs up on incompatible clients: next read is EOF
-    assert!(proto::read_frame(&mut raw).unwrap().is_none());
+    for version in [proto::PROTO_VERSION + 1, proto::PROTO_VERSION - 1] {
+        let mut raw = std::net::TcpStream::connect(hub.addr()).unwrap();
+        let hello = proto::encode_request(&proto::Request::Hello { version });
+        proto::write_frame(&mut raw, &hello).unwrap();
+        let resp = proto::read_frame(&mut raw).unwrap().unwrap();
+        let err = proto::expect_hello(&resp).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported"),
+            "v{version}: unexpected {err:?}"
+        );
+        // the hub hangs up on incompatible clients: next read is EOF
+        assert!(proto::read_frame(&mut raw).unwrap().is_none());
+    }
 }
 
 /// Eight concurrent clients split across two datasets stream loader

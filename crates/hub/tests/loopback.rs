@@ -86,26 +86,27 @@ fn execute_is_one_round_trip() {
             .put(&format!("chunks/c{i}"), Bytes::from(vec![i as u8; 512]))
             .unwrap();
     }
-    client.stats().reset();
+    let before = client.stats().snapshot();
     let mut plan = ReadPlan::new();
     for i in 0..16 {
         plan.whole(format!("chunks/c{i}"));
     }
     let outcome = client.execute(&plan);
     assert!(outcome.results.iter().all(|r| r.is_ok()));
+    let after_execute = client.stats().snapshot();
     assert_eq!(
-        client.stats().round_trips(),
+        after_execute.delta_since(&before).round_trips,
         1,
         "16 chunk reads must cost one network round trip"
     );
     // and get_many too
-    client.stats().reset();
     let requests: Vec<_> = (0..16)
         .map(|i| deeplake_storage::ReadRequest::whole(format!("chunks/c{i}")))
         .collect();
     let results = client.get_many(&requests);
     assert!(results.iter().all(|r| r.is_ok()));
-    assert_eq!(client.stats().round_trips(), 1);
+    let after_get_many = client.stats().snapshot();
+    assert_eq!(after_get_many.delta_since(&after_execute).round_trips, 1);
 }
 
 /// A dataset created, written, committed and read entirely through the
@@ -150,7 +151,7 @@ fn query_offload_returns_rows_without_chunk_traffic() {
         ds.flush().unwrap();
     }
     let queries_before = server.stats().queries();
-    remote.stats().reset();
+    let before = remote.stats().snapshot();
     let result = remote
         .query(
             "SELECT labels FROM offload WHERE labels = 3",
@@ -167,7 +168,7 @@ fn query_offload_returns_rows_without_chunk_traffic() {
         }
     }
     assert_eq!(
-        remote.stats().round_trips(),
+        remote.stats().snapshot().delta_since(&before).round_trips,
         1,
         "the whole query must cost one round trip"
     );

@@ -1,7 +1,7 @@
 //! End-to-end observability over real loopback TCP: client-generated
 //! trace ids showing up in the hub's slow-query span tree, the live
-//! `Metrics` opcode, and backwards compatibility with clients that
-//! predate the trace envelope (untagged frames).
+//! `Metrics` opcode, and clients that send no trace envelope (bare
+//! frames).
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -52,8 +52,7 @@ fn query_hub() -> HubHandle {
 fn client_trace_connects_to_hub_span_tree() {
     let hub = query_hub();
     let client = RemoteProvider::connect(hub.addr()).unwrap();
-    // the handshake probe saw a tracing-capable hub
-    assert!(client.tracing_enabled());
+    assert!(client.tracing_enabled(), "tracing is the default");
     client.attach("obsds").unwrap();
 
     let rows = client
@@ -119,9 +118,22 @@ fn client_trace_connects_to_hub_span_tree() {
     assert!(mine.counter("client.wire.round_trips").unwrap_or(0) >= 2);
 }
 
-/// A client that has never heard of the trace envelope — raw untagged
-/// frames exactly as PROTO_VERSION 2 clients sent before this PR — is
-/// still served byte-for-byte.
+/// The protocol version promises the `Traced` envelope, so a dial needs
+/// no capability probe: `Hello` and `Pipeline`, plus the attach replay
+/// on a socket dialed while attached — and nothing else.
+#[test]
+fn dial_is_hello_then_pipeline() {
+    let hub = query_hub();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    assert!(client.tracing_enabled());
+    assert_eq!(hub.stats().requests(), 2, "Hello + Pipeline");
+    client.attach("obsds").unwrap(); // dials a fresh socket
+    assert_eq!(hub.stats().requests(), 5, "+ Hello + Attach + Pipeline");
+}
+
+/// A client that sends no trace envelope — bare request frames, as
+/// `RemoteOptions::tracing = false` and hand-rolled clients do — is
+/// served byte-for-byte.
 #[test]
 fn legacy_untagged_frames_are_still_served() {
     let storage = Arc::new(MemoryProvider::new());
@@ -158,72 +170,6 @@ fn legacy_untagged_frames_are_still_served() {
     assert!(snap
         .histogram("hub.queue_wait_ns")
         .is_some_and(|h| !h.is_empty()));
-}
-
-/// The other upgrade direction: an upgraded client dialing a server
-/// that predates the trace envelope. PROTO_VERSION did not change, so
-/// the Hello exchange cannot reveal the missing extension — the
-/// client's handshake probe (one traced Ping, answered here with the
-/// "unknown opcode" protocol error an old decoder produces) must flip
-/// it to untagged frames instead of every exchange failing.
-#[test]
-fn upgraded_client_falls_back_against_pre_tracing_server() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        // the client pool dials exactly one socket in this test
-        let (mut stream, _) = listener.accept().unwrap();
-        let mut pipelined = false;
-        loop {
-            let Ok(Some(frame)) = proto::read_frame(&mut stream) else {
-                return;
-            };
-            let body = if pipelined {
-                match proto::split_tagged(&frame) {
-                    Some((_, body)) => body.to_vec(),
-                    None => return,
-                }
-            } else {
-                frame.clone()
-            };
-            let req = proto::decode_request(&body);
-            let resp = match &req {
-                // a pre-tracing decoder has no OP_TRACED branch: any
-                // traced frame — the probe, or a wrapped data op if the
-                // fallback failed to disarm — dies losslessly here
-                Ok(Request::Traced { .. }) => proto::resp_proto_err("unknown opcode 20"),
-                Ok(Request::Hello { version }) => proto::hello_response(*version),
-                Ok(Request::Pipeline) | Ok(Request::Ping) => proto::resp_unit(),
-                Ok(Request::Get { .. }) => proto::resp_bytes(b"old server value"),
-                _ => proto::resp_proto_err("unexpected request"),
-            };
-            let out = match (pipelined, proto::split_tagged(&frame)) {
-                (true, Some((id, _))) => proto::tag_request(id, &resp),
-                _ => resp,
-            };
-            if proto::write_frame(&mut stream, &out).is_err() {
-                return;
-            }
-            if matches!(req, Ok(Request::Pipeline)) {
-                pipelined = true;
-            }
-        }
-    });
-
-    let client = RemoteProvider::connect(addr).unwrap();
-    assert!(
-        !client.tracing_enabled(),
-        "probe must detect the pre-tracing server"
-    );
-    // data ops go out untagged: the old decoder serves them unchanged
-    assert_eq!(
-        client.get("k").unwrap(),
-        Bytes::from_static(b"old server value")
-    );
-    // no trace context was fabricated for untraced exchanges
-    assert_eq!(client.last_trace(), (0, 0));
-    drop(client);
-    server.join().unwrap();
 }
 
 /// Cache hits cost zero (or one memoized-head) storage round trips;

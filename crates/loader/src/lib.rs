@@ -18,11 +18,18 @@
 //! Every stage is instrumented (see [`report`]): log-scale histograms
 //! under the `loader.*_ns` names, a prefetch queue-depth gauge, row and
 //! byte counters with windowed rates, and per-worker utilization —
-//! scrapeable live via [`DataLoader::metrics`]. Each epoch mints a
-//! trace root and fetches under per-task child spans, so streaming from
-//! a hub yields one connected span tree from the training step down to
-//! object storage; [`EpochIter::report`](loader::EpochIter::report)
-//! summarizes an epoch and attributes its [`Bottleneck`] automatically.
+//! scrapeable live via [`DataLoader::metrics`]. Each sample is
+//! recorded once, into that loader-lifetime registry; an epoch's
+//! [`LoaderStats`] and [`EpochReport`] are the registry's growth since
+//! the epoch began, so consume one epoch of a loader before starting
+//! its next (overlapping epochs would share an interval). Each epoch
+//! mints a trace root and fetches under per-task child spans, so
+//! streaming from a hub yields one connected span tree from the
+//! training step down to object storage;
+//! [`EpochIter::report`](loader::EpochIter::report) summarizes an
+//! epoch and attributes its [`Bottleneck`] automatically. Workers claim
+//! equal blocks of the epoch order from a shared cursor
+//! ([`scheduler`]).
 //!
 //! ```
 //! use deeplake_core::Dataset;

@@ -19,14 +19,13 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver};
 use deeplake_core::{CoreError, Dataset, Row};
 use deeplake_obs::{
-    with_current, Counter, Gauge, MetricsRegistry, MetricsSnapshot, RateWindow, SpanRecord,
-    TraceContext,
+    with_current, Counter, MetricsRegistry, MetricsSnapshot, SpanRecord, TraceContext,
 };
 
 use crate::batch::Batch;
 use crate::config::{LoaderBuilder, LoaderConfig};
 use crate::memory::MemoryEstimator;
-use crate::report::{EpochReport, LoaderObs, StageObs, StageSummary, Stages, WorkerSummary};
+use crate::report::{EpochReport, LoaderObs, StageSummary, WorkerSummary};
 use crate::scheduler::Scheduler;
 use crate::shuffle::{block_shuffled_order, ShuffleBuffer};
 use crate::Result;
@@ -115,6 +114,9 @@ impl DataLoader {
     /// spans under this epoch's trace — one connected tree from the
     /// training loop down to object storage.
     pub fn epoch(&self) -> EpochIter {
+        // The epoch's view of every instrument is its growth since this
+        // reading, so it comes first — before the schedule sample.
+        let base = self.obs.registry.snapshot();
         self.obs.epochs.inc();
         let sched_t = Instant::now();
         // 1. epoch order
@@ -122,7 +124,6 @@ impl DataLoader {
             Some(cfg) => block_shuffled_order(&self.indices, cfg),
             None => self.indices.clone(),
         };
-        let total = order.len();
 
         // 2. in-flight budget (rows)
         let estimator = MemoryEstimator::for_dataset(&self.dataset, Some(&self.tensor_names));
@@ -131,27 +132,14 @@ impl DataLoader {
             in_flight = in_flight.min(estimator.rows_in_flight(budget, self.config.batch_size));
         }
 
-        // 3. schedule: CPU cost per row ≈ decoded bytes through a codec
-        let cost_per_row: u64 = self
-            .tensor_names
-            .iter()
-            .filter_map(|n| self.dataset.tensor_meta(n).ok())
-            .filter(|m| m.sample_compression != deeplake_codec::Compression::None)
-            .map(|m| m.max_shape.num_elements() * m.dtype.size() as u64)
-            .sum();
-        let block = self
-            .config
-            .shuffle
-            .map(|s| s.block_rows)
-            .unwrap_or(32)
-            .max(1);
-        let scheduler = Arc::new(Scheduler::new(total, block, |_| cost_per_row));
+        // 3. schedule: one task per shuffle block
+        let block = self.config.shuffle.map(|s| s.block_rows).unwrap_or(32);
+        let scheduler = Arc::new(Scheduler::new(order.len(), block));
 
-        let stages = StageObs {
-            life: self.obs.stages.clone(),
-            epoch: Stages::fresh(),
-        };
-        stages.schedule(sched_t.elapsed().as_nanos() as u64);
+        self.obs
+            .stages
+            .schedule
+            .record(sched_t.elapsed().as_nanos() as u64);
         let root = TraceContext::root();
         let spans: Arc<Mutex<Vec<SpanRecord>>> = Arc::new(Mutex::new(Vec::new()));
         let sent = Arc::new(AtomicU64::new(0));
@@ -160,7 +148,6 @@ impl DataLoader {
         let (tx, rx) = bounded::<std::result::Result<(usize, Row), String>>(in_flight.max(1));
         let order = Arc::new(order);
         let mut handles = Vec::with_capacity(self.config.num_workers);
-        let mut worker_counters = Vec::with_capacity(self.config.num_workers);
         for w_idx in 0..self.config.num_workers {
             let dataset = self.dataset.clone();
             let order = order.clone();
@@ -168,24 +155,12 @@ impl DataLoader {
             let tensor_names = self.tensor_names.clone();
             let transform = self.config.transform.clone();
             let tx = tx.clone();
-            let epoch_busy = Counter::new();
-            let epoch_tasks = Counter::new();
-            worker_counters.push((epoch_busy.clone(), epoch_tasks.clone()));
             let w = WorkerObs {
-                stages: stages.clone(),
+                obs: self.obs.clone(),
                 spans: spans.clone(),
-                queue_depth: self.obs.queue_depth.clone(),
                 sent: sent.clone(),
-                life_busy: self
-                    .obs
-                    .registry
-                    .counter(&format!("loader.worker.{w_idx}.busy_ns")),
-                life_tasks: self
-                    .obs
-                    .registry
-                    .counter(&format!("loader.worker.{w_idx}.tasks")),
-                epoch_busy,
-                epoch_tasks,
+                busy: self.obs.registry.counter(&worker_busy_name(w_idx)),
+                tasks: self.obs.registry.counter(&worker_tasks_name(w_idx)),
             };
             handles.push(std::thread::spawn(move || {
                 while let Some(task) = scheduler.next() {
@@ -226,9 +201,11 @@ impl DataLoader {
                             // Stage samples land the moment the stage
                             // finishes — before any send can block — so
                             // a consumer dropping mid-epoch loses none.
-                            w.stages.fetch(pf.fetch_ns());
-                            w.stages
-                                .decode(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
+                            let stages = &w.obs.stages;
+                            stages.fetch.record(pf.fetch_ns());
+                            stages
+                                .decode
+                                .record(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
                             failure
                         }
                         Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
@@ -238,7 +215,7 @@ impl DataLoader {
                         Some(f) => {
                             let t = Instant::now();
                             let out: Vec<Row> = batch_rows.into_iter().map(|row| f(row)).collect();
-                            w.stages.transform(t.elapsed().as_nanos() as u64);
+                            w.obs.stages.transform.record(t.elapsed().as_nanos() as u64);
                             out
                         }
                         None => batch_rows,
@@ -277,39 +254,35 @@ impl DataLoader {
             drop_last: self.config.drop_last,
             upstream_done: false,
             failed: false,
-            stats: LoaderStats::default(),
             started: Instant::now(),
-            stages,
-            queue_depth: self.obs.queue_depth.clone(),
+            obs: self.obs.clone(),
+            base,
             sent,
             recvd: 0,
-            rows_c: self.obs.rows.clone(),
-            batches_c: self.obs.batches.clone(),
-            bytes_c: self.obs.bytes.clone(),
-            rows_rate: self.obs.rows_rate.clone(),
-            batches_rate: self.obs.batches_rate.clone(),
-            bytes_rate: self.obs.bytes_rate.clone(),
             root,
             spans,
-            worker_counters,
             in_flight: in_flight.max(1),
             resumed_at: None,
         }
     }
 }
 
-/// Per-worker bundle of shared instruments, cloned into each worker
-/// thread. Busy/task counters record twice (loader lifetime + this
-/// epoch), the PR-8 double-recording pattern.
+fn worker_busy_name(worker: usize) -> String {
+    format!("loader.worker.{worker}.busy_ns")
+}
+
+fn worker_tasks_name(worker: usize) -> String {
+    format!("loader.worker.{worker}.tasks")
+}
+
+/// Per-worker bundle of shared instruments, moved into each worker
+/// thread.
 struct WorkerObs {
-    stages: StageObs,
+    obs: LoaderObs,
     spans: Arc<Mutex<Vec<SpanRecord>>>,
-    queue_depth: Gauge,
     sent: Arc<AtomicU64>,
-    life_busy: Counter,
-    life_tasks: Counter,
-    epoch_busy: Counter,
-    epoch_tasks: Counter,
+    busy: Counter,
+    tasks: Counter,
 }
 
 impl WorkerObs {
@@ -324,14 +297,12 @@ impl WorkerObs {
 
     /// Busy time excludes send-block: that is backpressure, not work.
     fn task_done(&self, busy_ns: u64) {
-        self.life_busy.add(busy_ns);
-        self.epoch_busy.add(busy_ns);
-        self.life_tasks.inc();
-        self.epoch_tasks.inc();
+        self.busy.add(busy_ns);
+        self.tasks.inc();
     }
 
     fn sent_one(&self) {
-        self.queue_depth.add(1);
+        self.obs.queue_depth.add(1);
         self.sent.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -356,7 +327,7 @@ impl Ord for Seq {
     }
 }
 
-/// Cumulative epoch statistics.
+/// One epoch's delivery totals so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoaderStats {
     /// Rows delivered.
@@ -403,21 +374,16 @@ pub struct EpochIter {
     drop_last: bool,
     upstream_done: bool,
     failed: bool,
-    stats: LoaderStats,
     started: Instant,
-    stages: StageObs,
-    queue_depth: Gauge,
+    /// The loader's instruments — the only place this epoch records.
+    obs: LoaderObs,
+    /// The registry as `epoch()` found it; [`stats`](Self::stats) and
+    /// [`report`](Self::report) are the growth since.
+    base: MetricsSnapshot,
     sent: Arc<AtomicU64>,
     recvd: u64,
-    rows_c: Counter,
-    batches_c: Counter,
-    bytes_c: Counter,
-    rows_rate: RateWindow,
-    batches_rate: RateWindow,
-    bytes_rate: RateWindow,
     root: TraceContext,
     spans: Arc<Mutex<Vec<SpanRecord>>>,
-    worker_counters: Vec<(Counter, Counter)>,
     in_flight: usize,
     /// When the consumer last left `next()` — the gap until it comes
     /// back is GPU/compute time, the `loader.consumer_gap_ns` signal.
@@ -427,9 +393,18 @@ pub struct EpochIter {
 impl EpochIter {
     /// Statistics up to now (final after the iterator returns `None`).
     pub fn stats(&self) -> LoaderStats {
-        let mut s = self.stats;
-        s.elapsed = self.started.elapsed();
-        s
+        LoaderStats {
+            rows: self.grown("loader.rows", self.obs.rows.get()),
+            batches: self.grown("loader.batches", self.obs.batches.get()),
+            bytes: self.grown("loader.bytes", self.obs.bytes.get()),
+            elapsed: self.started.elapsed(),
+        }
+    }
+
+    /// How far the counter `name`, reading `now`, has grown this epoch
+    /// (a worker counter first registered by this epoch grew from 0).
+    fn grown(&self, name: &str, now: u64) -> u64 {
+        now - self.base.counter(name).unwrap_or(0)
     }
 
     /// The epoch's trace context — pass it to other instruments (or
@@ -438,8 +413,10 @@ impl EpochIter {
         self.root
     }
 
-    /// Build the epoch's [`EpochReport`]: exact per-stage quantiles for
-    /// *this* epoch, per-worker utilization, the client-side span
+    /// Build the epoch's [`EpochReport`]: per-stage quantiles for
+    /// *this* epoch (the registry's growth since the epoch began — see
+    /// [`report`](crate::report) for what that means when two epochs of
+    /// one loader overlap), per-worker utilization, the client-side span
     /// records, and the attributed bottleneck. Callable mid-epoch (a
     /// partial report) or after exhaustion (the final one).
     pub fn report(&self) -> EpochReport {
@@ -451,14 +428,15 @@ impl EpochIter {
             parent_span: 0,
             dur_ns: stats.elapsed.as_nanos() as u64,
         });
-        let e = &self.stages.epoch;
-        let schedule = StageSummary::of(&e.schedule);
-        let fetch = StageSummary::of(&e.fetch);
-        let decode = StageSummary::of(&e.decode);
-        let transform = StageSummary::of(&e.transform);
-        let collate = StageSummary::of(&e.collate);
-        let queue_wait = StageSummary::of(&e.queue_wait);
-        let consumer_gap = StageSummary::of(&e.consumer_gap);
+        let now = self.obs.registry.snapshot();
+        let stage = |name| StageSummary::between(&self.base, &now, name);
+        let grown = |name: String| self.grown(&name, now.counter(&name).unwrap_or(0));
+        let fetch = stage("loader.fetch_ns");
+        let decode = stage("loader.decode_ns");
+        let transform = stage("loader.transform_ns");
+        let collate = stage("loader.collate_ns");
+        let queue_wait = stage("loader.queue_wait_ns");
+        let consumer_gap = stage("loader.consumer_gap_ns");
         let bottleneck = EpochReport::attribute(
             &fetch,
             &decode,
@@ -469,21 +447,20 @@ impl EpochIter {
         );
         EpochReport {
             stats,
-            schedule,
+            schedule: stage("loader.schedule_ns"),
             fetch,
             decode,
             transform,
             collate,
             queue_wait,
             consumer_gap,
-            workers: self
-                .worker_counters
-                .iter()
-                .enumerate()
-                .map(|(i, (busy, tasks))| WorkerSummary {
-                    worker: i,
-                    busy_ns: busy.get(),
-                    tasks: tasks.get(),
+            // the worker threads are joined only on drop, so the handle
+            // count is this epoch's worker count for as long as `self`
+            workers: (0..self.handles.len())
+                .map(|worker| WorkerSummary {
+                    worker,
+                    busy_ns: grown(worker_busy_name(worker)),
+                    tasks: grown(worker_tasks_name(worker)),
                 })
                 .collect(),
             in_flight_rows: self.in_flight,
@@ -541,18 +518,18 @@ impl EpochIter {
         let rows: Vec<Row> = self.pending.drain(..take).collect();
         let collate_t = Instant::now();
         let batch = Batch::collate(rows);
-        self.stages.collate(collate_t.elapsed().as_nanos() as u64);
+        let obs = &self.obs;
+        obs.stages
+            .collate
+            .record(collate_t.elapsed().as_nanos() as u64);
         let rows_n = batch.len() as u64;
         let bytes_n = batch.nbytes() as u64;
-        self.stats.rows += rows_n;
-        self.stats.batches += 1;
-        self.stats.bytes += bytes_n;
-        self.rows_c.add(rows_n);
-        self.batches_c.inc();
-        self.bytes_c.add(bytes_n);
-        self.rows_rate.add(rows_n);
-        self.batches_rate.add(1);
-        self.bytes_rate.add(bytes_n);
+        obs.rows.add(rows_n);
+        obs.batches.inc();
+        obs.bytes.add(bytes_n);
+        obs.rows_rate.add(rows_n);
+        obs.batches_rate.add(1);
+        obs.bytes_rate.add(bytes_n);
         Some(batch)
     }
 
@@ -569,10 +546,13 @@ impl EpochIter {
             }
             let wait_t = Instant::now();
             let received = self.rx.recv();
-            self.stages.queue_wait(wait_t.elapsed().as_nanos() as u64);
+            self.obs
+                .stages
+                .queue_wait
+                .record(wait_t.elapsed().as_nanos() as u64);
             match received {
                 Ok(msg) => {
-                    self.queue_depth.add(-1);
+                    self.obs.queue_depth.add(-1);
                     self.recvd += 1;
                     match msg {
                         Ok((seq, row)) => self.absorb(seq, row),
@@ -598,7 +578,10 @@ impl Iterator for EpochIter {
         // gap. Recorded against queue_wait by the attribution rule: a
         // consumer away longer than it waits means the pipeline kept up.
         if let Some(t) = self.resumed_at.take() {
-            self.stages.consumer_gap(t.elapsed().as_nanos() as u64);
+            self.obs
+                .stages
+                .consumer_gap
+                .record(t.elapsed().as_nanos() as u64);
         }
         let out = self.advance();
         self.resumed_at = Some(Instant::now());
@@ -618,7 +601,7 @@ impl Drop for EpochIter {
         // mid-epoch, leaving it at zero for the next epoch.
         let residue = self.sent.load(Ordering::Acquire) as i64 - self.recvd as i64;
         if residue != 0 {
-            self.queue_depth.add(-residue);
+            self.obs.queue_depth.add(-residue);
         }
     }
 }

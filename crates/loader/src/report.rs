@@ -4,11 +4,17 @@
 //! Every pipeline stage of §4.6 — schedule, fetch, decode, transform,
 //! collate — plus the two waits that frame them (the consumer blocked
 //! on the prefetch queue, and the consumer *away* doing GPU work) gets
-//! a log-scale histogram. Each records twice: into the loader's
-//! lifetime [`MetricsRegistry`] (scrapeable at any time via
-//! [`DataLoader::metrics`](crate::DataLoader::metrics), the PR-8
-//! pattern that keeps `LoaderStats` accessors working), and into a
-//! fresh per-epoch set the [`EpochReport`]'s exact quantiles come from.
+//! a log-scale histogram in the loader's lifetime [`MetricsRegistry`],
+//! scrapeable at any time via
+//! [`DataLoader::metrics`](crate::DataLoader::metrics). Each sample is
+//! recorded once, there. An epoch's view — [`EpochReport`],
+//! [`LoaderStats`] — is the registry's growth since the snapshot
+//! [`DataLoader::epoch`](crate::DataLoader::epoch) took on entry
+//! ([`HistogramSnapshot::delta_since`](deeplake_obs::HistogramSnapshot::delta_since)
+//! for the stages, plain subtraction for the counters). Two epochs of
+//! one loader that *overlap* in time therefore see each other's
+//! samples; consume one before starting the next, or give each its own
+//! loader.
 //!
 //! Attribution turns the histograms into a verdict: when the consumer
 //! spends more time away than blocked, the pipeline kept up and the
@@ -20,7 +26,8 @@
 use std::fmt;
 
 use deeplake_obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, RateWindow, SpanRecord, TraceContext,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, RateWindow,
+    SpanRecord, TraceContext,
 };
 
 use crate::loader::LoaderStats;
@@ -39,20 +46,6 @@ pub(crate) struct Stages {
 }
 
 impl Stages {
-    /// Fresh, unregistered histograms — one set per epoch, so the
-    /// [`EpochReport`] quantiles cover exactly that epoch.
-    pub fn fresh() -> Self {
-        Stages {
-            schedule: Histogram::new(),
-            fetch: Histogram::new(),
-            decode: Histogram::new(),
-            transform: Histogram::new(),
-            collate: Histogram::new(),
-            queue_wait: Histogram::new(),
-            consumer_gap: Histogram::new(),
-        }
-    }
-
     /// The loader-lifetime set, registered under the `loader.*_ns`
     /// names (see the crate docs for the naming table).
     pub fn registered(reg: &MetricsRegistry) -> Self {
@@ -68,37 +61,11 @@ impl Stages {
     }
 }
 
-/// The double-recording pair every sample goes through: the loader's
-/// lifetime registry set and the current epoch's fresh set.
-#[derive(Clone)]
-pub(crate) struct StageObs {
-    pub life: Stages,
-    pub epoch: Stages,
-}
-
-macro_rules! stage_recorders {
-    ($($name:ident),+) => {
-        impl StageObs {
-            $(pub fn $name(&self, ns: u64) {
-                self.life.$name.record(ns);
-                self.epoch.$name.record(ns);
-            })+
-        }
-    };
-}
-stage_recorders!(
-    schedule,
-    fetch,
-    decode,
-    transform,
-    collate,
-    queue_wait,
-    consumer_gap
-);
-
 /// The loader's client-level instrument set, owned by
 /// [`DataLoader`](crate::DataLoader) and shared by every epoch it
-/// starts — the loader-side mirror of the hub's `HubObs`.
+/// starts — the loader-side mirror of the hub's `HubObs`. Cheap-clone:
+/// clones share every instrument.
+#[derive(Clone)]
 pub(crate) struct LoaderObs {
     pub registry: MetricsRegistry,
     pub stages: Stages,
@@ -150,8 +117,13 @@ pub struct StageSummary {
 }
 
 impl StageSummary {
-    pub(crate) fn of(h: &Histogram) -> Self {
-        let s = h.snapshot();
+    /// The histogram `name` as it grew from `base` to `now`.
+    pub(crate) fn between(base: &MetricsSnapshot, now: &MetricsSnapshot, name: &str) -> Self {
+        let empty = HistogramSnapshot::default();
+        let s = now
+            .histogram(name)
+            .unwrap_or(&empty)
+            .delta_since(base.histogram(name).unwrap_or(&empty));
         StageSummary {
             count: s.count,
             total_ns: s.sum,

@@ -1,18 +1,22 @@
-//! The smart scheduler (§4.6: "dynamically differentiating between
-//! CPU-intensive jobs prioritization over less-intensive").
+//! The epoch's work queue: a shared cursor over equal blocks.
 //!
-//! Work is a list of *tasks* (blocks of consecutive epoch positions).
-//! Tasks whose tensors decode compressed payloads are CPU-intensive;
-//! scheduling them first keeps cores busy while the IO-bound tail
-//! overlaps with network transfer, instead of ending the epoch with a
-//! CPU-bound convoy. Workers then claim tasks from a shared atomic
-//! cursor (work stealing degenerates to striding because tasks are
-//! uniform).
+//! An epoch of `total` positions is cut into `total.div_ceil(block)`
+//! *tasks* (blocks of consecutive epoch positions, the last one
+//! possibly short). Workers claim them in epoch order with one atomic
+//! increment; nothing is allocated or sorted, so building the schedule
+//! costs the same for ten rows and ten million.
 //!
-//! Schedule construction is timed into the `loader.schedule_ns`
-//! histogram (one sample per epoch); per-task completions show up as
-//! the `loader.worker.<i>.tasks` counters, so an uneven task split is
-//! visible in [`EpochReport::workers`](crate::EpochReport::workers).
+//! §4.6 describes a scheduler that runs CPU-intensive jobs ahead of
+//! lighter ones. That ordering needs a per-task cost signal, and the
+//! tensor metadata has none: the only estimate available at schedule
+//! time (`max_shape × dtype` of the compressed tensors) is one number
+//! per dataset, so every full task costs the same and a cost-ordered
+//! schedule *is* epoch order. If chunk-level statistics ever carry a
+//! per-row decoded size, an ordering over tasks belongs here.
+//!
+//! Per-task completions show up as the `loader.worker.<i>.tasks`
+//! counters, so an uneven split between workers is visible in
+//! [`EpochReport::workers`](crate::EpochReport::workers).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -23,56 +27,49 @@ pub struct Task {
     pub start: usize,
     /// One past the last epoch position.
     pub end: usize,
-    /// Estimated decode cost (bytes that must pass through a codec).
-    pub cpu_cost: u64,
 }
 
-/// A fixed task list consumed by workers via an atomic cursor.
+/// `total` epoch positions in blocks of `block`, claimed by workers
+/// through an atomic cursor.
 pub struct Scheduler {
-    tasks: Vec<Task>,
+    total: usize,
+    block: usize,
     cursor: AtomicUsize,
 }
 
 impl Scheduler {
-    /// Build a schedule over `total` epoch positions in blocks of
-    /// `block`, with `cpu_cost_per_row` modelling decode work. Tasks are
-    /// ordered most-CPU-intensive first.
-    pub fn new(total: usize, block: usize, cpu_cost_per_row: impl Fn(usize) -> u64) -> Self {
-        let block = block.max(1);
-        let mut tasks = Vec::with_capacity(total.div_ceil(block));
-        let mut start = 0usize;
-        while start < total {
-            let end = (start + block).min(total);
-            let cpu_cost: u64 = (start..end).map(&cpu_cost_per_row).sum();
-            tasks.push(Task {
-                start,
-                end,
-                cpu_cost,
-            });
-            start = end;
-        }
-        // CPU-heavy first (stable so equal-cost tasks keep epoch order)
-        tasks.sort_by_key(|t| std::cmp::Reverse(t.cpu_cost));
+    /// A schedule over `total` epoch positions in blocks of `block`
+    /// (at least 1).
+    pub fn new(total: usize, block: usize) -> Self {
         Scheduler {
-            tasks,
+            total,
+            block: block.max(1),
             cursor: AtomicUsize::new(0),
         }
     }
 
-    /// Claim the next task (thread-safe).
+    /// Claim the next task in epoch order (thread-safe).
     pub fn next(&self) -> Option<Task> {
+        // Relaxed: the cursor hands out indices and publishes no data.
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        self.tasks.get(i).copied()
+        if i >= self.len() {
+            return None;
+        }
+        let start = i * self.block;
+        Some(Task {
+            start,
+            end: (start + self.block).min(self.total),
+        })
     }
 
     /// Total task count.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.total.div_ceil(self.block)
     }
 
     /// Whether there are no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.total == 0
     }
 }
 
@@ -82,7 +79,7 @@ mod tests {
 
     #[test]
     fn covers_all_positions_once() {
-        let s = Scheduler::new(100, 16, |_| 1);
+        let s = Scheduler::new(100, 16);
         let mut seen = [false; 100];
         while let Some(t) = s.next() {
             for (p, flag) in seen.iter_mut().enumerate().take(t.end).skip(t.start) {
@@ -94,23 +91,18 @@ mod tests {
     }
 
     #[test]
-    fn cpu_heavy_tasks_first() {
-        // positions 50.. are expensive
-        let s = Scheduler::new(100, 10, |p| if p >= 50 { 100 } else { 1 });
-        let first = s.next().unwrap();
-        assert!(first.start >= 50, "expensive block must be claimed first");
-    }
-
-    #[test]
-    fn equal_costs_keep_epoch_order() {
-        let s = Scheduler::new(40, 10, |_| 1);
-        let starts: Vec<usize> = std::iter::from_fn(|| s.next()).map(|t| t.start).collect();
-        assert_eq!(starts, vec![0, 10, 20, 30]);
+    fn claims_are_in_epoch_order() {
+        let s = Scheduler::new(45, 10);
+        assert_eq!(s.len(), 5);
+        let tasks: Vec<(usize, usize)> = std::iter::from_fn(|| s.next())
+            .map(|t| (t.start, t.end))
+            .collect();
+        assert_eq!(tasks, vec![(0, 10), (10, 20), (20, 30), (30, 40), (40, 45)]);
     }
 
     #[test]
     fn concurrent_claims_are_disjoint() {
-        let s = std::sync::Arc::new(Scheduler::new(1000, 7, |_| 1));
+        let s = std::sync::Arc::new(Scheduler::new(1000, 7));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let s = s.clone();
@@ -133,8 +125,9 @@ mod tests {
 
     #[test]
     fn empty_schedule() {
-        let s = Scheduler::new(0, 8, |_| 1);
+        let s = Scheduler::new(0, 8);
         assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         assert!(s.next().is_none());
     }
 }

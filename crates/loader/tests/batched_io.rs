@@ -44,7 +44,6 @@ fn simulated_dataset() -> (
         NetworkProfile::instant(),
     ));
     let ds = Arc::new(Dataset::open(charged.clone() as DynProvider).unwrap());
-    charged.stats().reset(); // drop the open()-time metadata traffic
     (charged, ds)
 }
 
@@ -76,10 +75,11 @@ fn single_key_epoch(ds: &Dataset) -> Vec<i32> {
 #[test]
 fn epoch_round_trips_at_least_4x_below_logical_chunk_reads() {
     let (charged, ds) = simulated_dataset();
+    let opened = charged.stats().snapshot(); // open()'s metadata traffic is not the epoch's
     assert_eq!(run_epoch(ds), 200);
-    let stats = charged.stats();
-    let logical = stats.logical_reads();
-    let round_trips = stats.round_trips();
+    let stats = charged.stats().snapshot().delta_since(&opened);
+    let logical = stats.logical_reads;
+    let round_trips = stats.round_trips;
     assert!(round_trips > 0, "the epoch must reach the provider");
     eprintln!("batched epoch: {logical} logical chunk reads in {round_trips} round trips");
     assert!(
@@ -88,8 +88,8 @@ fn epoch_round_trips_at_least_4x_below_logical_chunk_reads() {
          (need ≥4× reduction)"
     );
     // every task-batch coalesced at least its own requests
-    assert!(stats.batch_requests() > 0);
-    assert!(stats.coalesced_fetches() <= logical);
+    assert!(stats.batch_requests > 0);
+    assert!(stats.coalesced_fetches <= logical);
 }
 
 #[test]
@@ -98,13 +98,15 @@ fn batched_epoch_issues_fewer_round_trips_than_single_key_epoch() {
     // a shared handle the second pass would be served from the memo and
     // measure nothing
     let (charged, ds) = simulated_dataset();
-    assert_eq!(single_key_epoch(&ds).len(), 200);
-    let single_key_rt = charged.stats().round_trips();
-    charged.stats().reset();
+    let round_trips_of = |work: &dyn Fn()| {
+        let before = charged.stats().snapshot();
+        work();
+        charged.stats().snapshot().delta_since(&before).round_trips
+    };
+    let single_key_rt = round_trips_of(&|| assert_eq!(single_key_epoch(&ds).len(), 200));
+    // reopened outside the measured call: its metadata traffic is not the epoch's
     let reopened = Arc::new(Dataset::open(charged.clone() as DynProvider).unwrap());
-    charged.stats().reset(); // drop the reopen metadata traffic
-    assert_eq!(run_epoch(reopened), 200);
-    let batched_rt = charged.stats().round_trips();
+    let batched_rt = round_trips_of(&|| assert_eq!(run_epoch(reopened.clone()), 200));
     assert!(batched_rt > 0, "cold batched epoch must reach the provider");
     assert!(
         batched_rt * 4 <= single_key_rt,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use deeplake_codec::Compression;
 use deeplake_core::dataset::TensorOptions;
 use deeplake_core::Dataset;
-use deeplake_loader::{Bottleneck, DataLoader};
+use deeplake_loader::{Bottleneck, DataLoader, EpochReport, StageSummary};
 use deeplake_storage::MemoryProvider;
 use deeplake_tensor::{Htype, Sample};
 use proptest::prelude::*;
@@ -211,4 +211,114 @@ fn epoch_report_is_self_consistent() {
     let rendered = report.render();
     assert!(rendered.contains("bottleneck:"));
     assert!(rendered.contains("queue_wait"));
+}
+
+/// Samples are recorded once, into the lifetime registry; an epoch's
+/// report is the registry's growth over that epoch. So a first epoch's
+/// report *is* the registry, a mid-epoch report is a prefix of the
+/// final one, and consecutive epochs partition the lifetime totals.
+#[test]
+fn epoch_reports_partition_the_lifetime_registry() {
+    const STAGES: [&str; 7] = [
+        "schedule",
+        "fetch",
+        "decode",
+        "transform",
+        "collate",
+        "queue_wait",
+        "consumer_gap",
+    ];
+    fn stages(r: &EpochReport) -> [StageSummary; 7] {
+        [
+            r.schedule,
+            r.fetch,
+            r.decode,
+            r.transform,
+            r.collate,
+            r.queue_wait,
+            r.consumer_gap,
+        ]
+    }
+
+    let ds = dataset(160, true);
+    let loader = DataLoader::builder(ds)
+        .batch_size(8)
+        .num_workers(3)
+        .transform(|row| row)
+        .build()
+        .unwrap();
+
+    let mut epoch = loader.epoch();
+    for batch in epoch.by_ref().take(4) {
+        batch.unwrap();
+    }
+    let partial = epoch.report();
+    for batch in epoch.by_ref() {
+        batch.unwrap();
+    }
+    let first = epoch.report();
+    drop(epoch);
+
+    assert_eq!(partial.stats.batches, 4);
+    assert_eq!(first.stats.batches, 20);
+    for ((name, early), late) in STAGES.iter().zip(stages(&partial)).zip(stages(&first)) {
+        assert!(early.count <= late.count, "{name}: count shrank");
+        assert!(early.total_ns <= late.total_ns, "{name}: total shrank");
+    }
+    for (early, late) in partial.workers.iter().zip(&first.workers) {
+        assert!(early.tasks <= late.tasks && early.busy_ns <= late.busy_ns);
+    }
+
+    // nothing preceded the first epoch: report and registry agree
+    // field for field, quantiles included
+    let life = loader.metrics();
+    for (name, stage) in STAGES.iter().zip(stages(&first)) {
+        let h = life.histogram(&format!("loader.{name}_ns")).unwrap();
+        let whole = StageSummary {
+            count: h.count,
+            total_ns: h.sum,
+            p50_ns: h.quantile(0.50),
+            p99_ns: h.quantile(0.99),
+        };
+        assert_eq!(stage, whole, "{name}");
+    }
+    for w in &first.workers {
+        let counter = |what: &str| life.counter(&format!("loader.worker.{}.{what}", w.worker));
+        assert_eq!(counter("busy_ns"), Some(w.busy_ns));
+        assert_eq!(counter("tasks"), Some(w.tasks));
+    }
+
+    let mut epoch = loader.epoch();
+    for batch in epoch.by_ref() {
+        batch.unwrap();
+    }
+    let second = epoch.report();
+    drop(epoch);
+
+    // the second report covers only the second epoch ...
+    assert_eq!(second.stats.rows, 160);
+    assert_eq!(second.stats.batches, 20);
+    assert_eq!(second.stats.bytes, first.stats.bytes);
+    assert_eq!(second.schedule.count, 1);
+    assert_eq!(second.collate.count, 20);
+    assert_eq!(second.fetch.count, first.fetch.count);
+    assert_eq!(second.transform.count, second.fetch.count);
+    let tasks = |r: &EpochReport| r.workers.iter().map(|w| w.tasks).sum::<u64>();
+    assert_eq!(tasks(&second), 160 / 32);
+    assert_eq!(tasks(&first), 160 / 32);
+
+    // ... and the two together are the lifetime registry
+    let life = loader.metrics();
+    for ((name, a), b) in STAGES.iter().zip(stages(&first)).zip(stages(&second)) {
+        let h = life.histogram(&format!("loader.{name}_ns")).unwrap();
+        assert_eq!(a.count + b.count, h.count, "{name}");
+        assert_eq!(a.total_ns + b.total_ns, h.sum, "{name}");
+    }
+    for (a, b) in first.workers.iter().zip(&second.workers) {
+        let counter = |what: &str| life.counter(&format!("loader.worker.{}.{what}", a.worker));
+        assert_eq!(counter("busy_ns"), Some(a.busy_ns + b.busy_ns));
+        assert_eq!(counter("tasks"), Some(a.tasks + b.tasks));
+    }
+    assert_eq!(life.counter("loader.rows"), Some(320));
+    assert_eq!(life.counter("loader.batches"), Some(40));
 }

@@ -53,7 +53,7 @@ fn pruned_query_view_streams_batched() {
     assert!(result.stats.chunks_pruned > 0, "sorted labels must prune");
     let view = result.view(&ds);
 
-    sim.stats().reset();
+    let before = sim.stats().snapshot();
     let loader = DataLoader::builder(ds.clone())
         .view(&view)
         .batch_size(8)
@@ -71,7 +71,7 @@ fn pruned_query_view_streams_batched() {
     assert_eq!(labels, vec![4; 20]);
     // the view's 20 rows cluster in a couple of chunks: batched worker
     // reads must need far fewer round trips than rows
-    let round_trips = sim.stats().round_trips();
+    let round_trips = sim.stats().snapshot().delta_since(&before).round_trips;
     assert!(
         round_trips < 10,
         "view streaming should stay batched, got {round_trips} round trips"

@@ -184,6 +184,35 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// What was recorded between an `earlier` snapshot of the same
+    /// histogram and this one: buckets, `count` and `sum` subtract
+    /// exactly (saturating, so mismatched snapshots yield zeros, not a
+    /// wrap). The interval's own max is not tracked, so `max` is the
+    /// lifetime max clamped to the upper edge of the highest bucket the
+    /// interval touched — within one bucket width of the true value,
+    /// and exact when nothing preceded the interval
+    /// (`delta_since(&empty)` is the identity).
+    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let mut before = earlier.buckets.iter().peekable();
+        let mut buckets = Vec::with_capacity(self.buckets.len());
+        for &(i, n) in &self.buckets {
+            while before.next_if(|&&(bi, _)| bi < i).is_some() {}
+            let had = before.next_if(|&&(bi, _)| bi == i).map_or(0, |&(_, bn)| bn);
+            if n > had {
+                buckets.push((i, n - had));
+            }
+        }
+        let top_edge = buckets.last().map_or(0, |&(i, _)| {
+            bucket_low(i as usize) + (bucket_width(i as usize) - 1)
+        });
+        HistogramSnapshot {
+            count: buckets.iter().map(|&(_, n)| n).sum(),
+            sum: self.sum.saturating_sub(earlier.sum),
+            max: self.max.min(top_edge),
+            buckets,
+        }
+    }
+
     /// Fold another snapshot into this one (bucket-wise sum, saturating
     /// totals) — aggregation across processes or nodes.
     pub fn merge(&mut self, other: &HistogramSnapshot) {

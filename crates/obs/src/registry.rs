@@ -12,7 +12,8 @@ use crate::hist::{Histogram, HistogramSnapshot};
 use crate::slowlog::SlowQueryEntry;
 use crate::window::{window_name, RateSnapshot, RateWindow, WindowedHistogram};
 
-/// A monotonically increasing event/byte counter. Cheap-clone handle:
+/// A monotonically increasing event/byte counter — there is no reset;
+/// an interval is the difference of two reads. Cheap-clone handle:
 /// clones share the same atomic, so a counter registered once can be
 /// incremented from any thread that holds a handle.
 #[derive(Clone, Default)]
@@ -44,14 +45,6 @@ impl Counter {
     /// used this way is still monotone, just not additive.
     pub fn record_max(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Zero the counter. Counters are conceptually monotonic — prefer
-    /// diffing two snapshots over resetting shared state (a reset from
-    /// one reader clobbers every other reader's baseline); this exists
-    /// for test isolation and legacy stats bags.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -203,19 +196,6 @@ impl MetricsRegistry {
             .counters
             .lock()
             .insert(name.to_string(), counter.clone());
-    }
-
-    /// Register an existing gauge handle under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
-        self.0.gauges.lock().insert(name.to_string(), gauge.clone());
-    }
-
-    /// Register an existing histogram handle under `name`.
-    pub fn register_histogram(&self, name: &str, hist: &Histogram) {
-        self.0
-            .histograms
-            .lock()
-            .insert(name.to_string(), hist.clone());
     }
 
     /// Freeze every instrument into an owned snapshot (names ascending).

@@ -71,8 +71,8 @@ impl SlowQueryLog {
 
     /// Entries evicted to make room since the log was built. A nonzero,
     /// growing value means the ring is saturated — the oldest slow
-    /// queries are being lost and `slow_log_entries` should grow (or the
-    /// threshold rise).
+    /// queries are being lost and the hub's `slow_query_threshold`
+    /// should rise.
     pub fn evicted(&self) -> u64 {
         self.evicted.get()
     }

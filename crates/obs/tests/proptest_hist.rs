@@ -64,3 +64,46 @@ proptest! {
         prop_assert_eq!(merged, hall.snapshot());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// An interval read as the difference of two snapshots is the
+    /// interval recorded alone: exact buckets/count/sum, quantiles
+    /// within the same bucket error, and subtracting nothing changes
+    /// nothing.
+    #[test]
+    fn delta_since_equals_recording_the_interval_alone(
+        a in proptest::collection::vec(0u64..10_000_000_000, 0..200),
+        b in proptest::collection::vec(0u64..10_000_000_000, 0..200),
+    ) {
+        let (life, only_b) = (Histogram::new(), Histogram::new());
+        for &s in &a {
+            life.record(s);
+        }
+        let after_a = life.snapshot();
+        for &s in &b {
+            life.record(s);
+            only_b.record(s);
+        }
+        let after_b = life.snapshot();
+        let fresh = only_b.snapshot();
+        let delta = after_b.delta_since(&after_a);
+
+        prop_assert_eq!(&delta.buckets, &fresh.buckets);
+        prop_assert_eq!(delta.count, fresh.count);
+        prop_assert_eq!(delta.sum, fresh.sum);
+        prop_assert!(delta.max >= fresh.max, "max {} under the interval's {}", delta.max, fresh.max);
+        prop_assert!(delta.max - fresh.max <= bucket_error_bound(fresh.max));
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            let (got, want) = (delta.quantile(q), fresh.quantile(q));
+            prop_assert!(
+                got.abs_diff(want) <= bucket_error_bound(want),
+                "q={} delta={} fresh={}", q, got, want
+            );
+        }
+
+        prop_assert_eq!(after_b.delta_since(&Histogram::new().snapshot()), after_b.clone());
+        prop_assert_eq!(after_a.delta_since(&after_a), Histogram::new().snapshot());
+    }
+}

@@ -36,21 +36,19 @@
 //! and hand-rolled test clients keep working unchanged and
 //! [`PROTO_VERSION`] stays put.
 //!
-//! **Tracing (additive).** A client that wants a request's server-side
-//! work attributed to its trace wraps the payload in
-//! [`Request::Traced`]: `[OP_TRACED][trace id u64][span id u64][inner
-//! request]`. The server unwraps, records its spans under the client's
-//! ids, and answers the inner request's normal response — so an
-//! untraced legacy frame is simply the degenerate case and
-//! [`PROTO_VERSION`] again stays put. Because the version byte cannot
-//! signal the extension, an upgraded client must not assume it: the
-//! `RemoteProvider` handshake probes with one traced `Ping` and falls
-//! back to untagged frames when a pre-tracing server rejects the
-//! opcode, keeping mixed-version clusters working in both upgrade
-//! directions. [`Request::Metrics`] reads the
-//! hub's observability registry back out: counters, gauges, sparse
-//! histogram buckets, windowed rates, the slow-query ring and the
-//! flight recorder, all machine-readable ([`resp_metrics`] /
+//! **Tracing.** A client that wants a request's server-side work
+//! attributed to its trace wraps the payload in [`Request::Traced`]:
+//! `[OP_TRACED][trace id u64][span id u64][inner request]`. The server
+//! unwraps, records its spans under the client's ids, and answers the
+//! inner request's normal response; a bare, unwrapped frame is served
+//! the same way without a parent span. Understanding the envelope is
+//! what [`PROTO_VERSION`] 3 means, so a peer that accepted the `Hello`
+//! accepts the envelope and no further probing is needed.
+//!
+//! **Introspection.** [`Request::Metrics`] reads the hub's
+//! observability registry back out: counters, gauges, sparse histogram
+//! buckets, windowed rates, the slow-query ring and the flight
+//! recorder, all machine-readable ([`resp_metrics`] /
 //! [`expect_metrics`]); [`Request::Health`] is its lightweight
 //! liveness sibling, answering a [`HealthReport`] (uptime, load,
 //! mounts, capabilities, recent flight events) that health probers
@@ -73,8 +71,10 @@ use deeplake_tql::{QueryOptions, QueryResult};
 /// version byte, and a server that speaks a different generation answers
 /// a lossless [`STATUS_PROTO_ERR`] naming both versions — instead of
 /// silently mis-decoding frames whose layout changed between
-/// generations. Bump on any wire-incompatible change.
-pub const PROTO_VERSION: u8 = 2;
+/// generations. Bump on any wire-incompatible change. Generation 3 is
+/// generation 2 plus the guarantee that the [`Request::Traced`] envelope
+/// is understood.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Hard upper bound on one frame's payload (1 GiB). Far above any chunk
 /// batch the loader issues, far below an allocation that could take the

@@ -19,11 +19,11 @@
 //! — and hands each to the caller whose id it carries. Many in-flight
 //! requests share one socket, so concurrency no longer implies file
 //! descriptors: the pool is a hard cap of [`RemoteOptions::pool_size`]
-//! sockets, each carrying up to
-//! [`RemoteOptions::max_inflight_per_socket`] requests, and callers
-//! beyond `pool_size × max_inflight_per_socket` queue for a slot
-//! instead of dialing. A socket that sees any transport error fails its
-//! in-flight requests losslessly and leaves the pool.
+//! sockets, each carrying up to 16 requests (`MAX_INFLIGHT_PER_SOCKET`,
+//! the hub's default per-connection cap), and callers beyond
+//! `pool_size × 16` queue for a slot instead of dialing. A socket that
+//! sees any transport error fails its in-flight requests losslessly and
+//! leaves the pool.
 //!
 //! For benchmarks and tests, [`RemoteOptions::latency`] injects a
 //! deterministic [`NetworkProfile`] charge per round trip (first-byte
@@ -49,30 +49,31 @@ use parking_lot::Mutex;
 
 use crate::proto::{self, Request};
 
+/// In-flight requests one pipelined socket carries — the hub's default
+/// `max_inflight_per_conn`. A hub configured with a lower cap answers
+/// the excess with `Busy`, which this client retries.
+const MAX_INFLIGHT_PER_SOCKET: usize = 16;
+
+/// How long a request may wait for its response. Guards callers against
+/// a hung server: when the oldest in-flight request on a connection
+/// exceeds this, the connection fails and every caller parked on it
+/// gets a transport error. Also the socket's write timeout, so a server
+/// that stops draining cannot hang a caller either.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Client configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RemoteOptions {
     /// Hard cap on sockets to the server. Connections are pipelined, so
-    /// this is *not* a concurrency limit — each socket carries up to
-    /// [`RemoteOptions::max_inflight_per_socket`] requests; callers
-    /// beyond `pool_size × max_inflight_per_socket` wait for a slot
+    /// this is *not* a concurrency limit — each socket carries up to 16
+    /// requests; callers beyond `pool_size × 16` wait for a slot
     /// instead of dialing.
     pub pool_size: usize,
-    /// In-flight requests one pipelined socket may carry. Keep at or
-    /// below the hub's `max_inflight_per_conn` (default 16): the hub
-    /// answers requests beyond *its* cap with `Busy`, which this client
-    /// then retries.
-    pub max_inflight_per_socket: usize,
     /// Deterministic per-round-trip network cost to inject (`None` = the
     /// real transport's latency only). The charge is
     /// `first_byte_latency + (request + response bytes) / bandwidth`,
     /// paid by the calling thread.
     pub latency: Option<NetworkProfile>,
-    /// How long a request may wait for its response (`None` = forever).
-    /// Guards callers against a hung server: when the oldest in-flight
-    /// request on a connection exceeds this, the connection fails and
-    /// every caller parked on it gets a transport error.
-    pub read_timeout: Option<Duration>,
     /// How many times a request answered with a `Busy` frame (hub
     /// overload — the request was NOT executed) is retried before the
     /// [`StorageError::Busy`] surfaces to the caller. Retries back off
@@ -81,11 +82,11 @@ pub struct RemoteOptions {
     /// Base back-off between `Busy` retries (attempt `n` sleeps
     /// `n × busy_backoff`).
     pub busy_backoff: Duration,
-    /// Send the `Traced` envelope when the server understands it
-    /// (default). `false` skips the dial-time capability probe entirely
-    /// and every request goes out untagged — the knob overhead
-    /// benchmarks use to A/B the envelope's cost, and an escape hatch
-    /// for operators who want zero tracing bytes on the wire.
+    /// Wrap every request in the `Traced` envelope (default; any server
+    /// that accepts this client's `Hello` understands it). `false`
+    /// sends every request bare — the knob overhead benchmarks use to
+    /// A/B the envelope's cost, and an escape hatch for operators who
+    /// want zero tracing bytes on the wire.
     pub tracing: bool,
 }
 
@@ -93,9 +94,7 @@ impl Default for RemoteOptions {
     fn default() -> Self {
         RemoteOptions {
             pool_size: 8,
-            max_inflight_per_socket: 16,
             latency: None,
-            read_timeout: Some(Duration::from_secs(30)),
             busy_retries: 4,
             busy_backoff: Duration::from_millis(20),
             tracing: true,
@@ -129,7 +128,6 @@ struct DemuxShared {
     cv: Condvar,
     /// Quick liveness flag for pool checkout (mirrors `error`).
     dead: AtomicBool,
-    read_timeout: Option<Duration>,
 }
 
 impl DemuxShared {
@@ -183,17 +181,15 @@ fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
             FirstByte::Byte(b) => b,
             FirstByte::Eof => return shared.fail("server closed the connection".into()),
             FirstByte::Idle => {
-                if let Some(limit) = shared.read_timeout {
-                    let slots = shared.slots.lock().unwrap();
-                    let hung = slots
-                        .waiting
-                        .values()
-                        .filter(|w| w.resp.is_none())
-                        .any(|w| w.sent_at.elapsed() >= limit);
-                    drop(slots);
-                    if hung {
-                        return shared.fail("server stopped responding (read timed out)".into());
-                    }
+                let slots = shared.slots.lock().unwrap();
+                let hung = slots
+                    .waiting
+                    .values()
+                    .filter(|w| w.resp.is_none())
+                    .any(|w| w.sent_at.elapsed() >= READ_TIMEOUT);
+                drop(slots);
+                if hung {
+                    return shared.fail("server stopped responding (read timed out)".into());
                 }
                 continue;
             }
@@ -264,7 +260,7 @@ pub struct RemoteProvider {
     addr: SocketAddr,
     pool: StdMutex<PoolState>,
     /// Parks callers waiting for an in-flight slot when every socket is
-    /// at [`RemoteOptions::max_inflight_per_socket`] and the pool is at
+    /// at `MAX_INFLIGHT_PER_SOCKET` and the pool is at
     /// [`RemoteOptions::pool_size`].
     pool_cv: Condvar,
     opts: RemoteOptions,
@@ -279,13 +275,6 @@ pub struct RemoteProvider {
     /// what a hub-side span tree's `parent_span` should equal.
     last_trace_id: AtomicU64,
     last_span_id: AtomicU64,
-    /// Whether the server understands the `Traced` envelope, learned by
-    /// the dial handshake's capability probe. PROTO_VERSION is unchanged
-    /// (the envelope is additive), so version negotiation alone cannot
-    /// tell an upgraded hub from a pre-tracing one — against the latter
-    /// requests go out untagged, exactly as a legacy client's, instead
-    /// of failing every exchange with "unknown opcode".
-    traced: AtomicBool,
     /// Dataset this client is attached to in a multi-dataset hub.
     /// `None` targets the hub's default mount (the single-dataset
     /// server behaviour). Every socket the pool dials re-plays
@@ -339,7 +328,6 @@ impl RemoteProvider {
             round_trip_ns,
             last_trace_id: AtomicU64::new(0),
             last_span_id: AtomicU64::new(0),
-            traced: AtomicBool::new(false),
             attached: Mutex::new(None),
         };
         // the dial handshake (Hello + the switch to pipelined framing)
@@ -349,11 +337,6 @@ impl RemoteProvider {
         let conn = provider.dial_conn(None)?;
         provider.pool.lock().unwrap().conns.push(Arc::new(conn));
         Ok(provider)
-    }
-
-    /// The server address this client talks to.
-    pub fn server_addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Client-observed wire traffic: one [`StorageStats::round_trips`]
@@ -393,12 +376,11 @@ impl RemoteProvider {
         proto::expect_health(&resp)
     }
 
-    /// Whether the dial handshake's capability probe found a server
-    /// that understands the `Traced` envelope. `false` against a
-    /// pre-tracing server: requests then travel untagged, exactly as a
-    /// legacy client's, and no trace context is propagated.
+    /// Whether requests travel in the `Traced` envelope
+    /// ([`RemoteOptions::tracing`]). When `false` no trace context is
+    /// propagated.
     pub fn tracing_enabled(&self) -> bool {
-        self.traced.load(Ordering::Relaxed)
+        self.opts.tracing
     }
 
     /// `(trace_id, span_id)` of the most recent **traced** exchange this
@@ -558,9 +540,9 @@ impl RemoteProvider {
         let refused = |e: String| std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e);
         let mut stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.opts.read_timeout)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         // a server that stops draining must not hang the caller forever
-        stream.set_write_timeout(self.opts.read_timeout)?;
+        stream.set_write_timeout(Some(READ_TIMEOUT))?;
         let hello = proto::encode_request(&Request::Hello {
             version: proto::PROTO_VERSION,
         });
@@ -570,32 +552,6 @@ impl RemoteProvider {
                 proto::expect_hello(&resp).map_err(|e| refused(e.to_string()))?;
             }
             None => return Err(refused("server closed during version negotiation".into())),
-        }
-        // capability probe: one traced Ping while still in untagged
-        // framing. The trace envelope is additive under an unchanged
-        // PROTO_VERSION, so the Hello exchange cannot reveal whether the
-        // server understands it — a pre-tracing server answers the probe
-        // with a lossless "unknown opcode" protocol error, and every
-        // later request on this client then goes out untagged so
-        // rolling upgrades in mixed-version clusters keep working in
-        // both directions. With tracing disabled by options the probe
-        // is skipped: `traced` stays false and no envelope bytes ever
-        // hit the wire.
-        if !self.opts.tracing {
-            return Ok(stream);
-        }
-        let probe = proto::trace_wrap(next_id(), next_id(), &proto::encode_request(&Request::Ping));
-        proto::write_frame(&mut stream, &probe)?;
-        match proto::read_frame(&mut stream)? {
-            Some(resp) => {
-                self.traced
-                    .store(proto::expect_unit(&resp).is_ok(), Ordering::Relaxed);
-            }
-            None => {
-                return Err(refused(
-                    "server closed during tracing capability probe".into(),
-                ))
-            }
         }
         Ok(stream)
     }
@@ -618,7 +574,6 @@ impl RemoteProvider {
             }),
             cv: Condvar::new(),
             dead: AtomicBool::new(false),
-            read_timeout: self.opts.read_timeout,
         });
         let read_half = stream.try_clone()?;
         let sock = stream.try_clone()?;
@@ -638,7 +593,6 @@ impl RemoteProvider {
     /// fresh dial while the pool is below `pool_size`, else wait for a
     /// slot to free.
     fn checkout(&self) -> Result<Arc<Connection>, StorageError> {
-        let cap = self.opts.max_inflight_per_socket.max(1);
         let pool_size = self.opts.pool_size.max(1);
         let mut pool = self.pool.lock().unwrap();
         loop {
@@ -646,7 +600,7 @@ impl RemoteProvider {
             let mut best: Option<(usize, usize)> = None;
             for (i, conn) in pool.conns.iter().enumerate() {
                 let n = conn.inflight.load(Ordering::Relaxed);
-                if n < cap && best.is_none_or(|(_, bn)| n < bn) {
+                if n < MAX_INFLIGHT_PER_SOCKET && best.is_none_or(|(_, bn)| n < bn) {
                     best = Some((i, n));
                 }
             }
@@ -711,13 +665,12 @@ impl RemoteProvider {
     fn round_trip(&self, payload: &[u8]) -> Result<Vec<u8>, StorageError> {
         // one trace per logical request; each attempt (Busy retries
         // included) sends its own span id, so the server-side span tree
-        // names the attempt that actually executed. When the handshake
-        // probe found a pre-tracing server the envelope is skipped and
-        // the payload goes out verbatim. An ambient context installed by
+        // names the attempt that actually executed. With tracing off the
+        // payload goes out verbatim. An ambient context installed by
         // `deeplake_obs::with_current` (a loader worker's fetch span)
         // is adopted instead of rooting a fresh trace, so the server's
         // span tree parents this exchange under the caller's span.
-        let traced = self.traced.load(Ordering::Relaxed);
+        let traced = self.opts.tracing;
         let trace = current_trace().unwrap_or_else(TraceContext::root);
         if traced {
             self.last_trace_id.store(trace.trace_id, Ordering::Relaxed);

@@ -103,6 +103,9 @@ pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
         cache_bytes: cfg.cache_bytes,
         ..HubOptions::default()
     });
+    // each store's reading once its dataset is written: serving is
+    // charged for the growth since
+    let mut seeded = Vec::with_capacity(storages.len());
     for (d, storage) in storages.iter().enumerate() {
         labelled_dataset(
             storage.clone(),
@@ -110,7 +113,7 @@ pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
             cfg.rows_per_dataset,
             cfg.distinct_queries,
         );
-        storage.stats().reset();
+        seeded.push(storage.stats().snapshot());
         builder = builder.mount(&format!("ds{d}"), storage.clone());
     }
     let hub = builder.bind("127.0.0.1:0").unwrap();
@@ -171,7 +174,8 @@ pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
 
     let storage_round_trips = storages
         .iter()
-        .map(|s| s.stats().round_trips())
+        .zip(&seeded)
+        .map(|(s, before)| s.stats().snapshot().delta_since(before).round_trips)
         .sum::<u64>();
     let cache: &StorageStats = hub.cache().stats();
     let report = HubScenarioReport {
@@ -217,8 +221,11 @@ mod tests {
             ..HubScenarioConfig::default()
         });
         assert_eq!(uncached.cache_hit_ratio, 0.0);
+        // in either run two clients' concurrent first misses of one
+        // chunk may each fetch it, so the two counts are compared up to
+        // one such duplicate per client, not ordered exactly
         assert!(
-            cached.storage_round_trips <= uncached.storage_round_trips,
+            cached.storage_round_trips <= uncached.storage_round_trips + 8,
             "the cache cost storage: {} vs {} storage round trips",
             cached.storage_round_trips,
             uncached.storage_round_trips

@@ -125,7 +125,9 @@ impl Default for FaultPlan {
 /// wrapped provider. Failing ops never reach the backing store.
 pub struct FaultProvider {
     inner: DynProvider,
-    plan: parking_lot::Mutex<FaultPlan>,
+    /// The schedule and the op count at which it was installed: the
+    /// plan's clock starts there, while `ops` itself only ever grows.
+    plan: parking_lot::Mutex<(FaultPlan, u64)>,
     ops: Counter,
     injected: Counter,
     delay_ns: Counter,
@@ -136,7 +138,7 @@ impl FaultProvider {
     pub fn new(inner: DynProvider, plan: FaultPlan) -> Self {
         FaultProvider {
             inner,
-            plan: parking_lot::Mutex::new(plan),
+            plan: parking_lot::Mutex::new((plan, 0)),
             ops: Counter::new(),
             injected: Counter::new(),
             delay_ns: Counter::new(),
@@ -153,13 +155,11 @@ impl FaultProvider {
         registry.register_counter(&format!("{prefix}.injected_delay_ns"), &self.delay_ns);
     }
 
-    /// Replace the schedule (op counter keeps running — `fail_after(n)`
-    /// installed now counts `n` from the ops already seen... so reset
-    /// the counter too, making the new plan's clock start here).
+    /// Replace the schedule. The new plan's clock starts here:
+    /// `fail_after(n)` installed now counts `n` ops from this call.
     pub fn set_plan(&self, plan: FaultPlan) {
         let mut guard = self.plan.lock();
-        *guard = plan;
-        self.ops.reset();
+        *guard = (plan, self.ops.get());
     }
 
     /// Fail every op from now on — "pull the plug" on a healthy replica
@@ -197,12 +197,13 @@ impl FaultProvider {
     /// surface the injected error.
     fn gate(&self) -> Result<()> {
         let (delay, outcome) = {
-            let plan = self.plan.lock();
+            let guard = self.plan.lock();
+            let (plan, installed_at) = &*guard;
             // the plan lock serializes gates, so read-then-add is one
             // atomic op-number draw
             let op = self.ops.get();
             self.ops.add(1);
-            (plan.delay, plan.outcome(op))
+            (plan.delay, plan.outcome(op - installed_at))
         };
         if !delay.is_zero() {
             self.delay_ns
@@ -364,6 +365,11 @@ mod tests {
         assert!(p.get("k").is_err());
         p.heal();
         assert!(p.get("k").is_ok());
+        assert_eq!(
+            p.ops_seen(),
+            3,
+            "a new plan restarts its clock, not the count"
+        );
     }
 
     #[test]

@@ -463,11 +463,11 @@ mod tests {
         cache.get("b").unwrap();
         cache.get("a").unwrap(); // refresh a
         cache.get("c").unwrap(); // evicts b (least recently used)
-        cache.stats().reset();
+        let before = cache.stats().snapshot();
         cache.get("a").unwrap();
-        assert_eq!(cache.stats().cache_hits(), 1);
         cache.get("b").unwrap();
-        assert_eq!(cache.stats().cache_misses(), 1);
+        let after = cache.stats().snapshot().delta_since(&before);
+        assert_eq!((after.cache_hits, after.cache_misses), (1, 1));
     }
 
     #[test]

@@ -328,11 +328,6 @@ pub struct ReadResult {
 }
 
 impl ReadResult {
-    /// Consume into the per-request outcomes.
-    pub fn into_results(self) -> Vec<Result<Bytes>> {
-        self.results
-    }
-
     /// Unwrap every outcome, failing on the first error.
     pub fn into_bytes(self) -> Result<Vec<Bytes>> {
         self.results.into_iter().collect()

@@ -54,16 +54,6 @@ impl NetworkProfile {
         }
     }
 
-    /// GCS-like, same region.
-    pub fn gcs() -> Self {
-        NetworkProfile {
-            first_byte_latency: Duration::from_millis(18),
-            bandwidth_bps: 90_000_000,
-            put_overhead: Duration::from_millis(12),
-            scale: 1.0,
-        }
-    }
-
     /// MinIO on another machine in a local network (Fig. 8): lower latency
     /// than S3 but a single 1 Gbps link shared across connections, which is
     /// why the paper observes *both* Deep Lake and WebDataset slower on

@@ -7,10 +7,10 @@
 //! method surface is unchanged from the plain-atomics version.
 //!
 //! Reading a consistent set of values goes through
-//! [`StorageStats::snapshot`], an explicit value type — two benchmark
-//! phases diff two snapshots instead of both calling
-//! [`reset`](StorageStats::reset) and silently clobbering each other's
-//! baseline (the double-reset hazard).
+//! [`StorageStats::snapshot`], an explicit value type. The counters
+//! only ever grow: to measure an interval, diff two snapshots
+//! ([`StorageStatsSnapshot::delta_since`]) — there is no reset, so two
+//! holders of one bag can never clobber each other's baseline.
 
 use deeplake_obs::{Counter, MetricsRegistry};
 
@@ -83,7 +83,7 @@ impl StorageStatsSnapshot {
     }
 
     /// Counter growth since an `earlier` snapshot of the same bag
-    /// (saturating, so a counter reset between the two reads yields 0
+    /// (saturating, so snapshots passed in the wrong order yield 0
     /// rather than wrapping).
     pub fn delta_since(&self, earlier: &StorageStatsSnapshot) -> StorageStatsSnapshot {
         StorageStatsSnapshot {
@@ -299,25 +299,6 @@ impl StorageStats {
     pub fn hit_ratio(&self) -> f64 {
         self.snapshot().hit_ratio()
     }
-
-    /// Reset all counters to zero. Prefer diffing two
-    /// [`snapshot`](Self::snapshot)s in new code — a reset is visible to
-    /// every other holder of these stats.
-    pub fn reset(&self) {
-        self.get_requests.reset();
-        self.range_requests.reset();
-        self.put_requests.reset();
-        self.bytes_read.reset();
-        self.bytes_written.reset();
-        self.cache_hits.reset();
-        self.cache_misses.reset();
-        self.evictions.reset();
-        self.batch_requests.reset();
-        self.logical_reads.reset();
-        self.coalesced_fetches.reset();
-        self.round_trips.reset();
-        self.delete_requests.reset();
-    }
 }
 
 #[cfg(test)]
@@ -333,9 +314,6 @@ mod tests {
         assert_eq!(s.requests(), 2);
         assert_eq!(s.bytes_read(), 150);
         assert_eq!(s.bytes_written(), 10);
-        s.reset();
-        assert_eq!(s.requests(), 0);
-        assert_eq!(s.bytes_read(), 0);
     }
 
     #[test]
@@ -355,8 +333,6 @@ mod tests {
         s.record_batch(4, 0, 0);
         assert_eq!(s.round_trips(), 3);
         assert_eq!(s.batch_requests(), 2);
-        s.reset();
-        assert_eq!(s.logical_reads() + s.round_trips() + s.batch_requests(), 0);
     }
 
     #[test]

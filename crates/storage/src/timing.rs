@@ -39,16 +39,6 @@ impl TimingProvider {
         }
     }
 
-    /// Wrap `inner`, accumulating into the given counters (e.g. a
-    /// registry's `storage.time_ns`).
-    pub fn with_counters(inner: DynProvider, nanos: Counter, calls: Counter) -> Self {
-        TimingProvider {
-            inner,
-            nanos,
-            calls,
-        }
-    }
-
     /// Nanoseconds spent inside the wrapped provider so far.
     pub fn nanos(&self) -> u64 {
         self.nanos.get()

@@ -107,11 +107,6 @@ impl Shape {
         Shape((0..rank).map(|i| get(self, i).min(get(other, i))).collect())
     }
 
-    /// Whether every axis is equal (shapes are directly stackable).
-    pub fn same_as(&self, other: &Shape) -> bool {
-        self == other
-    }
-
     /// Render as `[a, b, c]` for error messages.
     pub fn render(&self) -> String {
         format!("{:?}", self.0)

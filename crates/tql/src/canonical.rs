@@ -83,11 +83,6 @@ pub fn render_query(q: &Query) -> Result<String> {
     Ok(out)
 }
 
-/// Render an [`Expr`] in canonical form.
-pub fn render_expr(e: &Expr) -> Result<String> {
-    render_expr_prec(e, 0)
-}
-
 fn unrenderable(message: impl Into<String>) -> TqlError {
     TqlError::Parse {
         message: message.into(),

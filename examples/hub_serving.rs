@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use deeplake::hub::Hub;
 use deeplake::prelude::*;
-use deeplake::storage::DynProvider;
+use deeplake::storage::{DynProvider, StorageStatsSnapshot};
 
 fn build_dataset(provider: DynProvider, name: &str, offset: i32) {
     let mut ds = Dataset::create(provider, name).unwrap();
@@ -71,10 +71,13 @@ fn main() {
 
     // ---- the result cache: first execution vs repeats ----
     let text = "SELECT labels FROM d WHERE labels = 9";
-    mnist.stats().reset();
+    // storage round trips paid since an earlier reading of mnist's stats
+    let trips_since =
+        |before: &StorageStatsSnapshot| mnist.stats().snapshot().delta_since(before).round_trips;
+    let before = mnist.stats().snapshot();
     let first = a.query(text, &QueryOptions::default()).unwrap();
-    let first_rts = mnist.stats().round_trips();
-    mnist.stats().reset();
+    let first_rts = trips_since(&before);
+    let before = mnist.stats().snapshot();
     for _ in 0..100 {
         let again = a.query(text, &QueryOptions::default()).unwrap();
         assert_eq!(again.indices, first.indices);
@@ -83,13 +86,13 @@ fn main() {
         "query offload: first execution paid {} storage round trips; 100 repeats paid {} \
          (cache hit ratio {:.2}, {} bytes cached)",
         first_rts,
-        mnist.stats().round_trips(),
+        trips_since(&before),
         hub.cache().hit_ratio(),
         hub.cache().cached_bytes(),
     );
 
     // a formatting variant is the same canonical entry
-    mnist.stats().reset();
+    let before = mnist.stats().snapshot();
     a.query(
         "select   labels from d  where labels=9",
         &QueryOptions::default(),
@@ -98,7 +101,7 @@ fn main() {
     println!(
         "a whitespace/case variant of the query hit the same cache entry \
          ({} storage round trips)",
-        mnist.stats().round_trips()
+        trips_since(&before)
     );
 
     // ---- writes invalidate; committed versions stay pinned ----

@@ -63,12 +63,12 @@ fn main() {
         // fresh handles per run: each measurement starts cold, nothing
         // served from the previous query's decoded-chunk memo
         let ds = Dataset::open(sim.clone()).unwrap();
-        sim.stats().reset();
+        let opened = sim.stats().snapshot();
         let pruned = execute(&ds, &q, &QueryOptions::default()).unwrap();
-        let pruned_trips = sim.stats().round_trips();
+        let pruned_trips = sim.stats().snapshot().delta_since(&opened).round_trips;
 
         let ds = Dataset::open(sim.clone()).unwrap();
-        sim.stats().reset();
+        let opened = sim.stats().snapshot();
         let full = execute(
             &ds,
             &q,
@@ -78,7 +78,7 @@ fn main() {
             },
         )
         .unwrap();
-        let full_trips = sim.stats().round_trips();
+        let full_trips = sim.stats().snapshot().delta_since(&opened).round_trips;
         assert_eq!(pruned.indices, full.indices, "pushdown is result-identical");
 
         let s = pruned.stats;

@@ -80,15 +80,15 @@ fn main() {
     let q = parser::parse(&text).unwrap();
 
     let ds = Dataset::open(sim.clone()).unwrap();
-    sim.stats().reset();
+    let opened = sim.stats().snapshot();
     let t0 = Instant::now();
     let exact = execute(&ds, &q, &QueryOptions::default()).unwrap();
     let exact_elapsed = t0.elapsed();
-    let exact_trips = sim.stats().round_trips();
+    let exact_trips = sim.stats().snapshot().delta_since(&opened).round_trips;
 
     let ds = Dataset::open(sim.clone()).unwrap();
     ds.vector_index("emb").expect("index resolves over S3");
-    sim.stats().reset();
+    let opened = sim.stats().snapshot();
     let t0 = Instant::now();
     let ann = execute(
         &ds,
@@ -101,7 +101,7 @@ fn main() {
     )
     .unwrap();
     let ann_elapsed = t0.elapsed();
-    let ann_trips = sim.stats().round_trips();
+    let ann_trips = sim.stats().snapshot().delta_since(&opened).round_trips;
 
     assert_eq!(
         exact.indices, ann.indices,

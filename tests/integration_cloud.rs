@@ -38,7 +38,7 @@ fn chunked_reads_beat_per_sample_requests() {
         NetworkProfile::instant(),
     ));
     let ds = Arc::new(Dataset::open(sim.clone()).unwrap());
-    sim.stats().reset();
+    let opened = sim.stats().snapshot();
 
     let loader = DataLoader::builder(ds)
         .batch_size(25)
@@ -52,7 +52,8 @@ fn chunked_reads_beat_per_sample_requests() {
     // batched default the loader goes through `execute`, so the numbers
     // to watch are round_trips/logical_reads, not single-key requests().
     // round_trips counts both single-key reads and amortized batches
-    let round_trips = sim.stats().round_trips();
+    let epoch = sim.stats().snapshot().delta_since(&opened);
+    let round_trips = epoch.round_trips;
     assert!(
         round_trips > 0,
         "the epoch must have touched the provider at all"
@@ -62,7 +63,7 @@ fn chunked_reads_beat_per_sample_requests() {
         "expected chunked, batched fetches, got {round_trips} round trips"
     );
     assert!(
-        sim.stats().logical_reads() < 100,
+        epoch.logical_reads < 100,
         "chunked layout must need fewer chunk reads than samples"
     );
 }

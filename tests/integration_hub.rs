@@ -138,22 +138,26 @@ fn repeated_query_is_10x_cheaper_in_storage_round_trips() {
     // pin to the committed (immutable) version explicitly
     let text = format!("SELECT labels FROM d AT VERSION \"{commit}\" WHERE labels = 7");
 
-    storage.stats().reset();
+    let before = storage.stats().snapshot();
     let queries_before = hub.stats().queries();
     let first = client.query(&text, &QueryOptions::default()).unwrap();
-    let first_rts = storage.stats().round_trips();
+    let after_first = storage.stats().snapshot();
+    let first_rts = after_first.delta_since(&before).round_trips;
     assert_eq!(first.len(), 50);
     assert!(first_rts > 0, "first execution must touch storage");
 
     const REPEATS: u64 = 10;
-    storage.stats().reset();
     for _ in 0..REPEATS {
         let again = client.query(&text, &QueryOptions::default()).unwrap();
         assert_eq!(again.indices, first.indices);
         assert_eq!(again.rows, first.rows);
         assert_eq!(again.version, first.version);
     }
-    let repeat_rts = storage.stats().round_trips();
+    let repeat_rts = storage
+        .stats()
+        .snapshot()
+        .delta_since(&after_first)
+        .round_trips;
     assert_eq!(hub.stats().queries(), queries_before + 1 + REPEATS);
     assert!(
         first_rts >= 10 * repeat_rts.max(1) || repeat_rts == 0,
@@ -172,10 +176,10 @@ fn repeated_query_is_10x_cheaper_in_storage_round_trips() {
     client
         .put("unrelated/key", bytes::Bytes::from_static(b"x"))
         .unwrap();
-    storage.stats().reset();
+    let written = storage.stats().snapshot();
     let after_write = client.query(&text, &QueryOptions::default()).unwrap();
     assert_eq!(after_write.indices, first.indices);
-    let after_write_rts = storage.stats().round_trips();
+    let after_write_rts = storage.stats().snapshot().delta_since(&written).round_trips;
     assert!(
         after_write_rts <= 1,
         "committed-version entries must survive head writes \

@@ -54,9 +54,9 @@ fn selective_query_prunes_chunks_and_round_trips() {
         NetworkProfile::instant(),
     ));
     let ds = Dataset::open(sim.clone()).unwrap();
-    sim.stats().reset();
+    let opened = sim.stats().snapshot();
     let pruned = execute(&ds, &q, &QueryOptions::default()).unwrap();
-    let pruned_round_trips = sim.stats().round_trips();
+    let pruned_round_trips = sim.stats().snapshot().delta_since(&opened).round_trips;
 
     assert_eq!(pruned.len(), 40, "one of ten labels is selected");
     assert!(pruned.indices.iter().all(|&r| r / (ROWS / 10) == 3));
@@ -91,7 +91,7 @@ fn selective_query_prunes_chunks_and_round_trips() {
         NetworkProfile::instant(),
     ));
     let ds_full = Dataset::open(sim_full.clone()).unwrap();
-    sim_full.stats().reset();
+    let opened_full = sim_full.stats().snapshot();
     let full = execute(
         &ds_full,
         &q,
@@ -101,7 +101,11 @@ fn selective_query_prunes_chunks_and_round_trips() {
         },
     )
     .unwrap();
-    let full_round_trips = sim_full.stats().round_trips();
+    let full_round_trips = sim_full
+        .stats()
+        .snapshot()
+        .delta_since(&opened_full)
+        .round_trips;
 
     // identical results...
     assert_eq!(full.indices, pruned.indices);
@@ -139,8 +143,9 @@ fn undecided_spans_batch_into_few_round_trips() {
         NetworkProfile::instant(),
     ));
     let ds = Dataset::open(sim.clone()).unwrap();
-    sim.stats().reset();
+    let opened = sim.stats().snapshot();
     let r = deeplake_tql::query(&ds, "SELECT * FROM d WHERE labels = 3").unwrap();
+    let round_trips = sim.stats().snapshot().delta_since(&opened).round_trips;
     assert_eq!(r.len(), 40);
     // interleaving defeats pruning for every full-cycle chunk (only a
     // trailing partial chunk may still decide)
@@ -148,9 +153,8 @@ fn undecided_spans_batch_into_few_round_trips() {
     assert!(r.stats.chunks_scanned > 10, "almost every span scans");
     // undecided spans share one batched fetch per worker task
     assert!(
-        sim.stats().round_trips() * 4 <= r.stats.chunks_scanned,
-        "scanned spans must batch: {} round trips for {} spans",
-        sim.stats().round_trips(),
+        round_trips * 4 <= r.stats.chunks_scanned,
+        "scanned spans must batch: {round_trips} round trips for {} spans",
         r.stats.chunks_scanned
     );
 }
@@ -166,7 +170,7 @@ fn unselective_query_still_matches_naive_traffic_shape() {
         NetworkProfile::instant(),
     ));
     let ds = Dataset::open(sim.clone()).unwrap();
-    sim.stats().reset();
+    let opened = sim.stats().snapshot();
     let r = deeplake_tql::query(&ds, "SELECT * FROM d WHERE labels >= 0").unwrap();
     assert_eq!(r.len(), ROWS as usize);
     assert_eq!(r.stats.chunks_pruned, 0);
@@ -175,7 +179,7 @@ fn unselective_query_still_matches_naive_traffic_shape() {
         "statistics prove whole chunks match without fetching them"
     );
     assert_eq!(
-        sim.stats().round_trips(),
+        sim.stats().snapshot().delta_since(&opened).round_trips,
         0,
         "an all-match filter over scalar stats needs no chunk fetch at all"
     );

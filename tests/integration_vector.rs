@@ -241,9 +241,13 @@ fn index_assisted_query_halves_round_trips_on_sim_s3() {
         NetworkProfile::instant(),
     ));
     let ds_flat = Dataset::open(sim_flat.clone()).unwrap();
-    sim_flat.stats().reset();
+    let opened_flat = sim_flat.stats().snapshot();
     let flat = run(&ds_flat, &text, false, 1);
-    let flat_round_trips = sim_flat.stats().round_trips();
+    let flat_round_trips = sim_flat
+        .stats()
+        .snapshot()
+        .delta_since(&opened_flat)
+        .round_trips;
     assert_eq!(flat.stats.candidates_reranked, CLUSTERS * PER);
 
     // ---- ANN at 10% cluster probe, index warmed (steady state) ----
@@ -254,10 +258,14 @@ fn index_assisted_query_halves_round_trips_on_sim_s3() {
     ));
     let ds_ann = Dataset::open(sim_ann.clone()).unwrap();
     assert!(ds_ann.vector_index("emb").is_some(), "index loads over S3");
-    sim_ann.stats().reset();
+    let opened_ann = sim_ann.stats().snapshot();
     let nprobe = (CLUSTERS as usize) / 10;
     let ann = run(&ds_ann, &text, true, nprobe);
-    let ann_round_trips = sim_ann.stats().round_trips();
+    let ann_round_trips = sim_ann
+        .stats()
+        .snapshot()
+        .delta_since(&opened_ann)
+        .round_trips;
 
     assert_eq!(ann.indices, flat.indices, "separable blobs: same top-10");
     assert_eq!(ann.stats.clusters_probed, nprobe as u64);

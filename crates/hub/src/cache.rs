@@ -4,8 +4,22 @@
 //! version (`QueryResult::version` — PR 4), so a repeated query against
 //! the same version is *perfectly* cacheable: the hub keys entries by
 //! `(dataset, resolved version, canonical TQL text, QueryOptions)` and
-//! stores the **already-encoded response frame**, so a hit is a pure
-//! frame copy — zero parse, zero plan, zero storage round trips.
+//! stores the **already-encoded response frame** behind an `Arc`, so a
+//! hit copies a pointer under the cache lock and the frame itself is
+//! written to the socket from the one stored copy — zero plan, zero
+//! storage round trips.
+//!
+//! **What a hit costs, and where it runs.** The first arrival of a query
+//! text is parsed and canonicalized on a pool worker, which then records
+//! `raw text → canonical key` ([`ResultCache::alias`]). Every later
+//! arrival of that text is answered by the hub's *event loop* with
+//! [`ResultCache::lookup_raw`]: one hash probe of the raw bytes, one of
+//! the canonical key, an `O(log entries)` recency update — no TQL parse,
+//! no queue, no worker. Aliases live under the cache's one lock and
+//! inside its one byte budget: an alias is charged to the entry it
+//! points at and dies with it (eviction or invalidation), and a frame is
+//! only ever obtained through the canonical entry, so an alias can
+//! neither outlive nor bypass an invalidation.
 //!
 //! Three facts keep the cache correct:
 //!
@@ -17,15 +31,39 @@
 //!   dropped by [`ResultCache::invalidate_mutable`] whenever the hub
 //!   routes a write into the dataset, because an uncommitted tip mutates
 //!   *without changing its id*;
-//! * eviction is byte-budgeted LRU, with [`StorageStats::evictions`]
-//!   counted per dropped entry so budget pressure is observable (the
-//!   same counter contract the storage-tier LRU exposes).
+//! * eviction is byte-budgeted LRU over a tick-ordered index — the
+//!   victim is found in `O(log entries)`, never by a scan, because the
+//!   event loop waits on this lock for every hit — with
+//!   [`StorageStats::evictions`] counted per dropped entry so budget
+//!   pressure is observable (the same counter contract the storage-tier
+//!   LRU exposes).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use deeplake_storage::StorageStats;
 use deeplake_tql::QueryOptions;
 use parking_lot::Mutex;
+
+/// An encoded response frame, shared between the cache and every
+/// connection write queue it is being sent from.
+pub type Frame = Arc<Vec<u8>>;
+
+/// Raw texts one entry remembers; a ninth displaces the oldest. Bounds
+/// what a client cycling formatting variants of one query can pin.
+const MAX_ALIASES_PER_ENTRY: usize = 8;
+
+/// Longest raw text that is remembered. A longer one (whitespace padding
+/// is free to a hostile client) is parsed on a worker every time, as
+/// every text was before aliases existed.
+const MAX_ALIAS_TEXT_BYTES: usize = 16 * 1024;
+
+/// What one key — canonical or raw — is charged: its strings plus 64
+/// bytes of bookkeeping.
+fn key_cost(dataset: &str, version: &str, text: &str) -> u64 {
+    (dataset.len() + version.len() + text.len() + 64) as u64
+}
 
 /// Cache key: one logical query against one immutable dataset version.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -44,23 +82,114 @@ pub struct CacheKey {
 impl CacheKey {
     fn cost(&self, frame_len: usize) -> u64 {
         // entry footprint: the frame plus the owned key strings
-        (frame_len + self.dataset.len() + self.version.len() + self.text.len() + 64) as u64
+        frame_len as u64 + key_cost(&self.dataset, &self.version, &self.text)
+    }
+}
+
+/// A [`CacheKey`] with the client's *raw* text in place of the canonical
+/// one: what the event loop can build without parsing. Owned in the
+/// alias map, borrowed from the request for a probe.
+#[derive(PartialEq, Eq, Hash)]
+struct RawKey<'a> {
+    dataset: Cow<'a, str>,
+    version: Cow<'a, str>,
+    text: Cow<'a, str>,
+    options: QueryOptions,
+}
+
+impl<'a> RawKey<'a> {
+    fn borrowed(dataset: &'a str, version: &'a str, text: &'a str, options: QueryOptions) -> Self {
+        RawKey {
+            dataset: Cow::Borrowed(dataset),
+            version: Cow::Borrowed(version),
+            text: Cow::Borrowed(text),
+            options,
+        }
+    }
+
+    fn cost(&self) -> u64 {
+        key_cost(&self.dataset, &self.version, &self.text)
+    }
+
+    fn into_owned(self) -> RawKey<'static> {
+        RawKey {
+            dataset: Cow::Owned(self.dataset.into_owned()),
+            version: Cow::Owned(self.version.into_owned()),
+            text: Cow::Owned(self.text.into_owned()),
+            options: self.options,
+        }
     }
 }
 
 struct Entry {
-    frame: Vec<u8>,
+    key: Arc<CacheKey>,
+    frame: Frame,
     /// True when the result can never change (committed version inside
     /// and out): survives write invalidation.
     pinned: bool,
+    /// Recency stamp, and this entry's key in [`CacheState::lru`].
     tick: u64,
+    /// Bytes charged to the budget: frame, key and every alias below.
     cost: u64,
+    /// Raw texts that resolve to this entry, oldest first.
+    aliases: Vec<Arc<RawKey<'static>>>,
 }
 
 struct CacheState {
-    entries: HashMap<CacheKey, Entry>,
+    entries: HashMap<Arc<CacheKey>, Entry>,
+    /// `tick → key` of every entry: the first is the least recently
+    /// used. Ticks are unique (one per touch), so this mirrors `entries`
+    /// one to one.
+    lru: BTreeMap<u64, Arc<CacheKey>>,
+    /// `raw key → canonical key`; every value is a live entry's key.
+    aliases: HashMap<Arc<RawKey<'static>>, Arc<CacheKey>>,
     bytes: u64,
     tick: u64,
+}
+
+impl CacheState {
+    /// The entry under `key`, stamped most recently used.
+    fn touch(&mut self, key: &CacheKey) -> Option<&Entry> {
+        let entry = self.entries.get_mut(key)?;
+        self.tick += 1;
+        let indexed = self
+            .lru
+            .remove(&entry.tick)
+            .expect("every entry is indexed");
+        entry.tick = self.tick;
+        self.lru.insert(entry.tick, indexed);
+        Some(entry)
+    }
+
+    /// Drop the entry under `key` with everything charged to it.
+    fn remove(&mut self, key: &CacheKey) {
+        let Some(entry) = self.entries.remove(key) else {
+            return;
+        };
+        self.lru.remove(&entry.tick);
+        for raw in &entry.aliases {
+            self.aliases.remove(raw);
+        }
+        self.bytes -= entry.cost;
+    }
+
+    /// Evict least-recently-used entries until `budget` holds.
+    fn evict_to(&mut self, budget: u64, stats: &StorageStats) {
+        while self.bytes > budget {
+            let (_, victim) = self.lru.pop_first().expect("bytes > 0 implies entries");
+            self.remove(&victim);
+            stats.record_eviction();
+        }
+    }
+
+    /// The canonical key `raw` is known to resolve to.
+    fn alias_target<'a>(&'a self, raw: &RawKey<'a>) -> Option<&'a Arc<CacheKey>> {
+        // the map owns `RawKey<'static>`s; shortening that lifetime (the
+        // map is covariant in its key type) lets a key that borrows from
+        // the request probe it without copying the text first
+        let aliases: &'a HashMap<Arc<RawKey<'a>>, Arc<CacheKey>> = &self.aliases;
+        aliases.get(raw)
+    }
 }
 
 /// Byte-budgeted LRU over encoded query-response frames.
@@ -77,6 +206,8 @@ impl ResultCache {
         ResultCache {
             state: Mutex::new(CacheState {
                 entries: HashMap::new(),
+                lru: BTreeMap::new(),
+                aliases: HashMap::new(),
                 bytes: 0,
                 tick: 0,
             }),
@@ -105,7 +236,8 @@ impl ResultCache {
         self.stats.evictions()
     }
 
-    /// Bytes currently held (frames + key strings).
+    /// Bytes currently held (frames, key strings and remembered raw
+    /// texts).
     pub fn cached_bytes(&self) -> u64 {
         self.state.lock().bytes
     }
@@ -115,31 +247,85 @@ impl ResultCache {
         self.state.lock().entries.len()
     }
 
-    /// Look one query up; a hit returns a copy of the encoded response
-    /// frame, ready to write to the wire.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Vec<u8>> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        match st.entries.get_mut(key) {
-            Some(entry) => {
-                entry.tick = tick;
-                self.stats.record_hit();
-                Some(entry.frame.clone())
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
+    /// Look one query up by its canonical key; a hit returns the encoded
+    /// response frame (shared, not copied), ready to write to the wire.
+    /// Counts one hit or one miss.
+    pub fn lookup(&self, key: &CacheKey) -> Option<Frame> {
+        let hit = self.state.lock().touch(key).map(|e| e.frame.clone());
+        match hit {
+            Some(_) => self.stats.record_hit(),
+            None => self.stats.record_miss(),
         }
+        hit
+    }
+
+    /// Look one query up by the text the client sent, without parsing
+    /// it: a hit when [`alias`](Self::alias) recorded this exact text
+    /// for an entry that is still cached, and then it counts one hit and
+    /// returns the canonical key with the frame. An unknown text counts
+    /// nothing — the caller falls back to parsing it and calling
+    /// [`lookup`](Self::lookup), which counts the query once.
+    pub fn lookup_raw(
+        &self,
+        dataset: &str,
+        version: &str,
+        raw_text: &str,
+        options: QueryOptions,
+    ) -> Option<(Arc<CacheKey>, Frame)> {
+        let raw = RawKey::borrowed(dataset, version, raw_text, options);
+        let mut st = self.state.lock();
+        let key = st.alias_target(&raw)?.clone();
+        let frame = st
+            .touch(&key)
+            .expect("an alias dies with its entry")
+            .frame
+            .clone();
+        drop(st);
+        self.stats.record_hit();
+        Some((key, frame))
+    }
+
+    /// Remember that `raw_text` canonicalizes to `key.text`, so the next
+    /// arrival of it is a [`lookup_raw`](Self::lookup_raw) hit. A no-op
+    /// unless `key` is cached; the alias is charged to that entry's
+    /// share of the budget and dropped with it.
+    pub fn alias(&self, key: &CacheKey, raw_text: &str) {
+        if raw_text.len() > MAX_ALIAS_TEXT_BYTES {
+            return;
+        }
+        let raw = RawKey::borrowed(&key.dataset, &key.version, raw_text, key.options);
+        let cost = raw.cost();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if st.alias_target(&raw).is_some() {
+            return;
+        }
+        let Some(entry) = st.entries.get_mut(key) else {
+            return;
+        };
+        if entry.cost + cost > self.budget {
+            return; // could never fit: not worth evicting the rest for
+        }
+        if entry.aliases.len() == MAX_ALIASES_PER_ENTRY {
+            let oldest = entry.aliases.remove(0);
+            st.aliases.remove(&oldest);
+            entry.cost -= oldest.cost();
+            st.bytes -= oldest.cost();
+        }
+        let raw = Arc::new(raw.into_owned());
+        entry.aliases.push(raw.clone());
+        entry.cost += cost;
+        st.bytes += cost;
+        st.aliases.insert(raw, entry.key.clone());
+        st.evict_to(self.budget, &self.stats);
     }
 
     /// Store one encoded response frame. `pinned` marks results whose
     /// version can never mutate (committed inside and out); unpinned
     /// entries are dropped on the next write to the dataset. Frames
     /// larger than the whole budget are never stored.
-    pub fn insert(&self, key: CacheKey, frame: Vec<u8>, pinned: bool) {
-        self.insert_if(key, frame, pinned, || true);
+    pub fn insert(&self, key: CacheKey, frame: impl Into<Frame>, pinned: bool) {
+        self.insert_if(key, frame.into(), pinned, || true);
     }
 
     /// [`ResultCache::insert`] gated on `still_valid`, evaluated *under
@@ -151,7 +337,7 @@ impl ResultCache {
     pub fn insert_if(
         &self,
         key: CacheKey,
-        frame: Vec<u8>,
+        frame: Frame,
         pinned: bool,
         still_valid: impl FnOnce() -> bool,
     ) {
@@ -163,38 +349,30 @@ impl ResultCache {
         if !still_valid() {
             return;
         }
+        st.remove(&key);
         st.tick += 1;
         let tick = st.tick;
-        if let Some(old) = st.entries.insert(
-            key,
+        let key = Arc::new(key);
+        st.lru.insert(tick, key.clone());
+        st.entries.insert(
+            key.clone(),
             Entry {
+                key,
                 frame,
                 pinned,
                 tick,
                 cost,
+                aliases: Vec::new(),
             },
-        ) {
-            st.bytes -= old.cost;
-        }
+        );
         st.bytes += cost;
-        while st.bytes > self.budget {
-            let victim = st
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-                .expect("bytes > 0 implies entries");
-            if let Some(old) = st.entries.remove(&victim) {
-                st.bytes -= old.cost;
-                self.stats.record_eviction();
-            }
-        }
+        st.evict_to(self.budget, &self.stats);
     }
 
     /// Drop every entry for `dataset` — mount/unmount and explicit
     /// out-of-band invalidation.
     pub fn invalidate_dataset(&self, dataset: &str) {
-        self.retain(|k, _| k.dataset != dataset);
+        self.retain(|e| e.key.dataset != dataset);
     }
 
     /// Drop the entries for `dataset` whose results could change under a
@@ -202,21 +380,19 @@ impl ResultCache {
     /// pinned to committed versions survive: committed nodes are
     /// immutable by construction.
     pub fn invalidate_mutable(&self, dataset: &str) {
-        self.retain(|k, e| k.dataset != dataset || e.pinned);
+        self.retain(|e| e.key.dataset != dataset || e.pinned);
     }
 
-    fn retain(&self, keep: impl Fn(&CacheKey, &Entry) -> bool) {
+    fn retain(&self, keep: impl Fn(&Entry) -> bool) {
         let mut st = self.state.lock();
-        let doomed: Vec<CacheKey> = st
+        let doomed: Vec<Arc<CacheKey>> = st
             .entries
-            .iter()
-            .filter(|(k, e)| !keep(k, e))
-            .map(|(k, _)| k.clone())
+            .values()
+            .filter(|e| !keep(e))
+            .map(|e| e.key.clone())
             .collect();
         for key in doomed {
-            if let Some(old) = st.entries.remove(&key) {
-                st.bytes -= old.cost;
-            }
+            st.remove(&key);
         }
     }
 }
@@ -240,7 +416,7 @@ mod tests {
         let k = key("d", "v1", "SELECT * FROM d");
         assert!(cache.lookup(&k).is_none());
         cache.insert(k.clone(), vec![1, 2, 3], true);
-        assert_eq!(cache.lookup(&k).unwrap(), vec![1, 2, 3]);
+        assert_eq!(*cache.lookup(&k).unwrap(), vec![1, 2, 3]);
         assert_eq!(cache.stats().cache_hits(), 1);
         assert_eq!(cache.stats().cache_misses(), 1);
     }
@@ -254,8 +430,8 @@ mod tests {
         cache.insert(k1.clone(), vec![1], true);
         assert!(cache.lookup(&k2).is_none());
         cache.insert(k2.clone(), vec![2], true);
-        assert_eq!(cache.lookup(&k1).unwrap(), vec![1]);
-        assert_eq!(cache.lookup(&k2).unwrap(), vec![2]);
+        assert_eq!(*cache.lookup(&k1).unwrap(), vec![1]);
+        assert_eq!(*cache.lookup(&k2).unwrap(), vec![2]);
     }
 
     #[test]
@@ -290,12 +466,184 @@ mod tests {
         assert!(cache.lookup(&committed).is_none());
     }
 
+    /// 20 000 small entries through a budget that holds a fraction of
+    /// them: every insert past the budget evicts exactly the least
+    /// recently used entry, found through the tick index (the parent's
+    /// `min_by_key` over all entries made this a 20 000 × survivors scan
+    /// under the lock the event loop takes for every hit).
+    #[test]
+    fn small_entry_flood_evicts_strictly_lru() {
+        const INSERTS: usize = 20_000;
+        let cache = ResultCache::new(100_000);
+        let text = |i: usize| format!("q{i:05}");
+        for i in 0..INSERTS {
+            cache.insert(key("d", "v", &text(i)), vec![0u8; 8], true);
+            assert!(cache.cached_bytes() <= cache.budget());
+        }
+        let survivors = cache.cached_entries();
+        assert!((2..INSERTS / 4).contains(&survivors), "{survivors}");
+        assert_eq!(cache.evictions() as usize, INSERTS - survivors);
+        {
+            let st = cache.state.lock();
+            assert_eq!(st.lru.len(), survivors, "the index mirrors the map");
+            // equal costs: the survivors are exactly the newest inserts
+            for i in 0..INSERTS {
+                let cached = st.entries.contains_key(&key("d", "v", &text(i)));
+                assert_eq!(cached, i >= INSERTS - survivors, "entry {i}");
+            }
+        }
+        // recency, not insertion order, picks the victim: touch the
+        // oldest survivor and the next insert takes the second oldest
+        let oldest = INSERTS - survivors;
+        assert!(cache.lookup(&key("d", "v", &text(oldest))).is_some());
+        cache.insert(key("d", "v", &text(INSERTS)), vec![0u8; 8], true);
+        assert_eq!(cache.evictions() as usize, INSERTS - survivors + 1);
+        let st = cache.state.lock();
+        assert!(st.entries.contains_key(&key("d", "v", &text(oldest))));
+        assert!(!st.entries.contains_key(&key("d", "v", &text(oldest + 1))));
+        assert!(st.entries.contains_key(&key("d", "v", &text(oldest + 2))));
+    }
+
+    #[test]
+    fn raw_text_hits_through_the_canonical_entry() {
+        let cache = ResultCache::new(1 << 20);
+        let k = key("d", "v1", "SELECT * FROM d");
+        let raw = "select  *  from d";
+        let probe = |text: &str| cache.lookup_raw("d", "v1", text, QueryOptions::default());
+        cache.insert(k.clone(), vec![1, 2, 3], true);
+        // an unknown text is not a lookup: the caller parses and counts
+        assert!(probe(raw).is_none());
+        assert_eq!(cache.stats().cache_hits() + cache.stats().cache_misses(), 0);
+        cache.alias(&k, raw);
+        let (canonical, frame) = probe(raw).expect("the text is known now");
+        assert_eq!(*canonical, k);
+        assert!(
+            Arc::ptr_eq(&frame, &cache.lookup(&k).unwrap()),
+            "a hit shares the stored frame"
+        );
+        assert_eq!(cache.stats().cache_hits(), 2);
+        assert_eq!(cache.stats().cache_misses(), 0);
+        // the raw key is the canonical key with another text: a different
+        // version, dataset or option set does not match it
+        assert!(cache
+            .lookup_raw("d", "v2", raw, QueryOptions::default())
+            .is_none());
+        assert!(cache
+            .lookup_raw("e", "v1", raw, QueryOptions::default())
+            .is_none());
+        let ann = QueryOptions {
+            ann: true,
+            ..QueryOptions::default()
+        };
+        assert!(cache.lookup_raw("d", "v1", raw, ann).is_none());
+        // a raw-text hit is a use: it protects the entry from eviction
+        let small = ResultCache::new(450);
+        small.insert(key("d", "v", "q0"), vec![0u8; 100], true);
+        small.alias(&key("d", "v", "q0"), "Q0");
+        small.insert(key("d", "v", "q1"), vec![0u8; 100], true);
+        assert!(small
+            .lookup_raw("d", "v", "Q0", QueryOptions::default())
+            .is_some());
+        small.insert(key("d", "v", "q2"), vec![0u8; 100], true);
+        assert!(small.lookup(&key("d", "v", "q0")).is_some());
+        assert!(small.lookup(&key("d", "v", "q1")).is_none());
+    }
+
+    #[test]
+    fn an_alias_dies_with_its_entry() {
+        let probe = |cache: &ResultCache| {
+            cache
+                .lookup_raw("d", "tip", "RAW", QueryOptions::default())
+                .is_some()
+        };
+        let aliased = |pinned: bool| {
+            let cache = ResultCache::new(400);
+            cache.insert(key("d", "tip", "q"), vec![0u8; 100], pinned);
+            let entry_only = cache.cached_bytes();
+            cache.alias(&key("d", "tip", "q"), "RAW");
+            assert_eq!(cache.cached_bytes(), entry_only + 1 + 3 + 3 + 64);
+            assert!(probe(&cache));
+            cache
+        };
+        let gone = |cache: &ResultCache| {
+            assert!(!probe(cache));
+            assert!(cache.state.lock().aliases.is_empty());
+        };
+
+        let cache = aliased(false);
+        cache.invalidate_mutable("d");
+        gone(&cache);
+        assert_eq!(cache.cached_bytes(), 0, "its bytes went with it");
+
+        let cache = aliased(true);
+        cache.invalidate_mutable("d");
+        assert!(probe(&cache), "a pinned entry keeps its aliases");
+        cache.invalidate_dataset("d");
+        gone(&cache);
+        assert_eq!(cache.cached_bytes(), 0);
+
+        // evicted by budget pressure
+        let cache = aliased(true);
+        cache.insert(key("d", "tip", "r"), vec![0u8; 100], true);
+        cache.insert(key("d", "tip", "s"), vec![0u8; 100], true);
+        assert!(cache.lookup(&key("d", "tip", "q")).is_none());
+        gone(&cache);
+
+        // replaced by a fresh insert of the same key
+        let cache = aliased(true);
+        cache.insert(key("d", "tip", "q"), vec![1u8; 100], true);
+        gone(&cache);
+
+        // and an alias for a key that is not cached is never recorded
+        let cache = ResultCache::new(400);
+        cache.alias(&key("d", "tip", "q"), "RAW");
+        gone(&cache);
+        assert_eq!(cache.cached_bytes(), 0);
+    }
+
+    #[test]
+    fn aliases_stay_inside_the_budget_and_their_bounds() {
+        let cache = ResultCache::new(4096);
+        let k = key("d", "v", "select");
+        cache.insert(k.clone(), vec![0u8; 100], true);
+        cache.insert(key("d", "v", "other"), vec![0u8; 100], true);
+        for i in 0..10_000 {
+            cache.alias(&k, &format!("select{}", " ".repeat(i % 97 + 1 + i / 97)));
+            assert!(cache.cached_bytes() <= cache.budget());
+        }
+        let known = cache.state.lock().aliases.len();
+        assert!((1..=MAX_ALIASES_PER_ENTRY).contains(&known), "{known}");
+        // recording the same text twice charges it once
+        let before = cache.cached_bytes();
+        cache.alias(&k, "SELECT");
+        let once = cache.cached_bytes();
+        cache.alias(&k, "SELECT");
+        assert_eq!(cache.cached_bytes(), once);
+        assert!(once <= before + 6 + 1 + 1 + 64);
+        // a text over the length bound is never remembered
+        let long = " ".repeat(MAX_ALIAS_TEXT_BYTES + 1);
+        let cache = ResultCache::new(1 << 20);
+        cache.insert(k.clone(), vec![0u8; 100], true);
+        cache.alias(&k, &long);
+        assert!(cache.state.lock().aliases.is_empty());
+        // nor one that could only fit by evicting its own entry
+        let cache = ResultCache::new(400);
+        cache.insert(k.clone(), vec![0u8; 100], true);
+        cache.alias(&k, &" ".repeat(300));
+        assert!(cache.state.lock().aliases.is_empty());
+        assert_eq!(cache.cached_entries(), 1);
+    }
+
     #[test]
     fn zero_budget_disables_caching() {
         let cache = ResultCache::new(0);
         let k = key("d", "v", "q");
         cache.insert(k.clone(), vec![1], true);
         assert!(cache.lookup(&k).is_none());
+        cache.alias(&k, "Q");
+        assert!(cache
+            .lookup_raw("d", "v", "Q", QueryOptions::default())
+            .is_none());
         assert_eq!(cache.cached_bytes(), 0);
     }
 }

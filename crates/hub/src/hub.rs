@@ -7,13 +7,38 @@
 //! loops* ([`HubOptions::reader_threads`], default 2) built on the
 //! `polling` readiness API (epoll on Linux). Each loop owns its
 //! connections outright: it accumulates bytes into per-connection
-//! buffers, slices complete frames out, answers the cheap control ops
-//! (`Hello`, `Attach`, registry management) inline, and pushes decoded
-//! data ops onto one bounded queue that `workers` pool threads drain.
+//! buffers, slices complete frames out and decodes each from the buffer
+//! it arrived in, then takes one of three branches:
+//!
+//! 1. a cheap control op (`Hello`, `Attach`, registry management) is
+//!    answered inline;
+//! 2. a `Query` whose exact text the result cache already knows is
+//!    answered inline too (next section);
+//! 3. every other data op is pushed onto one bounded queue that
+//!    `workers` pool threads drain.
+//!
 //! Ten thousand idle connections therefore cost ten thousand
 //! *registrations* (a few hundred bytes each) instead of ten thousand
 //! parked OS threads, and storage/query concurrency never exceeds the
 //! pool size.
+//!
+//! ## A cache hit never leaves the loop
+//!
+//! The first arrival of a query text goes to the pool: a worker parses
+//! and canonicalizes it, looks the canonical key up (executing on a
+//! miss), and records `raw text → canonical key` in the cache. From the
+//! second arrival on, the loop answers those bytes itself: the mount's
+//! memoized head for the reference, one probe of the raw text
+//! ([`ResultCache::lookup_raw`]), and the stored frame — shared, not
+//! copied — is deposited on the connection's write queue. No TQL parse,
+//! no storage read, no job, no queue, no worker, no wake-up, no in-flight
+//! slot (so never `Busy`); the loop records the same `hub.cache_lookup_ns`
+//! / `hub.flush_ns` samples, counters and slow-log check a worker would,
+//! but no `hub.queue_wait_ns` sample — that histogram counts pool visits.
+//! Whatever makes the probe fail — unknown text, no head memo, an entry
+//! evicted or invalidated (its raw texts go with it) — falls through to
+//! branch 3, so the loop never parses, never touches storage and never
+//! serves a frame an invalidation has dropped.
 //!
 //! ## Overload is an answer, not a stall
 //!
@@ -29,8 +54,9 @@
 //!
 //! Workers never touch sockets. A finished response is deposited into
 //! the connection's outbound queue and the owning loop is woken to
-//! write it out — nonblocking, with partial-write tracking — so a peer
-//! that stops draining can never pin a pool worker. Its outbound queue
+//! write it out — nonblocking, everything queued in one vectored write,
+//! with partial-write tracking — so a peer that stops draining can never
+//! pin a pool worker. Its outbound queue
 //! is bounded instead: past [`HubOptions::conn_buffer_bytes`] of
 //! responses committed but unwritten the loop stops *reading* that
 //! connection (admitting no further requests, so no further responses
@@ -46,7 +72,9 @@
 //! response order, with nothing to reorder. A connection that switched
 //! to pipelined framing (`Request::Pipeline`) carries correlation ids
 //! instead: up to [`HubOptions::max_inflight_per_conn`] requests run at
-//! once, responses are committed in completion order and the client
+//! once, responses are committed in completion order — no fixed order:
+//! two workers may finish out of turn, and a cache hit answered by the
+//! loop overtakes an earlier request still in the pool — and the client
 //! demultiplexes by id.
 //!
 //! ## Shutdown
@@ -61,7 +89,7 @@
 //! each connection as it empties, and exit.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -82,7 +110,7 @@ use deeplake_tql::{canonical, parser, QueryOptions};
 use parking_lot::Mutex;
 use polling::{Event, Interest, Poller};
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::{CacheKey, Frame, ResultCache};
 use crate::registry::{DatasetRegistry, Mounted};
 
 /// Poller key the accept listener is registered under on loop 0
@@ -94,6 +122,10 @@ const LISTEN_KEY: u64 = u64::MAX - 1;
 /// before yielding — level-triggered readiness re-fires for the rest,
 /// so one firehose peer cannot starve the loop's other connections.
 const READ_BURST: usize = 256 * 1024;
+
+/// Most slices one flush hands to `writev` (head and body of 32 queued
+/// responses); far below the kernel's `IOV_MAX` of 1024.
+const FLUSH_IOV: usize = 64;
 
 /// Slow-query ring capacity: the most recent entries, read oldest first
 /// via [`HubHandle::metrics`] or the wire `Metrics` opcode.
@@ -327,18 +359,79 @@ impl JobQueue {
 // per-connection state
 // ---------------------------------------------------------------------
 
-/// Outbound side of one connection. Workers deposit here; only the
-/// owning event loop performs socket writes.
+/// One committed response as it goes on the wire: the `[len][id]` head
+/// built at deposit time, then the response body — the very allocation
+/// the result cache holds when the response is a cache hit.
+struct OutFrame {
+    head: [u8; 12],
+    /// 4 on an untagged connection, 12 with a correlation id.
+    head_len: usize,
+    body: Frame,
+}
+
+impl OutFrame {
+    fn new(id: Option<u64>, body: Frame) -> Self {
+        let tag_len = if id.is_some() { 8 } else { 0 };
+        let mut head = [0u8; 12];
+        head[..4].copy_from_slice(&((body.len() + tag_len) as u32).to_le_bytes());
+        head[4..].copy_from_slice(&id.unwrap_or(0).to_le_bytes());
+        OutFrame {
+            head,
+            head_len: 4 + tag_len,
+            body,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.head_len + self.body.len()
+    }
+}
+
+/// Outbound side of one connection. Workers and the loop's own inline
+/// answers deposit here; only the owning event loop performs socket
+/// writes.
+#[derive(Default)]
 struct OutState {
-    /// Committed wire frames (length header included) not yet fully
-    /// written to the socket.
-    wbuf: VecDeque<Vec<u8>>,
-    /// Bytes of `wbuf.front()` already written.
+    /// Committed responses not yet fully written to the socket.
+    wbuf: VecDeque<OutFrame>,
+    /// Bytes of `wbuf.front()` (head, then body) already written.
     woff: usize,
     /// Total unwritten bytes across `wbuf` — every response byte the
     /// connection holds in memory, and what admission and read interest
     /// are capped on.
     buffered: usize,
+}
+
+impl OutState {
+    /// The unwritten bytes, oldest first, as the slices they live in.
+    fn unwritten(&self) -> impl Iterator<Item = &[u8]> {
+        // only the front frame is partly written: `skip` runs out inside it
+        let mut skip = self.woff;
+        self.wbuf
+            .iter()
+            .flat_map(|f| [&f.head[..f.head_len], &f.body[..]])
+            .filter_map(move |s| {
+                let cut = skip.min(s.len());
+                skip -= cut;
+                (cut < s.len()).then(|| &s[cut..])
+            })
+    }
+
+    /// Account `n` more bytes as written: drop the frames they complete
+    /// and leave `woff` inside the new front frame.
+    fn consume(&mut self, n: usize) {
+        self.buffered -= n;
+        let mut at = self.woff + n;
+        while let Some(front) = self.wbuf.front() {
+            if at < front.len() {
+                break;
+            }
+            at -= front.len();
+            self.wbuf.pop_front();
+        }
+        debug_assert!(at == 0 || !self.wbuf.is_empty(), "consumed past the queue");
+        self.woff = at;
+    }
 }
 
 /// The slice of connection state shared with pool workers. The socket
@@ -359,32 +452,30 @@ struct ConnShared {
 }
 
 /// Commit one response onto the connection's write queue — tagged with
-/// `id` on a pipelined connection — and account it. The socket write
-/// itself happens later, on the owning event loop.
-fn deposit(shared: &Shared, conn: &ConnShared, id: Option<u64>, request_len: u64, frame: Vec<u8>) {
+/// `id` on a pipelined connection — and account it. The body is queued
+/// as it is, never copied; the socket write itself happens later, on the
+/// owning event loop.
+fn deposit(
+    shared: &Shared,
+    conn: &ConnShared,
+    id: Option<u64>,
+    request_len: u64,
+    frame: impl Into<Frame>,
+) {
+    let wire = OutFrame::new(id, frame.into());
+    let wire_len = wire.len() as u64;
     let mut out = conn.out.lock();
     if conn.dead.load(Ordering::Acquire) {
         return;
     }
-    let tag_len = if id.is_some() { 8 } else { 0 };
-    let mut wire = Vec::with_capacity(4 + tag_len + frame.len());
-    wire.extend_from_slice(&((frame.len() + tag_len) as u32).to_le_bytes());
-    if let Some(id) = id {
-        wire.extend_from_slice(&id.to_le_bytes());
-    }
-    wire.extend_from_slice(&frame);
     out.buffered += wire.len();
-    let wire_len = wire.len() as u64;
     out.wbuf.push_back(wire);
     let peak = out.buffered as u64;
     drop(out);
     shared.stats.peak_conn_buffered.record_max(peak);
     shared.stats.requests.inc();
     shared.obs.bytes_out_rate.add(wire_len);
-    shared
-        .stats
-        .wire
-        .record_wire(request_len + 4, (frame.len() + tag_len) as u64 + 4);
+    shared.stats.wire.record_wire(request_len + 4, wire_len);
 }
 
 /// Wake `conn`'s event loop to flush a deposit (coalesced: a wakeup
@@ -1109,11 +1200,7 @@ fn adopt(
     let state = Arc::new(ConnShared {
         token,
         loop_idx: idx,
-        out: Mutex::new(OutState {
-            wbuf: VecDeque::new(),
-            woff: 0,
-            buffered: 0,
-        }),
+        out: Mutex::new(OutState::default()),
         inflight: AtomicUsize::new(0),
         attached: Mutex::new(None),
         dead: AtomicBool::new(false),
@@ -1237,7 +1324,12 @@ fn service(
     true
 }
 
-/// Read until the socket would block (or the fairness burst is spent).
+/// Read until the socket has no more (or the fairness burst is spent).
+/// A read that comes back short emptied the socket's buffer, so the loop
+/// stops there instead of paying one more `read` to be told `WouldBlock`:
+/// the poller is level-triggered (`third_party/polling` registers plain
+/// `EPOLLIN`), so bytes — or an EOF — that arrive after the short read
+/// raise a fresh readiness event and nothing is lost.
 fn pull_bytes(conn: &mut Conn, scratch: &mut [u8]) -> Result<usize, ()> {
     let mut total = 0;
     loop {
@@ -1252,7 +1344,7 @@ fn pull_bytes(conn: &mut Conn, scratch: &mut [u8]) -> Result<usize, ()> {
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&scratch[..n]);
                 total += n;
-                if total >= READ_BURST {
+                if n < scratch.len() || total >= READ_BURST {
                     return Ok(total);
                 }
             }
@@ -1292,8 +1384,8 @@ fn parse_frames(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
         if avail < 4 + len {
             break;
         }
-        let payload = conn.rbuf[conn.rpos + 4..conn.rpos + 4 + len].to_vec();
-        conn.rpos += 4 + len;
+        let payload = conn.rpos + 4..conn.rpos + 4 + len;
+        conn.rpos = payload.end;
         if !handle_frame(shared, conn, payload) {
             return false;
         }
@@ -1308,23 +1400,25 @@ fn parse_frames(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
     true
 }
 
-/// Write queued frames until done or the socket would block.
+/// Write queued frames until done or the socket would block: everything
+/// queued (up to [`FLUSH_IOV`] slices a call) leaves in one vectored
+/// write, so the responses of one parse pass cost one syscall, not one
+/// each.
 fn flush_out(conn: &mut Conn) -> Result<usize, ()> {
     let mut out = conn.state.out.lock();
     let mut total = 0;
-    while let Some(front) = out.wbuf.front() {
-        let at = out.woff;
-        let front_len = front.len();
-        match conn.stream.write(&front[at..]) {
+    while !out.wbuf.is_empty() {
+        let mut iov = [IoSlice::new(&[]); FLUSH_IOV];
+        let mut filled = 0;
+        for (slot, bytes) in iov.iter_mut().zip(out.unwritten()) {
+            *slot = IoSlice::new(bytes);
+            filled += 1;
+        }
+        match conn.stream.write_vectored(&iov[..filled]) {
             Ok(0) => return Err(()),
             Ok(n) => {
                 total += n;
-                out.woff += n;
-                out.buffered -= n;
-                if out.woff == front_len {
-                    out.wbuf.pop_front();
-                    out.woff = 0;
-                }
+                out.consume(n);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1382,19 +1476,22 @@ fn is_control(req: &Request) -> bool {
     )
 }
 
-/// Decode and answer (or enqueue) one complete frame. Returns `false`
-/// only for violations the stream cannot recover from.
-fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool {
+/// Decode and answer (or enqueue) one complete frame, the bytes of
+/// `conn.rbuf` in `payload`: the request is decoded from that borrow, so
+/// the only bytes copied are the ones a queued [`Job`] must own. Returns
+/// `false` only for violations the stream cannot recover from.
+fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: std::ops::Range<usize>) -> bool {
+    let payload = &conn.rbuf[payload];
     let request_len = payload.len() as u64;
     let (id, body): (Option<u64>, &[u8]) = if conn.pipelined {
-        match proto::split_tagged(&payload) {
+        match proto::split_tagged(payload) {
             Some((id, body)) => (Some(id), body),
             // a pipelined frame too short for its id cannot be answered
             // under any id: fail the connection
             None => return false,
         }
     } else {
-        (None, &payload[..])
+        (None, payload)
     };
     let request = match proto::decode_request(body) {
         Ok(r) => r,
@@ -1475,6 +1572,21 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, payload: Vec<u8>) -> bool
             }
         },
     };
+    // a query whose exact text a worker has canonicalized before is
+    // answered here and now: no job, no queue, no worker, no wake-up
+    if let Request::Query {
+        reference,
+        text,
+        options,
+    } = &request
+    {
+        if let Some(frame) = cached_answer(shared, &mount, reference, text, *options, trace) {
+            let flush = SpanTimer::start();
+            deposit(shared, &conn.state, id, request_len, frame);
+            flush.record(&shared.obs.flush);
+            return true;
+        }
+    }
     // lossless back-pressure: over-cap (pipelined connections only — an
     // untagged one is never sliced with a request in flight) or
     // queue-full answers Busy in this request's place in the stream
@@ -1666,9 +1778,14 @@ fn invalidate_for_write(shared: &Shared, mount: &Mounted) {
 }
 
 /// Answer a data op against the resolved mount, on a pool worker.
-fn dispatch_data(shared: &Shared, mount: &Arc<Mounted>, request: Request, ctx: &JobCtx) -> Vec<u8> {
+fn dispatch_data(shared: &Shared, mount: &Arc<Mounted>, request: Request, ctx: &JobCtx) -> Frame {
     let p = &mount.provider;
-    match request {
+    let response = match request {
+        Request::Query {
+            reference,
+            text,
+            options,
+        } => return handle_query(shared, mount, &reference, &text, options, ctx),
         Request::Get { key } => match p.get(&key) {
             Ok(data) => proto::resp_bytes(&data),
             Err(e) => proto::resp_storage_err(&e),
@@ -1731,13 +1848,9 @@ fn dispatch_data(shared: &Shared, mount: &Arc<Mounted>, request: Request, ctx: &
             let outcome = timed_read(shared, mount, ctx, text, |p| p.execute(&plan));
             proto::resp_execute(outcome.fetches, &outcome.results)
         }
-        Request::Query {
-            reference,
-            text,
-            options,
-        } => handle_query(shared, mount, &reference, &text, options, ctx),
         other => proto::resp_proto_err(&format!("{other:?} is not a data op")),
-    }
+    };
+    response.into()
 }
 
 /// Run one batched read op (`Execute`/`GetMany`) against the mount and
@@ -1831,15 +1944,82 @@ fn resolve_reference(provider: &DynProvider, reference: &str) -> Result<String, 
     tree.resolve(reference).map_err(|e| e.to_string())
 }
 
-/// Execute (or serve from cache) one offloaded query.
+/// The event loop's share of query serving: answer from the result
+/// cache when a worker has already canonicalized this exact text against
+/// the reference's memoized head. One head-memo probe and
+/// [`ResultCache::lookup_raw`] — no TQL parse, no storage read. `None`
+/// (text not seen yet, no head memo, entry evicted or invalidated) sends
+/// the request to the pool, and nothing has been counted for it.
+fn cached_answer(
+    shared: &Shared,
+    mount: &Mounted,
+    reference: &str,
+    text: &str,
+    options: QueryOptions,
+    trace: Option<(u64, u64)>,
+) -> Option<Frame> {
+    let lookup = SpanTimer::start();
+    let head = mount.head_memo(reference)?;
+    let (key, frame) = shared.cache.lookup_raw(&mount.name, &head, text, options)?;
+    let cache_lookup_ns = lookup.record(&shared.obs.cache_lookup);
+    shared.stats.queries.inc();
+    shared.obs.queries_rate.inc();
+    let ctx = JobCtx {
+        queue_wait_ns: 0,
+        trace,
+    };
+    let stages = [
+        ("queue_wait", 0),
+        ("cache_lookup", cache_lookup_ns),
+        ("execute", 0),
+        ("storage", 0),
+    ];
+    account_query(
+        shared,
+        mount,
+        &ctx,
+        &frame,
+        cache_lookup_ns,
+        &stages,
+        || (key.version.clone(), key.text.clone()),
+    );
+    Some(frame)
+}
+
+/// What every answered query records, on the loop or on a worker: the
+/// rolling latency window, the error rate, and — over the threshold —
+/// a slow-log entry whose `(version, text)` `describe` renders.
+fn account_query(
+    shared: &Shared,
+    mount: &Mounted,
+    ctx: &JobCtx,
+    frame: &[u8],
+    total_ns: u64,
+    stages: &[(&str, u64)],
+    describe: impl FnOnce() -> (String, String),
+) {
+    shared.obs.query_window.record(total_ns);
+    if frame.first() != Some(&proto::STATUS_OK) {
+        shared.obs.errors_rate.inc();
+    }
+    if total_ns >= shared.opts.slow_query_threshold.as_nanos() as u64 {
+        let (version, text) = describe();
+        log_slow(shared, mount, ctx, version, text, total_ns, stages);
+    }
+}
+
+/// Execute (or serve from cache) one offloaded query, on a pool worker.
 ///
-/// The fast path is the whole point of the hub cache: `head memo →
-/// canonical-text key → frame copy`, with **zero** storage round trips
+/// Only a query the event loop could not answer by its raw text
+/// ([`cached_answer`]) gets here: the first arrival of a text, or one
+/// whose head memo or entry is gone. The fast path is `head memo →
+/// canonical-text key → shared frame`, with **zero** storage round trips
 /// and zero query planning (one round trip to re-resolve the head when
 /// a write cleared the memo). The slow path executes exactly as PR 4's
 /// server did, then installs the memo + cache entry — both gated on the
 /// mount's invalidation epoch so a racing write can never trap a stale
-/// result in the cache.
+/// result in the cache. Either way the raw text is then recorded against
+/// the canonical key, so the next arrival of it never leaves the loop.
 fn handle_query(
     shared: &Shared,
     mount: &Arc<Mounted>,
@@ -1847,7 +2027,7 @@ fn handle_query(
     text: &str,
     options: QueryOptions,
     ctx: &JobCtx,
-) -> Vec<u8> {
+) -> Frame {
     shared.stats.queries.inc();
     shared.obs.queries_rate.inc();
     let total = SpanTimer::start();
@@ -1882,19 +2062,19 @@ fn handle_query(
             }
         }
     };
-    let mut hit = None;
-    if let (Some(tk), Some(head)) = (&text_key, &resolved) {
-        let key = CacheKey {
+    let key = match (&text_key, &resolved) {
+        (Some(tk), Some(head)) => Some(CacheKey {
             dataset: mount.name.clone(),
             version: head.clone(),
             text: tk.clone(),
             options,
-        };
-        hit = shared.cache.lookup(&key);
-    }
+        }),
+        _ => None,
+    };
+    let hit = key.as_ref().and_then(|key| shared.cache.lookup(key));
     let cache_lookup_ns = lookup.record(&shared.obs.cache_lookup);
     let (frame, version, execute_ns) = match hit {
-        // a pure frame copy
+        // the stored frame itself
         Some(frame) => (frame, resolved, 0),
         None => {
             let exec = SpanTimer::start();
@@ -1912,23 +2092,23 @@ fn handle_query(
             (frame, version, execute_ns)
         }
     };
-    let total_ns = ctx.queue_wait_ns + total.stop();
-    shared.obs.query_window.record(total_ns);
-    if frame.first() != Some(&proto::STATUS_OK) {
-        shared.obs.errors_rate.inc();
+    if let Some(key) = &key {
+        // a no-op unless the entry is cached (errors, and results a
+        // racing write refused, are not)
+        shared.cache.alias(key, text);
     }
-    if total_ns >= shared.opts.slow_query_threshold.as_nanos() as u64 {
-        let stages = [
-            ("queue_wait", ctx.queue_wait_ns),
-            ("cache_lookup", cache_lookup_ns),
-            ("execute", execute_ns),
-            ("storage", storage_ns),
-        ];
+    let total_ns = ctx.queue_wait_ns + total.stop();
+    let stages = [
+        ("queue_wait", ctx.queue_wait_ns),
+        ("cache_lookup", cache_lookup_ns),
+        ("execute", execute_ns),
+        ("storage", storage_ns),
+    ];
+    account_query(shared, mount, ctx, &frame, total_ns, &stages, || {
         // the canonical rendering, never the raw client bytes
         let text = text_key.unwrap_or_else(|| "<unparseable>".into());
-        let version = version.unwrap_or_default();
-        log_slow(shared, mount, ctx, version, text, total_ns, &stages);
-    }
+        (version.unwrap_or_default(), text)
+    });
     frame
 }
 
@@ -1947,7 +2127,7 @@ fn execute_query(
     epoch: u64,
     parsed: Option<deeplake_tql::ast::Query>,
     text_key: &Option<String>,
-) -> (Vec<u8>, Option<String>, u64) {
+) -> (Frame, Option<String>, u64) {
     // one handle per reference per epoch: every write routed through the
     // hub, `HubHandle::invalidate` and unmount drop it with the head
     // memo, so it serves the storage's state as of the last write the
@@ -1965,7 +2145,7 @@ fn execute_query(
         Ok(ds) => ds,
         Err(e) => {
             return (
-                proto::resp_query_err(&format!("open {reference:?}: {e}")),
+                proto::resp_query_err(&format!("open {reference:?}: {e}")).into(),
                 None,
                 storage_ns,
             )
@@ -1977,7 +2157,7 @@ fn execute_query(
     match deeplake_tql::query_opts(&ds, text, &options) {
         Ok(result) => {
             storage_ns += result.stats.fetch_ns;
-            let frame = proto::resp_query(&result);
+            let frame: Frame = proto::resp_query(&result).into();
             if let (Some(tk), Some(q)) = (text_key, parsed) {
                 // pinned = the result can never change: the version the
                 // rows refer to is a committed (immutable) node — the
@@ -2004,9 +2184,72 @@ fn execute_query(
             (frame, Some(head), storage_ns)
         }
         Err(e) => (
-            proto::resp_query_err(&e.to_string()),
+            proto::resp_query_err(&e.to_string()).into(),
             Some(head),
             storage_ns,
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queued(frames: &[(Option<u64>, &[u8])]) -> OutState {
+        let mut out = OutState::default();
+        for &(id, body) in frames {
+            let frame = OutFrame::new(id, Arc::new(body.to_vec()));
+            out.buffered += frame.len();
+            out.wbuf.push_back(frame);
+        }
+        out
+    }
+
+    fn wire(out: &OutState) -> Vec<u8> {
+        out.unwritten().flatten().copied().collect()
+    }
+
+    /// The bytes a queued response puts on the wire, to the byte: the
+    /// frame the previous `deposit` built by copying.
+    #[test]
+    fn queued_frames_are_the_golden_wire_bytes() {
+        let tagged = queued(&[(Some(0x0102_0304_0506_0708), &[0, 7, 7])]);
+        assert_eq!(
+            wire(&tagged),
+            [11, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, 0, 7, 7],
+            "[len = id + body][id][body]"
+        );
+        let untagged = queued(&[(None, &[0, 7, 7])]);
+        assert_eq!(wire(&untagged), [3, 0, 0, 0, 0, 7, 7], "[len][body]");
+        assert_eq!(untagged.buffered, 7);
+    }
+
+    /// `consume(n)` for every `n`, alone and as the first of two partial
+    /// writes: what is left is exactly the unsent suffix, `buffered`
+    /// counts it, and no slice handed to `writev` is empty.
+    #[test]
+    fn consume_splits_three_frames_at_every_byte() {
+        let frames: [(Option<u64>, &[u8]); 3] = [
+            (Some(7), b"first"),
+            (None, b"2"),
+            (Some(9), b"third response"),
+        ];
+        let all = wire(&queued(&frames));
+        assert_eq!(all.len(), (12 + 5) + (4 + 1) + (12 + 14));
+        for n in 0..=all.len() {
+            let mut out = queued(&frames);
+            out.consume(n);
+            assert_eq!(wire(&out), all[n..], "after {n} bytes");
+            assert_eq!(out.buffered, all.len() - n);
+            assert!(out.unwritten().all(|s| !s.is_empty()));
+            assert_eq!(out.wbuf.is_empty(), n == all.len());
+            for m in 0..=all.len() - n {
+                let mut again = queued(&frames);
+                again.consume(n);
+                again.consume(m);
+                assert_eq!(wire(&again), all[n + m..], "after {n} + {m} bytes");
+                assert_eq!(again.buffered, all.len() - n - m);
+            }
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!        │  Hello/Attach       ┌──────────────────────────────┐
 //!        ├────── frames ──────▶│ event loops (1-2 threads,    │
 //!        │  (many conns per    │  epoll: ALL conns; framing,  │
-//!        │   loop; pipelined   │  control ops, backpressure)  │
-//!        │   ids or one by one)│     │ bounded job queue      │──Busy on overload
+//!        │   loop; pipelined   │  control ops, cache hits,    │
+//!        │   ids or one by one)│  backpressure)               │
+//!        │                     │     │ bounded job queue      │──Busy on overload
 //!        │                     │     ▼                        │
 //!        │                     │ worker pool (N threads)      │
 //!        │                     │     │                        │
@@ -41,24 +42,32 @@
 //! * **[`hub`]** — the event-loop reader tier and the bounded worker
 //!   pool. One or two reader threads multiplex *every* connection via
 //!   readiness notification (epoll through the `polling` stand-in):
-//!   they frame, decode, answer control ops inline, and push data ops
-//!   onto one bounded queue that N pool workers drain — so 10 000 idle
+//!   they frame, decode, answer control ops and *result-cache hits*
+//!   inline, and push every other data op onto one bounded queue that N
+//!   pool workers drain — so 10 000 idle
 //!   connections cost registrations, not parked OS threads, and
 //!   storage/query concurrency is bounded by configuration, not by
 //!   connection count. Overload is answered with a lossless `Busy`
 //!   frame in the request's place in the stream — clients back off,
 //!   streams never desynchronize. An untagged connection is served one
 //!   request at a time, in order; a pipelined one by correlation id, in
-//!   completion order. Workers never touch sockets: responses are
-//!   deposited into per-connection bounded write queues and flushed by
-//!   the owning loop, so a peer that stops draining pauses only its own
-//!   reads, never a worker.
+//!   completion order — no fixed order: workers finish out of turn, and
+//!   a cache hit overtakes a request still in the pool. Workers never
+//!   touch sockets: responses are deposited into per-connection bounded
+//!   write queues and flushed by the owning loop — everything queued in
+//!   one vectored write — so a peer that stops draining pauses only its
+//!   own reads, never a worker.
 //! * **[`cache`]** — the version-pinned query-result cache. Keyed by
 //!   `(dataset, resolved version, canonical TQL text, options)`, storing
-//!   the already-encoded response frame: a hit is a pure frame copy with
-//!   **zero** storage round trips. Writes routed through the hub
-//!   invalidate mutable-tip entries; results pinned to committed
-//!   versions survive, because committed versions are immutable.
+//!   the already-encoded response frame behind an `Arc`. The first
+//!   arrival of a text is parsed on a worker, which records `raw text →
+//!   canonical key`; every later arrival is answered *on the event loop*
+//!   — a head-memo probe, a hash probe of the raw bytes, the shared
+//!   frame queued for one vectored write — with no parse, no worker
+//!   hand-off and **zero** storage round trips. Writes routed through
+//!   the hub invalidate mutable-tip entries (and the raw texts that
+//!   point at them); results pinned to committed versions survive,
+//!   because committed versions are immutable.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -79,6 +88,6 @@ pub mod cache;
 pub mod hub;
 pub mod registry;
 
-pub use cache::{CacheKey, ResultCache};
+pub use cache::{CacheKey, Frame, ResultCache};
 pub use hub::{Hub, HubBuilder, HubHandle, HubOptions, HubStats, PlacementFn};
 pub use registry::{DatasetRegistry, Mounted};

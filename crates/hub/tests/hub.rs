@@ -356,6 +356,295 @@ fn cache_byte_budget_evicts_and_counts() {
     );
 }
 
+/// Samples the named hub histogram has recorded.
+fn samples(hub: &HubHandle, name: &str) -> u64 {
+    hub.metrics().histogram(name).map_or(0, |h| h.count)
+}
+
+/// Data ops that reached the pool so far: one `hub.queue_wait_ns` sample
+/// is recorded per job a worker pops, none for what a loop answers.
+fn pool_visits(hub: &HubHandle) -> u64 {
+    samples(hub, "hub.queue_wait_ns")
+}
+
+/// A cache hit does not visit the pool: the first arrival of a text is
+/// parsed and answered by a worker, every later arrival of those exact
+/// bytes by the event loop — while each query is still looked up, flushed
+/// and counted exactly once.
+#[test]
+fn a_repeated_query_text_never_visits_the_pool() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(storage.clone(), "rows", 64, 0);
+    let hub = Hub::builder()
+        .mount("rows", storage)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    client.attach("rows").unwrap();
+    let opts = QueryOptions::default();
+    const REPEATS: u64 = 25;
+
+    let text = "SELECT labels FROM rows WHERE labels = 3";
+    let visits = pool_visits(&hub);
+    let requests = hub.stats().requests();
+    let first = client.query(text, &opts).unwrap();
+    assert_eq!(first.indices, [3]);
+    assert_eq!(pool_visits(&hub), visits + 1, "the first arrival is a job");
+    for _ in 0..REPEATS {
+        let again = client.query(text, &opts).unwrap();
+        assert_eq!(
+            (again.indices, again.stats),
+            (first.indices.clone(), first.stats)
+        );
+    }
+    assert_eq!(pool_visits(&hub), visits + 1, "later arrivals are not");
+    assert_eq!(hub.stats().requests(), requests + 1 + REPEATS);
+    assert_eq!(hub.stats().queries(), 1 + REPEATS);
+    assert_eq!(hub.cache().stats().cache_misses(), 1);
+    assert_eq!(hub.cache().stats().cache_hits(), REPEATS);
+    // one lookup and one flush sample per query, wherever it was served
+    assert_eq!(samples(&hub, "hub.cache_lookup_ns"), 1 + REPEATS);
+    assert_eq!(samples(&hub, "hub.flush_ns"), 1 + REPEATS);
+    assert_eq!(samples(&hub, "hub.execute_ns"), 1);
+
+    // a formatting variant is new bytes: one worker visit (which hits
+    // the canonical entry — nothing re-executes), then the loop's
+    let variant = "select   labels from rows  where labels=3";
+    for _ in 0..REPEATS {
+        assert_eq!(client.query(variant, &opts).unwrap().indices, [3]);
+    }
+    assert_eq!(pool_visits(&hub), visits + 2);
+    assert_eq!(samples(&hub, "hub.execute_ns"), 1);
+    assert_eq!(hub.cache().stats().cache_misses(), 1);
+    assert_eq!(hub.cache().stats().cache_hits(), 2 * REPEATS);
+    assert_eq!(
+        hub.cache().cached_entries(),
+        1,
+        "both texts share one frame"
+    );
+
+    // other options are another entry: its first arrival is a job again
+    let naive = QueryOptions {
+        pruning: false,
+        ..opts
+    };
+    for _ in 0..3 {
+        assert_eq!(client.query(text, &naive).unwrap().indices, [3]);
+    }
+    assert_eq!(pool_visits(&hub), visits + 3);
+    assert_eq!(hub.cache().stats().cache_misses(), 2);
+    // an untraced client's bare frames are served the same way
+    let bare = RemoteProvider::connect_with(
+        hub.addr(),
+        deeplake_remote::RemoteOptions {
+            tracing: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    bare.attach("rows").unwrap();
+    assert_eq!(bare.query(text, &opts).unwrap().indices, [3]);
+    assert_eq!(pool_visits(&hub), visits + 3);
+}
+
+/// Knowing a text never outlives what made its answer true: after a
+/// write through the hub, an explicit invalidation, a remount and an
+/// eviction, the same bytes are a miss that re-executes on a worker and
+/// returns the new rows — then the loop's again.
+#[test]
+fn a_known_text_is_a_miss_again_after_every_invalidation() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    let hub = Hub::builder()
+        .mount("ds", storage.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = Arc::new(RemoteProvider::connect(hub.addr()).unwrap());
+    client.attach("ds").unwrap();
+    let append = |provider: DynProvider, range: std::ops::Range<i32>| {
+        let mut ds = Dataset::open(provider).unwrap();
+        for i in range {
+            ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+        }
+        ds.flush().unwrap();
+    };
+    {
+        let mut ds = Dataset::create(client.clone(), "ds").unwrap();
+        ds.create_tensor("labels", Htype::ClassLabel, None).unwrap();
+        ds.flush().unwrap();
+    }
+    append(client.clone(), 0..10);
+
+    let text = "SELECT labels FROM ds WHERE labels >= 0";
+    // `rows` queries twice: the arrival that must re-execute on a worker,
+    // then one the loop answers from what that worker cached
+    let rows = |want: usize, why: &str| {
+        let (visits, misses) = (pool_visits(&hub), hub.cache().stats().cache_misses());
+        let got = client.query(text, &QueryOptions::default()).unwrap();
+        assert_eq!(got.indices.len(), want, "stale rows after {why}");
+        assert_eq!(pool_visits(&hub), visits + 1, "{why}: not re-executed");
+        assert_eq!(hub.cache().stats().cache_misses(), misses + 1, "{why}");
+        let again = client.query(text, &QueryOptions::default()).unwrap();
+        assert_eq!(again.indices, got.indices);
+        assert_eq!(pool_visits(&hub), visits + 1, "{why}: second arrival");
+    };
+    rows(10, "the first execution");
+    append(client.clone(), 10..12);
+    rows(12, "a write through the hub");
+    append(storage.clone(), 12..13);
+    hub.invalidate("ds");
+    rows(13, "an out-of-band write and invalidate");
+    let other: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(other.clone(), "ds", 5, 0);
+    assert!(hub.unmount("ds"));
+    hub.mount("ds", other).unwrap();
+    rows(5, "unmount and mount");
+}
+
+/// The same, for an entry the byte budget pushed out: its raw text went
+/// with it, so the next arrival is a job, not a dangling loop-side hit.
+#[test]
+fn an_evicted_entry_takes_its_known_texts_with_it() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(storage.clone(), "small", 32, 0);
+    let hub = Hub::builder()
+        .mount("small", storage)
+        .options(HubOptions {
+            cache_bytes: 700, // room for only a couple of result frames
+            ..HubOptions::default()
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    client.attach("small").unwrap();
+    let query = |i: u64| {
+        let text = format!("SELECT labels FROM d WHERE labels = {i}");
+        let got = client.query(&text, &QueryOptions::default()).unwrap();
+        assert_eq!(got.indices, [i]);
+    };
+    query(0);
+    let visits = pool_visits(&hub);
+    query(0);
+    assert_eq!(pool_visits(&hub), visits, "known and cached");
+    for i in 1..8 {
+        query(i);
+    }
+    assert!(hub.cache().evictions() > 0);
+    let (visits, misses) = (pool_visits(&hub), hub.cache().stats().cache_misses());
+    query(0);
+    assert_eq!(pool_visits(&hub), visits + 1, "evicted: executed again");
+    assert_eq!(hub.cache().stats().cache_misses(), misses + 1);
+    assert!(hub.cache().cached_bytes() <= 700);
+}
+
+/// 10 000 distinct formattings of one query: each is new bytes (a worker
+/// parses it, hits the one canonical entry and records the text), all
+/// return the same rows, and what the cache remembers of them stays
+/// inside its byte budget.
+#[test]
+fn ten_thousand_formattings_of_one_query_stay_inside_the_budget() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(storage.clone(), "rows", 64, 0);
+    let hub = Hub::builder()
+        .mount("rows", storage)
+        .options(HubOptions {
+            cache_bytes: 2048,
+            ..HubOptions::default()
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = RemoteProvider::connect(hub.addr()).unwrap();
+    client.attach("rows").unwrap();
+    const VARIANTS: u64 = 10_000;
+    let visits = pool_visits(&hub);
+    let mut first = None;
+    for i in 0..VARIANTS {
+        // five gaps of 1..=10 spaces: 100 000 distinct texts
+        let gap = |k: u32| " ".repeat((i / 10u64.pow(k) % 10) as usize + 1);
+        let text = format!(
+            "SELECT{}labels{}FROM rows{}WHERE{}labels ={}3",
+            gap(0),
+            gap(1),
+            gap(2),
+            gap(3),
+            gap(4)
+        );
+        let got = client.query(&text, &QueryOptions::default()).unwrap();
+        assert_eq!(got.indices, [3]);
+        let first = first.get_or_insert((got.rows.clone(), got.stats));
+        assert_eq!((&got.rows, &got.stats), (&first.0, &first.1));
+        if i % 100 == 0 {
+            let cache = hub.cache();
+            assert!(cache.cached_bytes() <= cache.budget(), "after {i}");
+        }
+    }
+    let cache = hub.cache();
+    assert!(cache.cached_bytes() <= cache.budget());
+    assert_eq!(pool_visits(&hub), visits + VARIANTS, "every text was new");
+    assert_eq!(cache.stats().cache_misses(), 1, "executed once");
+    assert_eq!(cache.stats().cache_hits(), VARIANTS - 1);
+    assert_eq!(cache.cached_entries(), 1);
+    assert_eq!(
+        cache.evictions(),
+        0,
+        "aliases displaced aliases, not the entry"
+    );
+}
+
+/// The loop never parses: a text no parser accepts, however long, is
+/// answered by a worker with the frame a local execution renders — every
+/// time, because an unparseable text has no canonical form to be known
+/// by — and a valid text padded past the alias bound is cached but not
+/// remembered.
+#[test]
+fn unparseable_and_oversized_texts_are_always_the_pools() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(storage.clone(), "rows", 16, 0);
+    let local = Dataset::open(storage.clone()).unwrap();
+    let hub = Hub::builder()
+        .mount("rows", storage)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut raw = raw_attached(&hub, "rows");
+    let mut ask = |text: &str| {
+        proto::write_frame(&mut raw, &query_frame(text)).unwrap();
+        proto::read_frame(&mut raw).unwrap().unwrap()
+    };
+    let visits = pool_visits(&hub);
+    let mut asked = 0;
+    for text in [
+        "SELEKT nothing".to_string(),
+        format!("SELECT labels FROM rows WHERE {}", "= ".repeat(1 << 19)),
+        format!("SELECT {}", "\u{1}".repeat(1 << 20)),
+    ] {
+        let err = deeplake_tql::query_opts(&local, &text, &QueryOptions::default())
+            .expect_err("no parser accepts this");
+        let want = proto::resp_query_err(&err.to_string());
+        for _ in 0..3 {
+            assert_eq!(ask(&text), want);
+            asked += 1;
+        }
+    }
+    assert_eq!(pool_visits(&hub), visits + asked, "never answered inline");
+    assert_eq!(hub.cache().cached_bytes(), 0, "and never remembered");
+    assert_eq!(hub.cache().stats().cache_hits(), 0);
+
+    // parseable, but a megabyte of padding: one entry, no alias
+    let padded = format!(
+        "SELECT labels FROM rows WHERE labels = 3{}",
+        " ".repeat(1 << 20)
+    );
+    let first = ask(&padded);
+    assert_eq!(proto::expect_query(&first).unwrap().indices, [3]);
+    let cached = hub.cache().cached_bytes();
+    assert!(cached > 0 && cached < 4096, "{cached}");
+    for _ in 0..3 {
+        assert_eq!(ask(&padded), first);
+    }
+    assert_eq!(pool_visits(&hub), visits + asked + 4);
+    assert_eq!(hub.cache().cached_bytes(), cached);
+    assert_eq!(hub.cache().stats().cache_hits(), 3);
+}
+
 /// A mount whose every read takes `latency_ms`, holding `k0`/`k1` →
 /// `<tag>-0`/`<tag>-1`.
 fn slow_mount(tag: &str, latency_ms: u64) -> DynProvider {
@@ -477,16 +766,29 @@ fn overload_answers_lossless_busy_frames() {
     );
 }
 
+fn query_frame(text: &str) -> Vec<u8> {
+    proto::encode_request(&proto::Request::Query {
+        reference: "main".into(),
+        text: text.into(),
+        options: QueryOptions::default(),
+    })
+}
+
 /// An untagged connection is request/response even when the client
 /// writes ahead: the same burst that overflows a tagged connection's cap
-/// is served one at a time, in order, with no `Busy` — and an `Attach`
-/// in the middle of the burst renames only the requests behind it.
+/// is served one at a time, in order, with no `Busy` — an `Attach` in the
+/// middle of the burst renames only the requests behind it, and a cached
+/// query, which the loop answers itself, still waits its turn behind the
+/// slow read in front of it.
 #[test]
 fn untagged_burst_is_served_in_order_without_busy() {
     use std::io::Write;
+    let rows: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(rows.clone(), "rows", 16, 0);
     let hub = Hub::builder()
         .mount("slow", slow_mount("slow", 40))
         .mount("other", slow_mount("other", 40))
+        .mount("rows", rows)
         .options(HubOptions {
             workers: 2,
             max_inflight_per_conn: 1,
@@ -494,11 +796,26 @@ fn untagged_burst_is_served_in_order_without_busy() {
         })
         .bind("127.0.0.1:0")
         .unwrap();
-    let mut raw = raw_attached(&hub, "slow");
+    // make the query text known to the cache: executed once, then its
+    // second arrival is already the loop's
+    let text = "SELECT labels FROM rows WHERE labels < 5";
+    let mut raw = raw_attached(&hub, "rows");
+    let mut cached = Vec::new();
+    for _ in 0..2 {
+        proto::write_frame(&mut raw, &query_frame(text)).unwrap();
+        cached = proto::read_frame(&mut raw).unwrap().unwrap();
+        assert_eq!(proto::expect_query(&cached).unwrap().indices.len(), 5);
+    }
+    let visits = pool_visits(&hub);
+
     let mut wire = Vec::new();
     for frame in [
+        attach_frame("slow"),
         get_frame("k0"),
         get_frame("k1"),
+        attach_frame("rows"),
+        query_frame(text),
+        query_frame(text),
         attach_frame("other"),
         get_frame("k0"),
         get_frame("k1"),
@@ -507,12 +824,71 @@ fn untagged_burst_is_served_in_order_without_busy() {
     }
     raw.write_all(&wire).unwrap();
     let mut next = || proto::read_frame(&mut raw).unwrap().expect("a response");
+    proto::expect_unit(&next()).unwrap();
     assert_eq!(proto::expect_bytes(&next()).unwrap(), b"slow-0");
     assert_eq!(proto::expect_bytes(&next()).unwrap(), b"slow-1");
+    proto::expect_unit(&next()).unwrap();
+    assert_eq!(next(), cached, "an inline hit is the stored frame");
+    assert_eq!(next(), cached);
     proto::expect_unit(&next()).unwrap();
     assert_eq!(proto::expect_bytes(&next()).unwrap(), b"other-0");
     assert_eq!(proto::expect_bytes(&next()).unwrap(), b"other-1");
     assert_eq!(hub.stats().busy_rejections(), 0);
+    assert_eq!(
+        pool_visits(&hub),
+        visits + 4,
+        "the four reads went to the pool, the two cached queries did not"
+    );
+}
+
+/// A pipelined connection gets its cached queries answered by the loop
+/// as it parses them: a burst of hits comes back in request order, each
+/// under its own id, and each frame is `[len][id][stored body]` to the
+/// byte — the wire format a copy-built response had.
+#[test]
+fn tagged_burst_of_cached_queries_is_answered_in_order_by_the_loop() {
+    use std::io::{Read, Write};
+    let rows: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(rows.clone(), "rows", 16, 0);
+    let hub = Hub::builder()
+        .mount("rows", rows)
+        .options(HubOptions {
+            // every hit is admitted although the connection may hold one
+            // job at a time: a hit takes no in-flight slot
+            max_inflight_per_conn: 1,
+            ..HubOptions::default()
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut raw = raw_attached(&hub, "rows");
+    let pipeline = proto::encode_request(&proto::Request::Pipeline);
+    proto::write_frame(&mut raw, &pipeline).unwrap();
+    proto::expect_unit(&proto::read_frame(&mut raw).unwrap().unwrap()).unwrap();
+
+    let text = "SELECT labels FROM rows WHERE labels >= 12";
+    proto::write_tagged_frame(&mut raw, 1, &query_frame(text)).unwrap();
+    let first = proto::read_frame(&mut raw).unwrap().unwrap();
+    let (id, body) = proto::split_tagged(&first).unwrap();
+    assert_eq!(id, 1);
+    assert_eq!(proto::expect_query(body).unwrap().indices, [12, 13, 14, 15]);
+    let visits = pool_visits(&hub);
+
+    const BURST: u64 = 8;
+    let (mut wire, mut want) = (Vec::new(), Vec::new());
+    for id in 100..100 + BURST {
+        proto::write_tagged_frame(&mut wire, id, &query_frame(text)).unwrap();
+        want.extend_from_slice(&(body.len() as u32 + 8).to_le_bytes());
+        want.extend_from_slice(&id.to_le_bytes());
+        want.extend_from_slice(body);
+    }
+    raw.write_all(&wire).unwrap();
+    let mut got = vec![0u8; want.len()];
+    raw.read_exact(&mut got).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(pool_visits(&hub), visits, "no hit visited the pool");
+    assert_eq!(hub.stats().busy_rejections(), 0);
+    assert_eq!(hub.cache().stats().cache_hits(), BURST);
+    assert_eq!(hub.cache().stats().cache_misses(), 1);
 }
 
 /// Shutdown with an untagged burst paused behind its in-flight request:

@@ -7,6 +7,8 @@
 //! payload buffer grows only as bytes actually arrive (in
 //! [`READ_CHUNK`]-sized steps), so a lying length on a truncated or
 //! malicious stream can never drive a huge allocation or a panic.
+//! A frame is written with one vectored write (header and payload
+//! together) and read straight into the buffer it is returned in.
 //!
 //! **Requests.** A request payload is `[opcode u8][body]`; see
 //! [`Request`]. The batched opcodes are the point of the protocol: one
@@ -28,7 +30,8 @@
 //! Sending [`Request::Pipeline`] switches the connection — the switch
 //! response itself is still untagged — and from then on every frame in
 //! both directions carries an 8-byte little-endian correlation id before
-//! its payload ([`tag_request`] / [`split_tagged`]). Tagged requests run
+//! its payload ([`write_tagged_frame`], or [`tag_request`] for a caller
+//! that wants the bytes; [`split_tagged`] to read one). Tagged requests run
 //! concurrently (up to the server's per-connection in-flight cap, past
 //! which it answers `Busy`) and responses arrive in *completion* order:
 //! many callers share one socket, a demux reader routes each response to
@@ -1181,19 +1184,65 @@ pub fn split_tagged(payload: &[u8]) -> Option<(u64, &[u8])> {
 
 /// Write one frame (length prefix + payload) and flush. A payload over
 /// [`MAX_FRAME`] is refused up front — truncating the length header
-/// would desynchronize the stream for every later frame.
+/// would desynchronize the stream for every later frame. Header and
+/// payload leave in one vectored write, so a frame is one syscall (and
+/// one wake-up of the peer), not two.
 pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME {
+    let len = frame_len(payload.len())?;
+    write_head_and_payload(w, &len.to_le_bytes(), payload)
+}
+
+/// Write one pipelined frame, `[len][id][payload]`, and flush: the bytes
+/// of `write_frame(w, &tag_request(id, payload))` without building that
+/// intermediate copy of the payload.
+pub fn write_tagged_frame(
+    w: &mut impl std::io::Write,
+    id: u64,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    let len = frame_len(payload.len().saturating_add(8))?;
+    let mut head = [0u8; 12];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&id.to_le_bytes());
+    write_head_and_payload(w, &head, payload)
+}
+
+/// `len` as a length header, refused when over [`MAX_FRAME`].
+fn frame_len(len: usize) -> std::io::Result<u32> {
+    if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!(
-                "payload of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
-                payload.len()
-            ),
+            format!("payload of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    Ok(len as u32)
+}
+
+/// `write_all` over two buffers: one `write_vectored` call when the
+/// writer takes everything, resumed after a short write or `Interrupted`.
+fn write_head_and_payload(
+    w: &mut impl std::io::Write,
+    mut head: &[u8],
+    mut payload: &[u8],
+) -> std::io::Result<()> {
+    while !head.is_empty() || !payload.is_empty() {
+        let bufs = [std::io::IoSlice::new(head), std::io::IoSlice::new(payload)];
+        match w.write_vectored(&bufs) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => {
+                let of_head = n.min(head.len());
+                head = &head[of_head..];
+                payload = &payload[n - of_head..];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -1243,18 +1292,23 @@ pub fn read_frame_after(r: &mut impl std::io::Read, first: u8) -> std::io::Resul
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut buf = [0u8; 8192];
-    while payload.len() < len {
-        let want = (len - payload.len()).min(buf.len());
-        match r.read(&mut buf[..want]) {
+    // read straight into the payload: the buffer is extended (zeroed)
+    // by at most READ_CHUNK only once every byte of it has arrived, so a
+    // lying length cannot allocate ahead of the bytes actually received
+    let mut payload = Vec::new();
+    let mut filled = 0;
+    while filled < len {
+        if filled == payload.len() {
+            payload.resize(filled + (len - filled).min(READ_CHUNK), 0);
+        }
+        match r.read(&mut payload[filled..]) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
-                    format!("eof inside frame body ({}/{len} bytes)", payload.len()),
+                    format!("eof inside frame body ({filled}/{len} bytes)"),
                 ))
             }
-            Ok(n) => payload.extend_from_slice(&buf[..n]),
+            Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
@@ -1657,6 +1711,126 @@ mod tests {
             vec![7u8; 100_000]
         );
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// The parent's `write_frame`: the reference the one-write form must
+    /// reproduce byte for byte.
+    fn two_write_alls(w: &mut impl std::io::Write, payload: &[u8]) {
+        w.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+        w.write_all(payload).unwrap();
+    }
+
+    /// Accepts one byte per call and fails every other call with
+    /// `Interrupted`; counts its calls.
+    #[derive(Default)]
+    struct Grudging {
+        wire: Vec<u8>,
+        calls: usize,
+    }
+
+    impl std::io::Write for Grudging {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.wire.extend_from_slice(&buf[..1]);
+            Ok(1)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes whatever it is offered; counts calls per entry point.
+    #[derive(Default)]
+    struct Counting {
+        wire: Vec<u8>,
+        plain: usize,
+        vectored: usize,
+    }
+
+    impl std::io::Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.plain += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored += 1;
+            bufs.iter().for_each(|b| self.wire.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write_and_survives_a_grudging_writer() {
+        let payloads: [&[u8]; 3] = [b"", b"q", &[7u8; 300]];
+        for payload in payloads {
+            let tagged = tag_request(0x0102_0304_0506_0708, payload);
+            let (mut want, mut want_tagged) = (Vec::new(), Vec::new());
+            two_write_alls(&mut want, payload);
+            two_write_alls(&mut want_tagged, &tagged);
+
+            let mut slow = Grudging::default();
+            write_frame(&mut slow, payload).unwrap();
+            assert_eq!(slow.wire, want);
+            assert_eq!(slow.calls, 2 * want.len() - 1, "a byte every other call");
+            let mut slow = Grudging::default();
+            write_tagged_frame(&mut slow, 0x0102_0304_0506_0708, payload).unwrap();
+            assert_eq!(slow.wire, want_tagged);
+
+            let mut fast = Counting::default();
+            write_frame(&mut fast, payload).unwrap();
+            assert_eq!((fast.vectored, fast.plain), (1, 0));
+            assert_eq!(fast.wire, want);
+            let mut fast = Counting::default();
+            write_tagged_frame(&mut fast, 0x0102_0304_0506_0708, payload).unwrap();
+            assert_eq!((fast.vectored, fast.plain), (1, 0));
+            assert_eq!(fast.wire, want_tagged);
+        }
+        // golden bytes: the wire format, not merely self-consistency
+        let mut wire = Vec::new();
+        write_tagged_frame(&mut wire, 0x0102_0304_0506_0708, &[OP_PING]).unwrap();
+        assert_eq!(wire, [9, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, OP_PING]);
+        // a writer that stops accepting is an error, not a spin
+        let mut full = std::io::Cursor::new([0u8; 6]);
+        let err = write_frame(&mut full, b"four").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    /// A body that arrives a few bytes per `read` is assembled in place,
+    /// and the buffer never runs more than `READ_CHUNK` ahead of it.
+    #[test]
+    fn a_trickled_body_is_read_in_place() {
+        struct Trickle(std::io::Cursor<Vec<u8>>, usize);
+        impl std::io::Read for Trickle {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                if self.1.is_multiple_of(3) {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(7);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let body: Vec<u8> = (0..3 * READ_CHUNK / 2).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        let mut r = Trickle(std::io::Cursor::new(wire), 0);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), body);
+        // a length that lies by 1 GiB costs one chunk, then the EOF error
+        let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(b"only this");
+        let err = read_frame(&mut Trickle(std::io::Cursor::new(wire), 0)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("(9/"), "{err}");
     }
 
     #[test]

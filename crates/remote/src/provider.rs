@@ -106,10 +106,23 @@ impl Default for RemoteOptions {
 // pipelined connection
 // ---------------------------------------------------------------------
 
+/// One response as the demux thread read it off the socket:
+/// `[correlation id][payload]`. Handed to the waiter whole — derefs to
+/// the payload — so a response is never copied between the two threads.
+struct Response(Vec<u8>);
+
+impl std::ops::Deref for Response {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[8..]
+    }
+}
+
 /// A caller's parking slot: filled by the demux thread when the
 /// response carrying this request's id arrives.
 struct Waiter {
-    resp: Option<Vec<u8>>,
+    resp: Option<Response>,
     sent_at: Instant,
 }
 
@@ -200,10 +213,10 @@ fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
             Err(e) => return shared.fail(format!("response read failed: {e}")),
         };
         match proto::split_tagged(&frame) {
-            Some((id, body)) => {
+            Some((id, _)) => {
                 let mut slots = shared.slots.lock().unwrap();
                 if let Some(waiter) = slots.waiting.get_mut(&id) {
-                    waiter.resp = Some(body.to_vec());
+                    waiter.resp = Some(Response(frame));
                     drop(slots);
                     shared.cv.notify_all();
                 }
@@ -662,7 +675,7 @@ impl RemoteProvider {
     /// When retries are exhausted the [`StorageError::Busy`] surfaces
     /// through the response decoders so callers can apply their own
     /// policy.
-    fn round_trip(&self, payload: &[u8]) -> Result<Vec<u8>, StorageError> {
+    fn round_trip(&self, payload: &[u8]) -> Result<Response, StorageError> {
         // one trace per logical request; each attempt (Busy retries
         // included) sends its own span id, so the server-side span tree
         // names the attempt that actually executed. With tracing off the
@@ -708,7 +721,7 @@ impl RemoteProvider {
     /// fresh correlation id, write the tagged frame, park until the
     /// demux thread delivers the response, account the traffic, pay any
     /// injected latency.
-    fn round_trip_once(&self, payload: &[u8]) -> Result<Vec<u8>, StorageError> {
+    fn round_trip_once(&self, payload: &[u8]) -> Result<Response, StorageError> {
         let conn = self.checkout()?;
         let outcome = exchange(&conn, payload);
         self.release(&conn);
@@ -735,7 +748,7 @@ impl RemoteProvider {
 }
 
 /// The pipelined exchange on an already checked-out connection.
-fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Vec<u8>> {
+fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
     let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
     {
         let mut slots = conn.demux.slots.lock().unwrap();
@@ -754,7 +767,7 @@ fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Vec<u8>> {
     }
     let written = {
         let mut w = conn.write.lock().unwrap();
-        proto::write_frame(&mut *w, &proto::tag_request(id, payload))
+        proto::write_tagged_frame(&mut *w, id, payload)
     };
     if let Err(e) = written {
         // a partial frame may be on the wire: the stream cannot carry

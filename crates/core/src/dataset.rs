@@ -19,7 +19,7 @@ use crate::sample_id::{self, ID_TENSOR};
 use crate::tensor_store::{ColumnRun, TensorStore};
 use crate::version::merge::{MergePolicy, MergeReport};
 use crate::version::{
-    tensor_prefix, CommitDiff, DiffSummary, TensorDiff, VersionTree, VERSION_INFO_KEY,
+    tensor_prefix, CommitDiff, DiffSummary, RowSet, TensorDiff, VersionTree, VERSION_INFO_KEY,
 };
 use crate::Result;
 
@@ -169,6 +169,12 @@ pub struct Dataset {
     /// known absent/stale. Entries drop on any mutation that can
     /// invalidate them and on checkout.
     vindex_cache: Mutex<HashMap<String, Option<Arc<VectorIndex>>>>,
+    /// The schema file (`(key, bytes)`: its key moves with the head) and
+    /// the version tree as this handle last put them: neither is put again
+    /// while it still reads the same, so a flush writes them only after
+    /// something changed them (or after a put of them failed).
+    schema_written: Option<(String, Bytes)>,
+    tree_written: Option<Bytes>,
 }
 
 // Reads take `&self` and one handle serves many threads at once (loader
@@ -206,6 +212,8 @@ impl Dataset {
             read_only: false,
             tensors: BTreeMap::new(),
             vindex_cache: Mutex::new(HashMap::new()),
+            schema_written: None,
+            tree_written: None,
         };
         let meta = DatasetMeta {
             name: ds.name.clone(),
@@ -247,6 +255,8 @@ impl Dataset {
             read_only,
             tensors: BTreeMap::new(),
             vindex_cache: Mutex::new(HashMap::new()),
+            schema_written: None,
+            tree_written: None,
         };
         ds.load_tensors()?;
         Ok(ds)
@@ -278,19 +288,27 @@ impl Dataset {
         Ok(Schema::default())
     }
 
-    fn persist_schema(&self) -> Result<()> {
+    fn persist_schema(&mut self) -> Result<()> {
         let schema = Schema {
             tensors: self.tensors.keys().cloned().collect(),
         };
-        let key = format!("versions/{}/{SCHEMA_KEY}", self.head);
-        self.root
-            .put(&key, Bytes::from(serde_json::to_vec_pretty(&schema)?))?;
+        let written = (
+            format!("versions/{}/{SCHEMA_KEY}", self.head),
+            Bytes::from(serde_json::to_vec_pretty(&schema)?),
+        );
+        if self.schema_written.as_ref() != Some(&written) {
+            self.root.put(&written.0, written.1.clone())?;
+            self.schema_written = Some(written);
+        }
         Ok(())
     }
 
-    fn persist_tree(&self) -> Result<()> {
-        self.root
-            .put(VERSION_INFO_KEY, Bytes::from(self.tree.to_json()?))?;
+    fn persist_tree(&mut self) -> Result<()> {
+        let written = Bytes::from(self.tree.to_json()?);
+        if self.tree_written.as_ref() != Some(&written) {
+            self.root.put(VERSION_INFO_KEY, written.clone())?;
+            self.tree_written = Some(written);
+        }
         Ok(())
     }
 
@@ -435,8 +453,16 @@ impl Dataset {
         &mut self,
         values: impl IntoIterator<Item = (&'a str, Sample)>,
     ) -> Result<()> {
+        self.append(values.into_iter().collect())
+    }
+
+    /// Append many rows.
+    pub fn extend_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
+        rows.into_iter().try_for_each(|row| self.append(row))
+    }
+
+    fn append(&mut self, mut row: Row) -> Result<()> {
         self.ensure_writable()?;
-        let mut row: Row = values.into_iter().collect();
         // reject unknown tensors up front so the row stays atomic
         for tensor in row.tensors() {
             if !self.tensors.contains_key(tensor) {
@@ -456,18 +482,6 @@ impl Dataset {
             } else {
                 store.append(&Sample::empty(store.meta().dtype))?;
             }
-        }
-        Ok(())
-    }
-
-    /// Append many rows.
-    pub fn extend_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<()> {
-        for row in rows {
-            let pairs: Vec<(String, Sample)> = row
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect();
-            self.append_row(pairs.iter().map(|(k, v)| (k.as_str(), v.clone())))?;
         }
         Ok(())
     }
@@ -922,8 +936,8 @@ impl Dataset {
                 .into_iter()
                 .map(|(tensor, d)| TensorDiff {
                     tensor,
-                    rows_added: d.added.len() as u64,
-                    rows_updated: d.updated.len() as u64,
+                    rows_added: d.added.len(),
+                    rows_updated: d.updated.len(),
                 })
                 .collect();
             v.sort_by(|x, y| x.tensor.cmp(&y.tensor));
@@ -960,22 +974,16 @@ impl Dataset {
         // changes on each side since base
         let their_diffs = self.accumulated_diffs(&other_tip, &base)?;
         let our_diffs = self.accumulated_diffs(&self.head, &base)?;
-        let union_rows = |m: &HashMap<String, CommitDiff>, pick_updated: bool| -> BTreeSet<u64> {
-            let mut s = BTreeSet::new();
-            for d in m.values() {
-                s.extend(if pick_updated {
-                    d.updated.iter()
-                } else {
-                    d.added.iter()
-                });
-            }
-            s
+        let updated_rows = |m: &HashMap<String, CommitDiff>| {
+            let mut rows = RowSet::new();
+            m.values().for_each(|d| rows.merge_from(&d.updated));
+            rows
         };
-        let their_updated_rows = union_rows(&their_diffs, true);
-        let our_updated_rows = union_rows(&our_diffs, true);
+        let their_updated_rows = updated_rows(&their_diffs);
+        let our_updated_rows = updated_rows(&our_diffs);
         let our_updated_ids: BTreeSet<u64> = our_updated_rows
             .iter()
-            .filter_map(|&r| (r < self.len()).then(|| self.sample_id(r).ok()).flatten())
+            .filter_map(|r| (r < self.len()).then(|| self.sample_id(r).ok()).flatten())
             .collect();
 
         let mut report = MergeReport::default();
@@ -987,7 +995,7 @@ impl Dataset {
             let Some(&our_row) = our_ids.get(&id) else {
                 continue;
             };
-            if !their_updated_rows.contains(&other_row) {
+            if !their_updated_rows.contains(other_row) {
                 continue;
             }
             if our_updated_ids.contains(&id) {

@@ -360,7 +360,7 @@ impl TensorStore {
         }
         self.meta.observe(sample);
         self.meta.length -= 1; // observe() counts a new row; updates do not add one
-        if !self.diff.added.contains(&row) {
+        if !self.diff.added.contains(row) {
             self.diff.updated.insert(row);
         }
         self.chunk_memo.lock().clear();
@@ -1003,7 +1003,7 @@ mod tests {
         assert_eq!(t.len(), 5);
         // diff recorded the update (row 2 was added in this same version,
         // so it stays an add)
-        assert!(t.pending_diff().added.contains(&2));
+        assert!(t.pending_diff().added.contains(2));
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod diff;
 pub mod merge;
 pub mod tree;
 
-pub use diff::{CommitDiff, DiffSummary, TensorDiff};
+pub use diff::{CommitDiff, DiffSummary, RowSet, TensorDiff};
 pub use merge::MergePolicy;
 pub use tree::{VersionNode, VersionTree};
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use deeplake_core::dataset::Dataset;
-use deeplake_core::version::MergePolicy;
+use deeplake_core::version::{CommitDiff, MergePolicy, RowSet};
 use deeplake_storage::{DynProvider, MemoryProvider};
 use deeplake_tensor::{Htype, Sample};
 
@@ -197,4 +197,96 @@ fn merge_updates_and_adds_together() {
     assert_eq!(ds.len(), 4);
     assert_eq!(label_of(&ds, 1), 50);
     assert_eq!(label_of(&ds, 3), 60);
+}
+
+/// A copy of `from` whose every `commit_diff.json` is in the form the
+/// writer before run sets stored: `{"added":[0,1,2],"updated":[7]}`, one
+/// number per row.
+fn copy_with_flat_array_diffs(from: &DynProvider) -> DynProvider {
+    let to = mem();
+    for key in from.list("").unwrap() {
+        let mut data = from.get(&key).unwrap();
+        if key.ends_with("commit_diff.json") {
+            let diff = CommitDiff::from_json(&data).unwrap();
+            let flat = |rows: &RowSet| {
+                let rows: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
+                rows.join(",")
+            };
+            data = format!(
+                r#"{{"added":[{}],"updated":[{}]}}"#,
+                flat(&diff.added),
+                flat(&diff.updated)
+            )
+            .into();
+        }
+        to.put(&key, data).unwrap();
+    }
+    to
+}
+
+#[test]
+fn flat_array_diffs_written_before_run_sets_open_unchanged() {
+    // a committed version with updates on a branch, and flushed but
+    // uncommitted appends and an update on main
+    let runs = mem();
+    let mut ds = Dataset::create(runs.clone(), "legacy").unwrap();
+    ds.create_tensor("labels", Htype::ClassLabel, None).unwrap();
+    for i in 0..6 {
+        ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+    }
+    ds.commit("base").unwrap();
+    ds.checkout_new_branch("side").unwrap();
+    ds.update("labels", 1, &Sample::scalar(-1i32)).unwrap();
+    ds.update("labels", 2, &Sample::scalar(-2i32)).unwrap();
+    ds.append_row(vec![("labels", Sample::scalar(60i32))])
+        .unwrap();
+    ds.commit("side edits").unwrap();
+    ds.checkout("main").unwrap();
+    ds.update("labels", 2, &Sample::scalar(22i32)).unwrap();
+    for i in 6..8 {
+        ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+    }
+    ds.flush().unwrap();
+    drop(ds);
+
+    let flat = copy_with_flat_array_diffs(&runs);
+    let head_diff = |store: &DynProvider| {
+        let head = Dataset::open(store.clone()).unwrap().head_id().to_string();
+        let key = format!("versions/{head}/labels/commit_diff.json");
+        String::from_utf8(store.get(&key).unwrap().to_vec()).unwrap()
+    };
+    assert_eq!(head_diff(&flat), r#"{"added":[6,7],"updated":[2]}"#);
+
+    let mut new = Dataset::open(runs).unwrap();
+    let mut old = Dataset::open(flat.clone()).unwrap();
+    for tensor in new.tensors_all() {
+        assert_eq!(
+            old.store(tensor).unwrap().pending_diff(),
+            new.store(tensor).unwrap().pending_diff(),
+            "{tensor}"
+        );
+    }
+    assert_eq!(
+        old.diff("main", "side").unwrap(),
+        new.diff("main", "side").unwrap()
+    );
+
+    // the next flush rewrites the head's diff as runs
+    old.append_row(vec![("labels", Sample::scalar(8i32))])
+        .unwrap();
+    old.flush().unwrap();
+    assert_eq!(head_diff(&flat), r#"{"added":[[6,9]],"updated":[[2,3]]}"#);
+    new.append_row(vec![("labels", Sample::scalar(8i32))])
+        .unwrap();
+
+    // row 2 was updated on both sides, row 1 on theirs only, one row is new
+    let merged_old = old.merge("side", MergePolicy::Theirs).unwrap();
+    let merged_new = new.merge("side", MergePolicy::Theirs).unwrap();
+    assert_eq!(merged_old, merged_new);
+    assert_eq!(merged_old.updates_applied, 2);
+    assert_eq!(merged_old.samples_added, 1);
+    assert_eq!(merged_old.conflicts.len(), 1);
+    let labels = |ds: &Dataset| (0..ds.len()).map(|r| label_of(ds, r)).collect::<Vec<_>>();
+    assert_eq!(labels(&old), [0, -1, -2, 3, 4, 5, 6, 7, 8, 60]);
+    assert_eq!(labels(&old), labels(&new));
 }

@@ -207,6 +207,52 @@ fn query_offload_propagates_errors() {
     }
 }
 
+/// Query text is remote input and the TQL parser recurses per nesting
+/// level: a million open parentheses must come back as a parse error on
+/// the connection that sent them — not run a pool worker off its stack
+/// and abort the hub — and that connection must still be served.
+#[test]
+fn deeply_nested_query_text_is_an_error_frame_not_a_crash() {
+    let server = serve(Arc::new(MemoryProvider::new()));
+    let one_socket = RemoteOptions {
+        pool_size: 1,
+        ..RemoteOptions::default()
+    };
+    let remote = Arc::new(RemoteProvider::connect_with(server.addr(), one_socket).unwrap());
+    let mut ds = Dataset::create(remote.clone(), "deep").unwrap();
+    ds.create_tensor("labels", Htype::ClassLabel, None).unwrap();
+    for i in 0..4 {
+        ds.append_row(vec![("labels", Sample::scalar(i))]).unwrap();
+    }
+    ds.flush().unwrap();
+
+    let depth = 1_000_000;
+    for bomb in [
+        format!("{}labels{} = 1", "(".repeat(depth), ")".repeat(depth)),
+        format!("labels{} = 1", " + 1".repeat(depth)),
+    ] {
+        let err = remote
+            .query(
+                &format!("SELECT * FROM deep WHERE {bomb}"),
+                &QueryOptions::default(),
+            )
+            .unwrap_err();
+        match err {
+            deeplake_tql::TqlError::Remote(msg) => {
+                assert!(msg.contains("levels deep"), "unexpected message {msg:?}")
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        let answered = remote
+            .query(
+                "SELECT labels FROM deep WHERE ((labels)) = 1",
+                &QueryOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(answered.indices, vec![1]);
+    }
+}
+
 /// N ≥ 8 clients stream loader batches from one server concurrently:
 /// no deadlock, every client sees its own complete, correct results.
 #[test]

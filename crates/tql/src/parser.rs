@@ -11,10 +11,20 @@ use crate::error::TqlError;
 use crate::lexer::{lex, Token};
 use crate::Result;
 
+/// Deepest an expression may go: every parenthesis, `NOT`, unary minus,
+/// subscript and function call is one level, and so is every operator of
+/// a chain (`a + b + c` is a left-deep tree, one level per `+`). The parser
+/// recurses per nesting level and everything that later walks the tree —
+/// its destructor included — recurses per tree level, while query text
+/// arrives from the network: past this bound a query is a parse error, not
+/// a stack overflow. The tree is then at most ~3x this deep (a level of
+/// the count can put a comparison and a chain's other operand under it).
+const MAX_NESTING: usize = 128;
+
 /// Parse a full `SELECT` query.
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = p.query()?;
     if p.pos != p.tokens.len() {
         return Err(p.err(format!("trailing tokens after query (at token {})", p.pos)));
@@ -26,7 +36,7 @@ pub fn parse(input: &str) -> Result<Query> {
 /// filter hook).
 pub fn parse_expr(input: &str) -> Result<Expr> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after expression".into()));
@@ -37,9 +47,33 @@ pub fn parse_expr(input: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Go one level down, or refuse at [`MAX_NESTING`]. The caller gives
+    /// the level back once it has parsed what is inside; an error ends the
+    /// parse, so it need not.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "expression is more than {MAX_NESTING} levels deep (parentheses, NOT, unary \
+                 minus, subscripts, function calls and chained operators each count one)"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn err(&self, message: String) -> TqlError {
         TqlError::Parse { message }
     }
@@ -189,8 +223,10 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut left = self.and_expr()?;
         while self.eat_keyword("OR") {
+            self.descend()?;
             let right = self.and_expr()?;
             left = Expr::Binary {
                 op: BinOp::Or,
@@ -198,12 +234,15 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut left = self.not_expr()?;
         while self.eat_keyword("AND") {
+            self.descend()?;
             let right = self.not_expr()?;
             left = Expr::Binary {
                 op: BinOp::And,
@@ -211,12 +250,16 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_keyword("NOT") {
-            return Ok(Expr::Not(Box::new(self.not_expr()?)));
+            self.descend()?;
+            let inner = self.not_expr()?;
+            self.depth -= 1;
+            return Ok(Expr::Not(Box::new(inner)));
         }
         self.cmp_expr()
     }
@@ -242,6 +285,7 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut left = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -250,6 +294,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let right = self.mul_expr()?;
             left = Expr::Binary {
                 op,
@@ -257,10 +302,12 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut left = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -270,6 +317,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let right = self.unary()?;
             left = Expr::Binary {
                 op,
@@ -277,21 +325,29 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn unary(&mut self) -> Result<Expr> {
         if self.peek() == Some(&Token::Minus) {
             self.pos += 1;
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            self.descend()?;
+            let inner = self.unary()?;
+            self.depth -= 1;
+            return Ok(Expr::Neg(Box::new(inner)));
         }
         self.postfix()
     }
 
     fn postfix(&mut self) -> Result<Expr> {
         let mut base = self.primary()?;
+        // no recursion here, but like a chain's operators each subscript
+        // puts the tree one level deeper
+        let outer = self.depth;
         while self.peek() == Some(&Token::LBracket) {
             self.pos += 1;
+            self.descend()?;
             let specs = self.subscripts()?;
             self.expect(Token::RBracket)?;
             base = Expr::Subscript {
@@ -299,6 +355,7 @@ impl Parser {
                 specs,
             };
         }
+        self.depth = outer;
         Ok(base)
     }
 
@@ -357,7 +414,9 @@ impl Parser {
             Some(Token::Number(n)) => Ok(Expr::Number(n)),
             Some(Token::Str(s)) => Ok(Expr::Str(s)),
             Some(Token::LParen) => {
+                self.descend()?;
                 let e = self.expr()?;
+                self.depth -= 1;
                 self.expect(Token::RParen)?;
                 Ok(e)
             }
@@ -387,6 +446,7 @@ impl Parser {
             Some(Token::Ident(name)) => {
                 if self.peek() == Some(&Token::LParen) {
                     self.pos += 1;
+                    self.descend()?;
                     let mut args = Vec::new();
                     if self.peek() != Some(&Token::RParen) {
                         loop {
@@ -398,6 +458,7 @@ impl Parser {
                             }
                         }
                     }
+                    self.depth -= 1;
                     self.expect(Token::RParen)?;
                     Ok(Expr::Call {
                         name: name.to_ascii_uppercase(),
@@ -562,5 +623,47 @@ mod tests {
     fn negative_array_literals() {
         let e = parse_expr("[1, -2, 3.5]").unwrap();
         assert_eq!(e, Expr::Array(vec![1.0, -2.0, 3.5]));
+    }
+
+    /// `depth` levels of each construct that deepens the tree, around a
+    /// column.
+    fn nested(depth: usize) -> [String; 9] {
+        [
+            format!("x{}", " OR x".repeat(depth)),
+            format!("x{}", " AND x".repeat(depth)),
+            format!("x{}", " + x".repeat(depth)),
+            format!("x{}", " * x".repeat(depth)),
+            format!("{}x{}", "(".repeat(depth), ")".repeat(depth)),
+            format!("{}x", "NOT ".repeat(depth)),
+            format!("{}x", "- ".repeat(depth)),
+            format!("x{}", "[0]".repeat(depth)),
+            format!("{}x{}", "ABS(".repeat(depth), ")".repeat(depth)),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for text in nested(MAX_NESTING) {
+            parse_expr(&text).unwrap();
+            parse(&format!("SELECT * FROM ds WHERE {text} = 1")).unwrap();
+        }
+        // one past the bound, and far past where the recursion (or the
+        // tree's destructor) would run off the stack
+        for depth in [MAX_NESTING + 1, 1_000_000] {
+            for text in nested(depth) {
+                let got = parse(&format!("SELECT * FROM ds WHERE {text} = 1"));
+                assert!(
+                    matches!(&got, Err(TqlError::Parse { message }) if message.contains("levels deep")),
+                    "{} at depth {depth}: {got:?}",
+                    &text[..8]
+                );
+            }
+        }
+        // kinds mix into one count, and a closed level is given back
+        let mixed = format!("{}NOT -x[0]{}", "(".repeat(125), ")".repeat(125));
+        parse_expr(&mixed).unwrap();
+        assert!(parse_expr(&format!("({mixed})")).is_err());
+        let siblings = vec!["((x[0][1]))"; 100].join(" + ");
+        parse_expr(&format!("F({siblings}, {siblings}) = ({siblings})")).unwrap();
     }
 }

@@ -46,7 +46,9 @@ pub enum CoreError {
     Codec(CodecError),
     /// Vector index failure.
     Index(deeplake_index::IndexError),
-    /// Metadata JSON failure.
+    /// Metadata JSON failure. Stored JSON that does not parse is
+    /// reported as [`Corrupt`](CoreError::Corrupt); nothing in this
+    /// crate constructs this variant any more.
     Json(String),
 }
 
@@ -110,7 +112,8 @@ impl From<deeplake_index::IndexError> for CoreError {
 }
 impl From<serde_json::Error> for CoreError {
     fn from(e: serde_json::Error) -> Self {
-        CoreError::Json(e.to_string())
+        // stored metadata that does not parse is a malformed dataset
+        CoreError::Corrupt(format!("metadata json: {e}"))
     }
 }
 

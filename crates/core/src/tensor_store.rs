@@ -149,7 +149,8 @@ impl TensorStore {
             .iter()
             .find(|d| d.provider.exists(META_KEY).unwrap_or(false))
             .ok_or_else(|| CoreError::Corrupt("tensor has no meta.json in any version".into()))?;
-        let meta = TensorMeta::from_json(&state_dir.provider.get(META_KEY)?)?;
+        let meta = TensorMeta::from_json(&state_dir.provider.get(META_KEY)?)
+            .map_err(|e| CoreError::Corrupt(format!("{META_KEY}: {e}")))?;
         let encoder = match state_dir.provider.get(ENCODER_KEY) {
             Ok(data) => ChunkEncoder::deserialize(&data)?,
             Err(_) => ChunkEncoder::new(),

@@ -11,9 +11,39 @@
 //! workers, is the epoch's critical path.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use bytes::BytesMut;
 use deeplake_core::Row;
 use deeplake_tensor::{Sample, Shape};
+
+/// One loaded row on its way from a worker to a batch: `samples[i]` is
+/// the value of tensor `names[i]`. The rows of a task share one `names`,
+/// so a row costs one allocation however many tensors it carries.
+#[derive(Debug)]
+pub(crate) struct LoadedRow {
+    pub names: Arc<Vec<String>>,
+    pub samples: Vec<Sample>,
+}
+
+impl LoadedRow {
+    /// The [`Row`] a user transform takes.
+    pub fn into_row(self) -> Row {
+        self.names.iter().cloned().zip(self.samples).collect()
+    }
+
+    /// What a user transform returned. `shared` is the tensor set of the
+    /// task's previous row, reused when this row carries the same one.
+    pub fn from_row(mut row: Row, shared: &mut Arc<Vec<String>>) -> Self {
+        if !row.tensors().eq(shared.iter().map(String::as_str)) {
+            *shared = Arc::new(row.tensors().map(str::to_string).collect());
+        }
+        LoadedRow {
+            samples: shared.iter().filter_map(|name| row.take(name)).collect(),
+            names: shared.clone(),
+        }
+    }
+}
 
 /// One collated tensor column of a batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,17 +98,47 @@ impl Batch {
     /// Collate rows into a batch. Every row must carry the same tensor
     /// set (the loader guarantees this).
     pub fn collate(rows: Vec<Row>) -> Batch {
+        let mut shared = Arc::new(Vec::new());
+        let loaded: Vec<LoadedRow> = rows
+            .into_iter()
+            .map(|row| LoadedRow::from_row(row, &mut shared))
+            .collect();
+        Batch::collate_loaded(loaded.into_iter())
+    }
+
+    /// Collate rows into a batch, moving each sample into its column.
+    /// The first row names the batch's tensors; a value a later row
+    /// carries for any other tensor is dropped (rows differ only when a
+    /// user transform makes them).
+    pub(crate) fn collate_loaded(rows: impl ExactSizeIterator<Item = LoadedRow>) -> Batch {
         let len = rows.len();
-        let mut columns = BTreeMap::new();
-        if rows.is_empty() {
-            return Batch { columns, len };
+        let mut rows = rows.peekable();
+        let Some(first) = rows.peek() else {
+            return Batch::default();
+        };
+        let names = first.names.clone();
+        let mut columns: Vec<Vec<Sample>> = names.iter().map(|_| Vec::with_capacity(len)).collect();
+        for row in rows {
+            let same = Arc::ptr_eq(&row.names, &names);
+            for (i, (name, sample)) in row.names.iter().zip(row.samples).enumerate() {
+                let column = if same || names.get(i) == Some(name) {
+                    Some(i)
+                } else {
+                    names.iter().position(|n| n == name)
+                };
+                if let Some(column) = column {
+                    columns[column].push(sample);
+                }
+            }
         }
-        let names: Vec<String> = rows[0].tensors().map(str::to_string).collect();
-        for name in names {
-            let samples: Vec<Sample> = rows.iter().filter_map(|r| r.get(&name).cloned()).collect();
-            columns.insert(name, collate_column(samples));
+        Batch {
+            columns: names
+                .iter()
+                .cloned()
+                .zip(columns.into_iter().map(collate_column))
+                .collect(),
+            len,
         }
-        Batch { columns, len }
     }
 
     /// Rows in the batch.
@@ -127,11 +187,15 @@ fn collate_column(samples: Vec<Sample>) -> BatchColumn {
     // stack: concatenate payloads under a [n, ...shape] shape
     let mut dims = vec![samples.len() as u64];
     dims.extend_from_slice(first_shape.dims());
-    let mut buf = Vec::with_capacity(samples.iter().map(Sample::nbytes).sum());
-    for s in &samples {
-        buf.extend_from_slice(s.bytes());
+    // written in the buffer the stacked sample keeps (a `Vec` would be
+    // copied once more on its way into `Bytes`); uniform shape and dtype
+    // make every payload `each` bytes, and a non-empty shape makes it > 0
+    let each = samples[0].nbytes();
+    let mut buf = BytesMut::zeroed(each * samples.len());
+    for (slot, s) in buf.chunks_exact_mut(each).zip(&samples) {
+        slot.copy_from_slice(s.bytes());
     }
-    match Sample::from_bytes(samples[0].dtype(), Shape(dims), bytes::Bytes::from(buf)) {
+    match Sample::from_bytes(samples[0].dtype(), Shape(dims), buf.freeze()) {
         Ok(stacked) => BatchColumn::Stacked(stacked),
         Err(_) => BatchColumn::List(samples),
     }
@@ -208,6 +272,34 @@ mod tests {
         ];
         let b = Batch::collate(rows);
         assert!(matches!(b.column("x").unwrap(), BatchColumn::List(_)));
+    }
+
+    #[test]
+    fn rows_with_other_tensor_sets_collate_by_name() {
+        let batch = Batch::collate(vec![
+            row(1, 10, 4),
+            Row::new().with("labels", Sample::scalar(2)),
+            Row::new()
+                .with("extra", Sample::scalar(9))
+                .with("labels", Sample::scalar(3)),
+        ]);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.tensors().collect::<Vec<_>>(), ["images", "labels"]);
+        assert_eq!(batch.column("labels").unwrap().len(), 3);
+        assert_eq!(batch.column("images").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn loaded_rows_roundtrip_through_row() {
+        let names = Arc::new(vec!["images".to_string(), "labels".to_string()]);
+        let loaded = LoadedRow {
+            names: names.clone(),
+            samples: vec![Sample::scalar(7u8), Sample::scalar(1i32)],
+        };
+        let mut shared = names.clone();
+        let back = LoadedRow::from_row(loaded.into_row(), &mut shared);
+        assert!(Arc::ptr_eq(&back.names, &names), "same tensor set: shared");
+        assert_eq!(back.samples, [Sample::scalar(7u8), Sample::scalar(1i32)]);
     }
 
     #[test]

@@ -7,14 +7,21 @@ use deeplake_core::{Dataset, Row};
 use crate::loader::DataLoader;
 use crate::Result;
 
-/// Shuffled-stream settings (§3.5): chunk-block randomization plus a
-/// sample-level shuffle buffer, avoiding a separate shuffle cluster.
+/// Shuffled-stream settings (§3.5): chunk-following block randomization
+/// plus a sample-level shuffle buffer, avoiding a separate shuffle
+/// cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShuffleConfig {
     /// Rows held in the in-memory shuffle buffer.
     pub buffer_rows: usize,
-    /// Rows per block: blocks are fetched in random order but stay
-    /// contiguous inside, preserving chunk locality.
+    /// Target rows per block. Blocks are fetched in random order but stay
+    /// contiguous inside, and hold this many rows give or take half: a
+    /// block's end moves to where the chunk of the streamed tensor with
+    /// the most chunks changes when that is within `block_rows / 2`, so
+    /// chunks of up to this many rows are never split and smaller
+    /// ones coalesce; larger chunks are cut every `block_rows` rows
+    /// (see [`shuffle`](crate::shuffle)). Unshuffled epochs are cut the
+    /// same way, with the default.
     pub block_rows: usize,
     /// RNG seed — same seed, same epoch order.
     pub seed: u64,

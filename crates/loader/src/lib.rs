@@ -27,9 +27,13 @@
 //! streaming from a hub yields one connected span tree from the
 //! training step down to object storage;
 //! [`EpochIter::report`](loader::EpochIter::report) summarizes an
-//! epoch and attributes its [`Bottleneck`] automatically. Workers claim
-//! equal blocks of the epoch order from a shared cursor
-//! ([`scheduler`]).
+//! epoch and attributes its [`Bottleneck`] automatically.
+//!
+//! The unit of work is a block of about `block_rows` rows that ends on
+//! a chunk boundary of the streamed tensor with the most chunks whenever
+//! one is near ([`shuffle`]): workers claim one block at a time from a
+//! shared cursor ([`scheduler`]), and a block travels to the consumer as
+//! one message ([`loader`]).
 //!
 //! ```
 //! use deeplake_core::Dataset;

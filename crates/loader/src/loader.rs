@@ -1,14 +1,21 @@
 //! The streaming dataloader engine.
 //!
 //! An epoch spawns `num_workers` native threads. Each worker claims
-//! blocks of the epoch order from the [`Scheduler`], fetches the rows'
-//! tensors (chunk fetch + decompression happen *in the worker*, §4.6),
-//! applies the user transform, and sends decoded rows over a bounded
-//! channel — the bound is the prefetch/memory budget, giving
-//! backpressure. The consumer side collates rows into [`Batch`]es:
-//! without shuffling, a sequence-number reorder buffer makes delivery
-//! order deterministic regardless of worker count; with shuffling, rows
-//! pass through the sample-level [`ShuffleBuffer`].
+//! tasks from the [`Scheduler`] — a task is one block of the epoch
+//! order, `block_rows` rows give or take half, ending on a chunk
+//! boundary where one is near (see [`shuffle`](crate::shuffle)) —
+//! fetches the block's chunks in one storage call (chunk fetch +
+//! decompression happen *in the worker*, §4.6), assembles its rows,
+//! applies the user transform, and sends the whole block as ONE message
+//! over a bounded channel. The channel holds as many blocks as fit the
+//! prefetch/memory budget in rows (at least one; no block exceeds
+//! 1.5 × `block_rows` rows), giving backpressure (each worker holds one
+//! more while it blocks on `send`). A failing sample travels in its
+//! task's message behind the rows before it. The consumer side collates rows
+//! into [`Batch`]es, moving each sample into its column: without
+//! shuffling, a reorder buffer keyed by a block's first epoch position
+//! makes delivery order deterministic regardless of worker count; with
+//! shuffling, rows pass through the sample-level [`ShuffleBuffer`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -17,23 +24,26 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver};
-use deeplake_core::{CoreError, Dataset, Row};
+use deeplake_core::{CoreError, Dataset};
 use deeplake_obs::{
     with_current, Counter, MetricsRegistry, MetricsSnapshot, SpanRecord, TraceContext,
 };
 
-use crate::batch::Batch;
+use crate::batch::{Batch, LoadedRow};
 use crate::config::{LoaderBuilder, LoaderConfig};
 use crate::memory::MemoryEstimator;
 use crate::report::{EpochReport, LoaderObs, StageSummary, WorkerSummary};
 use crate::scheduler::Scheduler;
-use crate::shuffle::{block_shuffled_order, ShuffleBuffer};
+use crate::shuffle::{block_ends, block_shuffled_order, ShuffleBuffer};
 use crate::Result;
 
 /// A reusable streaming dataloader bound to a dataset and row set.
 pub struct DataLoader {
     dataset: Arc<Dataset>,
     indices: Vec<u64>,
+    /// One past the last position in `indices` of each block (see
+    /// [`block_ends`]).
+    blocks: Vec<usize>,
     config: LoaderConfig,
     tensor_names: Arc<Vec<String>>,
     /// Client-level instruments, lifetime of this loader — every epoch
@@ -67,9 +77,21 @@ impl DataLoader {
         if let Some(&bad) = indices.iter().find(|&&i| i >= max) {
             return Err(CoreError::RowOutOfRange { row: bad, len: max });
         }
+        // the primary tensor: the one whose chunks a fixed cut would
+        // split most often
+        let mut primary = Vec::new();
+        for name in &tensor_names {
+            let spans = dataset.chunk_spans(name)?;
+            if spans.len() > primary.len() {
+                primary = spans;
+            }
+        }
+        let block_rows = config.shuffle.unwrap_or_default().block_rows;
+        let blocks = block_ends(&indices, &primary, block_rows);
         Ok(DataLoader {
             dataset,
             indices,
+            blocks,
             config,
             tensor_names: Arc::new(tensor_names),
             obs: LoaderObs::new(),
@@ -119,10 +141,10 @@ impl DataLoader {
         let base = self.obs.registry.snapshot();
         self.obs.epochs.inc();
         let sched_t = Instant::now();
-        // 1. epoch order
-        let order: Vec<u64> = match &self.config.shuffle {
-            Some(cfg) => block_shuffled_order(&self.indices, cfg),
-            None => self.indices.clone(),
+        // 1. epoch order and its blocks
+        let (order, ends) = match &self.config.shuffle {
+            Some(cfg) => block_shuffled_order(&self.indices, &self.blocks, cfg.seed),
+            None => (self.indices.clone(), self.blocks.clone()),
         };
 
         // 2. in-flight budget (rows)
@@ -131,10 +153,12 @@ impl DataLoader {
         if let Some(budget) = self.config.memory_budget_bytes {
             in_flight = in_flight.min(estimator.rows_in_flight(budget, self.config.batch_size));
         }
+        // ... as blocks of the epoch's mean size: the channel carries one
+        // message per block
+        let in_flight_blocks = (in_flight * ends.len() / order.len().max(1)).max(1);
 
-        // 3. schedule: one task per shuffle block
-        let block = self.config.shuffle.map(|s| s.block_rows).unwrap_or(32);
-        let scheduler = Arc::new(Scheduler::new(order.len(), block));
+        // 3. schedule: one task per block
+        let scheduler = Arc::new(Scheduler::new(ends));
 
         self.obs
             .stages
@@ -145,7 +169,7 @@ impl DataLoader {
         let sent = Arc::new(AtomicU64::new(0));
 
         // 4. workers
-        let (tx, rx) = bounded::<std::result::Result<(usize, Row), String>>(in_flight.max(1));
+        let (tx, rx) = bounded::<TaskRows>(in_flight_blocks);
         let order = Arc::new(order);
         let mut handles = Vec::with_capacity(self.config.num_workers);
         for w_idx in 0..self.config.num_workers {
@@ -164,7 +188,7 @@ impl DataLoader {
             };
             handles.push(std::thread::spawn(move || {
                 while let Some(task) = scheduler.next() {
-                    let rows: Vec<u64> = (task.start..task.end).map(|pos| order[pos]).collect();
+                    let rows = &order[task.start..task.end];
                     let busy_t = Instant::now();
                     // Every storage call of this task runs under one
                     // child span of the epoch root; a served hub reads
@@ -179,27 +203,30 @@ impl DataLoader {
                     // `Dataset::get` reports for it.
                     let fetch_t = Instant::now();
                     let prefetched =
-                        with_current(fetch_ctx, || dataset.prefetch_chunks(&tensor_names, &rows));
+                        with_current(fetch_ctx, || dataset.prefetch_chunks(&tensor_names, rows));
                     let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
-                    let mut batch_rows: Vec<Row> = Vec::with_capacity(rows.len());
+                    let mut loaded: Vec<LoadedRow> = Vec::with_capacity(rows.len());
                     let failure: Option<String> = match prefetched {
                         Ok(pf) => {
                             let decode_t = Instant::now();
                             let failure = rows.iter().find_map(|&row_idx| {
-                                let mut row = Row::new();
+                                let mut samples = Vec::with_capacity(tensor_names.len());
                                 for name in tensor_names.iter() {
                                     match pf.get(&dataset, name, row_idx) {
-                                        Ok(sample) => row.set(name.clone(), sample),
+                                        Ok(sample) => samples.push(sample),
                                         Err(e) => {
                                             return Some(format!("fetch {name}[{row_idx}]: {e}"))
                                         }
                                     }
                                 }
-                                batch_rows.push(row);
+                                loaded.push(LoadedRow {
+                                    names: tensor_names.clone(),
+                                    samples,
+                                });
                                 None
                             });
                             // Stage samples land the moment the stage
-                            // finishes — before any send can block — so
+                            // finishes — before the send can block — so
                             // a consumer dropping mid-epoch loses none.
                             let stages = &w.obs.stages;
                             stages.fetch.record(pf.fetch_ns());
@@ -211,28 +238,34 @@ impl DataLoader {
                         Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
                     };
                     w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
-                    let batch_rows = match &transform {
+                    let loaded: Vec<LoadedRow> = match &transform {
                         Some(f) => {
                             let t = Instant::now();
-                            let out: Vec<Row> = batch_rows.into_iter().map(|row| f(row)).collect();
+                            let mut names = tensor_names.clone();
+                            let out = loaded
+                                .into_iter()
+                                .map(|row| LoadedRow::from_row(f(row.into_row()), &mut names))
+                                .collect();
                             w.obs.stages.transform.record(t.elapsed().as_nanos() as u64);
                             out
                         }
-                        None => batch_rows,
+                        None => loaded,
                     };
                     w.task_done(busy_t.elapsed().as_nanos() as u64);
-                    // rows before a failing sample are delivered, then the
+                    // the rows before a failing sample travel with the
                     // failure, which ends the epoch
-                    for (pos, row) in (task.start..task.end).zip(batch_rows) {
-                        if tx.send(Ok((pos, row))).is_err() {
-                            return; // consumer hung up
-                        }
-                        w.sent_one();
+                    let failed = failure.is_some();
+                    let rows_sent = loaded.len() as u64;
+                    let message = TaskRows {
+                        start: task.start,
+                        rows: loaded,
+                        failure,
+                    };
+                    if tx.send(message).is_err() {
+                        return; // consumer hung up
                     }
-                    if let Some(message) = failure {
-                        if tx.send(Err(message)).is_ok() {
-                            w.sent_one();
-                        }
+                    w.sent(rows_sent);
+                    if failed {
                         return;
                     }
                 }
@@ -244,7 +277,7 @@ impl DataLoader {
             rx,
             handles,
             reorder: BinaryHeap::new(),
-            next_seq: 0,
+            next_pos: 0,
             shuffle_buffer: self
                 .config
                 .shuffle
@@ -253,6 +286,7 @@ impl DataLoader {
             batch_size: self.config.batch_size,
             drop_last: self.config.drop_last,
             upstream_done: false,
+            failure: None,
             failed: false,
             started: Instant::now(),
             obs: self.obs.clone(),
@@ -301,14 +335,26 @@ impl WorkerObs {
         self.tasks.inc();
     }
 
-    fn sent_one(&self) {
-        self.obs.queue_depth.add(1);
-        self.sent.fetch_add(1, Ordering::Relaxed);
+    /// A task's message is in (or through) the channel: `rows` more rows
+    /// are queued.
+    fn sent(&self, rows: u64) {
+        self.obs.queue_depth.add(rows as i64);
+        self.sent.fetch_add(rows, Ordering::Relaxed);
     }
 }
 
-/// Ordered entry for the reorder heap (min-heap by sequence).
-struct Seq(usize, Row);
+/// What a worker sends for one task: its rows in epoch order — all of
+/// them, or those before the sample that failed, then the failure.
+struct TaskRows {
+    /// Epoch position of the task's first row.
+    start: usize,
+    rows: Vec<LoadedRow>,
+    failure: Option<String>,
+}
+
+/// Reorder-heap entry: a task's rows, ordered by the task's first epoch
+/// position (wrapped in [`Reverse`] for a min-heap).
+struct Seq(usize, Vec<LoadedRow>);
 
 impl PartialEq for Seq {
     fn eq(&self, other: &Self) -> bool {
@@ -364,15 +410,19 @@ impl LoaderStats {
 
 /// Iterator over one epoch's batches.
 pub struct EpochIter {
-    rx: Receiver<std::result::Result<(usize, Row), String>>,
+    rx: Receiver<TaskRows>,
     handles: Vec<std::thread::JoinHandle<()>>,
     reorder: BinaryHeap<Reverse<Seq>>,
-    next_seq: usize,
-    shuffle_buffer: Option<ShuffleBuffer<Row>>,
-    pending: VecDeque<Row>,
+    /// Epoch position the next in-order task starts at.
+    next_pos: usize,
+    shuffle_buffer: Option<ShuffleBuffer<LoadedRow>>,
+    pending: VecDeque<LoadedRow>,
     batch_size: usize,
     drop_last: bool,
     upstream_done: bool,
+    /// A worker's failure, surfaced once the full batches of the rows
+    /// that came with it are delivered.
+    failure: Option<String>,
     failed: bool,
     started: Instant,
     /// The loader's instruments — the only place this epoch records.
@@ -471,22 +521,24 @@ impl EpochIter {
         }
     }
 
-    fn absorb(&mut self, seq: usize, row: Row) {
+    fn absorb(&mut self, start: usize, rows: Vec<LoadedRow>) {
         match &mut self.shuffle_buffer {
             Some(buf) => {
-                if let Some(evicted) = buf.push(row) {
-                    self.pending.push_back(evicted);
+                for row in rows {
+                    if let Some(evicted) = buf.push(row) {
+                        self.pending.push_back(evicted);
+                    }
                 }
             }
             None => {
-                self.reorder.push(Reverse(Seq(seq, row)));
+                self.reorder.push(Reverse(Seq(start, rows)));
                 while let Some(Reverse(Seq(s, _))) = self.reorder.peek() {
-                    if *s != self.next_seq {
+                    if *s != self.next_pos {
                         break;
                     }
-                    let Reverse(Seq(_, row)) = self.reorder.pop().expect("peeked");
-                    self.pending.push_back(row);
-                    self.next_seq += 1;
+                    let Reverse(Seq(_, rows)) = self.reorder.pop().expect("peeked");
+                    self.next_pos += rows.len();
+                    self.pending.extend(rows);
                 }
             }
         }
@@ -499,8 +551,8 @@ impl EpochIter {
                 self.pending.push_back(row);
             }
         } else {
-            while let Some(Reverse(Seq(_, row))) = self.reorder.pop() {
-                self.pending.push_back(row);
+            while let Some(Reverse(Seq(_, rows))) = self.reorder.pop() {
+                self.pending.extend(rows);
             }
         }
     }
@@ -515,9 +567,8 @@ impl EpochIter {
             return None;
         }
         let take = self.batch_size.min(self.pending.len());
-        let rows: Vec<Row> = self.pending.drain(..take).collect();
         let collate_t = Instant::now();
-        let batch = Batch::collate(rows);
+        let batch = Batch::collate_loaded(self.pending.drain(..take));
         let obs = &self.obs;
         obs.stages
             .collate
@@ -541,6 +592,12 @@ impl EpochIter {
             if let Some(batch) = self.pop_batch() {
                 return Some(Ok(batch));
             }
+            if let Some(message) = self.failure.take() {
+                self.failed = true;
+                return Some(Err(CoreError::Corrupt(format!(
+                    "loader worker failed: {message}"
+                ))));
+            }
             if self.upstream_done {
                 return None;
             }
@@ -551,18 +608,12 @@ impl EpochIter {
                 .queue_wait
                 .record(wait_t.elapsed().as_nanos() as u64);
             match received {
-                Ok(msg) => {
-                    self.obs.queue_depth.add(-1);
-                    self.recvd += 1;
-                    match msg {
-                        Ok((seq, row)) => self.absorb(seq, row),
-                        Err(message) => {
-                            self.failed = true;
-                            return Some(Err(CoreError::Corrupt(format!(
-                                "loader worker failed: {message}"
-                            ))));
-                        }
-                    }
+                Ok(task) => {
+                    let rows = task.rows.len() as u64;
+                    self.obs.queue_depth.add(-(rows as i64));
+                    self.recvd += rows;
+                    self.absorb(task.start, task.rows);
+                    self.failure = task.failure;
                 }
                 Err(_) => self.finish_upstream(),
             }

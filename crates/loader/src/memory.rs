@@ -2,9 +2,14 @@
 //! predicting memory consumption to avoid breaking the training process
 //! due to memory overfilling").
 //!
-//! The in-flight row budget this estimator produces is the bound of the
-//! prefetch channel, observable live as the `loader.queue_depth` gauge
-//! and reported per epoch as
+//! The in-flight row budget this estimator produces bounds the prefetch
+//! channel — which carries whole blocks, so it holds as many blocks of
+//! the epoch's mean size as fit the budget, and at least one; each
+//! worker holds one more block while it waits to send. A block is at
+//! most `block_rows + block_rows / 2` rows (48 by default) whatever the
+//! chunk size, so the bound is off by less than that per slot. It is
+//! observable live as the `loader.queue_depth` gauge (in rows) and
+//! reported per epoch as
 //! [`EpochReport::in_flight_rows`](crate::EpochReport::in_flight_rows).
 
 use deeplake_core::Dataset;

@@ -69,10 +69,11 @@ impl Stages {
 pub(crate) struct LoaderObs {
     pub registry: MetricsRegistry,
     pub stages: Stages,
-    /// Rows sitting in (or blocked on) the bounded prefetch channel
-    /// (`loader.queue_depth`). The stand-in channel has no `len()`;
-    /// workers increment on send, the consumer decrements on receive,
-    /// and a mid-epoch drop settles the residue.
+    /// Rows sitting in the bounded prefetch channel
+    /// (`loader.queue_depth`). The channel carries one message per task
+    /// and the stand-in has no `len()`: a worker adds its task's rows
+    /// once the send went through, the consumer subtracts them on
+    /// receive, and a mid-epoch drop settles the residue.
     pub queue_depth: Gauge,
     pub epochs: Counter,
     pub rows: Counter,
@@ -208,10 +209,11 @@ pub struct EpochReport {
     /// User transform per worker task (absent transform records
     /// nothing).
     pub transform: StageSummary,
-    /// `Batch::collate` per delivered batch, on the consumer thread.
+    /// Collation per delivered batch, on the consumer thread.
     pub collate: StageSummary,
-    /// Consumer blocked on the prefetch queue per receive — the
-    /// "loader too slow" signal.
+    /// Consumer blocked on the prefetch queue per receive (one per
+    /// task, plus the one that finds the channel closed) — the "loader
+    /// too slow" signal.
     pub queue_wait: StageSummary,
     /// Consumer away between batches (GPU compute) — the "loader kept
     /// up" signal.

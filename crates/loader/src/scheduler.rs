@@ -1,18 +1,20 @@
-//! The epoch's work queue: a shared cursor over equal blocks.
+//! The epoch's work queue: a shared cursor over the epoch's blocks.
 //!
-//! An epoch of `total` positions is cut into `total.div_ceil(block)`
-//! *tasks* (blocks of consecutive epoch positions, the last one
-//! possibly short). Workers claim them in epoch order with one atomic
-//! increment; nothing is allocated or sorted, so building the schedule
-//! costs the same for ten rows and ten million.
+//! An epoch's order is a list of *blocks* — runs of the index list of
+//! about `block_rows` rows, chunk-aligned where a chunk boundary is
+//! near, cut by [`shuffle::block_ends`](crate::shuffle::block_ends) —
+//! and each block is one *task*: one storage call, one decode pass,
+//! one message to the consumer. Workers claim tasks in epoch order with
+//! one atomic increment over the list of block ends; nothing is sorted.
 //!
 //! §4.6 describes a scheduler that runs CPU-intensive jobs ahead of
 //! lighter ones. That ordering needs a per-task cost signal, and the
 //! tensor metadata has none: the only estimate available at schedule
 //! time (`max_shape × dtype` of the compressed tensors) is one number
-//! per dataset, so every full task costs the same and a cost-ordered
-//! schedule *is* epoch order. If chunk-level statistics ever carry a
-//! per-row decoded size, an ordering over tasks belongs here.
+//! per dataset, so a task's cost is its row count and a cost-ordered
+//! schedule of like-sized blocks *is* epoch order. If chunk-level
+//! statistics ever carry a per-row decoded size, an ordering over tasks
+//! belongs here.
 //!
 //! Per-task completions show up as the `loader.worker.<i>.tasks`
 //! counters, so an uneven split between workers is visible in
@@ -29,21 +31,19 @@ pub struct Task {
     pub end: usize,
 }
 
-/// `total` epoch positions in blocks of `block`, claimed by workers
-/// through an atomic cursor.
+/// The epoch's blocks, claimed by workers through an atomic cursor.
 pub struct Scheduler {
-    total: usize,
-    block: usize,
+    /// One past the last epoch position of each block, ascending.
+    ends: Vec<usize>,
     cursor: AtomicUsize,
 }
 
 impl Scheduler {
-    /// A schedule over `total` epoch positions in blocks of `block`
-    /// (at least 1).
-    pub fn new(total: usize, block: usize) -> Self {
+    /// A schedule over the blocks ending at `ends` (ascending; the first
+    /// block starts at position 0).
+    pub fn new(ends: Vec<usize>) -> Self {
         Scheduler {
-            total,
-            block: block.max(1),
+            ends,
             cursor: AtomicUsize::new(0),
         }
     }
@@ -52,24 +52,21 @@ impl Scheduler {
     pub fn next(&self) -> Option<Task> {
         // Relaxed: the cursor hands out indices and publishes no data.
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= self.len() {
-            return None;
-        }
-        let start = i * self.block;
+        let end = *self.ends.get(i)?;
         Some(Task {
-            start,
-            end: (start + self.block).min(self.total),
+            start: i.checked_sub(1).map_or(0, |prev| self.ends[prev]),
+            end,
         })
     }
 
     /// Total task count.
     pub fn len(&self) -> usize {
-        self.total.div_ceil(self.block)
+        self.ends.len()
     }
 
     /// Whether there are no tasks.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.ends.is_empty()
     }
 }
 
@@ -79,7 +76,7 @@ mod tests {
 
     #[test]
     fn covers_all_positions_once() {
-        let s = Scheduler::new(100, 16);
+        let s = Scheduler::new(vec![29, 58, 64, 100]);
         let mut seen = [false; 100];
         while let Some(t) = s.next() {
             for (p, flag) in seen.iter_mut().enumerate().take(t.end).skip(t.start) {
@@ -92,7 +89,7 @@ mod tests {
 
     #[test]
     fn claims_are_in_epoch_order() {
-        let s = Scheduler::new(45, 10);
+        let s = Scheduler::new(vec![10, 20, 30, 40, 45]);
         assert_eq!(s.len(), 5);
         let tasks: Vec<(usize, usize)> = std::iter::from_fn(|| s.next())
             .map(|t| (t.start, t.end))
@@ -102,7 +99,9 @@ mod tests {
 
     #[test]
     fn concurrent_claims_are_disjoint() {
-        let s = std::sync::Arc::new(Scheduler::new(1000, 7));
+        let s = std::sync::Arc::new(Scheduler::new(
+            (1..=143).map(|i| (i * 7).min(1000)).collect(),
+        ));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let s = s.clone();
@@ -125,7 +124,7 @@ mod tests {
 
     #[test]
     fn empty_schedule() {
-        let s = Scheduler::new(0, 8);
+        let s = Scheduler::new(Vec::new());
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(s.next().is_none());

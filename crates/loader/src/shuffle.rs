@@ -7,31 +7,111 @@
 //! cluster for running shuffling algorithm."
 //!
 //! Two levels:
-//! 1. **Block shuffle** — the epoch order is cut into contiguous blocks
-//!    (≈ chunk-sized) whose *order* is randomized. Fetches stay
-//!    chunk-local, so the storage layer sees large sequential ranges.
+//! 1. **Block shuffle** — the loader's index list is cut into *blocks*
+//!    ([`block_ends`]) and the *order* of the blocks is randomized
+//!    ([`block_shuffled_order`]). A block is the loader's unit of work —
+//!    one [`Task`](crate::scheduler::Task), one storage call, one message
+//!    to the consumer — of `block_rows` rows, give or take half: a block
+//!    aims to end `block_rows` positions after it began, and that end is
+//!    moved to the nearest position where the *primary* tensor (the
+//!    streamed tensor with the most chunks) changes chunk when one lies
+//!    within `block_rows / 2`. So chunks of up to `block_rows`
+//!    rows are never split between two blocks (a split chunk is fetched
+//!    and parsed once per block that holds a piece of it) and smaller
+//!    ones coalesce; a chunk too large for that is cut every
+//!    `block_rows` rows, as is an index list that never stays in one
+//!    chunk for two positions (a scattered view). No block holds more
+//!    than `block_rows + block_rows / 2` rows, which is what keeps the
+//!    loader's row and memory bounds and spreads a large chunk over the
+//!    workers. Sequential epochs use the same blocks in index order.
 //! 2. **Shuffle buffer** — a bounded pool of decoded rows from which the
 //!    next sample is drawn uniformly, decorrelating nearby samples.
 //!
-//! Both levels run before the stages the `loader.*_ns` histograms time:
-//! block shuffling lands inside the epoch's single `loader.schedule_ns`
-//! sample, and the buffer adds consumer-side latency that surfaces as
-//! `loader.queue_wait_ns` only when it forces extra receives.
+//! The cut depends only on the dataset and the index list, so it is made
+//! once, when the loader is built; ordering the blocks lands inside the
+//! epoch's single `loader.schedule_ns` sample, and the buffer adds
+//! consumer-side latency that surfaces as `loader.queue_wait_ns` only
+//! when it forces extra receives.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::config::ShuffleConfig;
+/// Cut `indices` into blocks of `block_rows` rows, give or take half,
+/// that end where the primary tensor's chunk changes whenever such a
+/// position is that close. `spans` is that tensor's row space as
+/// `(chunk id, first row, rows)` in row order
+/// ([`Dataset::chunk_spans`](deeplake_core::Dataset::chunk_spans)).
+/// Returns one past the last position of each block, ascending, the last
+/// being `indices.len()`.
+pub fn block_ends(
+    indices: &[u64],
+    spans: &[(Option<u64>, u64, u64)],
+    block_rows: usize,
+) -> Vec<usize> {
+    let block = block_rows.max(1);
+    let reach = block / 2;
+    let chunk_of = |row: u64| {
+        let span = spans.partition_point(|&(_, start, _)| start <= row);
+        span.checked_sub(1).map(|i| spans[i].0)
+    };
+    // every position a chunk-aligned block may end at: where the chunk
+    // changes, and the end of the list
+    let mut cuts: Vec<usize> = Vec::new();
+    let mut prev = None;
+    for (pos, &row) in indices.iter().enumerate() {
+        let chunk = chunk_of(row);
+        if pos > 0 && chunk != prev {
+            cuts.push(pos);
+        }
+        prev = chunk;
+    }
+    cuts.push(indices.len());
 
-/// Produce the epoch's row order: blocks of `block_rows` consecutive
-/// entries from `indices`, shuffled by `seed`.
-pub fn block_shuffled_order(indices: &[u64], cfg: &ShuffleConfig) -> Vec<u64> {
-    let block = cfg.block_rows.max(1);
-    let mut blocks: Vec<&[u64]> = indices.chunks(block).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut ends: Vec<usize> = Vec::with_capacity(indices.len() / block + 1);
+    let mut start = 0;
+    while start + block < indices.len() {
+        let target = start + block;
+        // `cuts` ends with `indices.len() > target`, so `after` is in range
+        let after = cuts.partition_point(|&c| c < target);
+        let below = after.checked_sub(1).map(|i| cuts[i]);
+        let nearest = match below {
+            Some(b) if target - b <= cuts[after] - target => b,
+            _ => cuts[after],
+        };
+        // `reach < block`, so a cut that close is past `start`
+        start = if nearest.abs_diff(target) <= reach {
+            nearest
+        } else {
+            target
+        };
+        ends.push(start);
+    }
+    if start < indices.len() {
+        ends.push(indices.len());
+    }
+    ends
+}
+
+/// The epoch's row order: the blocks of `indices` that end at `ends`,
+/// in an order drawn from `seed`. Returns the order and the block ends
+/// within it.
+pub fn block_shuffled_order(indices: &[u64], ends: &[usize], seed: u64) -> (Vec<u64>, Vec<usize>) {
+    let mut blocks: Vec<&[u64]> = Vec::with_capacity(ends.len());
+    let mut start = 0;
+    for &end in ends {
+        blocks.push(&indices[start..end]);
+        start = end;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
     blocks.shuffle(&mut rng);
-    blocks.into_iter().flatten().copied().collect()
+    let mut order = Vec::with_capacity(indices.len());
+    let mut shuffled_ends = Vec::with_capacity(ends.len());
+    for block in blocks {
+        order.extend_from_slice(block);
+        shuffled_ends.push(order.len());
+    }
+    (order, shuffled_ends)
 }
 
 /// A bounded buffer that releases items in random order.
@@ -89,43 +169,93 @@ impl<T> ShuffleBuffer<T> {
 mod tests {
     use super::*;
 
-    fn cfg(seed: u64, block: usize) -> ShuffleConfig {
-        ShuffleConfig {
-            buffer_rows: 16,
-            block_rows: block,
-            seed,
-        }
+    /// `rows` rows stored in chunks of `per_chunk`.
+    fn spans(rows: u64, per_chunk: u64) -> Vec<(Option<u64>, u64, u64)> {
+        (0..rows.div_ceil(per_chunk))
+            .map(|c| {
+                let start = c * per_chunk;
+                (Some(c), start, per_chunk.min(rows - start))
+            })
+            .collect()
+    }
+
+    /// The order and block ends of a shuffled epoch over `0..rows`.
+    fn shuffled(rows: u64, per_chunk: u64, block: usize, seed: u64) -> (Vec<u64>, Vec<usize>) {
+        let indices: Vec<u64> = (0..rows).collect();
+        let ends = block_ends(&indices, &spans(rows, per_chunk), block);
+        block_shuffled_order(&indices, &ends, seed)
     }
 
     #[test]
     fn block_shuffle_is_permutation() {
         let indices: Vec<u64> = (0..100).collect();
-        let order = block_shuffled_order(&indices, &cfg(1, 8));
+        let (order, ends) = shuffled(100, 5, 8, 1);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, indices);
         assert_ne!(order, indices, "seed 1 must actually shuffle");
+        assert_eq!(ends.last(), Some(&100));
     }
 
     #[test]
     fn blocks_stay_contiguous() {
-        let indices: Vec<u64> = (0..64).collect();
-        let order = block_shuffled_order(&indices, &cfg(7, 16));
-        for chunk in order.chunks(16) {
-            for w in chunk.windows(2) {
+        // 29-row chunks under 32-row blocks: every block is whole chunks
+        let (order, ends) = shuffled(290, 29, 32, 7);
+        let mut start = 0;
+        for end in ends {
+            let block = &order[start..end];
+            for w in block.windows(2) {
                 assert_eq!(w[1], w[0] + 1, "rows within a block stay consecutive");
             }
+            assert_eq!(block[0] % 29, 0, "a block starts a chunk");
+            assert_eq!(block.len() % 29, 0, "and ends one: {block:?}");
+            start = end;
+        }
+    }
+
+    #[test]
+    fn blocks_follow_the_chunks() {
+        let indices: Vec<u64> = (0..100).collect();
+        // small chunks coalesce to about block_rows
+        assert_eq!(block_ends(&indices, &spans(100, 5), 32), [30, 60, 90, 100]);
+        // chunks of about block_rows are one block each
+        assert_eq!(block_ends(&indices, &spans(100, 29), 32), [29, 58, 87, 100]);
+        // a chunk too large to be one block is cut every block_rows
+        // rows, ending at its boundary where that is close
+        assert_eq!(
+            block_ends(&indices, &spans(100, 50), 16),
+            [16, 32, 50, 66, 82, 100]
+        );
+        // no two neighbours share a chunk: fixed block_rows blocks
+        let scattered: Vec<u64> = (0..10).map(|i| i * 10).collect();
+        assert_eq!(block_ends(&scattered, &spans(100, 5), 4), [4, 8, 10]);
+        assert!(block_ends(&[], &spans(100, 5), 4).is_empty());
+    }
+
+    #[test]
+    fn large_chunks_do_not_make_large_blocks() {
+        // 500-row chunks under 32-row blocks: the row bound holds and a
+        // chunk is work for many workers, not one
+        let indices: Vec<u64> = (0..2000).collect();
+        let ends = block_ends(&indices, &spans(2000, 500), 32);
+        let mut start = 0;
+        for &end in &ends {
+            assert!(end - start <= 48, "{} rows in a block", end - start);
+            start = end;
+        }
+        assert!(ends.len() >= 2000 / 48, "{} blocks", ends.len());
+        for boundary in [500, 1000, 1500, 2000] {
+            assert!(ends.contains(&boundary), "{boundary} ends a block");
         }
     }
 
     #[test]
     fn same_seed_same_order() {
-        let indices: Vec<u64> = (0..50).collect();
-        let a = block_shuffled_order(&indices, &cfg(9, 4));
-        let b = block_shuffled_order(&indices, &cfg(9, 4));
-        let c = block_shuffled_order(&indices, &cfg(10, 4));
+        let a = shuffled(50, 4, 4, 9);
+        let b = shuffled(50, 4, 4, 9);
+        let c = shuffled(50, 4, 4, 10);
         assert_eq!(a, b);
-        assert_ne!(a, c);
+        assert_ne!(a.0, c.0);
     }
 
     #[test]
@@ -162,7 +292,7 @@ mod tests {
     fn buffer_increases_disorder() {
         // displacement of block-shuffle alone vs block-shuffle + buffer
         let indices: Vec<u64> = (0..400).collect();
-        let order = block_shuffled_order(&indices, &cfg(2, 32));
+        let (order, _) = shuffled(400, 29, 32, 2);
         let mut buf = ShuffleBuffer::new(128, 2);
         let mut buffered = Vec::new();
         for &i in &order {

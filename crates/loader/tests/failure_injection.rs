@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use deeplake_core::dataset::TensorOptions;
 use deeplake_core::Dataset;
+use deeplake_loader::shuffle::block_ends;
 use deeplake_loader::DataLoader;
 use deeplake_storage::{DynProvider, MemoryProvider, StorageProvider};
 use deeplake_tensor::{Htype, Sample};
@@ -108,7 +109,7 @@ fn rows_before_the_bad_sample_are_delivered_then_one_error() {
         let mut ds = Dataset::create(provider.clone(), "inject").unwrap();
         ds.create_tensor_opts("labels", {
             let mut o = TensorOptions::new(Htype::ClassLabel);
-            o.chunk_target_bytes = Some(120); // several chunks, cut off the task grid
+            o.chunk_target_bytes = Some(40); // ~10 rows a chunk: a task is several
             o
         })
         .unwrap();
@@ -117,22 +118,29 @@ fn rows_before_the_bad_sample_are_delivered_then_one_error() {
         }
         ds.flush().unwrap();
     }
-    let mut chunks: Vec<String> = provider
+    // a chunk in the middle of a task: its first row is not a block's
+    let probe = Dataset::open(provider.clone()).unwrap();
+    let spans = probe.chunk_spans("labels").unwrap();
+    let rows: Vec<u64> = (0..300).collect();
+    let ends = block_ends(&rows, &spans, 32);
+    let (id, bad, _) = *spans
+        .iter()
+        .skip(spans.len() / 2)
+        .find(|(_, first, _)| !ends.contains(&(*first as usize)))
+        .expect("a block of several chunks");
+    let id = id.expect("a sealed chunk");
+    let key = provider
         .list("")
         .unwrap()
         .into_iter()
-        .filter(|k| k.contains("labels/chunks/"))
-        .collect();
-    chunks.sort();
-    assert!(chunks.len() >= 3, "{chunks:?}");
-    provider.delete(&chunks[chunks.len() / 2]).unwrap();
+        .find(|k| k.ends_with(&format!("labels/chunks/{id:016x}")))
+        .unwrap_or_else(|| panic!("no object holds chunk {id}"));
+    provider.delete(&key).unwrap();
     let probe = Dataset::open(provider.clone()).unwrap();
-    let bad = (0..probe.len())
-        .find(|&row| probe.get("labels", row).is_err())
-        .expect("a deleted chunk makes some row unreadable");
-    assert!(
-        bad % 32 != 0,
-        "row {bad} must share its task with good rows"
+    assert_eq!(
+        (0..300).find(|&row| probe.get("labels", row).is_err()),
+        Some(bad),
+        "deleting {key} makes row {bad} the first unreadable one"
     );
 
     let loader = DataLoader::builder(Arc::new(Dataset::open(provider).unwrap()))

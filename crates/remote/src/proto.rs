@@ -596,7 +596,28 @@ pub fn resp_list(keys: &[String]) -> Vec<u8> {
 
 /// `STATUS_OK` carrying per-slot outcomes (the `GetMany` response).
 pub fn resp_results(results: &[Result<Bytes, StorageError>]) -> Vec<u8> {
-    let mut out = vec![STATUS_OK];
+    ok_slots(results, 0)
+}
+
+/// `STATUS_OK` carrying an executed plan's outcome (fetch count + slots).
+pub fn resp_execute(fetches: u64, results: &[Result<Bytes, StorageError>]) -> Vec<u8> {
+    let mut out = ok_slots(results, 8);
+    put_u64(&mut out, fetches);
+    out
+}
+
+/// `STATUS_OK`, the slot count and the slots, in a buffer sized once —
+/// per slot a flag and a length header plus an `Ok` slot's bytes, and
+/// `trailer` bytes the caller appends — so no slot is copied again by a
+/// later one growing the buffer (an error slot's text is short and may
+/// still grow it).
+fn ok_slots(results: &[Result<Bytes, StorageError>], trailer: usize) -> Vec<u8> {
+    let slots: usize = results
+        .iter()
+        .map(|slot| 9 + slot.as_ref().map_or(0, Bytes::len))
+        .sum();
+    let mut out = Vec::with_capacity(1 + 4 + slots + trailer);
+    out.push(STATUS_OK);
     put_u32(&mut out, results.len() as u32);
     for slot in results {
         match slot {
@@ -610,13 +631,6 @@ pub fn resp_results(results: &[Result<Bytes, StorageError>]) -> Vec<u8> {
             }
         }
     }
-    out
-}
-
-/// `STATUS_OK` carrying an executed plan's outcome (fetch count + slots).
-pub fn resp_execute(fetches: u64, results: &[Result<Bytes, StorageError>]) -> Vec<u8> {
-    let mut out = resp_results(results);
-    put_u64(&mut out, fetches);
     out
 }
 

@@ -46,10 +46,6 @@ pub enum CoreError {
     Codec(CodecError),
     /// Vector index failure.
     Index(deeplake_index::IndexError),
-    /// Metadata JSON failure. Stored JSON that does not parse is
-    /// reported as [`Corrupt`](CoreError::Corrupt); nothing in this
-    /// crate constructs this variant any more.
-    Json(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -78,7 +74,6 @@ impl std::fmt::Display for CoreError {
             CoreError::Tensor(e) => write!(f, "tensor error: {e}"),
             CoreError::Codec(e) => write!(f, "codec error: {e}"),
             CoreError::Index(e) => write!(f, "vector index error: {e}"),
-            CoreError::Json(msg) => write!(f, "json error: {msg}"),
         }
     }
 }

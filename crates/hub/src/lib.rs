@@ -40,7 +40,13 @@
 //!   (and pool worker) until a write through the hub, an explicit
 //!   invalidation or an unmount drops it with the head memo.
 //! * **[`hub`]** — the event-loop reader tier and the bounded worker
-//!   pool. One or two reader threads multiplex *every* connection via
+//!   pool: options, builder, handle and shutdown in `hub.rs`, the request
+//!   path in four parts beside it — `conn.rs` (one connection as a pure
+//!   state machine: no socket, no clock), `sched.rs` (bounded queue and
+//!   the `Busy` policy), `dispatch/` (what a frame becomes: control op,
+//!   loop-side cache hit, or pool job) and `driver.rs` (the only part
+//!   that holds sockets, the poller and a clock).
+//!   One or two reader threads multiplex *every* connection via
 //!   readiness notification (epoll through the `polling` stand-in):
 //!   they frame, decode, answer control ops and *result-cache hits*
 //!   inline, and push every other data op onto one bounded queue that N
@@ -85,9 +91,16 @@
 //! ```
 
 pub mod cache;
+mod conn;
+mod dispatch;
+mod driver;
 pub mod hub;
 pub mod registry;
+mod sched;
 
 pub use cache::{CacheKey, Frame, ResultCache};
 pub use hub::{Hub, HubBuilder, HubHandle, HubOptions, HubStats, PlacementFn};
 pub use registry::{DatasetRegistry, Mounted};
+
+#[cfg(test)]
+mod tests;

@@ -29,7 +29,11 @@
 //! cost model the simulated cloud provider uses, so benchmarks can show
 //! the round-trip arithmetic as wall-clock time without a real WAN.
 
+mod demux;
 pub mod proto;
 pub mod provider;
 
 pub use provider::{RemoteOptions, RemoteProvider};
+
+#[cfg(test)]
+mod tests;

@@ -31,7 +31,6 @@
 //! [`deeplake_storage::SimulatedCloudProvider`] uses — so round-trip
 //! counts translate into wall-clock differences without real WAN links.
 
-use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -47,19 +46,13 @@ use deeplake_storage::{
 use deeplake_tql::{QueryOptions, QueryResult};
 use parking_lot::Mutex;
 
+use crate::demux::{Demux, Response, READ_TIMEOUT};
 use crate::proto::{self, Request};
 
 /// In-flight requests one pipelined socket carries — the hub's default
 /// `max_inflight_per_conn`. A hub configured with a lower cap answers
 /// the excess with `Busy`, which this client retries.
 const MAX_INFLIGHT_PER_SOCKET: usize = 16;
-
-/// How long a request may wait for its response. Guards callers against
-/// a hung server: when the oldest in-flight request on a connection
-/// exceeds this, the connection fails and every caller parked on it
-/// gets a transport error. Also the socket's write timeout, so a server
-/// that stops draining cannot hang a caller either.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Client configuration.
 #[derive(Debug, Clone, Copy)]
@@ -106,38 +99,11 @@ impl Default for RemoteOptions {
 // pipelined connection
 // ---------------------------------------------------------------------
 
-/// One response as the demux thread read it off the socket:
-/// `[correlation id][payload]`. Handed to the waiter whole — derefs to
-/// the payload — so a response is never copied between the two threads.
-struct Response(Vec<u8>);
-
-impl std::ops::Deref for Response {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0[8..]
-    }
-}
-
-/// A caller's parking slot: filled by the demux thread when the
-/// response carrying this request's id arrives.
-struct Waiter {
-    resp: Option<Response>,
-    sent_at: Instant,
-}
-
-struct DemuxState {
-    waiting: HashMap<u64, Waiter>,
-    /// First fatal error; set once, fails every current and future
-    /// request on this connection.
-    error: Option<String>,
-}
-
 /// State shared between callers and the connection's demux thread. The
 /// demux holds *only* this (never the [`Connection`]), so dropping the
 /// last `Connection` handle shuts the socket down and the demux exits.
 struct DemuxShared {
-    slots: StdMutex<DemuxState>,
+    slots: StdMutex<Demux>,
     cv: Condvar,
     /// Quick liveness flag for pool checkout (mirrors `error`).
     dead: AtomicBool,
@@ -148,11 +114,7 @@ impl DemuxShared {
     /// `msg`. The socket is in an unknown framing state; it never
     /// carries another request.
     fn fail(&self, msg: String) {
-        let mut slots = self.slots.lock().unwrap();
-        if slots.error.is_none() {
-            slots.error = Some(msg);
-        }
-        drop(slots);
+        self.slots.lock().unwrap().fail(msg);
         self.dead.store(true, Ordering::Release);
         self.cv.notify_all();
     }
@@ -189,19 +151,11 @@ fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
         // between frames and recoverable (used as the tick that checks
         // for a hung server), while a timeout mid-frame below is fatal —
         // the stream cannot resynchronize
-        let mut first = [0u8; 1];
-        let first = match stream.read_one(&mut first) {
+        let first = match read_first(&mut stream) {
             FirstByte::Byte(b) => b,
             FirstByte::Eof => return shared.fail("server closed the connection".into()),
             FirstByte::Idle => {
-                let slots = shared.slots.lock().unwrap();
-                let hung = slots
-                    .waiting
-                    .values()
-                    .filter(|w| w.resp.is_none())
-                    .any(|w| w.sent_at.elapsed() >= READ_TIMEOUT);
-                drop(slots);
-                if hung {
+                if shared.slots.lock().unwrap().hung(Instant::now()) {
                     return shared.fail("server stopped responding (read timed out)".into());
                 }
                 continue;
@@ -212,20 +166,11 @@ fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
             Ok(frame) => frame,
             Err(e) => return shared.fail(format!("response read failed: {e}")),
         };
-        match proto::split_tagged(&frame) {
-            Some((id, _)) => {
-                let mut slots = shared.slots.lock().unwrap();
-                if let Some(waiter) = slots.waiting.get_mut(&id) {
-                    waiter.resp = Some(Response(frame));
-                    drop(slots);
-                    shared.cv.notify_all();
-                }
-                // an id nobody waits for is a response to an abandoned
-                // request (e.g. its caller hit a write error): dropped
-            }
-            None => {
-                return shared.fail("pipelined response shorter than its correlation id".into())
-            }
+        let delivered = shared.slots.lock().unwrap().deliver(frame);
+        match delivered {
+            Ok(true) => shared.cv.notify_all(),
+            Ok(false) => {}
+            Err(violation) => return shared.fail(violation.into()),
         }
     }
 }
@@ -238,28 +183,19 @@ enum FirstByte {
     Fatal(std::io::Error),
 }
 
-trait ReadOne {
-    fn read_one(&mut self, buf: &mut [u8; 1]) -> FirstByte;
-}
-
-impl ReadOne for TcpStream {
-    fn read_one(&mut self, buf: &mut [u8; 1]) -> FirstByte {
-        use std::io::Read;
-        loop {
-            match self.read(buf) {
-                Ok(0) => return FirstByte::Eof,
-                Ok(_) => return FirstByte::Byte(buf[0]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return FirstByte::Idle
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return FirstByte::Fatal(e),
+/// Wait for a frame's first byte.
+fn read_first(stream: &mut TcpStream) -> FirstByte {
+    use std::io::{ErrorKind, Read};
+    let mut buf = [0u8; 1];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return FirstByte::Eof,
+            Ok(_) => return FirstByte::Byte(buf[0]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return FirstByte::Idle
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return FirstByte::Fatal(e),
         }
     }
 }
@@ -373,8 +309,7 @@ impl RemoteProvider {
     /// the slow-query ring and the flight recorder — via the `Metrics`
     /// opcode.
     pub fn hub_metrics(&self) -> Result<MetricsSnapshot, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Metrics))?;
-        proto::expect_metrics(&resp)
+        self.call(&Request::Metrics, proto::expect_metrics)
     }
 
     /// Probe the server's health: uptime, load, mounted datasets,
@@ -385,8 +320,7 @@ impl RemoteProvider {
     /// surfaces as [`StorageError::Io`] with the server's message —
     /// still proof of life; only a transport failure means unreachable.
     pub fn hub_health(&self) -> Result<proto::HealthReport, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Health))?;
-        proto::expect_health(&resp)
+        self.call(&Request::Health, proto::expect_health)
     }
 
     /// Whether requests travel in the `Traced` envelope
@@ -436,8 +370,7 @@ impl RemoteProvider {
 
     /// The server's description of its mounted provider.
     pub fn server_describe(&self) -> Result<String, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Describe))?;
-        proto::expect_str(&resp)
+        self.call(&Request::Describe, proto::expect_str)
     }
 
     /// Attach this client to dataset `dataset` in the server's registry.
@@ -484,51 +417,40 @@ impl RemoteProvider {
     /// part of a cluster answers a lossless protocol error; an unknown
     /// dataset a lossless [`StorageError::NotFound`].
     pub fn where_is(&self, dataset: &str) -> Result<(u64, Vec<String>), StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::WhereIs {
-            dataset: dataset.to_string(),
-        }))?;
-        proto::expect_placement(&resp)
+        let dataset = dataset.to_string();
+        self.call(&Request::WhereIs { dataset }, proto::expect_placement)
     }
 
     /// Sorted names of every dataset the server has mounted.
     pub fn list_datasets(&self) -> Result<Vec<String>, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::ListDatasets))?;
-        proto::expect_list(&resp)
+        self.call(&Request::ListDatasets, proto::expect_list)
     }
 
     /// Register a dataset namespace on the server (a `PrefixProvider`
     /// over the hub's backing store). Storage under the name becomes
     /// addressable via [`RemoteProvider::attach`].
     pub fn remote_mount(&self, dataset: &str) -> Result<(), StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Mount {
-            dataset: dataset.to_string(),
-        }))?;
-        proto::expect_unit(&resp)
+        let dataset = dataset.to_string();
+        self.call(&Request::Mount { dataset }, proto::expect_unit)
     }
 
     /// Remove a dataset from the server's registry. Storage is left
     /// untouched; attached clients start seeing errors.
     pub fn remote_unmount(&self, dataset: &str) -> Result<(), StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Unmount {
-            dataset: dataset.to_string(),
-        }))?;
-        proto::expect_unit(&resp)
+        let dataset = dataset.to_string();
+        self.call(&Request::Unmount { dataset }, proto::expect_unit)
     }
 
     /// One attach exchange on a socket still in untagged (handshake)
-    /// framing.
+    /// framing. The server's answer stays typed (`NotFound` for an
+    /// unknown name).
     fn attach_on(stream: &mut TcpStream, dataset: &str) -> Result<(), StorageError> {
-        let io_err = |e: std::io::Error| StorageError::Io(format!("remote attach: {e}"));
-        let payload = proto::encode_request(&Request::Attach {
+        let request = Request::Attach {
             dataset: dataset.to_string(),
-        });
-        proto::write_frame(stream, &payload).map_err(io_err)?;
-        match proto::read_frame(stream).map_err(io_err)? {
-            Some(resp) => proto::expect_unit(&resp),
-            None => Err(StorageError::Io(
-                "server closed during attach handshake".into(),
-            )),
-        }
+        };
+        let resp = handshake(stream, &request)
+            .map_err(|e| StorageError::Io(format!("remote attach: {e}")))?;
+        proto::expect_unit(&resp)
     }
 
     /// Dial one pipelined connection: negotiate the protocol version
@@ -540,9 +462,7 @@ impl RemoteProvider {
     fn dial_conn(&self, namespace: Option<&str>) -> std::io::Result<Connection> {
         let mut stream = self.dial_handshake()?;
         if let Some(dataset) = namespace {
-            Self::attach_on(&mut stream, dataset).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e.to_string())
-            })?;
+            Self::attach_on(&mut stream, dataset).map_err(refused)?;
         }
         self.finish_conn(stream)
     }
@@ -550,41 +470,26 @@ impl RemoteProvider {
     /// Open a socket and negotiate the protocol version (the `Hello`
     /// exchange). The stream is still in untagged framing.
     fn dial_handshake(&self) -> std::io::Result<TcpStream> {
-        let refused = |e: String| std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e);
         let mut stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
         // a server that stops draining must not hang the caller forever
         stream.set_write_timeout(Some(READ_TIMEOUT))?;
-        let hello = proto::encode_request(&Request::Hello {
+        let hello = Request::Hello {
             version: proto::PROTO_VERSION,
-        });
-        proto::write_frame(&mut stream, &hello)?;
-        match proto::read_frame(&mut stream)? {
-            Some(resp) => {
-                proto::expect_hello(&resp).map_err(|e| refused(e.to_string()))?;
-            }
-            None => return Err(refused("server closed during version negotiation".into())),
-        }
+        };
+        proto::expect_hello(&handshake(&mut stream, &hello)?).map_err(refused)?;
         Ok(stream)
     }
 
     /// Switch a negotiated (and, if needed, attached) stream to
     /// correlation-id framing and start its demux thread.
     fn finish_conn(&self, mut stream: TcpStream) -> std::io::Result<Connection> {
-        let refused = |e: String| std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e);
         // the acknowledgement is the last untagged frame this socket
         // carries
-        proto::write_frame(&mut stream, &proto::encode_request(&Request::Pipeline))?;
-        match proto::read_frame(&mut stream)? {
-            Some(resp) => proto::expect_unit(&resp).map_err(|e| refused(e.to_string()))?,
-            None => return Err(refused("server closed during pipeline handshake".into())),
-        }
+        proto::expect_unit(&handshake(&mut stream, &Request::Pipeline)?).map_err(refused)?;
         let demux = Arc::new(DemuxShared {
-            slots: StdMutex::new(DemuxState {
-                waiting: HashMap::new(),
-                error: None,
-            }),
+            slots: StdMutex::default(),
             cv: Condvar::new(),
             dead: AtomicBool::new(false),
         });
@@ -667,6 +572,16 @@ impl RemoteProvider {
         self.pool_cv.notify_all();
     }
 
+    /// One typed exchange: encode `request`, round-trip it, read the
+    /// response back through `decode`.
+    fn call<T>(
+        &self,
+        request: &Request,
+        decode: impl FnOnce(&[u8]) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        decode(&self.round_trip(&proto::encode_request(request))?)
+    }
+
     /// One exchange with automatic, bounded retry of `Busy` rejections.
     /// A `Busy` frame means the hub did **not** execute the request (the
     /// response slot was answered from the reader stage), so resending
@@ -747,24 +662,32 @@ impl RemoteProvider {
     }
 }
 
+/// A handshake the server answered with an error: the dial is refused
+/// with its lossless message.
+fn refused(e: StorageError) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::ConnectionRefused, e.to_string())
+}
+
+/// One request/response exchange on a socket still in untagged
+/// (handshake) framing; the response is the caller's to decode.
+fn handshake(stream: &mut TcpStream, request: &Request) -> std::io::Result<Vec<u8>> {
+    proto::write_frame(stream, &proto::encode_request(request))?;
+    proto::read_frame(stream)?.ok_or_else(|| {
+        let closed = format!("server closed during the {request:?} handshake");
+        std::io::Error::new(std::io::ErrorKind::ConnectionRefused, closed)
+    })
+}
+
 /// The pipelined exchange on an already checked-out connection.
 fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
     let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut slots = conn.demux.slots.lock().unwrap();
-        if let Some(msg) = &slots.error {
-            return Err(std::io::Error::other(msg.clone()));
-        }
-        // registered before the write, so the response cannot slip past
-        // the demux before anyone waits for it
-        slots.waiting.insert(
-            id,
-            Waiter {
-                resp: None,
-                sent_at: Instant::now(),
-            },
-        );
-    }
+    let registered = conn
+        .demux
+        .slots
+        .lock()
+        .unwrap()
+        .register(id, Instant::now());
+    registered.map_err(std::io::Error::other)?;
     let written = {
         let mut w = conn.write.lock().unwrap();
         proto::write_tagged_frame(&mut *w, id, payload)
@@ -774,18 +697,13 @@ fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
         // another request, so fail the whole connection losslessly
         conn.demux.fail(format!("request write failed: {e}"));
         let _ = conn.sock.shutdown(Shutdown::Both);
-        conn.demux.slots.lock().unwrap().waiting.remove(&id);
+        conn.demux.slots.lock().unwrap().abandon(id);
         return Err(e);
     }
     let mut slots = conn.demux.slots.lock().unwrap();
     loop {
-        if let Some(resp) = slots.waiting.get_mut(&id).and_then(|w| w.resp.take()) {
-            slots.waiting.remove(&id);
-            return Ok(resp);
-        }
-        if let Some(msg) = slots.error.clone() {
-            slots.waiting.remove(&id);
-            return Err(std::io::Error::other(msg));
+        if let Some(outcome) = slots.poll(id) {
+            return outcome.map_err(std::io::Error::other);
         }
         slots = conn.demux.cv.wait(slots).unwrap();
     }
@@ -793,55 +711,38 @@ fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
 
 impl StorageProvider for RemoteProvider {
     fn get(&self, key: &str) -> Result<Bytes, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Get {
-            key: key.to_string(),
-        }))?;
-        proto::expect_bytes(&resp)
+        let key = key.to_string();
+        self.call(&Request::Get { key }, proto::expect_bytes)
     }
 
     fn get_range(&self, key: &str, start: u64, end: u64) -> Result<Bytes, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::GetRange {
-            key: key.to_string(),
-            start,
-            end,
-        }))?;
-        proto::expect_bytes(&resp)
+        let key = key.to_string();
+        self.call(&Request::GetRange { key, start, end }, proto::expect_bytes)
     }
 
     fn put(&self, key: &str, value: Bytes) -> Result<(), StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Put {
-            key: key.to_string(),
-            value,
-        }))?;
-        proto::expect_unit(&resp)
+        let key = key.to_string();
+        self.call(&Request::Put { key, value }, proto::expect_unit)
     }
 
     fn delete(&self, key: &str) -> Result<(), StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Delete {
-            key: key.to_string(),
-        }))?;
-        proto::expect_unit(&resp)
+        let key = key.to_string();
+        self.call(&Request::Delete { key }, proto::expect_unit)
     }
 
     fn exists(&self, key: &str) -> Result<bool, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::Exists {
-            key: key.to_string(),
-        }))?;
-        proto::expect_bool(&resp)
+        let key = key.to_string();
+        self.call(&Request::Exists { key }, proto::expect_bool)
     }
 
     fn len_of(&self, key: &str) -> Result<u64, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::LenOf {
-            key: key.to_string(),
-        }))?;
-        proto::expect_u64(&resp)
+        let key = key.to_string();
+        self.call(&Request::LenOf { key }, proto::expect_u64)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::List {
-            prefix: prefix.to_string(),
-        }))?;
-        proto::expect_list(&resp)
+        let prefix = prefix.to_string();
+        self.call(&Request::List { prefix }, proto::expect_list)
     }
 
     fn describe(&self) -> String {
@@ -851,13 +752,10 @@ impl StorageProvider for RemoteProvider {
     /// One `GetMany` frame for the whole batch — N logical reads, one
     /// network round trip.
     fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes, StorageError>> {
-        let payload = proto::encode_request(&Request::GetMany {
+        let request = Request::GetMany {
             requests: requests.to_vec(),
-        });
-        match self
-            .round_trip(&payload)
-            .and_then(|resp| proto::expect_results(&resp, requests.len()))
-        {
+        };
+        match self.call(&request, |resp| proto::expect_results(resp, requests.len())) {
             Ok(results) => results,
             // a transport failure fails every slot, like a batch-wide fetch error
             Err(e) => requests.iter().map(|_| Err(e.clone())).collect(),
@@ -869,14 +767,11 @@ impl StorageProvider for RemoteProvider {
     /// the data. The wire cost is one round trip regardless of how many
     /// chunks the plan touches.
     fn execute(&self, plan: &ReadPlan) -> ReadResult {
-        let payload = proto::encode_request(&Request::Execute {
+        let request = Request::Execute {
             gap_tolerance: plan.gap_tolerance(),
             requests: plan.requests().to_vec(),
-        });
-        match self
-            .round_trip(&payload)
-            .and_then(|resp| proto::expect_execute(&resp, plan.len()))
-        {
+        };
+        match self.call(&request, |resp| proto::expect_execute(resp, plan.len())) {
             Ok((results, fetches)) => ReadResult { results, fetches },
             Err(e) => ReadResult {
                 results: plan.requests().iter().map(|_| Err(e.clone())).collect(),
@@ -887,9 +782,7 @@ impl StorageProvider for RemoteProvider {
 
     /// One `DeletePrefix` frame; the server lists and deletes locally.
     fn delete_prefix(&self, prefix: &str) -> Result<(), StorageError> {
-        let resp = self.round_trip(&proto::encode_request(&Request::DeletePrefix {
-            prefix: prefix.to_string(),
-        }))?;
-        proto::expect_unit(&resp)
+        let prefix = prefix.to_string();
+        self.call(&Request::DeletePrefix { prefix }, proto::expect_unit)
     }
 }

@@ -4,8 +4,8 @@
 //! codec cost, not pixel content (DESIGN.md). The image generators below
 //! emit natural-ish images (smooth gradients + mild texture) so the lossy
 //! image codec achieves realistic compression ratios. The serving
-//! scenarios share a labelled dataset with known query answers and a
-//! Zipf popularity draw.
+//! scenarios share a labelled dataset with known query answers and one
+//! Zipf-skewed traffic model over it.
 
 use bytes::Bytes;
 use deeplake_baselines::RawImage;
@@ -29,12 +29,19 @@ pub struct DataGenConfig {
 }
 
 /// Build a dataset called `name` where `labels[i] = i % distinct`, so
-/// the query `labels = k` has a known answer.
-pub(crate) fn labelled_dataset(provider: DynProvider, name: &str, rows: u64, distinct: usize) {
+/// the query `labels = k` has a known answer, in chunks of about
+/// `chunk_bytes`.
+pub(crate) fn labelled_dataset(
+    provider: DynProvider,
+    name: &str,
+    rows: u64,
+    distinct: usize,
+    chunk_bytes: u64,
+) {
     let mut ds = Dataset::create(provider, name).unwrap();
     ds.create_tensor_opts("labels", {
         let mut o = TensorOptions::new(Htype::ClassLabel);
-        o.chunk_target_bytes = Some(256);
+        o.chunk_target_bytes = Some(chunk_bytes);
         o
     })
     .unwrap();
@@ -48,14 +55,56 @@ pub(crate) fn labelled_dataset(provider: DynProvider, name: &str, rows: u64, dis
     ds.flush().unwrap();
 }
 
-/// Draw an index from a Zipf-like distribution given its cumulative
-/// weights.
-pub(crate) fn zipf_draw(rng: &mut StdRng, cumulative: &[f64]) -> usize {
-    let total = *cumulative.last().expect("non-empty universe");
-    let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
-    cumulative
-        .partition_point(|&c| c <= u)
-        .min(cumulative.len() - 1)
+/// Zipf-skewed `labels = k` query traffic over [`labelled_dataset`]s: the
+/// popularity table every client shares, each client's own RNG stream,
+/// the query text and the rows it must return.
+pub(crate) struct SkewedQueries {
+    /// Cumulative weights `1/(rank+1)^skew` of the templates.
+    cumulative: Vec<f64>,
+    rows: u64,
+    seed: u64,
+}
+
+impl SkewedQueries {
+    /// `distinct` templates (`skew` 0 = uniform; ~1 = a realistic hot
+    /// head) over datasets of `rows` rows with `distinct` labels.
+    pub(crate) fn new(distinct: usize, skew: f64, rows: u64, seed: u64) -> Self {
+        let mut acc = 0.0;
+        let weight = |rank: usize| {
+            acc += 1.0 / ((rank + 1) as f64).powf(skew);
+            acc
+        };
+        SkewedQueries {
+            cumulative: (0..distinct).map(weight).collect(),
+            rows,
+            seed,
+        }
+    }
+
+    /// The dataset this traffic queries.
+    pub(crate) fn dataset(&self, provider: DynProvider, name: &str) {
+        labelled_dataset(provider, name, self.rows, self.cumulative.len(), 256);
+    }
+
+    /// Client `c`'s own stream of draws.
+    pub(crate) fn client_rng(&self, c: usize) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ (c as u64).wrapping_mul(0x9e37))
+    }
+
+    /// Draw a template by popularity: `(k, the query text)`.
+    pub(crate) fn draw(&self, rng: &mut StdRng) -> (usize, String) {
+        let total = *self.cumulative.last().expect("non-empty universe");
+        let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
+        let k = self.cumulative.partition_point(|&c| c <= u);
+        let k = k.min(self.cumulative.len() - 1);
+        (k, format!("SELECT labels FROM d WHERE labels = {k}"))
+    }
+
+    /// The rows `labels = k` must return.
+    pub(crate) fn expected_rows(&self, k: usize) -> Vec<u64> {
+        let distinct = self.cumulative.len();
+        (k as u64..self.rows).step_by(distinct).collect()
+    }
 }
 
 /// Natural-ish pixel content for one image.

@@ -20,10 +20,8 @@ use deeplake_hub::{Hub, HubOptions};
 use deeplake_remote::{RemoteOptions, RemoteProvider};
 use deeplake_storage::{MemoryProvider, NetworkProfile, SimulatedCloudProvider, StorageStats};
 use deeplake_tql::QueryOptions;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::datagen::{labelled_dataset, zipf_draw};
+use crate::datagen::SkewedQueries;
 
 /// One hub-serving experiment.
 #[derive(Debug, Clone, Copy)]
@@ -89,6 +87,12 @@ pub struct HubScenarioReport {
 /// result, shut the hub down gracefully.
 pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
     assert!(cfg.datasets > 0 && cfg.clients > 0 && cfg.distinct_queries > 0);
+    let traffic = SkewedQueries::new(
+        cfg.distinct_queries,
+        cfg.skew,
+        cfg.rows_per_dataset,
+        cfg.seed,
+    );
     // per-dataset sim-cloud storage so backing round trips are countable
     let storages: Vec<Arc<SimulatedCloudProvider<MemoryProvider>>> = (0..cfg.datasets)
         .map(|_| {
@@ -107,34 +111,18 @@ pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
     // charged for the growth since
     let mut seeded = Vec::with_capacity(storages.len());
     for (d, storage) in storages.iter().enumerate() {
-        labelled_dataset(
-            storage.clone(),
-            "hub_sim",
-            cfg.rows_per_dataset,
-            cfg.distinct_queries,
-        );
+        traffic.dataset(storage.clone(), "hub_sim");
         seeded.push(storage.stats().snapshot());
         builder = builder.mount(&format!("ds{d}"), storage.clone());
     }
     let hub = builder.bind("127.0.0.1:0").unwrap();
     let addr = hub.addr();
 
-    // popularity: weight 1/(rank+1)^skew, shared by every client
-    let cumulative: Vec<f64> = {
-        let mut acc = 0.0;
-        (0..cfg.distinct_queries)
-            .map(|r| {
-                acc += 1.0 / ((r + 1) as f64).powf(cfg.skew);
-                acc
-            })
-            .collect()
-    };
-
     let started = Instant::now();
     let per_client_round_trips: Vec<u64> = std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for c in 0..cfg.clients {
-            let cumulative = &cumulative;
+            let traffic = &traffic;
             joins.push(scope.spawn(move || {
                 let dataset = format!("ds{}", c % cfg.datasets);
                 let client = RemoteProvider::connect_with(
@@ -146,23 +134,15 @@ pub fn run_hub_queries(cfg: &HubScenarioConfig) -> HubScenarioReport {
                 )
                 .expect("connect");
                 client.attach(&dataset).expect("attach");
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (c as u64).wrapping_mul(0x9e37));
-                let expected_rows = |k: usize| {
-                    (0..cfg.rows_per_dataset)
-                        .filter(|i| i % cfg.distinct_queries as u64 == k as u64)
-                        .collect::<Vec<u64>>()
-                };
+                let mut rng = traffic.client_rng(c);
                 for _ in 0..cfg.queries_per_client {
-                    let k = zipf_draw(&mut rng, cumulative);
+                    let (k, text) = traffic.draw(&mut rng);
                     let result = client
-                        .query(
-                            &format!("SELECT labels FROM d WHERE labels = {k}"),
-                            &QueryOptions::default(),
-                        )
+                        .query(&text, &QueryOptions::default())
                         .expect("offloaded query");
                     assert_eq!(
                         result.indices,
-                        expected_rows(k),
+                        traffic.expected_rows(k),
                         "client {c} got wrong rows for labels = {k}"
                     );
                 }

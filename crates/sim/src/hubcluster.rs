@@ -34,10 +34,8 @@ use deeplake_storage::{
     DynProvider, FaultPlan, FaultProvider, MemoryProvider, NetworkProfile, SimulatedCloudProvider,
 };
 use deeplake_tql::QueryOptions;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::datagen::{labelled_dataset, zipf_draw};
+use crate::datagen::SkewedQueries;
 
 /// One serving-cluster experiment.
 #[derive(Debug, Clone, Copy)]
@@ -141,6 +139,12 @@ pub struct ClusterQueryReport {
 /// validate every result.
 pub fn run_cluster_queries(cfg: &ClusterQueryConfig) -> ClusterQueryReport {
     assert!(cfg.nodes > 0 && cfg.datasets > 0 && cfg.clients > 0 && cfg.distinct_queries > 0);
+    let traffic = SkewedQueries::new(
+        cfg.distinct_queries,
+        cfg.skew,
+        cfg.rows_per_dataset,
+        cfg.seed,
+    );
 
     type FaultSet = Vec<(String, Arc<FaultProvider>)>;
     let faulty: Arc<std::sync::Mutex<FaultSet>> = Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -179,12 +183,7 @@ pub fn run_cluster_queries(cfg: &ClusterQueryConfig) -> ClusterQueryReport {
         });
     for d in 0..cfg.datasets {
         let seed: DynProvider = Arc::new(MemoryProvider::new());
-        labelled_dataset(
-            seed.clone(),
-            "cluster_sim",
-            cfg.rows_per_dataset,
-            cfg.distinct_queries,
-        );
+        traffic.dataset(seed.clone(), "cluster_sim");
         builder = builder.dataset_from(&format!("ds{d}"), seed);
     }
     let mut cluster = builder.build().expect("cluster build");
@@ -215,17 +214,6 @@ pub fn run_cluster_queries(cfg: &ClusterQueryConfig) -> ClusterQueryReport {
         }
     }
 
-    // popularity: weight 1/(rank+1)^skew, shared by every client
-    let cumulative: Vec<f64> = {
-        let mut acc = 0.0;
-        (0..cfg.distinct_queries)
-            .map(|r| {
-                acc += 1.0 / ((r + 1) as f64).powf(cfg.skew);
-                acc
-            })
-            .collect()
-    };
-
     // with a probe interval the client doubles as the fleet's failure
     // detector — the only one, when the kill is staged as a crash
     if let Some(interval) = cfg.probe_interval {
@@ -239,28 +227,20 @@ pub fn run_cluster_queries(cfg: &ClusterQueryConfig) -> ClusterQueryReport {
     std::thread::scope(|scope| {
         for c in 0..cfg.clients {
             let mounts = &mounts;
-            let (cumulative, issued, failed) = (&cumulative, &issued, &failed);
+            let (traffic, issued, failed) = (&traffic, &issued, &failed);
             scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (c as u64).wrapping_mul(0x9e37));
-                let expected_rows = |k: usize| {
-                    (0..cfg.rows_per_dataset)
-                        .filter(|i| i % cfg.distinct_queries as u64 == k as u64)
-                        .collect::<Vec<u64>>()
-                };
+                let mut rng = traffic.client_rng(c);
                 for q in 0..cfg.queries_per_client {
                     // cycle over every dataset so no client is pinned to
                     // one replica set: load spreads dynamically and a
                     // slow node delays everyone a little instead of a
                     // few clients a lot
                     let mount = &mounts[(c + q) % mounts.len()];
-                    let k = zipf_draw(&mut rng, cumulative);
-                    match mount.query(
-                        &format!("SELECT labels FROM d WHERE labels = {k}"),
-                        &QueryOptions::default(),
-                    ) {
+                    let (k, text) = traffic.draw(&mut rng);
+                    match mount.query(&text, &QueryOptions::default()) {
                         Ok(result) => assert_eq!(
                             result.indices,
-                            expected_rows(k),
+                            traffic.expected_rows(k),
                             "client {c} got wrong rows for labels = {k}"
                         ),
                         Err(_) => {

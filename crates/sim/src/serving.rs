@@ -159,24 +159,12 @@ pub fn run_served_loaders(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deeplake_core::dataset::TensorOptions;
     use deeplake_storage::MemoryProvider;
-    use deeplake_tensor::{Htype, Sample};
 
+    /// `labels[i] = i`, in ~24 chunks.
     fn labelled_dataset(rows: u64) -> DynProvider {
         let provider: DynProvider = Arc::new(MemoryProvider::new());
-        let mut ds = Dataset::create(provider.clone(), "served").unwrap();
-        ds.create_tensor_opts("labels", {
-            let mut o = TensorOptions::new(Htype::ClassLabel);
-            o.chunk_target_bytes = Some(128);
-            o
-        })
-        .unwrap();
-        for i in 0..rows {
-            ds.append_row(vec![("labels", Sample::scalar(i as i32))])
-                .unwrap();
-        }
-        ds.flush().unwrap();
+        crate::datagen::labelled_dataset(provider.clone(), "served", rows, rows as usize, 128);
         provider
     }
 

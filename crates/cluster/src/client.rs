@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use deeplake_obs::{Counter, MetricsRegistry, MetricsSnapshot, SpanRecord};
 use deeplake_remote::{RemoteOptions, RemoteProvider};
-use deeplake_storage::{ReadPlan, ReadRequest, ReadResult, StorageError, StorageProvider};
+use deeplake_storage::{ReadPlan, ReadResult, StorageError, StorageProvider};
 use deeplake_tql::{QueryOptions, QueryResult, TqlError};
 use parking_lot::{Mutex, RwLock};
 
@@ -759,20 +759,6 @@ impl StorageProvider for ClusterMount {
 
     /// The whole batch stays one frame to one replica; a dead node
     /// fails the batch over as a unit.
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes, StorageError>> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let attempt = self.with_read(&|conn| {
-            let results = conn.get_many(requests);
-            match batch_transport_error(&results) {
-                Some(e) => Err(e),
-                None => Ok(results),
-            }
-        });
-        attempt.unwrap_or_else(|e| requests.iter().map(|_| Err(e.clone())).collect())
-    }
-
     fn execute(&self, plan: &ReadPlan) -> ReadResult {
         if plan.requests().is_empty() {
             return ReadResult {

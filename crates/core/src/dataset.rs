@@ -13,7 +13,7 @@ use deeplake_tensor::{Dtype, Htype, Sample};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::error::CoreError;
+use crate::error::{optional, CoreError};
 use crate::row::Row;
 use crate::sample_id::{self, ID_TENSOR};
 use crate::tensor_store::{ColumnRun, TensorStore};
@@ -75,9 +75,13 @@ impl TensorOptions {
     }
 }
 
-/// Decoded chunks pinned per tensor by [`Dataset::prefetch_chunks`],
-/// plus the storage round trips the prefetch cost and a fetch/decode
-/// cost split for instrumentation.
+/// The decoded chunks one task reads from, pinned per tensor by
+/// [`Dataset::prefetch_chunks`] / [`Dataset::prefetch_spans`] — both
+/// what the prefetch fetched and what the chunk memo already held when
+/// it was planned — plus the storage round trips the prefetch cost and a
+/// fetch/decode cost split for instrumentation. The default is the empty
+/// set: nothing prefetched, every read takes the single-key path.
+#[derive(Default)]
 pub struct PrefetchedChunks {
     by_tensor: HashMap<String, HashMap<u64, Arc<deeplake_format::Chunk>>>,
     round_trips: u64,
@@ -107,16 +111,9 @@ impl PrefetchedChunks {
         self.decode_ns
     }
 
-    /// The pinned chunks of one tensor (`None` when the tensor was
-    /// unknown at prefetch time).
-    pub fn pinned(&self, tensor: &str) -> Option<&HashMap<u64, Arc<deeplake_format::Chunk>>> {
-        self.by_tensor.get(tensor)
-    }
-
-    /// `tensor`'s rows `[start, end)` as runs inside the pinned (or
-    /// already memoized) decoded chunks — see
-    /// [`TensorStore::column_runs`]. `None` also when the tensor was
-    /// unknown at prefetch time.
+    /// `tensor`'s rows `[start, end)` as runs inside the pinned decoded
+    /// chunks — see [`TensorStore::column_runs`]. `None` also when the
+    /// tensor was unknown at prefetch time.
     pub fn column_runs<'d>(
         &self,
         ds: &'d Dataset,
@@ -132,7 +129,7 @@ impl PrefetchedChunks {
     /// dataset's single-key path for anything not prefetched.
     pub fn get(&self, ds: &Dataset, tensor: &str, row: u64) -> Result<Sample> {
         match self.by_tensor.get(tensor) {
-            Some(p) => ds.get_with_pinned(tensor, row, p),
+            Some(pinned) => ds.store(tensor)?.read(row, pinned),
             None => ds.get(tensor, row),
         }
     }
@@ -240,10 +237,10 @@ impl Dataset {
     /// Open an existing dataset at a branch tip or a specific commit.
     /// Historical commits open read-only.
     pub fn open_at(root: DynProvider, reference: &str) -> Result<Self> {
-        let meta: DatasetMeta =
-            serde_json::from_slice(&root.get(DATASET_META_KEY).map_err(|_| {
-                CoreError::Corrupt("no dataset at this location (missing dataset.json)".into())
-            })?)?;
+        let meta = optional(root.get(DATASET_META_KEY))?.ok_or_else(|| {
+            CoreError::Corrupt("no dataset at this location (missing dataset.json)".into())
+        })?;
+        let meta: DatasetMeta = serde_json::from_slice(&meta)?;
         let tree = VersionTree::from_json(&root.get(VERSION_INFO_KEY)?)?;
         let head = tree.resolve(reference)?;
         let read_only = tree.node(&head)?.committed;
@@ -281,7 +278,7 @@ impl Dataset {
     fn load_schema(&self, chain: &[String]) -> Result<Schema> {
         for node in chain {
             let key = format!("versions/{node}/{SCHEMA_KEY}");
-            if let Ok(data) = self.root.get(&key) {
+            if let Some(data) = optional(self.root.get(&key))? {
                 return Ok(serde_json::from_slice(&data)?);
             }
         }
@@ -546,108 +543,79 @@ impl Dataset {
 
     /// Fetch and decode, in **one batched storage call**, every chunk the
     /// given `tensors` need to serve `rows` — the chunk-granular scan
-    /// primitive shared by the loader's task reads and TQL's pushdown
-    /// executor. Returns the decoded chunks *pinned* per tensor (the
-    /// shared chunk memo is FIFO across worker threads; pinning keeps a
-    /// task's chunks alive for its whole assembly) plus the number of
-    /// storage round trips issued (0 or 1).
+    /// primitive shared by the loader's task reads and TQL's executor.
+    /// Returns the task's chunks *pinned* per tensor — the fetched ones
+    /// and the ones the shared chunk memo already held (the memo is FIFO
+    /// across worker threads; pinning keeps a task's chunks alive for its
+    /// whole assembly) — plus the number of storage round trips issued
+    /// (0 or 1).
     ///
     /// Tensors that don't exist are skipped — readers hitting them later
     /// report the per-row error exactly like [`Dataset::get`]. Fetch or
     /// decode failures are likewise deferred to the single-key fallback.
     pub fn prefetch_chunks(&self, tensors: &[String], rows: &[u64]) -> Result<PrefetchedChunks> {
-        let mut plan = ReadPlan::new();
-        let mut admissions: Vec<(usize, u64, usize)> = Vec::new();
-        let mut pinned: HashMap<String, HashMap<u64, Arc<deeplake_format::Chunk>>> =
-            HashMap::with_capacity(tensors.len());
-        for (tensor_index, name) in tensors.iter().enumerate() {
-            let Ok(store) = self.store(name) else {
-                continue;
-            };
-            pinned.entry(name.clone()).or_default();
-            for (chunk_id, key) in store.batch_fetches(rows) {
-                if let Some(key) = key {
-                    let index = plan.whole(key);
-                    admissions.push((tensor_index, chunk_id, index));
-                }
-            }
-        }
-        let mut round_trips = 0;
-        let mut fetch_ns = 0;
-        let mut decode_ns = 0;
-        if !plan.is_empty() {
-            round_trips = 1;
-            let fetch_t = std::time::Instant::now();
-            let outcome = self.root.execute(&plan);
-            fetch_ns = fetch_t.elapsed().as_nanos() as u64;
-            let decode_t = std::time::Instant::now();
-            for (tensor_index, chunk_id, index) in admissions {
-                if let Ok(data) = &outcome.results[index] {
-                    // a corrupt blob is NOT an error here: the single-key
-                    // path retries it and reports the row-level error,
-                    // matching `Dataset::get` semantics
-                    let name = &tensors[tensor_index];
-                    if let Ok(chunk) = self.store(name)?.admit_chunk(chunk_id, data.clone()) {
-                        pinned
-                            .get_mut(name)
-                            .expect("entry created above")
-                            .insert(chunk_id, chunk);
-                    }
-                }
-            }
-            decode_ns = decode_t.elapsed().as_nanos() as u64;
-        }
-        Ok(PrefetchedChunks {
-            by_tensor: pinned,
-            round_trips,
-            fetch_ns,
-            decode_ns,
-        })
+        self.prefetch(tensors, |store, pinned| store.resolve_rows(rows, pinned))
     }
 
     /// [`prefetch_chunks`](Dataset::prefetch_chunks) for whole row
-    /// ranges — what the query executor's span scans ask for. Planned
-    /// per chunk run, not per row, and chunks the memo already holds are
-    /// pinned too: a span scan reads its chunks in place
-    /// ([`PrefetchedChunks::column_runs`]), so one that was resident when
-    /// the fetch was planned must not be evicted by the fetch's own
-    /// admissions.
+    /// ranges — what the query executor's span scans ask for, which read
+    /// their chunks in place ([`PrefetchedChunks::column_runs`]). The
+    /// same plan, with the chunks enumerated per chunk run, not per row.
     pub fn prefetch_spans(
         &self,
         tensors: &[String],
         spans: &[(u64, u64)],
     ) -> Result<PrefetchedChunks> {
-        let mut resident = Vec::new();
-        let mut probe = Vec::new();
-        for name in tensors {
-            if let Ok(store) = self.store(name) {
-                let mut pinned = HashMap::new();
-                store.pin_resident(spans, &mut pinned, &mut probe);
-                resident.push((name, pinned));
-            }
-        }
-        probe.sort_unstable();
-        probe.dedup();
-        let mut prefetched = self.prefetch_chunks(tensors, &probe)?;
-        for (name, pinned) in resident {
-            prefetched
-                .by_tensor
-                .entry(name.clone())
-                .or_default()
-                .extend(pinned);
-        }
-        Ok(prefetched)
+        self.prefetch(tensors, |store, pinned| store.resolve_spans(spans, pinned))
     }
 
-    /// Read one sample, preferring pinned decoded chunks over the shared
-    /// memo (see [`Dataset::prefetch_chunks`]).
-    pub fn get_with_pinned(
+    /// The batched read: `resolve` names each tensor's chunks and pins
+    /// the resident ones (see [`TensorStore::resolve_rows`]), the missing
+    /// ones of every tensor go into one [`ReadPlan`], one `execute`
+    /// fetches them, and each is admitted to the memo and pinned.
+    fn prefetch(
         &self,
-        tensor: &str,
-        row: u64,
-        pinned: &HashMap<u64, Arc<deeplake_format::Chunk>>,
-    ) -> Result<Sample> {
-        self.store(tensor)?.get_with_chunks(row, pinned)
+        tensors: &[String],
+        resolve: impl Fn(
+            &TensorStore,
+            &mut HashMap<u64, Arc<deeplake_format::Chunk>>,
+        ) -> Vec<(u64, String)>,
+    ) -> Result<PrefetchedChunks> {
+        let mut plan = ReadPlan::new();
+        let mut admissions: Vec<(&String, &TensorStore, u64)> = Vec::new();
+        let mut prefetched = PrefetchedChunks::default();
+        for name in tensors {
+            let Ok(store) = self.store(name) else {
+                continue;
+            };
+            let pinned = prefetched.by_tensor.entry(name.clone()).or_default();
+            for (chunk_id, key) in resolve(store, pinned) {
+                plan.whole(key);
+                admissions.push((name, store, chunk_id));
+            }
+        }
+        if !plan.is_empty() {
+            prefetched.round_trips = 1;
+            let fetch_t = std::time::Instant::now();
+            let outcome = self.root.execute(&plan);
+            prefetched.fetch_ns = fetch_t.elapsed().as_nanos() as u64;
+            let decode_t = std::time::Instant::now();
+            for ((name, store, chunk_id), data) in admissions.into_iter().zip(outcome.results) {
+                // a failed fetch or a corrupt blob is NOT an error here:
+                // the single-key path retries it and reports the
+                // row-level error, matching `Dataset::get` semantics
+                let Ok(data) = data else { continue };
+                if let Ok(chunk) = store.admit_chunk(chunk_id, data) {
+                    prefetched
+                        .by_tensor
+                        .get_mut(name)
+                        .expect("entry created above")
+                        .insert(chunk_id, chunk);
+                }
+            }
+            prefetched.decode_ns = decode_t.elapsed().as_nanos() as u64;
+        }
+        Ok(prefetched)
     }
 
     /// Conservative scalar summary of `tensor`'s rows `[start, end)`, or
@@ -916,7 +884,7 @@ impl Dataset {
             let schema = self.load_schema(&self.tree.chain(&node)?)?;
             for tensor in schema.tensors {
                 let key = format!("{}/commit_diff.json", tensor_prefix(&node, &tensor));
-                if let Ok(data) = self.root.get(&key) {
+                if let Some(data) = optional(self.root.get(&key))? {
                     let diff = CommitDiff::from_json(&data)?;
                     out.entry(tensor).or_default().merge_from(&diff);
                 }

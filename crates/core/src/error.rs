@@ -80,6 +80,19 @@ impl std::fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+/// A read of a file a dataset may lawfully lack (written by a later
+/// format generation, or only when there is something to record): only
+/// [`StorageError::NotFound`] means absent. Any other failure — an I/O
+/// error, an overloaded hub's `Busy` — is the caller's error, never an
+/// empty default that the next flush would write back over the real file.
+pub(crate) fn optional<T>(read: Result<T, StorageError>) -> crate::Result<Option<T>> {
+    match read {
+        Ok(value) => Ok(Some(value)),
+        Err(StorageError::NotFound(_)) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
 impl From<StorageError> for CoreError {
     fn from(e: StorageError) -> Self {
         CoreError::Storage(e)

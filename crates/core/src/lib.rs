@@ -12,6 +12,17 @@
 //! including the batched [`Dataset::prefetch_chunks`] scatter-gather —
 //! then travels as single wire frames.
 //!
+//! A batched read has one planner. [`Dataset::prefetch_chunks`] (a row
+//! list) and [`Dataset::prefetch_spans`] (row ranges) differ only in how
+//! a tensor enumerates the chunk ids; from there each tensor resolves
+//! its ids once against its decoded-chunk memo — resident chunks are
+//! pinned, missing ones named by storage key — the missing chunks of
+//! every tensor travel in one `ReadPlan`, and what arrives is admitted
+//! to the memo and pinned. The returned [`PrefetchedChunks`] holds
+//! everything the task will read; the memo (64 slots, FIFO, shared by
+//! every reader of the handle) only decides what the *next* task finds
+//! resident.
+//!
 //! ```
 //! use deeplake_core::dataset::Dataset;
 //! use deeplake_storage::MemoryProvider;

@@ -20,7 +20,7 @@ use deeplake_storage::{PrefixProvider, StorageProvider};
 use deeplake_tensor::{Htype, Sample};
 use parking_lot::Mutex;
 
-use crate::error::CoreError;
+use crate::error::{optional, CoreError};
 use crate::version::CommitDiff;
 use crate::Result;
 
@@ -42,11 +42,11 @@ pub struct VersionDir {
 impl VersionDir {
     /// Load a version dir, reading its chunk set if present.
     pub fn load(provider: PrefixProvider) -> Result<Self> {
-        let chunk_set = match provider.get(CHUNK_SET_KEY) {
-            Ok(data) => serde_json::from_slice::<Vec<u64>>(&data)?
+        let chunk_set = match optional(provider.get(CHUNK_SET_KEY))? {
+            Some(data) => serde_json::from_slice::<Vec<u64>>(&data)?
                 .into_iter()
                 .collect(),
-            Err(_) => HashSet::new(),
+            None => HashSet::new(),
         };
         Ok(VersionDir {
             provider,
@@ -145,29 +145,34 @@ impl TensorStore {
         for p in chain {
             dirs.push(VersionDir::load(p)?);
         }
-        let state_dir = dirs
-            .iter()
-            .find(|d| d.provider.exists(META_KEY).unwrap_or(false))
+        let mut state_dir = None;
+        for dir in &dirs {
+            if let Some(data) = optional(dir.provider.get(META_KEY))? {
+                state_dir = Some((&dir.provider, data));
+                break;
+            }
+        }
+        let (state, meta) = state_dir
             .ok_or_else(|| CoreError::Corrupt("tensor has no meta.json in any version".into()))?;
-        let meta = TensorMeta::from_json(&state_dir.provider.get(META_KEY)?)
+        let meta = TensorMeta::from_json(&meta)
             .map_err(|e| CoreError::Corrupt(format!("{META_KEY}: {e}")))?;
-        let encoder = match state_dir.provider.get(ENCODER_KEY) {
-            Ok(data) => ChunkEncoder::deserialize(&data)?,
-            Err(_) => ChunkEncoder::new(),
+        let encoder = match optional(state.get(ENCODER_KEY))? {
+            Some(data) => ChunkEncoder::deserialize(&data)?,
+            None => ChunkEncoder::new(),
         };
         // pre-statistics datasets have no stats file: open with an empty
         // index (pruning silently disabled)
-        let stats = match state_dir.provider.get(STATS_KEY) {
-            Ok(data) => ChunkStatsIndex::deserialize(&data)?,
-            Err(_) => ChunkStatsIndex::new(),
+        let stats = match optional(state.get(STATS_KEY))? {
+            Some(data) => ChunkStatsIndex::deserialize(&data)?,
+            None => ChunkStatsIndex::new(),
         };
-        let tiles = match state_dir.provider.get(TILES_KEY) {
-            Ok(data) => TileEncoder::deserialize(&data)?,
-            Err(_) => TileEncoder::new(),
+        let tiles = match optional(state.get(TILES_KEY))? {
+            Some(data) => TileEncoder::deserialize(&data)?,
+            None => TileEncoder::new(),
         };
-        let diff = match dirs[0].provider.get(DIFF_KEY) {
-            Ok(data) => CommitDiff::from_json(&data)?,
-            Err(_) => CommitDiff::new(),
+        let diff = match optional(dirs[0].provider.get(DIFF_KEY))? {
+            Some(data) => CommitDiff::from_json(&data)?,
+            None => CommitDiff::new(),
         };
         let builder = ChunkBuilder::new(meta.dtype, meta.sample_compression, policy_for(&meta));
         Ok(TensorStore {
@@ -371,25 +376,19 @@ impl TensorStore {
 
     /// Read one sample.
     pub fn get(&self, row: u64) -> Result<Sample> {
-        self.get_inner(row, None)
+        self.read(row, &HashMap::new())
     }
 
-    /// Read one sample, preferring `pinned` decoded chunks over the
-    /// shared memo. The batched read path pins each task's chunks so
-    /// concurrent workers cannot evict them mid-assembly (the memo is
-    /// FIFO and shared across all workers).
-    pub fn get_with_chunks(&self, row: u64, pinned: &HashMap<u64, Arc<Chunk>>) -> Result<Sample> {
-        self.get_inner(row, Some(pinned))
-    }
-
-    fn get_inner(&self, row: u64, pinned: Option<&HashMap<u64, Arc<Chunk>>>) -> Result<Sample> {
-        let chunk_of = |id: u64| -> Result<Arc<Chunk>> {
-            if let Some(map) = pinned {
-                if let Some(chunk) = map.get(&id) {
-                    return Ok(chunk.clone());
-                }
-            }
-            self.read_chunk(id)
+    /// The sample reader. A chunk is taken from `pinned` — what a batch
+    /// reader resolved for its task ([`resolve_rows`](Self::resolve_rows)
+    /// / [`resolve_spans`](Self::resolve_spans)), out of the shared
+    /// memo's reach — else from the memo, else fetched single-key
+    /// ([`read_chunk`](Self::read_chunk)); a bare [`get`](Self::get) has
+    /// pinned nothing.
+    pub(crate) fn read(&self, row: u64, pinned: &HashMap<u64, Arc<Chunk>>) -> Result<Sample> {
+        let chunk_of = |id: u64| match pinned.get(&id) {
+            Some(chunk) => Ok(chunk.clone()),
+            None => self.read_chunk(id),
         };
         if row >= self.len() {
             return Err(CoreError::RowOutOfRange {
@@ -466,7 +465,7 @@ impl TensorStore {
                 Ok(false) => {}
                 Ok(true) | Err(_) => return Ok(None),
             }
-            if let Ok(data) = dir.provider.get(VECTOR_INDEX_KEY) {
+            if let Some(data) = optional(dir.provider.get(VECTOR_INDEX_KEY))? {
                 let index = VectorIndex::deserialize(&data)
                     .map_err(|e| CoreError::Corrupt(format!("vector index: {e}")))?;
                 return Ok(Some(index));
@@ -559,36 +558,82 @@ impl TensorStore {
         out
     }
 
-    /// Plan a batched fetch by row ranges instead of by row: pin into
-    /// `pinned` every chunk rows of `spans` need that the memo already
-    /// holds (before the fetch's own admissions can evict it), and push
-    /// onto `probe` one row per chunk run plus every tiled row — a row
-    /// list [`batch_fetches`](Self::batch_fetches) plans the same chunks
-    /// from, at one index lookup per run rather than per row. Ranges
-    /// are clamped to the tensor's rows.
-    pub fn pin_resident(
+    /// A batch reader's plan for the chunks `rows` need: those the memo
+    /// holds are pinned into `pinned`, the rest come back as `(chunk id,
+    /// absolute storage key)` for the task's one
+    /// [`deeplake_storage::ReadPlan`] (see [`resolve`](Self::resolve)).
+    /// Enumerated per row; rows in the open chunk need no chunk.
+    pub(crate) fn resolve_rows(
+        &self,
+        rows: &[u64],
+        pinned: &mut HashMap<u64, Arc<Chunk>>,
+    ) -> Vec<(u64, String)> {
+        let sealed = self.encoder.num_rows();
+        let mut ids = Vec::new();
+        for &row in rows {
+            if let Some(layout) = self.tiles.get(row) {
+                ids.extend_from_slice(&layout.tile_chunks);
+            } else if row < sealed {
+                if let Ok(loc) = self.encoder.locate(row) {
+                    ids.push(loc.chunk_id);
+                }
+            }
+        }
+        self.resolve(ids, pinned)
+    }
+
+    /// [`resolve_rows`](Self::resolve_rows) for whole row ranges,
+    /// enumerated per chunk run — one index lookup a run, not a row.
+    /// Ranges are clamped to the sealed rows.
+    pub(crate) fn resolve_spans(
         &self,
         spans: &[(u64, u64)],
         pinned: &mut HashMap<u64, Arc<Chunk>>,
-        probe: &mut Vec<u64>,
-    ) {
+    ) -> Vec<(u64, String)> {
         let sealed = self.encoder.num_rows();
-        let memo = self.chunk_memo.lock();
+        let mut ids = Vec::new();
         for &(start, end) in spans {
             let end = end.min(sealed);
             if start >= end {
                 continue;
             }
-            probe.extend(self.tiles.rows_in(start, end));
-            let mut row = start;
-            for (id, _, n) in self.encoder.locate_range(start, end).unwrap_or_default() {
-                probe.push(row);
-                row += n as u64;
-                if let Some((_, chunk)) = memo.iter().find(|(m, _)| *m == id) {
-                    pinned.entry(id).or_insert_with(|| chunk.clone());
-                }
+            for row in self.tiles.rows_in(start, end) {
+                let layout = self.tiles.get(row).expect("rows_in lists tiled rows");
+                ids.extend_from_slice(&layout.tile_chunks);
             }
+            let runs = self.encoder.locate_range(start, end).unwrap_or_default();
+            ids.extend(runs.into_iter().map(|(id, _, _)| id));
         }
+        self.resolve(ids, pinned)
+    }
+
+    /// The resolver: every chunk a task named, looked up once under one
+    /// memo lock. A resident chunk is pinned there and then — the memo is
+    /// FIFO and shared by every reader of this handle, so between a
+    /// task's plan and its last row its own admissions or another
+    /// worker's may evict anything it did not pin. A missing one reports
+    /// its absolute key; a chunk no version's chunk set owns reports
+    /// nothing and is left to [`read_chunk`](Self::read_chunk)'s probing.
+    fn resolve(
+        &self,
+        mut ids: Vec<u64>,
+        pinned: &mut HashMap<u64, Arc<Chunk>>,
+    ) -> Vec<(u64, String)> {
+        ids.sort_unstable();
+        ids.dedup();
+        {
+            let memo = self.chunk_memo.lock();
+            ids.retain(|&id| match lookup(&memo, id) {
+                Some(chunk) => {
+                    pinned.insert(id, chunk);
+                    false
+                }
+                None => true,
+            });
+        }
+        ids.into_iter()
+            .filter_map(|id| Some((id, self.resolve_chunk_key(id)?)))
+            .collect()
     }
 
     /// Rows `[start, end)` as runs inside already-decoded chunks —
@@ -636,26 +681,6 @@ impl TensorStore {
             .then_some(runs)
     }
 
-    /// Per-chunk spans covering rows `[start, end)` — the streaming
-    /// layer's fetch plan. Rows still in the open chunk are reported with
-    /// chunk id `u64::MAX`.
-    pub fn chunk_plan(&self, start: u64, end: u64) -> Result<Vec<(u64, u32, u32)>> {
-        let sealed_end = end.min(self.encoder.num_rows());
-        let mut plan = if start < sealed_end {
-            self.encoder.locate_range(start, sealed_end)?
-        } else {
-            vec![]
-        };
-        if end > self.encoder.num_rows() {
-            let open_start = start.max(self.encoder.num_rows()) - self.encoder.num_rows();
-            let open_end = end - self.encoder.num_rows();
-            if open_end > open_start {
-                plan.push((u64::MAX, open_start as u32, (open_end - open_start) as u32));
-            }
-        }
-        Ok(plan)
-    }
-
     /// Fetch and decode a chunk by id, resolving through the version chain.
     pub fn read_chunk(&self, chunk_id: u64) -> Result<Arc<Chunk>> {
         if let Some(chunk) = self.memoized(chunk_id) {
@@ -675,34 +700,6 @@ impl TensorStore {
                 })?,
         };
         self.admit_chunk(chunk_id, data)
-    }
-
-    /// The chunks rows `rows` need that are not already decoded, as
-    /// `(chunk_id, absolute storage key)` pairs — the tensor's
-    /// contribution to a task-level [`deeplake_storage::ReadPlan`]. Rows
-    /// still in the open chunk need no fetch; a chunk whose owning
-    /// version cannot be resolved from the chunk sets reports `None` and
-    /// is left for [`read_chunk`](Self::read_chunk)'s probing fallback.
-    pub fn batch_fetches(&self, rows: &[u64]) -> Vec<(u64, Option<String>)> {
-        let sealed = self.encoder.num_rows();
-        let mut ids: Vec<u64> = Vec::new();
-        for &row in rows {
-            if let Some(layout) = self.tiles.get(row) {
-                ids.extend_from_slice(&layout.tile_chunks);
-            } else if row < sealed {
-                if let Ok(loc) = self.encoder.locate(row) {
-                    ids.push(loc.chunk_id);
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        let memo = self.chunk_memo.lock();
-        ids.retain(|id| !memo.iter().any(|(m, _)| m == id));
-        drop(memo);
-        ids.into_iter()
-            .map(|id| (id, self.resolve_chunk_key(id)))
-            .collect()
     }
 
     /// Absolute storage key of a chunk, resolved through the version
@@ -728,10 +725,7 @@ impl TensorStore {
 
     /// The memo's copy of a chunk, if it holds one.
     fn memoized(&self, chunk_id: u64) -> Option<Arc<Chunk>> {
-        let memo = self.chunk_memo.lock();
-        memo.iter()
-            .find(|(id, _)| *id == chunk_id)
-            .map(|(_, chunk)| chunk.clone())
+        lookup(&self.chunk_memo.lock(), chunk_id)
     }
 
     /// Insert a decoded chunk into the bounded memo (FIFO eviction).
@@ -896,6 +890,13 @@ fn chunk_key(id: u64) -> String {
     format!("chunks/{id:016x}")
 }
 
+/// The memo's one lookup.
+fn lookup(memo: &[(u64, Arc<Chunk>)], chunk_id: u64) -> Option<Arc<Chunk>> {
+    memo.iter()
+        .find(|(id, _)| *id == chunk_id)
+        .map(|(_, chunk)| chunk.clone())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,21 +1024,6 @@ mod tests {
         assert_eq!(t.get_shape(0).unwrap(), Shape::from([3, 7]));
         assert_eq!(t.get_shape(1).unwrap(), Shape::from([9]));
         assert!(t.get_shape(2).is_err());
-    }
-
-    #[test]
-    fn chunk_plan_covers_sealed_and_open() {
-        let mut t = TensorStore::create(small_meta("x", 500), head()).unwrap();
-        for i in 0..9 {
-            t.append(&sample(100, i)).unwrap();
-        }
-        let plan = t.chunk_plan(0, 9).unwrap();
-        let total: u32 = plan.iter().map(|&(_, _, n)| n).sum();
-        assert_eq!(total, 9);
-        // last span may be the open chunk
-        if t.sealed_rows() < 9 {
-            assert_eq!(plan.last().unwrap().0, u64::MAX);
-        }
     }
 
     #[test]

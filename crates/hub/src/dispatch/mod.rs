@@ -37,7 +37,9 @@ use std::time::Instant;
 use bytes::Bytes;
 use deeplake_obs::SpanTimer;
 use deeplake_remote::proto::{self, Request};
-use deeplake_storage::{ReadPlan, ReadRequest, StorageError, StorageProvider, TimingProvider};
+use deeplake_storage::{
+    ReadPlan, ReadRequest, ReadResult, StorageError, StorageProvider, TimingProvider,
+};
 use deeplake_tql::QueryOptions;
 
 use crate::cache::Frame;
@@ -82,7 +84,6 @@ pub(crate) enum DataOp {
     LenOf(String),
     List(String),
     DeletePrefix(String),
-    GetMany(Vec<ReadRequest>),
     Execute(u64, Vec<ReadRequest>),
 }
 
@@ -175,7 +176,6 @@ pub(crate) fn admit(
         Request::LenOf { key } => DataOp::LenOf(key),
         Request::List { prefix } => DataOp::List(prefix),
         Request::DeletePrefix { prefix } => DataOp::DeletePrefix(prefix),
-        Request::GetMany { requests } => DataOp::GetMany(requests),
         Request::Execute {
             gap_tolerance,
             requests,
@@ -322,42 +322,34 @@ fn run(shared: &Shared, mount: &Arc<Mounted>, op: DataOp, ctx: &JobCtx) -> Frame
         DataOp::LenOf(key) => answer(p.len_of(&key), proto::resp_u64),
         DataOp::List(prefix) => answer(p.list(&prefix), |keys| proto::resp_list(&keys)),
         DataOp::DeletePrefix(prefix) => written(shared, mount, p.delete_prefix(&prefix)),
-        DataOp::GetMany(requests) => {
-            let text = format_args!("GETMANY {} keys", requests.len());
-            let results = timed_read(shared, mount, ctx, text, |p| p.get_many(&requests));
-            proto::resp_results(&results)
-        }
         DataOp::Execute(gap_tolerance, requests) => {
-            let n = requests.len();
             let mut plan = ReadPlan::with_gap_tolerance(gap_tolerance);
             for r in requests {
                 plan.push(r);
             }
-            let text = format_args!("EXECUTE {n} ranges");
-            let outcome = timed_read(shared, mount, ctx, text, |p| p.execute(&plan));
+            let outcome = timed_execute(shared, mount, ctx, &plan);
             proto::resp_execute(outcome.fetches, &outcome.results)
         }
     };
     response.into()
 }
 
-/// Run one batched read op (`Execute`/`GetMany`) against the mount and
-/// account it: service time into `hub.read_ns`, and — when the op is
-/// over the slow threshold — a slow-log entry shaped exactly like a
-/// query's (see [`query::log_slow`]). This is what connects a loader
-/// worker's fetch span to the hub stages that served it: the loader
-/// sends its fetch `Execute` under an ambient trace context, and the
-/// entry's `parent_span` is that fetch span's id.
-fn timed_read<T>(
+/// Run one `Execute` against the mount and account it: service time
+/// into `hub.read_ns`, and — when the op is over the slow threshold — a
+/// slow-log entry shaped exactly like a query's (see
+/// [`query::log_slow`]). This is what connects a loader worker's fetch
+/// span to the hub stages that served it: the loader sends its fetch
+/// `Execute` under an ambient trace context, and the entry's
+/// `parent_span` is that fetch span's id.
+fn timed_execute(
     shared: &Shared,
     mount: &Arc<Mounted>,
     ctx: &JobCtx,
-    text: std::fmt::Arguments<'_>,
-    read: impl FnOnce(&TimingProvider) -> T,
-) -> T {
+    plan: &ReadPlan,
+) -> ReadResult {
     let timed = TimingProvider::new(mount.provider.clone());
     let exec = SpanTimer::start();
-    let out = read(&timed);
+    let out = timed.execute(plan);
     let execute_ns = exec.record(&shared.obs.read);
     let total_ns = ctx.queue_wait_ns + execute_ns;
     if total_ns >= shared.opts.slow_query_threshold.as_nanos() as u64 {
@@ -366,7 +358,7 @@ fn timed_read<T>(
             ("execute", execute_ns),
             ("storage", timed.nanos()),
         ];
-        let text = text.to_string();
+        let text = format!("EXECUTE {} ranges", plan.len());
         query::log_slow(shared, mount, ctx, String::new(), text, total_ns, &stages);
     }
     out

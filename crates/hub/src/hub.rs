@@ -194,7 +194,7 @@ pub(crate) struct HubObs {
     /// TQL execution on a cache miss, with the dataset open when the
     /// mount has no handle for this epoch yet (`hub.execute_ns`).
     pub(crate) execute: Histogram,
-    /// Service time of batched read ops (`Execute`/`GetMany`) on a pool
+    /// Service time of batched reads (`Execute`) on a pool
     /// worker (`hub.read_ns`) — the hub-side cost of one loader worker
     /// task's scatter-gather fetch, queue wait excluded.
     pub(crate) read: Histogram,

@@ -332,6 +332,31 @@ fn a_version_mismatched_hello_is_answered_and_nothing_after_it_is_admitted() {
     assert!(!dispatch::serve_frames(&shared, &mut conn).unwrap());
 }
 
+/// Opcode 9 was `GetMany` until generation 4. A frame that still carries
+/// it is an unknown opcode like any other: answered losslessly, and the
+/// connection goes on serving.
+#[test]
+fn the_retired_get_many_opcode_is_refused_and_the_next_request_served() {
+    let shared = hub(HubOptions::default());
+    let mut conn = conn(&shared);
+    // as generation 3 spelled one whole-object read of `k`
+    let mut retired = vec![9u8];
+    retired.extend(1u32.to_le_bytes());
+    retired.extend(1u32.to_le_bytes());
+    retired.extend(b"k\0");
+    let refusal = proto::decode_request(&retired).unwrap_err().to_string();
+    assert!(refusal.ends_with("unknown opcode 9"), "{refusal}");
+    let mut stream = frame(&retired);
+    stream.extend(untagged(&get("k")));
+    conn.feed(&stream);
+    pump(&shared, &mut conn);
+    assert_eq!(
+        drain(&mut conn),
+        [proto::resp_proto_err(&refusal), proto::resp_bytes(b"value")]
+    );
+    assert_eq!(conn.interest(), (true, false));
+}
+
 /// PR 17's shutdown hang: an untagged connection paused mid-burst when
 /// the hub shuts down. Intake closes; the requests it had not sliced must
 /// never reach the queue (the pool may be gone), and the connection is

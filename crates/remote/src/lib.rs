@@ -14,11 +14,13 @@
 //! works unchanged. Two properties make it fast rather than merely
 //! correct:
 //!
-//! * **Batched frames.** The provider's batched methods (`get_many`,
-//!   `execute`, `delete_prefix`) map onto single protocol frames, so a
-//!   loader task's whole [`ReadPlan`](deeplake_storage::ReadPlan) — the
-//!   PR-1 scatter-gather path — stays ONE network round trip end to
-//!   end, with the coalescing done server-side next to the data.
+//! * **Batched frames.** The provider's batched methods (`execute`,
+//!   `delete_prefix`) map onto single protocol frames, so a loader
+//!   task's whole [`ReadPlan`](deeplake_storage::ReadPlan) — the PR-1
+//!   scatter-gather path — stays ONE network round trip end to end,
+//!   with the coalescing done server-side next to the data. `get_many`
+//!   is the trait's provided spelling of `execute`, so it is the same
+//!   one `Execute` frame.
 //! * **Query offload.** [`RemoteProvider::query`] ships TQL text +
 //!   [`QueryOptions`](deeplake_tql::QueryOptions) to the server, which
 //!   runs the pruning/top-k executor against its mounted storage and

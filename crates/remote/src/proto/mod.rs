@@ -12,11 +12,13 @@
 //!
 //! **Requests.** A request payload is `[opcode u8][body]`; see
 //! [`Request`]. The batched opcodes are the point of the protocol: one
-//! `GetMany`/`Execute` frame carries an entire
+//! `Execute` frame carries an entire
 //! [`ReadPlan`](deeplake_storage::ReadPlan)'s requests, so a loader task
 //! or query scan that needs dozens of chunks pays ONE network round trip,
 //! and one `Query` frame ships TQL text so a pruned or ANN query pays one
-//! round trip *total*.
+//! round trip *total*. Opcode 9 carried the same reads without a gap
+//! tolerance (`GetMany`) through generation 3; it is reserved, never
+//! reused, and decodes as any unknown opcode does.
 //!
 //! **Responses.** A response payload is `[status u8][body]`. Storage
 //! errors serialize losslessly — a remote `NotFound` decodes into the
@@ -45,9 +47,9 @@
 //! `[OP_TRACED][trace id u64][span id u64][inner request]`. The server
 //! unwraps, records its spans under the client's ids, and answers the
 //! inner request's normal response; a bare, unwrapped frame is served
-//! the same way without a parent span. Understanding the envelope is
-//! what [`PROTO_VERSION`] 3 means, so a peer that accepted the `Hello`
-//! accepts the envelope and no further probing is needed.
+//! the same way without a parent span. Every generation from 3 on
+//! understands the envelope, so a peer that accepted the `Hello` accepts
+//! the envelope and no further probing is needed.
 //!
 //! **Introspection.** [`Request::Metrics`] reads the hub's
 //! observability registry back out: counters, gauges, sparse histogram
@@ -87,8 +89,9 @@ pub use response::*;
 /// silently mis-decoding frames whose layout changed between
 /// generations. Bump on any wire-incompatible change. Generation 3 is
 /// generation 2 plus the guarantee that the [`Request::Traced`] envelope
-/// is understood.
-pub const PROTO_VERSION: u8 = 3;
+/// is understood; generation 4 is generation 3 minus opcode 9, whose
+/// reads [`Request::Execute`] already carried.
+pub const PROTO_VERSION: u8 = 4;
 
 #[cfg(test)]
 mod tests;

@@ -13,7 +13,7 @@ const OP_EXISTS: u8 = 5;
 const OP_LEN_OF: u8 = 6;
 const OP_LIST: u8 = 7;
 const OP_DELETE_PREFIX: u8 = 8;
-pub(super) const OP_GET_MANY: u8 = 9;
+// 9 was `GetMany` (generations 1-3): reserved, decodes as an unknown opcode
 const OP_EXECUTE: u8 = 10;
 const OP_QUERY: u8 = 11;
 const OP_DESCRIBE: u8 = 12;
@@ -78,11 +78,6 @@ pub enum Request {
     DeletePrefix {
         /// Key prefix.
         prefix: String,
-    },
-    /// Batched reads: one outcome per request, one round trip total.
-    GetMany {
-        /// The logical reads.
-        requests: Vec<ReadRequest>,
     },
     /// Execute a [`deeplake_storage::ReadPlan`] server-side: the mounted
     /// provider coalesces and parallelizes, the wire carries one frame
@@ -220,10 +215,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.push(OP_DELETE_PREFIX);
             put_str(&mut out, prefix);
         }
-        Request::GetMany { requests } => {
-            out.push(OP_GET_MANY);
-            put_read_requests(&mut out, requests);
-        }
         Request::Execute {
             gap_tolerance,
             requests,
@@ -314,9 +305,6 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
         OP_LEN_OF => Request::LenOf { key: r.str()? },
         OP_LIST => Request::List { prefix: r.str()? },
         OP_DELETE_PREFIX => Request::DeletePrefix { prefix: r.str()? },
-        OP_GET_MANY => Request::GetMany {
-            requests: take_read_requests(&mut r)?,
-        },
         OP_EXECUTE => Request::Execute {
             gap_tolerance: r.u64()?,
             requests: take_read_requests(&mut r)?,

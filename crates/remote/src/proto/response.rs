@@ -65,29 +65,17 @@ pub fn resp_list(keys: &[String]) -> Vec<u8> {
     out
 }
 
-/// `STATUS_OK` carrying per-slot outcomes (the `GetMany` response).
-pub fn resp_results(results: &[Result<Bytes, StorageError>]) -> Vec<u8> {
-    ok_slots(results, 0)
-}
-
-/// `STATUS_OK` carrying an executed plan's outcome (fetch count + slots).
+/// `STATUS_OK` carrying an executed plan's outcome: the slot count, the
+/// slots, then the fetch count, in a buffer sized once — per slot a flag
+/// and a length header plus an `Ok` slot's bytes — so no slot is copied
+/// again by a later one growing the buffer (an error slot's text is
+/// short and may still grow it).
 pub fn resp_execute(fetches: u64, results: &[Result<Bytes, StorageError>]) -> Vec<u8> {
-    let mut out = ok_slots(results, 8);
-    put_u64(&mut out, fetches);
-    out
-}
-
-/// `STATUS_OK`, the slot count and the slots, in a buffer sized once —
-/// per slot a flag and a length header plus an `Ok` slot's bytes, and
-/// `trailer` bytes the caller appends — so no slot is copied again by a
-/// later one growing the buffer (an error slot's text is short and may
-/// still grow it).
-fn ok_slots(results: &[Result<Bytes, StorageError>], trailer: usize) -> Vec<u8> {
     let slots: usize = results
         .iter()
         .map(|slot| 9 + slot.as_ref().map_or(0, Bytes::len))
         .sum();
-    let mut out = Vec::with_capacity(1 + 4 + slots + trailer);
+    let mut out = Vec::with_capacity(1 + 4 + slots + 8);
     out.push(STATUS_OK);
     put_u32(&mut out, results.len() as u32);
     for slot in results {
@@ -102,6 +90,7 @@ fn ok_slots(results: &[Result<Bytes, StorageError>], trailer: usize) -> Vec<u8> 
             }
         }
     }
+    put_u64(&mut out, fetches);
     out
 }
 
@@ -277,10 +266,13 @@ pub fn expect_placement(payload: &[u8]) -> Result<(u64, Vec<String>), StorageErr
     Ok((epoch, replicas))
 }
 
-fn take_results(
-    r: &mut WireReader<'_>,
+/// Decode an `Execute` response (`expected` = requests sent): per-slot
+/// outcomes plus the backend fetch count the mounted provider reported.
+pub fn expect_execute(
+    payload: &[u8],
     expected: usize,
-) -> Result<Vec<Result<Bytes, StorageError>>, StorageError> {
+) -> Result<(Vec<Result<Bytes, StorageError>>, u64), StorageError> {
+    let mut r = open_response(payload)?;
     let count = r.u32().map_err(proto_err)? as usize;
     if count != expected {
         return Err(proto_err(format!(
@@ -290,36 +282,14 @@ fn take_results(
     if count > r.remaining() {
         return Err(proto_err("slot count exceeds frame"));
     }
-    let mut out = Vec::with_capacity(count);
+    let mut results = Vec::with_capacity(count);
     for _ in 0..count {
         match r.u8().map_err(proto_err)? {
-            0 => out.push(Ok(r.bytes().map_err(proto_err)?)),
-            1 => out.push(Err(take_storage_err(r).map_err(proto_err)?)),
+            0 => results.push(Ok(r.bytes().map_err(proto_err)?)),
+            1 => results.push(Err(take_storage_err(&mut r).map_err(proto_err)?)),
             other => return Err(proto_err(format!("bad slot flag {other}"))),
         }
     }
-    Ok(out)
-}
-
-/// Decode a `GetMany` response (`expected` = requests sent).
-pub fn expect_results(
-    payload: &[u8],
-    expected: usize,
-) -> Result<Vec<Result<Bytes, StorageError>>, StorageError> {
-    let mut r = open_response(payload)?;
-    let out = take_results(&mut r, expected)?;
-    r.finish().map_err(proto_err)?;
-    Ok(out)
-}
-
-/// Decode an `Execute` response: per-slot outcomes plus the backend
-/// fetch count the mounted provider reported.
-pub fn expect_execute(
-    payload: &[u8],
-    expected: usize,
-) -> Result<(Vec<Result<Bytes, StorageError>>, u64), StorageError> {
-    let mut r = open_response(payload)?;
-    let results = take_results(&mut r, expected)?;
     let fetches = r.u64().map_err(proto_err)?;
     r.finish().map_err(proto_err)?;
     Ok((results, fetches))

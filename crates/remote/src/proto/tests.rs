@@ -27,16 +27,14 @@ fn requests_roundtrip() {
         Request::DeletePrefix {
             prefix: "t/".into(),
         },
-        Request::GetMany {
+        Request::Execute {
+            gap_tolerance: 4096,
             requests: vec![
+                ReadRequest::range("c", 5, 5),
                 ReadRequest::whole("a"),
                 ReadRequest::range("b", 0, 10),
                 ReadRequest::whole(""),
             ],
-        },
-        Request::Execute {
-            gap_tolerance: 4096,
-            requests: vec![ReadRequest::range("c", 5, 5)],
         },
         Request::Query {
             reference: "main".into(),
@@ -307,6 +305,12 @@ fn hello_negotiation_is_lossless() {
             "unexpected message {msg:?}"
         );
     }
+    // generation 3 still had opcode 9: it is told so, not half-served
+    let msg = expect_hello(&hello_response(3)).unwrap_err().to_string();
+    assert!(
+        msg.contains("version 3") && msg.contains("speaks 4"),
+        "unexpected message {msg:?}"
+    );
 }
 
 #[test]
@@ -364,17 +368,15 @@ fn response_decoders_roundtrip() {
         Ok(Bytes::from_static(b"x")),
         Err(StorageError::NotFound("k".into())),
     ];
-    let back = expect_results(&resp_results(&slots), 2).unwrap();
+    let (back, fetches) = expect_execute(&resp_execute(7, &slots), 2).unwrap();
+    assert_eq!(fetches, 7);
     assert_eq!(back[0].as_ref().unwrap(), &Bytes::from_static(b"x"));
     assert_eq!(
         back[1].clone().unwrap_err(),
         StorageError::NotFound("k".into())
     );
-    let (back, fetches) = expect_execute(&resp_execute(7, &slots), 2).unwrap();
-    assert_eq!(fetches, 7);
-    assert_eq!(back.len(), 2);
     // slot-count mismatch is a protocol error
-    assert!(expect_results(&resp_results(&slots), 3).is_err());
+    assert!(expect_execute(&resp_execute(7, &slots), 3).is_err());
 }
 
 #[test]
@@ -559,7 +561,15 @@ fn corrupt_requests_rejected() {
     buf.push(0);
     assert!(decode_request(&buf).is_err());
     // lying request count
-    let mut buf = vec![OP_GET_MANY];
+    let mut buf = encode_request(&Request::Execute {
+        gap_tolerance: 0,
+        requests: Vec::new(),
+    });
+    buf.truncate(buf.len() - 4);
     put_u32(&mut buf, u32::MAX);
     assert!(decode_request(&buf).is_err());
+    // 9 was `GetMany` until generation 4: reserved, not reused
+    let mut buf = vec![9];
+    put_u32(&mut buf, 0);
+    assert_eq!(decode_request(&buf).unwrap_err().0, "unknown opcode 9");
 }

@@ -41,7 +41,7 @@ use deeplake_obs::{
     current_trace, next_id, Histogram, MetricsRegistry, MetricsSnapshot, SpanTimer, TraceContext,
 };
 use deeplake_storage::{
-    NetworkProfile, ReadPlan, ReadRequest, ReadResult, StorageError, StorageProvider, StorageStats,
+    NetworkProfile, ReadPlan, ReadResult, StorageError, StorageProvider, StorageStats,
 };
 use deeplake_tql::{QueryOptions, QueryResult};
 use parking_lot::Mutex;
@@ -747,19 +747,6 @@ impl StorageProvider for RemoteProvider {
 
     fn describe(&self) -> String {
         format!("remote({})", self.addr)
-    }
-
-    /// One `GetMany` frame for the whole batch — N logical reads, one
-    /// network round trip.
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes, StorageError>> {
-        let request = Request::GetMany {
-            requests: requests.to_vec(),
-        };
-        match self.call(&request, |resp| proto::expect_results(resp, requests.len())) {
-            Ok(results) => results,
-            // a transport failure fails every slot, like a batch-wide fetch error
-            Err(e) => requests.iter().map(|_| Err(e.clone())).collect(),
-        }
     }
 
     /// Ship the whole [`ReadPlan`] to the server in one frame; the

@@ -75,7 +75,6 @@ proptest! {
             Request::GetRange { key: key.clone(), start, end },
             Request::Put { key: key.clone(), value: Bytes::from(value.clone()) },
             Request::List { prefix: key.clone() },
-            Request::GetMany { requests: requests.clone() },
             Request::Execute { gap_tolerance: start, requests },
         ] {
             let back = decode_request(&encode_request(&req)).unwrap();
@@ -182,7 +181,6 @@ proptest! {
         let _ = proto::expect_u64(&garbage);
         let _ = proto::expect_str(&garbage);
         let _ = proto::expect_list(&garbage);
-        let _ = proto::expect_results(&garbage, expected);
         let _ = proto::expect_execute(&garbage, expected);
         let _ = proto::expect_query(&garbage);
     }

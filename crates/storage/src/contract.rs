@@ -159,6 +159,23 @@ pub fn check_get_many_matches_single_key(name: &str, p: &dyn StorageProvider) {
         &Bytes::from_static(b"al"),
         "{name}"
     );
+    // ranges only, so they merge into spans instead of riding a
+    // whole-object fetch: overlapping, duplicate, over-long and
+    // past-the-end slots each read what the single-key call reads
+    let ranges = [(2, 6), (4, 8), (2, 6), (8, 1000), (0, 1), (11, 12), (5, 5)];
+    let requests: Vec<ReadRequest> = ranges
+        .iter()
+        .map(|&(start, end)| ReadRequest::range("batch/b", start, end))
+        .collect();
+    let results = p.get_many(&requests);
+    assert_eq!(results.len(), ranges.len(), "{name}");
+    for (slot, &(start, end)) in results.iter().zip(&ranges) {
+        assert_eq!(
+            slot,
+            &p.get_range("batch/b", start, end),
+            "{name}: slot {start}..{end}"
+        );
+    }
 }
 
 /// `execute` keeps results positional regardless of how the provider

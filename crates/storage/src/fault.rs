@@ -32,7 +32,7 @@ use bytes::Bytes;
 use deeplake_obs::{Counter, MetricsRegistry};
 
 use crate::error::StorageError;
-use crate::plan::{ReadPlan, ReadRequest, ReadResult};
+use crate::plan::{ReadPlan, ReadResult};
 use crate::provider::StorageProvider;
 use crate::{DynProvider, Result};
 
@@ -263,13 +263,6 @@ impl StorageProvider for FaultProvider {
     /// One batched call is one op: a tripped plan fails every slot (the
     /// connection died, not one object), matching the remote client's
     /// batch-wide transport-error behaviour.
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes>> {
-        match self.gate() {
-            Ok(()) => self.inner.get_many(requests),
-            Err(e) => requests.iter().map(|_| Err(e.clone())).collect(),
-        }
-    }
-
     fn execute(&self, plan: &ReadPlan) -> ReadResult {
         match self.gate() {
             Ok(()) => self.inner.execute(plan),
@@ -290,6 +283,7 @@ impl StorageProvider for FaultProvider {
 mod tests {
     use super::*;
     use crate::memory::MemoryProvider;
+    use crate::plan::ReadRequest;
     use std::sync::Arc;
     use std::time::Instant;
 

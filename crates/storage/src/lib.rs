@@ -26,7 +26,10 @@
 //! [`StorageProvider::execute`] once. Providers coalesce
 //! adjacent/overlapping ranges per key and parallelize or amortize the
 //! merged fetches; [`StorageStats::round_trips`] vs
-//! [`StorageStats::logical_reads`] shows the saving.
+//! [`StorageStats::logical_reads`] shows the saving. There is no third:
+//! [`StorageProvider::get_many`] is the compatibility spelling of the
+//! second — a provided method that builds a gap-free plan and calls
+//! `execute` — so a provider implements one batched read, not two.
 
 pub mod contract;
 pub mod error;

@@ -99,30 +99,7 @@ impl<P: StorageProvider> LruCacheProvider<P> {
     }
 
     fn insert(&self, key: &str, data: Bytes) {
-        let size = data.len() as u64;
-        if size > self.capacity {
-            return; // never cache objects bigger than the whole budget
-        }
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        if let Some((old, _)) = st.entries.insert(key.to_string(), (data, tick)) {
-            st.bytes -= old.len() as u64;
-        }
-        st.bytes += size;
-        while st.bytes > self.capacity {
-            // evict the least recently used entry
-            let victim = st
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| k.clone())
-                .expect("bytes > 0 implies entries");
-            if let Some((old, _)) = st.entries.remove(&victim) {
-                st.bytes -= old.len() as u64;
-                self.stats.record_eviction();
-            }
-        }
+        self.insert_many(vec![(key.to_string(), data)]);
     }
 
     fn invalidate(&self, key: &str) {
@@ -150,6 +127,7 @@ impl<P: StorageProvider> LruCacheProvider<P> {
             st.bytes += size;
         }
         while st.bytes > self.capacity {
+            // evict the least recently used entry
             let victim = st
                 .entries
                 .iter()

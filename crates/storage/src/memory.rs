@@ -6,7 +6,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::error::StorageError;
-use crate::plan::{execute_coalesced, ReadPlan, ReadRequest, ReadResult};
+use crate::plan::{execute_coalesced, ReadPlan, ReadResult};
 use crate::provider::{clamp_range, StorageProvider};
 use crate::stats::StorageStats;
 use crate::Result;
@@ -100,34 +100,6 @@ impl StorageProvider for MemoryProvider {
 
     fn describe(&self) -> String {
         format!("memory({} objects)", self.object_count())
-    }
-
-    /// Batched reads under a single read lock — no per-request lock churn.
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes>> {
-        let mut bytes_moved = 0u64;
-        let out: Vec<Result<Bytes>> = {
-            let guard = self.objects.read();
-            requests
-                .iter()
-                .map(|r| {
-                    let obj = guard
-                        .get(&r.key)
-                        .ok_or_else(|| StorageError::NotFound(r.key.clone()))?;
-                    let data = match r.range {
-                        None => obj.clone(),
-                        Some((start, end)) => {
-                            let (s, e) = clamp_range(start, end, obj.len() as u64)?;
-                            obj.slice(s..e)
-                        }
-                    };
-                    bytes_moved += data.len() as u64;
-                    Ok(data)
-                })
-                .collect()
-        };
-        self.stats
-            .record_batch(requests.len() as u64, requests.len() as u64, bytes_moved);
-        out
     }
 
     /// The whole plan is served under a single read lock; coalescing

@@ -146,31 +146,6 @@ impl StorageProvider for PrefixProvider {
     fn describe(&self) -> String {
         format!("prefix({:?}, over {})", self.prefix, self.inner.describe())
     }
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes>> {
-        let rebased: Vec<ReadRequest> = requests
-            .iter()
-            .map(|r| ReadRequest {
-                key: self.absolute(&r.key),
-                range: r.range,
-            })
-            .collect();
-        let mut bytes_moved = 0u64;
-        let out: Vec<Result<Bytes>> = self
-            .inner
-            .get_many(&rebased)
-            .into_iter()
-            .map(|r| match r {
-                Ok(data) => {
-                    bytes_moved += data.len() as u64;
-                    Ok(data)
-                }
-                Err(e) => Err(self.rebase_err(e)),
-            })
-            .collect();
-        self.stats
-            .record_batch(requests.len() as u64, requests.len() as u64, bytes_moved);
-        out
-    }
     fn execute(&self, plan: &ReadPlan) -> ReadResult {
         // results are positional, so only the keys need rebasing
         let mut rebased = ReadPlan::with_gap_tolerance(plan.gap_tolerance());

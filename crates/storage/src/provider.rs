@@ -46,22 +46,19 @@ pub trait StorageProvider: Send + Sync {
     /// Human-readable provider description for diagnostics.
     fn describe(&self) -> String;
 
-    /// Fetch a batch of reads, returning one outcome per request in
-    /// order. A missing key or out-of-bounds range fails only its own
-    /// slot — the rest of the batch still completes.
-    ///
-    /// The default loops over [`get`](Self::get) /
-    /// [`get_range`](Self::get_range), so third-party providers compile
-    /// (and behave correctly) unchanged; providers with a cheaper batch
-    /// path override this or [`execute`](Self::execute).
+    /// [`execute`](Self::execute) spelled as a request slice: one outcome
+    /// per request, in order, from a plan with no gap tolerance (only
+    /// adjacent or overlapping ranges merge, so no byte outside the
+    /// requests is read). A missing key or out-of-bounds range fails
+    /// only its own slot. Kept for callers written before [`ReadPlan`];
+    /// a provider's batched read path is `execute` — override that, not
+    /// this.
     fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes>> {
-        requests
-            .iter()
-            .map(|r| match r.range {
-                None => self.get(&r.key),
-                Some((start, end)) => self.get_range(&r.key, start, end),
-            })
-            .collect()
+        let mut plan = ReadPlan::with_gap_tolerance(0);
+        for request in requests {
+            plan.push(request.clone());
+        }
+        self.execute(&plan).results
     }
 
     /// Execute a [`ReadPlan`]: coalesce its requests into the minimal
@@ -128,9 +125,6 @@ impl<P: StorageProvider + ?Sized> StorageProvider for Arc<P> {
     }
     fn describe(&self) -> String {
         (**self).describe()
-    }
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes>> {
-        (**self).get_many(requests)
     }
     fn execute(&self, plan: &ReadPlan) -> ReadResult {
         (**self).execute(plan)

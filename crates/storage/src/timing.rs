@@ -16,7 +16,7 @@
 use bytes::Bytes;
 use deeplake_obs::{Counter, SpanTimer};
 
-use crate::plan::{ReadPlan, ReadRequest, ReadResult};
+use crate::plan::{ReadPlan, ReadResult};
 use crate::provider::StorageProvider;
 use crate::{DynProvider, Result};
 
@@ -99,10 +99,6 @@ impl StorageProvider for TimingProvider {
 
     fn describe(&self) -> String {
         format!("timed({})", self.inner.describe())
-    }
-
-    fn get_many(&self, requests: &[ReadRequest]) -> Vec<Result<Bytes>> {
-        self.timed(|| self.inner.get_many(requests))
     }
 
     fn execute(&self, plan: &ReadPlan) -> ReadResult {

@@ -11,7 +11,7 @@
 //!    (pruned), a provably-full span passes whole, and the undecided
 //!    remainder is grouped into worker tasks that fetch all their spans'
 //!    chunks in one batched [`ReadPlan`] each (through
-//!    [`Dataset::prefetch_chunks`]), parse every chunk once, and
+//!    [`Dataset::prefetch_spans`]), parse every chunk once, and
 //!    evaluate the predicate over each span.
 //! 2. **Order/Arrange** — sort keys evaluate in parallel over row
 //!    blocks, each block prefetching the plan's sort columns in one
@@ -76,7 +76,7 @@
 //! scan would have surfaced them. [`QueryResult::stats`] reports how
 //! much work pruning saved.
 //!
-//! [`Dataset::prefetch_chunks`]: deeplake_core::Dataset::prefetch_chunks
+//! [`Dataset::prefetch_spans`]: deeplake_core::Dataset::prefetch_spans
 //! [`ReadPlan`]: deeplake_storage::ReadPlan
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -273,29 +273,11 @@ impl StatsAcc {
         dst.fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// One batched fetch of every chunk `columns` need for `rows`,
-    /// accounted: the storage call's own time into `fetch_ns`, the rest
-    /// of the prefetch (planning, chunk parsing) into `decode_ns`.
+    /// One task's batched fetch ([`Dataset::prefetch_chunks`] or
+    /// [`Dataset::prefetch_spans`]), accounted: the storage call's own
+    /// time into `fetch_ns`, the rest of the prefetch (planning, chunk
+    /// parsing) into `decode_ns`.
     fn prefetch(
-        &self,
-        ds: &Dataset,
-        columns: &[String],
-        rows: &[u64],
-    ) -> deeplake_core::Result<PrefetchedChunks> {
-        self.account(|| ds.prefetch_chunks(columns, rows))
-    }
-
-    /// [`prefetch`](Self::prefetch) for whole row ranges.
-    fn prefetch_spans(
-        &self,
-        ds: &Dataset,
-        columns: &[String],
-        spans: &[(u64, u64)],
-    ) -> deeplake_core::Result<PrefetchedChunks> {
-        self.account(|| ds.prefetch_spans(columns, spans))
-    }
-
-    fn account(
         &self,
         fetch: impl FnOnce() -> deeplake_core::Result<PrefetchedChunks>,
     ) -> deeplake_core::Result<PrefetchedChunks> {
@@ -364,22 +346,20 @@ fn is_text(ds: &Dataset, column: &str) -> bool {
 }
 
 /// Evaluation context: the dataset plus whatever chunks the current task
-/// prefetched. Rows assemble from pinned chunks when possible and fall
+/// prefetched — the empty set on the naive path and for a lone
+/// [`eval`]. Rows assemble from pinned chunks when possible and fall
 /// back to the dataset's single-key path otherwise, so error semantics
 /// match [`Dataset::get`] exactly.
 struct EvalCtx<'a> {
     ds: &'a Dataset,
-    pinned: Option<&'a PrefetchedChunks>,
+    pinned: &'a PrefetchedChunks,
     /// The query's text columns (see [`Columns::text`]).
     text: &'a [String],
 }
 
 impl EvalCtx<'_> {
     fn get(&self, tensor: &str, row: u64) -> deeplake_core::Result<deeplake_tensor::Sample> {
-        match self.pinned {
-            Some(p) => p.get(self.ds, tensor, row),
-            None => self.ds.get(tensor, row),
-        }
+        self.pinned.get(self.ds, tensor, row)
     }
 }
 
@@ -495,10 +475,10 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
         let mut out = Vec::with_capacity(selected.len());
         const BLOCK: usize = 256;
         for block in selected.chunks(BLOCK.max(1)) {
-            let prefetched = stats.prefetch(ds, &cols.project, block)?;
+            let prefetched = stats.prefetch(|| ds.prefetch_chunks(&cols.project, block))?;
             let ctx = EvalCtx {
                 ds,
-                pinned: Some(&prefetched),
+                pinned: &prefetched,
                 text: &cols.text,
             };
             let t = Instant::now();
@@ -590,7 +570,7 @@ fn filter_stage(
         let t = Instant::now();
         let ctx = EvalCtx {
             ds,
-            pinned: None,
+            pinned: &PrefetchedChunks::default(),
             text: &cols.text,
         };
         let keep = parallel_eval(n, workers, |row| Ok(eval_in(&ctx, filter, row)?.truthy()))?;
@@ -809,13 +789,13 @@ impl SpanScan<'_> {
             .iter()
             .map(|&i| (spans[i].1, spans[i].1 + spans[i].2))
             .collect();
-        let prefetched = stats.prefetch_spans(ds, &self.cols.filter, &ranges)?;
+        let prefetched = stats.prefetch(|| ds.prefetch_spans(&self.cols.filter, &ranges))?;
         stats
             .chunks_scanned
             .fetch_add(task.len() as u64, Ordering::Relaxed);
         let ctx = EvalCtx {
             ds,
-            pinned: Some(&prefetched),
+            pinned: &prefetched,
             text: &self.cols.text,
         };
         let t = Instant::now();
@@ -1027,13 +1007,13 @@ fn topk_stage(
             .iter()
             .map(|&g| (groups[g][0], groups[g][groups[g].len() - 1] + 1))
             .collect();
-        let prefetched = stats.prefetch_spans(ds, &cols.sort, &ranges)?;
+        let prefetched = stats.prefetch(|| ds.prefetch_spans(&cols.sort, &ranges))?;
         stats
             .chunks_scanned
             .fetch_add(task.len() as u64, Ordering::Relaxed);
         let ctx = EvalCtx {
             ds,
-            pinned: Some(&prefetched),
+            pinned: &prefetched,
             text: &cols.text,
         };
         let t = Instant::now();
@@ -1171,7 +1151,8 @@ fn parallel_eval(
 }
 
 /// Evaluate a key expression for each row in `rows` (parallel, preserving
-/// order), prefetching the plan's sort columns once per row block.
+/// order): one [`run_tasks`] task per block of 64 rows, each prefetching
+/// the plan's sort columns for its block in one batched call.
 fn eval_keys(
     ds: &Dataset,
     rows: &[u64],
@@ -1180,49 +1161,26 @@ fn eval_keys(
     cols: &Columns,
     stats: &StatsAcc,
 ) -> Result<Vec<Scalar>> {
-    let out: Vec<Mutex<Scalar>> = rows.iter().map(|_| Mutex::new(Scalar::Null)).collect();
-    let error: Mutex<Option<TqlError>> = Mutex::new(None);
-    let next = AtomicUsize::new(0);
     const STRIDE: usize = 64;
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|_| loop {
-                let start = next.fetch_add(STRIDE, Ordering::Relaxed);
-                if start >= rows.len() || error.lock().is_some() {
-                    break;
-                }
-                let end = (start + STRIDE).min(rows.len());
-                let prefetched = match stats.prefetch(ds, &cols.sort, &rows[start..end]) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        *error.lock() = Some(e.into());
-                        return;
-                    }
-                };
-                let ctx = EvalCtx {
-                    ds,
-                    pinned: Some(&prefetched),
-                    text: &cols.text,
-                };
-                let t = Instant::now();
-                for i in start..end {
-                    match eval_in(&ctx, key, rows[i]) {
-                        Ok(v) => *out[i].lock() = v.to_scalar(),
-                        Err(e) => {
-                            *error.lock() = Some(e);
-                            return;
-                        }
-                    }
-                }
-                StatsAcc::lap(&stats.decode_ns, t);
-            });
+    let blocks: Vec<&[u64]> = rows.chunks(STRIDE).collect();
+    let out: Vec<Mutex<Vec<Scalar>>> = blocks.iter().map(|_| Mutex::new(Vec::new())).collect();
+    run_tasks(workers, blocks.len(), |b| {
+        let prefetched = stats.prefetch(|| ds.prefetch_chunks(&cols.sort, blocks[b]))?;
+        let ctx = EvalCtx {
+            ds,
+            pinned: &prefetched,
+            text: &cols.text,
+        };
+        let t = Instant::now();
+        let mut keys = Vec::with_capacity(blocks[b].len());
+        for &row in blocks[b] {
+            keys.push(eval_in(&ctx, key, row)?.to_scalar());
         }
-    })
-    .map_err(|_| TqlError::Type("query worker panicked".into()))?;
-    if let Some(e) = error.into_inner() {
-        return Err(e);
-    }
-    Ok(out.into_iter().map(|m| m.into_inner()).collect())
+        StatsAcc::lap(&stats.decode_ns, t);
+        *out[b].lock() = keys;
+        Ok(())
+    })?;
+    Ok(out.into_iter().flat_map(|m| m.into_inner()).collect())
 }
 
 /// Evaluate an expression for one dataset row.
@@ -1232,7 +1190,7 @@ pub fn eval(expr: &Expr, ds: &Dataset, row: u64) -> Result<Value> {
     text.retain(|c| is_text(ds, c));
     let ctx = EvalCtx {
         ds,
-        pinned: None,
+        pinned: &PrefetchedChunks::default(),
         text: &text,
     };
     eval_in(&ctx, expr, row)

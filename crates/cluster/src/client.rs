@@ -10,25 +10,31 @@
 //! lookup. The mount implements [`StorageProvider`], so datasets, TQL
 //! offload and loaders run against a cluster *unchanged*.
 //!
-//! Routing policy, per operation:
+//! Routing policy. One fact drives every decision: *did the node
+//! answer?* [`RemoteProvider::call`] returns it as a type — `Err` when
+//! the node did not answer (dial or transport failure, `Busy` after the
+//! remote client's own bounded retries), `Ok` with the decoded answer
+//! otherwise, an answered error included. No decision reads an error's
+//! text. Queries, placement lookups, metric scrapes and health probes
+//! act only on "did not answer": an answered error (an unknown column,
+//! a `NotFound`, a protocol refusal) is the node's verdict, and every
+//! replica would repeat it. Storage ops also fail over when a replica's
+//! own store answers `Io` or `Busy`: that is the replica failing, not
+//! the data.
 //!
-//! * **Reads** rotate round-robin over the replica set (spreading load),
-//!   and on a *transport* error — connection refused, mid-stream drop,
-//!   `Busy` after the remote client's own bounded retries — move to the
-//!   next replica. Reads are pure and idempotent, so retrying elsewhere
-//!   is always safe. Only when every replica fails does the mount
-//!   refresh its placement (the map may have changed under it) and try
-//!   one more round; *semantic* errors (`NotFound`, range errors) are
-//!   returned immediately — another replica holds the same bytes and
-//!   would say the same thing.
+//! * **Reads** rotate round-robin over the replica set (spreading load)
+//!   and move to the next replica on such a failure. Reads are pure and
+//!   idempotent, so retrying elsewhere is always safe. Only when every
+//!   replica fails does the mount refresh its placement (the map may
+//!   have changed under it) and try one more round.
 //! * **Writes** go to **all** R replicas. At least one ack is required;
 //!   replicas that failed are dropped from this mount's read rotation
 //!   (read-your-writes: a subsequent read can only land on a replica
 //!   that took the write) until the next placement refresh, when the
 //!   map's view — and, in a full system, re-replication — takes over.
-//! * **Queries** ship TQL text to one owning replica and fail over like
-//!   reads; each node's version-pinned result cache makes repeated hot
-//!   queries a frame copy.
+//! * **Queries** ship TQL text to one owning replica through the same
+//!   read loop; each node's version-pinned result cache makes repeated
+//!   hot queries a frame copy.
 //!
 //! The epoch rides along so stale placements are detected instead of
 //! trusted: any refresh answering with a newer epoch replaces the
@@ -43,6 +49,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use deeplake_obs::{Counter, MetricsRegistry, MetricsSnapshot, SpanRecord};
+use deeplake_remote::proto::{self, Request};
 use deeplake_remote::{RemoteOptions, RemoteProvider};
 use deeplake_storage::{ReadPlan, ReadResult, StorageError, StorageProvider};
 use deeplake_tql::{QueryOptions, QueryResult, TqlError};
@@ -64,25 +71,12 @@ pub struct ClusterClientOptions {
 /// refreshes.
 const REFRESH_ROUNDS: usize = 1;
 
-/// `Io` and `Busy` mean the *node* failed, not the request — another
-/// replica can serve it. Everything else is a property of the data and
-/// will be identical on every replica.
+/// A storage op's flattened result: `Io` and `Busy` mean the *node*
+/// failed (it did not answer, or its own store did), not the request —
+/// another replica can serve it. Everything else is a property of the
+/// data and will be identical on every replica.
 fn is_transport(e: &StorageError) -> bool {
     matches!(e, StorageError::Io(_) | StorageError::Busy(_))
-}
-
-/// The TQL equivalent: [`RemoteProvider::query`] folds transport
-/// failures into [`TqlError::Remote`] with messages naming the
-/// transport ("remote transport", "remote dial", "busy"); genuine query
-/// errors (parse, unknown column) come back verbatim and fail over
-/// nowhere.
-fn tql_is_transport(e: &TqlError) -> bool {
-    match e {
-        TqlError::Remote(msg) => {
-            msg.contains("remote transport") || msg.contains("remote dial") || msg.contains("busy")
-        }
-        _ => false,
-    }
 }
 
 /// Connection cache + seed list shared by every mount of one client.
@@ -127,34 +121,42 @@ impl Shared {
             .remove(&(addr.to_string(), dataset.to_string()));
     }
 
+    /// One exchange on `addr`'s control connection. The outer `Err`
+    /// means the node did not answer; its connection is forgotten so
+    /// the next use re-dials — unless it said `Busy`: a node pushing
+    /// back is alive and its socket is fine.
+    fn ask<T>(
+        &self,
+        addr: &str,
+        request: &Request,
+        decode: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, StorageError> {
+        let answer = self.conn(addr, "").and_then(|c| c.call(request, decode));
+        if matches!(answer, Err(ref e) if !matches!(e, StorageError::Busy(_))) {
+            self.drop_conn(addr, "");
+        }
+        answer
+    }
+
     /// Ask the seeds where `dataset` lives; the highest-epoch answer
     /// wins (a seed that has not heard about a death yet answers with a
-    /// lower epoch and is outvoted). Transport-dead seeds are skipped;
-    /// a semantic answer (`NotFound`) is returned only when no seed
-    /// gave a placement.
+    /// lower epoch and is outvoted). Seeds that did not answer are
+    /// skipped; an answered refusal (`NotFound`, a non-cluster hub) is
+    /// returned only when no seed gave a placement.
     fn where_is_any(&self, dataset: &str) -> Result<(u64, Vec<String>), StorageError> {
         let mut best: Option<(u64, Vec<String>)> = None;
         let mut last_err: Option<StorageError> = None;
+        let request = Request::WhereIs {
+            dataset: dataset.to_string(),
+        };
         for addr in &self.seeds {
-            let conn = match self.conn(addr, "") {
-                Ok(conn) => conn,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
-            match conn.where_is(dataset) {
-                Ok((epoch, replicas)) => {
+            match self.ask(addr, &request, proto::expect_placement) {
+                Ok(Ok((epoch, replicas))) => {
                     if best.as_ref().is_none_or(|(e, _)| epoch > *e) {
                         best = Some((epoch, replicas));
                     }
                 }
-                Err(e) => {
-                    if is_transport(&e) {
-                        self.drop_conn(addr, "");
-                    }
-                    last_err = Some(e);
-                }
+                Ok(Err(e)) | Err(e) => last_err = Some(e),
             }
         }
         best.ok_or_else(|| {
@@ -223,11 +225,10 @@ impl ClusterClient {
     /// Start the background health prober: every `interval` it sends
     /// `Health` to each registered address (dead ones included, so
     /// recovery is observed too) and flips the attached map's liveness
-    /// from what it sees. Only a *transport* failure — after one
-    /// drop-and-redial retry to rule out a stale pooled connection —
-    /// counts as death; `Busy` push-back and the lossless "unknown
-    /// opcode" protocol error from a pre-health hub both mean alive.
-    /// Decisions surface in [`metrics`](ClusterClient::metrics) under
+    /// from what it sees. Any answer means alive, and so does `Busy`
+    /// push-back; a node that did not answer — twice, with a
+    /// drop-and-redial between to rule out a stale pooled connection —
+    /// is dead. Decisions surface in [`metrics`](ClusterClient::metrics) under
     /// `cluster.probe.*`. Returns `false` when no map is attached or a
     /// prober is already running.
     pub fn start_prober(&self, interval: Duration) -> bool {
@@ -269,8 +270,8 @@ impl ClusterClient {
     /// every node's slow queries and flight events on one timeline,
     /// plus the per-node snapshots for breakdowns. Nodes the attached
     /// map knows (or the seed list, when no map is attached) are
-    /// scraped; transport-dead ones are skipped. Errs only when no
-    /// node answered.
+    /// scraped; nodes that do not answer are skipped. Errs only when no
+    /// node answered with a snapshot.
     pub fn cluster_metrics(&self) -> Result<ClusterMetrics, StorageError> {
         let addrs: Vec<String> = match self.shared.map.lock().clone() {
             Some(map) => map.read().live_addrs(),
@@ -282,19 +283,13 @@ impl ClusterClient {
         for addr in addrs {
             match self
                 .shared
-                .conn(&addr, "")
-                .and_then(|conn| conn.hub_metrics())
+                .ask(&addr, &Request::Metrics, proto::expect_metrics)
             {
-                Ok(snap) => {
+                Ok(Ok(snap)) => {
                     merged.merge(&snap);
                     per_node.push((addr, snap));
                 }
-                Err(e) => {
-                    if is_transport(&e) {
-                        self.shared.drop_conn(&addr, "");
-                    }
-                    last_err = Some(e);
-                }
+                Ok(Err(e)) | Err(e) => last_err = Some(e),
             }
         }
         if per_node.is_empty() {
@@ -345,14 +340,13 @@ impl ClusterClient {
         for addr in &self.shared.seeds {
             match self
                 .shared
-                .conn(addr, "")
-                .and_then(|conn| conn.list_datasets())
+                .ask(addr, &Request::ListDatasets, proto::expect_list)
             {
-                Ok(shard) => {
+                Ok(Ok(shard)) => {
                     reachable = true;
                     names.extend(shard);
                 }
-                Err(e) => last_err = Some(e),
+                Ok(Err(e)) | Err(e) => last_err = Some(e),
             }
         }
         if reachable {
@@ -427,35 +421,17 @@ fn prober_loop(
 }
 
 /// One liveness decision for `addr`: `true` when the node answered
-/// anything at all — a `Health` report, `Busy` push-back, or a pre-
-/// health hub's lossless "unknown opcode" protocol error. A transport
-/// failure gets one drop-and-redial retry (the pooled connection may
-/// simply be stale); failing both dials is death.
+/// `Health` at all — whatever the answer says — or pushed back with
+/// `Busy`. Not answering gets one retry on a fresh dial ([`Shared::ask`]
+/// dropped the pooled connection, which may simply be stale); not
+/// answering twice is death.
 fn probe_once(shared: &Shared, addr: &str) -> bool {
-    for _attempt in 0..2 {
-        match shared
-            .conn(addr, "")
-            .and_then(|conn| conn.hub_health().map(|_| ()))
-        {
-            Ok(()) => return true,
-            Err(e) if probe_fatal(&e) => shared.drop_conn(addr, ""),
-            Err(_) => return true,
-        }
-    }
-    false
-}
-
-/// Whether a probe error means the *node* is gone. Protocol errors are
-/// prefixed `remote protocol:` by the remote layer — an old hub
-/// rejecting the `Health` opcode is alive; everything else `Io`-shaped
-/// on a probe is transport (`remote transport`, `remote dial`,
-/// `cluster dial`). `Busy` is a live node pushing back.
-fn probe_fatal(e: &StorageError) -> bool {
-    match e {
-        StorageError::Busy(_) => false,
-        StorageError::Io(msg) => !msg.contains("remote protocol"),
-        _ => false,
-    }
+    (0..2).any(|_| {
+        matches!(
+            shared.ask(addr, &Request::Health, |_| ()),
+            Ok(()) | Err(StorageError::Busy(_))
+        )
+    })
 }
 
 /// The fleet view [`ClusterClient::cluster_metrics`] returns: one
@@ -546,7 +522,8 @@ impl ClusterMount {
         (p.epoch, p.replicas.clone())
     }
 
-    /// Requests that moved to another replica after a transport error.
+    /// Requests that moved to another replica because one did not
+    /// answer (or, for a storage op, its store failed).
     pub fn failovers(&self) -> u64 {
         self.failovers.get()
     }
@@ -582,42 +559,21 @@ impl ClusterMount {
         text: &str,
         options: &QueryOptions,
     ) -> deeplake_tql::Result<QueryResult> {
-        let mut last_err: Option<TqlError> = None;
-        for round in 0..=REFRESH_ROUNDS {
-            if round > 0 && self.refresh().is_err() {
-                break;
-            }
-            let replicas = self.placement.lock().replicas.clone();
-            let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-            for offset in 0..replicas.len() {
-                let addr = &replicas[(start + offset) % replicas.len()];
-                let conn = match self.shared.conn(addr, &self.dataset) {
-                    Ok(conn) => conn,
-                    Err(e) => {
-                        self.failovers.inc();
-                        last_err = Some(TqlError::Remote(e.to_string()));
-                        continue;
-                    }
-                };
-                match conn.query_at(reference, text, options) {
-                    Ok(result) => return Ok(result),
-                    Err(e) if tql_is_transport(&e) => {
-                        self.shared.drop_conn(addr, &self.dataset);
-                        self.failovers.inc();
-                        last_err = Some(e);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            TqlError::Remote(format!("dataset '{}': no live replica", self.dataset))
-        }))
+        let request = Request::Query {
+            reference: reference.to_string(),
+            text: text.to_string(),
+            options: *options,
+        };
+        // an answered query — result or error — ends the loop; only a
+        // replica that did not answer is failed over
+        self.with_read(&|conn| conn.call(&request, proto::expect_query))
+            .map_err(|e| TqlError::Remote(e.to_string()))?
     }
 
-    /// Read routing: round-robin over the replica set, failover on
-    /// transport errors, one placement-refresh round when the whole set
-    /// fails, semantic errors immediate.
+    /// Read routing: round-robin over the replica set, failover when a
+    /// replica did not answer or its store failed ([`is_transport`]),
+    /// one placement-refresh round when the whole set fails, every other
+    /// error immediate.
     fn with_read<T>(
         &self,
         op: &dyn Fn(&RemoteProvider) -> Result<T, StorageError>,

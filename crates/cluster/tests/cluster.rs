@@ -2,7 +2,7 @@
 //! routing client, real kills.
 
 use std::io::Write as _;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -437,6 +437,124 @@ fn query_seed(name: &str) -> DynProvider {
     }
     ds.flush().unwrap();
     seed
+}
+
+/// A query a replica answered with an error is that replica's verdict,
+/// and every replica would repeat it: it runs once and never fails
+/// over — even when the error's text says `busy`. Routing on the text
+/// ran this query 4 times, with 4 failovers and a placement refresh.
+#[test]
+fn answered_query_error_runs_once_and_never_fails_over() {
+    use deeplake_tql::QueryOptions;
+
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .replication(2)
+        .dataset_from("answers", query_seed("answers"))
+        .build()
+        .unwrap();
+    let mount = cluster.client().unwrap().open("answers").unwrap();
+    let executed = || -> u64 {
+        (0..3)
+            .filter_map(|index| cluster.hub(index))
+            .map(|hub| hub.stats().queries())
+            .sum()
+    };
+    let before = executed();
+    let err = mount
+        .query(
+            "SELECT * FROM answers WHERE busy = 1",
+            &QueryOptions::default(),
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("unknown column: busy"), "{err}");
+    assert_eq!(
+        (mount.failovers(), mount.refreshes(), executed() - before),
+        (0, 0, 1),
+        "(failovers, refreshes, executions)"
+    );
+}
+
+/// A listener on 127.0.0.1 that hands every accepted connection to
+/// `serve` on its own thread; returns its address.
+fn fake_node(serve: fn(TcpStream)) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            std::thread::spawn(move || serve(stream));
+        }
+    });
+    addr
+}
+
+/// Run `client`'s prober until every registered node was probed
+/// `rounds` times, then stop it (stopping joins the last probe).
+fn probe_rounds(cluster: &Cluster, client: &ClusterClient, rounds: u64) {
+    use std::time::{Duration, Instant};
+
+    let probes = rounds * cluster.addrs().len() as u64;
+    assert!(client.start_prober(Duration::from_millis(20)));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client
+        .metrics()
+        .counter("cluster.probe.probes")
+        .unwrap_or(0)
+        < probes
+    {
+        assert!(Instant::now() < deadline, "prober stalled");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    client.stop_prober();
+}
+
+/// A node that completes the handshake and then refuses every request
+/// with a protocol error is *answering*: the prober keeps it live.
+#[test]
+fn prober_keeps_a_refusing_node_live() {
+    let refuser = fake_node(|mut stream| {
+        // the untagged handshake, answered as a hub does: Hello, Pipeline
+        for answer in [
+            proto::hello_response(proto::PROTO_VERSION),
+            proto::resp_unit(),
+        ] {
+            if proto::read_frame(&mut stream).ok().flatten().is_none() {
+                return;
+            }
+            let _ = proto::write_frame(&mut stream, &answer);
+        }
+        while let Ok(Some(frame)) = proto::read_frame(&mut stream) {
+            let (id, _) = proto::split_tagged(&frame).expect("a tagged request");
+            let refusal = proto::resp_proto_err("refused");
+            let _ = proto::write_tagged_frame(&mut stream, id, &refusal);
+        }
+    });
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .external_node(&refuser)
+        .build()
+        .unwrap();
+    let client = cluster.client().unwrap();
+    probe_rounds(&cluster, &client, 3);
+    assert_eq!(client.metrics().counter("cluster.probe.deaths"), Some(0));
+    assert!(cluster.map().read().live_addrs().contains(&refuser));
+}
+
+/// A node that accepts and hangs up never answers: the prober declares
+/// it dead.
+#[test]
+fn prober_declares_a_hanging_up_node_dead() {
+    let closer = fake_node(drop);
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .external_node(&closer)
+        .build()
+        .unwrap();
+    let client = cluster.client().unwrap();
+    probe_rounds(&cluster, &client, 2);
+    assert_eq!(client.metrics().counter("cluster.probe.deaths"), Some(1));
+    assert!(!cluster.map().read().live_addrs().contains(&closer));
 }
 
 /// The fleet-observability acceptance scenario, end to end:

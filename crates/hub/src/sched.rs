@@ -72,8 +72,8 @@ pub(crate) struct Scheduler {
     queue_depth: usize,
     max_inflight_per_conn: usize,
     /// Data-path requests queued or executing across every connection —
-    /// the fleet prober reads this through `Health` to tell a loaded
-    /// node from an idle one.
+    /// `Health` reports it so a dashboard (`dltop`) can tell a loaded
+    /// node from an idle one; the fleet prober only needs an answer.
     in_flight: InFlight,
     /// Workers exit once the queue is empty (set after intake stopped).
     drain: AtomicBool,

@@ -38,10 +38,8 @@ fn take_events(r: &mut WireReader<'_>) -> Result<Vec<FlightEvent>, StorageError>
 /// `(name, value)` pairs, histograms as exact `count`/`sum`/`max` plus
 /// sparse non-empty buckets, the slow-query ring with each entry's
 /// span breakdown, then the windowed-rate and flight-event sections.
-/// The last two trail the frame so a response from a pre-rates hub —
-/// which simply ends after the slow queries — still decodes (see
-/// [`expect_metrics`]). Names travel sorted (the registry snapshots
-/// them sorted), so diffing two responses is line-by-line.
+/// Every section is required. Names travel sorted (the registry
+/// snapshots them sorted), so diffing two responses is line-by-line.
 pub fn resp_metrics(snap: &MetricsSnapshot) -> Vec<u8> {
     let mut out = vec![STATUS_OK];
     put_u32(&mut out, snap.counters.len() as u32);
@@ -136,10 +134,7 @@ pub fn resp_health(report: &HealthReport) -> Vec<u8> {
     out
 }
 
-/// Decode a `Health` response. A pre-health server answers the opcode
-/// itself with a lossless protocol error, which surfaces here as
-/// [`StorageError::Io`] — *not* as a transport failure — so probers can
-/// distinguish an old-but-alive node from a dead one.
+/// Decode a `Health` response.
 pub fn expect_health(payload: &[u8]) -> Result<HealthReport, StorageError> {
     let mut r = open_response(payload)?;
     let uptime_ms = r.u64().map_err(proto_err)?;
@@ -245,25 +240,19 @@ pub fn expect_metrics(payload: &[u8]) -> Result<MetricsSnapshot, StorageError> {
             spans,
         });
     }
-    // the rate and event sections are additive: a pre-rates hub's frame
-    // simply ends here, and the missing sections decode as empty — the
-    // mixed-version tolerance every other protocol extension has
-    let mut rates = Vec::new();
-    let mut events = Vec::new();
-    if r.remaining() > 0 {
-        let n = r.u32().map_err(proto_err)? as usize;
-        // a name header plus three u64 window totals
-        bounded_count(&r, n, 28, "rate")?;
-        for _ in 0..n {
-            let name = r.str().map_err(proto_err)?;
-            let mut counts = [0u64; 3];
-            for c in counts.iter_mut() {
-                *c = r.u64().map_err(proto_err)?;
-            }
-            rates.push((name, RateSnapshot { counts }));
+    let n = r.u32().map_err(proto_err)? as usize;
+    // a name header plus three u64 window totals
+    bounded_count(&r, n, 28, "rate")?;
+    let mut rates = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = r.str().map_err(proto_err)?;
+        let mut counts = [0u64; 3];
+        for c in counts.iter_mut() {
+            *c = r.u64().map_err(proto_err)?;
         }
-        events = take_events(&mut r)?;
+        rates.push((name, RateSnapshot { counts }));
     }
+    let events = take_events(&mut r)?;
     r.finish().map_err(proto_err)?;
     Ok(MetricsSnapshot {
         counters,

@@ -58,10 +58,11 @@
 //! [`expect_metrics`]); [`Request::Health`] is its lightweight
 //! liveness sibling, answering a [`HealthReport`] (uptime, load,
 //! mounts, capabilities, recent flight events) that health probers
-//! poll without dragging full histograms over the wire. Both opcodes
-//! are additive: a pre-health hub answers `Health` with a lossless
-//! "unknown opcode" protocol error, which a prober reads as
-//! *alive-but-old* — only transport failures mean dead.
+//! poll without dragging full histograms over the wire. The
+//! [`Request::Hello`] handshake is the only compatibility check: a
+//! connection exists only after both ends agreed on [`PROTO_VERSION`],
+//! so every section of both answers is required, and no decoder
+//! tolerates an older layout.
 
 use bytes::Bytes;
 use deeplake_obs::{

@@ -168,10 +168,7 @@ pub enum Request {
     /// capabilities and the recent flight-recorder tail — without the
     /// full instrument dump `Metrics` carries. A control op like
     /// `Metrics`, answered inline even when the worker queue is full,
-    /// so a prober can tell *overloaded* from *dead*. Additive under an
-    /// unchanged [`PROTO_VERSION`]: a pre-health server rejects the
-    /// opcode with a lossless protocol error, which probers must treat
-    /// as alive.
+    /// so a prober can tell *overloaded* from *dead*.
     Health,
 }
 

@@ -190,25 +190,9 @@ fn metrics_snapshots_roundtrip() {
     assert!(empty.counters.is_empty() && empty.slow_queries.is_empty());
     assert!(empty.rates.is_empty() && empty.events.is_empty());
 
-    // a pre-rates hub's frame ends right after the slow queries;
-    // the missing sections decode as empty (mixed-version clusters)
-    let legacy_len = resp_metrics(&MetricsSnapshot {
-        rates: Vec::new(),
-        events: Vec::new(),
-        ..snap.clone()
-    })
-    .len()
-        - 8; // minus the two empty section counts a new hub writes
-    let legacy = expect_metrics(&wire[..legacy_len]).unwrap();
-    assert_eq!(legacy.slow_queries, snap.slow_queries);
-    assert!(legacy.rates.is_empty() && legacy.events.is_empty());
-
-    // truncation errors cleanly at every other cut, lying counts
-    // rejected
+    // every section is required: every truncation is refused (a frame
+    // that ends after the slow queries included), lying counts rejected
     for cut in 0..wire.len() {
-        if cut == legacy_len {
-            continue; // the legacy boundary above — valid by design
-        }
         assert!(expect_metrics(&wire[..cut]).is_err(), "cut at {cut}");
     }
     let mut lying = vec![STATUS_OK];
@@ -264,8 +248,7 @@ fn health_reports_roundtrip() {
     }
     put_u32(&mut lying, u32::MAX);
     assert!(expect_health(&lying).is_err());
-    // a pre-health server's "unknown opcode" answer surfaces as a
-    // protocol error, not a transport failure — probers key on this
+    // an answered refusal decodes as a protocol error
     let err = expect_health(&resp_proto_err("unknown opcode 22")).unwrap_err();
     assert!(matches!(err, StorageError::Io(_)), "{err:?}");
 }

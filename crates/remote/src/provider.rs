@@ -309,18 +309,15 @@ impl RemoteProvider {
     /// the slow-query ring and the flight recorder — via the `Metrics`
     /// opcode.
     pub fn hub_metrics(&self) -> Result<MetricsSnapshot, StorageError> {
-        self.call(&Request::Metrics, proto::expect_metrics)
+        self.call(&Request::Metrics, proto::expect_metrics)?
     }
 
     /// Probe the server's health: uptime, load, mounted datasets,
     /// capabilities and the recent flight-event tail, via the `Health`
     /// opcode. The hub answers inline even when its worker queue is
-    /// full, so this distinguishes *overloaded* from *dead*. Against a
-    /// pre-health server the lossless "unknown opcode" protocol error
-    /// surfaces as [`StorageError::Io`] with the server's message —
-    /// still proof of life; only a transport failure means unreachable.
+    /// full, so this distinguishes *overloaded* from *dead*.
     pub fn hub_health(&self) -> Result<proto::HealthReport, StorageError> {
-        self.call(&Request::Health, proto::expect_health)
+        self.call(&Request::Health, proto::expect_health)?
     }
 
     /// Whether requests travel in the `Traced` envelope
@@ -357,20 +354,18 @@ impl RemoteProvider {
         text: &str,
         options: &QueryOptions,
     ) -> deeplake_tql::Result<QueryResult> {
-        let payload = proto::encode_request(&Request::Query {
+        let request = Request::Query {
             reference: reference.to_string(),
             text: text.to_string(),
             options: *options,
-        });
-        let resp = self
-            .round_trip(&payload)
-            .map_err(|e| deeplake_tql::TqlError::Remote(e.to_string()))?;
-        proto::expect_query(&resp)
+        };
+        self.call(&request, proto::expect_query)
+            .map_err(|e| deeplake_tql::TqlError::Remote(e.to_string()))?
     }
 
     /// The server's description of its mounted provider.
     pub fn server_describe(&self) -> Result<String, StorageError> {
-        self.call(&Request::Describe, proto::expect_str)
+        self.call(&Request::Describe, proto::expect_str)?
     }
 
     /// Attach this client to dataset `dataset` in the server's registry.
@@ -418,12 +413,12 @@ impl RemoteProvider {
     /// dataset a lossless [`StorageError::NotFound`].
     pub fn where_is(&self, dataset: &str) -> Result<(u64, Vec<String>), StorageError> {
         let dataset = dataset.to_string();
-        self.call(&Request::WhereIs { dataset }, proto::expect_placement)
+        self.call(&Request::WhereIs { dataset }, proto::expect_placement)?
     }
 
     /// Sorted names of every dataset the server has mounted.
     pub fn list_datasets(&self) -> Result<Vec<String>, StorageError> {
-        self.call(&Request::ListDatasets, proto::expect_list)
+        self.call(&Request::ListDatasets, proto::expect_list)?
     }
 
     /// Register a dataset namespace on the server (a `PrefixProvider`
@@ -431,14 +426,14 @@ impl RemoteProvider {
     /// addressable via [`RemoteProvider::attach`].
     pub fn remote_mount(&self, dataset: &str) -> Result<(), StorageError> {
         let dataset = dataset.to_string();
-        self.call(&Request::Mount { dataset }, proto::expect_unit)
+        self.call(&Request::Mount { dataset }, proto::expect_unit)?
     }
 
     /// Remove a dataset from the server's registry. Storage is left
     /// untouched; attached clients start seeing errors.
     pub fn remote_unmount(&self, dataset: &str) -> Result<(), StorageError> {
         let dataset = dataset.to_string();
-        self.call(&Request::Unmount { dataset }, proto::expect_unit)
+        self.call(&Request::Unmount { dataset }, proto::expect_unit)?
     }
 
     /// One attach exchange on a socket still in untagged (handshake)
@@ -572,14 +567,23 @@ impl RemoteProvider {
         self.pool_cv.notify_all();
     }
 
-    /// One typed exchange: encode `request`, round-trip it, read the
-    /// response back through `decode`.
-    fn call<T>(
+    /// The one exchange every request of this client goes through:
+    /// encode `request`, round-trip it, read the answer through `decode`.
+    ///
+    /// `Err` if and only if the node did not answer: the dial failed,
+    /// the transport failed ([`StorageError::Io`]), or the node was
+    /// still refusing with `Busy` after [`RemoteOptions::busy_retries`]
+    /// ([`StorageError::Busy`]). Another replica may serve the request.
+    /// `Ok` is whatever `decode` made of an answer — an answered error
+    /// (`NotFound`, a query error, a protocol refusal) included, which
+    /// every replica would repeat. Routing decisions read this type,
+    /// never an error's text.
+    pub fn call<T>(
         &self,
         request: &Request,
-        decode: impl FnOnce(&[u8]) -> Result<T, StorageError>,
+        decode: impl FnOnce(&[u8]) -> T,
     ) -> Result<T, StorageError> {
-        decode(&self.round_trip(&proto::encode_request(request))?)
+        Ok(decode(&self.round_trip(&proto::encode_request(request))?))
     }
 
     /// One exchange with automatic, bounded retry of `Busy` rejections.
@@ -587,9 +591,8 @@ impl RemoteProvider {
     /// response slot was answered from the reader stage), so resending
     /// is always safe — the retry is a fresh exchange under a fresh
     /// correlation id; attempt `n` backs off `n × busy_backoff` first.
-    /// When retries are exhausted the [`StorageError::Busy`] surfaces
-    /// through the response decoders so callers can apply their own
-    /// policy.
+    /// When retries are exhausted the `Busy` is returned as
+    /// [`StorageError::Busy`]: the node did not answer the request.
     fn round_trip(&self, payload: &[u8]) -> Result<Response, StorageError> {
         // one trace per logical request; each attempt (Busy retries
         // included) sends its own span id, so the server-side span tree
@@ -619,15 +622,17 @@ impl RemoteProvider {
             let timer = SpanTimer::start();
             let resp = self.round_trip_once(&wire)?;
             timer.record(&self.round_trip_ns);
-            if resp.first() == Some(&proto::STATUS_BUSY) && attempt < self.opts.busy_retries {
-                attempt += 1;
-                let backoff = self.opts.busy_backoff.saturating_mul(attempt as u32);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                continue;
+            if resp.first() != Some(&proto::STATUS_BUSY) {
+                return Ok(resp);
             }
-            return Ok(resp);
+            if attempt == self.opts.busy_retries {
+                return Err(proto::expect_unit(&resp).expect_err("a Busy frame is an error"));
+            }
+            attempt += 1;
+            let backoff = self.opts.busy_backoff.saturating_mul(attempt as u32);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
+            }
         }
     }
 
@@ -712,37 +717,37 @@ fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
 impl StorageProvider for RemoteProvider {
     fn get(&self, key: &str) -> Result<Bytes, StorageError> {
         let key = key.to_string();
-        self.call(&Request::Get { key }, proto::expect_bytes)
+        self.call(&Request::Get { key }, proto::expect_bytes)?
     }
 
     fn get_range(&self, key: &str, start: u64, end: u64) -> Result<Bytes, StorageError> {
         let key = key.to_string();
-        self.call(&Request::GetRange { key, start, end }, proto::expect_bytes)
+        self.call(&Request::GetRange { key, start, end }, proto::expect_bytes)?
     }
 
     fn put(&self, key: &str, value: Bytes) -> Result<(), StorageError> {
         let key = key.to_string();
-        self.call(&Request::Put { key, value }, proto::expect_unit)
+        self.call(&Request::Put { key, value }, proto::expect_unit)?
     }
 
     fn delete(&self, key: &str) -> Result<(), StorageError> {
         let key = key.to_string();
-        self.call(&Request::Delete { key }, proto::expect_unit)
+        self.call(&Request::Delete { key }, proto::expect_unit)?
     }
 
     fn exists(&self, key: &str) -> Result<bool, StorageError> {
         let key = key.to_string();
-        self.call(&Request::Exists { key }, proto::expect_bool)
+        self.call(&Request::Exists { key }, proto::expect_bool)?
     }
 
     fn len_of(&self, key: &str) -> Result<u64, StorageError> {
         let key = key.to_string();
-        self.call(&Request::LenOf { key }, proto::expect_u64)
+        self.call(&Request::LenOf { key }, proto::expect_u64)?
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
         let prefix = prefix.to_string();
-        self.call(&Request::List { prefix }, proto::expect_list)
+        self.call(&Request::List { prefix }, proto::expect_list)?
     }
 
     fn describe(&self) -> String {
@@ -759,8 +764,8 @@ impl StorageProvider for RemoteProvider {
             requests: plan.requests().to_vec(),
         };
         match self.call(&request, |resp| proto::expect_execute(resp, plan.len())) {
-            Ok((results, fetches)) => ReadResult { results, fetches },
-            Err(e) => ReadResult {
+            Ok(Ok((results, fetches))) => ReadResult { results, fetches },
+            Ok(Err(e)) | Err(e) => ReadResult {
                 results: plan.requests().iter().map(|_| Err(e.clone())).collect(),
                 fetches: 0,
             },
@@ -770,6 +775,6 @@ impl StorageProvider for RemoteProvider {
     /// One `DeletePrefix` frame; the server lists and deletes locally.
     fn delete_prefix(&self, prefix: &str) -> Result<(), StorageError> {
         let prefix = prefix.to_string();
-        self.call(&Request::DeletePrefix { prefix }, proto::expect_unit)
+        self.call(&Request::DeletePrefix { prefix }, proto::expect_unit)?
     }
 }

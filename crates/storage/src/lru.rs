@@ -115,15 +115,18 @@ impl<P: StorageProvider> LruCacheProvider<P> {
     fn insert_many(&self, batch: Vec<(String, Bytes)>) {
         let mut st = self.state.lock();
         for (key, data) in batch {
+            // the key's previous value goes even when the new one is not
+            // cached: it is stale either way
+            if let Some((old, _)) = st.entries.remove(&key) {
+                st.bytes -= old.len() as u64;
+            }
             let size = data.len() as u64;
             if size > self.capacity {
                 continue; // never cache objects bigger than the whole budget
             }
             st.tick += 1;
             let tick = st.tick;
-            if let Some((old, _)) = st.entries.insert(key, (data, tick)) {
-                st.bytes -= old.len() as u64;
-            }
+            st.entries.insert(key, (data, tick));
             st.bytes += size;
         }
         while st.bytes > self.capacity {
@@ -628,6 +631,15 @@ mod tests {
         cache.put("k", Bytes::from_static(b"new")).unwrap();
         assert_eq!(cache.get("k").unwrap(), Bytes::from_static(b"new"));
         assert_eq!(cache.cached_bytes(), 3);
+    }
+
+    #[test]
+    fn oversized_overwrite_drops_the_stale_entry() {
+        let cache = LruCacheProvider::new(MemoryProvider::new(), 100);
+        cache.put("k", Bytes::from(vec![1u8; 10])).unwrap();
+        cache.put("k", Bytes::from(vec![2u8; 1000])).unwrap();
+        assert_eq!(cache.get("k").unwrap(), Bytes::from(vec![2u8; 1000]));
+        assert_eq!(cache.cached_bytes(), 0);
     }
 
     #[test]

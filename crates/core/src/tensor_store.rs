@@ -705,11 +705,10 @@ impl TensorStore {
     /// Absolute storage key of a chunk, resolved through the version
     /// chain's chunk sets.
     fn resolve_chunk_key(&self, chunk_id: u64) -> Option<String> {
-        let key = chunk_key(chunk_id);
         self.chain
             .iter()
             .find(|dir| dir.chunk_set.contains(&chunk_id))
-            .map(|dir| dir.provider.absolute(&key))
+            .map(|dir| chunk_key_under(dir.provider.prefix(), chunk_id))
     }
 
     /// Parse fetched chunk bytes into the memo so subsequent
@@ -886,8 +885,25 @@ impl TensorStore {
     }
 }
 
+/// A chunk's key inside its version directory.
 fn chunk_key(id: u64) -> String {
-    format!("chunks/{id:016x}")
+    chunk_key_under("", id)
+}
+
+/// `{prefix}chunks/{id:016x}`, written once into a `String` sized for it:
+/// the key a batched read names per missing chunk.
+fn chunk_key_under(prefix: &str, id: u64) -> String {
+    const DIR: &str = "chunks/";
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut key = String::with_capacity(prefix.len() + DIR.len() + 16);
+    key.push_str(prefix);
+    key.push_str(DIR);
+    key.extend(
+        (0..16)
+            .rev()
+            .map(|nibble| char::from(HEX[(id >> (4 * nibble)) as usize & 0xf])),
+    );
+    key
 }
 
 /// The memo's one lookup.
@@ -916,6 +932,18 @@ mod tests {
 
     fn sample(n: usize, fill: u8) -> Sample {
         Sample::from_slice([n as u64], &vec![fill; n]).unwrap()
+    }
+
+    #[test]
+    fn chunk_keys_are_the_formatted_ones() {
+        for id in [0, 1, 0xa, 0xdead_beef, 1 << 63, u64::MAX] {
+            assert_eq!(chunk_key(id), format!("chunks/{id:016x}"));
+            let dir = head();
+            assert_eq!(
+                chunk_key_under(dir.prefix(), id),
+                dir.absolute(&format!("chunks/{id:016x}"))
+            );
+        }
     }
 
     #[test]

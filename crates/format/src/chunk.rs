@@ -27,7 +27,10 @@
 //! [`Shape`] every record shares or, for ragged chunks, flat `dims` with
 //! per-record starts. [`Chunk::parse`] fills them in one walk over the
 //! directory, in a number of allocations that does not depend on the
-//! record count.
+//! record count. The walk reads the records shaped like the first — all
+//! of them, in a chunk of one shape — at an entry width fixed at compile
+//! time for ranks 0–3, and checks their summed stored lengths against
+//! `u32` once, at the end of that run, rather than per record.
 //!
 //! The payload of a *parsed* chunk is a window, not a copy: a [`Bytes`]
 //! slice of the blob handed to the parser (payload codec `None`), or the
@@ -248,6 +251,25 @@ impl Chunk {
         self.column(dim, dim != 0 && shapes_ok)
     }
 
+    /// Record `i` alone as a one-row [`vector_column`](Self::vector_column):
+    /// `Some` only when it exists, has shape `[dim]` and is one
+    /// uncompressed frame of exactly `dim` elements. O(1) — one directory
+    /// entry and one frame byte, whatever the other records hold.
+    pub fn vector_at(&self, i: usize, dim: usize) -> Option<ColumnView<'_>> {
+        let (start, end) = self.blob_range(i).ok()?;
+        let stride = dim.checked_mul(self.dtype.size())?.checked_add(1)?;
+        let blob = &self.payload.as_slice()[start..end];
+        let ok = dim != 0
+            && self.dims(i) == [dim as u64]
+            && blob.len() == stride
+            && Compression::raw_body(blob).is_some();
+        ok.then_some(ColumnView {
+            dtype: self.dtype,
+            stride,
+            payload: blob,
+        })
+    }
+
     /// A fixed-width view, when the directory shapes passed (`shapes_ok`,
     /// read off the tables the parse built) and every record is one
     /// uncompressed frame of `width` elements. The payload length is
@@ -352,6 +374,15 @@ impl Chunk {
 /// anything is reserved for it, and stored lengths are summed in `u64`,
 /// so nothing a blob claims can make this allocate beyond the blob's own
 /// size, overflow, or index out of bounds.
+///
+/// The walk is in two parts. The **uniform run** is the records from the
+/// first on that share its `[rank][dims]` bytes: every record of a chunk
+/// the builder sealed with one shape. It is read by [`uniform_run`], for
+/// ranks 0–3 at an entry width known at compile time: one fixed-size
+/// compare and one add per record. The run's total is checked against
+/// `u32` once, at its end. A prefix sum only grows, so that one check
+/// bounds every offset before it. The ragged rest, if any, is walked
+/// record by record, each offset checked as it is pushed.
 fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
     let n = le_u32(&data[7..HEADER_LEN]) as usize;
     // an entry is at least a stored length and a rank byte
@@ -360,12 +391,6 @@ fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
     }
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0);
-    let mut total = 0u64;
-    let mut push_len = |stored_len: &[u8]| -> Result<()> {
-        total += u64::from(le_u32(stored_len));
-        offsets.push(u32::try_from(total).map_err(|_| corrupt("directory total exceeds u32"))?);
-        Ok(())
-    };
     // `[rank][dims]` bytes of the first record (rank 0 for an empty
     // chunk). Records shaped like it are all `entry_len` bytes, so the
     // walk reads fixed-size entries for as long as they are.
@@ -377,14 +402,15 @@ fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
             .ok_or_else(|| corrupt("truncated shape"))?,
     };
     let entry_len = 4 + first.len();
-    let mut uniform = 0;
-    for entry in dir.chunks_exact(entry_len).take(n) {
-        if entry[4..] != *first {
-            break;
-        }
-        push_len(entry)?;
-        uniform += 1;
-    }
+    let (uniform, mut total) = match first.len() {
+        1 => uniform_run::<[u8; 1]>(dir, first, n, &mut offsets),
+        5 => uniform_run::<[u8; 5]>(dir, first, n, &mut offsets),
+        9 => uniform_run::<[u8; 9]>(dir, first, n, &mut offsets),
+        13 => uniform_run::<[u8; 13]>(dir, first, n, &mut offsets),
+        _ => uniform_run::<&[u8]>(dir, first, n, &mut offsets),
+    };
+    let exceeds = || corrupt("directory total exceeds u32");
+    u32::try_from(total).map_err(|_| exceeds())?;
     let mut pos = HEADER_LEN + uniform * entry_len;
     let shapes = if uniform == n {
         Shapes::Uniform(Shape::new(le_dims(&first[1..]).collect::<Vec<_>>()))
@@ -403,7 +429,8 @@ fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
             if data.len() < pos + 5 + 4 * rank {
                 return Err(corrupt("truncated shape"));
             }
-            push_len(entry)?;
+            total += u64::from(le_u32(entry));
+            offsets.push(u32::try_from(total).map_err(|_| exceeds())?);
             starts
                 .push(u32::try_from(pos + 4).map_err(|_| corrupt("sample directory exceeds u32"))?);
             dim_count += rank;
@@ -422,6 +449,35 @@ fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
     Ok((offsets, shapes, pos))
 }
 
+/// The uniform run of [`walk_directory`]: how many of the (at most `n`)
+/// `4 + first.len()`-byte entries at the start of `dir` carry exactly the
+/// `[rank][dims]` bytes `first`, compared as an `S` (a byte array of
+/// `first`'s length, or the slice itself past rank 3), and the `u64` sum
+/// of their stored lengths. Each prefix sum is pushed onto `offsets`
+/// truncated to `u32`: the caller's one check of the returned total is
+/// what makes them exact.
+fn uniform_run<'a, S>(
+    dir: &'a [u8],
+    first: &'a [u8],
+    n: usize,
+    offsets: &mut Vec<u32>,
+) -> (usize, u64)
+where
+    S: TryFrom<&'a [u8]> + PartialEq,
+{
+    let want = S::try_from(first).ok();
+    let (mut count, mut total) = (0, 0u64);
+    for entry in dir.chunks_exact(4 + first.len()).take(n) {
+        if S::try_from(&entry[4..]).ok() != want {
+            break;
+        }
+        total += u64::from(le_u32(entry));
+        offsets.push(total as u32);
+        count += 1;
+    }
+    (count, total)
+}
+
 fn corrupt(what: impl Into<String>) -> FormatError {
     FormatError::Corrupt(what.into())
 }
@@ -435,7 +491,8 @@ fn le_dims(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 }
 
 /// A chunk borrowed as a fixed-width column (see
-/// [`Chunk::scalar_column`] / [`Chunk::vector_column`]): every row is
+/// [`Chunk::scalar_column`] / [`Chunk::vector_column`], or one record of
+/// it through [`Chunk::vector_at`]): every row is
 /// one uncompressed frame of the same element count, so row `i` sits at
 /// a computed offset and decodes without touching the sample directory
 /// or allocating a [`Sample`].

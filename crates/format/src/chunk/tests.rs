@@ -366,20 +366,63 @@ fn vector_column_refuses_anything_but_uniform_rank_one() {
     assert!(c.vector_column(3).is_none());
 }
 
+#[test]
+fn vector_at_judges_only_the_record_it_is_asked_for() {
+    let mut c = Chunk::new(Dtype::F32);
+    let vector = |v: f32, n: u64| Sample::from_slice([n], &vec![v; n as usize]).unwrap();
+    c.append_sample(&vector(1.0, 3), Compression::None).unwrap();
+    c.append_sample(&vector(2.0, 2), Compression::None).unwrap(); // wrong length
+    c.append_sample(&vector(3.0, 3), Compression::Lz4).unwrap(); // sample-compressed
+    c.append_sample(&Sample::empty(Dtype::F32), Compression::None)
+        .unwrap();
+    c.append_sample(
+        &Sample::from_slice([1, 3], &[4f32; 3]).unwrap(), // right count, rank 2
+        Compression::None,
+    )
+    .unwrap();
+    c.append_sample(&vector(5.0, 3), Compression::None).unwrap();
+    let parsed = Chunk::parse(Bytes::from(c.serialize(Compression::Lz4))).unwrap();
+    for chunk in [&c, &parsed] {
+        // the chunk as a whole refuses; its two plain 3-vectors do not
+        assert!(chunk.vector_column(3).is_none());
+        let got: Vec<bool> = (0..7).map(|i| chunk.vector_at(i, 3).is_some()).collect();
+        assert_eq!(got, [true, false, false, false, false, true, false]);
+        for (i, want) in [(0, 1.0), (5, 5.0)] {
+            let mut out = Vec::new();
+            let view = chunk.vector_at(i, 3).unwrap();
+            assert_eq!(view.len(), 1);
+            view.decode_rows(0..1, &mut out);
+            assert_eq!(out, [want; 3]);
+        }
+        assert!(
+            chunk.vector_at(1, 2).is_some(),
+            "the short one at its own length"
+        );
+        assert!(chunk.vector_at(0, 0).is_none());
+        assert!(chunk.vector_at(0, usize::MAX).is_none(), "stride overflow");
+    }
+}
+
 /// Serialized F32 chunk with a hand-written directory: `records` are
 /// `(stored_len, dims)`, `payload` whatever follows.
 fn forged(records: &[(u32, &[u32])], payload: &[u8]) -> Vec<u8> {
+    forged_directory(records.len() as u32, records, payload)
+}
+
+/// [`forged`] under a claimed record count of `claimed`, whatever
+/// `records` holds.
+fn forged_directory<D: AsRef<[u32]>>(claimed: u32, records: &[(u32, D)], tail: &[u8]) -> Vec<u8> {
     let mut out = CHUNK_MAGIC.to_vec();
     out.extend_from_slice(&[CHUNK_VERSION, 0, dtype_tag(Dtype::F32)]);
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    out.extend_from_slice(&claimed.to_le_bytes());
     for (stored_len, dims) in records {
         out.extend_from_slice(&stored_len.to_le_bytes());
-        out.push(dims.len() as u8);
-        for d in *dims {
+        out.push(dims.as_ref().len() as u8);
+        for d in dims.as_ref() {
             out.extend_from_slice(&d.to_le_bytes());
         }
     }
-    out.extend_from_slice(payload);
+    out.extend_from_slice(tail);
     out
 }
 
@@ -528,6 +571,23 @@ mod reference {
             self.column(dim, |shape| shape.dims() == [dim as u64])
         }
 
+        /// Record `i` alone, as `vector_column` would judge a chunk
+        /// holding only it.
+        pub fn vector_at(&self, i: usize, dim: usize) -> Option<ColumnView<'_>> {
+            let record = self.records.get(i)?;
+            let stride = dim.checked_mul(self.dtype.size())?.checked_add(1)?;
+            let blob = self.blob(i).ok()?;
+            let ok = dim != 0
+                && record.shape.dims() == [dim as u64]
+                && record.stored_len as usize == stride
+                && Compression::raw_body(blob).is_some();
+            ok.then_some(ColumnView {
+                dtype: self.dtype,
+                stride,
+                payload: blob,
+            })
+        }
+
         fn column(
             &self,
             width: usize,
@@ -552,6 +612,74 @@ mod reference {
                 payload: &self.payload,
             })
         }
+    }
+
+    /// The directory walk before its uniform run went fixed-width: a
+    /// slice compare per record and a `u32` check per offset. The oracle
+    /// [`walk_directory`](super::super::walk_directory) must agree with on
+    /// every blob, hostile ones included.
+    pub fn walk_directory(data: &[u8]) -> Result<(Vec<u32>, Shapes, usize)> {
+        let n = le_u32(&data[7..HEADER_LEN]) as usize;
+        // an entry is at least a stored length and a rank byte
+        if n > (data.len() - HEADER_LEN) / 5 {
+            return Err(corrupt("truncated sample directory"));
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut total = 0u64;
+        let mut push_len = |stored_len: &[u8]| -> Result<()> {
+            total += u64::from(le_u32(stored_len));
+            offsets.push(u32::try_from(total).map_err(|_| corrupt("directory total exceeds u32"))?);
+            Ok(())
+        };
+        let dir = &data[HEADER_LEN..];
+        let first = match n {
+            0 => &[0],
+            _ => dir
+                .get(4..5 + 4 * dir[4] as usize)
+                .ok_or_else(|| corrupt("truncated shape"))?,
+        };
+        let entry_len = 4 + first.len();
+        let mut uniform = 0;
+        for entry in dir.chunks_exact(entry_len).take(n) {
+            if entry[4..] != *first {
+                break;
+            }
+            push_len(entry)?;
+            uniform += 1;
+        }
+        let mut pos = HEADER_LEN + uniform * entry_len;
+        let shapes = if uniform == n {
+            Shapes::Uniform(Shape::new(le_dims(&first[1..]).collect::<Vec<_>>()))
+        } else {
+            let mut starts = Vec::with_capacity(n + 1);
+            starts.extend((0..uniform).map(|k| (HEADER_LEN + 4 + k * entry_len) as u32));
+            let mut dim_count = uniform * ((first.len() - 1) / 4);
+            for _ in uniform..n {
+                let entry = data
+                    .get(pos..pos + 5)
+                    .ok_or_else(|| corrupt("truncated sample directory"))?;
+                let rank = entry[4] as usize;
+                if data.len() < pos + 5 + 4 * rank {
+                    return Err(corrupt("truncated shape"));
+                }
+                push_len(entry)?;
+                starts.push(
+                    u32::try_from(pos + 4).map_err(|_| corrupt("sample directory exceeds u32"))?,
+                );
+                dim_count += rank;
+                pos += 5 + 4 * rank;
+            }
+            let mut dims = Vec::with_capacity(dim_count);
+            for start in &mut starts {
+                let at = *start as usize;
+                *start = dims.len() as u32;
+                dims.extend(le_dims(&data[at + 1..at + 1 + 4 * data[at] as usize]));
+            }
+            starts.push(dims.len() as u32);
+            Shapes::Ragged { dims, starts }
+        };
+        Ok((offsets, shapes, pos))
     }
 }
 
@@ -682,6 +810,13 @@ fn assert_matches_reference(chunk: &Chunk, blob: &[u8]) {
             column_bits(old.vector_column(dim)),
             "vector column {dim}"
         );
+        for i in 0..=n {
+            assert_eq!(
+                column_bits(chunk.vector_at(i, dim)),
+                column_bits(old.vector_at(i, dim)),
+                "vector {i} of {dim}"
+            );
+        }
     }
 }
 
@@ -811,10 +946,86 @@ fn exercise(chunk: &Chunk) {
     let _ = column_bits(chunk.scalar_column());
     for dim in widths {
         let _ = column_bits(chunk.vector_column(dim));
+        for i in 0..=n {
+            let _ = column_bits(chunk.vector_at(i, dim));
+        }
     }
     // what parsed once serializes to something that parses to the same
     let again = Chunk::parse(Bytes::from(chunk.serialize(Compression::None))).unwrap();
     assert_eq!(&again, chunk);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The fixed-width walk against the one it replaced, over directories
+    /// no serializer wrote: ranks 0–5, a uniform run then records that
+    /// differ from the first, stored lengths whose sum crosses `u32::MAX`
+    /// (inside the run or after it), a claimed count that is honest, one
+    /// off either way or absurd, and every truncation of all of it. Same
+    /// offsets, shapes and payload start — or the same error.
+    #[test]
+    fn walk_equals_the_reference_walk_on_every_directory(
+        seed in any::<u64>(),
+        rank in 0usize..=5,
+        uniform in 0usize..24,
+        differing in 0usize..4,
+        claim in 0usize..5,
+    ) {
+        let mut g = Gen(seed);
+        let dim = |g: &mut Gen| match g.below(6) {
+            0 => u32::MAX,
+            1 => 0,
+            _ => g.below(5) as u32,
+        };
+        let stored_len = |g: &mut Gen| match g.below(8) {
+            0 => u32::MAX - g.below(3) as u32,
+            1 => u32::MAX / 3,
+            _ => g.below(40) as u32,
+        };
+        let first: Vec<u32> = (0..rank).map(|_| dim(&mut g)).collect();
+        let mut records: Vec<(u32, Vec<u32>)> =
+            (0..uniform).map(|_| (stored_len(&mut g), first.clone())).collect();
+        for _ in 0..differing {
+            // one dim of the first's shape changed, or another shape
+            let mut shape = first.clone();
+            if !shape.is_empty() && g.below(2) == 0 {
+                let at = g.below(shape.len() as u64) as usize;
+                shape[at] = shape[at].wrapping_add(1 + g.below(3) as u32);
+            } else {
+                shape = (0..g.below(6)).map(|_| dim(&mut g)).collect();
+            }
+            records.push((stored_len(&mut g), shape));
+        }
+        let n = records.len() as u32;
+        let claimed = [n, n + 1, n.saturating_sub(1), u32::MAX, n][claim];
+        let tail: Vec<u8> = (0..g.below(12)).map(|_| g.below(256) as u8).collect();
+        let blob = forged_directory(claimed, &records, &tail);
+        let walk = |data: &[u8]| walk_directory(data).map_err(|e| e.to_string());
+        let reference = |data: &[u8]| reference::walk_directory(data).map_err(|e| e.to_string());
+        for cut in HEADER_LEN..=blob.len() {
+            prop_assert_eq!(walk(&blob[..cut]), reference(&blob[..cut]), "cut at {}", cut);
+        }
+    }
+}
+
+#[test]
+fn a_total_past_u32_is_refused_wherever_the_run_crosses_it() {
+    // scalars only: the whole directory is the uniform run
+    for at in 0..6 {
+        let mut records = vec![(7u32, Vec::<u32>::new()); 6];
+        records[at].0 = u32::MAX - 20;
+        let blob = forged_directory(6, &records, &[]);
+        // the run's total is MAX - 20 + 35: past u32 whatever record holds the big one
+        assert!(walk_directory(&blob).is_err(), "big record at {at}");
+        assert!(reference::walk_directory(&blob).is_err());
+        // a total of exactly u32::MAX fits
+        records[at].0 = u32::MAX - 35;
+        let blob = forged_directory(6, &records, &[]);
+        let (offsets, ..) = walk_directory(&blob).unwrap();
+        assert_eq!(*offsets.last().unwrap(), u32::MAX);
+        assert_eq!(offsets, reference::walk_directory(&blob).unwrap().0);
+    }
 }
 
 fn parse_and_exercise(blob: Vec<u8>) {

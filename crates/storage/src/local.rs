@@ -57,8 +57,8 @@ impl LocalProvider {
     /// Unrecorded — the batched path accounts once per batch.
     fn read_fetch(&self, fetch: &CoalescedFetch) -> Result<Bytes> {
         match fetch.range {
-            None => self.get_raw(&fetch.key),
-            Some((start, end)) => self.get_range_raw(&fetch.key, start, end),
+            None => self.get_raw(fetch.key),
+            Some((start, end)) => self.get_range_raw(fetch.key, start, end),
         }
     }
 

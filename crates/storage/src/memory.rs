@@ -111,8 +111,8 @@ impl StorageProvider for MemoryProvider {
             let guard = self.objects.read();
             execute_coalesced(plan, |f| {
                 let obj = guard
-                    .get(&f.key)
-                    .ok_or_else(|| StorageError::NotFound(f.key.clone()))?;
+                    .get(f.key)
+                    .ok_or_else(|| StorageError::NotFound(f.key.to_string()))?;
                 let data = match f.range {
                     None => obj.clone(),
                     Some((start, end)) => {

@@ -130,7 +130,42 @@ impl ReadPlan {
     /// An *inverted* range (`start > end`) never merges — it becomes its
     /// own degenerate fetch so the backend rejects it exactly as the
     /// single-key path would, without poisoning neighbouring requests.
-    pub fn coalesce(&self) -> Vec<CoalescedFetch> {
+    ///
+    /// A plan of whole-object requests whose keys strictly ascend — what
+    /// `Dataset::prefetch` emits for one tensor's sorted, deduplicated
+    /// chunk ids — has nothing to group: its keys are distinct, so it is
+    /// one fetch per request, in order, found without hashing a key.
+    /// Every other plan takes the grouping path. Both give the same
+    /// fetches for any plan the first accepts.
+    pub fn coalesce(&self) -> Vec<CoalescedFetch<'_>> {
+        self.distinct_whole().unwrap_or_else(|| self.grouped())
+    }
+
+    /// [`coalesce`](Self::coalesce)'s fast path: `Some` only for a plan
+    /// of whole-object requests in strictly ascending key order.
+    fn distinct_whole(&self) -> Option<Vec<CoalescedFetch<'_>>> {
+        let accepted = self.requests.iter().all(|r| r.range.is_none())
+            && self.requests.windows(2).all(|w| w[0].key < w[1].key);
+        accepted.then(|| {
+            self.requests
+                .iter()
+                .enumerate()
+                .map(|(i, r)| CoalescedFetch {
+                    key: &r.key,
+                    range: None,
+                    parts: vec![FetchPart {
+                        request_index: i,
+                        offset: 0,
+                        len: None,
+                    }],
+                })
+                .collect()
+        })
+    }
+
+    /// [`coalesce`](Self::coalesce)'s grouping path: requests grouped by
+    /// key, any plan.
+    fn grouped(&self) -> Vec<CoalescedFetch<'_>> {
         // group request indices by key, keeping first-appearance order
         let mut key_order: Vec<&str> = Vec::new();
         let mut by_key: std::collections::HashMap<&str, Vec<usize>> =
@@ -153,7 +188,7 @@ impl ReadPlan {
                 if matches!(self.requests[i].range, Some((s, e)) if s > e) {
                     let (s, e) = self.requests[i].range.expect("matched Some");
                     fetches.push(CoalescedFetch {
-                        key: key.to_string(),
+                        key,
                         range: Some((s, e)),
                         parts: vec![FetchPart {
                             request_index: i,
@@ -189,7 +224,7 @@ impl ReadPlan {
                     })
                     .collect();
                 fetches.push(CoalescedFetch {
-                    key: key.to_string(),
+                    key,
                     range: None,
                     parts,
                 });
@@ -223,14 +258,14 @@ impl ReadPlan {
         fetches
     }
 
-    fn span_fetch(
-        key: &str,
+    fn span_fetch<'p>(
+        key: &'p str,
         start: u64,
         end: u64,
         members: &[(usize, u64, u64)],
-    ) -> CoalescedFetch {
+    ) -> CoalescedFetch<'p> {
         CoalescedFetch {
-            key: key.to_string(),
+            key,
             range: Some((start, end)),
             parts: members
                 .iter()
@@ -255,10 +290,10 @@ impl FromIterator<ReadRequest> for ReadPlan {
 
 /// One backend fetch produced by [`ReadPlan::coalesce`], with the logical
 /// requests it serves.
-#[derive(Debug, Clone)]
-pub struct CoalescedFetch {
-    /// Object key to fetch.
-    pub key: String,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoalescedFetch<'p> {
+    /// Object key to fetch, borrowed from the plan's requests.
+    pub key: &'p str,
     /// `None` = whole object, else the merged byte span.
     pub range: Option<(u64, u64)>,
     /// Logical requests sliced out of this fetch.
@@ -266,7 +301,7 @@ pub struct CoalescedFetch {
 }
 
 /// How one logical request maps into its coalesced fetch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchPart {
     /// Index into [`ReadPlan::requests`].
     pub request_index: usize,
@@ -276,7 +311,7 @@ pub struct FetchPart {
     pub len: Option<u64>,
 }
 
-impl CoalescedFetch {
+impl CoalescedFetch<'_> {
     /// Scatter the fetched bytes (or the fetch error) back onto the
     /// logical requests, writing into `out[request_index]`.
     ///
@@ -359,11 +394,127 @@ pub(crate) fn execute_coalesced(
 mod tests {
     use super::*;
 
+    use crate::{MemoryProvider, StorageProvider};
+    use proptest::prelude::*;
+
     fn spans(plan: &ReadPlan) -> Vec<(String, Option<(u64, u64)>)> {
         plan.coalesce()
             .into_iter()
-            .map(|f| (f.key, f.range))
+            .map(|f| (f.key.to_string(), f.range))
             .collect()
+    }
+
+    /// Whether `plan` takes the distinct whole-object fast path, checked
+    /// against the grouping path either way: the fetches are grouping's,
+    /// and executing the plan on a `MemoryProvider` holding every key
+    /// counts one batch of grouping's fetches and answers each request as
+    /// the single-key call does.
+    fn takes_fast_path(plan: &ReadPlan) -> bool {
+        let grouped = plan.grouped();
+        let fast = plan.distinct_whole();
+        if let Some(fast) = &fast {
+            assert_eq!(fast, &grouped);
+        }
+        assert_eq!(plan.coalesce(), grouped);
+        let p = MemoryProvider::new();
+        for r in plan.requests() {
+            p.put(&r.key, Bytes::from(format!("{:-<40}", r.key)))
+                .unwrap();
+        }
+        let before = p.stats().snapshot();
+        let outcome = p.execute(plan);
+        let counted = p.stats().snapshot().delta_since(&before);
+        assert_eq!(counted.batch_requests, 1);
+        assert_eq!(counted.logical_reads, plan.len() as u64);
+        assert_eq!(counted.coalesced_fetches, grouped.len() as u64);
+        assert_eq!(outcome.fetches, grouped.len() as u64);
+        for (r, got) in plan.requests().iter().zip(outcome.results) {
+            let single = match r.range {
+                None => p.get(&r.key),
+                Some((start, end)) => p.get_range(&r.key, start, end),
+            };
+            assert_eq!(got, single, "{r:?}");
+        }
+        fast.is_some()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Every plan the fast path accepts coalesces exactly as the
+        /// grouping path does. Keys are drawn from a few chunk ids, so
+        /// duplicates are common; `sorted` gives the sorted, deduplicated
+        /// whole-object plans `Dataset::prefetch` emits, and `ranged`
+        /// mixes range requests in.
+        #[test]
+        fn the_fast_path_coalesces_as_grouping_does(
+            ids in proptest::collection::vec(0u64..12, 0..20),
+            sorted in any::<bool>(),
+            ranged in proptest::collection::vec(0u8..8, 20..=20),
+        ) {
+            let mut ids = ids;
+            if sorted {
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            let mut plan = ReadPlan::new();
+            for (i, id) in ids.iter().enumerate() {
+                let key = format!("t/chunks/{id:016x}");
+                match ranged[i] {
+                    0 => plan.range(key, 3, 9),
+                    1 => plan.range(key, 9, 3),
+                    _ => plan.whole(key),
+                };
+            }
+            let accepted = takes_fast_path(&plan);
+            let whole = ranged[..ids.len()].iter().all(|&r| r >= 2);
+            prop_assert_eq!(accepted, whole && ids.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn sorted_distinct_whole_objects_take_the_fast_path() {
+        let mut plan = ReadPlan::new();
+        for key in ["a/chunks/01", "a/chunks/02", "b/chunks/00"] {
+            plan.whole(key);
+        }
+        assert!(takes_fast_path(&plan));
+        assert_eq!(plan.coalesce().len(), 3);
+        assert!(takes_fast_path(&ReadPlan::new()));
+    }
+
+    #[test]
+    fn a_duplicate_key_takes_the_grouping_path() {
+        let mut plan = ReadPlan::new();
+        plan.whole("k1");
+        plan.whole("k2");
+        plan.whole("k2");
+        assert!(!takes_fast_path(&plan));
+        assert_eq!(
+            plan.coalesce().len(),
+            2,
+            "one fetch serves both k2 requests"
+        );
+    }
+
+    #[test]
+    fn a_range_request_takes_the_grouping_path() {
+        let mut plan = ReadPlan::new();
+        plan.whole("k1");
+        plan.range("k2", 0, 4);
+        plan.whole("k3");
+        assert!(!takes_fast_path(&plan));
+        assert_eq!(plan.coalesce()[1].range, Some((0, 4)));
+    }
+
+    #[test]
+    fn an_out_of_order_key_takes_the_grouping_path() {
+        let mut plan = ReadPlan::new();
+        plan.whole("k2");
+        plan.whole("k1");
+        assert!(!takes_fast_path(&plan));
+        // first-appearance order, one fetch a key
+        assert_eq!(spans(&plan), vec![("k2".into(), None), ("k1".into(), None)]);
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub trait StorageProvider: Send + Sync {
     /// ([`crate::LruCacheProvider`]).
     fn execute(&self, plan: &ReadPlan) -> ReadResult {
         execute_coalesced(plan, |f| match f.range {
-            None => self.get(&f.key),
-            Some((start, end)) => self.get_range(&f.key, start, end),
+            None => self.get(f.key),
+            Some((start, end)) => self.get_range(f.key, start, end),
         })
     }
 

@@ -244,8 +244,8 @@ impl<P: StorageProvider> StorageProvider for SimulatedCloudProvider<P> {
         let mut bytes_moved = 0u64;
         let result = execute_coalesced(plan, |f| {
             let data = match f.range {
-                None => self.inner.get(&f.key)?,
-                Some((start, end)) => self.inner.get_range(&f.key, start, end)?,
+                None => self.inner.get(f.key)?,
+                Some((start, end)) => self.inner.get_range(f.key, start, end)?,
             };
             bytes_moved += data.len() as u64;
             Ok(data)

@@ -40,7 +40,10 @@
 //! * **Top-k candidate scoring** (`score_group`) — each span's
 //!   candidates are scored from the payload bytes with the same
 //!   `Metric::score(column vector, query literal)` call the similarity
-//!   functions make.
+//!   functions make. Only the candidates' own records are checked and
+//!   read ([`deeplake_core::Chunk::vector_at`], O(1) a record), so a
+//!   group of ~5 ANN candidates costs ~5 record checks, not one per
+//!   record of its chunk.
 //!
 //! A kernel takes a span (filter) or a span's candidate group (top-k)
 //! only where no row of it *can* raise, and otherwise hands exactly that
@@ -52,12 +55,14 @@
 //!   need not line up with the driving column's), none of the rows
 //!   tiled; rows still in the open chunk qualify through the builder's
 //!   chunk;
-//! * every record of each such chunk must be one uncompressed frame of
-//!   the expected length — one element for a filter column, exactly the
-//!   query vector's length and rank 1 for an embedding. A
-//!   sample-compressed blob, an empty tensor, a multi-element sample in
-//!   a scalar column or a wrong-length vector anywhere in the chunk
-//!   refuses the whole chunk;
+//! * each record the kernel reads must be one uncompressed frame of the
+//!   expected length. A filter column reads every record of each such
+//!   chunk, one element each: a sample-compressed blob, an empty tensor
+//!   or a multi-element sample anywhere in the chunk refuses the whole
+//!   chunk. The top-k kernel reads only the candidates' records, each
+//!   of rank 1 and exactly the query vector's length: one refused
+//!   candidate sends its whole group to the row evaluator, and a record
+//!   that is not a candidate is never looked at;
 //! * text columns never qualify (their rows compare as strings).
 //!
 //! On a span that qualifies a compare is total (NaN compares false, as
@@ -65,6 +70,11 @@
 //! row evaluator would short-circuit is unobservable; scores are the
 //! same bits, so ties and the stable-sort/reverse merge are unchanged.
 //! [`QueryStats::rows_vectorized`] counts the rows kernels decided.
+//!
+//! Every parallel stage runs its tasks through one scaffold
+//! (`run_tasks`) on [`QueryOptions::workers`] threads, the calling
+//! thread counted among them: a stage of one task spawns nothing, and a
+//! panic in a task is an error, whichever thread ran it.
 //!
 //! `QueryOptions { pruning: false }` is the reference: a naive scan that
 //! evaluates every row through the row evaluator alone — no statistics,
@@ -79,7 +89,8 @@
 //! [`Dataset::prefetch_spans`]: deeplake_core::Dataset::prefetch_spans
 //! [`ReadPlan`]: deeplake_storage::ReadPlan
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use deeplake_core::{Dataset, DatasetView, PrefetchedChunks};
@@ -97,7 +108,9 @@ use crate::Result;
 /// Execution options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryOptions {
-    /// Worker threads for parallel evaluation.
+    /// Threads a parallel stage runs on, the calling thread included:
+    /// `workers: 2` spawns one helper, and a stage with a single task
+    /// spawns none.
     pub workers: usize,
     /// Chunk-statistics predicate pushdown (on by default). Off forces
     /// the naive row-at-a-time full scan — kept as the reference
@@ -670,7 +683,7 @@ fn filter_stage(
             let wave = &tasks[done..(done + wave_len).min(tasks.len())];
             let results: Vec<Mutex<Vec<(usize, u64)>>> =
                 wave.iter().map(|_| Mutex::new(Vec::new())).collect();
-            run_tasks(workers.min(wave.len()), wave.len(), |t| {
+            run_tasks(workers, wave.len(), |t| {
                 *results[t].lock() = scan.task(&wave[t], &slots)?;
                 Ok(())
             })?;
@@ -715,31 +728,59 @@ fn clamped_spans(ds: &Dataset, column: &str, n: u64) -> Result<Vec<(Option<u64>,
     Ok(spans)
 }
 
-/// Run task indices `0..count` through a scoped worker pool, stopping at
-/// (and returning) the first error — the scan stages' shared dispatch
-/// scaffold.
+/// Run task indices `0..count` on `min(workers, count)` threads, the
+/// caller being one of them — the one dispatch scaffold of every
+/// parallel stage. The caller spawns `min(workers, count) − 1` scoped
+/// helpers (none for a single task, so a one-span filter costs no thread)
+/// and claims tasks alongside them. Claims stop at the first error, which
+/// is returned.
+///
+/// A panicking task is caught on the thread that ran it and returned as
+/// `TqlError::Type("query worker panicked")`: a hub pool worker calls
+/// this with nothing above it to catch an unwind, and a helper's panic
+/// would otherwise resume on the caller when the scope joins it.
 fn run_tasks(workers: usize, count: usize, f: impl Fn(usize) -> Result<()> + Sync) -> Result<()> {
     let error: Mutex<Option<TqlError>> = Mutex::new(None);
+    let panicked = AtomicBool::new(false);
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|_| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= count || error.lock().is_some() {
-                    break;
-                }
-                if let Err(e) = f(t) {
-                    *error.lock() = Some(e);
-                    return;
-                }
-            });
+    let work = || {
+        let claims = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            if t >= count || error.lock().is_some() || panicked.load(Ordering::Relaxed) {
+                break;
+            }
+            if let Err(e) = f(t) {
+                *error.lock() = Some(e);
+                break;
+            }
+        }));
+        if claims.is_err() {
+            panicked.store(true, Ordering::Relaxed);
         }
-    })
-    .map_err(|_| TqlError::Type("query worker panicked".into()))?;
+    };
+    let helpers = workers.max(1).min(count).saturating_sub(1);
+    if helpers == 0 {
+        work();
+    } else {
+        crossbeam::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|_| work());
+            }
+            work();
+        })
+        .map_err(|_| worker_panicked())?;
+    }
+    if panicked.into_inner() {
+        return Err(worker_panicked());
+    }
     match error.into_inner() {
         Some(e) => Err(e),
         None => Ok(()),
     }
+}
+
+fn worker_panicked() -> TqlError {
+    TqlError::Type("query worker panicked".into())
 }
 
 /// The scan stages' shared batching policy: walk per-span row counts in
@@ -914,8 +955,8 @@ fn span_mask(
 /// chunks in one batched call and scores each span's candidates through
 /// [`score_group`] — the same conversion and the same
 /// `Metric::score` call the similarity functions make, minus the
-/// `Sample` per row — or, where a span's chunk refuses a vector view,
-/// evaluates the *original* ORDER BY key expression through the shared
+/// `Sample` per row — or, where a candidate's record refuses the vector
+/// check, evaluates the *original* ORDER BY key expression through the shared
 /// row evaluator, so scores, type errors, and tie-breaking are
 /// identical to the naive sort stage. The merged scores order exactly
 /// like that stage (stable ascending sort, whole list reversed for
@@ -1068,13 +1109,16 @@ fn topk_stage(
 }
 
 /// Score one span's candidate rows (ascending, non-empty) straight from
-/// the chunk bytes: each row's elements decode into `vector` (one
-/// reused buffer) and go to the same `Metric::score(column, query)`
-/// call `functions::call` makes, so every score is the bit pattern the
-/// row evaluator would have produced. All or nothing: returns `false`
-/// with `scored` untouched — score the group row by row — unless the
-/// rows resolve to decoded chunks that all yield a vector view of the
-/// query's length, and then no row can raise.
+/// the chunk bytes. Each candidate's own record is checked
+/// ([`Chunk::vector_at`](deeplake_core::Chunk::vector_at): shape `[dim]`,
+/// one uncompressed frame of exactly `dim` elements — O(1) a record) and
+/// its elements decode into `vector` (one reused buffer), which goes to
+/// the same `Metric::score(column, query)` call `functions::call` makes,
+/// so every score is the bit pattern the row evaluator would have
+/// produced. The chunks' other records are never read. All or nothing:
+/// returns `false` with `scored` as it was — score the group row by row
+/// — unless the rows resolve to decoded chunks and every candidate's
+/// record passes, and then no candidate can raise.
 fn score_group(
     ds: &Dataset,
     pinned: &PrefetchedChunks,
@@ -1087,13 +1131,7 @@ fn score_group(
     let Some(runs) = pinned.column_runs(ds, &tk.column, lo, hi) else {
         return false;
     };
-    let views: Option<Vec<_>> = runs
-        .iter()
-        .map(|run| run.chunk().vector_column(tk.query.len()))
-        .collect();
-    let Some(views) = views else {
-        return false;
-    };
+    let before = scored.len();
     // walk rows and runs together: both ascend
     let (mut k, mut run_start) = (0, lo);
     for &row in rows {
@@ -1102,52 +1140,37 @@ fn score_group(
             k += 1;
         }
         let local = runs[k].first + (row - run_start) as usize;
+        let Some(view) = runs[k].chunk().vector_at(local, tk.query.len()) else {
+            scored.truncate(before);
+            return false;
+        };
         vector.clear();
-        views[k].decode_rows(local..local + 1, vector);
+        view.decode_rows(0..1, vector);
         scored.push((Scalar::Float(tk.metric.score(vector, &tk.query)), row));
     }
     true
 }
 
 /// Evaluate `f` for rows `0..n` in parallel, preserving order — the
-/// naive row-at-a-time reference path.
+/// naive row-at-a-time reference path: one [`run_tasks`] task per block
+/// of 64 rows.
 fn parallel_eval(
     n: u64,
     workers: usize,
     f: impl Fn(u64) -> Result<bool> + Sync,
 ) -> Result<Vec<bool>> {
-    const STRIDE: usize = 64;
-    let mut out = vec![false; n as usize];
-    // workers claim whole stride blocks of the output, so each writes a
-    // slice no other thread holds
-    let blocks = Mutex::new(out.chunks_mut(STRIDE).enumerate());
-    let error: Mutex<Option<TqlError>> = Mutex::new(None);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let Some((b, block)) = blocks.lock().next() else {
-                    break;
-                };
-                if error.lock().is_some() {
-                    break;
-                }
-                for (j, slot) in block.iter_mut().enumerate() {
-                    match f((b * STRIDE + j) as u64) {
-                        Ok(v) => *slot = v,
-                        Err(e) => {
-                            *error.lock() = Some(e);
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .map_err(|_| TqlError::Type("query worker panicked".into()))?;
-    match error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+    const STRIDE: u64 = 64;
+    let blocks: Vec<Mutex<Vec<bool>>> = (0..n.div_ceil(STRIDE))
+        .map(|_| Mutex::new(Vec::new()))
+        .collect();
+    run_tasks(workers, blocks.len(), |b| {
+        let start = b as u64 * STRIDE;
+        *blocks[b].lock() = (start..(start + STRIDE).min(n))
+            .map(&f)
+            .collect::<Result<_>>()?;
+        Ok(())
+    })?;
+    Ok(blocks.into_iter().flat_map(|m| m.into_inner()).collect())
 }
 
 /// Evaluate a key expression for each row in `rows` (parallel, preserving
@@ -1383,5 +1406,96 @@ fn arith_fn(op: BinOp) -> fn(f64, f64) -> f64 {
         BinOp::Div => |x, y| x / y,
         BinOp::Mod => |x, y| x % y,
         _ => unreachable!("not an arithmetic operator"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread::{self, ThreadId};
+
+    fn is_worker_panic(result: Result<()>) -> bool {
+        matches!(result, Err(TqlError::Type(m)) if m == "query worker panicked")
+    }
+
+    #[test]
+    fn one_task_runs_on_the_caller() {
+        let caller = thread::current().id();
+        let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        for workers in [1, 2, 8] {
+            run_tasks(workers, 1, |_| {
+                ran_on.lock().push(thread::current().id());
+                Ok(())
+            })
+            .unwrap();
+        }
+        // one worker runs every task on the caller too
+        run_tasks(1, 5, |_| {
+            ran_on.lock().push(thread::current().id());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(*ran_on.lock(), [caller; 8]);
+    }
+
+    #[test]
+    fn every_task_runs_once_on_at_most_workers_threads() {
+        let runs: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
+        run_tasks(3, 40, |t| {
+            runs.lock().push((t, thread::current().id()));
+            Ok(())
+        })
+        .unwrap();
+        let mut runs = runs.into_inner();
+        runs.sort_unstable_by_key(|&(t, _)| t);
+        assert_eq!(
+            runs.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            (0..40).collect::<Vec<_>>()
+        );
+        let threads: std::collections::HashSet<ThreadId> = runs.iter().map(|&(_, id)| id).collect();
+        assert!(threads.len() <= 3);
+        run_tasks(4, 0, |_| panic!("no task to run")).unwrap();
+    }
+
+    #[test]
+    fn a_task_error_is_returned() {
+        let r = run_tasks(2, 10, |t| match t {
+            3 => Err(TqlError::UnknownColumn("x".into())),
+            _ => Ok(()),
+        });
+        assert!(matches!(r, Err(TqlError::UnknownColumn(c)) if c == "x"));
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_is_an_error_not_an_unwind() {
+        // one task: no helper, the caller runs it
+        assert!(is_worker_panic(run_tasks(4, 1, |_| panic!("task 0"))));
+        // several tasks: the caller's own share panics, the helpers' do not
+        let caller = thread::current().id();
+        assert!(is_worker_panic(run_tasks(2, 6, |_| {
+            if thread::current().id() == caller {
+                panic!("the caller's task");
+            }
+            Ok(())
+        })));
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_is_an_error_on_the_caller() {
+        let caller = thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let r = run_tasks(2, 8, |_| {
+            if thread::current().id() != caller {
+                helper_ran.store(true, Ordering::Release);
+                panic!("a helper's task");
+            }
+            // hold the caller's task until the helper has taken one
+            while !helper_ran.load(Ordering::Acquire) {
+                thread::yield_now();
+            }
+            Ok(())
+        });
+        assert!(helper_ran.into_inner());
+        assert!(is_worker_panic(r));
     }
 }

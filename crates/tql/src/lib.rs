@@ -57,8 +57,8 @@
 //! physical top-k operator: candidate rows → chunk spans → one batched
 //! `ReadPlan` per worker task → exact re-rank, scored straight from the
 //! chunk bytes with the call the similarity functions make (or through
-//! the row evaluator where a chunk is not uniform vectors of the
-//! query's length), so results (order, ties, errors) are identical to
+//! the row evaluator where a candidate's record is not a plain vector of
+//! the query's length), so results (order, ties, errors) are identical to
 //! the naive sort stage. With [`QueryOptions::ann`] the operator probes the
 //! column's IVF vector index ([`deeplake_index`](deeplake_core::VectorIndex))
 //! for candidates — [`QueryOptions::nprobe`] trades recall for fetched

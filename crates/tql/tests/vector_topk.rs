@@ -4,17 +4,23 @@
 
 use std::sync::Arc;
 
+use bytes::Bytes;
+use deeplake_codec::Compression;
 use deeplake_core::dataset::{Dataset, TensorOptions};
-use deeplake_core::IndexSpec;
-use deeplake_storage::MemoryProvider;
-use deeplake_tensor::{Htype, Sample};
+use deeplake_core::{Chunk, IndexSpec, Metric};
+use deeplake_storage::{MemoryProvider, StorageProvider};
+use deeplake_tensor::{Htype, Sample, Shape};
 use deeplake_tql::{execute, parser, query, QueryOptions};
 
 /// `n` rows of dim-4 embeddings in `clusters` well-separated blobs, rows
 /// grouped by blob (row i belongs to blob `i / (n/clusters)`), plus a
 /// scalar label column. Small chunks so queries span many of them.
 fn embedding_dataset(n: u64, clusters: u64) -> Dataset {
-    let mut ds = Dataset::create(Arc::new(MemoryProvider::new()), "vec").unwrap();
+    embedding_dataset_on(Arc::new(MemoryProvider::new()), n, clusters)
+}
+
+fn embedding_dataset_on(store: Arc<MemoryProvider>, n: u64, clusters: u64) -> Dataset {
+    let mut ds = Dataset::create(store, "vec").unwrap();
     ds.create_tensor_opts("emb", {
         let mut o = TensorOptions::new(Htype::Embedding);
         o.chunk_target_bytes = Some(128); // a handful of vectors per chunk
@@ -257,6 +263,160 @@ fn appended_tail_after_build_is_still_searched_exactly() {
     )
     .unwrap();
     assert_eq!(r.indices, vec![100], "unindexed tail row must be found");
+}
+
+// ---------------------------------------------------------------------
+// the re-rank checks its candidates' records, not their chunks'
+// ---------------------------------------------------------------------
+
+const NEAR_BLOB_2: &str = "SELECT * FROM d ORDER BY L2_DISTANCE(emb, [20, 20, 0, 1]) LIMIT 10";
+
+fn ann_nprobe_1() -> QueryOptions {
+    QueryOptions {
+        ann: true,
+        nprobe: 1,
+        ..Default::default()
+    }
+}
+
+/// What a caller observes of an execution: indices, or the error text.
+fn observe(ds: &Dataset, text: &str, opts: &QueryOptions) -> Result<Vec<u64>, String> {
+    let q = parser::parse(text).unwrap();
+    execute(ds, &q, opts)
+        .map(|r| r.indices)
+        .map_err(|e| e.to_string())
+}
+
+/// An indexed `embedding_dataset(160, 4)` whose `emb` record `pick`
+/// chooses is rewritten in storage as `forge` makes it — its chunk
+/// re-serialized around it, every other record as it was — and reopened,
+/// so nothing is decoded yet. `pick` sees the rows `NEAR_BLOB_2`'s
+/// one-cluster probe returns and the chunk spans, and names a row.
+/// Returns the dataset, the forged row, and how many probed rows share
+/// its chunk.
+fn with_forged_record(
+    pick: impl Fn(&[u64], &[(Option<u64>, u64, u64)]) -> u64,
+    forge: impl Fn(&Chunk, usize) -> (Vec<u8>, Shape),
+) -> (Dataset, u64, u64) {
+    let store = Arc::new(MemoryProvider::new());
+    let mut ds = embedding_dataset_on(store.clone(), 160, 4);
+    ds.build_vector_index(
+        "emb",
+        &IndexSpec {
+            nlist: Some(4),
+            ..IndexSpec::default()
+        },
+    )
+    .unwrap();
+    ds.flush().unwrap();
+    let index = ds.vector_index("emb").unwrap();
+    let probed = index.probe(&[20.0, 20.0, 0.0, 1.0], Metric::L2, 1).rows;
+    let spans = ds.chunk_spans("emb").unwrap();
+    let row = pick(&probed, &spans);
+    let &(id, start, len) = spans
+        .iter()
+        .find(|&&(_, start, len)| (start..start + len).contains(&row))
+        .unwrap();
+    let sharing = probed
+        .iter()
+        .filter(|&&r| (start..start + len).contains(&r))
+        .count() as u64;
+    let suffix = format!("/emb/chunks/{:016x}", id.unwrap());
+    let keys: Vec<String> = store
+        .list("")
+        .unwrap()
+        .into_iter()
+        .filter(|k| k.ends_with(&suffix))
+        .collect();
+    assert_eq!(keys.len(), 1, "one version: one key per chunk id");
+    let chunk = Chunk::parse(store.get(&keys[0]).unwrap()).unwrap();
+    let mut forged = Chunk::new(chunk.dtype());
+    for i in 0..chunk.sample_count() {
+        if i as u64 == row - start {
+            let (blob, shape) = forge(&chunk, i);
+            forged.append_blob(&blob, &shape);
+        } else {
+            forged.append_blob(chunk.blob(i).unwrap(), &chunk.shape(i).unwrap());
+        }
+    }
+    store
+        .put(&keys[0], Bytes::from(forged.serialize(Compression::None)))
+        .unwrap();
+    drop(ds);
+    (Dataset::open(store).unwrap(), row, sharing)
+}
+
+/// The record's own values as one LZ4 sample frame: the row evaluator
+/// reads it as before, a vector view does not.
+fn lz4_frame(chunk: &Chunk, i: usize) -> (Vec<u8>, Shape) {
+    let sample = chunk.sample(i).unwrap();
+    (
+        Compression::Lz4.compress(sample.bytes()),
+        sample.shape().clone(),
+    )
+}
+
+/// A chunk holding a probed row and, in `probed`'s gaps, a row the probe
+/// did not return: that one.
+fn unprobed_beside_a_probed_row(probed: &[u64], spans: &[(Option<u64>, u64, u64)]) -> u64 {
+    spans
+        .iter()
+        .find_map(|&(_, start, len)| {
+            let rows = start..start + len;
+            let shares = probed.iter().any(|r| rows.contains(r));
+            shares.then(|| rows.clone().find(|r| !probed.contains(r)))?
+        })
+        .expect("a chunk straddles the probed cluster's edge")
+}
+
+#[test]
+fn a_refused_record_that_is_not_a_candidate_leaves_its_group_vectorized() {
+    let (ds, odd, sharing) = with_forged_record(unprobed_beside_a_probed_row, lz4_frame);
+    assert!(sharing > 0);
+    let naive_opts = QueryOptions {
+        pruning: false,
+        ..Default::default()
+    };
+    assert_eq!(
+        observe(&ds, NEAR_BLOB_2, &ann_nprobe_1()),
+        observe(&ds, NEAR_BLOB_2, &naive_opts)
+    );
+    let q = parser::parse(NEAR_BLOB_2).unwrap();
+    let stats = execute(&ds, &q, &ann_nprobe_1()).unwrap().stats;
+    assert!(
+        stats.candidates_reranked < 160,
+        "row {odd} was not a candidate"
+    );
+    // every candidate scored by the kernel, the forged row's group too
+    assert_eq!(stats.rows_vectorized, stats.candidates_reranked);
+}
+
+#[test]
+fn a_refused_record_that_is_a_candidate_sends_its_group_to_the_row_evaluator() {
+    let first_probed = |probed: &[u64], _: &[(Option<u64>, u64, u64)]| probed[0];
+    let naive_opts = QueryOptions {
+        pruning: false,
+        ..Default::default()
+    };
+    // readable by the row evaluator: same indices, the group not vectorized
+    let (ds, _, sharing) = with_forged_record(first_probed, lz4_frame);
+    let fast = observe(&ds, NEAR_BLOB_2, &ann_nprobe_1());
+    assert!(fast.is_ok());
+    assert_eq!(fast, observe(&ds, NEAR_BLOB_2, &naive_opts));
+    let q = parser::parse(NEAR_BLOB_2).unwrap();
+    let stats = execute(&ds, &q, &ann_nprobe_1()).unwrap().stats;
+    assert_eq!(stats.rows_vectorized, stats.candidates_reranked - sharing);
+    // a wrong-length vector: the same error, word for word
+    let five_long = |chunk: &Chunk, i: usize| {
+        let mut values = chunk.sample(i).unwrap().to_vec::<f32>().unwrap();
+        values.push(1.0);
+        let sample = Sample::from_slice([5], &values).unwrap();
+        (Compression::None.compress(sample.bytes()), Shape::from([5]))
+    };
+    let (ds, _, _) = with_forged_record(first_probed, five_long);
+    let fast = observe(&ds, NEAR_BLOB_2, &ann_nprobe_1());
+    assert!(fast.is_err());
+    assert_eq!(fast, observe(&ds, NEAR_BLOB_2, &naive_opts));
 }
 
 // ---------------------------------------------------------------------

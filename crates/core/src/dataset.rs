@@ -545,7 +545,7 @@ impl Dataset {
     /// given `tensors` need to serve `rows` — the chunk-granular scan
     /// primitive shared by the loader's task reads and TQL's executor.
     /// Returns the task's chunks *pinned* per tensor — the fetched ones
-    /// and the ones the shared chunk memo already held (the memo is FIFO
+    /// and the ones the shared chunk memo already held (the memo evicts
     /// across worker threads; pinning keeps a task's chunks alive for its
     /// whole assembly) — plus the number of storage round trips issued
     /// (0 or 1).

@@ -19,9 +19,10 @@
 //! pinned, missing ones named by storage key — the missing chunks of
 //! every tensor travel in one `ReadPlan`, and what arrives is admitted
 //! to the memo and pinned. The returned [`PrefetchedChunks`] holds
-//! everything the task will read; the memo (64 slots, FIFO, shared by
-//! every reader of the handle) only decides what the *next* task finds
-//! resident.
+//! everything the task will read; the memo (shared by every reader of
+//! the handle, least recently used evicted first once it holds more
+//! than 64 chunks and more than 8 MiB) only decides what the *next* task
+//! finds resident.
 //!
 //! ```
 //! use deeplake_core::dataset::Dataset;

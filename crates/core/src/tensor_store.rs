@@ -16,7 +16,7 @@ use deeplake_format::{
     SampleLocation, TensorMeta, TileEncoder, TileLayout,
 };
 use deeplake_index::{VectorIndex, VECTOR_INDEX_KEY, VECTOR_INDEX_STALE_KEY};
-use deeplake_storage::{PrefixProvider, StorageProvider};
+use deeplake_storage::{PrefixProvider, Recency, StorageProvider};
 use deeplake_tensor::{Htype, Sample};
 use parking_lot::Mutex;
 
@@ -30,6 +30,14 @@ const STATS_KEY: &str = "chunk_stats";
 const TILES_KEY: &str = "tile_encoder";
 const CHUNK_SET_KEY: &str = "chunk_set.json";
 const DIFF_KEY: &str = "commit_diff.json";
+
+/// The chunk memo never evicts below this many chunks: enough for a
+/// loader task's chunks across a handful of tensors even at the default
+/// 8 MiB chunk size, where the byte budget alone would hold one.
+const MEMO_MIN_CHUNKS: usize = 64;
+/// Nor below this many bytes of parsed chunks, so a tensor of small
+/// chunks keeps a whole scan's working set.
+const MEMO_BUDGET_BYTES: u64 = 8 << 20;
 
 /// One version sub-directory of this tensor plus the set of chunks it owns.
 pub struct VersionDir {
@@ -97,9 +105,11 @@ pub struct TensorStore {
     /// HEAD first, root last.
     chain: Vec<VersionDir>,
     diff: CommitDiff,
-    /// Small decoded-chunk cache (keyed by chunk id) giving each loader
-    /// worker read locality without thrashing across threads.
-    chunk_memo: Mutex<Vec<(u64, Arc<Chunk>)>>,
+    /// Decoded chunks by id, shared by every reader of this handle, the
+    /// least recently used evicted first (see [`admit`]): a scan that
+    /// recurs over a tensor whose chunks fit the budget finds them
+    /// parsed.
+    chunk_memo: Mutex<Recency<u64, Arc<Chunk>>>,
     /// Whether this handle already invalidated (or verified the absence
     /// of) the tensor's vector index — makes repeated updates write at
     /// most one tombstone.
@@ -131,7 +141,7 @@ impl TensorStore {
                 chunk_set: HashSet::new(),
             }],
             diff: CommitDiff::new(),
-            chunk_memo: Mutex::new(Vec::new()),
+            chunk_memo: Mutex::new(Recency::new()),
             vector_index_invalidated: false,
             dirty: true,
         };
@@ -183,7 +193,7 @@ impl TensorStore {
             tiles,
             chain: dirs,
             diff,
-            chunk_memo: Mutex::new(Vec::new()),
+            chunk_memo: Mutex::new(Recency::new()),
             vector_index_invalidated: false,
             dirty: false,
         })
@@ -608,12 +618,12 @@ impl TensorStore {
     }
 
     /// The resolver: every chunk a task named, looked up once under one
-    /// memo lock. A resident chunk is pinned there and then — the memo is
-    /// FIFO and shared by every reader of this handle, so between a
-    /// task's plan and its last row its own admissions or another
-    /// worker's may evict anything it did not pin. A missing one reports
-    /// its absolute key; a chunk no version's chunk set owns reports
-    /// nothing and is left to [`read_chunk`](Self::read_chunk)'s probing.
+    /// memo lock. A resident chunk is touched and pinned there and then —
+    /// the memo is shared by every reader of this handle, so between a
+    /// task's plan and its last row its own admissions or other readers'
+    /// may evict anything it did not pin. A missing one reports its
+    /// absolute key; a chunk no version's chunk set owns reports nothing
+    /// and is left to [`read_chunk`](Self::read_chunk)'s probing.
     fn resolve(
         &self,
         mut ids: Vec<u64>,
@@ -622,10 +632,10 @@ impl TensorStore {
         ids.sort_unstable();
         ids.dedup();
         {
-            let memo = self.chunk_memo.lock();
-            ids.retain(|&id| match lookup(&memo, id) {
+            let mut memo = self.chunk_memo.lock();
+            ids.retain(|id| match memo.get(id) {
                 Some(chunk) => {
-                    pinned.insert(id, chunk);
+                    pinned.insert(*id, chunk.clone());
                     false
                 }
                 None => true,
@@ -718,30 +728,16 @@ impl TensorStore {
     /// bytes through one storage call and admits them here.
     pub fn admit_chunk(&self, chunk_id: u64, data: Bytes) -> Result<Arc<Chunk>> {
         let chunk = Arc::new(Chunk::parse(data)?);
-        self.memoize(chunk_id, chunk.clone());
+        // a chunk weighs what its parse holds: payload plus offset table
+        let weight = chunk.payload_len() + (chunk.sample_count() + 1) * size_of::<u32>();
+        let mut memo = self.chunk_memo.lock();
+        admit(&mut memo, chunk_id, chunk.clone(), weight as u64);
         Ok(chunk)
     }
 
     /// The memo's copy of a chunk, if it holds one.
     fn memoized(&self, chunk_id: u64) -> Option<Arc<Chunk>> {
-        lookup(&self.chunk_memo.lock(), chunk_id)
-    }
-
-    /// Insert a decoded chunk into the bounded memo (FIFO eviction).
-    ///
-    /// Sized to hold every chunk one loader task touches (a shuffle block
-    /// of rows across a handful of tensors); overflow only costs a
-    /// refetch through the single-key path.
-    fn memoize(&self, chunk_id: u64, chunk: Arc<Chunk>) {
-        const MEMO_SLOTS: usize = 64;
-        let mut memo = self.chunk_memo.lock();
-        if memo.iter().any(|(id, _)| *id == chunk_id) {
-            return;
-        }
-        if memo.len() >= MEMO_SLOTS {
-            memo.remove(0);
-        }
-        memo.push((chunk_id, chunk));
+        self.chunk_memo.lock().get(&chunk_id).cloned()
     }
 
     /// Number of rows safely covered by sealed chunks.
@@ -906,11 +902,14 @@ fn chunk_key_under(prefix: &str, id: u64) -> String {
     key
 }
 
-/// The memo's one lookup.
-fn lookup(memo: &[(u64, Arc<Chunk>)], chunk_id: u64) -> Option<Arc<Chunk>> {
-    memo.iter()
-        .find(|(id, _)| *id == chunk_id)
-        .map(|(_, chunk)| chunk.clone())
+/// The memo's rule: admit `value`, then evict the least recently used
+/// entry while the memo holds more than [`MEMO_MIN_CHUNKS`] chunks *and*
+/// more than [`MEMO_BUDGET_BYTES`]. Overflow only costs a refetch.
+fn admit<V>(memo: &mut Recency<u64, V>, chunk_id: u64, value: V, weight: u64) {
+    memo.insert(chunk_id, value, weight);
+    while memo.len() > MEMO_MIN_CHUNKS && memo.weight() > MEMO_BUDGET_BYTES {
+        memo.pop_lru();
+    }
 }
 
 #[cfg(test)]
@@ -944,6 +943,29 @@ mod tests {
                 dir.absolute(&format!("chunks/{id:016x}"))
             );
         }
+    }
+
+    #[test]
+    fn sixty_five_chunks_of_eight_mib_evict_exactly_the_least_recently_used() {
+        let mut memo = Recency::new();
+        for id in 0..64 {
+            admit(&mut memo, id, (), 8 << 20);
+        }
+        assert!(memo.get(&0).is_some()); // chunk 1 is now the least recent
+        admit(&mut memo, 64, (), 8 << 20);
+        assert_eq!(memo.len(), 64);
+        assert!(memo.get(&1).is_none());
+        assert!(memo.get(&0).is_some());
+    }
+
+    #[test]
+    fn two_hundred_chunks_of_33_kb_evict_none() {
+        let mut memo = Recency::new();
+        for id in 0..200 {
+            admit(&mut memo, id, (), 33_000);
+        }
+        assert_eq!(memo.len(), 200);
+        assert_eq!(memo.weight(), 200 * 33_000);
     }
 
     #[test]

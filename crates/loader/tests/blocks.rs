@@ -160,9 +160,13 @@ impl StorageProvider for GetLog {
     }
 }
 
-/// `rows` rows of 192-byte images in chunks of about 29 rows — off the
-/// 32-row grid, and far more chunks than a dataset handle memoizes —
-/// plus a label per row, behind a [`GetLog`].
+/// Bytes of one image row: chunks of 29 rows weigh about 136 KiB, so the
+/// handle's memo (64 chunks once past 8 MiB) holds 64 of them.
+const IMAGE_BYTES: usize = 40 * 40 * 3;
+
+/// `rows` rows of images in chunks of about 29 rows — off the 32-row
+/// grid, and far more chunks than a dataset handle memoizes — plus a
+/// label per row, behind a [`GetLog`].
 fn logged_dataset(rows: u64) -> (Arc<GetLog>, Arc<Dataset>) {
     let provider = Arc::new(GetLog {
         inner: MemoryProvider::new(),
@@ -172,7 +176,7 @@ fn logged_dataset(rows: u64) -> (Arc<GetLog>, Arc<Dataset>) {
     ds.create_tensor_opts("images", {
         let mut o = TensorOptions::new(Htype::Image);
         o.sample_compression = Some(Compression::None);
-        o.chunk_target_bytes = Some(29 * 192);
+        o.chunk_target_bytes = Some(29 * IMAGE_BYTES as u64);
         o
     })
     .unwrap();
@@ -181,7 +185,7 @@ fn logged_dataset(rows: u64) -> (Arc<GetLog>, Arc<Dataset>) {
         ds.append_row(vec![
             (
                 "images",
-                Sample::from_slice([8, 8, 3], &[(i % 251) as u8; 192]).unwrap(),
+                Sample::from_slice([40, 40, 3], &[(i % 251) as u8; IMAGE_BYTES]).unwrap(),
             ),
             ("labels", Sample::scalar(i as i32)),
         ])

@@ -19,6 +19,8 @@
 //!   path. Request/byte counters make benchmark assertions possible.
 //! * [`LruCacheProvider`] — read-through/write-through LRU chaining of two
 //!   providers, e.g. memory over simulated S3.
+//! * [`Recency`] — the byte-weighted least-recently-used order that cache
+//!   and `deeplake-core`'s decoded-chunk memo evict by.
 //!
 //! Reads come in two granularities: the single-key `get`/`get_range`
 //! methods, and the **batched scatter-gather path** — build a
@@ -40,6 +42,7 @@ pub mod memory;
 pub mod plan;
 pub mod prefix;
 pub mod provider;
+pub mod recency;
 pub mod sim;
 pub mod stats;
 pub mod timing;
@@ -52,6 +55,7 @@ pub use memory::MemoryProvider;
 pub use plan::{CoalescedFetch, FetchPart, ReadPlan, ReadRequest, ReadResult};
 pub use prefix::PrefixProvider;
 pub use provider::{DynProvider, StorageProvider};
+pub use recency::Recency;
 pub use sim::{NetworkProfile, SimulatedCloudProvider};
 pub use stats::{StorageStats, StorageStatsSnapshot};
 pub use timing::TimingProvider;

@@ -7,6 +7,11 @@
 //! insert); writes are write-through (cache + base). Range reads cache the
 //! whole object when it fits the budget, so subsequent ranges of the same
 //! chunk (the shuffled-streaming access pattern, §3.5) hit memory.
+//!
+//! Entries live in a [`Recency`] weighted by their length, so a hit's
+//! touch and each eviction are O(log n). A fill caches what it fetched
+//! only if no write landed while it was fetching: its bytes may be older
+//! than that write.
 
 use std::collections::HashMap;
 
@@ -15,16 +20,16 @@ use parking_lot::Mutex;
 
 use crate::plan::{ReadPlan, ReadRequest, ReadResult};
 use crate::provider::{clamp_range, StorageProvider};
+use crate::recency::Recency;
 use crate::stats::StorageStats;
 use crate::Result;
 
-/// Doubly-linked-list-free LRU: a monotonically increasing tick per entry.
-/// Eviction scans for the minimum tick — O(n), but n (cached objects) stays
-/// small because entries are multi-megabyte chunks.
 struct CacheState {
-    entries: HashMap<String, (Bytes, u64)>,
-    bytes: u64,
-    tick: u64,
+    entries: Recency<String, Bytes>,
+    /// Bumped by every `put`, `delete` and `delete_prefix` once the base
+    /// has it. A read-through fill remembers the value at its miss and
+    /// caches nothing if it moved.
+    writes: u64,
 }
 
 /// Read-through / write-through LRU cache over a base provider.
@@ -41,9 +46,8 @@ impl<P: StorageProvider> LruCacheProvider<P> {
         LruCacheProvider {
             base,
             state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                bytes: 0,
-                tick: 0,
+                entries: Recency::new(),
+                writes: 0,
             }),
             capacity: capacity_bytes,
             stats: StorageStats::new(),
@@ -79,7 +83,7 @@ impl<P: StorageProvider> LruCacheProvider<P> {
 
     /// Bytes currently cached.
     pub fn cached_bytes(&self) -> u64 {
-        self.state.lock().bytes
+        self.state.lock().entries.weight()
     }
 
     /// Number of cached objects.
@@ -87,60 +91,51 @@ impl<P: StorageProvider> LruCacheProvider<P> {
         self.state.lock().entries.len()
     }
 
-    fn lookup(&self, key: &str) -> Option<Bytes> {
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        if let Some((data, last)) = st.entries.get_mut(key) {
-            *last = tick;
-            return Some(data.clone());
-        }
-        None
+    /// The cached object, or on a miss the write generation a fill of it
+    /// must still see to be cached.
+    fn lookup(&self, key: &str) -> std::result::Result<Bytes, u64> {
+        let st = &mut *self.state.lock();
+        st.entries.get(key).cloned().ok_or(st.writes)
     }
 
-    fn insert(&self, key: &str, data: Bytes) {
-        self.insert_many(vec![(key.to_string(), data)]);
-    }
-
-    fn invalidate(&self, key: &str) {
-        let mut st = self.state.lock();
-        if let Some((old, _)) = st.entries.remove(key) {
-            st.bytes -= old.len() as u64;
+    /// Cache objects fetched from the base after a miss at write
+    /// generation `seen`, unless a write has landed since.
+    fn fill(&self, seen: u64, batch: impl IntoIterator<Item = (String, Bytes)>) {
+        let st = &mut *self.state.lock();
+        if st.writes == seen {
+            self.admit(&mut st.entries, batch);
         }
     }
 
-    /// Insert a whole batch of fetched objects under one lock, then run a
-    /// **single eviction pass** — instead of N insert+evict cycles, the
-    /// batch lands first and LRU order is enforced once.
-    fn insert_many(&self, batch: Vec<(String, Bytes)>) {
-        let mut st = self.state.lock();
+    /// Record a write the base has taken — fills in flight may hold older
+    /// bytes — and bring the cache in line with it.
+    fn written(&self, update: impl FnOnce(&mut Recency<String, Bytes>)) {
+        let st = &mut *self.state.lock();
+        st.writes += 1;
+        update(&mut st.entries);
+    }
+
+    /// Insert a whole batch, then run a **single eviction pass** — instead
+    /// of N insert+evict cycles, the batch lands first and LRU order is
+    /// enforced once.
+    fn admit(
+        &self,
+        entries: &mut Recency<String, Bytes>,
+        batch: impl IntoIterator<Item = (String, Bytes)>,
+    ) {
         for (key, data) in batch {
-            // the key's previous value goes even when the new one is not
-            // cached: it is stale either way
-            if let Some((old, _)) = st.entries.remove(&key) {
-                st.bytes -= old.len() as u64;
-            }
             let size = data.len() as u64;
             if size > self.capacity {
-                continue; // never cache objects bigger than the whole budget
+                // never cache objects bigger than the whole budget; the
+                // key's previous value goes too, it is stale either way
+                entries.remove(&key);
+                continue;
             }
-            st.tick += 1;
-            let tick = st.tick;
-            st.entries.insert(key, (data, tick));
-            st.bytes += size;
+            entries.insert(key, data, size);
         }
-        while st.bytes > self.capacity {
-            // evict the least recently used entry
-            let victim = st
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| k.clone())
-                .expect("bytes > 0 implies entries");
-            if let Some((old, _)) = st.entries.remove(&victim) {
-                st.bytes -= old.len() as u64;
-                self.stats.record_eviction();
-            }
+        while entries.weight() > self.capacity {
+            entries.pop_lru();
+            self.stats.record_eviction();
         }
     }
 
@@ -158,23 +153,29 @@ impl<P: StorageProvider> LruCacheProvider<P> {
 
 impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
     fn get(&self, key: &str) -> Result<Bytes> {
-        if let Some(hit) = self.lookup(key) {
-            self.stats.record_hit();
-            return Ok(hit);
-        }
+        let seen = match self.lookup(key) {
+            Ok(hit) => {
+                self.stats.record_hit();
+                return Ok(hit);
+            }
+            Err(seen) => seen,
+        };
         self.stats.record_miss();
         let data = self.base.get(key)?;
         self.stats.record_get(data.len() as u64);
-        self.insert(key, data.clone());
+        self.fill(seen, [(key.to_string(), data.clone())]);
         Ok(data)
     }
 
     fn get_range(&self, key: &str, start: u64, end: u64) -> Result<Bytes> {
-        if let Some(hit) = self.lookup(key) {
-            self.stats.record_hit();
-            let (s, e) = clamp_range(start, end, hit.len() as u64)?;
-            return Ok(hit.slice(s..e));
-        }
+        let seen = match self.lookup(key) {
+            Ok(hit) => {
+                self.stats.record_hit();
+                let (s, e) = clamp_range(start, end, hit.len() as u64)?;
+                return Ok(hit.slice(s..e));
+            }
+            Err(seen) => seen,
+        };
         self.stats.record_miss();
         // Fetch the whole object when it fits the budget so later ranges of
         // the same chunk hit memory; otherwise pass the range through.
@@ -182,7 +183,7 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
             Ok(len) if len <= self.capacity => {
                 let data = self.base.get(key)?;
                 self.stats.record_get(data.len() as u64);
-                self.insert(key, data.clone());
+                self.fill(seen, [(key.to_string(), data.clone())]);
                 let (s, e) = clamp_range(start, end, data.len() as u64)?;
                 Ok(data.slice(s..e))
             }
@@ -194,27 +195,35 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
         }
     }
 
+    /// Writes reach the base first and then always replace the cached
+    /// value, so no fill that was in flight can cache bytes older than
+    /// them.
     fn put(&self, key: &str, value: Bytes) -> Result<()> {
         self.base.put(key, value.clone())?;
         self.stats.record_put(value.len() as u64);
-        self.insert(key, value);
+        self.written(|entries| self.admit(entries, [(key.to_string(), value)]));
         Ok(())
     }
 
+    /// The cached value goes whether or not the base delete succeeded: a
+    /// failed one may still have happened.
     fn delete(&self, key: &str) -> Result<()> {
-        self.invalidate(key);
-        self.base.delete(key)
+        let deleted = self.base.delete(key);
+        self.written(|entries| {
+            entries.remove(key);
+        });
+        deleted
     }
 
     fn exists(&self, key: &str) -> Result<bool> {
-        if self.lookup(key).is_some() {
+        if self.lookup(key).is_ok() {
             return Ok(true);
         }
         self.base.exists(key)
     }
 
     fn len_of(&self, key: &str) -> Result<u64> {
-        if let Some(hit) = self.lookup(key) {
+        if let Ok(hit) = self.lookup(key) {
             return Ok(hit.len() as u64);
         }
         self.base.len_of(key)
@@ -239,16 +248,12 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
         let mut out: Vec<Option<Result<Bytes>>> = vec![None; requests.len()];
         let mut miss_keys: Vec<String> = Vec::new();
         let mut missed: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        {
+        let seen = {
             let mut st = self.state.lock();
             for (i, r) in requests.iter().enumerate() {
-                st.tick += 1;
-                let tick = st.tick;
-                if let Some((data, last)) = st.entries.get_mut(&r.key) {
-                    *last = tick;
+                if let Some(data) = st.entries.get(r.key.as_str()) {
                     self.stats.record_hit();
-                    let data = data.clone();
-                    out[i] = Some(Self::slice_of(r, &data));
+                    out[i] = Some(Self::slice_of(r, data));
                 } else {
                     self.stats.record_miss();
                     if missed.insert(r.key.as_str()) {
@@ -256,7 +261,8 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
                     }
                 }
             }
-        }
+            st.writes
+        };
         drop(missed);
         if miss_keys.is_empty() {
             self.stats.record_batch(requests.len() as u64, 0, 0);
@@ -353,7 +359,7 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
                 out[target] = Some(result.clone());
             }
         }
-        self.insert_many(to_cache);
+        self.fill(seen, to_cache);
         for (i, r) in requests.iter().enumerate() {
             if out[i].is_none() {
                 out[i] = Some(match by_key.get(r.key.as_str()) {
@@ -371,24 +377,13 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
         }
     }
 
-    /// Drop every cached object under the prefix, then bulk-delete on the
-    /// base (one batched call instead of a list+delete loop here).
+    /// Bulk-delete on the base (one batched call instead of a list+delete
+    /// loop here), then drop every cached object under the prefix, as
+    /// [`delete`](StorageProvider::delete) does.
     fn delete_prefix(&self, prefix: &str) -> Result<()> {
-        {
-            let mut st = self.state.lock();
-            let doomed: Vec<String> = st
-                .entries
-                .keys()
-                .filter(|k| k.starts_with(prefix))
-                .cloned()
-                .collect();
-            for key in doomed {
-                if let Some((old, _)) = st.entries.remove(&key) {
-                    st.bytes -= old.len() as u64;
-                }
-            }
-        }
-        self.base.delete_prefix(prefix)
+        let deleted = self.base.delete_prefix(prefix);
+        self.written(|entries| entries.retain(|key| !key.starts_with(prefix)));
+        deleted
     }
 }
 
@@ -397,6 +392,7 @@ mod tests {
     use super::*;
     use crate::memory::MemoryProvider;
     use crate::sim::{NetworkProfile, SimulatedCloudProvider};
+    use std::sync::mpsc;
 
     fn slow_base() -> SimulatedCloudProvider<MemoryProvider> {
         SimulatedCloudProvider::new("s3", MemoryProvider::new(), NetworkProfile::instant())
@@ -640,6 +636,79 @@ mod tests {
         cache.put("k", Bytes::from(vec![2u8; 1000])).unwrap();
         assert_eq!(cache.get("k").unwrap(), Bytes::from(vec![2u8; 1000]));
         assert_eq!(cache.cached_bytes(), 0);
+    }
+
+    /// A base whose first `get` reads its value, says so on `fetched`,
+    /// and returns it only once `release` fires: a read-through fill held
+    /// between its fetch and its insert.
+    struct Gated {
+        inner: MemoryProvider,
+        gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl StorageProvider for Gated {
+        fn get(&self, key: &str) -> Result<Bytes> {
+            let data = self.inner.get(key);
+            let gate = self.gate.lock().take();
+            if let Some((fetched, release)) = gate {
+                fetched.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            data
+        }
+        fn get_range(&self, key: &str, start: u64, end: u64) -> Result<Bytes> {
+            self.inner.get_range(key, start, end)
+        }
+        fn put(&self, key: &str, value: Bytes) -> Result<()> {
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            self.inner.delete(key)
+        }
+        fn exists(&self, key: &str) -> Result<bool> {
+            self.inner.exists(key)
+        }
+        fn len_of(&self, key: &str) -> Result<u64> {
+            self.inner.len_of(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn describe(&self) -> String {
+            "gated".into()
+        }
+    }
+
+    /// Land `write` while a `get("k")` is filling `"old"` from the base,
+    /// then `get("k")` again.
+    fn get_after_a_racing_write(write: impl FnOnce(&LruCacheProvider<Gated>)) -> Result<Bytes> {
+        let (fetched_tx, fetched) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let base = Gated {
+            inner: MemoryProvider::new(),
+            gate: Mutex::new(Some((fetched_tx, release_rx))),
+        };
+        base.inner.put("k", Bytes::from_static(b"old")).unwrap();
+        let cache = LruCacheProvider::new(base, 1_000);
+        std::thread::scope(|s| {
+            let fill = s.spawn(|| cache.get("k"));
+            fetched.recv().unwrap();
+            write(&cache);
+            release.send(()).unwrap();
+            assert_eq!(fill.join().unwrap().unwrap(), Bytes::from_static(b"old"));
+        });
+        cache.get("k")
+    }
+
+    #[test]
+    fn a_fill_in_flight_does_not_undo_a_put() {
+        let got = get_after_a_racing_write(|c| c.put("k", Bytes::from_static(b"new")).unwrap());
+        assert_eq!(got.unwrap(), Bytes::from_static(b"new"));
+    }
+
+    #[test]
+    fn a_fill_in_flight_does_not_undo_a_delete() {
+        assert!(get_after_a_racing_write(|c| c.delete("k").unwrap()).is_err());
     }
 
     #[test]

@@ -618,20 +618,6 @@ impl Dataset {
         Ok(prefetched)
     }
 
-    /// Conservative scalar summary of `tensor`'s rows `[start, end)`, or
-    /// `None` when any covering chunk lacks statistics (see
-    /// [`TensorStore::stats_for_rows`]). Unknown tensors report `None`
-    /// rather than erroring — the pruning layer treats both as "cannot
-    /// prune" and lets row-level evaluation surface the real error.
-    pub fn chunk_stats_for_rows(
-        &self,
-        tensor: &str,
-        start: u64,
-        end: u64,
-    ) -> Option<deeplake_format::ChunkStats> {
-        self.tensors.get(tensor)?.stats_for_rows(start, end)
-    }
-
     /// `tensor`'s row space as chunk-aligned spans (see
     /// [`TensorStore::chunk_spans`]).
     pub fn chunk_spans(&self, tensor: &str) -> Result<Vec<(Option<u64>, u64, u64)>> {

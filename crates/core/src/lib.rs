@@ -62,7 +62,7 @@ pub use view::DatasetView;
 
 // Re-exported for layers (query planning, streaming) that reason about
 // chunks without depending on the format crate directly.
-pub use deeplake_format::{Chunk, ChunkStats};
+pub use deeplake_format::{Chunk, ChunkStats, ColumnView, VectorQuery};
 
 // Re-exported so consumers configure and probe vector indexes without a
 // direct dependency on the index crate.

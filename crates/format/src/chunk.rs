@@ -32,6 +32,12 @@
 //! time for ranks 0–3, and checks their summed stored lengths against
 //! `u32` once, at the end of that run, rather than per record.
 //!
+//! Whether every record is one uncompressed frame of one stored length —
+//! the walk over every record a fixed-width column view needs — is
+//! worked out on the first view asked of a chunk and kept with it, so a
+//! parsed chunk that many queries scan pays that walk once. A chunk
+//! being built forgets it at each append.
+//!
 //! The payload of a *parsed* chunk is a window, not a copy: a [`Bytes`]
 //! slice of the blob handed to the parser (payload codec `None`), or the
 //! one buffer the payload codec decoded into. The window holds a
@@ -46,6 +52,7 @@
 //! shows on the wire: the layout above is unchanged.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use bytes::{Bytes, BytesMut};
 use deeplake_codec::{Compression, Frame};
@@ -70,6 +77,21 @@ pub struct Chunk {
     offsets: Vec<u32>,
     shapes: Shapes,
     payload: Payload,
+    /// The stored length every record shares when each is one
+    /// uncompressed frame of it (see [`Chunk::raw_stride`]).
+    raw_stride: Memo<Option<usize>>,
+}
+
+/// A value a chunk derives from its records on first use. Not part of
+/// what the chunk is: chunks compare equal whatever either has worked
+/// out.
+#[derive(Debug, Clone, Default)]
+struct Memo<T>(OnceLock<T>);
+
+impl<T> PartialEq for Memo<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// The shapes of a chunk's records.
@@ -125,6 +147,7 @@ impl Chunk {
             offsets: vec![0],
             shapes: Shapes::Uniform(Shape::scalar()),
             payload: Payload::Owned(Vec::new()),
+            raw_stride: Memo::default(),
         }
     }
 
@@ -166,6 +189,7 @@ impl Chunk {
     /// shape is cloned once per chunk, not per record: later records only
     /// compare against it, until one differs and the tables go ragged.
     fn push_record(&mut self, shape: &Shape) {
+        self.raw_stride = Memo::default();
         let n = self.sample_count();
         let end = u32::try_from(self.payload_len()).expect("a chunk payload stays below 4 GiB");
         self.offsets.push(end);
@@ -281,17 +305,29 @@ impl Chunk {
         if !shapes_ok || self.sample_count().checked_mul(stride)? != payload.len() {
             return None;
         }
-        let uniform = self
-            .offsets
-            .windows(2)
-            .zip(payload.chunks_exact(stride))
-            .all(|(w, blob)| {
-                (w[1] - w[0]) as usize == stride && Compression::raw_body(blob).is_some()
-            });
+        let uniform = self.sample_count() == 0 || self.raw_stride() == Some(stride);
         uniform.then_some(ColumnView {
             dtype: self.dtype,
             stride,
             payload,
+        })
+    }
+
+    /// The stored length every record shares, when each is one
+    /// uncompressed frame of it: one walk over the records, made on first
+    /// use and kept (see the module docs).
+    fn raw_stride(&self) -> Option<usize> {
+        *self.raw_stride.0.get_or_init(|| {
+            let stride = *self.offsets.get(1)? as usize;
+            let uniform = stride > 0
+                && self
+                    .offsets
+                    .windows(2)
+                    .zip(self.payload.as_slice().chunks_exact(stride))
+                    .all(|(w, blob)| {
+                        (w[1] - w[0]) as usize == stride && Compression::raw_body(blob).is_some()
+                    });
+            uniform.then_some(stride)
         })
     }
 
@@ -364,6 +400,7 @@ impl Chunk {
             offsets,
             shapes,
             payload: Payload::Shared(payload),
+            raw_stride: Memo::default(),
         })
     }
 }
@@ -504,6 +541,47 @@ pub struct ColumnView<'a> {
     payload: &'a [u8],
 }
 
+/// A query vector as [`ColumnView::score_row`] scores records against
+/// it: the math of `deeplake_index::Metric::score(record, query)`, with
+/// what depends on the query alone computed once (`Metric::prepare`
+/// builds one).
+#[derive(Debug, Clone, Copy)]
+pub enum VectorQuery<'q> {
+    /// Cosine similarity; zero-norm inputs score `0.0`.
+    Cosine {
+        /// The query's elements.
+        query: &'q [f64],
+        /// The query's sum of squares, summed in element order from
+        /// `0.0`.
+        norm2: f64,
+    },
+    /// Euclidean distance.
+    L2 {
+        /// The query's elements.
+        query: &'q [f64],
+    },
+}
+
+/// Bind `$size` to the byte width of a `$dtype` element and `$read` to
+/// the conversion [`Sample::get_f64`] uses for it, and evaluate `$body`:
+/// one monomorphic copy of `$body` per dtype, so the conversion's dtype
+/// match folds away inside each.
+macro_rules! with_reader {
+    ($dtype:expr, $size:ident, $read:ident => $body:expr) => {
+        with_reader!(@arms $dtype, $size, $read, $body;
+            U8, I8, U16, I16, U32, I32, U64, I64, F32, F64, Bool)
+    };
+    (@arms $dtype:expr, $size:ident, $read:ident, $body:expr; $($d:ident),*) => {
+        match $dtype {
+            $(Dtype::$d => {
+                let $size = Dtype::$d.size();
+                let $read = |raw: &[u8]| read_f64(Dtype::$d, raw);
+                $body
+            })*
+        }
+    };
+}
+
 impl ColumnView<'_> {
     /// Rows in the column.
     pub fn len(&self) -> usize {
@@ -522,35 +600,68 @@ impl ColumnView<'_> {
     pub fn decode_rows(&self, rows: Range<usize>, out: &mut Vec<f64>) {
         let stride = self.stride;
         let records = &self.payload[rows.start * stride..rows.end * stride];
-        // one monomorphic loop per dtype: the conversion's dtype match
-        // folds away inside each arm
-        macro_rules! typed {
-            ($($d:ident),*) => {
-                match self.dtype {
-                    $(Dtype::$d => decode_records(records, stride, Dtype::$d.size(), out, |raw| {
-                        read_f64(Dtype::$d, raw)
-                    }),)*
-                }
-            };
-        }
-        typed!(U8, I8, U16, I16, U32, I32, U64, I64, F32, F64, Bool);
+        with_reader!(self.dtype, size, read => if stride == 1 + size {
+            out.extend(records.chunks_exact(stride).map(|rec| read(&rec[1..])));
+        } else {
+            for rec in records.chunks_exact(stride) {
+                out.extend(rec[1..].chunks_exact(size).map(read));
+            }
+        })
     }
-}
 
-#[inline(always)]
-fn decode_records(
-    records: &[u8],
-    stride: usize,
-    size: usize,
-    out: &mut Vec<f64>,
-    read: impl Fn(&[u8]) -> f64,
-) {
-    if stride == 1 + size {
-        out.extend(records.chunks_exact(stride).map(|rec| read(&rec[1..])));
-    } else {
-        for rec in records.chunks_exact(stride) {
-            out.extend(rec[1..].chunks_exact(size).map(&read));
-        }
+    /// Compare rows `rows` of a scalar column in place: `emit` gets
+    /// `keep(value)` for each row, in order, where `value` is what
+    /// [`decode_rows`](Self::decode_rows) would have decoded — the same
+    /// conversion, so NaN and signed zeros compare as they do there — but
+    /// no buffer is filled. Panics if `rows` reaches past
+    /// [`len`](Self::len).
+    pub fn compare_rows(
+        &self,
+        rows: Range<usize>,
+        keep: impl Fn(f64) -> bool,
+        mut emit: impl FnMut(bool),
+    ) {
+        let stride = self.stride;
+        debug_assert_eq!(stride, 1 + self.dtype.size(), "a scalar column");
+        let records = &self.payload[rows.start * stride..rows.end * stride];
+        with_reader!(self.dtype, _size, read => for rec in records.chunks_exact(stride) {
+            emit(keep(read(&rec[1..])));
+        })
+    }
+
+    /// Score row `row` of a vector column against `query` from the
+    /// record's bytes: the elements convert as in
+    /// [`decode_rows`](Self::decode_rows) and accumulate in element
+    /// order, so the result is bit for bit `Metric::score` over the
+    /// decoded row (a NaN result is some NaN: which of two NaN operands
+    /// an add keeps is the compiler's choice, in both). The row must
+    /// hold as many elements as the query
+    /// (every row of a `vector_column(query.len())` view does). Panics
+    /// if `row` is not below [`len`](Self::len).
+    pub fn score_row(&self, row: usize, query: VectorQuery<'_>) -> f64 {
+        let record = &self.payload[row * self.stride + 1..(row + 1) * self.stride];
+        with_reader!(self.dtype, size, read => {
+            let elements = record.chunks_exact(size).map(read);
+            match query {
+                VectorQuery::Cosine { query, norm2 } => {
+                    let (mut dot, mut norm) = (0.0, 0.0);
+                    for (x, &y) in elements.zip(query) {
+                        dot += x * y;
+                        norm += x * x;
+                    }
+                    if norm == 0.0 || norm2 == 0.0 {
+                        0.0
+                    } else {
+                        dot / (norm.sqrt() * norm2.sqrt())
+                    }
+                }
+                VectorQuery::L2 { query } => elements
+                    .zip(query)
+                    .map(|(x, &y)| (x - y) * (x - y))
+                    .sum::<f64>()
+                    .sqrt(),
+            }
+        })
     }
 }
 

@@ -290,8 +290,11 @@ fn scalar_column_refuses_anything_but_uncompressed_scalars() {
     assert!(scalars(4).scalar_column().is_some());
     assert!(scalars(0).scalar_column().is_some_and(|c| c.is_empty()));
 
-    // one sample-compressed record
+    // one sample-compressed record, appended after a verdict was kept:
+    // the append forgets it, and a kept verdict is not part of equality
     let mut c = scalars(3);
+    assert!(c.scalar_column().is_some());
+    assert_eq!(c, scalars(3));
     c.append_sample(&Sample::scalar(9f32), Compression::Lz4)
         .unwrap();
     assert!(c.scalar_column().is_none());

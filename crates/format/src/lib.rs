@@ -39,7 +39,7 @@ pub mod meta;
 pub mod tile_encoder;
 pub mod video;
 
-pub use chunk::{Chunk, ColumnView};
+pub use chunk::{Chunk, ColumnView, VectorQuery};
 pub use chunk_builder::{ChunkBuilder, ChunkSizePolicy, FlushReason};
 pub use chunk_encoder::{ChunkEncoder, SampleLocation};
 pub use chunk_stats::{ChunkStats, ChunkStatsIndex};

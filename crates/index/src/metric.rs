@@ -5,6 +5,8 @@
 //! call these, so an approximate path re-ranks with *exactly* the math
 //! the naive per-row evaluator uses.
 
+use deeplake_format::VectorQuery;
+
 /// The metric a similarity query orders by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
@@ -28,6 +30,22 @@ impl Metric {
         match self {
             Metric::Cosine => cosine_similarity(a, b),
             Metric::L2 => l2_distance(a, b),
+        }
+    }
+
+    /// `query` as the second argument of many [`score`](Self::score)
+    /// calls against records read in place
+    /// ([`ColumnView::score_row`](deeplake_format::ColumnView::score_row)):
+    /// cosine's query norm is summed here once, in the order
+    /// [`cosine_similarity`] sums it, so every score keeps its bits
+    /// (up to which NaN a NaN result is).
+    pub fn prepare<'q>(&self, query: &'q [f64]) -> VectorQuery<'q> {
+        match self {
+            Metric::Cosine => VectorQuery::Cosine {
+                query,
+                norm2: query.iter().fold(0.0, |n, &y| n + y * y),
+            },
+            Metric::L2 => VectorQuery::L2 { query },
         }
     }
 }

@@ -43,7 +43,13 @@ impl Scalar {
     /// Ordering used by `ORDER BY`: null < numbers < strings, numbers
     /// compared numerically, NaN last.
     pub fn order_cmp(&self, other: &Scalar) -> std::cmp::Ordering {
-        use std::cmp::Ordering::*;
+        // two numbers — every key a similarity sort compares — first
+        if let (Some(x), Some(y)) = (self.as_f64(), other.as_f64()) {
+            // only a NaN has no partial order: it sorts after numbers
+            return x
+                .partial_cmp(&y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()));
+        }
         fn class(s: &Scalar) -> u8 {
             match s {
                 Scalar::Null => 0,
@@ -51,25 +57,10 @@ impl Scalar {
                 Scalar::Str(_) => 2,
             }
         }
-        match class(self).cmp(&class(other)) {
-            Equal => {}
-            o => return o,
-        }
         match (self, other) {
             (Scalar::Str(a), Scalar::Str(b)) => a.cmp(b),
-            (Scalar::Null, Scalar::Null) => Equal,
-            (a, b) => {
-                let (x, y) = (
-                    a.as_f64().unwrap_or(f64::NAN),
-                    b.as_f64().unwrap_or(f64::NAN),
-                );
-                match (x.is_nan(), y.is_nan()) {
-                    (true, true) => Equal,
-                    (true, false) => Greater,
-                    (false, true) => Less,
-                    (false, false) => x.partial_cmp(&y).unwrap_or(Equal),
-                }
-            }
+            // Null against Null, or two classes
+            (a, b) => class(a).cmp(&class(b)),
         }
     }
 }

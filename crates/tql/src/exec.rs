@@ -26,24 +26,33 @@
 //! ([`eval`]) builds one `Sample` per referenced column per row and
 //! walks the expression tree; it handles every expression and is where
 //! every error message comes from. The **kernels** never build a
-//! `Sample`: they borrow a parsed chunk as a fixed-width column
-//! ([`deeplake_core::Chunk::scalar_column`] / `vector_column`), decode
-//! a run of rows into one reused `f64` buffer through the conversion
-//! `Sample::get_f64` uses, and work on that. Two operators have one:
+//! `Sample` and fill no buffer of decoded values: they borrow a parsed
+//! chunk as a fixed-width column ([`deeplake_core::Chunk::scalar_column`]
+//! / `vector_at`) and read each record in place through
+//! [`ColumnView`], with the conversion `Sample::get_f64` uses. A task
+//! finds its rows' records once: each column's runs are looked up once
+//! per contiguous row range of the task (`task_runs`), and a cursor walks
+//! rows and runs together. Two operators have kernels:
 //!
-//! * **Scanned filter spans** (`span_mask`) — when the filter lowers
-//!   to a [`PruneExpr`] with no `Opaque` leaf (conjunctions,
+//! * **Scanned filter spans** (`SpanScan::task`) — when the filter
+//!   lowers to a [`PruneExpr`] with no `Opaque` leaf (conjunctions,
 //!   disjunctions and negations of `column <op> number`, and
 //!   `CONTAINS(column, number)`) and compares no text column, each leaf
-//!   becomes one compare over the span's decoded column and
-//!   `And`/`Or`/`Not` combine the resulting masks.
+//!   compares its column's records in place
+//!   ([`ColumnView::compare_rows`]). A lone `column <op> number` pushes
+//!   the matching row ids straight out; otherwise each leaf fills a mask
+//!   and `And`/`Or`/`Not` combine the masks (`span_mask`), in buffers the
+//!   task's spans reuse.
 //! * **Top-k candidate scoring** (`score_group`) — each span's
-//!   candidates are scored from the payload bytes with the same
-//!   `Metric::score(column vector, query literal)` call the similarity
-//!   functions make. Only the candidates' own records are checked and
-//!   read ([`deeplake_core::Chunk::vector_at`], O(1) a record), so a
-//!   group of ~5 ANN candidates costs ~5 record checks, not one per
-//!   record of its chunk.
+//!   candidates are scored from the payload bytes with the arithmetic of
+//!   the `Metric::score(column vector, query literal)` call the
+//!   similarity functions make, in the same order
+//!   ([`ColumnView::score_row`]; the query's norm is summed once per
+//!   query). Only the candidates' own records are checked and read
+//!   ([`deeplake_core::Chunk::vector_at`], O(1) a record), so a group of
+//!   ~10 ANN candidates costs ~10 record checks, not one per record of
+//!   its chunk. Each task keeps its best `LIMIT + OFFSET` by selection
+//!   under the final order, not by sorting.
 //!
 //! A kernel takes a span (filter) or a span's candidate group (top-k)
 //! only where no row of it *can* raise, and otherwise hands exactly that
@@ -54,7 +63,9 @@
 //!   chunks (each leaf by its own column's runs — after `update()` they
 //!   need not line up with the driving column's), none of the rows
 //!   tiled; rows still in the open chunk qualify through the builder's
-//!   chunk;
+//!   chunk. A task range that does not resolve is looked up again span
+//!   by span (candidate group by group), so one tiled row or undecoded
+//!   chunk costs only the spans holding it;
 //! * each record the kernel reads must be one uncompressed frame of the
 //!   expected length. A filter column reads every record of each such
 //!   chunk, one element each: a sample-compressed blob, an empty tensor
@@ -89,11 +100,13 @@
 //! [`Dataset::prefetch_spans`]: deeplake_core::Dataset::prefetch_spans
 //! [`ReadPlan`]: deeplake_storage::ReadPlan
 
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use deeplake_core::{Dataset, DatasetView, PrefetchedChunks};
+use deeplake_core::tensor_store::TensorStore;
+use deeplake_core::{ColumnRun, ColumnView, Dataset, DatasetView, PrefetchedChunks, VectorQuery};
 use deeplake_tensor::ops::slice_sample;
 use deeplake_tensor::Scalar;
 use parking_lot::Mutex;
@@ -517,32 +530,14 @@ pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<Query
     })
 }
 
-/// Per-span statistics lookup for the pruning predicate. Text-htype
-/// columns never report stats: their rows evaluate as *strings*, so an
-/// interval over their raw scalar bytes would not describe what the row
-/// evaluator compares.
-fn span_stats(
-    ds: &Dataset,
-    cols: &Columns,
-    column: &str,
-    start: u64,
-    end: u64,
-) -> Option<deeplake_core::ChunkStats> {
-    if cols.text.iter().any(|c| c == column) {
-        return None;
-    }
-    ds.chunk_stats_for_rows(column, start, end)
-}
-
 /// The filter stage. Two phases:
 ///
 /// 1. every chunk-aligned span is decided from statistics alone (no
 ///    I/O): pruned, matched whole, or left undecided;
 /// 2. undecided spans are grouped into worker tasks, each task fetching
 ///    *all* its spans' chunks through one batched call, decoding each
-///    chunk once, and evaluating the predicate across its rows — a span
-///    at a time through [`span_mask`] where the filter and the span's
-///    chunks allow, row by row otherwise.
+///    chunk once, and evaluating the predicate across its rows (see
+///    [`SpanScan::task`]).
 ///
 /// `stop_after` (set for `LIMIT k` queries with no ORDER BY / ARRANGE
 /// BY) short-circuits phase 2: spans are scanned **in row order**, in
@@ -592,42 +587,41 @@ fn filter_stage(
     };
 
     let spans = clamped_spans(ds, driving, n)?;
-    let scan = SpanScan {
-        ds,
-        filter,
-        kernel: filter_kernel(&plan.prune, cols),
-        cols,
-        spans: &spans,
-        stats,
-    };
-    let slots: Vec<Mutex<Vec<u64>>> = spans.iter().map(|_| Mutex::new(Vec::new())).collect();
 
     // ---- phase 1: decide spans from statistics alone (no I/O) ----
     let t_prune = Instant::now();
-    let mut decided: Vec<bool> = vec![false; spans.len()];
-    let mut kept: Vec<u64> = vec![0; spans.len()];
-    let mut undecided: Vec<usize> = Vec::new();
-    for (i, &(_, start, len)) in spans.iter().enumerate() {
-        let end = start + len;
-        match plan
-            .prune
-            .evaluate(&|col| span_stats(ds, cols, col, start, end))
-        {
-            Some(false) => {
-                // statistics prove no row matches: the slot stays empty
-                stats.chunks_pruned.fetch_add(1, Ordering::Relaxed);
-                decided[i] = true;
-            }
-            Some(true) => {
-                // statistics prove every row matches: take the span whole
-                stats.chunks_matched.fetch_add(1, Ordering::Relaxed);
-                *slots[i].lock() = (start..end).collect();
-                decided[i] = true;
-                kept[i] = len;
-            }
-            None => undecided.push(i),
+    // each leaf column's store, resolved once per stage. Text-htype
+    // columns report no statistics: their rows evaluate as *strings*, so
+    // an interval over their raw scalar bytes would not describe what the
+    // row evaluator compares
+    let stores: Vec<(&String, Option<&TensorStore>)> = prune_cols
+        .iter()
+        .map(|c| (c, ds.store(c).ok().filter(|_| !cols.text.contains(c))))
+        .collect();
+    let span_stats = |column: &str, &(id, start, len): &(Option<u64>, u64, u64)| {
+        let store = stores.iter().find(|(c, _)| *c == column)?.1?;
+        // a span of the driving column is one run of one chunk: its
+        // statistics are that chunk's, read by the id the span carries
+        match column == driving {
+            true => store.chunk_stats(id?),
+            false => store.stats_for_rows(start, start + len),
         }
+    };
+    let verdicts: Vec<Option<bool>> = spans
+        .iter()
+        .map(|span| plan.prune.evaluate(&|col| span_stats(col, span)))
+        .collect();
+    // a pruned span keeps nothing; a matched one is taken whole below
+    for (verdict, counter) in [
+        (Some(false), &stats.chunks_pruned),
+        (Some(true), &stats.chunks_matched),
+    ] {
+        let count = verdicts.iter().filter(|&&v| v == verdict).count();
+        counter.fetch_add(count as u64, Ordering::Relaxed);
     }
+    let undecided: Vec<usize> = (0..spans.len())
+        .filter(|&i| verdicts[i].is_none())
+        .collect();
     StatsAcc::lap(&stats.prune_ns, t_prune);
 
     // ---- phase 2: group undecided spans into worker tasks ----
@@ -635,79 +629,66 @@ fn filter_stage(
     // One batched storage call per task, not per span: fragmented runs
     // and small chunks amortize into a handful of round trips. The caps
     // bound a task's pinned-chunk working set.
-    if let Some(target) = stop_after {
-        // Early-exit scan: task caps start small and double toward the
-        // full batch size, and tasks run in parallel waves that also
-        // grow (1, 2, 4, … up to `workers`), re-checking between waves
-        // whether the decided contiguous prefix of spans already holds
-        // `target` matching rows (later spans' rows would be truncated
-        // by the window stage anyway). An early k-th match fetches
-        // little past the frontier; a late or absent one converges to
-        // the parallel full scan's batching and thread usage.
-        let mut tasks: Vec<Vec<usize>> = Vec::new();
-        {
-            let (mut max_rows, mut max_spans) = (512u64, 8usize);
-            let mut current: Vec<usize> = Vec::new();
-            let mut current_rows = 0u64;
-            for &i in &undecided {
-                let len = spans[i].2;
-                if !current.is_empty()
-                    && (current_rows + len > max_rows || current.len() >= max_spans)
-                {
-                    tasks.push(std::mem::take(&mut current));
-                    current_rows = 0;
-                    max_rows = (max_rows * 2).min(4096);
-                    max_spans = (max_spans * 2).min(64);
-                }
-                current.push(i);
-                current_rows += len;
-            }
-            if !current.is_empty() {
-                tasks.push(current);
-            }
-        }
-        let prefix = |decided: &[bool], kept: &[u64]| -> u64 {
-            decided
+    let scan = SpanScan {
+        ds,
+        filter,
+        kernel: filter_kernel(&plan.prune, &prune_cols, cols),
+        cols,
+        spans: &spans,
+        stats,
+    };
+    let sizes: Vec<u64> = undecided.iter().map(|&i| spans[i].2).collect();
+    let tasks = group_into_tasks(&sizes, stop_after.is_some());
+    let task = |t: usize| &undecided[tasks[t].clone()];
+    // each task's matching rows, ascending, for the tasks that ran
+    let mut scanned: Vec<Vec<u64>> = Vec::with_capacity(tasks.len());
+    match stop_after {
+        None => scanned = map_tasks(workers, tasks.len(), |t| scan.task(task(t)))?,
+        Some(target) => {
+            // Early-exit scan: tasks run in parallel waves that grow (1,
+            // 2, 4, … up to `workers`), re-checking between waves whether
+            // the decided contiguous prefix of spans already holds
+            // `target` matching rows (later spans' rows would be
+            // truncated by the window stage anyway). An early k-th match
+            // fetches little past the frontier; a late or absent one
+            // converges to the parallel full scan's batching and thread
+            // usage.
+            let mut kept: Vec<Option<u64>> = verdicts
                 .iter()
-                .zip(kept)
-                .take_while(|(&d, _)| d)
-                .map(|(_, &k)| k)
-                .sum()
-        };
-        let mut done = 0usize;
-        let mut wave_len = 1usize;
-        while done < tasks.len() {
-            if prefix(&decided, &kept) >= target {
-                break;
-            }
-            let wave = &tasks[done..(done + wave_len).min(tasks.len())];
-            let results: Vec<Mutex<Vec<(usize, u64)>>> =
-                wave.iter().map(|_| Mutex::new(Vec::new())).collect();
-            run_tasks(workers, wave.len(), |t| {
-                *results[t].lock() = scan.task(&wave[t], &slots)?;
-                Ok(())
-            })?;
-            for m in results {
-                for (i, count) in m.into_inner() {
-                    decided[i] = true;
-                    kept[i] = count;
+                .zip(&spans)
+                .map(|(v, &(_, _, len))| v.map(|all| if all { len } else { 0 }))
+                .collect();
+            let mut wave_len = 1;
+            while scanned.len() < tasks.len() && kept.iter().map_while(|&k| k).sum::<u64>() < target
+            {
+                let wave = scanned.len()..(scanned.len() + wave_len).min(tasks.len());
+                let rows = map_tasks(workers, wave.len(), |w| scan.task(task(wave.start + w)))?;
+                for (t, rows) in wave.zip(rows) {
+                    let mut rest = &rows[..];
+                    for &i in task(t) {
+                        let (_, start, len) = spans[i];
+                        let count = rest.partition_point(|&r| r < start + len);
+                        kept[i] = Some(count as u64);
+                        rest = &rest[count..];
+                    }
+                    scanned.push(rows);
                 }
+                wave_len = (wave_len * 2).min(workers);
             }
-            done += wave.len();
-            wave_len = (wave_len * 2).min(workers.max(1));
         }
-    } else {
-        let sizes: Vec<u64> = undecided.iter().map(|&i| spans[i].2).collect();
-        let tasks: Vec<Vec<usize>> = group_into_tasks(&sizes, 4096, 64)
-            .into_iter()
-            .map(|task| task.into_iter().map(|j| undecided[j]).collect())
-            .collect();
-        run_tasks(workers, tasks.len(), |t| {
-            scan.task(&tasks[t], &slots).map(|_| ())
-        })?;
     }
-    // spans are ascending and disjoint: concatenation is row order
-    Ok(slots.into_iter().flat_map(|m| m.into_inner()).collect())
+    // spans ascend and are disjoint: walked in row order, each takes its
+    // rows from where it was decided
+    let mut scanned = scanned.into_iter().flatten().peekable();
+    let mut rows = Vec::new();
+    for (&(_, start, len), verdict) in spans.iter().zip(&verdicts) {
+        match verdict {
+            Some(true) => rows.extend(start..start + len),
+            Some(false) => {}
+            None => rows.extend(std::iter::from_fn(|| scanned.next_if(|&r| r < start + len))),
+        }
+    }
+    Ok(rows)
 }
 
 /// A column's chunk spans clamped to the dataset's `n` rows, with any
@@ -783,53 +764,131 @@ fn worker_panicked() -> TqlError {
     TqlError::Type("query worker panicked".into())
 }
 
+/// [`run_tasks`] for tasks that produce a value: each task's, in task
+/// order.
+fn map_tasks<T: Send>(
+    workers: usize,
+    count: usize,
+    f: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let out: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    run_tasks(workers, count, |t| {
+        *out[t].lock() = Some(f(t)?);
+        Ok(())
+    })?;
+    // without an error, every task ran
+    Ok(out.into_iter().filter_map(Mutex::into_inner).collect())
+}
+
 /// The scan stages' shared batching policy: walk per-span row counts in
-/// order, accumulating spans into a task until it would exceed
-/// `max_rows` rows or `max_spans` spans, then flush. Returns tasks of
-/// indices into `sizes`, preserving order.
-fn group_into_tasks(sizes: &[u64], max_rows: u64, max_spans: usize) -> Vec<Vec<usize>> {
-    let mut tasks: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    let mut current_rows = 0u64;
+/// order, accumulating spans into a task until it would exceed a row cap
+/// or a span cap, then flush. The caps are 4096 rows and 64 spans;
+/// `grow` (the early-exit scan) starts them at 512 and 8 and doubles
+/// them at each flush, so the first tasks fetch little. Returns the
+/// tasks as index ranges into `sizes`, in order.
+fn group_into_tasks(sizes: &[u64], grow: bool) -> Vec<Range<usize>> {
+    let (mut max_rows, mut max_spans) = if grow { (512, 8) } else { (4096, 64) };
+    let mut tasks = Vec::new();
+    let (mut from, mut rows) = (0, 0u64);
     for (i, &len) in sizes.iter().enumerate() {
-        if !current.is_empty() && (current_rows + len > max_rows || current.len() >= max_spans) {
-            tasks.push(std::mem::take(&mut current));
-            current_rows = 0;
+        if i > from && (rows + len > max_rows || i - from >= max_spans) {
+            tasks.push(from..i);
+            (from, rows) = (i, 0);
+            max_rows = (max_rows * 2).min(4096);
+            max_spans = (max_spans * 2).min(64);
         }
-        current.push(i);
-        current_rows += len;
+        rows += len;
     }
-    if !current.is_empty() {
-        tasks.push(current);
+    if from < sizes.len() {
+        tasks.push(from..sizes.len());
     }
     tasks
+}
+
+/// Ascending, disjoint `[start, end)` row ranges with the adjacent ones
+/// merged.
+fn contiguous(ranges: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (start, end) in ranges {
+        match out.last_mut() {
+            Some(last) if last.1 == start => last.1 = end,
+            _ => out.push((start, end)),
+        }
+    }
+    out
+}
+
+/// `column`'s rows over one task as runs inside decoded chunks, in row
+/// order, each with the row it starts at: one
+/// [`PrefetchedChunks::column_runs`] lookup per contiguous range of the
+/// task. A range that does not resolve (a chunk not decoded, a tiled
+/// row) is looked up again piece by piece — `pieces` are the task's own
+/// units (spans, or candidate groups), ascending, each inside one range
+/// — exactly as a lookup per piece would have been; a piece that does
+/// not resolve either is left out, so a kernel sent there finds no run.
+fn task_runs<'d>(
+    ds: &'d Dataset,
+    pinned: &PrefetchedChunks,
+    column: &str,
+    ranges: &[(u64, u64)],
+    pieces: &[(u64, u64)],
+) -> Vec<(u64, ColumnRun<'d>)> {
+    let mut out = Vec::new();
+    let mut push = |mut at: u64, runs: Vec<ColumnRun<'d>>| {
+        for run in runs {
+            let len = run.len as u64;
+            out.push((at, run));
+            at += len;
+        }
+    };
+    let mut p = 0;
+    for &(start, end) in ranges {
+        let from = p;
+        while p < pieces.len() && pieces[p].1 <= end {
+            p += 1;
+        }
+        match pinned.column_runs(ds, column, start, end) {
+            Some(runs) => push(start, runs),
+            None => {
+                for &(start, end) in &pieces[from..p] {
+                    if let Some(runs) = pinned.column_runs(ds, column, start, end) {
+                        push(start, runs);
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// What every scan task of one filter stage shares.
 struct SpanScan<'a> {
     ds: &'a Dataset,
     filter: &'a Expr,
-    /// The filter as columnar kernels, when it lowers to them (see
-    /// [`filter_kernel`]).
-    kernel: Option<&'a PruneExpr>,
+    /// The filter as columnar kernels and the columns their leaves
+    /// compare, when it lowers to them (see [`filter_kernel`]).
+    kernel: Option<(&'a PruneExpr, &'a [String])>,
     cols: &'a Columns,
     spans: &'a [(Option<u64>, u64, u64)],
     stats: &'a StatsAcc,
 }
 
 impl SpanScan<'_> {
-    /// Scan one task's spans: one batched fetch for every chunk its rows
-    /// need across the filter columns, then evaluation over the pinned,
-    /// decoded chunks — a whole span at a time through the kernels, or
-    /// row by row where a span does not qualify. Returns `(span index,
-    /// matching rows)` per span for the short-circuiting LIMIT scan's
-    /// progress accounting.
-    fn task(&self, task: &[usize], slots: &[Mutex<Vec<u64>>]) -> Result<Vec<(usize, u64)>> {
-        let (ds, spans, stats) = (self.ds, self.spans, self.stats);
-        let ranges: Vec<(u64, u64)> = task
+    /// Scan one task's spans (ascending span indices). One batched fetch
+    /// for every chunk its rows need across the filter columns; per
+    /// kernel leaf column, one run lookup per contiguous row range of the
+    /// task ([`task_runs`]); then each span through the kernels where it
+    /// qualifies — a lone `column <op> number` pushing its matching rows
+    /// straight out, a compound filter combining per-leaf masks
+    /// ([`span_mask`]) — or row by row where it does not. Returns the
+    /// task's matching rows, ascending.
+    fn task(&self, task: &[usize]) -> Result<Vec<u64>> {
+        let (ds, stats) = (self.ds, self.stats);
+        let bounds: Vec<(u64, u64)> = task
             .iter()
-            .map(|&i| (spans[i].1, spans[i].1 + spans[i].2))
+            .map(|&i| (self.spans[i].1, self.spans[i].1 + self.spans[i].2))
             .collect();
+        let ranges = contiguous(bounds.iter().copied());
         let prefetched = stats.prefetch(|| ds.prefetch_spans(&self.cols.filter, &ranges))?;
         stats
             .chunks_scanned
@@ -840,54 +899,158 @@ impl SpanScan<'_> {
             text: &self.cols.text,
         };
         let t = Instant::now();
-        let mut counts = Vec::with_capacity(task.len());
-        let mut values = Vec::new();
-        for &i in task {
-            let (_, start, len) = spans[i];
-            let mask = self
-                .kernel
-                .and_then(|k| span_mask(k, ds, &prefetched, start, start + len, &mut values));
-            let kept: Vec<u64> = match mask {
-                Some(mask) => {
-                    stats.rows_vectorized.fetch_add(len, Ordering::Relaxed);
-                    (start..start + len)
-                        .zip(mask)
-                        .filter_map(|(row, keep)| keep.then_some(row))
-                        .collect()
-                }
-                None => {
-                    let mut kept = Vec::new();
-                    for row in start..start + len {
-                        if eval_in(&ctx, self.filter, row)?.truthy() {
+        let opaque = PruneExpr::Opaque;
+        let (kernel, columns) = self.kernel.unwrap_or((&opaque, &[]));
+        let leaves: Vec<Leaf> = columns
+            .iter()
+            .map(|c| Leaf {
+                column: c,
+                runs: task_runs(ds, &prefetched, c, &ranges, &bounds),
+            })
+            .collect();
+        let (mut kept, mut mask, mut spare) = (Vec::new(), Vec::new(), Vec::new());
+        let mut vectorized = 0;
+        for &(start, end) in &bounds {
+            let decided = match kernel {
+                PruneExpr::Cmp { column, op, value } => {
+                    let (before, mut row) = (kept.len(), start);
+                    let ok = find_leaf(&leaves, column).compare(start, end, *op, *value, |keep| {
+                        if keep {
                             kept.push(row);
                         }
+                        row += 1;
+                    });
+                    if !ok {
+                        kept.truncate(before);
                     }
-                    kept
+                    ok
+                }
+                expr => {
+                    let ok = span_mask(expr, &leaves, start, end, &mut mask, &mut spare);
+                    if ok {
+                        let rows = (start..end).zip(&mask);
+                        kept.extend(rows.filter_map(|(row, &keep)| keep.then_some(row)));
+                    }
+                    ok
                 }
             };
-            counts.push((i, kept.len() as u64));
-            *slots[i].lock() = kept;
+            if decided {
+                vectorized += end - start;
+                continue;
+            }
+            for row in start..end {
+                if eval_in(&ctx, self.filter, row)?.truthy() {
+                    kept.push(row);
+                }
+            }
         }
+        stats
+            .rows_vectorized
+            .fetch_add(vectorized, Ordering::Relaxed);
         StatsAcc::lap(&stats.decode_ns, t);
-        Ok(counts)
+        Ok(kept)
     }
 }
 
-/// The lowered filter as the program the columnar kernels run: `Some`
-/// when it has no opaque leaf — then its truth value per row IS the
-/// filter's — and compares no text column (those compare as strings).
-fn filter_kernel<'p>(prune: &'p PruneExpr, cols: &Columns) -> Option<&'p PruneExpr> {
-    let mut leaves = Vec::new();
-    prune.columns(&mut leaves);
-    (!prune.has_opaque_leaf() && !leaves.iter().any(|c| cols.text.contains(c))).then_some(prune)
+/// The lowered filter as the program the columnar kernels run, with the
+/// columns its leaves compare: `Some` when it has no opaque leaf — then
+/// its truth value per row IS the filter's — and compares no text column
+/// (those compare as strings).
+fn filter_kernel<'p>(
+    prune: &'p PruneExpr,
+    leaves: &'p [String],
+    cols: &Columns,
+) -> Option<(&'p PruneExpr, &'p [String])> {
+    (!prune.has_opaque_leaf() && !leaves.iter().any(|c| cols.text.contains(c)))
+        .then_some((prune, leaves))
 }
 
-/// Evaluate a lowered filter over rows `[start, end)` column-at-a-time:
-/// each `Cmp` leaf decodes its column's runs into `values` (a reused
-/// scratch buffer) and compares them into one `bool` per row;
-/// `And`/`Or`/`Not` combine those masks.
+/// A kernel leaf's column over one task's rows: its runs, as
+/// [`task_runs`] resolved them.
+struct Leaf<'r> {
+    column: &'r str,
+    runs: Vec<(u64, ColumnRun<'r>)>,
+}
+
+impl Leaf<'_> {
+    /// Compare rows `[start, end)` against `column <op> value` in place
+    /// ([`ColumnView::compare_rows`]): `emit` gets one verdict per row, in
+    /// order. `false` when a row lies in no run, or in a chunk without a
+    /// scalar view — with the verdicts before it already emitted.
+    fn compare(&self, start: u64, end: u64, op: CmpOp, v: f64, emit: impl FnMut(bool)) -> bool {
+        // one monomorphic compare loop per operator
+        match op {
+            CmpOp::Eq => self.compare_with(start, end, move |a| a == v, emit),
+            CmpOp::Ne => self.compare_with(start, end, move |a| a != v, emit),
+            CmpOp::Lt => self.compare_with(start, end, move |a| a < v, emit),
+            CmpOp::Le => self.compare_with(start, end, move |a| a <= v, emit),
+            CmpOp::Gt => self.compare_with(start, end, move |a| a > v, emit),
+            CmpOp::Ge => self.compare_with(start, end, move |a| a >= v, emit),
+        }
+    }
+
+    fn compare_with(
+        &self,
+        start: u64,
+        end: u64,
+        keep: impl Fn(f64) -> bool + Copy,
+        mut emit: impl FnMut(bool),
+    ) -> bool {
+        let (mut row, mut k) = (start, first_run(&self.runs, start));
+        while row < end {
+            let Some((run, at)) = seek(&self.runs, &mut k, row) else {
+                return false;
+            };
+            let Some(view) = run.chunk().scalar_column() else {
+                return false;
+            };
+            let to = end.min(at + run.len as u64);
+            let from = run.first + (row - at) as usize;
+            view.compare_rows(from..from + (to - row) as usize, keep, &mut emit);
+            row = to;
+        }
+        true
+    }
+}
+
+/// Where a walk of `runs` (ascending, each with its first row) that
+/// starts at `row` begins.
+fn first_run(runs: &[(u64, ColumnRun<'_>)], row: u64) -> usize {
+    runs.partition_point(|(at, run)| at + run.len as u64 <= row)
+}
+
+/// Advance the walk `k` over `runs` to the run holding `row` (rows
+/// ascend from one call to the next), and return that run with its first
+/// row: `None` when no run holds `row`.
+fn seek<'a, 'r>(
+    runs: &'a [(u64, ColumnRun<'r>)],
+    k: &mut usize,
+    row: u64,
+) -> Option<(&'a ColumnRun<'r>, u64)> {
+    while runs
+        .get(*k)
+        .is_some_and(|(at, run)| at + run.len as u64 <= row)
+    {
+        *k += 1;
+    }
+    let (at, run) = runs.get(*k).filter(|(at, _)| *at <= row)?;
+    Some((run, *at))
+}
+
+fn find_leaf<'l, 'r>(leaves: &'l [Leaf<'r>], column: &str) -> &'l Leaf<'r> {
+    leaves
+        .iter()
+        .find(|leaf| leaf.column == column)
+        .expect("a leaf per kernel column")
+}
+
+/// Evaluate a lowered filter over rows `[start, end)` column at a time:
+/// each `Cmp` leaf compares its column's records in place
+/// ([`Leaf::compare`]) into one `bool` per row in `mask`, and
+/// `And`/`Or`/`Not` combine the masks — a right arm's in a buffer taken
+/// from `spare` and put back after, so a task's spans reuse them.
 ///
-/// `None` — evaluate the span row by row instead — unless every leaf's
+/// `false` — evaluate the span row by row instead — unless every leaf's
 /// column resolves `[start, end)` to decoded chunks that each yield a
 /// scalar view: an undecoded chunk, a tiled row, a sample-compressed,
 /// empty or multi-element record anywhere in a covering chunk all
@@ -897,50 +1060,38 @@ fn filter_kernel<'p>(prune: &'p PruneExpr, cols: &Columns) -> Option<&'p PruneEx
 /// nothing observable.
 fn span_mask(
     expr: &PruneExpr,
-    ds: &Dataset,
-    pinned: &PrefetchedChunks,
+    leaves: &[Leaf<'_>],
     start: u64,
     end: u64,
-    values: &mut Vec<f64>,
-) -> Option<Vec<bool>> {
+    mask: &mut Vec<bool>,
+    spare: &mut Vec<Vec<bool>>,
+) -> bool {
     match expr {
         PruneExpr::Cmp { column, op, value } => {
-            values.clear();
-            // the leaf's own column decides its runs: after updates it
-            // may split `[start, end)` differently from the driving column
-            for run in pinned.column_runs(ds, column, start, end)? {
-                run.chunk()
-                    .scalar_column()?
-                    .decode_rows(run.first..run.first + run.len, values);
+            mask.clear();
+            find_leaf(leaves, column).compare(start, end, *op, *value, |keep| mask.push(keep))
+        }
+        PruneExpr::And(l, r) | PruneExpr::Or(l, r) => {
+            if !span_mask(l, leaves, start, end, mask, spare) {
+                return false;
             }
-            let v = *value;
-            Some(match op {
-                CmpOp::Eq => values.iter().map(|&a| a == v).collect(),
-                CmpOp::Ne => values.iter().map(|&a| a != v).collect(),
-                CmpOp::Lt => values.iter().map(|&a| a < v).collect(),
-                CmpOp::Le => values.iter().map(|&a| a <= v).collect(),
-                CmpOp::Gt => values.iter().map(|&a| a > v).collect(),
-                CmpOp::Ge => values.iter().map(|&a| a >= v).collect(),
-            })
-        }
-        PruneExpr::And(l, r) => {
-            let mut mask = span_mask(l, ds, pinned, start, end, values)?;
-            let right = span_mask(r, ds, pinned, start, end, values)?;
-            mask.iter_mut().zip(right).for_each(|(a, b)| *a &= b);
-            Some(mask)
-        }
-        PruneExpr::Or(l, r) => {
-            let mut mask = span_mask(l, ds, pinned, start, end, values)?;
-            let right = span_mask(r, ds, pinned, start, end, values)?;
-            mask.iter_mut().zip(right).for_each(|(a, b)| *a |= b);
-            Some(mask)
+            let mut right = spare.pop().unwrap_or_default();
+            let ok = span_mask(r, leaves, start, end, &mut right, spare);
+            let pairs = mask.iter_mut().zip(&right);
+            if matches!(expr, PruneExpr::And(..)) {
+                pairs.for_each(|(a, &b)| *a &= b);
+            } else {
+                pairs.for_each(|(a, &b)| *a |= b);
+            }
+            spare.push(right);
+            ok
         }
         PruneExpr::Not(inner) => {
-            let mut mask = span_mask(inner, ds, pinned, start, end, values)?;
+            let ok = span_mask(inner, leaves, start, end, mask, spare);
             mask.iter_mut().for_each(|a| *a = !*a);
-            Some(mask)
+            ok
         }
-        PruneExpr::Opaque => None,
+        PruneExpr::Opaque => false,
     }
 }
 
@@ -950,17 +1101,20 @@ fn span_mask(
 /// Candidates are every row on the exact path, or — under `ann` with a
 /// valid index of matching dimensionality — the probed IVF clusters'
 /// posting-list union plus the exact-scanned unindexed tail (rows
-/// appended after the index was built). Candidate rows group into
-/// chunk-span tasks of the driving column; each task fetches all its
-/// chunks in one batched call and scores each span's candidates through
-/// [`score_group`] — the same conversion and the same
-/// `Metric::score` call the similarity functions make, minus the
-/// `Sample` per row — or, where a candidate's record refuses the vector
-/// check, evaluates the *original* ORDER BY key expression through the shared
-/// row evaluator, so scores, type errors, and tie-breaking are
-/// identical to the naive sort stage. The merged scores order exactly
-/// like that stage (stable ascending sort, whole list reversed for
-/// DESC) and truncate to `LIMIT + OFFSET`.
+/// appended after the index was built). Candidate rows group by chunk
+/// span of the driving column (a group is an index range into the
+/// candidates), and groups into worker tasks. A task fetches all its
+/// chunks in one batched call, looks its runs up once per contiguous row
+/// range ([`task_runs`]), and scores each group through [`score_group`] —
+/// the same conversion and the same arithmetic as the `Metric::score`
+/// call the similarity functions make, minus the `Sample` per row — or,
+/// where a candidate's record refuses the vector check, evaluates the
+/// *original* ORDER BY key expression through the shared row evaluator,
+/// so scores, type errors, and tie-breaking are identical to the naive
+/// sort stage. Each task keeps its best `LIMIT + OFFSET` by selection,
+/// not sorting; the merged survivors order exactly like that stage
+/// (stable ascending sort, whole list reversed for DESC) and truncate to
+/// `LIMIT + OFFSET`.
 #[allow(clippy::too_many_arguments)]
 fn topk_stage(
     ds: &Dataset,
@@ -1017,36 +1171,30 @@ fn topk_stage(
         return Ok(Vec::new());
     }
 
-    // chunk-span partition of the driving column's row space
-    let spans = clamped_spans(ds, &tk.column, n)?;
-
-    // per-span candidate sublists (spans and candidates both ascending)
-    let mut groups: Vec<Vec<u64>> = Vec::new();
+    // per-span candidate groups (spans and candidates both ascend): the
+    // span's candidates as a range of `candidates`, and the span's rows
+    let mut groups: Vec<(Range<usize>, (u64, u64))> = Vec::new();
     let mut ci = 0usize;
-    for &(_, start, len) in &spans {
-        let end = start + len;
+    for &(_, start, len) in &clamped_spans(ds, &tk.column, n)? {
         let from = ci;
-        while ci < candidates.len() && candidates[ci] < end {
+        while ci < candidates.len() && candidates[ci] < start + len {
             ci += 1;
         }
         if ci > from {
-            groups.push(candidates[from..ci].to_vec());
+            groups.push((from..ci, (start, start + len)));
         }
     }
 
-    // group the spans' candidates into worker tasks, one batched fetch each
-    let sizes: Vec<u64> = groups.iter().map(|g| g.len() as u64).collect();
-    let tasks = group_into_tasks(&sizes, 4096, 64);
-
-    let slots: Vec<Mutex<Vec<(Scalar, u64)>>> =
-        groups.iter().map(|_| Mutex::new(Vec::new())).collect();
-    run_tasks(workers, tasks.len(), |t| {
-        let task = &tasks[t];
-        // each group lies inside one chunk span: its row range names
-        // the same chunks its rows do
+    let sizes: Vec<u64> = groups.iter().map(|(g, _)| g.len() as u64).collect();
+    let tasks = group_into_tasks(&sizes, false);
+    let query = tk.metric.prepare(&tk.query);
+    let survivors = map_tasks(workers, tasks.len(), |t| {
+        let task = &groups[tasks[t].clone()];
+        // each group lies inside one chunk span: its candidates' row
+        // range names the same chunks its rows do
         let ranges: Vec<(u64, u64)> = task
             .iter()
-            .map(|&g| (groups[g][0], groups[g][groups[g].len() - 1] + 1))
+            .map(|(g, _)| (candidates[g.start], candidates[g.end - 1] + 1))
             .collect();
         let prefetched = stats.prefetch(|| ds.prefetch_spans(&cols.sort, &ranges))?;
         stats
@@ -1058,47 +1206,55 @@ fn topk_stage(
             text: &cols.text,
         };
         let t = Instant::now();
+        let spans = contiguous(task.iter().map(|&(_, span)| span));
+        let runs = task_runs(ds, &prefetched, &tk.column, &spans, &ranges);
         let mut scored: Vec<(Scalar, u64)> =
-            Vec::with_capacity(task.iter().map(|&g| groups[g].len()).sum());
-        let mut vector = Vec::with_capacity(tk.query.len());
-        for &g in task {
-            let group = &groups[g];
-            if vectorize && score_group(ds, &prefetched, tk, group, &mut vector, &mut scored) {
-                stats
-                    .rows_vectorized
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
+            Vec::with_capacity(task.iter().map(|(g, _)| g.len()).sum());
+        let (mut views, mut vectorized) = (Vec::new(), 0);
+        for (g, _) in task {
+            let rows = &candidates[g.clone()];
+            let dim = tk.query.len();
+            if vectorize && score_group(&runs, query, dim, rows, &mut views, &mut scored) {
+                vectorized += rows.len() as u64;
                 continue;
             }
-            for &row in group {
+            for &row in rows {
                 scored.push((eval_in(&ctx, key_expr, row)?.to_scalar(), row));
             }
         }
-        // bounded selection: keep only the task's best `fetch` under
-        // the final total order (key then row, reversed whole for
-        // DESC) — any row dropped here is provably outside the global
-        // top `fetch`, so the merge below stays byte-identical while
-        // memory is O(tasks × fetch) instead of O(candidates)
-        scored.sort_by(|a, b| {
-            let o = a.0.order_cmp(&b.0).then(a.1.cmp(&b.1));
-            if dir == SortDir::Desc {
-                o.reverse()
-            } else {
-                o
-            }
-        });
-        scored.truncate(tk.fetch as usize);
-        // survivors back in ascending row order so the merge's stable
-        // sort breaks ties exactly like the naive stage
-        scored.sort_by_key(|&(_, row)| row);
-        *slots[task[0]].lock() = scored;
+        stats
+            .rows_vectorized
+            .fetch_add(vectorized, Ordering::Relaxed);
+        // bounded selection: keep only the task's best `fetch` under the
+        // final total order (key then row, reversed whole for DESC) — a
+        // strict order, so the kept set is the one a sort would keep, and
+        // any row dropped here is provably outside the global top
+        // `fetch`: the merge below stays byte-identical while memory is
+        // O(tasks × fetch) instead of O(candidates)
+        let fetch = tk.fetch as usize;
+        if scored.len() > fetch {
+            scored.select_nth_unstable_by(fetch, |a, b| {
+                let o = a.0.order_cmp(&b.0).then(a.1.cmp(&b.1));
+                if dir == SortDir::Desc {
+                    o.reverse()
+                } else {
+                    o
+                }
+            });
+            scored.truncate(fetch);
+            // survivors back in ascending row order (scored ascends
+            // already) so the merge's stable sort breaks ties exactly
+            // like the naive stage
+            scored.sort_unstable_by_key(|&(_, row)| row);
+        }
         StatsAcc::lap(&stats.rerank_ns, t);
-        Ok(())
+        Ok(scored)
     })?;
 
     // merge in row order, then order exactly like the naive sort stage:
     // stable ascending sort by key, whole list reversed for DESC
     let t = Instant::now();
-    let mut paired: Vec<(Scalar, u64)> = slots.into_iter().flat_map(|m| m.into_inner()).collect();
+    let mut paired: Vec<(Scalar, u64)> = survivors.into_iter().flatten().collect();
     paired.sort_by(|a, b| a.0.order_cmp(&b.0));
     if dir == SortDir::Desc {
         paired.reverse();
@@ -1108,46 +1264,42 @@ fn topk_stage(
     Ok(paired.into_iter().map(|(_, r)| r).collect())
 }
 
-/// Score one span's candidate rows (ascending, non-empty) straight from
-/// the chunk bytes. Each candidate's own record is checked
-/// ([`Chunk::vector_at`](deeplake_core::Chunk::vector_at): shape `[dim]`,
-/// one uncompressed frame of exactly `dim` elements — O(1) a record) and
-/// its elements decode into `vector` (one reused buffer), which goes to
-/// the same `Metric::score(column, query)` call `functions::call` makes,
-/// so every score is the bit pattern the row evaluator would have
-/// produced. The chunks' other records are never read. All or nothing:
-/// returns `false` with `scored` as it was — score the group row by row
-/// — unless the rows resolve to decoded chunks and every candidate's
-/// record passes, and then no candidate can raise.
-fn score_group(
-    ds: &Dataset,
-    pinned: &PrefetchedChunks,
-    tk: &TopKPlan,
+/// Score one span's candidate rows (ascending, non-empty) in place,
+/// walking them and the task's `runs` together. Every candidate's own
+/// record is checked first ([`Chunk::vector_at`](deeplake_core::Chunk::vector_at):
+/// shape `[dim]`, one uncompressed frame of exactly `dim` elements —
+/// O(1) a record) into `views`, then each is scored from its bytes
+/// ([`ColumnView::score_row`]: the conversion and the summation order of
+/// the `Metric::score(column, query)` call `functions::call` makes), so
+/// every score is the bit pattern the row evaluator would have produced.
+/// Checking them all first also touches each record before any is
+/// scored, so their loads overlap rather than each waiting on the
+/// previous score. The chunks' other records are never read. All or
+/// nothing: returns `false` with `scored` as it was — score the group
+/// row by row — unless every candidate lies in a run and its record
+/// passes, and then no candidate can raise.
+fn score_group<'r>(
+    runs: &'r [(u64, ColumnRun<'_>)],
+    query: VectorQuery<'_>,
+    dim: usize,
     rows: &[u64],
-    vector: &mut Vec<f64>,
+    views: &mut Vec<ColumnView<'r>>,
     scored: &mut Vec<(Scalar, u64)>,
 ) -> bool {
-    let (lo, hi) = (rows[0], rows[rows.len() - 1] + 1);
-    let Some(runs) = pinned.column_runs(ds, &tk.column, lo, hi) else {
-        return false;
-    };
-    let before = scored.len();
-    // walk rows and runs together: both ascend
-    let (mut k, mut run_start) = (0, lo);
+    views.clear();
+    let mut k = first_run(runs, rows[0]);
     for &row in rows {
-        while row - run_start >= runs[k].len as u64 {
-            run_start += runs[k].len as u64;
-            k += 1;
+        let view = seek(runs, &mut k, row)
+            .and_then(|(run, at)| run.chunk().vector_at(run.first + (row - at) as usize, dim));
+        match view {
+            Some(view) => views.push(view),
+            None => return false,
         }
-        let local = runs[k].first + (row - run_start) as usize;
-        let Some(view) = runs[k].chunk().vector_at(local, tk.query.len()) else {
-            scored.truncate(before);
-            return false;
-        };
-        vector.clear();
-        view.decode_rows(0..1, vector);
-        scored.push((Scalar::Float(tk.metric.score(vector, &tk.query)), row));
     }
+    let scores = views
+        .iter()
+        .map(|view| Scalar::Float(view.score_row(0, query)));
+    scored.extend(scores.zip(rows.iter().copied()));
     true
 }
 
@@ -1160,17 +1312,13 @@ fn parallel_eval(
     f: impl Fn(u64) -> Result<bool> + Sync,
 ) -> Result<Vec<bool>> {
     const STRIDE: u64 = 64;
-    let blocks: Vec<Mutex<Vec<bool>>> = (0..n.div_ceil(STRIDE))
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    run_tasks(workers, blocks.len(), |b| {
+    let blocks = map_tasks(workers, n.div_ceil(STRIDE) as usize, |b| {
         let start = b as u64 * STRIDE;
-        *blocks[b].lock() = (start..(start + STRIDE).min(n))
+        (start..(start + STRIDE).min(n))
             .map(&f)
-            .collect::<Result<_>>()?;
-        Ok(())
+            .collect::<Result<Vec<bool>>>()
     })?;
-    Ok(blocks.into_iter().flat_map(|m| m.into_inner()).collect())
+    Ok(blocks.concat())
 }
 
 /// Evaluate a key expression for each row in `rows` (parallel, preserving
@@ -1186,8 +1334,7 @@ fn eval_keys(
 ) -> Result<Vec<Scalar>> {
     const STRIDE: usize = 64;
     let blocks: Vec<&[u64]> = rows.chunks(STRIDE).collect();
-    let out: Vec<Mutex<Vec<Scalar>>> = blocks.iter().map(|_| Mutex::new(Vec::new())).collect();
-    run_tasks(workers, blocks.len(), |b| {
+    let keys = map_tasks(workers, blocks.len(), |b| {
         let prefetched = stats.prefetch(|| ds.prefetch_chunks(&cols.sort, blocks[b]))?;
         let ctx = EvalCtx {
             ds,
@@ -1195,15 +1342,14 @@ fn eval_keys(
             text: &cols.text,
         };
         let t = Instant::now();
-        let mut keys = Vec::with_capacity(blocks[b].len());
-        for &row in blocks[b] {
-            keys.push(eval_in(&ctx, key, row)?.to_scalar());
-        }
+        let keys = blocks[b]
+            .iter()
+            .map(|&row| Ok(eval_in(&ctx, key, row)?.to_scalar()))
+            .collect::<Result<Vec<_>>>();
         StatsAcc::lap(&stats.decode_ns, t);
-        *out[b].lock() = keys;
-        Ok(())
+        keys
     })?;
-    Ok(out.into_iter().flat_map(|m| m.into_inner()).collect())
+    Ok(keys.into_iter().flatten().collect())
 }
 
 /// Evaluate an expression for one dataset row.
@@ -1410,92 +1556,4 @@ fn arith_fn(op: BinOp) -> fn(f64, f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::thread::{self, ThreadId};
-
-    fn is_worker_panic(result: Result<()>) -> bool {
-        matches!(result, Err(TqlError::Type(m)) if m == "query worker panicked")
-    }
-
-    #[test]
-    fn one_task_runs_on_the_caller() {
-        let caller = thread::current().id();
-        let ran_on: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
-        for workers in [1, 2, 8] {
-            run_tasks(workers, 1, |_| {
-                ran_on.lock().push(thread::current().id());
-                Ok(())
-            })
-            .unwrap();
-        }
-        // one worker runs every task on the caller too
-        run_tasks(1, 5, |_| {
-            ran_on.lock().push(thread::current().id());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(*ran_on.lock(), [caller; 8]);
-    }
-
-    #[test]
-    fn every_task_runs_once_on_at_most_workers_threads() {
-        let runs: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
-        run_tasks(3, 40, |t| {
-            runs.lock().push((t, thread::current().id()));
-            Ok(())
-        })
-        .unwrap();
-        let mut runs = runs.into_inner();
-        runs.sort_unstable_by_key(|&(t, _)| t);
-        assert_eq!(
-            runs.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-            (0..40).collect::<Vec<_>>()
-        );
-        let threads: std::collections::HashSet<ThreadId> = runs.iter().map(|&(_, id)| id).collect();
-        assert!(threads.len() <= 3);
-        run_tasks(4, 0, |_| panic!("no task to run")).unwrap();
-    }
-
-    #[test]
-    fn a_task_error_is_returned() {
-        let r = run_tasks(2, 10, |t| match t {
-            3 => Err(TqlError::UnknownColumn("x".into())),
-            _ => Ok(()),
-        });
-        assert!(matches!(r, Err(TqlError::UnknownColumn(c)) if c == "x"));
-    }
-
-    #[test]
-    fn a_panic_on_the_caller_is_an_error_not_an_unwind() {
-        // one task: no helper, the caller runs it
-        assert!(is_worker_panic(run_tasks(4, 1, |_| panic!("task 0"))));
-        // several tasks: the caller's own share panics, the helpers' do not
-        let caller = thread::current().id();
-        assert!(is_worker_panic(run_tasks(2, 6, |_| {
-            if thread::current().id() == caller {
-                panic!("the caller's task");
-            }
-            Ok(())
-        })));
-    }
-
-    #[test]
-    fn a_panic_on_a_helper_is_an_error_on_the_caller() {
-        let caller = thread::current().id();
-        let helper_ran = AtomicBool::new(false);
-        let r = run_tasks(2, 8, |_| {
-            if thread::current().id() != caller {
-                helper_ran.store(true, Ordering::Release);
-                panic!("a helper's task");
-            }
-            // hold the caller's task until the helper has taken one
-            while !helper_ran.load(Ordering::Acquire) {
-                thread::yield_now();
-            }
-            Ok(())
-        });
-        assert!(helper_ran.into_inner());
-        assert!(is_worker_panic(r));
-    }
-}
+mod tests;

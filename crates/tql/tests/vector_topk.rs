@@ -265,6 +265,52 @@ fn appended_tail_after_build_is_still_searched_exactly() {
     assert_eq!(r.indices, vec![100], "unindexed tail row must be found");
 }
 
+/// Hundreds of candidates tie at the k-th score, across more candidate
+/// groups than one task takes: each task keeps its best rows by
+/// selection, and the set it keeps — ties broken by row, the order
+/// reversed whole for DESC — is the one the naive sort keeps.
+#[test]
+fn ties_at_the_kth_score_keep_the_naive_rows() {
+    let mut ds = Dataset::create(Arc::new(MemoryProvider::new()), "ties").unwrap();
+    ds.create_tensor_opts("emb", {
+        let mut o = TensorOptions::new(Htype::Embedding);
+        o.chunk_target_bytes = Some(128);
+        o
+    })
+    .unwrap();
+    // three vectors, interleaved: every chunk holds all three
+    let vectors = [
+        [1f32, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0, 0.0],
+    ];
+    for i in 0..600 {
+        let v = Sample::from_slice([4], &vectors[i % 3]).unwrap();
+        ds.append_row(vec![("emb", v)]).unwrap();
+    }
+    ds.flush().unwrap();
+    for text in [
+        // 200 rows at distance 0
+        "SELECT * FROM d ORDER BY L2_DISTANCE(emb, [1, 0, 0, 0]) LIMIT 10",
+        // the k-th lands inside the 200 rows at distance 1
+        "SELECT * FROM d ORDER BY L2_DISTANCE(emb, [1, 0, 0, 0]) LIMIT 250",
+        "SELECT * FROM d ORDER BY L2_DISTANCE(emb, [1, 0, 0, 0]) DESC LIMIT 7 OFFSET 5",
+        "SELECT * FROM d ORDER BY L2_DISTANCE(emb, [1, 0, 0, 0]) DESC LIMIT 300",
+        "SELECT * FROM d ORDER BY COSINE_SIMILARITY(emb, [1, 0, 0, 0]) DESC LIMIT 5",
+        "SELECT * FROM d ORDER BY COSINE_SIMILARITY(emb, [1, 0, 0, 0]) DESC LIMIT 333",
+        "SELECT * FROM d ORDER BY COSINE_SIMILARITY(emb, [0, 1, 0, 0]) LIMIT 9 OFFSET 2",
+        "SELECT * FROM d ORDER BY COSINE_SIMILARITY(emb, [0, 1, 0, 0]) LIMIT 401",
+    ] {
+        let r = query(&ds, text).unwrap();
+        assert_eq!(r.indices, naive(&ds, text), "diverged for {text}");
+        assert_eq!(r.stats.rows_vectorized, 600);
+        assert!(
+            r.stats.chunks_scanned > 64,
+            "more groups than one task takes"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // the re-rank checks its candidates' records, not their chunks'
 // ---------------------------------------------------------------------

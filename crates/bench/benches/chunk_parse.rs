@@ -6,8 +6,8 @@
 //! `[32]` f32, 256 f32 scalars (alone, and under the LZ4 payload codec
 //! label tensors use), and 32 image-codec thumbnails. Each is parsed the
 //! way `TensorStore` does it — from a `Bytes` it already holds — alone,
-//! then followed by the column view a scan kernel asks for, then by one
-//! row read. Every iteration does 100 rounds, so one timing is long
+//! then followed by the view a scan or top-k kernel asks for, then by
+//! one row read. Every iteration does 100 rounds, so one timing is long
 //! enough for the clock: divide by 100 for one chunk.
 
 use bytes::Bytes;
@@ -48,26 +48,29 @@ fn bench_chunk_parse(c: &mut Criterion) {
             .iter()
             .map(|img| Sample::from_slice([32, 32, 3], &img.pixels).unwrap()),
     );
-    // the column a kernel would ask each chunk for (the images refuse)
-    type Column = fn(&Chunk) -> bool;
+    // the view a kernel would ask each chunk for, given its last record:
+    // the scalar column, or the record a top-k reads (the images refuse)
+    type Column = fn(&Chunk, usize) -> bool;
     let cases: [(&str, Vec<u8>, Column); 4] = [
-        ("256x32_f32", vectors.serialize(Compression::None), |c| {
-            c.vector_column(32).is_some()
-        }),
+        (
+            "256x32_f32",
+            vectors.serialize(Compression::None),
+            |c, last| c.vector_at(last, 32).is_some(),
+        ),
         (
             "256_f32_scalars",
             scalars.serialize(Compression::None),
-            |c| c.scalar_column().is_some(),
+            |c, _| c.scalar_column().is_some(),
         ),
         (
             "256_f32_scalars_lz4_payload",
             scalars.serialize(Compression::Lz4),
-            |c| c.scalar_column().is_some(),
+            |c, _| c.scalar_column().is_some(),
         ),
         (
             "32_images_32x32x3",
             images.serialize(Compression::None),
-            |c| c.vector_column(32 * 32 * 3).is_some(),
+            |c, last| c.vector_at(last, 32 * 32 * 3).is_some(),
         ),
     ];
     for (name, blob, column) in cases {
@@ -84,7 +87,7 @@ fn bench_chunk_parse(c: &mut Criterion) {
             b.iter(|| {
                 for _ in 0..ROUNDS {
                     let chunk = Chunk::parse(black_box(blob.clone())).unwrap();
-                    black_box(column(&chunk));
+                    black_box(column(&chunk, last));
                 }
             })
         });

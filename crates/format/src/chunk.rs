@@ -33,8 +33,8 @@
 //! `u32` once, at the end of that run, rather than per record.
 //!
 //! Whether every record is one uncompressed frame of one stored length —
-//! the walk over every record a fixed-width column view needs — is
-//! worked out on the first view asked of a chunk and kept with it, so a
+//! the walk over every record a scalar column view needs — is worked
+//! out on the first view asked of a chunk and kept with it, so a
 //! parsed chunk that many queries scan pays that walk once. A chunk
 //! being built forgets it at each append.
 //!
@@ -262,23 +262,25 @@ impl Chunk {
             Shapes::Uniform(shared) => shared.dims(),
             Shapes::Ragged { dims, .. } => dims,
         };
-        self.column(1, all_dims.iter().all(|&d| d == 1))
+        // the payload length is checked against the record count up
+        // front, so the view can never index past the bytes it borrows,
+        // whatever the directory claims
+        let stride = self.dtype.size() + 1;
+        let payload = self.payload.as_slice();
+        let uniform = all_dims.iter().all(|&d| d == 1)
+            && self.sample_count() * stride == payload.len()
+            && (self.sample_count() == 0 || self.raw_stride() == Some(stride));
+        uniform.then_some(ColumnView {
+            dtype: self.dtype,
+            stride,
+            payload,
+        })
     }
 
-    /// The chunk as a column of rank-1 vectors of exactly `dim`
-    /// elements: `Some` only when every record is an uncompressed blob
-    /// of shape `[dim]`.
-    pub fn vector_column(&self, dim: usize) -> Option<ColumnView<'_>> {
-        // ragged tables hold two shapes that differ: not all are `[dim]`
-        let shapes_ok = self.sample_count() == 0
-            || matches!(&self.shapes, Shapes::Uniform(shared) if shared.dims() == [dim as u64]);
-        self.column(dim, dim != 0 && shapes_ok)
-    }
-
-    /// Record `i` alone as a one-row [`vector_column`](Self::vector_column):
-    /// `Some` only when it exists, has shape `[dim]` and is one
-    /// uncompressed frame of exactly `dim` elements. O(1) — one directory
-    /// entry and one frame byte, whatever the other records hold.
+    /// Record `i` alone as a one-row column of a rank-1 vector: `Some`
+    /// only when it exists, has shape `[dim]` and is one uncompressed
+    /// frame of exactly `dim` elements. O(1) — one directory entry and one
+    /// frame byte, whatever the other records hold.
     pub fn vector_at(&self, i: usize, dim: usize) -> Option<ColumnView<'_>> {
         let (start, end) = self.blob_range(i).ok()?;
         let stride = dim.checked_mul(self.dtype.size())?.checked_add(1)?;
@@ -291,25 +293,6 @@ impl Chunk {
             dtype: self.dtype,
             stride,
             payload: blob,
-        })
-    }
-
-    /// A fixed-width view, when the directory shapes passed (`shapes_ok`,
-    /// read off the tables the parse built) and every record is one
-    /// uncompressed frame of `width` elements. The payload length is
-    /// checked against the record count up front, so a view can never
-    /// index past the bytes it borrows, whatever the directory claims.
-    fn column(&self, width: usize, shapes_ok: bool) -> Option<ColumnView<'_>> {
-        let stride = width.checked_mul(self.dtype.size())?.checked_add(1)?;
-        let payload = self.payload.as_slice();
-        if !shapes_ok || self.sample_count().checked_mul(stride)? != payload.len() {
-            return None;
-        }
-        let uniform = self.sample_count() == 0 || self.raw_stride() == Some(stride);
-        uniform.then_some(ColumnView {
-            dtype: self.dtype,
-            stride,
-            payload,
         })
     }
 
@@ -527,12 +510,11 @@ fn le_dims(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
     bytes.chunks_exact(4).map(|d| u64::from(le_u32(d)))
 }
 
-/// A chunk borrowed as a fixed-width column (see
-/// [`Chunk::scalar_column`] / [`Chunk::vector_column`], or one record of
-/// it through [`Chunk::vector_at`]): every row is
-/// one uncompressed frame of the same element count, so row `i` sits at
-/// a computed offset and decodes without touching the sample directory
-/// or allocating a [`Sample`].
+/// A chunk borrowed as a fixed-width column ([`Chunk::scalar_column`]),
+/// or one record of it ([`Chunk::vector_at`]): every row is one
+/// uncompressed frame of the same element count, so row `i` sits at a
+/// computed offset and decodes without touching the sample directory or
+/// allocating a [`Sample`].
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnView<'a> {
     dtype: Dtype,
@@ -636,7 +618,7 @@ impl ColumnView<'_> {
     /// decoded row (a NaN result is some NaN: which of two NaN operands
     /// an add keeps is the compiler's choice, in both). The row must
     /// hold as many elements as the query
-    /// (every row of a `vector_column(query.len())` view does). Panics
+    /// (a `vector_at(i, query.len())` view's row does). Panics
     /// if `row` is not below [`len`](Self::len).
     pub fn score_row(&self, row: usize, query: VectorQuery<'_>) -> f64 {
         let record = &self.payload[row * self.stride + 1..(row + 1) * self.stride];

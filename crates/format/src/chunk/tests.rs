@@ -252,7 +252,7 @@ fn scalar_column_decodes_every_dtype_like_get_f64() {
             let mut tail = vec![7.0];
             col.decode_rows(2..4, &mut tail);
             assert_eq!(tail[1..], want[2..4], "{dtype}");
-            assert!(chunk.vector_column(1).is_none(), "rank 0 is not a vector");
+            assert!(chunk.vector_at(0, 1).is_none(), "rank 0 is not a vector");
         }
     }
 }
@@ -325,51 +325,6 @@ fn scalar_column_refuses_anything_but_uncompressed_scalars() {
 }
 
 #[test]
-fn vector_column_refuses_anything_but_uniform_rank_one() {
-    let vectors = |lens: &[usize]| {
-        let mut c = Chunk::new(Dtype::F32);
-        for (i, &n) in lens.iter().enumerate() {
-            c.append_sample(
-                &Sample::from_slice([n as u64], &vec![i as f32; n]).unwrap(),
-                Compression::None,
-            )
-            .unwrap();
-        }
-        c
-    };
-    let c = vectors(&[3, 3, 3]);
-    let col = c.vector_column(3).expect("uniform vectors");
-    assert_eq!(col.len(), 3);
-    let mut got = Vec::new();
-    col.decode_rows(1..3, &mut got);
-    assert_eq!(got, [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
-    // not the length asked for, zero length, scalars asked of vectors
-    assert!(c.vector_column(2).is_none());
-    assert!(c.vector_column(0).is_none());
-    assert!(c.vector_column(usize::MAX).is_none(), "stride overflow");
-    assert!(c.scalar_column().is_none());
-    // one wrong-length vector, one empty marker
-    assert!(vectors(&[3, 3, 2]).vector_column(3).is_none());
-    assert!(vectors(&[3, 0, 3]).vector_column(3).is_none());
-    // right element count, wrong rank
-    let mut c = vectors(&[3]);
-    c.append_sample(
-        &Sample::from_slice([1, 3], &[0f32; 3]).unwrap(),
-        Compression::None,
-    )
-    .unwrap();
-    assert!(c.vector_column(3).is_none());
-    // sample-compressed
-    let mut c = vectors(&[3]);
-    c.append_sample(
-        &Sample::from_slice([3], &[0f32; 3]).unwrap(),
-        Compression::Lz4,
-    )
-    .unwrap();
-    assert!(c.vector_column(3).is_none());
-}
-
-#[test]
 fn vector_at_judges_only_the_record_it_is_asked_for() {
     let mut c = Chunk::new(Dtype::F32);
     let vector = |v: f32, n: u64| Sample::from_slice([n], &vec![v; n as usize]).unwrap();
@@ -386,8 +341,7 @@ fn vector_at_judges_only_the_record_it_is_asked_for() {
     c.append_sample(&vector(5.0, 3), Compression::None).unwrap();
     let parsed = Chunk::parse(Bytes::from(c.serialize(Compression::Lz4))).unwrap();
     for chunk in [&c, &parsed] {
-        // the chunk as a whole refuses; its two plain 3-vectors do not
-        assert!(chunk.vector_column(3).is_none());
+        // its two plain 3-vectors, and nothing else, are views
         let got: Vec<bool> = (0..7).map(|i| chunk.vector_at(i, 3).is_some()).collect();
         assert_eq!(got, [true, false, false, false, false, true, false]);
         for (i, want) in [(0, 1.0), (5, 5.0)] {
@@ -436,18 +390,18 @@ fn views_never_trust_a_lying_directory() {
     let c = Chunk::deserialize(&forged(&[(9, &[]), (9, &[])], &[0u8; 18])).unwrap();
     assert!(c.sample(0).is_err());
     assert!(c.scalar_column().is_none());
-    assert!(c.vector_column(2).is_none());
+    assert!(c.vector_at(0, 2).is_none());
     // directory claims 2-vectors over scalar-sized blobs
     let c = Chunk::deserialize(&forged(&[(5, &[2]), (5, &[2])], &[0u8; 10])).unwrap();
     assert!(c.sample(0).is_err());
     assert!(c.scalar_column().is_none());
-    assert!(c.vector_column(2).is_none());
+    assert!(c.vector_at(0, 2).is_none());
     // stored lengths that disagree with each other but sum to n × stride
     let c = Chunk::deserialize(&forged(&[(4, &[]), (6, &[])], &[0u8; 10])).unwrap();
     assert!(c.scalar_column().is_none());
     // a huge claimed dimension cannot overflow the stride arithmetic
     let c = Chunk::deserialize(&forged(&[(5, &[u32::MAX])], &[0u8; 5])).unwrap();
-    assert!(c.vector_column(u32::MAX as usize).is_none());
+    assert!(c.vector_at(0, u32::MAX as usize).is_none());
     // a payload shorter than the directory total never becomes a chunk
     assert!(Chunk::deserialize(&forged(&[(5, &[]), (5, &[])], &[0u8; 9])).is_err());
     // and an honest one of the same shape does
@@ -567,15 +521,7 @@ mod reference {
             self.column(1, |shape| shape.num_elements() == 1)
         }
 
-        pub fn vector_column(&self, dim: usize) -> Option<ColumnView<'_>> {
-            if dim == 0 {
-                return None;
-            }
-            self.column(dim, |shape| shape.dims() == [dim as u64])
-        }
-
-        /// Record `i` alone, as `vector_column` would judge a chunk
-        /// holding only it.
+        /// Record `i` alone as a one-row column of a rank-1 vector.
         pub fn vector_at(&self, i: usize, dim: usize) -> Option<ColumnView<'_>> {
             let record = self.records.get(i)?;
             let stride = dim.checked_mul(self.dtype.size())?.checked_add(1)?;
@@ -808,11 +754,6 @@ fn assert_matches_reference(chunk: &Chunk, blob: &[u8]) {
     let mut widths = vec![0, 1, 2, 3, 4, 5, 6, usize::MAX];
     widths.extend(old.records.iter().map(|r| r.shape.num_elements() as usize));
     for dim in widths {
-        assert_eq!(
-            column_bits(chunk.vector_column(dim)),
-            column_bits(old.vector_column(dim)),
-            "vector column {dim}"
-        );
         for i in 0..=n {
             assert_eq!(
                 column_bits(chunk.vector_at(i, dim)),
@@ -948,7 +889,6 @@ fn exercise(chunk: &Chunk) {
     }
     let _ = column_bits(chunk.scalar_column());
     for dim in widths {
-        let _ = column_bits(chunk.vector_column(dim));
         for i in 0..=n {
             let _ = column_bits(chunk.vector_at(i, dim));
         }

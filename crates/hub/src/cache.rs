@@ -31,18 +31,20 @@
 //!   dropped by [`ResultCache::invalidate_mutable`] whenever the hub
 //!   routes a write into the dataset, because an uncommitted tip mutates
 //!   *without changing its id*;
-//! * eviction is byte-budgeted LRU over a tick-ordered index — the
-//!   victim is found in `O(log entries)`, never by a scan, because the
-//!   event loop waits on this lock for every hit — with
+//! * eviction is byte-budgeted LRU over a [`Recency`], the structure the
+//!   storage-tier LRU and the chunk memo keep their entries in, weighted
+//!   by each entry's charge (frame, key strings and aliases) — the victim
+//!   is found in `O(log entries)`, never by a scan, because the event
+//!   loop waits on this lock for every hit — with
 //!   [`StorageStats::evictions`] counted per dropped entry so budget
 //!   pressure is observable (the same counter contract the storage-tier
 //!   LRU exposes).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use deeplake_storage::StorageStats;
+use deeplake_storage::{Recency, StorageStats};
 use deeplake_tql::QueryOptions;
 use parking_lot::Mutex;
 
@@ -121,63 +123,42 @@ impl<'a> RawKey<'a> {
     }
 }
 
+/// `raw key → canonical key`.
+type Aliases<'a> = HashMap<Arc<RawKey<'a>>, Arc<CacheKey>>;
+
 struct Entry {
     key: Arc<CacheKey>,
     frame: Frame,
     /// True when the result can never change (committed version inside
     /// and out): survives write invalidation.
     pinned: bool,
-    /// Recency stamp, and this entry's key in [`CacheState::lru`].
-    tick: u64,
-    /// Bytes charged to the budget: frame, key and every alias below.
-    cost: u64,
     /// Raw texts that resolve to this entry, oldest first.
     aliases: Vec<Arc<RawKey<'static>>>,
 }
 
+impl Entry {
+    /// Forget this entry's raw texts: it has left the cache.
+    fn unalias(&self, aliases: &mut Aliases<'static>) {
+        for raw in &self.aliases {
+            aliases.remove(raw);
+        }
+    }
+}
+
 struct CacheState {
-    entries: HashMap<Arc<CacheKey>, Entry>,
-    /// `tick → key` of every entry: the first is the least recently
-    /// used. Ticks are unique (one per touch), so this mirrors `entries`
-    /// one to one.
-    lru: BTreeMap<u64, Arc<CacheKey>>,
-    /// `raw key → canonical key`; every value is a live entry's key.
-    aliases: HashMap<Arc<RawKey<'static>>, Arc<CacheKey>>,
-    bytes: u64,
-    tick: u64,
+    /// Weighted by the bytes each is charged: frame, key strings and
+    /// every alias.
+    entries: Recency<Arc<CacheKey>, Entry>,
+    /// Every value is a live entry's key.
+    aliases: Aliases<'static>,
 }
 
 impl CacheState {
-    /// The entry under `key`, stamped most recently used.
-    fn touch(&mut self, key: &CacheKey) -> Option<&Entry> {
-        let entry = self.entries.get_mut(key)?;
-        self.tick += 1;
-        let indexed = self
-            .lru
-            .remove(&entry.tick)
-            .expect("every entry is indexed");
-        entry.tick = self.tick;
-        self.lru.insert(entry.tick, indexed);
-        Some(entry)
-    }
-
-    /// Drop the entry under `key` with everything charged to it.
-    fn remove(&mut self, key: &CacheKey) {
-        let Some(entry) = self.entries.remove(key) else {
-            return;
-        };
-        self.lru.remove(&entry.tick);
-        for raw in &entry.aliases {
-            self.aliases.remove(raw);
-        }
-        self.bytes -= entry.cost;
-    }
-
     /// Evict least-recently-used entries until `budget` holds.
     fn evict_to(&mut self, budget: u64, stats: &StorageStats) {
-        while self.bytes > budget {
-            let (_, victim) = self.lru.pop_first().expect("bytes > 0 implies entries");
-            self.remove(&victim);
+        while self.entries.weight() > budget {
+            let (_, victim) = self.entries.pop_lru().expect("weight > 0 implies entries");
+            victim.unalias(&mut self.aliases);
             stats.record_eviction();
         }
     }
@@ -187,7 +168,7 @@ impl CacheState {
         // the map owns `RawKey<'static>`s; shortening that lifetime (the
         // map is covariant in its key type) lets a key that borrows from
         // the request probe it without copying the text first
-        let aliases: &'a HashMap<Arc<RawKey<'a>>, Arc<CacheKey>> = &self.aliases;
+        let aliases: &'a Aliases<'a> = &self.aliases;
         aliases.get(raw)
     }
 }
@@ -205,11 +186,8 @@ impl ResultCache {
     pub fn new(budget_bytes: u64) -> Self {
         ResultCache {
             state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                lru: BTreeMap::new(),
+                entries: Recency::new(),
                 aliases: HashMap::new(),
-                bytes: 0,
-                tick: 0,
             }),
             budget: budget_bytes,
             stats: StorageStats::new(),
@@ -239,7 +217,7 @@ impl ResultCache {
     /// Bytes currently held (frames, key strings and remembered raw
     /// texts).
     pub fn cached_bytes(&self) -> u64 {
-        self.state.lock().bytes
+        self.state.lock().entries.weight()
     }
 
     /// Entries currently held.
@@ -251,7 +229,7 @@ impl ResultCache {
     /// response frame (shared, not copied), ready to write to the wire.
     /// Counts one hit or one miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<Frame> {
-        let hit = self.state.lock().touch(key).map(|e| e.frame.clone());
+        let hit = self.state.lock().entries.get(key).map(|e| e.frame.clone());
         match hit {
             Some(_) => self.stats.record_hit(),
             None => self.stats.record_miss(),
@@ -276,7 +254,8 @@ impl ResultCache {
         let mut st = self.state.lock();
         let key = st.alias_target(&raw)?.clone();
         let frame = st
-            .touch(&key)
+            .entries
+            .get(&key)
             .expect("an alias dies with its entry")
             .frame
             .clone();
@@ -300,23 +279,21 @@ impl ResultCache {
         if st.alias_target(&raw).is_some() {
             return;
         }
-        let Some(entry) = st.entries.get_mut(key) else {
-            return;
-        };
-        if entry.cost + cost > self.budget {
-            return; // could never fit: not worth evicting the rest for
-        }
-        if entry.aliases.len() == MAX_ALIASES_PER_ENTRY {
-            let oldest = entry.aliases.remove(0);
-            st.aliases.remove(&oldest);
-            entry.cost -= oldest.cost();
-            st.bytes -= oldest.cost();
-        }
-        let raw = Arc::new(raw.into_owned());
-        entry.aliases.push(raw.clone());
-        entry.cost += cost;
-        st.bytes += cost;
-        st.aliases.insert(raw, entry.key.clone());
+        // an alias is not a use: the entry keeps its place in the order
+        st.entries.update(key, |entry, weight| {
+            if *weight + cost > self.budget {
+                return; // could never fit: not worth evicting the rest for
+            }
+            if entry.aliases.len() == MAX_ALIASES_PER_ENTRY {
+                let oldest = entry.aliases.remove(0);
+                st.aliases.remove(&oldest);
+                *weight -= oldest.cost();
+            }
+            let raw = Arc::new(raw.into_owned());
+            entry.aliases.push(raw.clone());
+            *weight += cost;
+            st.aliases.insert(raw, entry.key.clone());
+        });
         st.evict_to(self.budget, &self.stats);
     }
 
@@ -349,23 +326,16 @@ impl ResultCache {
         if !still_valid() {
             return;
         }
-        st.remove(&key);
-        st.tick += 1;
-        let tick = st.tick;
         let key = Arc::new(key);
-        st.lru.insert(tick, key.clone());
-        st.entries.insert(
-            key.clone(),
-            Entry {
-                key,
-                frame,
-                pinned,
-                tick,
-                cost,
-                aliases: Vec::new(),
-            },
-        );
-        st.bytes += cost;
+        let entry = Entry {
+            key: key.clone(),
+            frame,
+            pinned,
+            aliases: Vec::new(),
+        };
+        if let Some(replaced) = st.entries.insert(key, entry, cost) {
+            replaced.unalias(&mut st.aliases);
+        }
         st.evict_to(self.budget, &self.stats);
     }
 
@@ -384,16 +354,15 @@ impl ResultCache {
     }
 
     fn retain(&self, keep: impl Fn(&Entry) -> bool) {
-        let mut st = self.state.lock();
-        let doomed: Vec<Arc<CacheKey>> = st
-            .entries
-            .values()
-            .filter(|e| !keep(e))
-            .map(|e| e.key.clone())
-            .collect();
-        for key in doomed {
-            st.remove(&key);
-        }
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.entries.retain(|_, entry| {
+            let kept = keep(entry);
+            if !kept {
+                entry.unalias(&mut st.aliases);
+            }
+            kept
+        });
     }
 }
 
@@ -468,40 +437,34 @@ mod tests {
 
     /// 20 000 small entries through a budget that holds a fraction of
     /// them: every insert past the budget evicts exactly the least
-    /// recently used entry, found through the tick index (the parent's
-    /// `min_by_key` over all entries made this a 20 000 × survivors scan
-    /// under the lock the event loop takes for every hit).
+    /// recently used entry, found without a scan of the survivors under
+    /// the lock the event loop takes for every hit.
     #[test]
     fn small_entry_flood_evicts_strictly_lru() {
         const INSERTS: usize = 20_000;
         let cache = ResultCache::new(100_000);
-        let text = |i: usize| format!("q{i:05}");
+        let k = |i: usize| key("d", "v", &format!("q{i:05}"));
         for i in 0..INSERTS {
-            cache.insert(key("d", "v", &text(i)), vec![0u8; 8], true);
+            cache.insert(k(i), vec![0u8; 8], true);
             assert!(cache.cached_bytes() <= cache.budget());
         }
         let survivors = cache.cached_entries();
         assert!((2..INSERTS / 4).contains(&survivors), "{survivors}");
-        assert_eq!(cache.evictions() as usize, INSERTS - survivors);
-        {
-            let st = cache.state.lock();
-            assert_eq!(st.lru.len(), survivors, "the index mirrors the map");
-            // equal costs: the survivors are exactly the newest inserts
-            for i in 0..INSERTS {
-                let cached = st.entries.contains_key(&key("d", "v", &text(i)));
-                assert_eq!(cached, i >= INSERTS - survivors, "entry {i}");
-            }
+        let oldest = INSERTS - survivors;
+        assert_eq!(cache.evictions() as usize, oldest);
+        // equal costs: the survivors are exactly the newest inserts (and
+        // probing them oldest first leaves their order as it was)
+        for i in 0..INSERTS {
+            assert_eq!(cache.lookup(&k(i)).is_some(), i >= oldest, "entry {i}");
         }
         // recency, not insertion order, picks the victim: touch the
         // oldest survivor and the next insert takes the second oldest
-        let oldest = INSERTS - survivors;
-        assert!(cache.lookup(&key("d", "v", &text(oldest))).is_some());
-        cache.insert(key("d", "v", &text(INSERTS)), vec![0u8; 8], true);
-        assert_eq!(cache.evictions() as usize, INSERTS - survivors + 1);
-        let st = cache.state.lock();
-        assert!(st.entries.contains_key(&key("d", "v", &text(oldest))));
-        assert!(!st.entries.contains_key(&key("d", "v", &text(oldest + 1))));
-        assert!(st.entries.contains_key(&key("d", "v", &text(oldest + 2))));
+        assert!(cache.lookup(&k(oldest)).is_some());
+        cache.insert(k(INSERTS), vec![0u8; 8], true);
+        assert_eq!(cache.evictions() as usize, oldest + 1);
+        assert!(cache.lookup(&k(oldest)).is_some());
+        assert!(cache.lookup(&k(oldest + 1)).is_none());
+        assert!(cache.lookup(&k(oldest + 2)).is_some());
     }
 
     #[test]
@@ -645,5 +608,239 @@ mod tests {
             .lookup_raw("d", "v", "Q", QueryOptions::default())
             .is_none());
         assert_eq!(cache.cached_bytes(), 0);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        struct ModelEntry {
+            key: CacheKey,
+            frame: Vec<u8>,
+            pinned: bool,
+            cost: u64,
+            /// Raw texts, oldest first.
+            aliases: Vec<String>,
+        }
+
+        /// The reference model: entries in recency order, the least
+        /// recently used first, with the counters the cache keeps.
+        struct Model {
+            budget: u64,
+            entries: Vec<ModelEntry>,
+            evictions: u64,
+            hits: u64,
+            misses: u64,
+        }
+
+        impl Model {
+            fn new(budget: u64) -> Self {
+                Model {
+                    budget,
+                    entries: Vec::new(),
+                    evictions: 0,
+                    hits: 0,
+                    misses: 0,
+                }
+            }
+
+            fn position(&self, key: &CacheKey) -> Option<usize> {
+                self.entries.iter().position(|e| e.key == *key)
+            }
+
+            fn bytes(&self) -> u64 {
+                self.entries.iter().map(|e| e.cost).sum()
+            }
+
+            /// The entry that holds `text` as an alias under the raw key
+            /// `(dataset, version, text, options)`.
+            fn raw_owner(&self, probe: &CacheKey, text: &str) -> Option<usize> {
+                self.entries.iter().position(|e| {
+                    (&e.key.dataset, &e.key.version, e.key.options)
+                        == (&probe.dataset, &probe.version, probe.options)
+                        && e.aliases.iter().any(|a| a == text)
+                })
+            }
+
+            /// A hit on entry `i`: it becomes the most recently used.
+            fn hit(&mut self, i: usize) -> (CacheKey, Vec<u8>) {
+                let entry = self.entries.remove(i);
+                let out = (entry.key.clone(), entry.frame.clone());
+                self.entries.push(entry);
+                self.hits += 1;
+                out
+            }
+
+            fn lookup(&mut self, key: &CacheKey) -> Option<Vec<u8>> {
+                match self.position(key) {
+                    Some(i) => Some(self.hit(i).1),
+                    None => {
+                        self.misses += 1;
+                        None
+                    }
+                }
+            }
+
+            fn lookup_raw(&mut self, probe: &CacheKey, text: &str) -> Option<(CacheKey, Vec<u8>)> {
+                let i = self.raw_owner(probe, text)?;
+                Some(self.hit(i))
+            }
+
+            fn evict(&mut self) {
+                while self.bytes() > self.budget {
+                    self.entries.remove(0);
+                    self.evictions += 1;
+                }
+            }
+
+            fn insert(&mut self, key: CacheKey, frame: Vec<u8>, pinned: bool) {
+                let cost = frame.len() as u64 + key_cost(&key.dataset, &key.version, &key.text);
+                if cost > self.budget {
+                    return;
+                }
+                if let Some(i) = self.position(&key) {
+                    self.entries.remove(i);
+                }
+                self.entries.push(ModelEntry {
+                    key,
+                    frame,
+                    pinned,
+                    cost,
+                    aliases: Vec::new(),
+                });
+                self.evict();
+            }
+
+            fn alias(&mut self, key: &CacheKey, text: &str) {
+                if text.len() > MAX_ALIAS_TEXT_BYTES || self.raw_owner(key, text).is_some() {
+                    return;
+                }
+                let Some(i) = self.position(key) else {
+                    return;
+                };
+                let charge = |text: &str| key_cost(&key.dataset, &key.version, text);
+                let entry = &mut self.entries[i];
+                if entry.cost + charge(text) > self.budget {
+                    return;
+                }
+                if entry.aliases.len() == MAX_ALIASES_PER_ENTRY {
+                    entry.cost -= charge(&entry.aliases.remove(0));
+                }
+                entry.aliases.push(text.to_string());
+                entry.cost += charge(text);
+                self.evict();
+            }
+
+            fn invalidate(&mut self, dataset: &str, spare_pinned: bool) {
+                self.entries
+                    .retain(|e| e.key.dataset != dataset || (spare_pinned && e.pinned));
+            }
+        }
+
+        /// Key `k` of 32: two datasets, two versions, two option sets,
+        /// four texts.
+        fn model_key(k: usize) -> CacheKey {
+            let text = format!("q{}", k >> 3);
+            let mut key = key(["d", "e"][k & 1], ["v", "w"][k >> 1 & 1], &text);
+            key.options.ann = k & 4 != 0;
+            key
+        }
+
+        /// Raw text `t` of 14: twelve short ones (so an entry can be
+        /// offered a ninth), one that costs a good share of a small
+        /// budget, and one over the length bound.
+        fn raw_text(t: usize) -> String {
+            match t {
+                12 => " ".repeat(200),
+                13 => " ".repeat(MAX_ALIAS_TEXT_BYTES + 1),
+                _ => format!("r{t}"),
+            }
+        }
+
+        /// Every `(raw text, canonical key)` the cache's alias map holds;
+        /// a raw key is its canonical key with another text.
+        fn alias_map(cache: &ResultCache) -> HashSet<(String, CacheKey)> {
+            let st = cache.state.lock();
+            st.aliases
+                .iter()
+                .map(|(raw, key)| {
+                    let fields = (&*raw.dataset, &*raw.version, raw.options);
+                    assert_eq!(fields, (&*key.dataset, &*key.version, key.options));
+                    (raw.text.to_string(), (**key).clone())
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn result_cache_agrees_with_the_reference_model(
+                budget in proptest::sample::select(vec![0u64, 250, 600, 1_200, 3_000]),
+                ops in proptest::collection::vec(
+                    (0u8..10, 0usize..32, 0usize..14, 0usize..300, any::<bool>()),
+                    0..160,
+                ),
+            ) {
+                let cache = ResultCache::new(budget);
+                let mut model = Model::new(budget);
+                for (seq, (op, k, t, len, flag)) in ops.into_iter().enumerate() {
+                    let key = model_key(k);
+                    match op {
+                        0 | 1 => {
+                            let frame = vec![seq as u8; len];
+                            cache.insert(key.clone(), frame.clone(), flag);
+                            model.insert(key, frame, flag);
+                        }
+                        // refused under the lock: nothing changes
+                        2 => cache.insert_if(key, Arc::new(vec![0; len]), flag, || false),
+                        3 | 4 => prop_assert_eq!(
+                            cache.lookup(&key).map(|f| f.to_vec()),
+                            model.lookup(&key)
+                        ),
+                        5 | 6 => {
+                            let text = raw_text(t);
+                            let hit = cache.lookup_raw(&key.dataset, &key.version, &text, key.options);
+                            prop_assert_eq!(
+                                hit.map(|(k, f)| ((*k).clone(), f.to_vec())),
+                                model.lookup_raw(&key, &text)
+                            );
+                        }
+                        // a run of up to ten texts, so a ninth is common
+                        7 | 8 => {
+                            for text in (t..=t + len % 10).map(|t| raw_text(t % 14)) {
+                                cache.alias(&key, &text);
+                                model.alias(&key, &text);
+                            }
+                        }
+                        _ if flag => {
+                            cache.invalidate_mutable(&key.dataset);
+                            model.invalidate(&key.dataset, true);
+                        }
+                        _ => {
+                            cache.invalidate_dataset(&key.dataset);
+                            model.invalidate(&key.dataset, false);
+                        }
+                    }
+                    prop_assert_eq!(cache.cached_bytes(), model.bytes());
+                    prop_assert_eq!(cache.cached_entries(), model.entries.len());
+                    prop_assert!(cache.cached_bytes() <= budget);
+                    prop_assert_eq!(cache.evictions(), model.evictions);
+                    prop_assert_eq!(cache.stats().cache_hits(), model.hits);
+                    prop_assert_eq!(cache.stats().cache_misses(), model.misses);
+                    // the alias map holds exactly the live entries'
+                    // aliases: what `lookup_raw`'s `expect` rests on
+                    let want: Vec<(String, CacheKey)> = model
+                        .entries
+                        .iter()
+                        .flat_map(|e| e.aliases.iter().map(|t| (t.clone(), e.key.clone())))
+                        .collect();
+                    let got = alias_map(&cache);
+                    prop_assert_eq!(got.len(), want.len());
+                    prop_assert_eq!(got, want.into_iter().collect::<HashSet<_>>());
+                }
+            }
+        }
     }
 }

@@ -13,9 +13,11 @@
 //! would otherwise cost storage reads per query — and `reference → one
 //! opened [`Dataset`]` every query against that reference executes on,
 //! so metadata, chunk statistics and the decoded vector index load once
-//! rather than once per query. Both live and die under one invalidation
-//! epoch, bumped on every write routed into the dataset, so a query
-//! racing a write can never install a stale memo, handle or cache entry.
+//! rather than once per query (for the eight most recently used
+//! references; an older one is reopened). Both live and die under one
+//! invalidation epoch, bumped on every write routed into the dataset, so
+//! a query racing a write can never install a stale memo, handle or
+//! cache entry.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -24,7 +26,7 @@ use std::sync::Arc;
 
 use deeplake_core::Dataset;
 use deeplake_obs::Counter;
-use deeplake_storage::{DynProvider, TimingProvider};
+use deeplake_storage::{DynProvider, Recency, TimingProvider};
 use parking_lot::{Mutex, RwLock};
 
 /// What a mount remembers per reference, valid for the current epoch.
@@ -34,11 +36,16 @@ struct Memo {
     /// storage reads; memoizing it is what lets a cache hit answer with
     /// *zero* storage round trips.
     heads: HashMap<String, String>,
-    /// `reference → the opened dataset` queries share. A mutable tip and
-    /// a committed reference are different keys, so they never share a
-    /// handle.
-    datasets: HashMap<String, Arc<Dataset>>,
+    /// `reference → the opened dataset` queries share, at most
+    /// [`MAX_HANDLES`] of them. A mutable tip and a committed reference
+    /// are different keys, so they never share a handle.
+    datasets: Recency<String, Arc<Dataset>>,
 }
+
+/// Opened datasets one mount keeps. Each holds chunk memos of up to
+/// 8 MiB per tensor, and the references are client-supplied: without a
+/// bound, a client naming N commits pins N handles until the next write.
+const MAX_HANDLES: usize = 8;
 
 /// One mounted dataset.
 pub struct Mounted {
@@ -117,18 +124,21 @@ impl Mounted {
         seen_epoch: u64,
         open: impl FnOnce() -> Result<Dataset, E>,
     ) -> Result<Arc<Dataset>, E> {
-        let installed = |memo: &Memo| memo.datasets.get(reference).cloned();
-        if let Some(ds) = installed(&self.memo.lock()) {
+        let installed = || self.memo.lock().datasets.get(reference).cloned();
+        if let Some(ds) = installed() {
             return Ok(ds);
         }
         let _opening = self.opening.lock();
-        if let Some(ds) = installed(&self.memo.lock()) {
+        if let Some(ds) = installed() {
             return Ok(ds);
         }
         let ds = Arc::new(open()?);
         let mut memo = self.memo.lock();
         if self.epoch.load(Ordering::Acquire) == seen_epoch {
-            memo.datasets.insert(reference.to_string(), ds.clone());
+            memo.datasets.insert(reference.to_string(), ds.clone(), 1);
+            if memo.datasets.len() > MAX_HANDLES {
+                memo.datasets.pop_lru();
+            }
         }
         Ok(ds)
     }
@@ -341,5 +351,36 @@ mod tests {
             .is_err());
         m.dataset("main", m.epoch(), open).unwrap();
         assert_eq!(opens.get(), 6);
+    }
+
+    #[test]
+    fn a_reference_past_the_handle_cap_reopens_the_least_recently_used() {
+        let reg = DatasetRegistry::new();
+        let store = provider();
+        Dataset::create(store.clone(), "d")
+            .unwrap()
+            .flush()
+            .unwrap();
+        let m = reg.mount("d", store.clone()).unwrap();
+        let opens = std::cell::Cell::new(0);
+        let handle = |i: usize| {
+            m.dataset(&format!("commit{i}"), m.epoch(), || {
+                opens.set(opens.get() + 1);
+                Dataset::open_at(store.clone(), "main")
+            })
+            .unwrap()
+        };
+        let first: Vec<_> = (0..MAX_HANDLES).map(handle).collect();
+        // a query at commit0 leaves commit1 the least recently used
+        assert!(Arc::ptr_eq(&first[0], &handle(0)));
+        assert_eq!(opens.get(), MAX_HANDLES);
+
+        handle(MAX_HANDLES);
+        assert_eq!(opens.get(), MAX_HANDLES + 1);
+        assert!(Arc::ptr_eq(&first[0], &handle(0)), "a recent one is kept");
+        assert!(Arc::ptr_eq(&first[2], &handle(2)));
+        assert_eq!(opens.get(), MAX_HANDLES + 1);
+        assert!(!Arc::ptr_eq(&first[1], &handle(1)), "the oldest reopens");
+        assert_eq!(opens.get(), MAX_HANDLES + 2);
     }
 }

@@ -382,7 +382,7 @@ impl<P: StorageProvider> StorageProvider for LruCacheProvider<P> {
     /// [`delete`](StorageProvider::delete) does.
     fn delete_prefix(&self, prefix: &str) -> Result<()> {
         let deleted = self.base.delete_prefix(prefix);
-        self.written(|entries| entries.retain(|key| !key.starts_with(prefix)));
+        self.written(|entries| entries.retain(|key, _| !key.starts_with(prefix)));
         deleted
     }
 }

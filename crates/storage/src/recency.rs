@@ -1,15 +1,17 @@
-//! One recency structure for the byte-budgeted caches that sit below the
-//! hub: [`crate::LruCacheProvider`]'s object cache and `deeplake-core`'s
-//! decoded-chunk memo.
+//! The one recency structure of every bounded cache in the tree:
+//! [`crate::LruCacheProvider`]'s object cache, `deeplake-core`'s
+//! decoded-chunk memo, and the hub's query-result cache and per-reference
+//! dataset handles.
 //!
 //! [`Recency`] is a hash map plus a tick-ordered index. Every entry
-//! carries the tick of its last use and a weight the caller chose (bytes,
-//! for both callers), so a touch moves one key in the index and the least
-//! recently used entry is the index's first: touch, insert, remove and
-//! evict are O(log n), with no scan. It only orders and weighs; *when* to
-//! evict is each caller's policy, written as a loop over
-//! [`pop_lru`](Recency::pop_lru) against [`weight`](Recency::weight) and
-//! [`len`](Recency::len).
+//! carries the tick of its last use and a weight the caller chose (bytes
+//! for the caches, one per handle for the hub's handles), so a touch moves
+//! one key in the index and the least recently used entry is the index's
+//! first: touch, insert, remove and evict are O(log n), with no scan. An
+//! [`update`](Recency::update) reweighs an entry without touching it. It
+//! only orders and weighs; *when* to evict is each caller's policy,
+//! written as a loop over [`pop_lru`](Recency::pop_lru) against
+//! [`weight`](Recency::weight) and [`len`](Recency::len).
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -84,6 +86,21 @@ impl<K: Hash + Eq + Clone, V> Recency<K, V> {
         Some(old.value)
     }
 
+    /// Change `key`'s value and weight in place through `f`, leaving its
+    /// recency as it was; returns what `f` returns, or `None` when `key`
+    /// is absent.
+    pub fn update<Q, R>(&mut self, key: &Q, f: impl FnOnce(&mut V, &mut u64) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let entry = self.entries.get_mut(key)?;
+        let before = entry.weight;
+        let out = f(&mut entry.value, &mut entry.weight);
+        self.weight = self.weight - before + entry.weight;
+        Some(out)
+    }
+
     /// Remove `key`'s entry; returns its value.
     pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
     where
@@ -106,9 +123,9 @@ impl<K: Hash + Eq + Clone, V> Recency<K, V> {
         Some((key, old.value))
     }
 
-    /// Keep only the entries whose key satisfies `keep`. O(n): for bulk
-    /// invalidation, not for eviction.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+    /// Keep only the entries `keep` accepts. O(n): for bulk invalidation,
+    /// not for eviction.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
         let Recency {
             entries,
             order,
@@ -116,7 +133,7 @@ impl<K: Hash + Eq + Clone, V> Recency<K, V> {
             ..
         } = self;
         entries.retain(|key, entry| {
-            let kept = keep(key);
+            let kept = keep(key, &entry.value);
             if !kept {
                 order.remove(&entry.tick);
                 *weight -= entry.weight;
@@ -181,6 +198,13 @@ mod tests {
         fn remove(&mut self, key: u8) -> Option<u32> {
             Some(self.0.remove(self.position(key)?).1)
         }
+        fn update(&mut self, key: u8, value: u32, weight: u64) -> Option<u32> {
+            let i = self.position(key)?;
+            let entry = &mut self.0[i];
+            let old = entry.1;
+            (entry.1, entry.2) = (value, weight);
+            Some(old)
+        }
         fn pop_lru(&mut self) -> Option<(u8, u32)> {
             (!self.0.is_empty()).then(|| {
                 let (k, v, _) = self.0.remove(0);
@@ -210,7 +234,7 @@ mod tests {
 
         #[test]
         fn recency_agrees_with_the_reference_model(
-            ops in proptest::collection::vec((0u8..7, 0u8..12, any::<u32>(), 0u64..5_000), 0..120),
+            ops in proptest::collection::vec((0u8..8, 0u8..12, any::<u32>(), 0u64..5_000), 0..120),
         ) {
             let mut r = Recency::new();
             let mut model = Model::default();
@@ -222,13 +246,24 @@ mod tests {
                     2 | 3 => prop_assert_eq!(r.insert(key, value, weight), model.insert(key, value, weight)),
                     4 => prop_assert_eq!(r.remove(&key), model.remove(key)),
                     5 => prop_assert_eq!(r.pop_lru(), model.pop_lru()),
+                    // reweigh in place: heavier or lighter, order unchanged
+                    6 => prop_assert_eq!(
+                        r.update(&key, |v, w| {
+                            let old = *v;
+                            (*v, *w) = (value, weight);
+                            old
+                        }),
+                        model.update(key, value, weight)
+                    ),
                     _ if value % 8 == 0 => {
                         r.clear();
                         model.0.clear();
                     }
+                    // by key and by value
                     _ => {
-                        r.retain(|&k| k % 3 != key % 3);
-                        model.0.retain(|&(k, _, _)| k % 3 != key % 3);
+                        let keep = |k: u8, v: u32| k % 3 != key % 3 || v & 1 == 0;
+                        r.retain(|&k, &v| keep(k, v));
+                        model.0.retain(|&(k, v, _)| keep(k, v));
                     }
                 }
                 assert_agrees(&r, &model);

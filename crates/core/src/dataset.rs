@@ -667,17 +667,31 @@ impl Dataset {
         let n = self.store(tensor)?.len();
 
         // batched read of every vector: block-prefetch the chunks, decode
-        // each once, flatten to f32
+        // each once, flatten to f32 — each record in place where it is one
+        // raw frame of `dim` elements, through a `Sample` otherwise
         let tensors = [tensor.to_string()];
         let mut vectors: Vec<f32> = Vec::with_capacity(n as usize * dim);
+        let mut values: Vec<f64> = Vec::with_capacity(dim);
         const BLOCK: u64 = 1024;
         let mut start = 0u64;
         while start < n {
-            let rows: Vec<u64> = (start..(start + BLOCK).min(n)).collect();
+            let end = (start + BLOCK).min(n);
+            let rows: Vec<u64> = (start..end).collect();
             let prefetched = self.prefetch_chunks(&tensors, &rows)?;
+            // the block's records in row order, or none when the block is
+            // not resolvable in place (a tiled row, an unfetched chunk)
+            let runs = prefetched
+                .column_runs(self, tensor, start, end)
+                .unwrap_or_default();
+            let mut in_place = runs.iter().flat_map(|run| {
+                (run.first..run.first + run.len).map(move |i| run.chunk().vector_at(i, dim))
+            });
             for &row in &rows {
-                let sample = prefetched.get(self, tensor, row)?;
-                let values = sample.to_f64_vec();
+                values.clear();
+                match in_place.next().flatten() {
+                    Some(view) => view.decode_rows(0..1, &mut values),
+                    None => values = prefetched.get(self, tensor, row)?.to_f64_vec(),
+                }
                 if values.len() != dim {
                     return Err(CoreError::Index(deeplake_index::IndexError::Unsupported(
                         format!(
@@ -688,7 +702,7 @@ impl Dataset {
                 }
                 vectors.extend(values.iter().map(|&v| v as f32));
             }
-            start += BLOCK;
+            start = end;
         }
 
         let index = VectorIndex::build(&vectors, dim, spec)?;
@@ -1346,6 +1360,67 @@ mod tests {
         let reopened = Dataset::open(ds.provider()).unwrap();
         let idx = reopened.vector_index("emb").expect("persisted");
         assert_eq!(idx.dim(), 2);
+    }
+
+    /// 2,500 rows of 5-element vectors of `dtype` in small chunks, the
+    /// last `open` of them appended after the flush (still in the open
+    /// chunk).
+    fn vector_ds(dtype: Dtype, compression: Option<Compression>, open: u64) -> Dataset {
+        let mut ds = Dataset::create(mem(), "vectors").unwrap();
+        let mut opts = TensorOptions::new(Htype::Generic);
+        opts.dtype = Some(dtype);
+        opts.sample_compression = compression;
+        opts.chunk_target_bytes = Some(4 << 10);
+        ds.create_tensor_opts("emb", opts).unwrap();
+        let rows = 2_500;
+        for i in 0..rows {
+            if i == rows - open {
+                ds.flush().unwrap();
+            }
+            let v: Vec<f64> = (0..5)
+                .map(|d| ((i * 7 + d * 13) % 97) as f64 / 3.0 - 16.0)
+                .collect();
+            let sample = match dtype {
+                Dtype::F64 => Sample::from_slice([5], &v),
+                _ => Sample::from_slice([5], &v.iter().map(|&x| x as f32).collect::<Vec<_>>()),
+            };
+            ds.append_row(vec![("emb", sample.unwrap())]).unwrap();
+        }
+        if open == 0 {
+            ds.flush().unwrap();
+        }
+        ds
+    }
+
+    #[test]
+    fn build_vector_index_reads_records_as_the_per_row_path_does() {
+        let spec = IndexSpec {
+            nlist: Some(12),
+            train_sample: 600,
+            seed: 7,
+            ..IndexSpec::default()
+        };
+        let cases = [
+            ("f32", vector_ds(Dtype::F32, None, 0)),
+            ("f64", vector_ds(Dtype::F64, None, 0)),
+            ("open chunk", vector_ds(Dtype::F32, None, 700)),
+            (
+                "sample-compressed",
+                vector_ds(Dtype::F64, Some(Compression::Lz4), 0),
+            ),
+        ];
+        for (what, mut ds) in cases {
+            // today's reference: one `Sample` per row, widened to f64 and
+            // cast to f32
+            let rows = ds.tensor_meta("emb").unwrap().length;
+            let flat: Vec<f32> = (0..rows)
+                .flat_map(|row| ds.get("emb", row).unwrap().to_f64_vec())
+                .map(|v| v as f32)
+                .collect();
+            let want = VectorIndex::build(&flat, 5, &spec).unwrap();
+            ds.build_vector_index("emb", &spec).unwrap();
+            assert_eq!(*ds.vector_index("emb").unwrap(), want, "{what}");
+        }
     }
 
     #[test]

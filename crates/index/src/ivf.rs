@@ -76,11 +76,10 @@ impl IvfIndex {
         };
 
         // assign every row to its nearest centroid
-        let nlist = centroids.len() / dim;
-        let mut postings: Vec<Vec<u64>> = vec![Vec::new(); nlist];
-        for i in 0..n {
-            let c = kmeans::nearest_centroid(&vectors[i * dim..(i + 1) * dim], &centroids, dim);
-            postings[c].push(i as u64);
+        let blocks = kmeans::Blocks::new(&centroids, dim);
+        let mut postings: Vec<Vec<u64>> = vec![Vec::new(); centroids.len() / dim];
+        for (i, v) in vectors.chunks_exact(dim).enumerate() {
+            postings[blocks.nearest(v)].push(i as u64);
         }
         Ok(IvfIndex {
             dim: dim as u32,

@@ -336,6 +336,9 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

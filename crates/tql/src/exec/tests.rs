@@ -1,5 +1,11 @@
-use super::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::{self, ThreadId};
+
+use parking_lot::Mutex;
+
+use super::tasks::run_tasks;
+use crate::error::TqlError;
+use crate::Result;
 
 fn is_worker_panic(result: Result<()>) -> bool {
     matches!(result, Err(TqlError::Type(m)) if m == "query worker panicked")
@@ -105,12 +111,16 @@ mod kernels {
     use deeplake_codec::Compression;
     use deeplake_core::dataset::TensorOptions;
     use deeplake_core::{Chunk, Metric};
+    use deeplake_core::{ColumnRun, Dataset};
     use deeplake_storage::MemoryProvider;
     use deeplake_tensor::sample::from_f64_values;
     use deeplake_tensor::{Dtype, Htype, Sample, Shape};
     use proptest::prelude::*;
 
-    use super::super::*;
+    use super::super::filter::{span_mask, Leaf};
+    use super::super::walk::{contiguous, task_runs, Piece, Walk};
+    use super::super::{eval, execute, QueryOptions, QueryStats};
+    use crate::plan::{CmpOp, PruneExpr};
 
     /// Values a record draws from: every corner a compare or a score can
     /// trip over (integer dtypes take the truncated or saturated value).
@@ -368,5 +378,124 @@ mod kernels {
             assert_eq!(fast.stats.chunks_scanned, spans.len() as u64, "{text}");
             assert_eq!(fast.stats.rows_vectorized, vectorized, "{text}");
         }
+    }
+
+    #[test]
+    fn what_a_refused_kernel_pushed_is_dropped_and_its_piece_evaluated_row_by_row() {
+        let ds = split_and_open();
+        let filter = crate::parser::parse("SELECT * FROM d WHERE x < 3")
+            .unwrap()
+            .filter
+            .unwrap();
+        let spans = ds.chunk_spans("x").unwrap();
+        let pieces: Vec<Piece> = (spans.iter())
+            .map(|&(_, start, len)| Piece {
+                span: (start, start + len),
+                candidates: None,
+            })
+            .collect();
+        let x = ["x".to_string()];
+        let walk = Walk {
+            ds: &ds,
+            fetch: &x,
+            text: &[],
+            columns: &x,
+            expr: &filter,
+            clock: |stats| &mut stats.decode_ns,
+        };
+        // the kernel takes every other span whole and refuses the rest
+        // after pushing a row no span holds
+        let (mut stats, mut out, mut n) = (QueryStats::default(), Vec::new(), 0);
+        let truthy = |value: crate::Value, row| value.truthy().then_some(row);
+        let kernel = |piece: &Piece, _: &[Leaf], out: &mut Vec<u64>| {
+            n += 1;
+            match n % 2 {
+                1 => out.extend(piece.span.0..piece.span.1),
+                _ => out.push(u64::MAX),
+            }
+            n % 2 == 1
+        };
+        walk.task(&pieces, &mut stats, &mut out, truthy, kernel)
+            .unwrap();
+        let mut want = Vec::new();
+        let mut vectorized = 0;
+        for (i, &(_, start, len)) in spans.iter().enumerate() {
+            if i % 2 == 0 {
+                want.extend(start..start + len);
+                vectorized += len;
+            } else {
+                let keep = |&row: &u64| eval(&filter, &ds, row).unwrap().truthy();
+                want.extend((start..start + len).filter(keep));
+            }
+        }
+        assert_eq!(out, want);
+        assert_eq!(stats.chunks_scanned, spans.len() as u64);
+        assert_eq!(stats.rows_vectorized, vectorized);
+    }
+}
+
+// ---------------------------------------------------------------------
+// ARRANGE BY groups as a first-fit scan does
+// ---------------------------------------------------------------------
+
+mod arrange {
+    use std::cmp::Ordering;
+
+    use deeplake_tensor::Scalar;
+    use proptest::prelude::*;
+
+    use super::super::arrange;
+
+    /// The linear grouping `arrange` replaced: each row joins the first
+    /// group whose key compares equal to its own, else opens a group.
+    /// Quadratic in distinct keys.
+    fn first_fit(keys: &[Scalar], rows: &[u64]) -> Vec<u64> {
+        let mut groups: Vec<(&Scalar, Vec<u64>)> = Vec::new();
+        for (key, &row) in keys.iter().zip(rows) {
+            match groups
+                .iter_mut()
+                .find(|(k, _)| k.order_cmp(key) == Ordering::Equal)
+            {
+                Some((_, bucket)) => bucket.push(row),
+                None => groups.push((key, vec![row])),
+            }
+        }
+        groups.into_iter().flat_map(|(_, rows)| rows).collect()
+    }
+
+    /// Keys that tie across variants: `Int(1)`, `Float(1.0)` and
+    /// `Bool(true)` compare equal, as do `±0.0`, `Int(0)` and
+    /// `Bool(false)`, every NaN, and two ints one f64 cannot tell apart.
+    fn keys() -> Vec<Scalar> {
+        let mut keys = vec![
+            Scalar::Null,
+            Scalar::Int(1 << 53),
+            Scalar::Int((1 << 53) + 1),
+        ];
+        keys.extend((-2..3).map(Scalar::Int));
+        keys.extend([-1.5, -0.0, 0.0, 1.0, 2.0, f64::NAN, f64::INFINITY].map(Scalar::Float));
+        keys.extend([false, true].map(Scalar::Bool));
+        keys.extend(["", "a", "b"].map(|s| Scalar::Str(s.into())));
+        keys
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arrange_groups_as_the_first_fit_scan_does(
+            keys in proptest::collection::vec(proptest::sample::select(keys()), 0..80),
+        ) {
+            let rows: Vec<u64> = (0..keys.len() as u64).map(|i| i * 7 + 3).collect();
+            prop_assert_eq!(arrange(&keys, &rows), first_fit(&keys, &rows), "{:?}", keys);
+        }
+    }
+
+    #[test]
+    fn fifty_thousand_distinct_keys_arrange_in_n_log_n() {
+        // the first-fit scan makes ~1.25e9 comparisons here
+        let keys: Vec<Scalar> = (0..50_000).rev().map(Scalar::Int).collect();
+        let rows: Vec<u64> = (0..50_000).collect();
+        assert_eq!(arrange(&keys, &rows), rows);
     }
 }

@@ -4,7 +4,7 @@
 //! backend's first-byte latency per *task*, not per chunk — the paper's
 //! streaming claim.
 //!
-//! Each timed iteration re-opens the dataset so its chunk memo is cold —
+//! Each timed iteration re-opens the dataset so its chunk cache is cold —
 //! otherwise every epoch after the first is served from memory.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};

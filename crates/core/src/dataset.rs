@@ -13,6 +13,7 @@ use deeplake_tensor::{Dtype, Htype, Sample};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::chunk_cache::{ChunkCache, ChunkKey};
 use crate::error::{optional, CoreError};
 use crate::row::Row;
 use crate::sample_id::{self, ID_TENSOR};
@@ -77,7 +78,7 @@ impl TensorOptions {
 
 /// The decoded chunks one task reads from, pinned per tensor by
 /// [`Dataset::prefetch_chunks`] / [`Dataset::prefetch_spans`] — both
-/// what the prefetch fetched and what the chunk memo already held when
+/// what the prefetch fetched and what the chunk cache already held when
 /// it was planned — plus the storage round trips the prefetch cost and a
 /// fetch/decode cost split for instrumentation. The default is the empty
 /// set: nothing prefetched, every read takes the single-key path.
@@ -162,6 +163,10 @@ pub struct Dataset {
     head: String,
     read_only: bool,
     tensors: BTreeMap<String, TensorStore>,
+    /// Where every tensor store of this handle keeps its parsed chunks;
+    /// shared with the handles [`open_shared`](Dataset::open_shared)
+    /// gives it to.
+    chunks: Arc<ChunkCache>,
     /// Per-tensor vector index memo: `Some(idx)` = loaded, `None` =
     /// known absent/stale. Entries drop on any mutation that can
     /// invalidate them and on checkout.
@@ -208,6 +213,7 @@ impl Dataset {
             head,
             read_only: false,
             tensors: BTreeMap::new(),
+            chunks: Arc::default(),
             vindex_cache: Mutex::new(HashMap::new()),
             schema_written: None,
             tree_written: None,
@@ -237,6 +243,15 @@ impl Dataset {
     /// Open an existing dataset at a branch tip or a specific commit.
     /// Historical commits open read-only.
     pub fn open_at(root: DynProvider, reference: &str) -> Result<Self> {
+        Self::open_shared(root, reference, Arc::default())
+    }
+
+    /// [`open_at`](Dataset::open_at), reading parsed chunks through
+    /// `cache` — the cache of another handle on the same `root`, so a
+    /// chunk both read is parsed once. The caller owes the cache's one
+    /// rule: a chunk key in it is never rewritten (whoever deletes stored
+    /// chunks hands later handles a new cache).
+    pub fn open_shared(root: DynProvider, reference: &str, cache: Arc<ChunkCache>) -> Result<Self> {
         let meta = optional(root.get(DATASET_META_KEY))?.ok_or_else(|| {
             CoreError::Corrupt("no dataset at this location (missing dataset.json)".into())
         })?;
@@ -251,6 +266,7 @@ impl Dataset {
             head,
             read_only,
             tensors: BTreeMap::new(),
+            chunks: cache,
             vindex_cache: Mutex::new(HashMap::new()),
             schema_written: None,
             tree_written: None,
@@ -269,7 +285,7 @@ impl Dataset {
                 .iter()
                 .map(|node| PrefixProvider::new(self.root.clone(), tensor_prefix(node, &tensor)))
                 .collect();
-            let store = TensorStore::open(providers)?;
+            let store = TensorStore::open(providers, self.chunks.clone())?;
             self.tensors.insert(tensor, store);
         }
         Ok(())
@@ -325,6 +341,12 @@ impl Dataset {
     /// The storage provider this dataset lives on.
     pub fn provider(&self) -> DynProvider {
         self.root.clone()
+    }
+
+    /// The parsed-chunk cache this handle reads through, to hand to
+    /// [`open_shared`](Dataset::open_shared).
+    pub fn chunk_cache(&self) -> &Arc<ChunkCache> {
+        &self.chunks
     }
 
     /// Whether this handle is read-only (checked out at a commit).
@@ -385,7 +407,7 @@ impl Dataset {
         meta.hidden = opts.hidden;
         meta.derived_from = opts.derived_from;
         let head_dir = PrefixProvider::new(self.root.clone(), tensor_prefix(&self.head, &name));
-        let mut store = TensorStore::create(meta, head_dir)?;
+        let mut store = TensorStore::create(meta, head_dir, self.chunks.clone())?;
         // backfill empty rows so the new tensor aligns with existing rows
         // (schema evolution on a populated dataset)
         let rows = self.len();
@@ -545,7 +567,7 @@ impl Dataset {
     /// given `tensors` need to serve `rows` — the chunk-granular scan
     /// primitive shared by the loader's task reads and TQL's executor.
     /// Returns the task's chunks *pinned* per tensor — the fetched ones
-    /// and the ones the shared chunk memo already held (the memo evicts
+    /// and the ones the shared chunk cache already held (the cache evicts
     /// across worker threads; pinning keeps a task's chunks alive for its
     /// whole assembly) — plus the number of storage round trips issued
     /// (0 or 1).
@@ -572,26 +594,26 @@ impl Dataset {
     /// The batched read: `resolve` names each tensor's chunks and pins
     /// the resident ones (see [`TensorStore::resolve_rows`]), the missing
     /// ones of every tensor go into one [`ReadPlan`], one `execute`
-    /// fetches them, and each is admitted to the memo and pinned.
+    /// fetches them, and each is admitted to the cache and pinned.
     fn prefetch(
         &self,
         tensors: &[String],
         resolve: impl Fn(
             &TensorStore,
             &mut HashMap<u64, Arc<deeplake_format::Chunk>>,
-        ) -> Vec<(u64, String)>,
+        ) -> Vec<(ChunkKey, String)>,
     ) -> Result<PrefetchedChunks> {
         let mut plan = ReadPlan::new();
-        let mut admissions: Vec<(&String, &TensorStore, u64)> = Vec::new();
+        let mut admissions: Vec<(&String, ChunkKey)> = Vec::new();
         let mut prefetched = PrefetchedChunks::default();
         for name in tensors {
             let Ok(store) = self.store(name) else {
                 continue;
             };
             let pinned = prefetched.by_tensor.entry(name.clone()).or_default();
-            for (chunk_id, key) in resolve(store, pinned) {
+            for (chunk, key) in resolve(store, pinned) {
                 plan.whole(key);
-                admissions.push((name, store, chunk_id));
+                admissions.push((name, chunk));
             }
         }
         if !plan.is_empty() {
@@ -600,17 +622,17 @@ impl Dataset {
             let outcome = self.root.execute(&plan);
             prefetched.fetch_ns = fetch_t.elapsed().as_nanos() as u64;
             let decode_t = std::time::Instant::now();
-            for ((name, store, chunk_id), data) in admissions.into_iter().zip(outcome.results) {
+            for ((name, key @ (_, id)), data) in admissions.into_iter().zip(outcome.results) {
                 // a failed fetch or a corrupt blob is NOT an error here:
                 // the single-key path retries it and reports the
                 // row-level error, matching `Dataset::get` semantics
                 let Ok(data) = data else { continue };
-                if let Ok(chunk) = store.admit_chunk(chunk_id, data) {
+                if let Ok(chunk) = self.chunks.admit(key, data) {
                     prefetched
                         .by_tensor
                         .get_mut(name)
                         .expect("entry created above")
-                        .insert(chunk_id, chunk);
+                        .insert(id, chunk);
                 }
             }
             prefetched.decode_ns = decode_t.elapsed().as_nanos() as u64;
@@ -927,7 +949,7 @@ impl Dataset {
         self.flush()?;
         let other_tip = self.tree.resolve(branch)?;
         let base = self.tree.lca(&self.head, &other_tip)?;
-        let other = Dataset::open_at(self.root.clone(), &other_tip)?;
+        let other = Dataset::open_shared(self.root.clone(), &other_tip, self.chunks.clone())?;
 
         // id -> row maps on both sides
         let mut our_ids: HashMap<u64, u64> = HashMap::new();

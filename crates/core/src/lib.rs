@@ -15,14 +15,15 @@
 //! A batched read has one planner. [`Dataset::prefetch_chunks`] (a row
 //! list) and [`Dataset::prefetch_spans`] (row ranges) differ only in how
 //! a tensor enumerates the chunk ids; from there each tensor resolves
-//! its ids once against its decoded-chunk memo — resident chunks are
+//! its ids once against the parsed-chunk cache — resident chunks are
 //! pinned, missing ones named by storage key — the missing chunks of
 //! every tensor travel in one `ReadPlan`, and what arrives is admitted
-//! to the memo and pinned. The returned [`PrefetchedChunks`] holds
-//! everything the task will read; the memo (shared by every reader of
-//! the handle, least recently used evicted first once it holds more
-//! than 64 chunks and more than 8 MiB) only decides what the *next* task
-//! finds resident.
+//! to the cache and pinned. The returned [`PrefetchedChunks`] holds
+//! everything the task will read; the
+//! [`ChunkCache`](chunk_cache::ChunkCache) (one per store: shared by
+//! every tensor, version and [`Dataset::open_shared`] handle, least
+//! recently used evicted first once it holds more than 64 chunks and
+//! more than 8 MiB) only decides what the *next* task finds resident.
 //!
 //! ```
 //! use deeplake_core::dataset::Dataset;
@@ -43,6 +44,7 @@
 //! assert!(!commit.is_empty());
 //! ```
 
+pub mod chunk_cache;
 pub mod dataset;
 pub mod error;
 pub mod link;

@@ -5,6 +5,12 @@
 //! first). Writes always land in the HEAD directory; reads resolve a chunk
 //! id by walking the chain toward the first commit and checking each
 //! version's `chunk_set` (§4.2) — copy-on-write at chunk granularity.
+//!
+//! Parsed chunks are not the store's: it reads them through the
+//! [`ChunkCache`] it was opened with, the one its dataset shares across
+//! tensors, versions and handles, under the key of the directory that
+//! owns them. Every chunk write takes a fresh id, so no write here ever
+//! leaves a cached chunk stale.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -16,10 +22,10 @@ use deeplake_format::{
     SampleLocation, TensorMeta, TileEncoder, TileLayout,
 };
 use deeplake_index::{VectorIndex, VECTOR_INDEX_KEY, VECTOR_INDEX_STALE_KEY};
-use deeplake_storage::{PrefixProvider, Recency, StorageProvider};
+use deeplake_storage::{PrefixProvider, StorageProvider};
 use deeplake_tensor::{Htype, Sample};
-use parking_lot::Mutex;
 
+use crate::chunk_cache::{ChunkCache, ChunkKey};
 use crate::error::{optional, CoreError};
 use crate::version::CommitDiff;
 use crate::Result;
@@ -31,25 +37,20 @@ const TILES_KEY: &str = "tile_encoder";
 const CHUNK_SET_KEY: &str = "chunk_set.json";
 const DIFF_KEY: &str = "commit_diff.json";
 
-/// The chunk memo never evicts below this many chunks: enough for a
-/// loader task's chunks across a handful of tensors even at the default
-/// 8 MiB chunk size, where the byte budget alone would hold one.
-const MEMO_MIN_CHUNKS: usize = 64;
-/// Nor below this many bytes of parsed chunks, so a tensor of small
-/// chunks keeps a whole scan's working set.
-const MEMO_BUDGET_BYTES: u64 = 8 << 20;
-
 /// One version sub-directory of this tensor plus the set of chunks it owns.
 pub struct VersionDir {
     /// Provider scoped at `versions/<node>/<tensor>/`.
     pub provider: PrefixProvider,
     /// Ids of chunks written in this version.
     pub chunk_set: HashSet<u64>,
+    /// The provider's prefix as the chunk cache numbers it: this
+    /// version's chunk `id` is cached as `(cache_dir, id)`.
+    cache_dir: u32,
 }
 
 impl VersionDir {
     /// Load a version dir, reading its chunk set if present.
-    pub fn load(provider: PrefixProvider) -> Result<Self> {
+    pub fn load(provider: PrefixProvider, chunks: &ChunkCache) -> Result<Self> {
         let chunk_set = match optional(provider.get(CHUNK_SET_KEY))? {
             Some(data) => serde_json::from_slice::<Vec<u64>>(&data)?
                 .into_iter()
@@ -57,9 +58,18 @@ impl VersionDir {
             None => HashSet::new(),
         };
         Ok(VersionDir {
-            provider,
             chunk_set,
+            ..VersionDir::empty(provider, chunks)
         })
+    }
+
+    /// A version dir that owns no chunks yet.
+    fn empty(provider: PrefixProvider, chunks: &ChunkCache) -> Self {
+        VersionDir {
+            cache_dir: chunks.dir(provider.prefix()),
+            provider,
+            chunk_set: HashSet::new(),
+        }
     }
 }
 
@@ -105,11 +115,8 @@ pub struct TensorStore {
     /// HEAD first, root last.
     chain: Vec<VersionDir>,
     diff: CommitDiff,
-    /// Decoded chunks by id, shared by every reader of this handle, the
-    /// least recently used evicted first (see [`admit`]): a scan that
-    /// recurs over a tensor whose chunks fit the budget finds them
-    /// parsed.
-    chunk_memo: Mutex<Recency<u64, Arc<Chunk>>>,
+    /// Where parsed chunks live, shared with the rest of the dataset.
+    chunks: Arc<ChunkCache>,
     /// Whether this handle already invalidated (or verified the absence
     /// of) the tensor's vector index — makes repeated updates write at
     /// most one tombstone.
@@ -127,8 +134,8 @@ fn policy_for(meta: &TensorMeta) -> ChunkSizePolicy {
 }
 
 impl TensorStore {
-    /// Create a fresh tensor in `head`.
-    pub fn create(meta: TensorMeta, head: PrefixProvider) -> Result<Self> {
+    /// Create a fresh tensor in `head`, reading through `chunks`.
+    pub fn create(meta: TensorMeta, head: PrefixProvider, chunks: Arc<ChunkCache>) -> Result<Self> {
         let builder = ChunkBuilder::new(meta.dtype, meta.sample_compression, policy_for(&meta));
         let store = TensorStore {
             builder,
@@ -136,24 +143,22 @@ impl TensorStore {
             encoder: ChunkEncoder::new(),
             stats: ChunkStatsIndex::new(),
             tiles: TileEncoder::new(),
-            chain: vec![VersionDir {
-                provider: head,
-                chunk_set: HashSet::new(),
-            }],
+            chain: vec![VersionDir::empty(head, &chunks)],
             diff: CommitDiff::new(),
-            chunk_memo: Mutex::new(Recency::new()),
+            chunks,
             vector_index_invalidated: false,
             dirty: true,
         };
         Ok(store)
     }
 
-    /// Open an existing tensor given its version chain (HEAD first). State
-    /// files are loaded from the most recent version that wrote them.
-    pub fn open(chain: Vec<PrefixProvider>) -> Result<Self> {
+    /// Open an existing tensor given its version chain (HEAD first),
+    /// reading through `chunks`. State files are loaded from the most
+    /// recent version that wrote them.
+    pub fn open(chain: Vec<PrefixProvider>, chunks: Arc<ChunkCache>) -> Result<Self> {
         let mut dirs = Vec::with_capacity(chain.len());
         for p in chain {
-            dirs.push(VersionDir::load(p)?);
+            dirs.push(VersionDir::load(p, &chunks)?);
         }
         let mut state_dir = None;
         for dir in &dirs {
@@ -193,7 +198,7 @@ impl TensorStore {
             tiles,
             chain: dirs,
             diff,
-            chunk_memo: Mutex::new(Recency::new()),
+            chunks,
             vector_index_invalidated: false,
             dirty: false,
         })
@@ -379,7 +384,6 @@ impl TensorStore {
         if !self.diff.added.contains(row) {
             self.diff.updated.insert(row);
         }
-        self.chunk_memo.lock().clear();
         self.dirty = true;
         Ok(())
     }
@@ -392,7 +396,7 @@ impl TensorStore {
     /// The sample reader. A chunk is taken from `pinned` — what a batch
     /// reader resolved for its task ([`resolve_rows`](Self::resolve_rows)
     /// / [`resolve_spans`](Self::resolve_spans)), out of the shared
-    /// memo's reach — else from the memo, else fetched single-key
+    /// cache's reach — else from the cache, else fetched single-key
     /// ([`read_chunk`](Self::read_chunk)); a bare [`get`](Self::get) has
     /// pinned nothing.
     pub(crate) fn read(&self, row: u64, pinned: &HashMap<u64, Arc<Chunk>>) -> Result<Sample> {
@@ -568,8 +572,8 @@ impl TensorStore {
         out
     }
 
-    /// A batch reader's plan for the chunks `rows` need: those the memo
-    /// holds are pinned into `pinned`, the rest come back as `(chunk id,
+    /// A batch reader's plan for the chunks `rows` need: those the cache
+    /// holds are pinned into `pinned`, the rest come back as `(cache key,
     /// absolute storage key)` for the task's one
     /// [`deeplake_storage::ReadPlan`] (see [`resolve`](Self::resolve)).
     /// Enumerated per row; rows in the open chunk need no chunk.
@@ -577,7 +581,7 @@ impl TensorStore {
         &self,
         rows: &[u64],
         pinned: &mut HashMap<u64, Arc<Chunk>>,
-    ) -> Vec<(u64, String)> {
+    ) -> Vec<(ChunkKey, String)> {
         let sealed = self.encoder.num_rows();
         let mut ids = Vec::new();
         for &row in rows {
@@ -599,7 +603,7 @@ impl TensorStore {
         &self,
         spans: &[(u64, u64)],
         pinned: &mut HashMap<u64, Arc<Chunk>>,
-    ) -> Vec<(u64, String)> {
+    ) -> Vec<(ChunkKey, String)> {
         let sealed = self.encoder.num_rows();
         let mut ids = Vec::new();
         for &(start, end) in spans {
@@ -617,37 +621,36 @@ impl TensorStore {
         self.resolve(ids, pinned)
     }
 
-    /// The resolver: every chunk a task named, looked up once under one
-    /// memo lock. A resident chunk is touched and pinned there and then —
-    /// the memo is shared by every reader of this handle, so between a
-    /// task's plan and its last row its own admissions or other readers'
-    /// may evict anything it did not pin. A missing one reports its
-    /// absolute key; a chunk no version's chunk set owns reports nothing
-    /// and is left to [`read_chunk`](Self::read_chunk)'s probing.
+    /// The resolver: every chunk a task named, looked up once under the
+    /// key of the version that owns it. A resident chunk is touched and
+    /// pinned there and then — the cache is shared by every reader of the
+    /// dataset, so between a task's plan and its last row its own
+    /// admissions or other readers' may evict anything it did not pin. A
+    /// missing one reports its absolute key; a chunk no version's chunk
+    /// set owns reports nothing and is left to
+    /// [`read_chunk`](Self::read_chunk)'s probing.
     fn resolve(
         &self,
         mut ids: Vec<u64>,
         pinned: &mut HashMap<u64, Arc<Chunk>>,
-    ) -> Vec<(u64, String)> {
+    ) -> Vec<(ChunkKey, String)> {
         ids.sort_unstable();
         ids.dedup();
-        {
-            let mut memo = self.chunk_memo.lock();
-            ids.retain(|id| match memo.get(id) {
-                Some(chunk) => {
-                    pinned.insert(*id, chunk.clone());
-                    false
-                }
-                None => true,
-            });
-        }
         ids.into_iter()
-            .filter_map(|id| Some((id, self.resolve_chunk_key(id)?)))
+            .filter_map(|id| {
+                let dir = self.owner(id)?;
+                let key = (dir.cache_dir, id);
+                let Some(chunk) = self.chunks.get(key) else {
+                    return Some((key, chunk_key_under(dir.provider.prefix(), id)));
+                };
+                pinned.insert(id, chunk);
+                None
+            })
             .collect()
     }
 
     /// Rows `[start, end)` as runs inside already-decoded chunks —
-    /// sealed chunks from `pinned` (else the memo), trailing rows from
+    /// sealed chunks from `pinned` (else the cache), trailing rows from
     /// the open chunk — for columnar readers that walk chunk payloads
     /// in place. Never touches storage and never fails: `None` when the
     /// range is out of bounds, holds a tiled row, needs a chunk that is
@@ -669,7 +672,7 @@ impl TensorStore {
             for (id, first, n) in self.encoder.locate_range(start, end.min(sealed)).ok()? {
                 let chunk = match pinned.get(&id) {
                     Some(chunk) => chunk.clone(),
-                    None => self.memoized(id)?,
+                    None => self.cached(id)?,
                 };
                 runs.push(ColumnRun {
                     chunk: RunChunk::Sealed(chunk),
@@ -691,53 +694,43 @@ impl TensorStore {
             .then_some(runs)
     }
 
-    /// Fetch and decode a chunk by id, resolving through the version chain.
+    /// Fetch and decode a chunk by id, resolving through the version
+    /// chain, and admit it to the cache.
     pub fn read_chunk(&self, chunk_id: u64) -> Result<Arc<Chunk>> {
-        if let Some(chunk) = self.memoized(chunk_id) {
+        if let Some(chunk) = self.cached(chunk_id) {
             return Ok(chunk);
         }
         let key = chunk_key(chunk_id);
-        let owner = self.chain.iter().find(|d| d.chunk_set.contains(&chunk_id));
-        let data = match owner {
-            Some(dir) => dir.provider.get(&key)?,
-            // fall back to probing directories (tolerates missing chunk_set files)
-            None => self
-                .chain
-                .iter()
-                .find_map(|dir| dir.provider.get(&key).ok())
-                .ok_or_else(|| {
-                    CoreError::Corrupt(format!("chunk {chunk_id} not found in any version"))
-                })?,
-        };
-        self.admit_chunk(chunk_id, data)
+        if let Some(dir) = self.owner(chunk_id) {
+            let data = dir.provider.get(&key)?;
+            return self.chunks.admit((dir.cache_dir, chunk_id), data);
+        }
+        // no chunk set claims it (one may be missing): the first version
+        // holding it, where only `NotFound` means "not here"
+        for dir in &self.chain {
+            if let Some(data) = optional(dir.provider.get(&key))? {
+                return self.chunks.admit((dir.cache_dir, chunk_id), data);
+            }
+        }
+        let missing = format!("chunk {chunk_id} not found in any version");
+        Err(CoreError::Corrupt(missing))
     }
 
-    /// Absolute storage key of a chunk, resolved through the version
-    /// chain's chunk sets.
-    fn resolve_chunk_key(&self, chunk_id: u64) -> Option<String> {
+    /// The version whose chunk set owns `chunk_id`.
+    fn owner(&self, chunk_id: u64) -> Option<&VersionDir> {
         self.chain
             .iter()
             .find(|dir| dir.chunk_set.contains(&chunk_id))
-            .map(|dir| chunk_key_under(dir.provider.prefix(), chunk_id))
     }
 
-    /// Parse fetched chunk bytes into the memo so subsequent
-    /// [`get`](Self::get) calls on its rows hit memory — the one place a
-    /// stored blob becomes a [`Chunk`]. The chunk is a view of `data`
-    /// (which it keeps alive), not a copy. The batched read path fetches
-    /// bytes through one storage call and admits them here.
-    pub fn admit_chunk(&self, chunk_id: u64, data: Bytes) -> Result<Arc<Chunk>> {
-        let chunk = Arc::new(Chunk::parse(data)?);
-        // a chunk weighs what its parse holds: payload plus offset table
-        let weight = chunk.payload_len() + (chunk.sample_count() + 1) * size_of::<u32>();
-        let mut memo = self.chunk_memo.lock();
-        admit(&mut memo, chunk_id, chunk.clone(), weight as u64);
-        Ok(chunk)
-    }
-
-    /// The memo's copy of a chunk, if it holds one.
-    fn memoized(&self, chunk_id: u64) -> Option<Arc<Chunk>> {
-        self.chunk_memo.lock().get(&chunk_id).cloned()
+    /// The cache's copy of a chunk: under its owner's key, else (no chunk
+    /// set claims it) under whichever version's key it was admitted.
+    fn cached(&self, chunk_id: u64) -> Option<Arc<Chunk>> {
+        let owner = self.owner(chunk_id).map(std::slice::from_ref);
+        let holders = owner.unwrap_or(&self.chain);
+        holders
+            .iter()
+            .find_map(|dir| self.chunks.get((dir.cache_dir, chunk_id)))
     }
 
     /// Number of rows safely covered by sealed chunks.
@@ -778,7 +771,6 @@ impl TensorStore {
             self.meta.sample_compression,
             policy_for(&self.meta),
         );
-        self.chunk_memo.lock().clear();
         for s in &samples {
             match self.builder.push(s)? {
                 FlushReason::Buffered => {}
@@ -863,13 +855,8 @@ impl TensorStore {
     /// `new_head` with a fresh chunk set and diff.
     pub fn start_new_version(&mut self, new_head: PrefixProvider) -> Result<()> {
         self.flush()?;
-        self.chain.insert(
-            0,
-            VersionDir {
-                provider: new_head,
-                chunk_set: HashSet::new(),
-            },
-        );
+        self.chain
+            .insert(0, VersionDir::empty(new_head, &self.chunks));
         self.diff = CommitDiff::new();
         Ok(())
     }
@@ -902,22 +889,16 @@ fn chunk_key_under(prefix: &str, id: u64) -> String {
     key
 }
 
-/// The memo's rule: admit `value`, then evict the least recently used
-/// entry while the memo holds more than [`MEMO_MIN_CHUNKS`] chunks *and*
-/// more than [`MEMO_BUDGET_BYTES`]. Overflow only costs a refetch.
-fn admit<V>(memo: &mut Recency<u64, V>, chunk_id: u64, value: V, weight: u64) {
-    memo.insert(chunk_id, value, weight);
-    while memo.len() > MEMO_MIN_CHUNKS && memo.weight() > MEMO_BUDGET_BYTES {
-        memo.pop_lru();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use deeplake_storage::MemoryProvider;
     use deeplake_tensor::{Dtype, Shape};
     use std::sync::Arc as StdArc;
+
+    fn cache() -> StdArc<ChunkCache> {
+        StdArc::default()
+    }
 
     fn head() -> PrefixProvider {
         PrefixProvider::new(StdArc::new(MemoryProvider::new()), "versions/v000000/t")
@@ -946,31 +927,8 @@ mod tests {
     }
 
     #[test]
-    fn sixty_five_chunks_of_eight_mib_evict_exactly_the_least_recently_used() {
-        let mut memo = Recency::new();
-        for id in 0..64 {
-            admit(&mut memo, id, (), 8 << 20);
-        }
-        assert!(memo.get(&0).is_some()); // chunk 1 is now the least recent
-        admit(&mut memo, 64, (), 8 << 20);
-        assert_eq!(memo.len(), 64);
-        assert!(memo.get(&1).is_none());
-        assert!(memo.get(&0).is_some());
-    }
-
-    #[test]
-    fn two_hundred_chunks_of_33_kb_evict_none() {
-        let mut memo = Recency::new();
-        for id in 0..200 {
-            admit(&mut memo, id, (), 33_000);
-        }
-        assert_eq!(memo.len(), 200);
-        assert_eq!(memo.weight(), 200 * 33_000);
-    }
-
-    #[test]
     fn append_get_roundtrip() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         for i in 0..10 {
             t.append(&sample(100, i)).unwrap();
         }
@@ -985,12 +943,12 @@ mod tests {
     fn flush_and_reopen() {
         let base = StdArc::new(MemoryProvider::new());
         let p = PrefixProvider::new(base.clone(), "versions/v000000/x");
-        let mut t = TensorStore::create(small_meta("x", 500), p.clone()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 500), p.clone(), cache()).unwrap();
         for i in 0..20 {
             t.append(&sample(60, i)).unwrap();
         }
         t.flush().unwrap();
-        let back = TensorStore::open(vec![p]).unwrap();
+        let back = TensorStore::open(vec![p], cache()).unwrap();
         assert_eq!(back.len(), 20);
         for i in 0..20 {
             assert_eq!(back.get(i as u64).unwrap(), sample(60, i as u8));
@@ -1000,7 +958,7 @@ mod tests {
 
     #[test]
     fn dtype_mismatch_rejected() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         let bad = Sample::scalar(1.0f32);
         assert!(t.append(&bad).is_err());
         assert_eq!(t.len(), 0);
@@ -1009,14 +967,14 @@ mod tests {
     #[test]
     fn htype_validation_applies() {
         let meta = TensorMeta::new("img", Htype::Image, None);
-        let mut t = TensorStore::create(meta, head()).unwrap();
+        let mut t = TensorStore::create(meta, head(), cache()).unwrap();
         assert!(t.append(&Sample::zeros(Dtype::U8, [4, 4])).is_err());
         assert!(t.append(&Sample::zeros(Dtype::U8, [4, 4, 3])).is_ok());
     }
 
     #[test]
     fn oversized_sample_gets_tiled_and_reassembles() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         // max = 2000; a 5000-element sample must tile
         let big: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
         let s = Sample::from_slice([50, 100], &big).unwrap();
@@ -1028,7 +986,7 @@ mod tests {
 
     #[test]
     fn tiled_and_plain_rows_interleave() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         t.append(&sample(50, 1)).unwrap();
         let big: Vec<u8> = (0..4000).map(|i| (i % 13) as u8).collect();
         let s = Sample::from_slice([4000], &big).unwrap();
@@ -1044,7 +1002,7 @@ mod tests {
 
     #[test]
     fn update_repoints_row() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         for i in 0..5 {
             t.append(&sample(100, i)).unwrap();
         }
@@ -1060,14 +1018,14 @@ mod tests {
 
     #[test]
     fn update_out_of_range() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         t.append(&sample(10, 0)).unwrap();
         assert!(t.update(1, &sample(10, 1)).is_err());
     }
 
     #[test]
     fn get_shape_matches_get() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         t.append(&Sample::from_slice([3, 7], &[0u8; 21]).unwrap())
             .unwrap();
         t.append(&sample(9, 1)).unwrap();
@@ -1080,7 +1038,7 @@ mod tests {
     fn column_runs_follow_updates_tiles_and_the_open_chunk() {
         let mut m = TensorMeta::new("v", Htype::Generic, Some(Dtype::U8));
         m.chunk_target_bytes = 8; // four scalars a chunk
-        let mut t = TensorStore::create(m, head()).unwrap();
+        let mut t = TensorStore::create(m, head(), cache()).unwrap();
         for i in 0..10u8 {
             t.append(&Sample::scalar(i)).unwrap();
         }
@@ -1096,8 +1054,8 @@ mod tests {
             }
             out
         };
-        // nothing decoded yet (the update cleared the memo): sealed rows
-        // refuse, open rows resolve
+        // nothing decoded yet (nothing was read): sealed rows refuse, open
+        // rows resolve
         let none = HashMap::new();
         assert!(t.column_runs(0, 13, &none).is_none());
         let sealed = t.sealed_rows();
@@ -1122,7 +1080,7 @@ mod tests {
             assert_eq!(runs.iter().map(|r| r.len as u64).sum::<u64>(), end - start);
             assert_eq!(decode(&runs), want[start as usize..end as usize]);
         }
-        // `read_chunk` memoized them: the memo alone serves too
+        // `read_chunk` cached them: the cache alone serves too
         assert_eq!(decode(&t.column_runs(0, 13, &none).unwrap()), want);
         // out of range, inverted
         assert!(t.column_runs(0, 14, &pinned).is_none());
@@ -1145,7 +1103,7 @@ mod tests {
     fn version_chain_resolves_old_chunks() {
         let base = StdArc::new(MemoryProvider::new());
         let v0 = PrefixProvider::new(base.clone(), "versions/v0/x");
-        let mut t = TensorStore::create(small_meta("x", 500), v0).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 500), v0, cache()).unwrap();
         for i in 0..4 {
             t.append(&sample(100, i)).unwrap();
         }
@@ -1162,8 +1120,11 @@ mod tests {
         assert_eq!(t.get(3).unwrap(), sample(100, 3));
         assert_eq!(t.get(4).unwrap(), sample(100, 4));
         // v0 directory still holds the original chunk for row 1's old data
-        let reopened =
-            TensorStore::open(vec![PrefixProvider::new(base.clone(), "versions/v0/x")]).unwrap();
+        let reopened = TensorStore::open(
+            vec![PrefixProvider::new(base.clone(), "versions/v0/x")],
+            cache(),
+        )
+        .unwrap();
         assert_eq!(reopened.get(1).unwrap(), sample(100, 1));
         assert_eq!(reopened.len(), 4);
     }
@@ -1172,7 +1133,7 @@ mod tests {
     fn append_encoded_verbatim_copy() {
         let meta = TensorMeta::new("img", Htype::Image, None);
         let codec = meta.sample_compression;
-        let mut t = TensorStore::create(meta, head()).unwrap();
+        let mut t = TensorStore::create(meta, head(), cache()).unwrap();
         let pixels = vec![127u8; 8 * 8 * 3];
         let blob = codec.compress_image(&pixels, 8, 8, 3).unwrap();
         t.append_encoded(blob, Shape::from([8, 8, 3])).unwrap();
@@ -1182,7 +1143,7 @@ mod tests {
 
     #[test]
     fn rechunk_restores_sequential_layout() {
-        let mut t = TensorStore::create(small_meta("x", 500), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 500), head(), cache()).unwrap();
         for i in 0..20 {
             t.append(&sample(100, i)).unwrap();
         }
@@ -1207,7 +1168,7 @@ mod tests {
 
     #[test]
     fn rechunk_handles_tiled_rows() {
-        let mut t = TensorStore::create(small_meta("x", 1000), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 1000), head(), cache()).unwrap();
         t.append(&sample(100, 1)).unwrap();
         let big: Vec<u8> = (0..5000).map(|i| (i % 13) as u8).collect();
         let big = Sample::from_slice([5000], &big).unwrap();
@@ -1228,7 +1189,7 @@ mod tests {
         let p = PrefixProvider::new(base.clone(), "versions/v000000/labels");
         let mut m = TensorMeta::new("labels", Htype::ClassLabel, None);
         m.chunk_target_bytes = 40; // a handful of scalars per chunk
-        let mut t = TensorStore::create(m, p.clone()).unwrap();
+        let mut t = TensorStore::create(m, p.clone(), cache()).unwrap();
         for i in 0..32 {
             t.append(&Sample::scalar(i % 8)).unwrap();
         }
@@ -1237,7 +1198,7 @@ mod tests {
         let all = t.stats_for_rows(0, 32).unwrap();
         assert_eq!((all.min, all.max, all.samples), (0.0, 7.0, 32));
 
-        let back = TensorStore::open(vec![p]).unwrap();
+        let back = TensorStore::open(vec![p], cache()).unwrap();
         assert_eq!(back.stats_coverage(), t.stats_coverage());
         let s = back.stats_for_rows(0, 32).unwrap();
         assert_eq!((s.min, s.max), (0.0, 7.0));
@@ -1252,7 +1213,7 @@ mod tests {
 
     #[test]
     fn non_scalar_tensors_have_no_stats() {
-        let mut t = TensorStore::create(small_meta("x", 500), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 500), head(), cache()).unwrap();
         for i in 0..10 {
             t.append(&sample(100, i)).unwrap();
         }
@@ -1267,13 +1228,13 @@ mod tests {
         let p = PrefixProvider::new(base.clone(), "versions/v000000/labels");
         let mut m = TensorMeta::new("labels", Htype::ClassLabel, None);
         m.chunk_stats = false; // a pre-statistics dataset
-        let mut t = TensorStore::create(m, p.clone()).unwrap();
+        let mut t = TensorStore::create(m, p.clone(), cache()).unwrap();
         for i in 0..8 {
             t.append(&Sample::scalar(i)).unwrap();
         }
         t.flush().unwrap();
         assert!(!p.exists(STATS_KEY).unwrap());
-        let back = TensorStore::open(vec![p]).unwrap();
+        let back = TensorStore::open(vec![p], cache()).unwrap();
         assert_eq!(back.stats_coverage(), 0);
         assert!(back.stats_for_rows(0, 8).is_none());
     }
@@ -1282,7 +1243,7 @@ mod tests {
     fn open_chunk_rows_are_not_summarized() {
         let mut m = TensorMeta::new("labels", Htype::ClassLabel, None);
         m.chunk_target_bytes = 40;
-        let mut t = TensorStore::create(m, head()).unwrap();
+        let mut t = TensorStore::create(m, head(), cache()).unwrap();
         for i in 0..9 {
             t.append(&Sample::scalar(i)).unwrap();
         }
@@ -1301,7 +1262,7 @@ mod tests {
     fn update_keeps_stats_conservative() {
         let mut m = TensorMeta::new("labels", Htype::ClassLabel, None);
         m.chunk_target_bytes = 40;
-        let mut t = TensorStore::create(m, head()).unwrap();
+        let mut t = TensorStore::create(m, head(), cache()).unwrap();
         for _ in 0..16 {
             t.append(&Sample::scalar(2i32)).unwrap();
         }
@@ -1319,7 +1280,7 @@ mod tests {
     fn rechunk_rebuilds_stats() {
         let mut m = TensorMeta::new("labels", Htype::ClassLabel, None);
         m.chunk_target_bytes = 40;
-        let mut t = TensorStore::create(m, head()).unwrap();
+        let mut t = TensorStore::create(m, head(), cache()).unwrap();
         for i in 0..20 {
             t.append(&Sample::scalar(i % 4)).unwrap();
         }
@@ -1334,7 +1295,7 @@ mod tests {
 
     #[test]
     fn fragmentation_reported() {
-        let mut t = TensorStore::create(small_meta("x", 500), head()).unwrap();
+        let mut t = TensorStore::create(small_meta("x", 500), head(), cache()).unwrap();
         for i in 0..20 {
             t.append(&sample(100, i)).unwrap();
         }

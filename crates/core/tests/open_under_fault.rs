@@ -11,7 +11,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use deeplake_core::dataset::TensorOptions;
 use deeplake_core::{CoreError, Dataset};
-use deeplake_storage::{DynProvider, MemoryProvider, StorageError, StorageProvider};
+use deeplake_storage::{
+    DynProvider, FaultPlan, FaultProvider, MemoryProvider, StorageError, StorageProvider,
+};
 use deeplake_tensor::{Dtype, Htype, Sample};
 
 /// Fails exactly the `fail_at`-th call (zero-based) with `error`; every
@@ -129,4 +131,32 @@ fn a_failed_read_at_any_op_of_open_is_that_error() {
             }
         }
     }
+}
+
+/// A chunk no chunk set claims (its version's `chunk_set.json` is gone)
+/// is found by probing the chain, HEAD first, where only `NotFound` means
+/// "not in this version": a failed probe is that error, not "not found in
+/// any version".
+#[test]
+fn a_failed_probe_for_an_unclaimed_chunk_is_that_error() {
+    let storage = dataset();
+    let chain = Dataset::open(storage.clone()).unwrap();
+    let committed = chain.log().unwrap()[0].0.clone();
+    storage
+        .delete(&format!("versions/{committed}/labels/chunk_set.json"))
+        .unwrap();
+    let faulted = Arc::new(FaultProvider::new(storage.clone(), FaultPlan::none()));
+    let ds = Dataset::open(faulted.clone()).unwrap();
+
+    // the HEAD's probe fails: the committed version is never asked
+    faulted.set_plan(FaultPlan::fail_next(1));
+    match ds.get("labels", 3) {
+        Err(CoreError::Storage(StorageError::Io(_))) => {}
+        other => panic!("a failed probe read as {other:?}"),
+    }
+    faulted.heal();
+    assert_eq!(ds.get("labels", 3).unwrap().get_f64(0).unwrap(), 3.0);
+    // and the chunk it found is cached under the version that held it
+    faulted.trip();
+    assert_eq!(ds.get("labels", 4).unwrap().get_f64(0).unwrap(), 4.0);
 }

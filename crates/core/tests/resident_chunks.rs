@@ -1,9 +1,10 @@
-//! A batch reader keeps what it planned: a chunk the shared memo already
+//! A batch reader keeps what it planned: a chunk the shared cache already
 //! held when a task's prefetch was planned is pinned by that prefetch,
 //! through either entry point, so other readers pushing it out of the
-//! memo between the plan and the task's reads cost the task nothing. And
-//! what the memo's budget holds stays parsed: a second scan of a tensor
-//! of small chunks on the same handle reads nothing.
+//! cache between the plan and the task's reads cost the task nothing. And
+//! what the cache's budget holds stays parsed: a second scan of a tensor
+//! of small chunks on the same handle reads nothing. The budget is the
+//! handle's, not a tensor's.
 
 use std::sync::Arc;
 
@@ -108,4 +109,41 @@ fn a_second_scan_of_a_tensor_of_small_chunks_reads_nothing() {
     };
     assert_eq!(scan(), chunks as u64, "the first scan reads every chunk");
     assert_eq!(scan(), 0, "the second finds them all parsed");
+}
+
+#[test]
+fn three_tensors_of_one_handle_share_one_budget() {
+    const LEN: usize = 32 << 10;
+    const ROWS: u64 = 300;
+    let storage = Arc::new(MemoryProvider::new());
+    let tensors = ["a", "b", "c"];
+    {
+        let mut ds = Dataset::create(storage.clone(), "shared budget").unwrap();
+        for name in tensors {
+            let mut opts = TensorOptions::new(Htype::Generic);
+            opts.dtype = Some(Dtype::U8);
+            opts.chunk_target_bytes = Some(128 << 10);
+            ds.create_tensor_opts(name, opts).unwrap();
+        }
+        for row in 0..ROWS {
+            ds.append_row(tensors.map(|name| (name, value(row, LEN))))
+                .unwrap();
+        }
+        ds.flush().unwrap();
+    }
+    let ds = Dataset::open(storage.clone()).unwrap();
+    for name in tensors {
+        let spans = ds.chunk_spans(name).unwrap();
+        assert!(spans.len() > 64, "{name}: {} chunks", spans.len());
+        assert!(ROWS * LEN as u64 > 8 << 20);
+        for (_, start, _) in spans {
+            ds.get(name, start).unwrap();
+        }
+    }
+    // `a`'s last chunk was among its own most recent 64, but `b` and `c`
+    // came after it through the same cache
+    let before = storage.stats().snapshot();
+    ds.get("a", ROWS - 1).unwrap();
+    let round_trips = storage.stats().snapshot().delta_since(&before).round_trips;
+    assert_eq!(round_trips, 1, "a tensor kept a budget of its own");
 }

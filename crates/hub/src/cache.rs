@@ -32,7 +32,7 @@
 //!   routes a write into the dataset, because an uncommitted tip mutates
 //!   *without changing its id*;
 //! * eviction is byte-budgeted LRU over a [`Recency`], the structure the
-//!   storage-tier LRU and the chunk memo keep their entries in, weighted
+//!   storage-tier LRU and the chunk cache keep their entries in, weighted
 //!   by each entry's charge (frame, key strings and aliases) — the victim
 //!   is found in `O(log entries)`, never by a scan, because the event
 //!   loop waits on this lock for every hit — with

@@ -295,14 +295,15 @@ fn answer<T>(outcome: Result<T, StorageError>, ok: impl FnOnce(T) -> Vec<u8>) ->
     }
 }
 
-/// A write was routed into `mount` (whatever its outcome): forget head
-/// memos and drop cached results that were computed against a mutable
-/// tip. Entries pinned to committed versions survive (committed nodes
-/// are immutable).
-fn written(shared: &Shared, mount: &Mounted, outcome: Result<(), StorageError>) -> Vec<u8> {
-    mount.invalidate();
+/// A write was routed into `mount` (whatever its outcome, a `put` or a
+/// delete): forget head memos and handles (and after a delete the parsed
+/// chunks), and drop cached results that were computed against a mutable
+/// tip. Entries pinned to committed versions survive (committed nodes are
+/// immutable).
+fn written(shared: &Shared, mount: &Mounted, done: Result<(), StorageError>, put: bool) -> Vec<u8> {
+    mount.written(put);
     shared.cache.invalidate_mutable(&mount.name);
-    answer(outcome, |()| proto::resp_unit())
+    answer(done, |()| proto::resp_unit())
 }
 
 /// Answer a data op against the resolved mount, on a pool worker.
@@ -316,12 +317,12 @@ fn run(shared: &Shared, mount: &Arc<Mounted>, op: DataOp, ctx: &JobCtx) -> Frame
         DataOp::GetRange(key, start, end) => answer(p.get_range(&key, start, end), |data| {
             proto::resp_bytes(&data)
         }),
-        DataOp::Put(key, value) => written(shared, mount, p.put(&key, value)),
-        DataOp::Delete(key) => written(shared, mount, p.delete(&key)),
+        DataOp::Put(key, value) => written(shared, mount, p.put(&key, value), true),
+        DataOp::Delete(key) => written(shared, mount, p.delete(&key), false),
         DataOp::Exists(key) => answer(p.exists(&key), proto::resp_bool),
         DataOp::LenOf(key) => answer(p.len_of(&key), proto::resp_u64),
         DataOp::List(prefix) => answer(p.list(&prefix), |keys| proto::resp_list(&keys)),
-        DataOp::DeletePrefix(prefix) => written(shared, mount, p.delete_prefix(&prefix)),
+        DataOp::DeletePrefix(prefix) => written(shared, mount, p.delete_prefix(&prefix), false),
         DataOp::Execute(gap_tolerance, requests) => {
             let mut plan = ReadPlan::with_gap_tolerance(gap_tolerance);
             for r in requests {

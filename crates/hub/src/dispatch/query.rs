@@ -289,12 +289,14 @@ fn execute_query(
     // hub, `HubHandle::invalidate` and unmount drop it with the head
     // memo, so it serves the storage's state as of the last write the
     // hub knows of — what the result cache serves, too. Reads are
-    // `&self`: pool workers execute on it concurrently. (`AT VERSION`
-    // still reopens per query inside the executor.)
+    // `&self`: pool workers execute on it concurrently. Its parsed chunks
+    // are the mount's, which a put keeps. (`AT VERSION` still reopens per
+    // query inside the executor, on the same chunks.)
     let mut storage_ns = 0;
     let handle = mount.dataset(reference, epoch, || {
         shared.stats.dataset_opens.inc();
-        let (ds, ns) = mount.timed(|p| Dataset::open_at(p.clone(), reference));
+        let chunks = mount.chunk_cache();
+        let (ds, ns) = mount.timed(|p| Dataset::open_shared(p.clone(), reference, chunks));
         storage_ns = ns;
         ds
     });

@@ -13,38 +13,49 @@
 //! would otherwise cost storage reads per query — and `reference → one
 //! opened [`Dataset`]` every query against that reference executes on,
 //! so metadata, chunk statistics and the decoded vector index load once
-//! rather than once per query (for the eight most recently used
-//! references; an older one is reopened). Both live and die under one
-//! invalidation epoch, bumped on every write routed into the dataset, so
-//! a query racing a write can never install a stale memo, handle or
-//! cache entry.
+//! rather than once per query (for eight references at most; an older
+//! one is reopened). Both live and die under one invalidation epoch,
+//! bumped on every write routed into the dataset, so a query racing a
+//! write can never install a stale memo, handle or cache entry.
+//!
+//! Parsed chunks outlive both: every handle of the mount reads through
+//! one [`ChunkCache`], and a `Put` keeps it — a put never rewrites a live
+//! chunk key, so what the cache holds is still what the store holds. A
+//! delete, [`Mounted::invalidate`] and an unmount give the mount a new
+//! cache instead; a query still running on an old handle admits into the
+//! dead one, never the live one.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use deeplake_core::Dataset;
+use deeplake_core::{chunk_cache::ChunkCache, Dataset};
 use deeplake_obs::Counter;
 use deeplake_storage::{DynProvider, Recency, TimingProvider};
 use parking_lot::{Mutex, RwLock};
 
-/// What a mount remembers per reference, valid for the current epoch.
+/// What a mount remembers per reference, valid for the current epoch,
+/// and the parsed chunks its handles share.
 #[derive(Default)]
 struct Memo {
-    /// `reference → resolved head node`. Resolving a branch name costs
-    /// storage reads; memoizing it is what lets a cache hit answer with
-    /// *zero* storage round trips.
+    /// `reference → resolved head node`, at most [`MAX_HANDLES`] of them.
+    /// Resolving a branch name costs storage reads; memoizing it is what
+    /// lets a cache hit answer with *zero* storage round trips.
     heads: HashMap<String, String>,
     /// `reference → the opened dataset` queries share, at most
     /// [`MAX_HANDLES`] of them. A mutable tip and a committed reference
     /// are different keys, so they never share a handle.
     datasets: Recency<String, Arc<Dataset>>,
+    /// The chunk cache every handle opens with; outlives a put.
+    chunks: Arc<ChunkCache>,
 }
 
-/// Opened datasets one mount keeps. Each holds chunk memos of up to
-/// 8 MiB per tensor, and the references are client-supplied: without a
-/// bound, a client naming N commits pins N handles until the next write.
+/// References one mount remembers a head and a handle for. A handle
+/// holds its tensors' metadata, encoders and statistics (parsed chunks
+/// are the mount's), and references are client-supplied: without a bound,
+/// a client naming N commits pins N handles and N heads until the next
+/// write.
 const MAX_HANDLES: usize = 8;
 
 /// One mounted dataset.
@@ -59,7 +70,8 @@ pub struct Mounted {
     timed: DynProvider,
     storage_nanos: Counter,
     /// Cleared on every write into the dataset (an uncommitted tip
-    /// mutates without changing its id, and a commit moves the branch).
+    /// mutates without changing its id, and a commit moves the branch),
+    /// but for its chunk cache on a `Put`.
     memo: Mutex<Memo>,
     /// Serializes opens, so queries that miss the handle together open
     /// it once.
@@ -105,12 +117,23 @@ impl Mounted {
 
     /// Install a resolution memo, unless the dataset was invalidated
     /// since `seen_epoch` was captured (a concurrent write may have
-    /// moved the head the resolution observed).
+    /// moved the head the resolution observed). A new reference past
+    /// [`MAX_HANDLES`] starts the memo over, which costs each displaced
+    /// one a resolution: [`head_memo`](Self::head_memo) stays one probe.
     pub fn memoize_head(&self, reference: &str, head: String, seen_epoch: u64) {
         let mut memo = self.memo.lock();
         if self.epoch.load(Ordering::Acquire) == seen_epoch {
+            if memo.heads.len() >= MAX_HANDLES && !memo.heads.contains_key(reference) {
+                memo.heads.clear();
+            }
             memo.heads.insert(reference.to_string(), head);
         }
+    }
+
+    /// The chunk cache a handle of this mount opens with
+    /// ([`Dataset::open_shared`]).
+    pub fn chunk_cache(&self) -> Arc<ChunkCache> {
+        self.memo.lock().chunks.clone()
     }
 
     /// The dataset handle queries at `reference` share: the installed
@@ -143,12 +166,24 @@ impl Mounted {
         Ok(ds)
     }
 
-    /// Forget every memoized resolution and shared handle, and advance
-    /// the epoch.
+    /// Forget every memoized resolution and shared handle, advance the
+    /// epoch, and start a new chunk cache: after a delete, or a write the
+    /// hub did not see, a stored chunk key may name new bytes.
     pub fn invalidate(&self) {
+        self.written(false);
+    }
+
+    /// A write routed through the hub landed: [`invalidate`](Self::invalidate),
+    /// except that a `put` keeps the parsed chunks — it names a fresh chunk
+    /// key or a file that is not a chunk.
+    pub fn written(&self, put: bool) {
         let mut memo = self.memo.lock();
         self.epoch.fetch_add(1, Ordering::AcqRel);
+        let chunks = std::mem::take(&mut memo.chunks);
         *memo = Memo::default();
+        if put {
+            memo.chunks = chunks;
+        }
     }
 }
 
@@ -287,6 +322,31 @@ mod tests {
         assert!(DatasetRegistry::valid_name(".").is_err());
         assert!(DatasetRegistry::valid_name("..").is_err());
         assert!(DatasetRegistry::valid_name("...").is_err());
+    }
+
+    #[test]
+    fn a_thousand_references_memoize_at_most_the_handle_cap_of_heads() {
+        let reg = DatasetRegistry::new();
+        let m = reg.mount("d", provider()).unwrap();
+        for i in 0..1000 {
+            m.memoize_head(&format!("commit{i}"), format!("h{i}"), m.epoch());
+        }
+        assert!(m.memo.lock().heads.len() <= MAX_HANDLES);
+        assert_eq!(m.head_memo("commit999").unwrap(), "h999");
+    }
+
+    #[test]
+    fn a_put_keeps_the_chunk_cache_and_every_other_invalidation_replaces_it() {
+        let reg = DatasetRegistry::new();
+        let m = reg.mount("d", provider()).unwrap();
+        let first = m.chunk_cache();
+        m.written(true);
+        assert!(Arc::ptr_eq(&first, &m.chunk_cache()));
+        m.written(false);
+        let second = m.chunk_cache();
+        assert!(!Arc::ptr_eq(&first, &second));
+        m.invalidate();
+        assert!(!Arc::ptr_eq(&second, &m.chunk_cache()));
     }
 
     #[test]

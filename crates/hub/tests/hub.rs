@@ -1083,10 +1083,12 @@ fn explicit_invalidation_for_out_of_band_writes() {
 // ---------------------------------------------------------------------
 
 /// A `MemoryProvider` that counts reads of the keys only a dataset open
-/// (or a first ANN query on a fresh handle) touches.
+/// (or a first ANN query on a fresh handle) touches, and logs the chunk
+/// keys it is asked for.
 struct MetadataCounter {
     inner: MemoryProvider,
     reads: std::sync::atomic::AtomicU64,
+    chunk_reads: std::sync::Mutex<Vec<String>>,
 }
 
 impl MetadataCounter {
@@ -1094,10 +1096,22 @@ impl MetadataCounter {
         Arc::new(MetadataCounter {
             inner: MemoryProvider::new(),
             reads: std::sync::atomic::AtomicU64::new(0),
+            chunk_reads: std::sync::Mutex::new(Vec::new()),
         })
     }
 
+    /// Every chunk key stored now.
+    fn chunk_keys(&self) -> Vec<String> {
+        let keys = self.inner.list("versions/").unwrap();
+        keys.into_iter()
+            .filter(|k| k.contains("/chunks/"))
+            .collect()
+    }
+
     fn note(&self, key: &str) {
+        if key.contains("/chunks/") {
+            self.chunk_reads.lock().unwrap().push(key.to_string());
+        }
         if key == "dataset.json"
             || key == "version_control_info.json"
             || key.ends_with("vector_index/index")
@@ -1241,11 +1255,13 @@ fn writes_through_the_hub_reopen_the_shared_handle() {
     let client = Arc::new(RemoteProvider::connect(hub.addr()).unwrap());
     client.attach("shared").unwrap();
 
+    // `labels * 2` is opaque to the statistics: both queries read chunks
     let before = client
-        .query("SELECT * FROM d WHERE labels >= 0", &ANN)
+        .query("SELECT * FROM d WHERE labels * 2 >= 0", &ANN)
         .unwrap();
     assert_eq!(before.len(), 100);
     assert_eq!(hub.stats().dataset_opens(), 1);
+    let old_chunks = storage.chunk_keys();
 
     {
         let mut ds = Dataset::open(client.clone()).unwrap();
@@ -1256,15 +1272,30 @@ fn writes_through_the_hub_reopen_the_shared_handle() {
         ds.flush().unwrap();
     }
     let reads_before = storage.metadata_reads();
+    let chunk_reads_before = storage.chunk_reads.lock().unwrap().len();
     // a text the cache has never seen: only a fresh handle can answer it
     let after = client
-        .query("SELECT * FROM d WHERE labels >= 0 AND labels < 999", &ANN)
+        .query(
+            "SELECT * FROM d WHERE labels * 2 >= 0 AND labels < 999",
+            &ANN,
+        )
         .unwrap();
     assert_eq!(after.len(), 105, "the shared handle outlived a write");
     assert_eq!(hub.stats().dataset_opens(), 2);
     assert!(
         storage.metadata_reads() > reads_before,
         "the backing store saw no fresh open"
+    );
+    // the fresh handle found the chunks the old one parsed: a put keeps
+    // them (only the appended ones are fetched)
+    let reread: Vec<String> = storage.chunk_reads.lock().unwrap()[chunk_reads_before..]
+        .iter()
+        .filter(|key| old_chunks.contains(key))
+        .cloned()
+        .collect();
+    assert!(
+        reread.is_empty(),
+        "chunks parsed before the put: {reread:?}"
     );
 }
 
@@ -1305,6 +1336,43 @@ fn invalidate_reopens_the_shared_handle_after_an_out_of_band_write() {
     );
     assert_eq!(hub.stats().dataset_opens(), 2);
     assert!(storage.metadata_reads() > reads_before);
+}
+
+/// (b') A dataset deleted and recreated through the hub restarts its
+/// node and chunk ids, so its chunk keys name new bytes: the delete gave
+/// the mount a new chunk cache, and the next query reads the new rows.
+#[test]
+fn a_dataset_deleted_and_recreated_through_the_hub_serves_its_new_rows() {
+    let storage: DynProvider = Arc::new(MemoryProvider::new());
+    labelled_dataset(storage.clone(), "first", 50, 0);
+    let hub = Hub::builder()
+        .mount("d", storage.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client = Arc::new(RemoteProvider::connect(hub.addr()).unwrap());
+    client.attach("d").unwrap();
+    // an opaque leaf: the labels chunks are read and parsed
+    let first = client
+        .query("SELECT * FROM d WHERE labels * 2 = 20", &ANN)
+        .unwrap();
+    assert_eq!(first.indices, vec![10]);
+
+    client.delete_prefix("").unwrap();
+    labelled_dataset(client.clone(), "second", 50, 1000);
+    assert!(storage
+        .exists("versions/v000000/labels/chunks/0000000000000000")
+        .unwrap());
+    let second = client
+        .query("SELECT * FROM d WHERE labels * 2 = 2020", &ANN)
+        .unwrap();
+    assert_eq!(second.indices, vec![10], "rows of the deleted dataset");
+    assert_eq!(
+        client
+            .query("SELECT * FROM d WHERE labels * 2 = 20", &ANN)
+            .unwrap()
+            .indices,
+        Vec::<u64>::new()
+    );
 }
 
 /// (d) Pool workers execute on one handle at once: eight threads firing

@@ -20,7 +20,7 @@
 //! * [`LruCacheProvider`] — read-through/write-through LRU chaining of two
 //!   providers, e.g. memory over simulated S3.
 //! * [`Recency`] — the byte-weighted least-recently-used order that cache
-//!   and `deeplake-core`'s decoded-chunk memo evict by.
+//!   and `deeplake-core`'s parsed-chunk cache evict by.
 //!
 //! Reads come in two granularities: the single-key `get`/`get_range`
 //! methods, and the **batched scatter-gather path** — build a

@@ -1,7 +1,7 @@
 //! The one recency structure of every bounded cache in the tree:
 //! [`crate::LruCacheProvider`]'s object cache, `deeplake-core`'s
-//! decoded-chunk memo, and the hub's query-result cache and per-reference
-//! dataset handles.
+//! parsed-chunk cache (one per store), and the hub's query-result cache
+//! and per-reference dataset handles.
 //!
 //! [`Recency`] is a hash map plus a tick-ordered index. Every entry
 //! carries the tick of its last use and a weight the caller chose (bytes
@@ -142,13 +142,6 @@ impl<K: Hash + Eq + Clone, V> Recency<K, V> {
         });
     }
 
-    /// Remove every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.weight = 0;
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -255,10 +248,6 @@ mod tests {
                         }),
                         model.update(key, value, weight)
                     ),
-                    _ if value % 8 == 0 => {
-                        r.clear();
-                        model.0.clear();
-                    }
                     // by key and by value
                     _ => {
                         let keep = |k: u8, v: u32| k % 3 != key % 3 || v & 1 == 0;

@@ -307,9 +307,10 @@ fn is_text(ds: &Dataset, column: &str) -> bool {
 
 /// Execute a parsed query against a dataset.
 pub fn execute(ds: &Dataset, query: &Query, opts: &QueryOptions) -> Result<QueryResult> {
-    // AT VERSION: reopen at the requested ref and run there (§4.4)
+    // AT VERSION: reopen at the requested ref and run there (§4.4), on
+    // the same parsed chunks
     if let Some(version) = &query.version {
-        let reopened = Dataset::open_at(ds.provider(), version)?;
+        let reopened = Dataset::open_shared(ds.provider(), version, ds.chunk_cache().clone())?;
         let mut stripped = query.clone();
         stripped.version = None;
         let mut result = execute(&reopened, &stripped, opts)?;

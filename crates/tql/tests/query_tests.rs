@@ -6,7 +6,7 @@ use deeplake_codec::Compression;
 use deeplake_core::dataset::{Dataset, TensorOptions};
 use deeplake_storage::MemoryProvider;
 use deeplake_tensor::{Htype, Sample};
-use deeplake_tql::{query, Value};
+use deeplake_tql::{query, query_opts, QueryOptions, Value};
 
 /// 20 rows: labels 0..9 twice, 8×8×3 images filled with the row index,
 /// boxes drifting right, and a parallel "training/boxes" tensor.
@@ -171,6 +171,22 @@ fn at_version_queries_history() {
     assert!(past.dataset.is_some());
     let view = past.view_versioned().unwrap();
     assert_eq!(view.len(), 2);
+}
+
+/// `AT VERSION` reopens on the handle's parsed chunks: the committed
+/// chunk the head's query just read costs the historical one no round
+/// trip.
+#[test]
+fn at_version_reads_the_chunks_the_head_parsed() {
+    let mut ds = build_dataset();
+    let commit = ds.commit("twenty rows").unwrap();
+    let opts = QueryOptions::default();
+    let head = query_opts(&ds, "SELECT * FROM d WHERE labels < 5", &opts).unwrap();
+    assert_eq!(head.stats.round_trips, 1);
+    let q = format!("SELECT * FROM d AT VERSION \"{commit}\" WHERE labels < 5");
+    let past = query_opts(&ds, &q, &opts).unwrap();
+    assert_eq!(past.indices, head.indices);
+    assert_eq!(past.stats.round_trips, 0);
 }
 
 #[test]

@@ -61,7 +61,7 @@ fn main() {
         let q = parser::parse(text).unwrap();
 
         // fresh handles per run: each measurement starts cold, nothing
-        // served from the previous query's decoded-chunk memo
+        // served from the previous query's parsed-chunk cache
         let ds = Dataset::open(sim.clone()).unwrap();
         let opened = sim.stats().snapshot();
         let pruned = execute(&ds, &q, &QueryOptions::default()).unwrap();

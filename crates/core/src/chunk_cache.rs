@@ -7,21 +7,29 @@
 //! the hub's handles on one mount). A chunk two versions or two handles
 //! share is parsed once.
 //!
+//! A cache is two parts: a pool, which holds the parsed chunks under the
+//! one eviction rule, and the store's directory numbering over it. A
+//! standalone [`Dataset`] owns a private pool; [`ChunkCache::renumbered`]
+//! makes a cache that shares a pool, and its budget, under a fresh
+//! numbering, which is how every mount of a hub reads through one pool.
+//!
 //! A chunk is named by its owning version directory and its id
 //! (`ChunkKey`): the directory's prefix under the dataset's root is
-//! interned to a small integer once, when the directory is loaded, so a
-//! lookup hashes two integers and allocates nothing. Keys are never
-//! rewritten: every chunk write takes a fresh id, so an update or a
-//! re-chunk leaves nothing stale behind. Only deleting stored chunks
-//! breaks that (a dataset deleted and recreated in place starts again at
-//! node `v000000`, chunk 0), and whoever deletes starts a new cache rather
-//! than clearing this one — a reader still holding the old one keeps
-//! admitting into it, never into the new one.
+//! numbered once, when the directory is loaded, so a lookup hashes two
+//! integers and allocates nothing. Numbers come from one counter per
+//! pool, so two numberings never share a key. Keys are never rewritten:
+//! every chunk write takes a fresh id, so an update or a re-chunk leaves
+//! nothing stale behind. Only deleting stored chunks breaks that (a
+//! dataset deleted and recreated in place starts again at node
+//! `v000000`, chunk 0), and whoever deletes starts a new numbering rather
+//! than clearing the pool: a reader still holding the old one keeps
+//! admitting under its old numbers, which age out under the budget.
 //!
 //! [`Dataset`]: crate::Dataset
 //! [`Dataset::open_shared`]: crate::Dataset::open_shared
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -38,31 +46,61 @@ const MIN_CHUNKS: usize = 64;
 const BUDGET_BYTES: u64 = 8 << 20;
 
 /// A chunk's identity in a [`ChunkCache`]: its version directory's
-/// interned prefix ([`ChunkCache::dir`]) and its id.
-pub(crate) type ChunkKey = (u32, u64);
+/// number ([`ChunkCache::dir`]) and its id.
+pub(crate) type ChunkKey = (u64, u64);
 
 /// Parsed chunks by `ChunkKey`, the least recently used evicted first
-/// once the cache holds more than 64 chunks *and* more than 8 MiB.
+/// once the pool holds more than 64 chunks *and* more than 8 MiB.
+#[derive(Default)]
+struct Pool {
+    chunks: Mutex<Recency<ChunkKey, Arc<Chunk>>>,
+    /// The next directory number of any numbering over the pool.
+    next_dir: AtomicU64,
+}
+
+/// One store's numbering of its version directories over a pool of
+/// parsed chunks: a private pool from `default`, a shared one from
+/// [`renumbered`](Self::renumbered).
 #[derive(Default)]
 pub struct ChunkCache {
-    /// Version directory prefix → its interned number: one entry per
-    /// directory ever loaded through the cache, as many as the store has.
-    dirs: Mutex<HashMap<String, u32>>,
-    chunks: Mutex<Recency<ChunkKey, Arc<Chunk>>>,
+    pool: Arc<Pool>,
+    /// Version directory prefix → its number: one entry per directory
+    /// ever loaded through this numbering, as many as the store has.
+    dirs: Mutex<HashMap<String, u64>>,
 }
 
 impl ChunkCache {
-    /// The number `prefix` (a version directory under the dataset's
-    /// root) is known by, the same for every store sharing the cache.
-    pub(crate) fn dir(&self, prefix: &str) -> u32 {
-        let mut dirs = self.dirs.lock();
-        let next = dirs.len() as u32;
-        *dirs.entry(prefix.to_string()).or_insert(next)
+    /// A cache over this one's pool, and under its budget, that numbers
+    /// directories afresh: what it admits is never read through this
+    /// one, nor the reverse.
+    pub fn renumbered(&self) -> ChunkCache {
+        ChunkCache {
+            pool: self.pool.clone(),
+            dirs: Mutex::default(),
+        }
     }
 
-    /// The cache's copy of a chunk, which becomes the most recently used.
+    /// Bytes of parsed chunks the pool holds, over every numbering.
+    pub fn bytes_held(&self) -> u64 {
+        self.pool.chunks.lock().weight()
+    }
+
+    /// The number `prefix` (a version directory under the dataset's
+    /// root) is known by, the same for every store sharing the numbering.
+    /// A number is never handed out twice in one pool: running out of
+    /// them panics rather than wrap onto another directory's chunks.
+    pub(crate) fn dir(&self, prefix: &str) -> u64 {
+        let next = || {
+            let n = (self.pool.next_dir).fetch_update(Relaxed, Relaxed, |n| n.checked_add(1));
+            n.expect("chunk cache directory numbers exhausted")
+        };
+        let mut dirs = self.dirs.lock();
+        *dirs.entry(prefix.to_string()).or_insert_with(next)
+    }
+
+    /// The pool's copy of a chunk, which becomes the most recently used.
     pub(crate) fn get(&self, key: ChunkKey) -> Option<Arc<Chunk>> {
-        self.chunks.lock().get(&key).cloned()
+        self.pool.chunks.lock().get(&key).cloned()
     }
 
     /// Parse fetched chunk bytes into the cache — the one place a stored
@@ -71,8 +109,8 @@ impl ChunkCache {
     pub(crate) fn admit(&self, key: ChunkKey, data: Bytes) -> crate::Result<Arc<Chunk>> {
         let chunk = Arc::new(Chunk::parse(data)?);
         // a chunk weighs what its parse holds: payload plus offset table
-        let weight = chunk.payload_len() + (chunk.sample_count() + 1) * size_of::<u32>();
-        insert(&mut self.chunks.lock(), key, chunk.clone(), weight as u64);
+        let weight = (chunk.payload_len() + (chunk.sample_count() + 1) * size_of::<u32>()) as u64;
+        insert(&mut self.pool.chunks.lock(), key, chunk.clone(), weight);
         Ok(chunk)
     }
 }
@@ -137,5 +175,27 @@ mod tests {
         assert!(cache.get((a, 3)).is_some());
         assert!(cache.get((b, 3)).is_none());
         assert!(cache.get((a, 4)).is_none());
+    }
+
+    #[test]
+    fn a_renumbered_cache_shares_the_pool_but_no_key() {
+        let cache = ChunkCache::default();
+        let fresh = cache.renumbered();
+        let (a, b) = (cache.dir("versions/v0/x/"), fresh.dir("versions/v0/x/"));
+        assert_ne!(a, b);
+
+        let mut chunk = Chunk::new(deeplake_tensor::Dtype::U8);
+        chunk
+            .append_sample(
+                &deeplake_tensor::Sample::scalar(7u8),
+                deeplake_codec::Compression::None,
+            )
+            .unwrap();
+        let data = Bytes::from(chunk.serialize(deeplake_codec::Compression::None));
+        cache.admit((a, 0), data).unwrap();
+        assert!(fresh.get((b, 0)).is_none());
+        assert_eq!(fresh.bytes_held(), cache.bytes_held());
+        assert!(cache.bytes_held() > 0);
+        assert_eq!(ChunkCache::default().bytes_held(), 0, "a private pool");
     }
 }

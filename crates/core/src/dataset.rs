@@ -250,7 +250,8 @@ impl Dataset {
     /// `cache` — the cache of another handle on the same `root`, so a
     /// chunk both read is parsed once. The caller owes the cache's one
     /// rule: a chunk key in it is never rewritten (whoever deletes stored
-    /// chunks hands later handles a new cache).
+    /// chunks hands later handles a [renumbered](ChunkCache::renumbered)
+    /// cache).
     pub fn open_shared(root: DynProvider, reference: &str, cache: Arc<ChunkCache>) -> Result<Self> {
         let meta = optional(root.get(DATASET_META_KEY))?.ok_or_else(|| {
             CoreError::Corrupt("no dataset at this location (missing dataset.json)".into())

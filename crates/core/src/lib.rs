@@ -21,9 +21,10 @@
 //! to the cache and pinned. The returned [`PrefetchedChunks`] holds
 //! everything the task will read; the
 //! [`ChunkCache`](chunk_cache::ChunkCache) (one per store: shared by
-//! every tensor, version and [`Dataset::open_shared`] handle, least
-//! recently used evicted first once it holds more than 64 chunks and
-//! more than 8 MiB) only decides what the *next* task finds resident.
+//! every tensor, version and [`Dataset::open_shared`] handle, over a pool
+//! a hub shares between its mounts; least recently used evicted first
+//! once the pool holds more than 64 chunks and more than 8 MiB) only
+//! decides what the *next* task finds resident.
 //!
 //! ```
 //! use deeplake_core::dataset::Dataset;

@@ -45,7 +45,7 @@ pub struct VersionDir {
     pub chunk_set: HashSet<u64>,
     /// The provider's prefix as the chunk cache numbers it: this
     /// version's chunk `id` is cached as `(cache_dir, id)`.
-    cache_dir: u32,
+    cache_dir: u64,
 }
 
 impl VersionDir {

@@ -31,6 +31,7 @@
 pub(crate) mod control;
 mod query;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -261,7 +262,9 @@ pub(crate) fn serve_frames(shared: &Shared, conn: &mut Conn) -> Result<bool, Fat
 
 /// A worker's completion path: execute `job`, commit its response, then
 /// release its in-flight slots. Returns the connection whose loop is
-/// owed a flush wake-up.
+/// owed a flush wake-up. A job that panics (a provider's bug, say) is
+/// answered with an error frame and counted in `hub.panics`; the worker
+/// and the connection live on.
 pub(crate) fn run_job(shared: &Shared, job: Job) -> Arc<ConnShared> {
     let queue_wait_ns = job.enqueued_at.elapsed().as_nanos() as u64;
     shared.obs.queue_wait.record(queue_wait_ns);
@@ -269,10 +272,18 @@ pub(crate) fn run_job(shared: &Shared, job: Job) -> Arc<ConnShared> {
         queue_wait_ns,
         trace: job.trace,
     };
+    let outcome = catch_unwind(AssertUnwindSafe(|| run(shared, &job.mount, job.op, &ctx)));
+    let frame = outcome.unwrap_or_else(|panic| {
+        shared.stats.panics.inc();
+        let what = (panic.downcast_ref::<&str>().copied())
+            .or(panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-text payload");
+        proto::resp_storage_err(&StorageError::Io(format!("request panicked: {what}"))).into()
+    });
     let reply = Reply {
         id: job.id,
         request_len: job.request_len,
-        frame: run(shared, &job.mount, job.op, &ctx),
+        frame,
         timed: true,
     };
     shared.deposit(&job.conn, reply);
@@ -296,10 +307,10 @@ fn answer<T>(outcome: Result<T, StorageError>, ok: impl FnOnce(T) -> Vec<u8>) ->
 }
 
 /// A write was routed into `mount` (whatever its outcome, a `put` or a
-/// delete): forget head memos and handles (and after a delete the parsed
-/// chunks), and drop cached results that were computed against a mutable
-/// tip. Entries pinned to committed versions survive (committed nodes are
-/// immutable).
+/// delete): forget head memos and handles (and after a delete renumber
+/// the mount's parsed chunks), and drop cached results that were computed
+/// against a mutable tip. Entries pinned to committed versions survive
+/// (committed nodes are immutable).
 fn written(shared: &Shared, mount: &Mounted, done: Result<(), StorageError>, put: bool) -> Vec<u8> {
     mount.written(put);
     shared.cache.invalidate_mutable(&mount.name);

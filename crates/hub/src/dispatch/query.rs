@@ -290,8 +290,9 @@ fn execute_query(
     // memo, so it serves the storage's state as of the last write the
     // hub knows of — what the result cache serves, too. Reads are
     // `&self`: pool workers execute on it concurrently. Its parsed chunks
-    // are the mount's, which a put keeps. (`AT VERSION` still reopens per
-    // query inside the executor, on the same chunks.)
+    // are in the hub's one pool, under the mount's numbering, which a put
+    // keeps. (`AT VERSION` still reopens per query inside the executor,
+    // on the same numbering.)
     let mut storage_ns = 0;
     let handle = mount.dataset(reference, epoch, || {
         shared.stats.dataset_opens.inc();

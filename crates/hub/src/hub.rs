@@ -84,9 +84,11 @@ pub struct HubOptions {
     /// neither desynchronize a stream nor hang shutdown.
     pub stall_timeout: Duration,
     /// Byte budget of the version-pinned query-result cache (0 disables
-    /// it). Sizing guidance: roughly `hot queries × mean result frame`;
-    /// watch `cache().evictions()` climb to spot a budget that is too
-    /// small for the hot set.
+    /// it): it bounds result frames only, not parsed chunks, whose one
+    /// pool per hub keeps the chunk cache's own rule. Sizing guidance:
+    /// roughly `hot queries × mean result frame`; watch
+    /// `cache().evictions()` climb to spot a budget that is too small for
+    /// the hot set.
     pub cache_bytes: u64,
     /// Queries whose hub-side time (queue wait included) reaches this
     /// threshold land in the slow-query log with their full span
@@ -121,6 +123,7 @@ pub struct HubStats {
     pub(crate) busy_rejections: Counter,
     pub(crate) peak_conn_buffered: Counter,
     pub(crate) dataset_opens: Counter,
+    pub(crate) panics: Counter,
     pub(crate) wire: StorageStats,
 }
 
@@ -160,6 +163,12 @@ impl HubStats {
         self.dataset_opens.get()
     }
 
+    /// Requests whose execution panicked on a pool worker, each answered
+    /// with an error frame instead of taking the worker down.
+    pub fn panics(&self) -> u64 {
+        self.panics.get()
+    }
+
     /// Wire traffic: one round trip per frame answered, request bytes in
     /// `bytes_read`, response bytes in `bytes_written` (mirror-image of
     /// the client's view).
@@ -174,6 +183,7 @@ impl HubStats {
         registry.register_counter("hub.busy_rejections", &self.busy_rejections);
         registry.register_counter("hub.peak_conn_buffered", &self.peak_conn_buffered);
         registry.register_counter("hub.dataset_opens", &self.dataset_opens);
+        registry.register_counter("hub.panics", &self.panics);
         self.wire.register_into(registry, "hub.wire");
     }
 }

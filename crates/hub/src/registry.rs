@@ -18,12 +18,15 @@
 //! bumped on every write routed into the dataset, so a query racing a
 //! write can never install a stale memo, handle or cache entry.
 //!
-//! Parsed chunks outlive both: every handle of the mount reads through
-//! one [`ChunkCache`], and a `Put` keeps it — a put never rewrites a live
-//! chunk key, so what the cache holds is still what the store holds. A
-//! delete, [`Mounted::invalidate`] and an unmount give the mount a new
-//! cache instead; a query still running on an old handle admits into the
-//! dead one, never the live one.
+//! Parsed chunks outlive both, in one pool per registry: every mount's
+//! handles read through a [`ChunkCache`] numbering over the registry's
+//! pool, so the hub holds one budget of parsed chunks however many
+//! mounts it has. A `Put` keeps the mount's numbering — a put never
+//! rewrites a live chunk key, so what the pool holds is still what the
+//! store holds. A delete, [`Mounted::invalidate`] and an unmount give the
+//! mount a new numbering instead; a query still running on an old handle
+//! admits under the old numbers, which the live one never reads, and
+//! what they name ages out under the shared budget.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -35,8 +38,7 @@ use deeplake_obs::Counter;
 use deeplake_storage::{DynProvider, Recency, TimingProvider};
 use parking_lot::{Mutex, RwLock};
 
-/// What a mount remembers per reference, valid for the current epoch,
-/// and the parsed chunks its handles share.
+/// What a mount remembers per reference, valid for the current epoch.
 #[derive(Default)]
 struct Memo {
     /// `reference → resolved head node`, at most [`MAX_HANDLES`] of them.
@@ -47,8 +49,6 @@ struct Memo {
     /// [`MAX_HANDLES`] of them. A mutable tip and a committed reference
     /// are different keys, so they never share a handle.
     datasets: Recency<String, Arc<Dataset>>,
-    /// The chunk cache every handle opens with; outlives a put.
-    chunks: Arc<ChunkCache>,
 }
 
 /// References one mount remembers a head and a handle for. A handle
@@ -70,9 +70,11 @@ pub struct Mounted {
     timed: DynProvider,
     storage_nanos: Counter,
     /// Cleared on every write into the dataset (an uncommitted tip
-    /// mutates without changing its id, and a commit moves the branch),
-    /// but for its chunk cache on a `Put`.
+    /// mutates without changing its id, and a commit moves the branch).
     memo: Mutex<Memo>,
+    /// The numbering every handle opens with, over the registry's pool;
+    /// replaced on every write but a `Put`.
+    chunks: Mutex<Arc<ChunkCache>>,
     /// Serializes opens, so queries that miss the handle together open
     /// it once.
     opening: Mutex<()>,
@@ -83,7 +85,7 @@ pub struct Mounted {
 }
 
 impl Mounted {
-    fn new(name: String, provider: DynProvider) -> Arc<Self> {
+    fn new(name: String, provider: DynProvider, pool: &ChunkCache) -> Arc<Self> {
         let timed = TimingProvider::new(provider.clone());
         Arc::new(Mounted {
             name,
@@ -91,6 +93,7 @@ impl Mounted {
             storage_nanos: timed.nanos_counter(),
             timed: Arc::new(timed),
             memo: Mutex::new(Memo::default()),
+            chunks: Mutex::new(Arc::new(pool.renumbered())),
             opening: Mutex::new(()),
             epoch: AtomicU64::new(0),
         })
@@ -130,10 +133,10 @@ impl Mounted {
         }
     }
 
-    /// The chunk cache a handle of this mount opens with
+    /// The chunk numbering a handle of this mount opens with
     /// ([`Dataset::open_shared`]).
     pub fn chunk_cache(&self) -> Arc<ChunkCache> {
-        self.memo.lock().chunks.clone()
+        self.chunks.lock().clone()
     }
 
     /// The dataset handle queries at `reference` share: the installed
@@ -167,22 +170,22 @@ impl Mounted {
     }
 
     /// Forget every memoized resolution and shared handle, advance the
-    /// epoch, and start a new chunk cache: after a delete, or a write the
-    /// hub did not see, a stored chunk key may name new bytes.
+    /// epoch, and renumber the mount's chunks: after a delete, or a write
+    /// the hub did not see, a stored chunk key may name new bytes.
     pub fn invalidate(&self) {
         self.written(false);
     }
 
     /// A write routed through the hub landed: [`invalidate`](Self::invalidate),
-    /// except that a `put` keeps the parsed chunks — it names a fresh chunk
-    /// key or a file that is not a chunk.
+    /// except that a `put` keeps the chunk numbering — it names a fresh
+    /// chunk key or a file that is not a chunk.
     pub fn written(&self, put: bool) {
         let mut memo = self.memo.lock();
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        let chunks = std::mem::take(&mut memo.chunks);
         *memo = Memo::default();
-        if put {
-            memo.chunks = chunks;
+        if !put {
+            let mut chunks = self.chunks.lock();
+            *chunks = Arc::new(chunks.renumbered());
         }
     }
 }
@@ -192,6 +195,8 @@ impl Mounted {
 pub struct DatasetRegistry {
     mounts: RwLock<BTreeMap<String, Arc<Mounted>>>,
     default: RwLock<Option<Arc<Mounted>>>,
+    /// The pool every mount's parsed chunks share, under one budget.
+    chunks: ChunkCache,
 }
 
 impl DatasetRegistry {
@@ -232,7 +237,7 @@ impl DatasetRegistry {
         if mounts.contains_key(name) {
             return Err(format!("dataset {name:?} is already mounted"));
         }
-        let mounted = Mounted::new(name.to_string(), provider);
+        let mounted = Mounted::new(name.to_string(), provider, &self.chunks);
         mounts.insert(name.to_string(), mounted.clone());
         Ok(mounted)
     }
@@ -278,7 +283,9 @@ impl DatasetRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deeplake_core::dataset::TensorOptions;
     use deeplake_storage::MemoryProvider;
+    use deeplake_tensor::{Dtype, Htype, Sample};
 
     fn provider() -> DynProvider {
         Arc::new(MemoryProvider::new())
@@ -335,11 +342,43 @@ mod tests {
         assert_eq!(m.head_memo("commit999").unwrap(), "h999");
     }
 
+    /// A dataset of one tensor `x`: `rows` samples of 1 KiB, in chunks of
+    /// 16 KiB.
+    fn kib_rows(store: &DynProvider, rows: u64) {
+        let mut ds = Dataset::create(store.clone(), "d").unwrap();
+        let mut opts = TensorOptions::new(Htype::Generic);
+        opts.dtype = Some(Dtype::U8);
+        opts.chunk_target_bytes = Some(16 << 10);
+        ds.create_tensor_opts("x", opts).unwrap();
+        for row in 0..rows {
+            let sample = Sample::from_slice([1024], &[row as u8; 1024]).unwrap();
+            ds.append_row(vec![("x", sample)]).unwrap();
+        }
+        ds.flush().unwrap();
+    }
+
+    /// Every row of `m`'s dataset read through the mount's handle.
+    fn scan(m: &Mounted, store: &DynProvider) -> usize {
+        let ds = m
+            .dataset("main", m.epoch(), || {
+                Dataset::open_shared(store.clone(), "main", m.chunk_cache())
+            })
+            .unwrap();
+        for row in 0..ds.len() {
+            ds.get("x", row).unwrap();
+        }
+        ds.chunk_spans("x").unwrap().len()
+    }
+
     #[test]
     fn a_put_keeps_the_chunk_cache_and_every_other_invalidation_replaces_it() {
         let reg = DatasetRegistry::new();
-        let m = reg.mount("d", provider()).unwrap();
-        let first = m.chunk_cache();
+        let store = provider();
+        kib_rows(&store, 40);
+        let m = reg.mount("d", store.clone()).unwrap();
+        let other = reg.mount("e", provider()).unwrap();
+        let (first, others) = (m.chunk_cache(), other.chunk_cache());
+        scan(&m, &store);
         m.written(true);
         assert!(Arc::ptr_eq(&first, &m.chunk_cache()));
         m.written(false);
@@ -347,6 +386,31 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &second));
         m.invalidate();
         assert!(!Arc::ptr_eq(&second, &m.chunk_cache()));
+        assert!(Arc::ptr_eq(&others, &other.chunk_cache()), "per mount");
+        // every numbering, old or new, of every mount is over one pool
+        let held = reg.chunks.bytes_held();
+        assert!(held >= 40 << 10, "{held} bytes");
+        for cache in [first, second, m.chunk_cache(), others] {
+            assert_eq!(cache.bytes_held(), held);
+        }
+    }
+
+    #[test]
+    fn sixteen_mounts_scanned_whole_hold_one_budget() {
+        let reg = DatasetRegistry::new();
+        for i in 0..16 {
+            let store = provider();
+            kib_rows(&store, 1100);
+            let m = reg.mount(&format!("d{i}"), store.clone()).unwrap();
+            let chunks = scan(&m, &store);
+            assert!(chunks > 64, "{chunks} chunks");
+        }
+        // the rule evicts while the pool holds more than 8 MiB, so it ends
+        // within one chunk (16 KiB of samples + offsets) of the budget
+        let held = reg.chunks.bytes_held();
+        let chunk = 20 << 10;
+        assert!(held <= (8 << 20) + chunk, "{held} bytes");
+        assert!(held > (8 << 20) - chunk, "{held} bytes");
     }
 
     #[test]

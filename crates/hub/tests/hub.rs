@@ -1375,6 +1375,110 @@ fn a_dataset_deleted_and_recreated_through_the_hub_serves_its_new_rows() {
     );
 }
 
+/// (b'') A delete renumbers the mount it went through, and only that
+/// one: another mount's parsed chunks, in the same pool, still answer its
+/// next query from memory, while the deleted and recreated dataset serves
+/// its new rows.
+#[test]
+fn a_delete_through_one_mount_leaves_another_mounts_chunks_resident() {
+    let a: DynProvider = Arc::new(MemoryProvider::new());
+    let b = MetadataCounter::new();
+    labelled_dataset(a.clone(), "first", 50, 0);
+    labelled_dataset(b.clone(), "other", 50, 0);
+    let hub = Hub::builder()
+        .mount("a", a.clone())
+        .mount("b", b.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let client_a = Arc::new(RemoteProvider::connect(hub.addr()).unwrap());
+    client_a.attach("a").unwrap();
+    let client_b = RemoteProvider::connect(hub.addr()).unwrap();
+    client_b.attach("b").unwrap();
+    // an opaque leaf: both mounts read and parse their labels chunks
+    for client in [&*client_a, &client_b] {
+        let rows = client.query("SELECT * FROM d WHERE labels * 2 = 20", &ANN);
+        assert_eq!(rows.unwrap().indices, vec![10]);
+    }
+
+    client_a.delete_prefix("").unwrap();
+    let chunk_reads = b.chunk_reads.lock().unwrap().len();
+    let rows = client_b.query("SELECT * FROM d WHERE labels * 2 = 40", &ANN);
+    assert_eq!(rows.unwrap().indices, vec![20]);
+    let reread = b.chunk_reads.lock().unwrap()[chunk_reads..].to_vec();
+    assert!(reread.is_empty(), "b read {reread:?} after a's delete");
+
+    labelled_dataset(client_a.clone(), "second", 50, 1000);
+    let rows = client_a.query("SELECT * FROM d WHERE labels * 2 = 2020", &ANN);
+    assert_eq!(
+        rows.unwrap().indices,
+        vec![10],
+        "rows of the deleted dataset"
+    );
+}
+
+/// A provider that panics when `key` is read.
+struct PanicsOn(MemoryProvider, &'static str);
+
+impl StorageProvider for PanicsOn {
+    fn get(&self, key: &str) -> deeplake_storage::Result<Bytes> {
+        assert_ne!(key, self.1, "a provider bug");
+        self.0.get(key)
+    }
+    fn get_range(&self, key: &str, start: u64, end: u64) -> deeplake_storage::Result<Bytes> {
+        self.0.get_range(key, start, end)
+    }
+    fn put(&self, key: &str, value: Bytes) -> deeplake_storage::Result<()> {
+        self.0.put(key, value)
+    }
+    fn delete(&self, key: &str) -> deeplake_storage::Result<()> {
+        self.0.delete(key)
+    }
+    fn exists(&self, key: &str) -> deeplake_storage::Result<bool> {
+        self.0.exists(key)
+    }
+    fn len_of(&self, key: &str) -> deeplake_storage::Result<u64> {
+        self.0.len_of(key)
+    }
+    fn list(&self, prefix: &str) -> deeplake_storage::Result<Vec<String>> {
+        self.0.list(prefix)
+    }
+    fn describe(&self) -> String {
+        "panics-on".into()
+    }
+}
+
+/// A request that panics on the hub's only worker is answered with an
+/// error frame, and the same connection's next request is served: the
+/// worker survived and the connection's in-flight slot was released.
+#[test]
+fn a_panicking_request_is_answered_and_the_worker_lives_on() {
+    let storage = PanicsOn(MemoryProvider::new(), "boom");
+    storage.put("k", Bytes::from_static(b"value")).unwrap();
+    let hub = Hub::builder()
+        .mount("d", Arc::new(storage))
+        .options(HubOptions {
+            workers: 1,
+            ..HubOptions::default()
+        })
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let mut raw = raw_attached(&hub, "d");
+    proto::write_frame(&mut raw, &get_frame("boom")).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap().unwrap();
+    match proto::expect_bytes(&resp) {
+        Err(StorageError::Io(msg)) => assert!(msg.contains("a provider bug"), "{msg:?}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    proto::write_frame(&mut raw, &get_frame("k")).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(
+        proto::expect_bytes(&resp).unwrap(),
+        Bytes::from_static(b"value")
+    );
+    assert_eq!(hub.stats().panics(), 1);
+    assert_eq!(hub.metrics().counter("hub.panics"), Some(1));
+}
+
 /// (d) Pool workers execute on one handle at once: eight threads firing
 /// distinct queries at one mount all get the in-process answer, from a
 /// single open.

@@ -14,8 +14,20 @@
 //! caller owns, so a framed blob is written once and a decoded sample is
 //! one allocation. The encoder's match table has one slot per input byte
 //! (between 4 Ki and 64 Ki slots): a 3 KiB image plane gets a 16 KiB table
-//! on the stack, not a zeroed 256 KiB allocation. The decoder checks every
-//! length against both buffers *before* it copies, and never allocates.
+//! on the stack, not a zeroed 256 KiB allocation.
+//!
+//! The decoder never allocates and has two paths. An image's residual
+//! plane is hundreds of short sequences (few or no literals, matches of
+//! 4-18 bytes at offsets mostly under 20), so the *fast path* takes any
+//! sequence whose length nibbles are both under 15 while 32 input and 48
+//! output bytes are left from its token: those margins hold every copy it
+//! makes, so the match offset is its one check. It copies 16 literal
+//! bytes whatever the run's length and writes the match as three 8-byte
+//! words (or, for a period of 1-7 bytes, one word replicating it, stored
+//! three times), spilling past the sequence into bytes the next one
+//! overwrites. The *careful path* takes long runs and matches and the
+//! block's last bytes: it checks every length against both buffers
+//! before it copies. The two agree on every input, `Ok` and `Err` alike.
 
 use crate::error::CodecError;
 
@@ -30,10 +42,12 @@ const MAX_OFFSET: usize = 65535;
 /// a 16-bit offset can reach), as log2 of the slot count.
 const MIN_HASH_LOG: u32 = 12;
 const MAX_HASH_LOG: u32 = 16;
-/// Short literal runs and matches are copied as one fixed 16-byte block
-/// when both buffers have the room: the bytes past the run are overwritten
-/// by the next sequence.
-const WILD_COPY: usize = 16;
+/// Input and output left from a token for the decoder's fast path. It
+/// reads the token and 16 literal bytes, the offset among them (17
+/// bytes), and writes 16 literal bytes, then three match words from at
+/// most 14 bytes in (38 bytes).
+const FAST_IN: usize = 32;
+const FAST_OUT: usize = 48;
 
 /// An LZ4 block cannot expand to more than 255 times its length (each
 /// extension byte adds at most 255 output bytes). Lengths read from
@@ -228,11 +242,36 @@ fn read_ext_len(
     }
 }
 
+/// The `offset` (1-7) bytes at `out[start..]`, repeated across one word:
+/// byte `i` is `out[start + i % offset]`. Reads 8 bytes from `start`.
+///
+/// The period is multiplied by a constant with a one in every byte whose
+/// index is a multiple of the period: no loop and no branch, because the
+/// next match often reads these bytes back, which puts the word's latency
+/// on the decoder's critical path.
+#[inline]
+fn period_word(out: &[u8], start: usize, offset: usize) -> [u8; 8] {
+    const ONES: [u64; 8] = [
+        0,
+        0x0101_0101_0101_0101,
+        0x0001_0001_0001_0001,
+        0x0001_0000_0100_0001,
+        0x0000_0001_0000_0001,
+        0x0000_0100_0000_0001,
+        0x0001_0000_0000_0001,
+        0x0100_0000_0000_0001,
+    ];
+    let raw = u64::from_le_bytes(out[start..start + 8].try_into().expect("8 bytes"));
+    let period = raw & (u64::MAX >> (64 - 8 * offset));
+    period.wrapping_mul(ONES[offset]).to_le_bytes()
+}
+
 /// Decompress an LZ4 block into `out`, which it must fill exactly.
 ///
-/// Every literal and match length is checked against what is left of both
-/// slices before the copy, so hostile input yields `Err`, never a panic.
-/// On `Err` the contents of `out` are unspecified.
+/// Every copy is checked against what is left of both slices before it
+/// is made (a short sequence by one margin check, anything else length by
+/// length), so hostile input yields `Err`, never a panic. On `Err` the
+/// contents of `out` are unspecified.
 pub fn decompress_into(input: &[u8], out: &mut [u8]) -> Result<(), CodecError> {
     let n = input.len();
     let out_len = out.len();
@@ -241,8 +280,39 @@ pub fn decompress_into(input: &[u8], out: &mut [u8]) -> Result<(), CodecError> {
 
     while ip < n {
         let token = input[ip];
-        ip += 1;
+        if n - ip >= FAST_IN && out_len - op >= FAST_OUT && token < 0xf0 && token & 0x0f != 15 {
+            // The fast path: the margins hold every copy below, so the
+            // offset is the only thing left to check.
+            let lit_len = (token >> 4) as usize;
+            let window: &[u8; 17] = input[ip..ip + 17].try_into().expect("17 bytes");
+            out[op..op + 16].copy_from_slice(&window[1..]);
+            let offset = u16::from_le_bytes([window[1 + lit_len], window[2 + lit_len]]) as usize;
+            ip += 3 + lit_len;
+            op += lit_len;
+            if offset == 0 || offset > op {
+                return Err(CodecError::Corrupt("bad match offset"));
+            }
+            let start = op - offset;
+            if offset >= 8 {
+                // in order: each word's source ends before its destination
+                out.copy_within(start..start + 8, op);
+                out.copy_within(start + 8..start + 16, op + 8);
+                out.copy_within(start + 16..start + 24, op + 16);
+            } else {
+                // stored at 0, p and 2p, p the largest multiple of the
+                // period up to 8: at least 18 bytes
+                let word = period_word(out, start, offset);
+                let p = 8 / offset * offset;
+                out[op..op + 8].copy_from_slice(&word);
+                out[op + p..op + p + 8].copy_from_slice(&word);
+                out[op + 2 * p..op + 2 * p + 8].copy_from_slice(&word);
+            }
+            op += (token & 0x0f) as usize + MIN_MATCH;
+            continue;
+        }
 
+        // The careful path: a long run or match, or the block's last bytes.
+        ip += 1;
         let mut lit_len = (token >> 4) as usize;
         if lit_len == 15 {
             lit_len = read_ext_len(input, &mut ip, lit_len, "literal length")?;
@@ -253,15 +323,14 @@ pub fn decompress_into(input: &[u8], out: &mut [u8]) -> Result<(), CodecError> {
         if lit_len > out_len - op {
             return Err(CodecError::Corrupt("output overflow"));
         }
-        if lit_len > 0 {
-            if lit_len <= WILD_COPY && n - ip >= WILD_COPY && out_len - op >= WILD_COPY {
-                out[op..op + WILD_COPY].copy_from_slice(&input[ip..ip + WILD_COPY]);
-            } else {
-                out[op..op + lit_len].copy_from_slice(&input[ip..ip + lit_len]);
-            }
-            ip += lit_len;
-            op += lit_len;
+        if lit_len <= 16 && n - ip >= 16 && out_len - op >= 16 {
+            // a short run before a long match: one fixed-size copy
+            out[op..op + 16].copy_from_slice(&input[ip..ip + 16]);
+        } else {
+            out[op..op + lit_len].copy_from_slice(&input[ip..ip + lit_len]);
         }
+        ip += lit_len;
+        op += lit_len;
         if ip == n {
             break; // final sequence has no match part
         }
@@ -284,33 +353,16 @@ pub fn decompress_into(input: &[u8], out: &mut [u8]) -> Result<(), CodecError> {
         }
 
         let start = op - offset;
-        if offset >= match_len {
-            // source and destination do not overlap
-            if match_len <= WILD_COPY && offset >= WILD_COPY && out_len - op >= WILD_COPY {
-                out.copy_within(start..start + WILD_COPY, op);
-            } else {
-                out.copy_within(start..start + match_len, op);
-            }
-        } else if offset == 1 {
-            let byte = out[start];
-            out[op..op + match_len].fill(byte);
-        } else if offset <= 8 && out_len - op - match_len >= 8 {
-            // A period of up to 8 bytes fits one word: replicate it across
-            // the word, then store the word at every multiple of the
-            // period. The last store may run up to 7 bytes past the match,
-            // into room the next sequence overwrites.
-            let raw = u64::from_le_bytes(out[start..start + 8].try_into().expect("8 bytes"));
-            let mut bits = 8 * offset as u32;
-            let mut word = raw & (u64::MAX >> (64 - bits));
-            while bits < 64 {
-                word |= word << bits;
-                bits *= 2;
-            }
-            let step = 8 / offset * offset;
+        if offset < 8 && out_len - op - match_len >= 8 {
+            // A long run of a short period: the word stored at every
+            // multiple of the period, the last store up to 7 bytes past
+            // the match, into room the next sequence overwrites.
+            let word = period_word(out, start, offset);
+            let p = 8 / offset * offset;
             let mut at = op;
             while at < op + match_len {
-                out[at..at + 8].copy_from_slice(&word.to_le_bytes());
-                at += step;
+                out[at..at + 8].copy_from_slice(&word);
+                at += p;
             }
         } else {
             // The match repeats the `offset` bytes before it. Each copy
@@ -593,22 +645,34 @@ mod tests {
 
     #[test]
     fn overlap_offsets_and_length_boundaries() {
-        // 19 is the last match length the token nibble holds, 19 + 255
-        // the last with one extension byte
+        // 18 is the longest match the fast path takes, 19 the last the
+        // token nibble holds, 19 + 255 the last with one extension byte
         let lens = [4, 5, 7, 8, 9, 15, 16, 17, 18, 19, 20, 273, 274, 275, 600];
-        let prefix: Vec<u8> = (1..=40u8).collect();
-        for offset in (1..=8).chain([15, 16, 17]) {
-            for match_len in lens {
-                // a closing run of 0..=24 literals puts the match (and its
-                // over-copy) at every distance from the end of both buffers
-                for tail in 0..=24usize {
-                    let seqs = [Seq {
-                        literals: &prefix[..17],
-                        offset,
-                        match_len,
-                    }];
-                    let (block, plain) = assemble(&seqs, &prefix[..tail]);
-                    assert_decodes_to(&block, &plain);
+        let prefix: Vec<u8> = (1..=60u8).collect();
+        for offset in (1..=9).chain([15, 16, 17, 20]) {
+            // 0-14 literals leave the sequence to the fast path when
+            // there is room, 17 never
+            for lit_len in [0, 1, 7, 14, 17] {
+                for match_len in lens {
+                    // behind a 40-byte sequence and ahead of 0..=40
+                    // closing literals: the match (and its over-copy) at
+                    // every distance from the end of both buffers
+                    for tail in 0..=40usize {
+                        let seqs = [
+                            Seq {
+                                literals: &prefix[..40],
+                                offset: 40,
+                                match_len: 4,
+                            },
+                            Seq {
+                                literals: &prefix[40..40 + lit_len],
+                                offset,
+                                match_len,
+                            },
+                        ];
+                        let (block, plain) = assemble(&seqs, &prefix[..tail]);
+                        assert_decodes_to(&block, &plain);
+                    }
                 }
             }
         }
@@ -719,6 +783,33 @@ mod tests {
         }
     }
 
+    /// Where each match's offset sits in `block`, and how much output
+    /// precedes that match.
+    fn offset_sites(block: &[u8]) -> Vec<(usize, usize)> {
+        let (mut ip, mut op, mut sites) = (0usize, 0usize, Vec::new());
+        while ip < block.len() {
+            let token = block[ip];
+            ip += 1;
+            let mut lit_len = (token >> 4) as usize;
+            if lit_len == 15 {
+                lit_len = read_ext_len(block, &mut ip, lit_len, "literal length").unwrap();
+            }
+            ip += lit_len;
+            op += lit_len;
+            if ip == block.len() {
+                break;
+            }
+            sites.push((ip, op));
+            ip += 2;
+            let mut match_len = (token & 0x0f) as usize;
+            if match_len == 15 {
+                match_len = read_ext_len(block, &mut ip, match_len, "match length").unwrap();
+            }
+            op += match_len + MIN_MATCH;
+        }
+        sites
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -754,6 +845,74 @@ mod tests {
             prop_assert_eq!(reference.is_ok(), kernel.is_ok());
             if let (Ok(a), Ok(b)) = (reference, kernel) {
                 prop_assert_eq!(a, b);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fast_path_matches_reference_on_short_sequence_blocks(
+            raw in proptest::collection::vec(
+                (0usize..=14, 1usize..=40, 41usize..=70_000, 4usize..=18, 19usize..=300, 0u8..64),
+                1..=200,
+            ),
+            pool in proptest::collection::vec(any::<u8>(), 64..=64),
+            last_len in 0usize..=24,
+            mutation in 0u8..6,
+            site in any::<usize>(),
+        ) {
+            // mostly what an image plane holds (short literals, matches
+            // of 4-18 at offsets up to 40), now and then a far offset or
+            // a long match: the fast path runs back to back, and the
+            // closing literals put its hand-over to the careful path at
+            // every distance from both buffer ends
+            let mut seqs = Vec::new();
+            let mut op = 0usize;
+            for (i, &(lit, near, far, short, long, dice)) in raw.iter().enumerate() {
+                let lit = if op == 0 { lit.max(1) } else { lit };
+                op += lit;
+                let offset = if dice % 8 == 0 && op > 40 {
+                    far.min(op).min(MAX_OFFSET)
+                } else {
+                    near.min(op)
+                };
+                let match_len = if dice / 8 == 0 { long } else { short };
+                let from = i * 7 % 50;
+                seqs.push(Seq {
+                    literals: &pool[from..from + lit],
+                    offset: offset as u16,
+                    match_len,
+                });
+                op += match_len;
+            }
+            let (mut block, plain) = assemble(&seqs, &pool[..last_len]);
+            // one mutation: a bad offset, a cut block or an output slice
+            // one byte off, else the block as assembled
+            let mut out_len = plain.len();
+            let sites = offset_sites(&block);
+            let (at, before) = sites[site % sites.len()];
+            match mutation {
+                1 => block[at..at + 2].fill(0),
+                2 => {
+                    let bad = u16::try_from(before + 1).unwrap_or(0);
+                    block[at..at + 2].copy_from_slice(&bad.to_le_bytes());
+                }
+                3 => block.truncate(site % block.len()),
+                4 => out_len += 1,
+                5 => out_len -= 1,
+                _ => {}
+            }
+            let reference = reference_decompress(&block, out_len);
+            let mut out = vec![0u8; out_len];
+            let kernel = decompress_into(&block, &mut out);
+            prop_assert_eq!(reference.is_ok(), kernel.is_ok());
+            if let Ok(expected) = reference {
+                prop_assert_eq!(&out, &expected);
+            }
+            if mutation == 0 {
+                prop_assert_eq!(&out, &plain);
             }
         }
     }

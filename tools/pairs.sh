@@ -12,11 +12,11 @@
 # to the benchmark's own run length.
 #
 # Prints, per end-to-end metric of BENCHMARK.json: both medians, the
-# parent's quartiles, change/parent, and the pairs the change won (a tie
-# counts for neither). A gain is claimed only on >= 9/10 wins with the
-# medians further apart than the parent's q1..q3; "inside the bound" is
-# the ratio against that metric's `bound`. Runs that are not `correct` or
-# have `failed` > 0 are listed at the end and make the exit status 1.
+# parent's quartiles, change/parent, the pairs the change won (a tie
+# counts for neither) and the verdict, `gain`, `WORSE`, `unresolved`
+# or `inside bound` (the rule is in tools/verdict.awk; report-only).
+# Runs that are not `correct` or have `failed` > 0 are listed at the end
+# and make the exit status 1.
 set -eu
 
 [ $# -ge 5 ] || {
@@ -61,50 +61,25 @@ while [ "$i" -lt "$pairs" ]; do
 done
 
 echo "$workload: $pairs pairs, seeds $first..$((first + pairs - 1)), $seconds s a run"
-printf '%-28s %-8s %14s %14s %14s %14s %8s %6s\n' \
-    metric better parent q1 q3 change ratio wins
 
-# "<name> <higher|lower>" per end-to-end metric, in BENCHMARK.json's order
+# "<name> <higher|lower> <bound>" per end-to-end metric, in BENCHMARK.json's
+# order, then one "<name> <better> <bound> <parent> <change>" line per pair
 awk '
     /"end_to_end"/ { on = 1 }
     /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, ""); name = $2 }
-    on && /"better"/ { gsub(/[",]/, ""); print name, $2 }
-' "$bench" | while read -r metric better; do
+    on && /"better"/ { gsub(/[",]/, ""); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }
+' "$bench" | while read -r metric better bound; do
     i=0
     while [ "$i" -lt "$pairs" ]; do
         seed=$((first + i))
         for side in parent change; do
             sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p" "$work/$side.$seed"
-        done | paste -sd' ' -
+        done | paste -sd' ' - | sed "s/^/$metric $better $bound /"
         i=$((i + 1))
-    done | awk -v metric="$metric" -v better="$better" '
-        # linear-interpolated quantile of the sorted v[1..n]
-        function quantile(v, n, p,    pos, lo) {
-            pos = (n - 1) * p + 1; lo = int(pos)
-            return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
-        }
-        function sorted(src, dst, n,    i, j, t) {
-            for (i = 1; i <= n; i++) dst[i] = src[i]
-            for (i = 2; i <= n; i++)
-                for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) {
-                    t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t
-                }
-        }
-        NF == 2 {
-            n++; p[n] = $1; c[n] = $2
-            if (better == "higher" ? $2 > $1 : $2 < $1) wins++
-        }
-        END {
-            if (!n) { printf "%-28s no samples\n", metric; exit }
-            sorted(p, sp, n); sorted(c, sc, n)
-            pm = quantile(sp, n, 0.5); cm = quantile(sc, n, 0.5)
-            printf "%-28s %-8s %14.6g %14.6g %14.6g %14.6g %8s %3d/%d\n", metric, better,
-                pm, quantile(sp, n, 0.25), quantile(sp, n, 0.75), cm,
-                pm ? sprintf("x%.3f", cm / pm) : "-", wins, n
-        }
-    '
-done
+    done
+done | awk -f "$(dirname "$0")/verdict.awk"
 
 bad=$(grep -L '"correct":true,.*"failed":0,' "$work"/parent.* "$work"/change.* || true)
 if [ -n "$bad" ]; then

@@ -54,7 +54,7 @@ use deeplake_remote::proto;
 use parking_lot::Mutex;
 
 use crate::cache::Frame;
-use crate::sched::InFlight;
+use crate::sched::{InFlight, Scheduler};
 
 /// One committed response as it goes on the wire: the `[len][id]` head
 /// built at deposit time, then the response body — the very allocation
@@ -174,10 +174,19 @@ impl ConnShared {
     /// the socket write happens later, on the owning event loop. Returns
     /// `(wire bytes of this response, bytes now buffered)`, or `None`
     /// when the connection is gone and the response was dropped.
-    pub(crate) fn deposit(&self, id: Option<u64>, body: Frame) -> Option<(usize, usize)> {
+    /// `release` frees a worker's in-flight slots under the lock a flush
+    /// takes, so no peer reads an answer whose request still counts
+    /// against the connection's cap.
+    pub(crate) fn deposit(
+        &self,
+        id: Option<u64>,
+        body: Frame,
+        release: Option<&Scheduler>,
+    ) -> Option<(usize, usize)> {
         let frame = OutFrame::new(id, body);
         let wire_len = frame.len();
         let mut out = self.out.lock();
+        release.inspect(|sched| sched.finish(self));
         if self.dead.load(Ordering::Acquire) {
             return None;
         }

@@ -47,7 +47,7 @@ use crate::cache::Frame;
 use crate::conn::{Conn, ConnShared, Fatal};
 use crate::hub::Shared;
 use crate::registry::Mounted;
-use crate::sched::Job;
+use crate::sched::{Job, Scheduler};
 
 /// One response on its way to a connection's write queue.
 pub(crate) struct Reply {
@@ -214,10 +214,11 @@ pub(crate) fn admit(
 }
 
 impl Shared {
-    /// Commit `reply` onto `conn`'s write queue and account it.
-    fn deposit(&self, conn: &ConnShared, reply: Reply) {
+    /// Commit `reply` onto `conn`'s write queue and account it; a
+    /// worker's reply also `release`s its job's in-flight slots.
+    fn deposit(&self, conn: &ConnShared, reply: Reply, release: Option<&Scheduler>) {
         let flush = reply.timed.then(SpanTimer::start);
-        if let Some((wire_len, buffered)) = conn.deposit(reply.id, reply.frame) {
+        if let Some((wire_len, buffered)) = conn.deposit(reply.id, reply.frame, release) {
             self.stats.peak_conn_buffered.record_max(buffered as u64);
             self.stats.requests.inc();
             self.obs.bytes_out_rate.add(wire_len as u64);
@@ -255,7 +256,7 @@ pub(crate) fn serve_frames(shared: &Shared, conn: &mut Conn) -> Result<bool, Fat
             }
             Admission::Reply(reply) => reply,
         };
-        shared.deposit(&conn.shared, reply);
+        shared.deposit(&conn.shared, reply, None);
     }
     Ok(sliced)
 }
@@ -286,8 +287,7 @@ pub(crate) fn run_job(shared: &Shared, job: Job) -> Arc<ConnShared> {
         frame,
         timed: true,
     };
-    shared.deposit(&job.conn, reply);
-    shared.sched.finish(&job.conn);
+    shared.deposit(&job.conn, reply, Some(&shared.sched));
     job.conn
 }
 

@@ -130,9 +130,10 @@ impl Scheduler {
     }
 
     /// A job of `conn`'s has its response deposited: release its
-    /// in-flight slots. Called *after* the deposit, so a connection that
-    /// reads zero in flight finds every response already in its write
-    /// queue.
+    /// in-flight slots. Called under `conn`'s write-queue lock, so a
+    /// connection that reads zero in flight finds every response in its
+    /// write queue once it takes that lock, and no flush sends a
+    /// response before its slots are free.
     pub(crate) fn finish(&self, conn: &ConnShared) {
         conn.in_flight.0.fetch_sub(1, Ordering::AcqRel);
         self.in_flight.0.fetch_sub(1, Ordering::AcqRel);

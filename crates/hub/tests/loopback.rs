@@ -2,11 +2,12 @@
 //! one default mount and unattached clients: a real TCP server on
 //! 127.0.0.1, real `RemoteProvider` clients.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use deeplake_core::Dataset;
-use deeplake_hub::{Hub, HubHandle};
+use deeplake_hub::{Hub, HubHandle, HubOptions};
 use deeplake_loader::DataLoader;
 use deeplake_remote::{RemoteOptions, RemoteProvider};
 use deeplake_storage::{
@@ -471,4 +472,158 @@ fn describe_names_the_stack() {
     assert!(client.describe().starts_with("remote(127.0.0.1"));
     assert!(client.server_describe().unwrap().starts_with("memory("));
     assert!(server.describe().contains("serving memory("));
+}
+
+/// Serves `get` after a sleep of 0, 1 or 2 ms picked by the key, so the
+/// responses to one socket's pipelined requests come back out of order.
+struct Jittery(MemoryProvider);
+
+impl StorageProvider for Jittery {
+    fn get(&self, key: &str) -> Result<Bytes, StorageError> {
+        let ms = key.bytes().map(u64::from).sum::<u64>() % 3;
+        std::thread::sleep(Duration::from_millis(ms));
+        self.0.get(key)
+    }
+    fn get_range(&self, key: &str, start: u64, end: u64) -> Result<Bytes, StorageError> {
+        self.0.get_range(key, start, end)
+    }
+    fn put(&self, key: &str, value: Bytes) -> Result<(), StorageError> {
+        self.0.put(key, value)
+    }
+    fn delete(&self, key: &str) -> Result<(), StorageError> {
+        self.0.delete(key)
+    }
+    fn exists(&self, key: &str) -> Result<bool, StorageError> {
+        self.0.exists(key)
+    }
+    fn len_of(&self, key: &str) -> Result<u64, StorageError> {
+        self.0.len_of(key)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+        self.0.list(prefix)
+    }
+    fn describe(&self) -> String {
+        format!("jittery({})", self.0.describe())
+    }
+}
+
+const BURST_THREADS: usize = 32;
+const BURST_CALLS: usize = 200;
+
+fn burst_key(thread: usize, call: usize) -> String {
+    format!("burst/{thread}/{call}")
+}
+
+/// A hub of four workers and the default in-flight cap of 16 per
+/// connection over a [`Jittery`] store whose every value is its key, and
+/// a client held to one socket.
+fn serve_burst() -> (HubHandle, Arc<RemoteProvider>) {
+    let store = MemoryProvider::new();
+    for (t, c) in (0..BURST_THREADS).flat_map(|t| (0..BURST_CALLS).map(move |c| (t, c))) {
+        let key = burst_key(t, c);
+        store
+            .put(&key, Bytes::from(key.clone().into_bytes()))
+            .unwrap();
+    }
+    let opts = HubOptions {
+        workers: 4,
+        max_inflight_per_conn: 16,
+        ..HubOptions::default()
+    };
+    let server = Hub::builder()
+        .default_mount(Arc::new(Jittery(store)))
+        .options(opts)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let opts = RemoteOptions {
+        pool_size: 1,
+        ..RemoteOptions::default()
+    };
+    let client = RemoteProvider::connect_with(server.addr(), opts).unwrap();
+    (server, Arc::new(client))
+}
+
+type Outcome = (String, Result<Bytes, StorageError>);
+
+/// `BURST_THREADS` threads each `get` their `BURST_CALLS` keys through
+/// `client`; `mid` runs once a quarter of the answers are in. Every
+/// outcome with its key — or a panic when they are not all in within a
+/// deadline, so a caller parked with nobody reading fails the test
+/// instead of hanging it.
+fn burst(client: &Arc<RemoteProvider>, mid: impl FnOnce()) -> Vec<Outcome> {
+    let total = BURST_THREADS * BURST_CALLS;
+    let deadline = Duration::from_secs(60);
+    let (tx, rx) = mpsc::channel();
+    let threads: Vec<_> = (0..BURST_THREADS)
+        .map(|t| {
+            let (client, tx) = (client.clone(), tx.clone());
+            std::thread::spawn(move || {
+                for c in 0..BURST_CALLS {
+                    let key = burst_key(t, c);
+                    let got = client.get(&key);
+                    tx.send((key, got)).unwrap();
+                }
+            })
+        })
+        .collect();
+    drop(tx);
+    let start = Instant::now();
+    let mut mid = Some(mid);
+    let mut outcomes = Vec::with_capacity(total);
+    while outcomes.len() < total {
+        match rx.recv_timeout(deadline.saturating_sub(start.elapsed())) {
+            Ok(outcome) => outcomes.push(outcome),
+            Err(e) => panic!(
+                "{} of {total} calls unanswered after {:?}: {e}",
+                total - outcomes.len(),
+                start.elapsed()
+            ),
+        }
+        if let Some(f) = mid.take_if(|_| outcomes.len() == total / 4) {
+            f();
+        }
+    }
+    for thread in threads {
+        thread.join().unwrap();
+    }
+    outcomes
+}
+
+/// 32 threads pipeline 200 calls each over one socket, answered out of
+/// order: every caller gets its own request's bytes, and the client never
+/// has more than the hub's cap of 16 requests on the socket, so the hub
+/// refuses none.
+#[test]
+fn thirty_two_callers_share_one_pipelined_socket() {
+    let (server, client) = serve_burst();
+    for (key, got) in burst(&client, || {}) {
+        assert_eq!(got.unwrap(), key.as_bytes(), "{key} got another's bytes");
+    }
+    assert_eq!(server.stats().busy_rejections(), 0);
+}
+
+/// A hub shutdown in the middle of the burst ends every call with its
+/// own bytes or a transport error; none hangs. Nothing reads an idle
+/// socket, so the next call is the one that finds the server gone: it
+/// fails with `Io` at once.
+#[test]
+fn a_shutdown_mid_burst_ends_every_call() {
+    let (mut server, client) = serve_burst();
+    for (key, got) in burst(&client, || server.shutdown()) {
+        match got {
+            Ok(bytes) => assert_eq!(bytes, key.as_bytes(), "{key} got another's bytes"),
+            Err(StorageError::Io(_)) => {}
+            Err(e) => panic!("{key}: {e:?} is neither an answer nor a transport error"),
+        }
+    }
+    let start = Instant::now();
+    assert!(matches!(
+        client.get(&burst_key(0, 0)),
+        Err(StorageError::Io(_))
+    ));
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        start.elapsed()
+    );
 }

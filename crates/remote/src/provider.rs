@@ -14,16 +14,24 @@
 //! pooling), dialing without bound under load. This client *pipelines*
 //! instead: each pooled connection is switched to correlation-id
 //! framing during its handshake (`Request::Pipeline`), a caller tags
-//! its request with a fresh id and parks, and a per-connection demux
-//! thread reads responses — in whatever order the server finishes them
-//! — and hands each to the caller whose id it carries. Many in-flight
-//! requests share one socket, so concurrency no longer implies file
-//! descriptors: the pool is a hard cap of [`RemoteOptions::pool_size`]
-//! sockets, each carrying up to 16 requests (`MAX_INFLIGHT_PER_SOCKET`,
-//! the hub's default per-connection cap), and callers beyond
-//! `pool_size × 16` queue for a slot instead of dialing. A socket that
-//! sees any transport error fails its in-flight requests losslessly and
-//! leaves the pool.
+//! its request with a fresh id, and the caller that finds nobody reading
+//! the socket reads it for everyone: one response at a time — in
+//! whatever order the server finishes them — each handed to the caller
+//! whose id it carries, while the others park (leader/followers; the
+//! socket-free [`Demux`] decides who reads next). No thread is started
+//! per socket, and a caller alone on its socket reads its own response.
+//! Many in-flight requests share one socket, so concurrency no longer
+//! implies file descriptors: the pool is a hard cap of
+//! [`RemoteOptions::pool_size`] sockets, each carrying up to 16 requests
+//! (`MAX_INFLIGHT_PER_SOCKET`, the hub's default per-connection cap),
+//! and callers beyond `pool_size × 16` queue for a slot instead of
+//! dialing. A socket that sees any transport error fails its in-flight
+//! requests losslessly and leaves the pool.
+//!
+//! Nothing reads a socket with no request in flight, so a socket the
+//! server closed while idle is found by the next request on it: that
+//! request fails with [`StorageError::Io`] — the node did not answer,
+//! which cluster routing fails over — and the socket leaves the pool.
 //!
 //! For benchmarks and tests, [`RemoteOptions::latency`] injects a
 //! deterministic [`NetworkProfile`] charge per round trip (first-byte
@@ -46,7 +54,7 @@ use deeplake_storage::{
 use deeplake_tql::{QueryOptions, QueryResult};
 use parking_lot::Mutex;
 
-use crate::demux::{Demux, Response, READ_TIMEOUT};
+use crate::demux::{Demux, Next, Response, READ_TIMEOUT};
 use crate::proto::{self, Request};
 
 /// In-flight requests one pipelined socket carries — the hub's default
@@ -99,105 +107,49 @@ impl Default for RemoteOptions {
 // pipelined connection
 // ---------------------------------------------------------------------
 
-/// State shared between callers and the connection's demux thread. The
-/// demux holds *only* this (never the [`Connection`]), so dropping the
-/// last `Connection` handle shuts the socket down and the demux exits.
-struct DemuxShared {
-    slots: StdMutex<Demux>,
-    cv: Condvar,
-    /// Quick liveness flag for pool checkout (mirrors `error`).
-    dead: AtomicBool,
-}
-
-impl DemuxShared {
-    /// Fail every in-flight and future request on this connection with
-    /// `msg`. The socket is in an unknown framing state; it never
-    /// carries another request.
-    fn fail(&self, msg: String) {
-        self.slots.lock().unwrap().fail(msg);
-        self.dead.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-}
-
-/// One pipelined socket: writers interleave tagged frames under the
-/// write lock, the demux thread distributes tagged responses by id.
+/// One pipelined socket: callers interleave tagged frames under the
+/// write lock, and whichever of them holds the [`Demux`]'s reader role
+/// reads the next response for everyone.
 struct Connection {
-    /// Write half. A full frame is written under this lock, so frames
-    /// from concurrent callers never interleave mid-frame.
-    write: StdMutex<TcpStream>,
-    /// Second handle on the same socket, kept so `Drop` can shut it
-    /// down without taking the write lock.
-    sock: TcpStream,
-    demux: Arc<DemuxShared>,
+    /// Written through `&TcpStream` under `write`, and read through
+    /// `&TcpStream` by the one caller holding the reader role.
+    stream: TcpStream,
+    /// A full frame is written under this lock, so frames from
+    /// concurrent callers never interleave mid-frame.
+    write: StdMutex<()>,
+    /// Never held across a read of `stream`.
+    slots: StdMutex<Demux>,
+    /// Parked callers wait here for the reader's report.
+    cv: Condvar,
+    /// Set by the first exchange that fails here, so pool checkout skips
+    /// the socket without taking `slots`.
+    dead: AtomicBool,
     /// Requests currently in flight (pool checkout balances on this).
     inflight: AtomicUsize,
     next_id: AtomicU64,
 }
 
-impl Drop for Connection {
-    fn drop(&mut self) {
-        // wakes the demux thread out of its blocking read; it fails any
-        // stragglers and exits
-        let _ = self.sock.shutdown(Shutdown::Both);
-    }
-}
-
-/// Read tagged response frames until the connection dies, handing each
-/// to the caller whose correlation id it carries.
-fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
-    loop {
-        // the first header byte is read separately: a timeout *here* is
-        // between frames and recoverable (used as the tick that checks
-        // for a hung server), while a timeout mid-frame below is fatal —
-        // the stream cannot resynchronize
-        let first = match read_first(&mut stream) {
-            FirstByte::Byte(b) => b,
-            FirstByte::Eof => return shared.fail("server closed the connection".into()),
-            FirstByte::Idle => {
-                if shared.slots.lock().unwrap().hung(Instant::now()) {
-                    return shared.fail("server stopped responding (read timed out)".into());
-                }
-                continue;
-            }
-            FirstByte::Fatal(e) => return shared.fail(format!("response read failed: {e}")),
-        };
-        let frame = match proto::read_frame_after(&mut stream, first) {
-            Ok(frame) => frame,
-            Err(e) => return shared.fail(format!("response read failed: {e}")),
-        };
-        let delivered = shared.slots.lock().unwrap().deliver(frame);
-        match delivered {
-            Ok(true) => shared.cv.notify_all(),
-            Ok(false) => {}
-            Err(violation) => return shared.fail(violation.into()),
-        }
-    }
-}
-
-enum FirstByte {
-    Byte(u8),
-    Eof,
-    /// Read timed out between frames — recoverable.
-    Idle,
-    Fatal(std::io::Error),
-}
-
-/// Wait for a frame's first byte.
-fn read_first(stream: &mut TcpStream) -> FirstByte {
+/// Read one response frame: `Ok(None)` when the read timed out before
+/// the frame's first byte — between frames, recoverable, the reader's
+/// tick for [`Demux::hung`]. Once a byte is in, a timeout is fatal: the
+/// stream cannot resynchronize.
+fn read_response(mut stream: &TcpStream) -> Result<Option<Vec<u8>>, String> {
     use std::io::{ErrorKind, Read};
-    let mut buf = [0u8; 1];
+    let mut first = [0u8; 1];
     loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return FirstByte::Eof,
-            Ok(_) => return FirstByte::Byte(buf[0]),
+        match stream.read(&mut first) {
+            Ok(0) => return Err("server closed the connection".into()),
+            Ok(_) => break,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return FirstByte::Idle
+                return Ok(None)
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return FirstByte::Fatal(e),
+            Err(e) => return Err(format!("response read failed: {e}")),
         }
     }
+    proto::read_frame_after(&mut stream, first[0])
+        .map(Some)
+        .map_err(|e| format!("response read failed: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -449,11 +401,10 @@ impl RemoteProvider {
     }
 
     /// Dial one pipelined connection: negotiate the protocol version
-    /// (`Hello`), re-play the attach for `namespace`, switch the stream
-    /// to correlation-id framing (`Pipeline`), and start its demux
-    /// thread. Handshake frames are connection setup — like the TCP
-    /// handshake itself they are not recorded in
-    /// [`RemoteProvider::stats`] and pay no injected latency.
+    /// (`Hello`), re-play the attach for `namespace` and switch the
+    /// stream to correlation-id framing (`Pipeline`). Handshake frames
+    /// are connection setup — like the TCP handshake itself they are not
+    /// recorded in [`RemoteProvider::stats`] and pay no injected latency.
     fn dial_conn(&self, namespace: Option<&str>) -> std::io::Result<Connection> {
         let mut stream = self.dial_handshake()?;
         if let Some(dataset) = namespace {
@@ -478,24 +429,17 @@ impl RemoteProvider {
     }
 
     /// Switch a negotiated (and, if needed, attached) stream to
-    /// correlation-id framing and start its demux thread.
+    /// correlation-id framing.
     fn finish_conn(&self, mut stream: TcpStream) -> std::io::Result<Connection> {
         // the acknowledgement is the last untagged frame this socket
         // carries
         proto::expect_unit(&handshake(&mut stream, &Request::Pipeline)?).map_err(refused)?;
-        let demux = Arc::new(DemuxShared {
+        Ok(Connection {
+            stream,
+            write: StdMutex::new(()),
             slots: StdMutex::default(),
             cv: Condvar::new(),
             dead: AtomicBool::new(false),
-        });
-        let read_half = stream.try_clone()?;
-        let sock = stream.try_clone()?;
-        let shared = demux.clone();
-        std::thread::spawn(move || demux_loop(read_half, shared));
-        Ok(Connection {
-            write: StdMutex::new(stream),
-            sock,
-            demux,
             inflight: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
         })
@@ -509,7 +453,7 @@ impl RemoteProvider {
         let pool_size = self.opts.pool_size.max(1);
         let mut pool = self.pool.lock().unwrap();
         loop {
-            pool.conns.retain(|c| !c.demux.dead.load(Ordering::Acquire));
+            pool.conns.retain(|c| !c.dead.load(Ordering::Acquire));
             let mut best: Option<(usize, usize)> = None;
             for (i, conn) in pool.conns.iter().enumerate() {
                 let n = conn.inflight.load(Ordering::Relaxed);
@@ -637,13 +581,17 @@ impl RemoteProvider {
     }
 
     /// One request/response exchange over a pipelined connection:
-    /// reserve an in-flight slot, register a response waiter under a
-    /// fresh correlation id, write the tagged frame, park until the
-    /// demux thread delivers the response, account the traffic, pay any
-    /// injected latency.
+    /// reserve an in-flight slot, [`exchange`] the frame, retire the
+    /// socket if that failed, account the traffic, pay any injected
+    /// latency — after the reader role is given up, so no other caller
+    /// waits out this one's sleep.
     fn round_trip_once(&self, payload: &[u8]) -> Result<Response, StorageError> {
         let conn = self.checkout()?;
         let outcome = exchange(&conn, payload);
+        if outcome.is_err() {
+            // every error an exchange returns is its connection's
+            conn.dead.store(true, Ordering::Release);
+        }
         self.release(&conn);
         match outcome {
             Ok(resp) => {
@@ -683,34 +631,44 @@ fn handshake(stream: &mut TcpStream, request: &Request) -> std::io::Result<Vec<u
     })
 }
 
-/// The pipelined exchange on an already checked-out connection.
+/// The pipelined exchange on an already checked-out connection: register
+/// a waiter under a fresh correlation id, write the tagged frame, then
+/// follow [`Demux::next`] — take the answer, wait for the reader, or be
+/// the reader for one frame — until this caller's answer is in.
 fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
     let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
-    let registered = conn
-        .demux
-        .slots
-        .lock()
-        .unwrap()
-        .register(id, Instant::now());
+    let registered = conn.slots.lock().unwrap().register(id, Instant::now());
     registered.map_err(std::io::Error::other)?;
     let written = {
-        let mut w = conn.write.lock().unwrap();
-        proto::write_tagged_frame(&mut *w, id, payload)
+        let _w = conn.write.lock().unwrap();
+        proto::write_tagged_frame(&mut &conn.stream, id, payload)
     };
     if let Err(e) = written {
         // a partial frame may be on the wire: the stream cannot carry
-        // another request, so fail the whole connection losslessly
-        conn.demux.fail(format!("request write failed: {e}"));
-        let _ = conn.sock.shutdown(Shutdown::Both);
-        conn.demux.slots.lock().unwrap().abandon(id);
+        // another request, so fail the whole connection losslessly; the
+        // shutdown ends a reader's blocking read
+        let mut slots = conn.slots.lock().unwrap();
+        slots.fail(format!("request write failed: {e}"));
+        slots.abandon(id);
+        drop(slots);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.cv.notify_all();
         return Err(e);
     }
-    let mut slots = conn.demux.slots.lock().unwrap();
+    let mut slots = conn.slots.lock().unwrap();
     loop {
-        if let Some(outcome) = slots.poll(id) {
-            return outcome.map_err(std::io::Error::other);
+        match slots.next(id) {
+            Next::Done(outcome) => return outcome.map_err(std::io::Error::other),
+            Next::Wait => slots = conn.cv.wait(slots).unwrap(),
+            Next::Read => {
+                drop(slots);
+                let read = read_response(&conn.stream);
+                slots = conn.slots.lock().unwrap();
+                slots.read_done(read, Instant::now());
+                // the role is free: a parked caller may have to take it
+                conn.cv.notify_all();
+            }
         }
-        slots = conn.demux.cv.wait(slots).unwrap();
     }
 }
 

@@ -13,13 +13,16 @@
 //! text is parsed and canonicalized on a pool worker, which then records
 //! `raw text → canonical key` ([`ResultCache::alias`]). Every later
 //! arrival of that text is answered by the hub's *event loop* with
-//! [`ResultCache::lookup_raw`]: one hash probe of the raw bytes, one of
-//! the canonical key, an `O(log entries)` recency update — no TQL parse,
-//! no queue, no worker. Aliases live under the cache's one lock and
-//! inside its one byte budget: an alias is charged to the entry it
-//! points at and dies with it (eviction or invalidation), and a frame is
-//! only ever obtained through the canonical entry, so an alias can
-//! neither outlive nor bypass an invalidation.
+//! [`ResultCache::lookup_raw`]: one hash probe of the raw bytes, whose
+//! alias holds the [`RecencyHandle`] of the canonical entry, so the
+//! recency touch relinks one node without hashing the canonical key — no
+//! TQL parse, no queue, no worker, no allocation. Aliases live under the
+//! cache's one lock and inside its one byte budget: an alias is charged
+//! to the entry it points at and dies with it (eviction or invalidation),
+//! and a frame is only ever obtained through the canonical entry, so an
+//! alias can neither outlive nor bypass an invalidation. (Were that
+//! invariant ever broken, the handle finds nothing and the text is a
+//! miss for the pool, not a panic on the event loop.)
 //!
 //! Three facts keep the cache correct:
 //!
@@ -34,7 +37,7 @@
 //! * eviction is byte-budgeted LRU over a [`Recency`], the structure the
 //!   storage-tier LRU and the chunk cache keep their entries in, weighted
 //!   by each entry's charge (frame, key strings and aliases) — the victim
-//!   is found in `O(log entries)`, never by a scan, because the event
+//!   is found in `O(1)`, never by a scan, because the event
 //!   loop waits on this lock for every hit — with
 //!   [`StorageStats::evictions`] counted per dropped entry so budget
 //!   pressure is observable (the same counter contract the storage-tier
@@ -44,7 +47,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use deeplake_storage::{Recency, StorageStats};
+use deeplake_storage::{Recency, RecencyHandle, StorageStats};
 use deeplake_tql::QueryOptions;
 use parking_lot::Mutex;
 
@@ -123,8 +126,8 @@ impl<'a> RawKey<'a> {
     }
 }
 
-/// `raw key → canonical key`.
-type Aliases<'a> = HashMap<Arc<RawKey<'a>>, Arc<CacheKey>>;
+/// `raw key → where its canonical entry lives`.
+type Aliases<'a> = HashMap<Arc<RawKey<'a>>, RecencyHandle>;
 
 struct Entry {
     key: Arc<CacheKey>,
@@ -149,7 +152,7 @@ struct CacheState {
     /// Weighted by the bytes each is charged: frame, key strings and
     /// every alias.
     entries: Recency<Arc<CacheKey>, Entry>,
-    /// Every value is a live entry's key.
+    /// Every value is a live entry's handle.
     aliases: Aliases<'static>,
 }
 
@@ -163,13 +166,13 @@ impl CacheState {
         }
     }
 
-    /// The canonical key `raw` is known to resolve to.
-    fn alias_target<'a>(&'a self, raw: &RawKey<'a>) -> Option<&'a Arc<CacheKey>> {
+    /// Where the canonical entry `raw` is known to resolve to lives.
+    fn alias_target(&self, raw: &RawKey<'_>) -> Option<RecencyHandle> {
         // the map owns `RawKey<'static>`s; shortening that lifetime (the
         // map is covariant in its key type) lets a key that borrows from
         // the request probe it without copying the text first
-        let aliases: &'a Aliases<'a> = &self.aliases;
-        aliases.get(raw)
+        let aliases: &Aliases<'_> = &self.aliases;
+        aliases.get(raw).copied()
     }
 }
 
@@ -243,6 +246,10 @@ impl ResultCache {
     /// returns the canonical key with the frame. An unknown text counts
     /// nothing — the caller falls back to parsing it and calling
     /// [`lookup`](Self::lookup), which counts the query once.
+    ///
+    /// One SipHash probe of the client's bytes (they are hostile input),
+    /// then the alias's handle touches the entry: the canonical key is
+    /// not hashed again, and nothing is allocated.
     pub fn lookup_raw(
         &self,
         dataset: &str,
@@ -252,16 +259,18 @@ impl ResultCache {
     ) -> Option<(Arc<CacheKey>, Frame)> {
         let raw = RawKey::borrowed(dataset, version, raw_text, options);
         let mut st = self.state.lock();
-        let key = st.alias_target(&raw)?.clone();
-        let frame = st
+        let handle = st.alias_target(&raw)?;
+        let hit = st
             .entries
-            .get(&key)
-            .expect("an alias dies with its entry")
-            .frame
-            .clone();
+            .touch(handle)
+            .map(|(key, e)| (key.clone(), e.frame.clone()));
         drop(st);
+        // an alias dies with its entry; should that ever fail, the text is
+        // a miss the pool answers, never a panic on the event loop
+        debug_assert!(hit.is_some(), "an alias outlived its entry");
+        let hit = hit?;
         self.stats.record_hit();
-        Some((key, frame))
+        Some(hit)
     }
 
     /// Remember that `raw_text` canonicalizes to `key.text`, so the next
@@ -276,7 +285,13 @@ impl ResultCache {
         let cost = raw.cost();
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        if st.alias_target(&raw).is_some() {
+        let Some(handle) = st.entries.handle(key) else {
+            return;
+        };
+        if st
+            .alias_target(&raw)
+            .is_some_and(|h| st.entries.at(h).is_some())
+        {
             return;
         }
         // an alias is not a use: the entry keeps its place in the order
@@ -292,7 +307,7 @@ impl ResultCache {
             let raw = Arc::new(raw.into_owned());
             entry.aliases.push(raw.clone());
             *weight += cost;
-            st.aliases.insert(raw, entry.key.clone());
+            st.aliases.insert(raw, handle);
         });
         st.evict_to(self.budget, &self.stats);
     }
@@ -764,7 +779,8 @@ mod tests {
             let st = cache.state.lock();
             st.aliases
                 .iter()
-                .map(|(raw, key)| {
+                .map(|(raw, &handle)| {
+                    let (key, _) = st.entries.at(handle).expect("an alias names a live entry");
                     let fields = (&*raw.dataset, &*raw.version, raw.options);
                     assert_eq!(fields, (&*key.dataset, &*key.version, key.options));
                     (raw.text.to_string(), (**key).clone())
@@ -830,7 +846,7 @@ mod tests {
                     prop_assert_eq!(cache.stats().cache_hits(), model.hits);
                     prop_assert_eq!(cache.stats().cache_misses(), model.misses);
                     // the alias map holds exactly the live entries'
-                    // aliases: what `lookup_raw`'s `expect` rests on
+                    // aliases: every handle `lookup_raw` touches names a live entry
                     let want: Vec<(String, CacheKey)> = model
                         .entries
                         .iter()

@@ -229,6 +229,10 @@ pub(crate) struct Conn {
     /// No further bytes will be read, and the connection is finished
     /// once every response it is owed has been written.
     intake_closed: bool,
+    /// Intake was closed for good while the peer was mid-conversation —
+    /// a request of its buffered, in flight or unanswered — so it may
+    /// still be sending: the driver closes in stages ([`Conn::lingers`]).
+    linger: bool,
     /// A byte moved (read, sliced or written) since the last `rearm`.
     progress: bool,
     /// Stall deadline currently held; progress re-arms it.
@@ -244,6 +248,7 @@ impl Conn {
             rpos: 0,
             pipelined: false,
             intake_closed: false,
+            linger: false,
             progress: false,
             armed: None,
         }
@@ -264,13 +269,31 @@ impl Conn {
         self.intake_closed = true;
     }
 
-    /// Close intake for good: nothing further is read, and bytes already
-    /// buffered but not yet sliced are dropped — a later pass must not
-    /// admit them.
+    /// Close intake for good: nothing further is admitted, and bytes
+    /// already buffered but not yet sliced are dropped — a later pass
+    /// must not admit them.
     pub(crate) fn close_intake(&mut self) {
+        self.linger |= !self.intake_closed
+            && (self.rpos < self.rbuf.len()
+                || self.shared.in_flight.get() > 0
+                || !self.shared.out.lock().is_empty());
         self.rbuf.clear();
         self.rpos = 0;
         self.intake_closed = true;
+    }
+
+    /// Whether a [`finished`](Self::finished) connection must close in
+    /// stages (RFC 9112 §9.6): its intake was closed while the peer was
+    /// mid-conversation, so request bytes may still be in flight towards
+    /// us. Closing a socket with unread bytes makes the kernel send a
+    /// reset, which can destroy answers the peer has received but not yet
+    /// read; so the driver half-closes instead (the peer reads every
+    /// answer, then EOF), reads and drops whatever still arrives until
+    /// the peer's own EOF, a quiet spell or the stall deadline, and only
+    /// then closes. A peer that was idle when intake closed has nothing
+    /// in flight and is closed at once.
+    pub(crate) fn lingers(&self) -> bool {
+        self.linger
     }
 
     /// An untagged connection with a data op queued or executing: its

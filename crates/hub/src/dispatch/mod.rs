@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use deeplake_obs::SpanTimer;
+use deeplake_obs::{sec_of, SpanTimer};
 use deeplake_remote::proto::{self, Request};
 use deeplake_storage::{
     ReadPlan, ReadRequest, ReadResult, StorageError, StorageProvider, TimingProvider,
@@ -55,9 +55,10 @@ pub(crate) struct Reply {
     pub(crate) id: Option<u64>,
     pub(crate) request_len: u64,
     pub(crate) frame: Frame,
-    /// A data-path answer (cache hit or worker completion): committing it
-    /// is timed into `hub.flush_ns`.
-    timed: bool,
+    /// A data-path answer (cache hit or worker completion): its flush
+    /// span, running since the answer was ready, closes when the deposit
+    /// is done and is recorded into `hub.flush_ns`.
+    flush: Option<SpanTimer>,
 }
 
 impl Reply {
@@ -67,7 +68,7 @@ impl Reply {
             id,
             request_len,
             frame: frame.into(),
-            timed: false,
+            flush: None,
         }
     }
 }
@@ -107,7 +108,9 @@ pub(crate) enum Admission {
 }
 
 /// Decide one complete frame. `payload` is decoded where it lies, so the
-/// only bytes copied are the ones a queued [`Job`] must own.
+/// only bytes copied are the ones a queued [`Job`] must own: a `Query`'s
+/// strings are borrowed from the frame ([`proto::borrow_query`]) and
+/// copied only when it becomes a job.
 pub(crate) fn admit(
     shared: &Shared,
     conn: &Arc<ConnShared>,
@@ -125,6 +128,25 @@ pub(crate) fn admit(
     };
     let reply = |frame: Vec<u8>| Reply::new(id, request_len, frame);
     let inline = |frame: Vec<u8>| Admission::Reply(reply(frame));
+    if let Some(query) = proto::borrow_query(body) {
+        let mount = match control::attached_mount(shared, conn) {
+            Ok(mount) => mount,
+            Err(refusal) => return inline(refusal),
+        };
+        // a query whose exact text a worker has canonicalized before is
+        // answered here and now: no job, no queue, no worker, no wake-up,
+        // no in-flight slot (so never `Busy`), no allocation
+        if let Some((frame, flush)) = query::cached_answer(shared, &mount, &query) {
+            return Admission::Reply(Reply {
+                id,
+                request_len,
+                frame,
+                flush: Some(flush),
+            });
+        }
+        let op = DataOp::Query(query.reference.into(), query.text.into(), query.options);
+        return Admission::Run(job(conn, id, request_len, mount, op, query.trace));
+    }
     let request = match proto::decode_request(body) {
         Ok(r) => r,
         Err(e) => return inline(proto::resp_proto_err(&e.to_string())),
@@ -188,21 +210,19 @@ pub(crate) fn admit(
         Ok(mount) => mount,
         Err(refusal) => return inline(refusal),
     };
-    // a query whose exact text a worker has canonicalized before is
-    // answered here and now: no job, no queue, no worker, no wake-up, no
-    // in-flight slot (so never `Busy`)
-    if let DataOp::Query(reference, text, options) = &op {
-        if let Some(frame) = query::cached_answer(shared, &mount, reference, text, *options, trace)
-        {
-            return Admission::Reply(Reply {
-                id,
-                request_len,
-                frame,
-                timed: true,
-            });
-        }
-    }
-    Admission::Run(Job {
+    Admission::Run(job(conn, id, request_len, mount, op, trace))
+}
+
+/// A data op for the pool, stamped with its enqueue time.
+fn job(
+    conn: &Arc<ConnShared>,
+    id: Option<u64>,
+    request_len: u64,
+    mount: Arc<Mounted>,
+    op: DataOp,
+    trace: Option<(u64, u64)>,
+) -> Job {
+    Job {
         conn: conn.clone(),
         id,
         request_len,
@@ -210,24 +230,29 @@ pub(crate) fn admit(
         op,
         enqueued_at: Instant::now(),
         trace,
-    })
+    }
 }
 
 impl Shared {
     /// Commit `reply` onto `conn`'s write queue and account it; a
-    /// worker's reply also `release`s its job's in-flight slots.
+    /// worker's reply also `release`s its job's in-flight slots. One
+    /// clock reading, taken when the deposit is done, closes the flush
+    /// span and files the bytes under its second.
     fn deposit(&self, conn: &ConnShared, reply: Reply, release: Option<&Scheduler>) {
-        let flush = reply.timed.then(SpanTimer::start);
-        if let Some((wire_len, buffered)) = conn.deposit(reply.id, reply.frame, release) {
+        let deposited = conn.deposit(reply.id, reply.frame, release);
+        let done = Instant::now();
+        if let Some((wire_len, buffered)) = deposited {
             self.stats.peak_conn_buffered.record_max(buffered as u64);
             self.stats.requests.inc();
-            self.obs.bytes_out_rate.add(wire_len as u64);
+            self.obs
+                .bytes_out_rate
+                .add_at(wire_len as u64, sec_of(done));
             self.stats
                 .wire
                 .record_wire(reply.request_len + 4, wire_len as u64);
         }
-        if let Some(flush) = flush {
-            flush.record(&self.obs.flush);
+        if let Some(flush) = reply.flush {
+            flush.record_until(done, &self.obs.flush);
         }
     }
 }
@@ -285,7 +310,7 @@ pub(crate) fn run_job(shared: &Shared, job: Job) -> Arc<ConnShared> {
         id: job.id,
         request_len: job.request_len,
         frame,
-        timed: true,
+        flush: Some(SpanTimer::start()),
     };
     shared.deposit(&job.conn, reply, Some(&shared.sched));
     job.conn

@@ -27,12 +27,29 @@
 //! (its raw texts go with it) — sends the request to the pool, so the
 //! loop never parses, never touches storage and never serves a frame an
 //! invalidation has dropped.
+//!
+//! ## What a hit costs the loop
+//!
+//! Its bytes, not its bookkeeping. A warmed-up hit allocates nothing
+//! (`allocs::a_warmed_up_loop_side_hit_allocates_nothing` counts): the
+//! reference and text are borrowed from the frame
+//! ([`proto::borrow_query`]; only a miss, which becomes a job, copies
+//! them), the head is read under the memo lock
+//! ([`Mounted::with_head_memo`]) instead of cloned, and the raw text's
+//! one SipHash probe yields the handle that touches the canonical entry
+//! without hashing its key again. The clock is read three times: as the
+//! lookup starts, as it ends — closing `hub.cache_lookup_ns`, filing
+//! `queries_rate` and `query_window` and opening the flush span — and
+//! when the deposit is done, closing `hub.flush_ns` and filing
+//! `bytes_out_rate` (the two spans are disjoint, so the ledger that sums
+//! them counts nothing twice). The worker path keeps its own readings.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use deeplake_core::Dataset;
-use deeplake_obs::{next_id, SlowQueryEntry, SpanRecord, SpanTimer};
-use deeplake_remote::proto;
+use deeplake_obs::{next_id, sec_of, SlowQueryEntry, SpanRecord, SpanTimer};
+use deeplake_remote::proto::{self, QueryRef};
 use deeplake_storage::{DynProvider, StorageProvider};
 use deeplake_tql::{canonical, parser, QueryOptions};
 
@@ -104,26 +121,37 @@ fn resolve_reference(provider: &DynProvider, reference: &str) -> Result<String, 
 /// The event loop's share of query serving: answer from the result
 /// cache when a worker has already canonicalized this exact text against
 /// the reference's memoized head. One head-memo probe and one raw-text
-/// probe — no TQL parse, no storage read. `None` (text not seen yet, no
-/// head memo, entry evicted or invalidated) sends the request to the
-/// pool, and nothing has been counted for it.
+/// probe — no TQL parse, no storage read, no allocation. `None` (text
+/// not seen yet, no head memo, entry evicted or invalidated) sends the
+/// request to the pool, and nothing has been counted for it.
+///
+/// Two clock readings serve every instrument of the lookup: one as it
+/// starts and one as it ends, which closes `hub.cache_lookup_ns`, files
+/// the query in `queries_rate` and `query_window`, and opens the flush
+/// span the returned timer carries to the deposit (whose one reading
+/// closes it).
 pub(super) fn cached_answer(
     shared: &Shared,
     mount: &Mounted,
-    reference: &str,
-    text: &str,
-    options: QueryOptions,
-    trace: Option<(u64, u64)>,
-) -> Option<Frame> {
-    let lookup = SpanTimer::start();
-    let head = mount.head_memo(reference)?;
-    let (key, frame) = shared.cache.lookup_raw(&mount.name, &head, text, options)?;
-    let cache_lookup_ns = lookup.record(&shared.obs.cache_lookup);
+    query: &QueryRef<'_>,
+) -> Option<(Frame, SpanTimer)> {
+    let start = Instant::now();
+    // the head is read under the memo lock, the cache's taken inside it
+    let probe = |head: &str| {
+        shared
+            .cache
+            .lookup_raw(&mount.name, head, query.text, query.options)
+    };
+    let (key, frame) = mount.with_head_memo(query.reference, probe)??;
+    let found = Instant::now();
+    let sec = sec_of(found);
+    let cache_lookup_ns =
+        SpanTimer::started_at(start).record_until(found, &shared.obs.cache_lookup);
     shared.stats.queries.inc();
-    shared.obs.queries_rate.inc();
+    shared.obs.queries_rate.add_at(1, sec);
     let ctx = JobCtx {
         queue_wait_ns: 0,
-        trace,
+        trace: query.trace,
     };
     let stages = [
         ("queue_wait", 0),
@@ -136,26 +164,27 @@ pub(super) fn cached_answer(
         mount,
         &ctx,
         &frame,
-        cache_lookup_ns,
+        (cache_lookup_ns, sec),
         &stages,
         || (key.version.clone(), key.text.clone()),
     );
-    Some(frame)
+    Some((frame, SpanTimer::started_at(found)))
 }
 
 /// What every answered query records, on the loop or on a worker: the
-/// rolling latency window, the error rate, and — over the threshold —
-/// a slow-log entry whose `(version, text)` `describe` renders.
+/// rolling latency window (the query's `total_ns`, filed under second
+/// `sec`), the error rate, and — over the threshold — a slow-log entry
+/// whose `(version, text)` `describe` renders.
 fn account_query(
     shared: &Shared,
     mount: &Mounted,
     ctx: &JobCtx,
     frame: &[u8],
-    total_ns: u64,
+    (total_ns, sec): (u64, u64),
     stages: &[(&str, u64)],
     describe: impl FnOnce() -> (String, String),
 ) {
-    shared.obs.query_window.record(total_ns);
+    shared.obs.query_window.record_at(total_ns, sec);
     if frame.first() != Some(&proto::STATUS_OK) {
         shared.obs.errors_rate.inc();
     }
@@ -261,7 +290,8 @@ pub(super) fn handle_query(
         ("execute", execute_ns),
         ("storage", storage_ns),
     ];
-    account_query(shared, mount, ctx, &frame, total_ns, &stages, || {
+    let sec = sec_of(Instant::now());
+    account_query(shared, mount, ctx, &frame, (total_ns, sec), &stages, || {
         // the canonical rendering, never the raw client bytes
         let text = text_key.unwrap_or_else(|| "<unparseable>".into());
         (version.unwrap_or_default(), text)

@@ -34,14 +34,25 @@
 //! workers drain the queue; the loops flush every response owed (stalled
 //! peers are cut at `stall_timeout`), close each connection as it
 //! finishes, and exit.
+//!
+//! A connection whose peer was mid-conversation when intake closed
+//! ([`Conn::lingers`]) may still have request bytes on the way, and
+//! closing a socket with unread bytes makes the kernel answer with a
+//! reset, which can destroy answers the peer has received but not yet
+//! read. Such a connection closes in stages (RFC 9112 §9.6): every answer
+//! written, then `shutdown(Write)` — the peer reads its answers, then
+//! EOF — then whatever it still sends is read and dropped until its own
+//! EOF, or until it has sent nothing for [`LINGER_QUIET`] (its bytes are
+//! all read by then), or `stall_timeout` after the half-close, and only
+//! then is the socket closed. An idle peer is closed at once.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use deeplake_obs::FlightEvent;
 use parking_lot::Mutex;
@@ -96,7 +107,38 @@ struct Peer {
     stream: TcpStream,
     /// `(readable, writable)` interest registered with the poller.
     registered: (bool, bool),
+    /// Half-closed (every answer written, then our FIN): what the peer
+    /// still sends is read and dropped until its EOF or this deadline.
+    closing: Option<Closing>,
 }
+
+/// The deadlines of a half-closed connection.
+#[derive(Clone, Copy)]
+struct Closing {
+    /// `stall_timeout` after the half-close: a peer that never stops
+    /// sending is cut here.
+    cap: Instant,
+    /// When the socket is closed if the peer sends nothing more:
+    /// [`LINGER_QUIET`] after the half-close or its last byte, at most
+    /// `cap`.
+    due: Instant,
+}
+
+impl Peer {
+    /// The deadline this connection is held to, if any.
+    fn deadline(&self) -> Option<Instant> {
+        self.closing.map(|c| c.due).or(self.conn.armed())
+    }
+}
+
+/// How long a half-closed peer may stay silent before its socket is
+/// closed without its EOF. A peer that was still sending when intake
+/// closed reads our FIN and closes within microseconds on a LAN; one
+/// that keeps its socket open and silent (it read its answers and the
+/// EOF and is done) must not hold shutdown for `stall_timeout`. Once it
+/// has been silent this long its bytes are all read, so the close is a
+/// FIN, not a reset.
+const LINGER_QUIET: Duration = Duration::from_millis(250);
 
 /// What one loop thread owns.
 struct Loop<'a> {
@@ -171,12 +213,16 @@ pub(crate) fn event_loop(shared: &Shared, idx: usize, mut listener: Option<TcpLi
                 break;
             }
             lp.deadlines.remove(&(t, token));
-            if lp
-                .peers
-                .get(&token)
-                .is_some_and(|p| p.conn.armed() == Some(t))
-            {
-                lp.disconnect(token, FlightEvent::STALL_CUT);
+            let Some(peer) = lp.peers.get(&token) else {
+                continue;
+            };
+            if peer.deadline() == Some(t) {
+                // a half-closed peer that went quiet is closed, not cut
+                let cut = match peer.closing {
+                    Some(_) => FlightEvent::CONN_CUT,
+                    None => FlightEvent::STALL_CUT,
+                };
+                lp.disconnect(token, cut);
             }
         }
 
@@ -187,13 +233,15 @@ pub(crate) fn event_loop(shared: &Shared, idx: usize, mut listener: Option<TcpLi
             // requests already buffered are sliced and served where the
             // connection may admit them now; then intake closes for good,
             // because once this loop reports in below the pool may be gone
-            // and a request admitted later would never be answered
+            // and a request admitted later would never be answered. A
+            // connection that owes nothing more closes now, in stages if
+            // its peer may still be sending.
             let tokens: Vec<u64> = lp.peers.keys().copied().collect();
             for token in tokens {
                 lp.service(token, false, now);
                 if let Some(peer) = lp.peers.get_mut(&token) {
                     peer.conn.close_intake();
-                    update_interest(&lp.me, peer);
+                    lp.service(token, false, now);
                 }
             }
             intake_done = true;
@@ -203,13 +251,14 @@ pub(crate) fn event_loop(shared: &Shared, idx: usize, mut listener: Option<TcpLi
 
         if intake_done && shared.drain_done.load(Ordering::Acquire) {
             // workers are gone: every response is deposited. Leave once
-            // every outbound byte is flushed (stall deadlines bound the
-            // wait on peers that stopped draining).
+            // every outbound byte is flushed and every half-closed peer
+            // has sent its EOF (deadlines bound the wait on peers that
+            // stopped draining or never close).
             // (dropping the loop's peers closes their sockets)
             if lp
                 .peers
                 .values()
-                .all(|p| p.conn.shared.out.lock().is_empty())
+                .all(|p| p.closing.is_none() && p.conn.shared.out.lock().is_empty())
             {
                 return;
             }
@@ -264,6 +313,7 @@ impl Loop<'_> {
             conn: Conn::new(shared, self.shared.opts.conn_buffer_bytes),
             stream,
             registered: (true, false),
+            closing: None,
         };
         self.peers.insert(token, peer);
     }
@@ -277,7 +327,7 @@ impl Loop<'_> {
         };
         let detail = format!("conn {token}");
         self.shared.obs.recorder.record(cut, 0, detail);
-        if let Some(t) = peer.conn.armed() {
+        if let Some(t) = peer.deadline() {
             self.deadlines.remove(&(t, token));
         }
         peer.conn.shared.kill();
@@ -285,17 +335,66 @@ impl Loop<'_> {
         // socket closes when `peer.stream` drops here
     }
 
+    /// Close a finished connection: at once, or — when [`Conn::lingers`]
+    /// — in stages: FIN now (every answer is written), then only reads,
+    /// dropped, until [`discard`] meets the peer's EOF or a deadline
+    /// passes.
+    fn close(&mut self, token: u64, now: Instant) {
+        let Some(peer) = self.peers.get_mut(&token) else {
+            return;
+        };
+        if !peer.conn.lingers() || peer.stream.shutdown(Shutdown::Write).is_err() {
+            return self.disconnect(token, FlightEvent::CONN_CUT);
+        }
+        if let Some(t) = peer.conn.armed() {
+            self.deadlines.remove(&(t, token));
+        }
+        let cap = now + self.shared.opts.stall_timeout;
+        let due = cap.min(now + LINGER_QUIET);
+        peer.closing = Some(Closing { cap, due });
+        self.deadlines.insert((due, token));
+        let reads = Interest {
+            readable: true,
+            writable: false,
+        };
+        if self
+            .me
+            .poller
+            .modify(peer.stream.as_raw_fd(), token, reads)
+            .is_ok()
+        {
+            peer.registered = (true, false);
+        }
+    }
+
     /// One service pass over a connection — the per-connection service
     /// call: pull inbound bytes (when the poller said `readable`), serve
     /// complete frames and flush outbound bytes until neither makes
     /// progress, then re-register interest and the stall deadline; a
-    /// connection that finished or broke framing is disconnected.
+    /// connection that broke framing is disconnected, and one that
+    /// finished is closed — in stages when [`Conn::lingers`].
     fn service(&mut self, token: u64, readable: bool, now: Instant) {
         let Some(peer) = self.peers.get_mut(&token) else {
             return;
         };
-        if serve(self.shared, peer, &mut self.scratch, readable).is_err() || peer.conn.finished() {
+        if let Some(closing) = peer.closing {
+            match discard(peer, &mut self.scratch, readable) {
+                Discarded::Done => self.disconnect(token, FlightEvent::CONN_CUT),
+                Discarded::Bytes => {
+                    let due = closing.cap.min(now + LINGER_QUIET);
+                    self.deadlines.remove(&(closing.due, token));
+                    self.deadlines.insert((due, token));
+                    peer.closing = Some(Closing { due, ..closing });
+                }
+                Discarded::Nothing => {}
+            }
+            return;
+        }
+        if serve(self.shared, peer, &mut self.scratch, readable).is_err() {
             return self.disconnect(token, FlightEvent::CONN_CUT);
+        }
+        if peer.conn.finished() {
+            return self.close(token, now);
         }
         update_interest(&self.me, peer);
         let held = peer.conn.armed();
@@ -377,6 +476,35 @@ fn pull_bytes(peer: &mut Peer, scratch: &mut [u8]) -> Result<(), Fatal> {
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return Err(Fatal),
         }
+    }
+}
+
+/// What a half-closed connection's pass found.
+enum Discarded {
+    /// The peer's EOF, or a failed socket: close it now, without a reset.
+    Done,
+    /// Bytes the peer still sent, read and dropped.
+    Bytes,
+    /// Nothing arrived.
+    Nothing,
+}
+
+/// A half-closed connection's pass: read and drop what the peer still
+/// sends.
+fn discard(peer: &mut Peer, scratch: &mut [u8], readable: bool) -> Discarded {
+    let mut total = 0;
+    while readable && total < READ_BURST {
+        match peer.stream.read(scratch) {
+            Ok(0) => return Discarded::Done,
+            Ok(n) => total += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(_) => return Discarded::Done,
+        }
+    }
+    match total {
+        0 => Discarded::Nothing,
+        _ => Discarded::Bytes,
     }
 }
 

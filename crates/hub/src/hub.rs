@@ -538,7 +538,10 @@ impl HubHandle {
     /// served; the rest are dropped), the worker pool drains every
     /// queued request to a deposited response, the loops flush every
     /// outbound byte, then all threads are joined. A peer gets one
-    /// response for each request that was admitted, then EOF.
+    /// response for each request that was admitted, then EOF — never a
+    /// reset: a peer that was mid-conversation is half-closed and read
+    /// until its own EOF (or until it goes quiet, or `stall_timeout`), so
+    /// shutdown waits for it.
     /// Idempotent.
     pub fn shutdown(&mut self) {
         let shared = &self.shared;

@@ -103,4 +103,6 @@ pub use hub::{Hub, HubBuilder, HubHandle, HubOptions, HubStats, PlacementFn};
 pub use registry::{DatasetRegistry, Mounted};
 
 #[cfg(test)]
+mod allocs;
+#[cfg(test)]
 mod tests;

@@ -115,7 +115,14 @@ impl Mounted {
 
     /// Memoized resolution of `reference`, if still valid.
     pub fn head_memo(&self, reference: &str) -> Option<String> {
-        self.memo.lock().heads.get(reference).cloned()
+        self.with_head_memo(reference, str::to_string)
+    }
+
+    /// `f` of the memoized resolution of `reference`, if still valid,
+    /// called under the memo's lock: the event loop's cache probe reads
+    /// the head where it lies instead of copying it.
+    pub fn with_head_memo<R>(&self, reference: &str, f: impl FnOnce(&str) -> R) -> Option<R> {
+        self.memo.lock().heads.get(reference).map(|head| f(head))
     }
 
     /// Install a resolution memo, unless the dataset was invalidated

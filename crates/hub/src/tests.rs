@@ -383,6 +383,45 @@ fn close_intake_on_a_paused_burst_drops_the_rest_and_finishes() {
     assert!(conn.finished());
 }
 
+/// Which connections close in stages at shutdown: one whose peer was
+/// mid-conversation when intake closed — a request in flight, an answer
+/// unwritten or request bytes unsliced — since it may still be sending;
+/// not one that was idle, nor one whose peer had already sent its EOF.
+#[test]
+fn a_connection_closed_mid_conversation_lingers_and_an_idle_one_does_not() {
+    let shared = hub(HubOptions::default());
+    let closed = |conn: &mut Conn| {
+        conn.close_intake();
+        conn.lingers()
+    };
+    let mut idle = conn(&shared);
+    idle.feed(&untagged(&Request::Ping));
+    pump(&shared, &mut idle);
+    drain(&mut idle);
+    assert!(
+        !closed(&mut idle),
+        "answered and written: nothing in flight"
+    );
+    let mut queued = conn(&shared);
+    queued.feed(&untagged(&get("k")));
+    assert!(dispatch::serve_frames(&shared, &mut queued).unwrap());
+    assert!(closed(&mut queued), "a request in flight");
+    work(&shared);
+    assert!(queued.lingers(), "and it stays decided");
+    let mut unwritten = conn(&shared);
+    unwritten.feed(&untagged(&Request::Ping));
+    pump(&shared, &mut unwritten);
+    assert!(closed(&mut unwritten), "an answer not yet written");
+    let mut partial = conn(&shared);
+    partial.feed(&untagged(&Request::Ping)[..3]);
+    pump(&shared, &mut partial);
+    assert!(closed(&mut partial), "half a request buffered");
+    let mut ended = conn(&shared);
+    ended.feed(&untagged(&get("k"))[..3]);
+    ended.eof();
+    assert!(!closed(&mut ended), "the peer already sent its EOF");
+}
+
 /// A clean EOF is the other way intake closes: what was received is
 /// still served, in order.
 #[test]

@@ -603,19 +603,31 @@ fn thirty_two_callers_share_one_pipelined_socket() {
 }
 
 /// A hub shutdown in the middle of the burst ends every call with its
-/// own bytes or a transport error; none hangs. Nothing reads an idle
-/// socket, so the next call is the one that finds the server gone: it
-/// fails with `Io` at once.
+/// own bytes or a transport error; none hangs. The hub closes in stages
+/// (RFC 9112 §9.6: every answer written, then FIN, then what the client
+/// still sends is read and dropped until its EOF), so no call sees a
+/// reset: every request the hub admitted is answered — the hub queued
+/// exactly the handshake's two answers plus one per `Ok` — and a request
+/// it never admitted ends with the EOF. Nothing reads an idle socket, so
+/// the next call is the one that finds the server gone: it fails with
+/// `Io` at once.
 #[test]
 fn a_shutdown_mid_burst_ends_every_call() {
     let (mut server, client) = serve_burst();
+    let mut answered = 0;
     for (key, got) in burst(&client, || server.shutdown()) {
         match got {
-            Ok(bytes) => assert_eq!(bytes, key.as_bytes(), "{key} got another's bytes"),
-            Err(StorageError::Io(_)) => {}
+            Ok(bytes) => {
+                assert_eq!(bytes, key.as_bytes(), "{key} got another's bytes");
+                answered += 1;
+            }
+            Err(StorageError::Io(e)) => {
+                assert!(!e.to_lowercase().contains("reset"), "{key}: {e}")
+            }
             Err(e) => panic!("{key}: {e:?} is neither an answer nor a transport error"),
         }
     }
+    assert_eq!(server.stats().requests(), 2 + answered);
     let start = Instant::now();
     assert!(matches!(
         client.get(&burst_key(0, 0)),

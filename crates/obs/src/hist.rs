@@ -89,7 +89,11 @@ impl Histogram {
         c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         c.count.fetch_add(1, Ordering::Relaxed);
         c.sum.fetch_add(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        // the max only rises: a value at or under it costs a load, not a
+        // locked read-modify-write
+        if v > c.max.load(Ordering::Relaxed) {
+            c.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration in nanoseconds.

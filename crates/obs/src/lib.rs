@@ -70,4 +70,4 @@ pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use slowlog::{SlowQueryEntry, SlowQueryLog};
 pub use trace::{current_trace, next_id, with_current, SpanRecord, SpanTimer, TraceContext};
-pub use window::{window_name, RateSnapshot, RateWindow, WindowedHistogram, WINDOW_SECS};
+pub use window::{sec_of, window_name, RateSnapshot, RateWindow, WindowedHistogram, WINDOW_SECS};

@@ -44,7 +44,9 @@ impl Counter {
     /// mark (peak queue depth, largest buffered response). A counter
     /// used this way is still monotone, just not additive.
     pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        if v > self.0.load(Ordering::Relaxed) {
+            self.0.fetch_max(v, Ordering::Relaxed);
+        }
     }
 }
 

@@ -123,9 +123,21 @@ impl SpanTimer {
         SpanTimer(Instant::now())
     }
 
+    /// A timer that started at `at`, a clock reading the caller already
+    /// holds.
+    pub fn started_at(at: Instant) -> Self {
+        SpanTimer(at)
+    }
+
     /// Elapsed nanoseconds without consuming the timer.
     pub fn lap(&self) -> u64 {
-        self.0.elapsed().as_nanos().min(u64::MAX as u128) as u64
+        self.until(Instant::now())
+    }
+
+    /// Nanoseconds from the start to `end` (0 if `end` is earlier).
+    fn until(&self, end: Instant) -> u64 {
+        let ns = end.saturating_duration_since(self.0).as_nanos();
+        ns.min(u64::MAX as u128) as u64
     }
 
     /// Stop and return elapsed nanoseconds.
@@ -136,7 +148,14 @@ impl SpanTimer {
     /// Stop, record the elapsed nanoseconds into `hist`, and return
     /// them.
     pub fn record(self, hist: &Histogram) -> u64 {
-        let ns = self.lap();
+        self.record_until(Instant::now(), hist)
+    }
+
+    /// Stop at `end`, a clock reading the caller already holds, record
+    /// the nanoseconds since the start into `hist`, and return them: one
+    /// reading can close one span and open the next.
+    pub fn record_until(self, end: Instant, hist: &Histogram) -> u64 {
+        let ns = self.until(end);
         hist.record(ns);
         ns
     }
@@ -189,6 +208,20 @@ mod tests {
             assert_eq!(seen, None, "other threads must not inherit the context");
             assert_eq!(current_trace(), Some(ctx));
         });
+    }
+
+    #[test]
+    fn a_span_between_two_given_readings_records_their_distance() {
+        let h = Histogram::new();
+        let t0 = Instant::now();
+        let t1 = t0 + std::time::Duration::from_nanos(1_500);
+        assert_eq!(SpanTimer::started_at(t0).record_until(t1, &h), 1_500);
+        assert_eq!(
+            SpanTimer::started_at(t1).record_until(t0, &h),
+            0,
+            "never negative"
+        );
+        assert_eq!((h.count(), h.snapshot().sum), (2, 1_500));
     }
 
     #[test]

@@ -41,8 +41,18 @@ pub const WINDOW_SECS: [u64; 3] = [1, 10, 60];
 /// Seconds elapsed since the process-local epoch (first use anywhere in
 /// the process). Monotonic, immune to wall-clock steps.
 fn now_sec() -> u64 {
+    sec_of(Instant::now())
+}
+
+/// The second an event at `at` is filed under by [`RateWindow::add`]
+/// and [`WindowedHistogram::record`]: seconds since the process-local
+/// epoch (an instant before it is second 0). A caller that has already
+/// read the clock passes this to the `*_at` variants instead of paying
+/// another reading.
+pub fn sec_of(at: Instant) -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_secs()
+    at.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
+        .as_secs()
 }
 
 /// Claim `slot`'s stamp for absolute second `sec`. Returns `true` when
@@ -236,7 +246,9 @@ impl WindowedHistogram {
             slot.max.store(0, Ordering::Release);
         }
         slot.buckets[bucket_index(v)].fetch_add(1, Ordering::AcqRel);
-        slot.max.fetch_max(v, Ordering::AcqRel);
+        if v > slot.max.load(Ordering::Acquire) {
+            slot.max.fetch_max(v, Ordering::AcqRel);
+        }
     }
 
     /// Merge the slots of the last [`WINDOW_SECS`] seconds into one
@@ -338,6 +350,20 @@ mod tests {
         let aliased = 10 + SLOTS as u64;
         r.add_at(1, aliased);
         assert_eq!(r.counts_at(aliased), [1, 1, 1]);
+    }
+
+    /// A reading the caller already holds files an event under the
+    /// second the instrument's own reading would have.
+    #[test]
+    fn a_given_reading_files_under_its_own_second() {
+        let now = Instant::now();
+        let sec = sec_of(now);
+        assert_eq!(sec_of(now + std::time::Duration::from_secs(3)), sec + 3);
+        assert!(sec <= now_sec());
+        let r = RateWindow::new();
+        r.add_at(2, sec_of(Instant::now()));
+        r.add(3);
+        assert_eq!(r.counts()[2], 5);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Framing: one length-prefixed frame per message, and the correlation-id
 //! tag a pipelined connection puts in front of every payload.
 
+use std::io::Read;
+
 /// Hard upper bound on one frame's payload (1 GiB). Far above any chunk
 /// batch the loader issues, far below an allocation that could take the
 /// process down.
@@ -150,25 +152,19 @@ pub fn read_frame_after(r: &mut impl std::io::Read, first: u8) -> std::io::Resul
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    // read straight into the payload: the buffer is extended (zeroed)
-    // by at most READ_CHUNK only once every byte of it has arrived, so a
-    // lying length cannot allocate ahead of the bytes actually received
+    // read straight into the payload's spare capacity, never zeroed
+    // first: the buffer reserves at most READ_CHUNK beyond the bytes
+    // already arrived, and only once every byte reserved before has
+    // arrived, so a lying length cannot allocate ahead of the data
     let mut payload = Vec::new();
-    let mut filled = 0;
-    while filled < len {
-        if filled == payload.len() {
-            payload.resize(filled + (len - filled).min(READ_CHUNK), 0);
-        }
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("eof inside frame body ({filled}/{len} bytes)"),
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+    while payload.len() < len {
+        let step = (len - payload.len()).min(READ_CHUNK);
+        payload.reserve_exact(step);
+        if (&mut *r).take(step as u64).read_to_end(&mut payload)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("eof inside frame body ({}/{len} bytes)", payload.len()),
+            ));
         }
     }
     Ok(payload)

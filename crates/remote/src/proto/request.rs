@@ -282,6 +282,50 @@ pub fn trace_wrap(trace_id: u64, span_id: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A `Query` request decoded where it lies: its strings borrow the
+/// frame, so a server that answers it from a cache copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueryRef<'a> {
+    /// `(trace id, parent span)` when it came in a `Traced` envelope.
+    pub trace: Option<(u64, u64)>,
+    /// Branch name or commit id.
+    pub reference: &'a str,
+    /// TQL text, as the client sent it.
+    pub text: &'a str,
+    /// Execution options.
+    pub options: QueryOptions,
+}
+
+/// `payload` as a well-formed `Query`, bare or in one `Traced` envelope,
+/// borrowing its strings; `None` for any other payload, which
+/// [`decode_request`] then decodes or refuses (a nested envelope and a
+/// malformed query included).
+pub fn borrow_query(payload: &[u8]) -> Option<QueryRef<'_>> {
+    let mut r = WireReader::new(payload);
+    let mut op = r.u8().ok()?;
+    let mut trace = None;
+    if op == OP_TRACED {
+        trace = Some((r.u64().ok()?, r.u64().ok()?));
+        op = r.u8().ok()?;
+    }
+    if op != OP_QUERY {
+        return None;
+    }
+    let (reference, text, options) = take_query(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(QueryRef {
+        trace,
+        reference,
+        text,
+        options,
+    })
+}
+
+/// A `Query`'s body, `[reference][text][options]`, borrowed.
+fn take_query<'a>(r: &mut WireReader<'a>) -> WireResult<(&'a str, &'a str, QueryOptions)> {
+    Ok((r.str_ref()?, r.str_ref()?, decode_options(r)?))
+}
+
 /// Decode a request payload.
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
     let mut r = WireReader::new(payload);
@@ -306,11 +350,14 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
             gap_tolerance: r.u64()?,
             requests: take_read_requests(&mut r)?,
         },
-        OP_QUERY => Request::Query {
-            reference: r.str()?,
-            text: r.str()?,
-            options: decode_options(&mut r)?,
-        },
+        OP_QUERY => {
+            let (reference, text, options) = take_query(&mut r)?;
+            Request::Query {
+                reference: reference.into(),
+                text: text.into(),
+                options,
+            }
+        }
         OP_DESCRIBE => Request::Describe,
         OP_HELLO => Request::Hello { version: r.u8()? },
         OP_ATTACH => Request::Attach { dataset: r.str()? },

@@ -114,6 +114,47 @@ fn nested_traced_frames_rejected() {
     }
 }
 
+/// A query borrowed from its frame is the query `decode_request` owns,
+/// bare or traced; anything else — another opcode, a nested envelope, a
+/// cut or padded query — is left to `decode_request`.
+#[test]
+fn a_borrowed_query_is_the_decoded_query() {
+    let query = Request::Query {
+        reference: "main".into(),
+        text: "SELECT * WHERE score > 0.5".into(),
+        options: QueryOptions {
+            workers: 3,
+            pruning: false,
+            ann: true,
+            nprobe: 9,
+        },
+    };
+    let bare = encode_request(&query);
+    let traced = trace_wrap(7, 11, &bare);
+    for (payload, trace) in [(&bare, None), (&traced, Some((7, 11)))] {
+        let borrowed = borrow_query(payload).expect("a well-formed query");
+        assert_eq!(borrowed.trace, trace);
+        let owned = Request::Query {
+            reference: borrowed.reference.into(),
+            text: borrowed.text.into(),
+            options: borrowed.options,
+        };
+        let decoded = match decode_request(payload).unwrap() {
+            Request::Traced { inner, .. } => *inner,
+            other => other,
+        };
+        assert_eq!(owned, decoded);
+    }
+    let nested = trace_wrap(1, 2, &traced);
+    let mut padded = bare.clone();
+    padded.push(0);
+    let ping = encode_request(&Request::Ping);
+    let cuts = (0..bare.len()).map(|cut| &bare[..cut]);
+    for payload in [&ping[..], &nested, &padded].into_iter().chain(cuts) {
+        assert!(borrow_query(payload).is_none(), "{payload:?}");
+    }
+}
+
 #[test]
 fn trace_wrap_matches_traced_encoding() {
     let inner = Request::Query {
@@ -489,7 +530,13 @@ fn a_trickled_body_is_read_in_place() {
     let mut wire = Vec::new();
     write_frame(&mut wire, &body).unwrap();
     let mut r = Trickle(std::io::Cursor::new(wire), 0);
-    assert_eq!(read_frame(&mut r).unwrap().unwrap(), body);
+    let got = read_frame(&mut r).unwrap().unwrap();
+    assert_eq!(got, body);
+    assert_eq!(
+        got.capacity(),
+        body.len(),
+        "reserved no further than the frame"
+    );
     // a length that lies by 1 GiB costs one chunk, then the EOF error
     let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
     wire.extend_from_slice(b"only this");

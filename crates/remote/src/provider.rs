@@ -663,6 +663,13 @@ fn exchange(conn: &Connection, payload: &[u8]) -> std::io::Result<Response> {
             Next::Read => {
                 drop(slots);
                 let read = read_response(&conn.stream);
+                if read.is_err() {
+                    // the connection is over (the server's EOF, or a
+                    // broken socket): say so now, not when the last
+                    // handle drops, so a server closing in stages is not
+                    // left waiting for our EOF
+                    let _ = conn.stream.shutdown(Shutdown::Both);
+                }
                 slots = conn.slots.lock().unwrap();
                 slots.read_done(read, Instant::now());
                 // the role is free: a parked caller may have to take it

@@ -55,7 +55,7 @@ pub use memory::MemoryProvider;
 pub use plan::{CoalescedFetch, FetchPart, ReadPlan, ReadRequest, ReadResult};
 pub use prefix::PrefixProvider;
 pub use provider::{DynProvider, StorageProvider};
-pub use recency::Recency;
+pub use recency::{Handle as RecencyHandle, Recency};
 pub use sim::{NetworkProfile, SimulatedCloudProvider};
 pub use stats::{StorageStats, StorageStatsSnapshot};
 pub use timing::TimingProvider;

@@ -13,6 +13,17 @@
 //! index reader: every size header is bounded against the bytes actually
 //! present *before* any allocation, so truncated or corrupt input yields
 //! `Err`, never a panic or a huge allocation.
+//!
+//! A fixed-width array — a result's row ids — moves as one slice: its
+//! count is bounded against the remaining bytes, the `n × 8` bytes are
+//! taken with one bounds check ([`WireReader::u64s`]) and converted word
+//! by word, and the encoder reserves once and appends ([`put_u64s`]).
+//! The bytes are the same as writing the words one at a time; a
+//! 2,000-id answer (a score scan) is what a client decodes on every
+//! cached query, so the per-word bounds check is what this avoids.
+//! [`encode_result`] reserves a frame's fixed-size part at once, so a
+//! frame without projected rows — what the hub's result cache holds —
+//! carries no spare capacity the cache's byte budget does not see.
 
 use bytes::Bytes;
 use deeplake_tensor::{Dtype, Sample, Shape};
@@ -63,6 +74,15 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Append an `f64` (little-endian IEEE 754).
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `vs` as consecutive little-endian `u64`s: one reservation,
+/// then the words.
+pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+    out.reserve(vs.len() * 8);
+    for v in vs {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Append a `u32`-length-prefixed UTF-8 string.
@@ -120,6 +140,21 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read `n` consecutive little-endian `u64`s: one bounds check and
+    /// one `take` for the whole array, then a word-by-word conversion
+    /// that never touches the reader again. A count beyond the bytes
+    /// present is `Err` before anything is allocated.
+    pub fn u64s(&mut self, n: usize) -> WireResult<Vec<u64>> {
+        let bytes = n
+            .checked_mul(8)
+            .ok_or_else(|| WireError("truncated".into()))?;
+        let words = self.take(bytes)?;
+        Ok(words
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
     /// Read an `f64`.
     pub fn f64(&mut self) -> WireResult<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -128,6 +163,12 @@ impl<'a> WireReader<'a> {
     /// Read a `u32`-length-prefixed UTF-8 string. The length is bounded
     /// by the remaining bytes before anything is copied.
     pub fn str(&mut self) -> WireResult<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// [`str`](Self::str) without the copy: the string borrows the wire
+    /// bytes.
+    pub fn str_ref(&mut self) -> WireResult<&'a str> {
         let len = self.u32()? as usize;
         if len > self.remaining() {
             return Err(WireError(format!(
@@ -136,7 +177,6 @@ impl<'a> WireReader<'a> {
             )));
         }
         std::str::from_utf8(self.take(len)?)
-            .map(str::to_string)
             .map_err(|_| WireError("invalid utf-8 in string".into()))
     }
 
@@ -210,6 +250,9 @@ pub fn decode_options(r: &mut WireReader<'_>) -> WireResult<QueryOptions> {
         nprobe: r.u32()? as usize,
     })
 }
+
+/// Bytes [`encode_stats`] writes: eleven `u64` fields.
+const STATS_BYTES: usize = 11 * 8;
 
 /// Encode [`QueryStats`] (counters, then the stage-nanos fields, then
 /// fields added since — see [`decode_stats`]).
@@ -325,10 +368,13 @@ pub fn decode_value(r: &mut WireReader<'_>) -> WireResult<Value> {
 /// travel — `AT VERSION` results carry [`QueryResult::version`] instead,
 /// which a client resolves against its own remote-backed handle.
 pub fn encode_result(result: &QueryResult, out: &mut Vec<u8>) {
+    // one reservation for everything but the projected rows: a frame
+    // without rows is built in place, and a cached one holds no slack
+    let columns: usize = result.columns.iter().map(|c| 4 + c.len()).sum();
+    let version = result.version.as_ref().map_or(0, |v| 4 + v.len());
+    out.reserve(8 + 8 * result.indices.len() + 4 + columns + 2 + version + STATS_BYTES);
     put_u64(out, result.indices.len() as u64);
-    for &i in &result.indices {
-        put_u64(out, i);
-    }
+    put_u64s(out, &result.indices);
     put_u32(out, result.columns.len() as u32);
     for c in &result.columns {
         put_str(out, c);
@@ -366,10 +412,7 @@ pub fn decode_result(r: &mut WireReader<'_>) -> WireResult<QueryResult> {
             "index count {n} exceeds remaining bytes"
         )));
     }
-    let mut indices = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        indices.push(r.u64()?);
-    }
+    let indices = r.u64s(n as usize)?;
     let cols = r.u32()? as usize;
     // each column costs at least its 4-byte length header
     if cols > r.remaining() / 4 {
@@ -586,21 +629,38 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_input_errors_cleanly() {
-        let mut buf = Vec::new();
-        encode_result(&sample_result(), &mut buf);
-        // every truncation point errors, never panics — but for the one
-        // that drops exactly the additive trailing stats field, which is
-        // a well-formed older frame
-        for cut in (0..buf.len()).filter(|&cut| cut != buf.len() - 8) {
-            assert!(
-                decode_result(&mut WireReader::new(&buf[..cut])).is_err(),
-                "cut at {cut} must error"
-            );
+        // every truncation point of an answer with rows, and of a 2,000-id
+        // one, errors, never panics — but for the one that drops exactly
+        // the additive trailing stats field, which is a well-formed older
+        // frame
+        for result in [sample_result(), scan_result(scan_ids())] {
+            let mut buf = Vec::new();
+            encode_result(&result, &mut buf);
+            for cut in (0..buf.len()).filter(|&cut| cut != buf.len() - 8) {
+                assert!(
+                    decode_result(&mut WireReader::new(&buf[..cut])).is_err(),
+                    "cut at {cut} of {} must error",
+                    buf.len()
+                );
+            }
         }
-        // a lying index count must not allocate gigabytes
+        // a lying index count must not allocate gigabytes, and one id
+        // more than the bytes present is refused by the bound, before the
+        // vector is allocated
         let mut lying = Vec::new();
         put_u64(&mut lying, u64::MAX);
         assert!(decode_result(&mut WireReader::new(&lying)).is_err());
+        let mut one_more = Vec::new();
+        encode_result(&scan_result(vec![7; 16]), &mut one_more);
+        let fits = (one_more.len() - 8) as u64 / 8;
+        one_more[..8].copy_from_slice(&(fits + 1).to_le_bytes());
+        let err = decode_result(&mut WireReader::new(&one_more)).unwrap_err();
+        assert!(err.0.contains("exceeds remaining bytes"), "{err}");
+        // the reader's array read checks its byte length before taking it
+        let mut r = WireReader::new(&[0u8; 24]);
+        assert!(r.u64s(usize::MAX / 4).is_err());
+        assert!(r.u64s(4).is_err());
+        assert_eq!(r.u64s(3).unwrap(), [0, 0, 0]);
         // unknown value tag
         assert!(decode_value(&mut WireReader::new(&[99])).is_err());
         // tensor whose payload disagrees with its dims
@@ -618,6 +678,84 @@ mod tests {
         put_u32(&mut bad_str, 2);
         bad_str.extend_from_slice(&[0xff, 0xfe]);
         assert!(decode_value(&mut WireReader::new(&bad_str)).is_err());
+    }
+
+    /// A score scan's answer: 2,000 row ids in score order (not sorted),
+    /// with the two extremes of the id range among them.
+    fn scan_result(ids: Vec<u64>) -> QueryResult {
+        QueryResult {
+            indices: ids,
+            columns: Vec::new(),
+            rows: None,
+            dataset: None,
+            version: None,
+            stats: QueryStats {
+                chunks_scanned: 4,
+                rows_vectorized: 2_000,
+                ..QueryStats::default()
+            },
+        }
+    }
+
+    fn scan_ids() -> Vec<u64> {
+        let mut ids: Vec<u64> = (0..2_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 48))
+            .collect();
+        ids[0] = 0;
+        ids[1] = u64::MAX;
+        ids
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The encoding of a 2,000-id answer is pinned to the bytes the
+    /// word-at-a-time encoder wrote: the head and the extremes spelled
+    /// out, the whole frame by its FNV-1a digest.
+    #[test]
+    fn a_two_thousand_id_answer_encodes_to_the_golden_bytes() {
+        let result = scan_result(scan_ids());
+        let mut buf = Vec::new();
+        encode_result(&result, &mut buf);
+        assert_eq!(buf.len(), 8 + 2_000 * 8 + 4 + 1 + 1 + 11 * 8);
+        assert_eq!(buf.capacity(), buf.len(), "one reservation, no slack");
+        assert_eq!(buf[..8], 2_000u64.to_le_bytes());
+        assert_eq!(buf[8..16], [0; 8]);
+        assert_eq!(buf[16..24], [0xff; 8]);
+        assert_eq!(
+            buf[24..32],
+            (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2) >> 2).to_le_bytes()
+        );
+        assert_eq!(fnv1a(&buf), GOLDEN_SCAN_FNV);
+        let back = decode_result(&mut WireReader::new(&buf)).unwrap();
+        assert_eq!(back.indices, result.indices);
+        assert_eq!(back.stats, result.stats);
+    }
+
+    /// The digest of the frame the word-at-a-time encoder wrote.
+    const GOLDEN_SCAN_FNV: u64 = 0x56af_3cbc_c38c_b72b;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Any ids in any order — `0` and `u64::MAX` are drawn often —
+        /// come back as they went, and every byte is consumed.
+        #[test]
+        fn row_ids_roundtrip_in_any_order(
+            ids in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..4_096),
+        ) {
+            let result = scan_result(ids);
+            let mut buf = Vec::new();
+            encode_result(&result, &mut buf);
+            proptest::prop_assert_eq!(buf.len(), 8 + result.indices.len() * 8 + 94);
+            let mut r = WireReader::new(&buf);
+            let back = decode_result(&mut r).unwrap();
+            r.finish().unwrap();
+            proptest::prop_assert_eq!(back.indices, result.indices);
+        }
     }
 
     #[test]

@@ -9,10 +9,15 @@ use crate::Result;
 
 /// Shuffled-stream settings (§3.5): chunk-following block randomization
 /// plus a sample-level shuffle buffer, avoiding a separate shuffle
-/// cluster.
+/// cluster. Both are drawn into the epoch's plan before a row is fetched
+/// (see [`shuffle::epoch_plan`](crate::shuffle::epoch_plan)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShuffleConfig {
-    /// Rows held in the in-memory shuffle buffer.
+    /// Rows of the shuffle buffer the delivery order is drawn with: a
+    /// row comes out at most `buffer_rows - 1` places before its epoch
+    /// position, and the consumer holds at most this many rows
+    /// (plus the in-flight budget and a block per worker) waiting for
+    /// their turn.
     pub buffer_rows: usize,
     /// Target rows per block. Blocks are fetched in random order but stay
     /// contiguous inside, and hold this many rows give or take half: a
@@ -23,7 +28,10 @@ pub struct ShuffleConfig {
     /// (see [`shuffle`](crate::shuffle)). Unshuffled epochs are cut the
     /// same way, with the default.
     pub block_rows: usize,
-    /// RNG seed — same seed, same epoch order.
+    /// RNG seed. The `e`-th epoch of a loader (from 0) is drawn from
+    /// this seed and `e`: the same seed gives the same order for the
+    /// same epoch at any worker count, and each epoch of one loader a
+    /// different order.
     pub seed: u64,
 }
 

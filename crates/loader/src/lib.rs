@@ -5,8 +5,9 @@
 //! model", with fetching and decoding parallelized across native worker
 //! threads (the C++-per-process design of the paper — Rust threads need
 //! no GIL workaround), bounded prefetch for backpressure, a shuffle
-//! buffer for shuffled stream access (§3.5), and deterministic delivery
-//! order independent of worker count.
+//! buffer for shuffled stream access (§3.5), and an epoch order that is
+//! a function of the seed and the epoch's index, independent of worker
+//! count and thread timing.
 //!
 //! The loader is transport-agnostic: pointed at a dataset opened over a
 //! served mount (`deeplake-remote`), each worker task's single batched
@@ -31,9 +32,12 @@
 //!
 //! The unit of work is a block of about `block_rows` rows that ends on
 //! a chunk boundary of the streamed tensor with the most chunks whenever
-//! one is near ([`shuffle`]): workers claim one block at a time from a
-//! shared cursor ([`scheduler`]), and a block travels to the consumer as
-//! one message ([`loader`]).
+//! one is near ([`shuffle`]). Each epoch is one plan drawn before a row
+//! is fetched — the block order and the rows' delivery order
+//! ([`shuffle::epoch_plan`]) — and one path delivers it: the consumer
+//! issues blocks to the workers as far as its credit reaches
+//! ([`scheduler`]), a block travels back as one message, and the
+//! consumer puts its rows in plan order ([`loader`]).
 //!
 //! ```
 //! use deeplake_core::Dataset;

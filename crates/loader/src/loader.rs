@@ -1,29 +1,35 @@
 //! The streaming dataloader engine.
 //!
-//! An epoch spawns `num_workers` native threads. Each worker claims
-//! tasks from the [`Scheduler`] — a task is one block of the epoch
-//! order, `block_rows` rows give or take half, ending on a chunk
-//! boundary where one is near (see [`shuffle`](crate::shuffle)) —
-//! fetches the block's chunks in one storage call (chunk fetch +
-//! decompression happen *in the worker*, §4.6), assembles its rows,
-//! applies the user transform, and sends the whole block as ONE message
-//! over a bounded channel. The channel holds as many blocks as fit the
-//! prefetch/memory budget in rows (at least one; no block exceeds
-//! 1.5 × `block_rows` rows), giving backpressure (each worker holds one
-//! more while it blocks on `send`). A failing sample travels in its
-//! task's message behind the rows before it. The consumer side collates rows
-//! into [`Batch`]es, moving each sample into its column: without
-//! shuffling, a reorder buffer keyed by a block's first epoch position
-//! makes delivery order deterministic regardless of worker count; with
-//! shuffling, rows pass through the sample-level [`ShuffleBuffer`].
+//! An epoch is one plan, drawn when [`DataLoader::epoch`] is called
+//! from the loader's seed and the epoch's index
+//! ([`shuffle::epoch_plan`](crate::shuffle::epoch_plan)): the blocks in
+//! epoch order — a task each, `block_rows` rows give or take half,
+//! ending on a chunk boundary where one is near — and the order their
+//! rows are delivered in. An epoch spawns `num_workers` native threads;
+//! the consumer issues them tasks in epoch order as far as its credit
+//! reaches ([`scheduler`](crate::scheduler)). A worker fetches its
+//! block's chunks in one storage call (chunk fetch + decompression
+//! happen *in the worker*, §4.6), assembles its rows, applies the user
+//! transform, and sends the whole block back as ONE message. A failing
+//! sample travels in its task's message behind the rows before it.
+//!
+//! The consumer places each block's rows at their epoch positions and
+//! moves them on, in the plan's delivery order, as soon as the next one
+//! is there; collation moves each sample into its column of a
+//! [`Batch`]. So an epoch's order is a function of the seed and the
+//! epoch index whatever the worker count or thread timing, shuffled or
+//! not, and the rows the consumer holds undelivered never exceed the
+//! credit: the plan's reach (under `buffer_rows` shuffled, 0
+//! sequential) plus the in-flight budget plus one block per worker.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use deeplake_core::{CoreError, Dataset};
 use deeplake_obs::{
     with_current, Counter, MetricsRegistry, MetricsSnapshot, SpanRecord, TraceContext,
@@ -33,8 +39,8 @@ use crate::batch::{Batch, LoadedRow};
 use crate::config::{LoaderBuilder, LoaderConfig};
 use crate::memory::MemoryEstimator;
 use crate::report::{EpochReport, LoaderObs, StageSummary, WorkerSummary};
-use crate::scheduler::Scheduler;
-use crate::shuffle::{block_ends, block_shuffled_order, ShuffleBuffer};
+use crate::scheduler::{credit, task};
+use crate::shuffle::{block_ends, epoch_plan};
 use crate::Result;
 
 /// A reusable streaming dataloader bound to a dataset and row set.
@@ -46,6 +52,9 @@ pub struct DataLoader {
     blocks: Vec<usize>,
     config: LoaderConfig,
     tensor_names: Arc<Vec<String>>,
+    /// The index of the next epoch: each [`epoch`](Self::epoch) takes
+    /// one, and its plan is drawn from it.
+    next_epoch: AtomicU64,
     /// Client-level instruments, lifetime of this loader — every epoch
     /// records into the same registry, mirroring how a hub's epochs of
     /// traffic share `HubObs`.
@@ -94,6 +103,7 @@ impl DataLoader {
             blocks,
             config,
             tensor_names: Arc::new(tensor_names),
+            next_epoch: AtomicU64::new(0),
             obs: LoaderObs::new(),
         })
     }
@@ -128,7 +138,12 @@ impl DataLoader {
         }
     }
 
-    /// Start one epoch: spawn workers and return the batch iterator.
+    /// Start one epoch: draw its plan, spawn workers, issue the first
+    /// tasks and return the batch iterator.
+    ///
+    /// The `e`-th call (from 0) plays epoch `e` of the loader's seed, so
+    /// a loader's epochs differ from each other and two loaders built
+    /// alike play the same epochs, at any worker count.
     ///
     /// The epoch mints a fresh [`TraceContext`] root (the "training
     /// step" span); every worker task fetches under a child span of it,
@@ -140,12 +155,12 @@ impl DataLoader {
         // reading, so it comes first — before the schedule sample.
         let base = self.obs.registry.snapshot();
         self.obs.epochs.inc();
+        // Relaxed: the index names the epoch and publishes no data.
+        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         let sched_t = Instant::now();
-        // 1. epoch order and its blocks
-        let (order, ends) = match &self.config.shuffle {
-            Some(cfg) => block_shuffled_order(&self.indices, &self.blocks, cfg.seed),
-            None => (self.indices.clone(), self.blocks.clone()),
-        };
+        // 1. the epoch's plan
+        let shuffle = self.config.shuffle;
+        let plan = epoch_plan(&self.indices, &self.blocks, shuffle.as_ref(), epoch);
 
         // 2. in-flight budget (rows)
         let estimator = MemoryEstimator::for_dataset(&self.dataset, Some(&self.tensor_names));
@@ -153,12 +168,13 @@ impl DataLoader {
         if let Some(budget) = self.config.memory_budget_bytes {
             in_flight = in_flight.min(estimator.rows_in_flight(budget, self.config.batch_size));
         }
-        // ... as blocks of the epoch's mean size: the channel carries one
-        // message per block
-        let in_flight_blocks = (in_flight * ends.len() / order.len().max(1)).max(1);
 
-        // 3. schedule: one task per block
-        let scheduler = Arc::new(Scheduler::new(ends));
+        // 3. the credit: one task per block, each issued once it starts
+        // within `allowance` positions of the next row to deliver
+        let block_rows = shuffle.unwrap_or_default().block_rows;
+        let workers = self.config.num_workers;
+        let allowance = plan.reach + in_flight + workers * block_rows;
+        let tasks = plan.ends.len();
 
         self.obs
             .stages
@@ -168,14 +184,16 @@ impl DataLoader {
         let spans: Arc<Mutex<Vec<SpanRecord>>> = Arc::new(Mutex::new(Vec::new()));
         let sent = Arc::new(AtomicU64::new(0));
 
-        // 4. workers
-        let (tx, rx) = bounded::<TaskRows>(in_flight_blocks);
-        let order = Arc::new(order);
-        let mut handles = Vec::with_capacity(self.config.num_workers);
-        for w_idx in 0..self.config.num_workers {
+        // 4. workers. Both channels hold every task the epoch has, so
+        // neither blocks a sender: the credit is the bound.
+        let (task_tx, task_rx) = bounded::<Range<usize>>(tasks);
+        let (tx, rx) = bounded::<TaskRows>(tasks);
+        let order = Arc::new(plan.order);
+        let mut handles = Vec::with_capacity(workers);
+        for w_idx in 0..workers {
             let dataset = self.dataset.clone();
             let order = order.clone();
-            let scheduler = scheduler.clone();
+            let task_rx = task_rx.clone();
             let tensor_names = self.tensor_names.clone();
             let transform = self.config.transform.clone();
             let tx = tx.clone();
@@ -187,101 +205,111 @@ impl DataLoader {
                 tasks: self.obs.registry.counter(&worker_tasks_name(w_idx)),
             };
             handles.push(std::thread::spawn(move || {
-                while let Some(task) = scheduler.next() {
-                    let rows = &order[task.start..task.end];
+                while let Ok(task) = task_rx.recv() {
+                    let rows = &order[task.clone()];
                     let busy_t = Instant::now();
-                    // Every storage call of this task runs under one
-                    // child span of the epoch root; a served hub reads
-                    // it from the wire and parents its own span tree
-                    // under it.
-                    let fetch_ctx = root.child();
-                    // ONE storage call covers every chunk this task
-                    // touches (§3.5 scatter-gather). A chunk the call
-                    // could not deliver is retried by
-                    // `PrefetchedChunks::get` on the single-key path, so
-                    // a sample that cannot be read fails with the error
-                    // `Dataset::get` reports for it.
-                    let fetch_t = Instant::now();
-                    let prefetched =
-                        with_current(fetch_ctx, || dataset.prefetch_chunks(&tensor_names, rows));
-                    let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
-                    let mut loaded: Vec<LoadedRow> = Vec::with_capacity(rows.len());
-                    let failure: Option<String> = match prefetched {
-                        Ok(pf) => {
-                            let decode_t = Instant::now();
-                            let failure = rows.iter().find_map(|&row_idx| {
-                                let mut samples = Vec::with_capacity(tensor_names.len());
-                                for name in tensor_names.iter() {
-                                    match pf.get(&dataset, name, row_idx) {
-                                        Ok(sample) => samples.push(sample),
-                                        Err(e) => {
-                                            return Some(format!("fetch {name}[{row_idx}]: {e}"))
+                    // a panic (in a user transform, say) fails the task
+                    // instead of leaving its rows missing for good
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        // Every storage call of this task runs under one
+                        // child span of the epoch root; a served hub
+                        // reads it from the wire and parents its own
+                        // span tree under it.
+                        let fetch_ctx = root.child();
+                        // ONE storage call covers every chunk this task
+                        // touches (§3.5 scatter-gather). A chunk the call
+                        // could not deliver is retried by
+                        // `PrefetchedChunks::get` on the single-key path,
+                        // so a sample that cannot be read fails with the
+                        // error `Dataset::get` reports for it.
+                        let fetch_t = Instant::now();
+                        let prefetched = with_current(fetch_ctx, || {
+                            dataset.prefetch_chunks(&tensor_names, rows)
+                        });
+                        let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
+                        let mut loaded: Vec<LoadedRow> = Vec::with_capacity(rows.len());
+                        let failure: Option<String> = match prefetched {
+                            Ok(pf) => {
+                                let decode_t = Instant::now();
+                                let failure = rows.iter().find_map(|&row_idx| {
+                                    let mut samples = Vec::with_capacity(tensor_names.len());
+                                    for name in tensor_names.iter() {
+                                        match pf.get(&dataset, name, row_idx) {
+                                            Ok(sample) => samples.push(sample),
+                                            Err(e) => {
+                                                return Some(format!(
+                                                    "fetch {name}[{row_idx}]: {e}"
+                                                ))
+                                            }
                                         }
                                     }
-                                }
-                                loaded.push(LoadedRow {
-                                    names: tensor_names.clone(),
-                                    samples,
+                                    loaded.push(LoadedRow {
+                                        names: tensor_names.clone(),
+                                        samples,
+                                    });
+                                    None
                                 });
-                                None
-                            });
-                            // Stage samples land the moment the stage
-                            // finishes — before the send can block — so
-                            // a consumer dropping mid-epoch loses none.
-                            let stages = &w.obs.stages;
-                            stages.fetch.record(pf.fetch_ns());
-                            stages
-                                .decode
-                                .record(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
-                            failure
-                        }
-                        Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
-                    };
-                    w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
-                    let loaded: Vec<LoadedRow> = match &transform {
-                        Some(f) => {
-                            let t = Instant::now();
-                            let mut names = tensor_names.clone();
-                            let out = loaded
-                                .into_iter()
-                                .map(|row| LoadedRow::from_row(f(row.into_row()), &mut names))
-                                .collect();
-                            w.obs.stages.transform.record(t.elapsed().as_nanos() as u64);
-                            out
-                        }
-                        None => loaded,
-                    };
+                                // Stage samples land the moment the stage
+                                // finishes — before the send — so a
+                                // consumer dropping mid-epoch loses none.
+                                let stages = &w.obs.stages;
+                                stages.fetch.record(pf.fetch_ns());
+                                stages
+                                    .decode
+                                    .record(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
+                                failure
+                            }
+                            Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
+                        };
+                        w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
+                        let loaded: Vec<LoadedRow> = match &transform {
+                            Some(f) => {
+                                let t = Instant::now();
+                                let mut names = tensor_names.clone();
+                                let out = loaded
+                                    .into_iter()
+                                    .map(|row| LoadedRow::from_row(f(row.into_row()), &mut names))
+                                    .collect();
+                                w.obs.stages.transform.record(t.elapsed().as_nanos() as u64);
+                                out
+                            }
+                            None => loaded,
+                        };
+                        (loaded, failure)
+                    }));
+                    let (rows, failure) = run.unwrap_or_else(|_| {
+                        let panicked = format!("task at position {} panicked", task.start);
+                        (Vec::new(), Some(panicked))
+                    });
                     w.task_done(busy_t.elapsed().as_nanos() as u64);
                     // the rows before a failing sample travel with the
-                    // failure, which ends the epoch
-                    let failed = failure.is_some();
-                    let rows_sent = loaded.len() as u64;
+                    // failure
+                    let rows_sent = rows.len() as u64;
                     let message = TaskRows {
-                        start: task.start,
-                        rows: loaded,
+                        task,
+                        rows,
                         failure,
                     };
                     if tx.send(message).is_err() {
                         return; // consumer hung up
                     }
                     w.sent(rows_sent);
-                    if failed {
-                        return;
-                    }
                 }
             }));
         }
         drop(tx);
 
-        EpochIter {
+        let mut epoch = EpochIter {
             rx,
+            tasks: Some(task_tx),
+            ends: plan.ends,
+            issued: 0,
+            allowance,
             handles,
-            reorder: BinaryHeap::new(),
-            next_pos: 0,
-            shuffle_buffer: self
-                .config
-                .shuffle
-                .map(|s| ShuffleBuffer::new(s.buffer_rows, s.seed)),
+            slots: plan.delivery.iter().map(|_| None).collect(),
+            delivery: plan.delivery,
+            next_out: 0,
+            failures: Vec::new(),
             pending: VecDeque::new(),
             batch_size: self.config.batch_size,
             drop_last: self.config.drop_last,
@@ -297,7 +325,9 @@ impl DataLoader {
             spans,
             in_flight: in_flight.max(1),
             resumed_at: None,
-        }
+        };
+        epoch.issue();
+        epoch
     }
 }
 
@@ -346,31 +376,9 @@ impl WorkerObs {
 /// What a worker sends for one task: its rows in epoch order — all of
 /// them, or those before the sample that failed, then the failure.
 struct TaskRows {
-    /// Epoch position of the task's first row.
-    start: usize,
+    task: Range<usize>,
     rows: Vec<LoadedRow>,
     failure: Option<String>,
-}
-
-/// Reorder-heap entry: a task's rows, ordered by the task's first epoch
-/// position (wrapped in [`Reverse`] for a min-heap).
-struct Seq(usize, Vec<LoadedRow>);
-
-impl PartialEq for Seq {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for Seq {}
-impl PartialOrd for Seq {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Seq {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
 }
 
 /// One epoch's delivery totals so far.
@@ -411,17 +419,31 @@ impl LoaderStats {
 /// Iterator over one epoch's batches.
 pub struct EpochIter {
     rx: Receiver<TaskRows>,
+    /// Where tasks go to the workers, until the last one is issued.
+    tasks: Option<Sender<Range<usize>>>,
+    /// One past the last epoch position of each block: one task each.
+    ends: Vec<usize>,
+    /// Tasks issued so far, in epoch order.
+    issued: usize,
+    /// How far past the next row to deliver a task may start: the
+    /// plan's reach + the in-flight budget + a block per worker.
+    allowance: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
-    reorder: BinaryHeap<Reverse<Seq>>,
-    /// Epoch position the next in-order task starts at.
-    next_pos: usize,
-    shuffle_buffer: Option<ShuffleBuffer<LoadedRow>>,
+    /// Rows received and not yet delivered, by epoch position.
+    slots: Vec<Option<LoadedRow>>,
+    /// The plan's delivery order: epoch positions.
+    delivery: Vec<usize>,
+    /// Rows delivered so far: `delivery[next_out]` is the next one.
+    next_out: usize,
+    /// Epoch positions failed tasks did not deliver, with the failure.
+    failures: Vec<(Range<usize>, String)>,
+    /// Delivered rows waiting to be collated.
     pending: VecDeque<LoadedRow>,
     batch_size: usize,
     drop_last: bool,
     upstream_done: bool,
-    /// A worker's failure, surfaced once the full batches of the rows
-    /// that came with it are delivered.
+    /// A task's failure, surfaced once delivery reaches a row the task
+    /// did not deliver and the full batches before it are out.
     failure: Option<String>,
     failed: bool,
     started: Instant,
@@ -521,39 +543,42 @@ impl EpochIter {
         }
     }
 
-    fn absorb(&mut self, start: usize, rows: Vec<LoadedRow>) {
-        match &mut self.shuffle_buffer {
-            Some(buf) => {
-                for row in rows {
-                    if let Some(evicted) = buf.push(row) {
-                        self.pending.push_back(evicted);
-                    }
-                }
-            }
-            None => {
-                self.reorder.push(Reverse(Seq(start, rows)));
-                while let Some(Reverse(Seq(s, _))) = self.reorder.peek() {
-                    if *s != self.next_pos {
-                        break;
-                    }
-                    let Reverse(Seq(_, rows)) = self.reorder.pop().expect("peeked");
-                    self.next_pos += rows.len();
-                    self.pending.extend(rows);
-                }
-            }
+    /// Place a task's rows at their epoch positions, deliver what the
+    /// plan now can, and issue the tasks the credit reaches.
+    fn absorb(&mut self, done: TaskRows) {
+        let task = done.task;
+        if let Some(message) = done.failure {
+            let gap = task.start + done.rows.len()..task.end;
+            self.failures.push((gap, message));
         }
+        for (slot, row) in self.slots[task.start..].iter_mut().zip(done.rows) {
+            *slot = Some(row);
+        }
+        while let Some(&pos) = self.delivery.get(self.next_out) {
+            let Some(row) = self.slots[pos].take() else {
+                if let Some(i) = self.failures.iter().position(|(gap, _)| gap.contains(&pos)) {
+                    self.failure = Some(self.failures.swap_remove(i).1);
+                }
+                break;
+            };
+            self.pending.push_back(row);
+            self.next_out += 1;
+        }
+        self.issue();
     }
 
-    fn finish_upstream(&mut self) {
-        self.upstream_done = true;
-        if let Some(buf) = &mut self.shuffle_buffer {
-            for row in buf.drain() {
-                self.pending.push_back(row);
-            }
-        } else {
-            while let Some(Reverse(Seq(_, rows))) = self.reorder.pop() {
-                self.pending.extend(rows);
-            }
+    /// Send the workers every task the credit reaches; once the last is
+    /// sent, hang up so they exit when the queue is empty.
+    fn issue(&mut self) {
+        let Some(tasks) = &self.tasks else { return };
+        let due = credit(&self.ends, self.next_out + self.allowance);
+        for i in self.issued..due {
+            // the workers outlive the sender: it cannot fail
+            let _ = tasks.send(task(&self.ends, i));
+        }
+        self.issued = due;
+        if due == self.ends.len() {
+            self.tasks = None;
         }
     }
 
@@ -612,10 +637,11 @@ impl EpochIter {
                     let rows = task.rows.len() as u64;
                     self.obs.queue_depth.add(-(rows as i64));
                     self.recvd += rows;
-                    self.absorb(task.start, task.rows);
-                    self.failure = task.failure;
+                    self.absorb(task);
                 }
-                Err(_) => self.finish_upstream(),
+                // every task ran: the plan is delivered, or stopped at a
+                // failure
+                Err(_) => self.upstream_done = true,
             }
         }
     }
@@ -642,7 +668,9 @@ impl Iterator for EpochIter {
 
 impl Drop for EpochIter {
     fn drop(&mut self) {
-        // unblock senders, then join
+        // release workers waiting for a task (one mid-task finds the
+        // receiver gone when it sends), then join
+        self.tasks = None;
         drop(std::mem::replace(&mut self.rx, crossbeam::channel::never()));
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -714,21 +742,201 @@ mod tests {
         assert_eq!(all, expect, "multi-worker delivery must stay in order");
     }
 
+    /// `rows` rows of one label each, the label being the row index.
+    fn labels_dataset(rows: u64) -> Arc<Dataset> {
+        let mut ds = Dataset::create(Arc::new(MemoryProvider::new()), "labels").unwrap();
+        ds.create_tensor("labels", Htype::ClassLabel, None).unwrap();
+        for i in 0..rows {
+            ds.append_row(vec![("labels", Sample::scalar(i as i32))])
+                .unwrap();
+        }
+        ds.flush().unwrap();
+        Arc::new(ds)
+    }
+
+    /// The labels of `epochs` consecutive epochs of one loader.
+    fn epochs_of(loader: &DataLoader, epochs: usize) -> Vec<Vec<i32>> {
+        (0..epochs)
+            .map(|_| {
+                loader
+                    .epoch()
+                    .flat_map(|b| labels_of(&b.unwrap()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// FNV-1a over the delivered labels, one label at a time.
+    fn digest(labels: &[i32]) -> u64 {
+        labels.iter().fold(0xcbf2_9ce4_8422_2325, |h, &l| {
+            (h ^ l as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
     #[test]
     fn deterministic_across_worker_counts() {
-        let ds = dataset(64);
-        let collect = |workers: usize| -> Vec<i32> {
-            let loader = DataLoader::builder(ds.clone())
-                .batch_size(8)
+        let ds = labels_dataset(2000);
+        for shuffle in [None, Some(42)] {
+            let collect = |workers: usize| {
+                let mut builder = DataLoader::builder(ds.clone())
+                    .batch_size(8)
+                    .num_workers(workers);
+                if let Some(seed) = shuffle {
+                    builder = builder.shuffle(seed);
+                }
+                epochs_of(&builder.build().unwrap(), 2)
+            };
+            let one = collect(1);
+            assert_eq!(one, collect(2), "shuffle {shuffle:?}");
+            assert_eq!(one, collect(8), "shuffle {shuffle:?}");
+        }
+    }
+
+    /// Each epoch of a shuffled loader is drawn anew, and the same
+    /// (seed, epoch) is the same order on another loader.
+    #[test]
+    fn epochs_differ_and_a_seed_and_epoch_fix_the_order() {
+        let ds = labels_dataset(2000);
+        let loader = |workers| {
+            DataLoader::builder(ds.clone())
+                .batch_size(32)
                 .num_workers(workers)
+                .shuffle(42)
                 .build()
-                .unwrap();
-            loader
-                .epoch()
-                .flat_map(|b| labels_of(&b.unwrap()))
-                .collect()
+                .unwrap()
         };
-        assert_eq!(collect(1), collect(8));
+        let a = epochs_of(&loader(4), 3);
+        let b = epochs_of(&loader(3), 3);
+        assert_eq!(a, b);
+        for pair in a.windows(2) {
+            let moved = pair[0].iter().zip(&pair[1]).filter(|(x, y)| x != y).count();
+            assert!(moved > 1500, "consecutive epochs differ at {moved} of 2000");
+        }
+        let mut sorted = a[2].clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..2000).collect::<Vec<_>>());
+    }
+
+    /// Epoch 0 of `shuffle(42)` over 2,000 rows, at 8 workers, is the
+    /// order one worker delivered before an epoch was a plan.
+    #[test]
+    fn golden_first_epoch_of_seed_42() {
+        let loader = DataLoader::builder(labels_dataset(2000))
+            .batch_size(32)
+            .num_workers(8)
+            .shuffle(42)
+            .build()
+            .unwrap();
+        let labels = epochs_of(&loader, 1).remove(0);
+        assert_eq!(labels.len(), 2000);
+        assert_eq!(format!("{:016x}", digest(&labels)), "15d812a3590d1155");
+    }
+
+    /// A transform parks the rows of the epoch's first task. While it
+    /// is parked, the other worker runs no further ahead than the
+    /// credit: the rows delivered before one of the parked task's is
+    /// due, plus the plan's reach, the in-flight budget and a block per
+    /// worker. The park ends as soon as a row past the credit runs, or
+    /// a quarter second after the other worker ran the in-flight budget
+    /// ahead — only a loader that breaks the credit trips the check.
+    #[test]
+    fn a_parked_task_holds_the_others_to_the_credit() {
+        use std::sync::Condvar;
+
+        const ROWS: u64 = 4000;
+        const WORKERS: usize = 2;
+        const BATCH: usize = 32;
+        let ds = labels_dataset(ROWS);
+        for shuffle in [None, Some(42)] {
+            let config = shuffle.map(|seed| crate::ShuffleConfig {
+                seed,
+                ..crate::ShuffleConfig::default()
+            });
+            let indices: Vec<u64> = (0..ROWS).collect();
+            let block_rows = config.unwrap_or_default().block_rows;
+            let blocks = block_ends(&indices, &ds.chunk_spans("labels").unwrap(), block_rows);
+            let plan = epoch_plan(&indices, &blocks, config.as_ref(), 0);
+            let first = plan.ends[0];
+            let parked: Vec<u64> = plan.order[..first].to_vec();
+            // delivery runs up to the first of the parked rows
+            let delivered = plan.delivery.iter().position(|&p| p < first).unwrap();
+            let in_flight = 2 * BATCH; // the default prefetch of 2 batches
+            let credit = delivered + plan.reach + in_flight + WORKERS * block_rows;
+
+            // (rows the others ran while the park held, park released)
+            let state = Arc::new((Mutex::new((0usize, false)), Condvar::new()));
+            let seen = state.clone();
+            let mut builder = DataLoader::builder(ds.clone())
+                .batch_size(BATCH)
+                .num_workers(WORKERS)
+                .transform(move |row| {
+                    let label = row.get("labels").unwrap().get_f64(0).unwrap() as u64;
+                    let (lock, wake) = &*seen;
+                    let mut st = lock.lock().unwrap();
+                    if !parked.contains(&label) {
+                        if !st.1 {
+                            st.0 += 1;
+                            wake.notify_all();
+                        }
+                        return row;
+                    }
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    let mut grace: Option<Instant> = None;
+                    while !st.1 && st.0 <= credit {
+                        let now = Instant::now();
+                        if st.0 >= in_flight && grace.is_none() {
+                            grace = Some(now + Duration::from_millis(250));
+                        }
+                        let until = grace.unwrap_or(deadline).min(deadline);
+                        if now >= until {
+                            break;
+                        }
+                        st = wake.wait_timeout(st, until - now).unwrap().0;
+                    }
+                    st.1 = true;
+                    row
+                });
+            if let Some(cfg) = config {
+                builder = builder.shuffle_with(cfg);
+            }
+            let labels = epochs_of(&builder.build().unwrap(), 1).remove(0);
+            assert_eq!(labels.len(), ROWS as usize);
+            let ahead = state.0.lock().unwrap().0;
+            assert!(
+                ahead <= credit,
+                "shuffle {shuffle:?}: {ahead} rows ran past a parked task, credit {credit}"
+            );
+            assert!(
+                ahead >= in_flight,
+                "shuffle {shuffle:?}: {ahead} rows ran past a parked task before the deadline"
+            );
+        }
+    }
+
+    /// A task whose transform panics fails like a task whose fetch
+    /// fails: the rows delivered before it, then one error, then the
+    /// end — not an epoch that waits for its rows for ever.
+    #[test]
+    fn a_panicking_transform_ends_the_epoch_with_an_error() {
+        let loader = DataLoader::builder(labels_dataset(100))
+            .batch_size(8)
+            .num_workers(3)
+            .transform(|row| {
+                let label = row.get("labels").unwrap().get_f64(0).unwrap();
+                assert!(label != 40.0, "a transform that panics on row 40");
+                row
+            })
+            .build()
+            .unwrap();
+        let mut epoch = loader.epoch();
+        // the panicking task is the second block, rows 32..64
+        for first in (0..32).step_by(8) {
+            let batch = epoch.next().expect("a batch before the panic").unwrap();
+            assert_eq!(labels_of(&batch)[0], first);
+        }
+        let err = epoch.next().expect("the failure").unwrap_err().to_string();
+        assert!(err.contains("task at position 32 panicked"), "{err}");
+        assert!(epoch.next().is_none());
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! predicting memory consumption to avoid breaking the training process
 //! due to memory overfilling").
 //!
-//! The in-flight row budget this estimator produces bounds the prefetch
-//! channel — which carries whole blocks, so it holds as many blocks of
-//! the epoch's mean size as fit the budget, and at least one; each
-//! worker holds one more block while it waits to send. A block is at
-//! most `block_rows + block_rows / 2` rows (48 by default) whatever the
-//! chunk size, so the bound is off by less than that per slot. It is
-//! observable live as the `loader.queue_depth` gauge (in rows) and
+//! The in-flight row budget this estimator produces is part of the
+//! consumer's credit ([`scheduler`](crate::scheduler)): a task is issued
+//! only while its first row lies within the budget, plus the epoch
+//! plan's reach (under `buffer_rows` shuffled, 0 sequential) and one
+//! block per worker, of the next row to deliver. So that sum bounds the
+//! rows decoded ahead of the consumer, whatever the chunk size and
+//! however slow one task is; a block is at most `block_rows +
+//! block_rows / 2` rows (48 by default), so the last task issued may end
+//! that far past the line. It is observable live as the
+//! `loader.queue_depth` gauge (rows sent and not yet received) and
 //! reported per epoch as
 //! [`EpochReport::in_flight_rows`](crate::EpochReport::in_flight_rows).
 

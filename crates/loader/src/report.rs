@@ -220,7 +220,11 @@ pub struct EpochReport {
     pub consumer_gap: StageSummary,
     /// Per-worker busy time and task counts.
     pub workers: Vec<WorkerSummary>,
-    /// Rows the bounded channel admits in flight this epoch.
+    /// The epoch's in-flight budget in rows (`prefetch_batches` ×
+    /// `batch_size`, or fewer under `memory_budget_bytes`): a task is
+    /// issued while its start is within this many rows — plus the
+    /// plan's reach and one block per worker — of the next row to
+    /// deliver.
     pub in_flight_rows: usize,
     /// The epoch's trace id — every worker fetch joins this trace, and
     /// a served hub's span tree carries it end to end.

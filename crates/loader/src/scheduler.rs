@@ -1,11 +1,22 @@
-//! The epoch's work queue: a shared cursor over the epoch's blocks.
+//! The epoch's work queue: the consumer issues the epoch's blocks, in
+//! epoch order, as far as its credit reaches.
 //!
 //! An epoch's order is a list of *blocks* — runs of the index list of
 //! about `block_rows` rows, chunk-aligned where a chunk boundary is
 //! near, cut by [`shuffle::block_ends`](crate::shuffle::block_ends) —
 //! and each block is one *task*: one storage call, one decode pass,
-//! one message to the consumer. Workers claim tasks in epoch order with
-//! one atomic increment over the list of block ends; nothing is sorted.
+//! one message to the consumer. The consumer sends a task to the
+//! workers once its first epoch position lies within the credit of the
+//! next row it will deliver: `next_out + reach + in_flight + num_workers
+//! × block_rows`, where `next_out` counts the rows delivered, `reach` is
+//! how far the epoch's delivery order runs ahead of its positions
+//! ([`EpochPlan::reach`](crate::shuffle::EpochPlan::reach)), `in_flight`
+//! is the prefetch/memory budget in rows, and each worker may hold one
+//! block beyond it. The task holding the next row to deliver is always
+//! within the credit, so the epoch never waits for a task it has not
+//! issued; a straggling task holds the others to the credit instead of
+//! letting them pile rows up behind it. The rule is [`credit`], a
+//! function: it runs no thread.
 //!
 //! §4.6 describes a scheduler that runs CPU-intensive jobs ahead of
 //! lighter ones. That ordering needs a per-task cost signal, and the
@@ -20,65 +31,37 @@
 //! counters, so an uneven split between workers is visible in
 //! [`EpochReport::workers`](crate::EpochReport::workers).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 
-/// One unit of work: positions `[start, end)` of the epoch order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Task {
-    /// First epoch position.
-    pub start: usize,
-    /// One past the last epoch position.
-    pub end: usize,
+/// How many of the blocks ending at `ends` (ascending; the first starts
+/// at position 0) are issued while the credit runs to `line` — rows
+/// delivered + `reach + in_flight + num_workers × block_rows`: every
+/// block that starts before it. `line` only grows, so neither does this.
+pub fn credit(ends: &[usize], line: usize) -> usize {
+    // block 0 starts at 0, block i at ends[i - 1]
+    let started_after_first = ends.partition_point(|&end| end < line);
+    (started_after_first + usize::from(line > 0)).min(ends.len())
 }
 
-/// The epoch's blocks, claimed by workers through an atomic cursor.
-pub struct Scheduler {
-    /// One past the last epoch position of each block, ascending.
-    ends: Vec<usize>,
-    cursor: AtomicUsize,
-}
-
-impl Scheduler {
-    /// A schedule over the blocks ending at `ends` (ascending; the first
-    /// block starts at position 0).
-    pub fn new(ends: Vec<usize>) -> Self {
-        Scheduler {
-            ends,
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claim the next task in epoch order (thread-safe).
-    pub fn next(&self) -> Option<Task> {
-        // Relaxed: the cursor hands out indices and publishes no data.
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let end = *self.ends.get(i)?;
-        Some(Task {
-            start: i.checked_sub(1).map_or(0, |prev| self.ends[prev]),
-            end,
-        })
-    }
-
-    /// Total task count.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether there are no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
+/// Task `i` of the blocks ending at `ends`: its epoch positions.
+pub fn task(ends: &[usize], i: usize) -> Range<usize> {
+    i.checked_sub(1).map_or(0, |prev| ends[prev])..ends[i]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tasks issued while the credit runs to `line`.
+    fn issued(ends: &[usize], line: usize) -> Vec<Range<usize>> {
+        (0..credit(ends, line)).map(|i| task(ends, i)).collect()
+    }
+
     #[test]
     fn covers_all_positions_once() {
-        let s = Scheduler::new(vec![29, 58, 64, 100]);
+        let ends = [29, 58, 64, 100];
         let mut seen = [false; 100];
-        while let Some(t) = s.next() {
+        for t in issued(&ends, usize::MAX) {
             for (p, flag) in seen.iter_mut().enumerate().take(t.end).skip(t.start) {
                 assert!(!*flag, "position {p} scheduled twice");
                 *flag = true;
@@ -89,44 +72,49 @@ mod tests {
 
     #[test]
     fn claims_are_in_epoch_order() {
-        let s = Scheduler::new(vec![10, 20, 30, 40, 45]);
-        assert_eq!(s.len(), 5);
-        let tasks: Vec<(usize, usize)> = std::iter::from_fn(|| s.next())
-            .map(|t| (t.start, t.end))
-            .collect();
-        assert_eq!(tasks, vec![(0, 10), (10, 20), (20, 30), (30, 40), (40, 45)]);
+        let ends = [10, 20, 30, 40, 45];
+        assert_eq!(
+            issued(&ends, usize::MAX),
+            vec![0..10, 10..20, 20..30, 30..40, 40..45]
+        );
     }
 
     #[test]
-    fn concurrent_claims_are_disjoint() {
-        let s = std::sync::Arc::new(Scheduler::new(
-            (1..=143).map(|i| (i * 7).min(1000)).collect(),
-        ));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let s = s.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(t) = s.next() {
-                    got.push(t.start);
-                }
-                got
-            }));
+    fn tasks_are_issued_in_epoch_order_as_the_credit_grows() {
+        let ends = [10, 20, 30, 40, 45];
+        assert_eq!(credit(&ends, 0), 0);
+        // a task is issued once its start is before the line
+        assert_eq!(credit(&ends, 1), 1);
+        assert_eq!(credit(&ends, 10), 1);
+        assert_eq!(credit(&ends, 11), 2);
+        assert_eq!(credit(&ends, 21), 3);
+        assert_eq!(credit(&ends, 41), 5);
+        assert_eq!(credit(&ends, usize::MAX), 5);
+    }
+
+    #[test]
+    fn the_next_row_to_deliver_is_always_issued() {
+        // whatever the delivery order, the task holding delivery[next_out]
+        // starts at most `reach` positions past next_out, so an allowance
+        // of reach + 1 already reaches it
+        let ends: Vec<usize> = (1..=25).map(|b| b * 8).collect();
+        let delivery = crate::shuffle::buffer_walk(200, 48, 11);
+        let reach = delivery
+            .iter()
+            .enumerate()
+            .map(|(j, &p)| p.saturating_sub(j))
+            .max()
+            .unwrap();
+        for (next_out, &pos) in delivery.iter().enumerate() {
+            let issued_to = ends[credit(&ends, next_out + reach + 1) - 1];
+            assert!(pos < issued_to, "row {pos} needed before it was issued");
+            assert!(issued_to <= next_out + reach + 8, "issued past the credit");
         }
-        let mut all: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), s.len());
     }
 
     #[test]
     fn empty_schedule() {
-        let s = Scheduler::new(Vec::new());
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-        assert!(s.next().is_none());
+        assert_eq!(credit(&[], 0), 0);
+        assert_eq!(credit(&[], 64), 0);
     }
 }

@@ -6,11 +6,12 @@
 //! of fetched and unutilized data. This avoids having a separate compute
 //! cluster for running shuffling algorithm."
 //!
-//! Two levels:
+//! An epoch is one plan ([`epoch_plan`]), drawn from the seed and the
+//! epoch's index before any row is fetched, at two levels:
 //! 1. **Block shuffle** — the loader's index list is cut into *blocks*
 //!    ([`block_ends`]) and the *order* of the blocks is randomized
 //!    ([`block_shuffled_order`]). A block is the loader's unit of work —
-//!    one [`Task`](crate::scheduler::Task), one storage call, one message
+//!    one [task](crate::scheduler::task), one storage call, one message
 //!    to the consumer — of `block_rows` rows, give or take half: a block
 //!    aims to end `block_rows` positions after it began, and that end is
 //!    moved to the nearest position where the *primary* tensor (the
@@ -24,18 +25,24 @@
 //!    than `block_rows + block_rows / 2` rows, which is what keeps the
 //!    loader's row and memory bounds and spreads a large chunk over the
 //!    workers. Sequential epochs use the same blocks in index order.
-//! 2. **Shuffle buffer** — a bounded pool of decoded rows from which the
-//!    next sample is drawn uniformly, decorrelating nearby samples.
+//! 2. **Shuffle buffer** — the rows' delivery order is the one a bounded
+//!    pool of `buffer_rows` rows, drawn from uniformly, gives the epoch's
+//!    positions fed to it in order ([`buffer_walk`]), decorrelating
+//!    nearby samples. Because it is computed from positions rather than
+//!    run on arriving rows, thread timing cannot change it, and every
+//!    row's place in the epoch is known before it is fetched. A
+//!    sequential epoch is delivered as it stands.
 //!
 //! The cut depends only on the dataset and the index list, so it is made
-//! once, when the loader is built; ordering the blocks lands inside the
-//! epoch's single `loader.schedule_ns` sample, and the buffer adds
-//! consumer-side latency that surfaces as `loader.queue_wait_ns` only
-//! when it forces extra receives.
+//! once, when the loader is built; drawing the plan lands inside the
+//! epoch's single `loader.schedule_ns` sample. Waiting for a row whose
+//! turn has come surfaces as `loader.queue_wait_ns`.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
+
+use crate::config::ShuffleConfig;
 
 /// Cut `indices` into blocks of `block_rows` rows, give or take half,
 /// that end where the primary tensor's chunk changes whenever such a
@@ -114,54 +121,82 @@ pub fn block_shuffled_order(indices: &[u64], ends: &[usize], seed: u64) -> (Vec<
     (order, shuffled_ends)
 }
 
-/// A bounded buffer that releases items in random order.
-pub struct ShuffleBuffer<T> {
-    items: Vec<T>,
-    capacity: usize,
-    rng: StdRng,
+/// The delivery order a shuffle buffer of `buffer_rows` rows gives the
+/// epoch positions `0..n` fed to it in order: once the buffer is full,
+/// each arriving position evicts a uniformly drawn resident, and what
+/// is left at the end leaves in a Fisher-Yates order. Returns the
+/// positions in the order they are delivered — a permutation of `0..n`
+/// in which no position comes out more than `buffer_rows - 1` places
+/// before its own.
+pub fn buffer_walk(n: usize, buffer_rows: usize, seed: u64) -> Vec<usize> {
+    let capacity = buffer_rows.max(1);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xB0FF);
+    let mut held: Vec<usize> = Vec::with_capacity(capacity.min(n));
+    let mut out = Vec::with_capacity(n);
+    for pos in 0..n {
+        if held.len() < capacity {
+            held.push(pos);
+        } else {
+            let slot = rng.random_range(0..held.len());
+            out.push(std::mem::replace(&mut held[slot], pos));
+        }
+    }
+    for i in (1..held.len()).rev() {
+        let j = rng.random_range(0..=i);
+        held.swap(i, j);
+    }
+    out.extend(held);
+    out
 }
 
-impl<T> ShuffleBuffer<T> {
-    /// Buffer of `capacity` items seeded with `seed`.
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        ShuffleBuffer {
-            items: Vec::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            rng: StdRng::seed_from_u64(seed ^ 0xB0FF),
+/// One epoch, decided before any row is fetched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpochPlan {
+    /// The rows by epoch position: the blocks, in the epoch's order.
+    pub order: Vec<u64>,
+    /// One past the last epoch position of each block, ascending — one
+    /// task each.
+    pub ends: Vec<usize>,
+    /// The epoch positions in the order their rows are delivered.
+    pub delivery: Vec<usize>,
+    /// How far delivery reaches ahead: the largest `delivery[j] - j`.
+    pub reach: usize,
+}
+
+/// The plan of epoch `epoch` over `indices` cut at `blocks` (see
+/// [`block_ends`]). Shuffled, the blocks are ordered by
+/// [`block_shuffled_order`] and the rows delivered in [`buffer_walk`]
+/// order, both drawn from the seed mixed with the epoch's index — the
+/// seed itself for epoch 0, a stream of its own for each later epoch
+/// (the per-epoch re-seeding of PyTorch's `DistributedSampler.set_epoch`).
+/// Unshuffled, every epoch is the blocks in index order, delivered as
+/// they stand.
+pub fn epoch_plan(
+    indices: &[u64],
+    blocks: &[usize],
+    shuffle: Option<&ShuffleConfig>,
+    epoch: u64,
+) -> EpochPlan {
+    let (order, ends, delivery) = match shuffle {
+        Some(cfg) => {
+            let seed = cfg.seed ^ epoch.wrapping_mul(0xD1B5_4A32_D192_ED03);
+            let (order, ends) = block_shuffled_order(indices, blocks, seed);
+            let delivery = buffer_walk(order.len(), cfg.buffer_rows, seed);
+            (order, ends, delivery)
         }
-    }
-
-    /// Push an item; when the buffer is full, a uniformly random resident
-    /// item is evicted and returned.
-    pub fn push(&mut self, item: T) -> Option<T> {
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-            return None;
-        }
-        let slot = self.rng.random_range(0..self.items.len());
-        let evicted = std::mem::replace(&mut self.items[slot], item);
-        Some(evicted)
-    }
-
-    /// Drain remaining items in random order.
-    pub fn drain(&mut self) -> Vec<T> {
-        let mut rest: Vec<T> = self.items.drain(..).collect();
-        // Fisher-Yates over the tail
-        for i in (1..rest.len()).rev() {
-            let j = self.rng.random_range(0..=i);
-            rest.swap(i, j);
-        }
-        rest
-    }
-
-    /// Items currently buffered.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        None => (
+            indices.to_vec(),
+            blocks.to_vec(),
+            (0..indices.len()).collect(),
+        ),
+    };
+    let ahead = |(j, &pos): (usize, &usize)| pos.saturating_sub(j);
+    let reach = delivery.iter().enumerate().map(ahead).max();
+    EpochPlan {
+        reach: reach.unwrap_or(0),
+        order,
+        ends,
+        delivery,
     }
 }
 
@@ -260,14 +295,7 @@ mod tests {
 
     #[test]
     fn buffer_delivers_everything_exactly_once() {
-        let mut buf = ShuffleBuffer::new(10, 3);
-        let mut out = Vec::new();
-        for i in 0..100 {
-            if let Some(e) = buf.push(i) {
-                out.push(e);
-            }
-        }
-        out.extend(buf.drain());
+        let out = buffer_walk(100, 10, 3);
         assert_eq!(out.len(), 100);
         let mut sorted = out.clone();
         sorted.sort_unstable();
@@ -277,15 +305,13 @@ mod tests {
 
     #[test]
     fn buffer_smaller_than_stream_still_works() {
-        let mut buf = ShuffleBuffer::new(1, 0);
-        let mut out = Vec::new();
-        for i in 0..5 {
-            if let Some(e) = buf.push(i) {
-                out.push(e);
-            }
-        }
-        out.extend(buf.drain());
+        let out = buffer_walk(5, 1, 0);
         assert_eq!(out.len(), 5);
+        assert!(buffer_walk(0, 4, 0).is_empty());
+        // a buffer larger than the stream is one Fisher-Yates shuffle
+        let mut small = buffer_walk(5, 512, 0);
+        small.sort_unstable();
+        assert_eq!(small, [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -293,14 +319,10 @@ mod tests {
         // displacement of block-shuffle alone vs block-shuffle + buffer
         let indices: Vec<u64> = (0..400).collect();
         let (order, _) = shuffled(400, 29, 32, 2);
-        let mut buf = ShuffleBuffer::new(128, 2);
-        let mut buffered = Vec::new();
-        for &i in &order {
-            if let Some(e) = buf.push(i) {
-                buffered.push(e);
-            }
-        }
-        buffered.extend(buf.drain());
+        let buffered: Vec<u64> = buffer_walk(order.len(), 128, 2)
+            .into_iter()
+            .map(|pos| order[pos])
+            .collect();
         let disorder = |v: &[u64]| -> f64 {
             v.iter()
                 .enumerate()
@@ -313,5 +335,40 @@ mod tests {
         let mut sorted = buffered.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, indices);
+    }
+
+    #[test]
+    fn delivery_reaches_less_than_a_buffer_ahead() {
+        for (n, buffer) in [(2000, 512), (400, 128), (100, 1), (30, 64)] {
+            let walk = buffer_walk(n, buffer, 9);
+            let reach = walk.iter().enumerate().map(|(j, &p)| p.saturating_sub(j));
+            assert!(reach.max().unwrap() < buffer, "{n} rows, buffer {buffer}");
+        }
+    }
+
+    #[test]
+    fn epoch_zero_is_the_seed_and_later_epochs_redraw() {
+        let indices: Vec<u64> = (0..300).collect();
+        let blocks = block_ends(&indices, &spans(300, 29), 32);
+        let cfg = ShuffleConfig {
+            seed: 5,
+            ..ShuffleConfig::default()
+        };
+        let zero = epoch_plan(&indices, &blocks, Some(&cfg), 0);
+        assert_eq!(
+            (zero.order.clone(), zero.ends.clone()),
+            block_shuffled_order(&indices, &blocks, 5)
+        );
+        assert_eq!(zero.delivery, buffer_walk(300, cfg.buffer_rows, 5));
+        let one = epoch_plan(&indices, &blocks, Some(&cfg), 1);
+        assert_eq!(one, epoch_plan(&indices, &blocks, Some(&cfg), 1));
+        assert_ne!(one.order, zero.order);
+        assert_ne!(one.delivery, zero.delivery);
+
+        let sequential = epoch_plan(&indices, &blocks, None, 3);
+        assert_eq!(sequential.order, indices);
+        assert_eq!(sequential.ends, blocks);
+        assert_eq!(sequential.delivery, (0..300).collect::<Vec<_>>());
+        assert_eq!(sequential.reach, 0);
     }
 }

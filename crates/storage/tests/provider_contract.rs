@@ -14,16 +14,34 @@ use deeplake_storage::{
     SimulatedCloudProvider, StorageProvider,
 };
 
-fn providers() -> Vec<(&'static str, Box<dyn StorageProvider>)> {
-    let tmp = std::env::temp_dir().join(format!(
-        "deeplake-contract-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&tmp);
+/// A directory of its own for the test that holds it, removed when
+/// dropped — also when that test panics — so a run leaves nothing under
+/// the temporary directory.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new() -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "deeplake-contract-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The providers under test; the local one writes under `dir`.
+fn providers(dir: &TempDir) -> Vec<(&'static str, Box<dyn StorageProvider>)> {
     vec![
         ("memory", Box::new(MemoryProvider::new())),
-        ("local", Box::new(LocalProvider::new(tmp).unwrap())),
+        ("local", Box::new(LocalProvider::new(&dir.0).unwrap())),
         (
             "sim-cloud",
             Box::new(SimulatedCloudProvider::new(
@@ -50,7 +68,8 @@ macro_rules! contract_test {
     ($test_name:ident, $check:ident) => {
         #[test]
         fn $test_name() {
-            for (name, p) in providers() {
+            let dir = TempDir::new();
+            for (name, p) in providers(&dir) {
                 contract::$check(name, p.as_ref());
             }
         }

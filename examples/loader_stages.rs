@@ -5,8 +5,9 @@
 //! label per row) is read twice — from a local provider, and from a hub
 //! on loopback through `RemoteProvider` — and each reading prints:
 //!
-//! * the work itself, on ONE thread, block by block in the loader's own
-//!   shuffled block order: `fetch` (the task's one storage call), `admit`
+//! * the work itself, on ONE thread, block by block in the order of the
+//!   loader's first epoch (drawn by `shuffle::epoch_plan`, as the loader
+//!   draws it): `fetch` (the task's one storage call), `admit`
 //!   (parsing the fetched chunks), `assemble` (decoding each sample out
 //!   of its chunk into the row);
 //! * the loader doing the same epoch (two workers, batch 32): wall time
@@ -32,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use deeplake::loader::shuffle::{block_ends, block_shuffled_order};
+use deeplake::loader::shuffle::{block_ends, epoch_plan};
 use deeplake::loader::ShuffleConfig;
 use deeplake::prelude::*;
 use deeplake::sim::datagen::imagenet_like;
@@ -96,9 +97,14 @@ fn single_thread(ds: &Dataset, rows: u64) -> f64 {
     let names = vec!["images".to_string(), "labels".to_string()];
     let indices: Vec<u64> = (0..rows).collect();
     let spans = ds.chunk_spans("images").expect("images tensor");
-    let block_rows = ShuffleConfig::default().block_rows;
-    let ends = block_ends(&indices, &spans, block_rows);
-    let (order, ends) = block_shuffled_order(&indices, &ends, SEED);
+    let shuffle = ShuffleConfig {
+        seed: SEED,
+        ..ShuffleConfig::default()
+    };
+    let blocks = block_ends(&indices, &spans, shuffle.block_rows);
+    // the blocks of the loader's first epoch, in its order
+    let plan = epoch_plan(&indices, &blocks, Some(&shuffle), 0);
+    let (order, ends) = (plan.order, plan.ends);
     let (mut fetch_ns, mut admit_ns, mut assemble_ns) = (0u64, 0u64, 0u64);
     let mut start = 0;
     for end in ends {

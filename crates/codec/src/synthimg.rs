@@ -3,8 +3,12 @@
 //! The Deep Lake evaluation depends on image codecs only through two
 //! system-level properties:
 //!
-//! 1. compressed images are ≈5-10× smaller than raw pixels, so streaming is
-//!    bandwidth-bound on raw and codec-bound on compressed data;
+//! 1. compressed images are several times smaller than raw pixels, so
+//!    streaming is bandwidth-bound on raw and codec-bound on compressed
+//!    data. At the default quality (4 bits) a benchmark image (dlbench's
+//!    32×32×3 gradients with texture) takes 1,006 B framed for its
+//!    3,072 B, 3.05× smaller, and the pinned 32×32×3 gradient of the
+//!    tests takes 720 B, 4.3× smaller;
 //! 2. decoding costs CPU time proportional to the pixel count, which is why
 //!    the dataloader parallelizes decompression across workers (§4.6).
 //!
@@ -18,20 +22,23 @@
 //!
 //! The kernels work on the one buffer that becomes the result, but they
 //! do not run at memory speed: on 32×32×3 images, one pinned core of a
-//! 2-CPU Xeon VM decodes 750–830 MB/s (600–650 before the LZ4 decoder's
-//! fast path) and encodes 470–530 MB/s, about 30 % less while the host
-//! is busy (dlbench's `codec.image_{de,en}code_mb_s`). Both are bound by
-//! the LZ4 stage's sequences, ~313 per 3 KiB plane, not by the bytes
-//! they move.
+//! 2-CPU Xeon VM decodes 1,090–1,270 MB/s and encodes 670–780 MB/s in
+//! traced `ingest` runs (dlbench's `codec.image_{de,en}code_mb_s`; the
+//! host's speed drifts by up to 30 %, so compare the two within a run:
+//! encode reads 0.57–0.63 of decode). Both are bound by the LZ4 stage's
+//! sequences, ~313 per 3 KiB plane, not by the bytes they move.
 //! Decode ([`decompress_into`]) LZ4-expands the residual plane
 //! straight into the caller's buffer, undoes the prediction with an
 //! in-place prefix sum per row (`row[i] += row[i - c]`: `c` independent
 //! chains, their running sums in registers for up to four channels, no
 //! second buffer) and re-expands with one flat pass. Encode
-//! ([`compress_into`]) takes the quantized delta in one pass per row and
-//! appends header and LZ4 block to the caller's `Vec`. The header is
+//! ([`compress_into`]) takes the quantized delta in one pass per row, into
+//! a residual plane its thread keeps between images, and appends header
+//! and LZ4 block to the caller's `Vec`. The header is
 //! untrusted: `h·w·c` is computed with overflow checks and must not exceed
 //! what the LZ4 block could expand to, before any buffer is sized from it.
+
+use std::cell::RefCell;
 
 use crate::error::CodecError;
 use crate::lz4;
@@ -157,31 +164,54 @@ pub fn compress_into(
         )));
     }
     let shift = 8 - quality.bits;
-    // Quantize + delta-predict along each row: the residual of a pixel is
-    // its quantized value minus its left neighbour's, channels interleaved.
-    let mut residual = vec![0u8; pixels.len()];
-    // (an empty image has no rows to walk, and its `w·c` may not fit)
-    if !pixels.is_empty() {
-        let c = c as usize;
-        let stride = w as usize * c;
-        for (res, px) in residual
-            .chunks_exact_mut(stride)
-            .zip(pixels.chunks_exact(stride))
-        {
-            for (r, &p) in res[..c].iter_mut().zip(&px[..c]) {
-                *r = p >> shift;
-            }
-            for ((r, &p), &left) in res[c..].iter_mut().zip(&px[c..]).zip(px) {
-                *r = (p >> shift).wrapping_sub(left >> shift);
+    let mut large = Vec::new();
+    RESIDUAL.with_borrow_mut(|kept| {
+        let residual = if pixels.len() <= KEPT_RESIDUAL {
+            kept
+        } else {
+            &mut large
+        };
+        // only the bytes the plane grows by are zeroed: every byte of it
+        // is written below
+        residual.resize(pixels.len(), 0);
+        // Quantize + delta-predict along each row: the residual of a pixel
+        // is its quantized value minus its left neighbour's, channels
+        // interleaved. (An empty image has no rows to walk, and its `w·c`
+        // may not fit.)
+        if !pixels.is_empty() {
+            let c = c as usize;
+            let stride = w as usize * c;
+            for (res, px) in residual
+                .chunks_exact_mut(stride)
+                .zip(pixels.chunks_exact(stride))
+            {
+                for (r, &p) in res[..c].iter_mut().zip(&px[..c]) {
+                    *r = p >> shift;
+                }
+                for ((r, &p), &left) in res[c..].iter_mut().zip(&px[c..]).zip(px) {
+                    *r = (p >> shift).wrapping_sub(left >> shift);
+                }
             }
         }
-    }
-    out.push(quality.bits);
-    out.extend_from_slice(&h.to_le_bytes());
-    out.extend_from_slice(&w.to_le_bytes());
-    out.extend_from_slice(&c.to_le_bytes());
-    lz4::compress_into(&residual, out);
+        out.push(quality.bits);
+        out.extend_from_slice(&h.to_le_bytes());
+        out.extend_from_slice(&w.to_le_bytes());
+        out.extend_from_slice(&c.to_le_bytes());
+        lz4::compress_into(residual, out);
+    });
     Ok(())
+}
+
+/// Largest residual plane a thread keeps between encodes (a 256×256×3
+/// image's is 192 KiB): a larger one is allocated for its image alone, so
+/// a thread that once encoded a huge image does not hold its plane.
+const KEPT_RESIDUAL: usize = 256 << 10;
+
+thread_local! {
+    /// The residual plane [`compress_into`] quantizes into, kept by each
+    /// thread across calls: an image costs no allocation for it, and no
+    /// zero fill once the plane has reached the image's size.
+    static RESIDUAL: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Decode a blob produced by [`compress`]. Returns `(pixels, h, w, c)`.

@@ -457,7 +457,7 @@ impl Dataset {
             .ok_or_else(|| CoreError::NoSuchTensor(name.to_string()))
     }
 
-    fn store_mut(&mut self, name: &str) -> Result<&mut TensorStore> {
+    pub(crate) fn store_mut(&mut self, name: &str) -> Result<&mut TensorStore> {
         self.tensors
             .get_mut(name)
             .ok_or_else(|| CoreError::NoSuchTensor(name.to_string()))
@@ -481,23 +481,25 @@ impl Dataset {
         rows.into_iter().try_for_each(|row| self.append(row))
     }
 
-    fn append(&mut self, mut row: Row) -> Result<()> {
+    fn append(&mut self, row: Row) -> Result<()> {
         self.ensure_writable()?;
         // reject unknown tensors up front so the row stays atomic
         for tensor in row.tensors() {
-            if !self.tensors.contains_key(tensor) {
-                return Err(CoreError::NoSuchTensor(tensor.to_string()));
-            }
-            if self.tensors[tensor].meta().hidden {
-                return Err(CoreError::NoSuchTensor(format!("{tensor} (hidden)")));
+            match self.tensors.get(tensor) {
+                None => return Err(CoreError::NoSuchTensor(tensor.to_string())),
+                Some(store) if store.meta().hidden => {
+                    return Err(CoreError::NoSuchTensor(format!("{tensor} (hidden)")))
+                }
+                Some(_) => {}
             }
         }
+        // both are sorted by name, and every name of the row is a tensor:
+        // one walk pairs each tensor with its value
+        let mut values = row.into_sorted().into_iter().peekable();
         for (name, store) in self.tensors.iter_mut() {
             if name == ID_TENSOR {
                 store.append(&Sample::scalar(sample_id::generate()))?;
-            } else if store.meta().hidden {
-                store.append(&Sample::empty(store.meta().dtype))?;
-            } else if let Some(sample) = row.take(name) {
+            } else if let Some((_, sample)) = values.next_if(|(k, _)| **k == **name) {
                 store.append(&sample)?;
             } else {
                 store.append(&Sample::empty(store.meta().dtype))?;
@@ -530,7 +532,7 @@ impl Dataset {
             if store.meta().hidden {
                 continue;
             }
-            out.set(name.clone(), store.get(row)?);
+            out.set_shared(Arc::from(name.as_str()), store.get(row)?);
         }
         Ok(out)
     }
@@ -553,11 +555,12 @@ impl Dataset {
             self.store(name)?; // validate up front: whole-batch error
         }
         let prefetched = self.prefetch_chunks(tensors, rows)?;
+        let names: Vec<Arc<str>> = tensors.iter().map(|n| Arc::from(n.as_str())).collect();
         rows.iter()
             .map(|&row| {
-                let mut out = Row::new();
-                for name in tensors {
-                    out.set(name.clone(), prefetched.get(self, name, row)?);
+                let mut out = Row::with_capacity(names.len());
+                for name in &names {
+                    out.set_shared(name.clone(), prefetched.get(self, name, row)?);
                 }
                 Ok(out)
             })

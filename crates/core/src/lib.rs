@@ -57,6 +57,9 @@ pub mod transform;
 pub mod version;
 pub mod view;
 
+#[cfg(test)]
+mod stored_bytes_pin;
+
 pub use dataset::{Dataset, IndexBuildReport, PrefetchedChunks};
 pub use error::CoreError;
 pub use row::Row;

@@ -1,6 +1,7 @@
 //! [`Row`]: one sample across parallel tensors (§3.1).
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use deeplake_tensor::Sample;
 
@@ -8,9 +9,16 @@ use deeplake_tensor::Sample;
 /// single row indexed across parallel tensors" (§3.1); elements are
 /// logically independent, so a row may carry any subset of tensors —
 /// missing tensors are filled with empty samples on append.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The values are one `Vec` of `(name, sample)` pairs sorted by name, at
+/// most one pair per name, and a name is an `Arc<str>`. A row holds a
+/// handful of tensors, so a binary search finds one as fast as a map
+/// would, and a clone is one allocation for the `Vec` plus one per
+/// sample whose shape has axes: names and sample bytes are shared by
+/// reference count, not copied.
+#[derive(Clone, Default, PartialEq)]
 pub struct Row {
-    values: BTreeMap<String, Sample>,
+    values: Vec<(Arc<str>, Sample)>,
 }
 
 impl Row {
@@ -21,33 +29,37 @@ impl Row {
 
     /// Builder-style insertion.
     pub fn with(mut self, tensor: impl Into<String>, sample: Sample) -> Self {
-        self.values.insert(tensor.into(), sample);
+        self.set(tensor, sample);
         self
     }
 
     /// Insert or replace a value.
     pub fn set(&mut self, tensor: impl Into<String>, sample: Sample) {
-        self.values.insert(tensor.into(), sample);
+        let tensor = tensor.into();
+        match self.find(&tensor) {
+            Ok(i) => self.values[i].1 = sample,
+            Err(i) => self.values.insert(i, (Arc::from(tensor), sample)),
+        }
     }
 
     /// Value for a tensor, if present.
     pub fn get(&self, tensor: &str) -> Option<&Sample> {
-        self.values.get(tensor)
+        self.find(tensor).ok().map(|i| &self.values[i].1)
     }
 
     /// Remove and return a value.
     pub fn take(&mut self, tensor: &str) -> Option<Sample> {
-        self.values.remove(tensor)
+        self.find(tensor).ok().map(|i| self.values.remove(i).1)
     }
 
     /// Tensor names present in this row.
     pub fn tensors(&self) -> impl Iterator<Item = &str> {
-        self.values.keys().map(String::as_str)
+        self.values.iter().map(|(k, _)| &**k)
     }
 
     /// Iterate `(tensor, sample)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Sample)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), v))
+        self.values.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Number of tensors in the row.
@@ -62,23 +74,64 @@ impl Row {
 
     /// Total payload bytes across all samples.
     pub fn nbytes(&self) -> usize {
-        self.values.values().map(Sample::nbytes).sum()
+        self.values.iter().map(|(_, v)| v.nbytes()).sum()
+    }
+
+    /// An empty row with room for `n` values.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Row {
+            values: Vec::with_capacity(n),
+        }
+    }
+
+    /// [`set`](Self::set) under a name the caller already shares: a
+    /// reader that builds many rows of the same tensors names them once.
+    pub(crate) fn set_shared(&mut self, tensor: Arc<str>, sample: Sample) {
+        match self.find(&tensor) {
+            Ok(i) => self.values[i].1 = sample,
+            Err(i) => self.values.insert(i, (tensor, sample)),
+        }
+    }
+
+    /// The `(name, sample)` pairs, sorted by name.
+    pub(crate) fn into_sorted(self) -> Vec<(Arc<str>, Sample)> {
+        self.values
+    }
+
+    /// The row of `(name, sample)` pairs, a later pair replacing an
+    /// earlier one of the same name.
+    fn collect<K: Into<String>>(iter: impl IntoIterator<Item = (K, Sample)>) -> Self {
+        let iter = iter.into_iter();
+        let mut row = Row::with_capacity(iter.size_hint().0);
+        iter.for_each(|(k, v)| row.set(k, v));
+        row
+    }
+
+    /// Where `tensor` is, or where it would be inserted.
+    fn find(&self, tensor: &str) -> Result<usize, usize> {
+        self.values.binary_search_by(|(k, _)| (**k).cmp(tensor))
     }
 }
 
+/// Formats as a map, like the `BTreeMap` it behaves as.
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values = fmt::from_fn(|f| f.debug_map().entries(self.iter()).finish());
+        f.debug_struct("Row").field("values", &values).finish()
+    }
+}
+
+/// A later pair replaces an earlier one of the same name.
 impl FromIterator<(String, Sample)> for Row {
     fn from_iter<T: IntoIterator<Item = (String, Sample)>>(iter: T) -> Self {
-        Row {
-            values: iter.into_iter().collect(),
-        }
+        Row::collect(iter)
     }
 }
 
+/// A later pair replaces an earlier one of the same name.
 impl<'a> FromIterator<(&'a str, Sample)> for Row {
     fn from_iter<T: IntoIterator<Item = (&'a str, Sample)>>(iter: T) -> Self {
-        Row {
-            values: iter.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        }
+        Row::collect(iter)
     }
 }
 

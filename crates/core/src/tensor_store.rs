@@ -258,7 +258,7 @@ impl TensorStore {
                 self.append_tiled(sample)?;
             }
         }
-        self.meta.observe(sample);
+        self.meta.observe(sample.shape());
         self.diff.added.insert(row);
         self.dirty = true;
         Ok(())
@@ -269,9 +269,8 @@ impl TensorStore {
     /// additional decoding). The caller supplies the decoded shape.
     pub fn append_encoded(&mut self, blob: Vec<u8>, shape: deeplake_tensor::Shape) -> Result<()> {
         let row = self.len();
-        let synthetic = Sample::zeros(self.meta.dtype, shape.clone());
-        self.meta.htype.validate(&synthetic)?;
-        match self.builder.push_encoded(blob, shape)? {
+        self.meta.htype.validate_shape(self.meta.dtype, &shape)?;
+        match self.builder.push_encoded(&blob, &shape)? {
             FlushReason::Buffered => {}
             FlushReason::ChunkFull(chunk) => self.write_sealed_chunk(chunk)?,
             FlushReason::NeedsTiling { .. } => {
@@ -280,7 +279,7 @@ impl TensorStore {
                 ))
             }
         }
-        self.meta.observe(&synthetic);
+        self.meta.observe(&shape);
         self.diff.added.insert(row);
         self.dirty = true;
         Ok(())
@@ -379,7 +378,7 @@ impl TensorStore {
                 },
             )?;
         }
-        self.meta.observe(sample);
+        self.meta.observe(sample.shape());
         self.meta.length -= 1; // observe() counts a new row; updates do not add one
         if !self.diff.added.contains(row) {
             self.diff.updated.insert(row);
@@ -814,10 +813,8 @@ impl TensorStore {
     fn put_chunk(&mut self, chunk: &Chunk) -> Result<u64> {
         let id = self.meta.next_chunk_id;
         self.meta.next_chunk_id += 1;
-        let blob = chunk.serialize(self.meta.chunk_compression);
-        self.chain[0]
-            .provider
-            .put(&chunk_key(id), Bytes::from(blob))?;
+        let blob = chunk.serialize_bytes(self.meta.chunk_compression);
+        self.chain[0].provider.put(&chunk_key(id), blob)?;
         self.chain[0].chunk_set.insert(id);
         self.dirty = true;
         Ok(id)

@@ -47,7 +47,10 @@
 //! the store's copy of the object instead of duplicating it. A chunk
 //! *being built* ([`Chunk::append_sample`] / [`Chunk::append_blob`]) owns
 //! a `Vec<u8>` it appends to; appending to a parsed chunk copies its
-//! window out first. Every accessor reads both the same way, and chunks
+//! window out first. The [`ChunkBuilder`](crate::ChunkBuilder) encodes a
+//! sample straight onto the end of that `Vec` and only then decides,
+//! from the bytes written, whether they become a record of this chunk,
+//! move into the next one or are taken back. Every accessor reads both the same way, and chunks
 //! with the same records are equal however they were made. None of this
 //! shows on the wire: the layout above is unchanged.
 
@@ -169,8 +172,8 @@ impl Chunk {
     /// Append a stored blob (already sample-compressed if applicable) with
     /// its logical shape.
     pub fn append_blob(&mut self, blob: &[u8], shape: &Shape) {
-        self.payload.to_mut().extend_from_slice(blob);
-        self.push_record(shape);
+        self.tail().extend_from_slice(blob);
+        self.commit_tail(shape);
     }
 
     /// Append a raw (uncompressed) sample, applying `sample_compression`.
@@ -180,15 +183,52 @@ impl Chunk {
         sample_compression: Compression,
     ) -> Result<()> {
         // the frame is encoded straight onto the end of the payload
-        encode_sample_into(sample, sample_compression, self.payload.to_mut())?;
-        self.push_record(sample.shape());
+        encode_sample_into(sample, sample_compression, self.tail())?;
+        self.commit_tail(sample.shape());
         Ok(())
     }
 
-    /// Enter the record whose blob was just appended to the payload. The
-    /// shape is cloned once per chunk, not per record: later records only
-    /// compare against it, until one differs and the tables go ragged.
-    fn push_record(&mut self, shape: &Shape) {
+    /// The payload, for a builder to encode a sample onto its end before
+    /// it decides where the sample goes: [`Chunk::commit_tail`] enters the
+    /// bytes past the last record as one more record,
+    /// [`Chunk::split_tail`] moves them into a new chunk and
+    /// [`Chunk::drop_tail`] takes them back. Until one of them runs, those
+    /// bytes belong to no record, so the caller runs one before it lets
+    /// the chunk be read.
+    pub(crate) fn tail(&mut self) -> &mut Vec<u8> {
+        self.payload.to_mut()
+    }
+
+    /// Payload bytes the records hold: the tail starts here.
+    fn committed_len(&self) -> usize {
+        *self.offsets.last().expect("offsets start at 0") as usize
+    }
+
+    /// Drop the tail.
+    pub(crate) fn drop_tail(&mut self) {
+        let end = self.committed_len();
+        self.tail().truncate(end);
+    }
+
+    /// Move the tail into a new empty chunk whose payload has room for
+    /// `capacity` bytes, and return that chunk.
+    pub(crate) fn split_tail(&mut self, capacity: usize) -> Chunk {
+        let end = self.committed_len();
+        let payload = self.tail();
+        let mut next = Vec::with_capacity(capacity.max(payload.len() - end));
+        next.extend_from_slice(&payload[end..]);
+        payload.truncate(end);
+        Chunk {
+            payload: Payload::Owned(next),
+            ..Chunk::new(self.dtype)
+        }
+    }
+
+    /// Enter the tail — the blob just appended to the payload — as one
+    /// record of `shape`. The shape is cloned once per chunk, not per
+    /// record: later records only compare against it, until one differs
+    /// and the tables go ragged.
+    pub(crate) fn commit_tail(&mut self, shape: &Shape) {
         self.raw_stride = Memo::default();
         let n = self.sample_count();
         let end = u32::try_from(self.payload_len()).expect("a chunk payload stays below 4 GiB");
@@ -316,9 +356,40 @@ impl Chunk {
 
     /// Serialize the chunk, compressing the payload with `chunk_codec`.
     pub fn serialize(&self, chunk_codec: Compression) -> Vec<u8> {
-        let n = self.sample_count();
         let payload = self.payload.as_slice();
-        let mut out = Vec::with_capacity(payload.len() + n * 8 + 16);
+        let mut out = self.head(chunk_codec, payload.len());
+        match chunk_codec {
+            Compression::None => out.extend_from_slice(payload),
+            codec => codec.compress_into(payload, &mut out),
+        }
+        out
+    }
+
+    /// [`Chunk::serialize`] as the [`Bytes`] a store keeps. A payload
+    /// stored as it is (`Compression::None`) is copied once, into the
+    /// buffer that is stored, not into a `Vec` that is copied again.
+    pub fn serialize_bytes(&self, chunk_codec: Compression) -> Bytes {
+        if chunk_codec != Compression::None {
+            return Bytes::from(self.serialize(chunk_codec));
+        }
+        let (head, payload) = (self.head(chunk_codec, 0), self.payload.as_slice());
+        let mut out = BytesMut::zeroed(head.len() + payload.len());
+        let (front, back) = out.split_at_mut(head.len());
+        front.copy_from_slice(&head);
+        back.copy_from_slice(payload);
+        out.freeze()
+    }
+
+    /// The fixed header and the sample directory, in a `Vec` with room
+    /// for `payload_room` more bytes.
+    fn head(&self, chunk_codec: Compression, payload_room: usize) -> Vec<u8> {
+        let n = self.sample_count();
+        let dims = match &self.shapes {
+            Shapes::Uniform(shape) => n * shape.rank(),
+            Shapes::Ragged { dims, .. } => dims.len(),
+        };
+        // an entry is [stored_len u32][rank u8][dim u32 × rank]
+        let mut out = Vec::with_capacity(HEADER_LEN + 5 * n + 4 * dims + payload_room);
         out.extend_from_slice(&CHUNK_MAGIC);
         out.push(CHUNK_VERSION);
         out.push(codec_tag(chunk_codec));
@@ -331,10 +402,6 @@ impl Chunk {
             for &d in dims {
                 out.extend_from_slice(&(d as u32).to_le_bytes());
             }
-        }
-        match chunk_codec {
-            Compression::None => out.extend_from_slice(payload),
-            codec => codec.compress_into(payload, &mut out),
         }
         out
     }

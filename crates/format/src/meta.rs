@@ -1,7 +1,7 @@
 //! Per-tensor metadata (`meta.json` in the tensor folder, §3.4).
 
 use deeplake_codec::Compression;
-use deeplake_tensor::{Dtype, Htype, Sample, Shape};
+use deeplake_tensor::{Dtype, Htype, Shape};
 use serde::{Deserialize, Serialize};
 
 use crate::Result;
@@ -92,14 +92,15 @@ impl TensorMeta {
         self.length == 0 || self.max_shape == self.min_shape
     }
 
-    /// Update the running shape bounds and length for an appended sample.
-    pub fn observe(&mut self, sample: &Sample) {
+    /// Update the running shape bounds (in place) and length for an
+    /// appended sample of `shape`.
+    pub fn observe(&mut self, shape: &Shape) {
         if self.length == 0 {
-            self.max_shape = sample.shape().clone();
-            self.min_shape = sample.shape().clone();
+            self.max_shape.clone_from(shape);
+            self.min_shape.clone_from(shape);
         } else {
-            self.max_shape = self.max_shape.union_max(sample.shape());
-            self.min_shape = self.min_shape.union_min(sample.shape());
+            self.max_shape.union_max_with(shape);
+            self.min_shape.union_min_with(shape);
         }
         self.length += 1;
     }
@@ -146,9 +147,9 @@ mod tests {
     fn observe_tracks_bounds() {
         let mut m = TensorMeta::new("images", Htype::Image, None);
         assert!(m.is_uniform());
-        m.observe(&Sample::zeros(Dtype::U8, [10, 20, 3]));
+        m.observe(&Shape::from([10, 20, 3]));
         assert!(m.is_uniform());
-        m.observe(&Sample::zeros(Dtype::U8, [30, 15, 3]));
+        m.observe(&Shape::from([30, 15, 3]));
         assert!(!m.is_uniform());
         assert_eq!(m.length, 2);
         assert_eq!(m.max_shape, Shape::from([30, 20, 3]));
@@ -160,7 +161,7 @@ mod tests {
         let mut m = TensorMeta::new("seq", Htype::parse("sequence[image]").unwrap(), None);
         m.hidden = true;
         m.derived_from = Some("images".into());
-        m.observe(&Sample::zeros(Dtype::U8, [4, 8, 8, 3]));
+        m.observe(&Shape::from([4, 8, 8, 3]));
         let blob = m.to_json().unwrap();
         let back = TensorMeta::from_json(&blob).unwrap();
         assert_eq!(back, m);

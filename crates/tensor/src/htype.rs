@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::dtype::Dtype;
 use crate::error::TensorError;
 use crate::sample::Sample;
+use crate::shape::Shape;
 
 /// Semantic type of a tensor.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -195,57 +196,59 @@ impl Htype {
     /// sequence, which at this layer means the leading axis is the sequence
     /// axis and the remaining axes must validate against the inner htype.
     pub fn validate(&self, sample: &Sample) -> Result<(), TensorError> {
+        self.validate_shape(sample.dtype(), sample.shape())
+    }
+
+    /// [`validate`](Self::validate) by dtype and shape alone — what a
+    /// pre-encoded blob declares — with the same verdict, and without a
+    /// sample of the decoded size to hold them.
+    pub fn validate_shape(&self, dtype: Dtype, shape: &Shape) -> Result<(), TensorError> {
+        self.validate_dims(dtype, shape.dims())
+    }
+
+    fn validate_dims(&self, dtype: Dtype, dims: &[u64]) -> Result<(), TensorError> {
         match self {
             Htype::Link(_) => Ok(()),
-            Htype::Sequence(inner) => {
-                if sample.shape().rank() == 0 {
-                    return Err(TensorError::HtypeViolation {
-                        reason: "sequence samples need a leading sequence axis".into(),
-                    });
-                }
-                // Validate element rank/dtype by synthesizing an element view.
-                let elem_shape: Vec<u64> = sample.shape().dims()[1..].to_vec();
-                let elem = Sample::zeros(sample.dtype(), crate::shape::Shape::from(elem_shape));
-                inner.validate(&elem)
-            }
+            Htype::Sequence(inner) => match dims.split_first() {
+                // an element has the axes after the sequence axis
+                Some((_, element)) => inner.validate_dims(dtype, element),
+                None => Err(TensorError::HtypeViolation {
+                    reason: "sequence samples need a leading sequence axis".into(),
+                }),
+            },
             _ => {
                 let spec = self.spec();
                 if let Some(d) = spec.dtype {
                     if spec.bool_only {
-                        if sample.dtype() != Dtype::Bool {
+                        if dtype != Dtype::Bool {
                             return Err(TensorError::HtypeViolation {
                                 reason: format!(
                                     "{} expects dtype bool, got {}",
                                     self.name(),
-                                    sample.dtype()
+                                    dtype
                                 ),
                             });
                         }
-                    } else if sample.dtype() != d {
+                    } else if dtype != d {
                         return Err(TensorError::HtypeViolation {
-                            reason: format!(
-                                "{} expects dtype {}, got {}",
-                                self.name(),
-                                d,
-                                sample.dtype()
-                            ),
+                            reason: format!("{} expects dtype {}, got {}", self.name(), d, dtype),
                         });
                     }
                 }
-                if !spec.ranks.is_empty() && !spec.ranks.contains(&sample.shape().rank()) {
+                if !spec.ranks.is_empty() && !spec.ranks.contains(&dims.len()) {
                     return Err(TensorError::HtypeViolation {
                         reason: format!(
-                            "{} expects rank in {:?}, got {} (shape {})",
+                            "{} expects rank in {:?}, got {} (shape {:?})",
                             self.name(),
                             spec.ranks,
-                            sample.shape().rank(),
-                            sample.shape()
+                            dims.len(),
+                            dims
                         ),
                     });
                 }
-                if *self.base() == Htype::BBox && sample.shape().dim(1) != 4 {
+                if *self.base() == Htype::BBox && dims[1] != 4 {
                     return Err(TensorError::HtypeViolation {
-                        reason: format!("bbox expects shape [n, 4], got {}", sample.shape()),
+                        reason: format!("bbox expects shape [n, 4], got {dims:?}"),
                     });
                 }
                 Ok(())
@@ -274,7 +277,6 @@ pub struct HtypeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::Shape;
 
     #[test]
     fn parse_roundtrip_simple() {
@@ -399,5 +401,120 @@ mod tests {
         let empty = Sample::zeros(Dtype::F32, [0, 4]);
         assert!(h.validate(&empty).is_ok());
         let _ = Shape::from([0, 4]);
+    }
+
+    /// The sample form as it was before the shape form existed: a
+    /// sequence builds a zero-filled element sample and validates that.
+    fn reference_validate(htype: &Htype, sample: &Sample) -> Result<(), TensorError> {
+        match htype {
+            Htype::Link(_) => Ok(()),
+            Htype::Sequence(inner) => {
+                if sample.shape().rank() == 0 {
+                    return Err(TensorError::HtypeViolation {
+                        reason: "sequence samples need a leading sequence axis".into(),
+                    });
+                }
+                let elem_shape: Vec<u64> = sample.shape().dims()[1..].to_vec();
+                let elem = Sample::zeros(sample.dtype(), Shape::from(elem_shape));
+                reference_validate(inner, &elem)
+            }
+            _ => {
+                let spec = htype.spec();
+                if let Some(d) = spec.dtype {
+                    if spec.bool_only {
+                        if sample.dtype() != Dtype::Bool {
+                            return Err(TensorError::HtypeViolation {
+                                reason: format!(
+                                    "{} expects dtype bool, got {}",
+                                    htype.name(),
+                                    sample.dtype()
+                                ),
+                            });
+                        }
+                    } else if sample.dtype() != d {
+                        return Err(TensorError::HtypeViolation {
+                            reason: format!(
+                                "{} expects dtype {}, got {}",
+                                htype.name(),
+                                d,
+                                sample.dtype()
+                            ),
+                        });
+                    }
+                }
+                if !spec.ranks.is_empty() && !spec.ranks.contains(&sample.shape().rank()) {
+                    return Err(TensorError::HtypeViolation {
+                        reason: format!(
+                            "{} expects rank in {:?}, got {} (shape {})",
+                            htype.name(),
+                            spec.ranks,
+                            sample.shape().rank(),
+                            sample.shape()
+                        ),
+                    });
+                }
+                if *htype.base() == Htype::BBox && sample.shape().dim(1) != 4 {
+                    return Err(TensorError::HtypeViolation {
+                        reason: format!("bbox expects shape [n, 4], got {}", sample.shape()),
+                    });
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Every verdict, error text included, is the same through the sample
+    /// form, the shape form and the reference.
+    #[test]
+    fn validating_by_shape_gives_the_sample_verdict() {
+        let htypes = [
+            "generic",
+            "image",
+            "video",
+            "audio",
+            "bbox",
+            "class_label",
+            "binary_mask",
+            "text",
+            "embedding",
+            "dicom",
+            "sequence[image]",
+            "sequence[bbox]",
+            "sequence[class_label]",
+            "link[image]",
+            "sequence[link[video]]",
+        ];
+        let shapes: [&[u64]; 10] = [
+            &[],
+            &[0],
+            &[3],
+            &[2, 4],
+            &[2, 5],
+            &[0, 4],
+            &[4, 4, 3],
+            &[2, 4, 4, 3],
+            &[2, 3, 4],
+            &[1, 2, 1, 2, 1],
+        ];
+        let mut errors = 0;
+        for name in htypes {
+            let htype = Htype::parse(name).unwrap();
+            for dtype in Dtype::ALL {
+                for dims in shapes {
+                    let shape = Shape::from(dims);
+                    let sample = Sample::zeros(dtype, shape.clone());
+                    let by_shape = htype.validate_shape(dtype, &shape);
+                    assert_eq!(htype.validate(&sample), by_shape, "{name} {dtype} {shape}");
+                    assert_eq!(
+                        reference_validate(&htype, &sample),
+                        by_shape,
+                        "{name} {dtype} {shape}"
+                    );
+                    errors += usize::from(by_shape.is_err());
+                }
+            }
+        }
+        // both verdicts occur
+        assert!(errors > 0 && errors < htypes.len() * Dtype::ALL.len() * shapes.len());
     }
 }

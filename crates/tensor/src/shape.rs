@@ -91,20 +91,28 @@ impl Shape {
         Ok(off)
     }
 
-    /// Elementwise maximum of two shapes, padding the shorter one with zeros
-    /// on the right. Used to maintain the `max_shape` field of tensor
-    /// metadata as ragged samples are appended.
-    pub fn union_max(&self, other: &Shape) -> Shape {
-        let rank = self.rank().max(other.rank());
-        let get = |s: &Shape, i: usize| s.0.get(i).copied().unwrap_or(0);
-        Shape((0..rank).map(|i| get(self, i).max(get(other, i))).collect())
+    /// Widen to the elementwise maximum with `other`, padding the shorter
+    /// shape with zeros on the right. Used to maintain the `max_shape`
+    /// field of tensor metadata as ragged samples are appended; in place,
+    /// so it allocates only when `other` has more axes.
+    pub fn union_max_with(&mut self, other: &Shape) {
+        self.union_with(other, u64::max);
     }
 
-    /// Elementwise minimum, padding the shorter shape with zeros.
-    pub fn union_min(&self, other: &Shape) -> Shape {
-        let rank = self.rank().max(other.rank());
-        let get = |s: &Shape, i: usize| s.0.get(i).copied().unwrap_or(0);
-        Shape((0..rank).map(|i| get(self, i).min(get(other, i))).collect())
+    /// Narrow to the elementwise minimum with `other`, padding the shorter
+    /// shape with zeros (`min_shape`'s counterpart of
+    /// [`union_max_with`](Self::union_max_with)).
+    pub fn union_min_with(&mut self, other: &Shape) {
+        self.union_with(other, u64::min);
+    }
+
+    fn union_with(&mut self, other: &Shape, pick: fn(u64, u64) -> u64) {
+        if other.rank() > self.rank() {
+            self.0.resize(other.rank(), 0);
+        }
+        for (i, d) in self.0.iter_mut().enumerate() {
+            *d = pick(*d, other.0.get(i).copied().unwrap_or(0));
+        }
     }
 
     /// Render as `[a, b, c]` for error messages.
@@ -193,10 +201,19 @@ mod tests {
 
     #[test]
     fn union_max_min_pad_with_zero() {
-        let a = Shape::from([2, 10]);
-        let b = Shape::from([5, 3, 7]);
-        assert_eq!(a.union_max(&b), Shape::from([5, 10, 7]));
-        assert_eq!(a.union_min(&b), Shape::from([2, 3, 0]));
+        let (a, b) = (Shape::from([2, 10]), Shape::from([5, 3, 7]));
+        let mut max = a.clone();
+        max.union_max_with(&b);
+        assert_eq!(max, Shape::from([5, 10, 7]));
+        let mut min = a.clone();
+        min.union_min_with(&b);
+        assert_eq!(min, Shape::from([2, 3, 0]));
+        // the longer shape first: the shorter one is padded
+        let mut long = b.clone();
+        long.union_min_with(&a);
+        assert_eq!(long, Shape::from([2, 3, 0]));
+        long.union_max_with(&Shape::scalar());
+        assert_eq!(long, Shape::from([2, 3, 0]));
     }
 
     #[test]

@@ -127,9 +127,12 @@ proptest! {
         a in proptest::collection::vec(1u64..20, 0..4),
         b in proptest::collection::vec(1u64..20, 0..4),
     ) {
-        let (sa, sb) = (Shape(a.clone()), Shape(b.clone()));
-        let max = sa.union_max(&sb);
-        let min = sa.union_min(&sb);
+        let sb = Shape(b.clone());
+        let (mut max, mut min) = (Shape(a.clone()), Shape(a.clone()));
+        max.union_max_with(&sb);
+        min.union_min_with(&sb);
+        prop_assert_eq!(max.rank(), a.len().max(b.len()));
+        prop_assert_eq!(min.rank(), max.rank());
         for i in 0..max.rank() {
             let da = a.get(i).copied().unwrap_or(0);
             let db = b.get(i).copied().unwrap_or(0);

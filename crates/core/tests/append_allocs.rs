@@ -86,7 +86,9 @@ fn row(i: u64) -> Row {
 /// Measured by this test: 12.9 allocations per row when each sample was
 /// encoded into a blob of its own, shape bounds were rebuilt per sample
 /// and `Row` was a `BTreeMap`; 3.8 with samples encoded onto the open
-/// chunk, two of them the `_ids` sample.
+/// chunk, two of them the `_ids` sample (its bytes built in a `Vec`, then
+/// copied into a `Bytes`); 2.8 with every constructed `Sample` one
+/// allocation.
 #[test]
 fn an_appended_row_allocates_a_few_times() {
     const ROWS: u64 = 4096;
@@ -110,7 +112,7 @@ fn an_appended_row_allocates_a_few_times() {
     });
     assert_eq!(ds.len(), ROWS);
     let per_row = allocations as f64 / ROWS as f64;
-    assert!(per_row <= 5.0, "{per_row:.2} allocations per row");
+    assert!(per_row <= 3.0, "{per_row:.2} allocations per row");
 }
 
 /// A clone is the values' `Vec` plus one allocation per shape with axes

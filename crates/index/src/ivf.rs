@@ -78,8 +78,9 @@ impl IvfIndex {
         // assign every row to its nearest centroid
         let blocks = kmeans::Blocks::new(&centroids, dim);
         let mut postings: Vec<Vec<u64>> = vec![Vec::new(); centroids.len() / dim];
+        let mut scores = Vec::new();
         for (i, v) in vectors.chunks_exact(dim).enumerate() {
-            postings[blocks.nearest(v)].push(i as u64);
+            postings[blocks.nearest(v, &mut scores)].push(i as u64);
         }
         Ok(IvfIndex {
             dim: dim as u32,

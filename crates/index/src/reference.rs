@@ -276,6 +276,37 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// At the list counts real builds reach (a default `nlist` is
+        /// √rows, capped at 256): per-row scratch sized by the centroid
+        /// count is compared with the oracle at its largest.
+        #[test]
+        fn a_build_at_real_nlist_equals_the_reference_build(
+            k in 200usize..=256,
+            extra in 0usize..300,
+            dim in 1usize..24,
+            iters in 1usize..3,
+            shape in 0u8..7,
+            seed in any::<u64>(),
+        ) {
+            let n = k + extra;
+            let vectors = data(shape, n, dim, seed);
+            let spec = IndexSpec {
+                kind: IndexKind::Ivf,
+                nlist: Some(k),
+                train_iters: iters,
+                train_sample: n,
+                seed,
+            };
+            let (centroids, postings) = built(&vectors, dim, &spec);
+            let (want_centroids, want_postings) = super::build(&vectors, dim, &spec);
+            prop_assert_eq!(bits(&centroids), bits(&want_centroids), "shape {} n {} k {} dim {}", shape, n, k, dim);
+            prop_assert_eq!(postings, want_postings, "shape {} n {} k {} dim {}", shape, n, k, dim);
+        }
+    }
+
     #[test]
     fn degenerate_inputs_equal_the_reference() {
         // every row identical, then two values: one cluster holds every

@@ -181,8 +181,9 @@ pub trait Element: Copy + Default + PartialOrd + Send + Sync + 'static {
     /// The dtype this element maps to.
     const DTYPE: Dtype;
 
-    /// Write the element into `out` in little-endian byte order.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Write the element into the (exactly sized) `out` in little-endian
+    /// byte order.
+    fn write_le(self, out: &mut [u8]);
 
     /// Read one element from the (exactly sized) little-endian byte slice.
     fn read_le(bytes: &[u8]) -> Self;
@@ -199,8 +200,8 @@ macro_rules! impl_element {
         impl Element for $t {
             const DTYPE: Dtype = $dtype;
             #[inline]
-            fn write_le(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
             }
             #[inline]
             fn read_le(bytes: &[u8]) -> Self {
@@ -234,8 +235,8 @@ impl_element!(f64, Dtype::F64);
 impl Element for bool {
     const DTYPE: Dtype = Dtype::Bool;
     #[inline]
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.push(self as u8);
+    fn write_le(self, out: &mut [u8]) {
+        out[0] = self as u8;
     }
     #[inline]
     fn read_le(bytes: &[u8]) -> Self {
@@ -320,13 +321,13 @@ mod tests {
 
     #[test]
     fn element_roundtrip() {
-        let mut buf = Vec::new();
+        let mut buf = [0u8; 4];
         42u32.write_le(&mut buf);
         assert_eq!(u32::read_le(&buf), 42);
-        buf.clear();
+        let mut buf = [0u8; 8];
         (-1.5f64).write_le(&mut buf);
         assert_eq!(f64::read_le(&buf), -1.5);
-        buf.clear();
+        let mut buf = [0u8; 1];
         true.write_le(&mut buf);
         assert!(bool::read_le(&buf));
     }

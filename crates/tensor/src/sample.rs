@@ -1,6 +1,6 @@
 //! [`Sample`]: one owned, dynamically shaped n-dimensional array.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::dtype::{Dtype, Element};
 use crate::error::TensorError;
@@ -49,14 +49,15 @@ impl Sample {
                 actual: values.len() * T::DTYPE.size(),
             });
         }
-        let mut buf = Vec::with_capacity(values.len() * T::DTYPE.size());
-        for &v in values {
-            v.write_le(&mut buf);
+        let size = T::DTYPE.size();
+        let mut buf = BytesMut::zeroed(values.len() * size);
+        for (out, &v) in buf.chunks_exact_mut(size).zip(values) {
+            v.write_le(out);
         }
         Ok(Sample {
             dtype: T::DTYPE,
             shape,
-            data: Bytes::from(buf),
+            data: buf.freeze(),
         })
     }
 
@@ -72,7 +73,7 @@ impl Sample {
         Sample {
             dtype,
             shape,
-            data: Bytes::from(vec![0u8; len]),
+            data: BytesMut::zeroed(len).freeze(),
         }
     }
 
@@ -89,11 +90,10 @@ impl Sample {
     /// Encode a UTF-8 string as a rank-1 `u8` sample (the convention `text`
     /// htype uses).
     pub fn from_text(text: &str) -> Self {
-        let bytes = text.as_bytes().to_vec();
         Sample {
             dtype: Dtype::U8,
-            shape: Shape::from([bytes.len() as u64]),
-            data: Bytes::from(bytes),
+            shape: Shape::from([text.len() as u64]),
+            data: Bytes::copy_from_slice(text.as_bytes()),
         }
     }
 
@@ -238,23 +238,23 @@ impl Sample {
 
 /// Build a sample of dtype `to` from `f64` element values.
 pub fn from_f64_values(to: Dtype, shape: Shape, values: &[f64]) -> Sample {
-    let mut buf = Vec::with_capacity(values.len() * to.size());
-    for &v in values {
+    let mut buf = BytesMut::zeroed(values.len() * to.size());
+    for (out, &v) in buf.chunks_exact_mut(to.size()).zip(values) {
         match to {
-            Dtype::U8 => (v as u8).write_le(&mut buf),
-            Dtype::I8 => (v as i8).write_le(&mut buf),
-            Dtype::U16 => (v as u16).write_le(&mut buf),
-            Dtype::I16 => (v as i16).write_le(&mut buf),
-            Dtype::U32 => (v as u32).write_le(&mut buf),
-            Dtype::I32 => (v as i32).write_le(&mut buf),
-            Dtype::U64 => (v as u64).write_le(&mut buf),
-            Dtype::I64 => (v as i64).write_le(&mut buf),
-            Dtype::F32 => (v as f32).write_le(&mut buf),
-            Dtype::F64 => v.write_le(&mut buf),
-            Dtype::Bool => (v != 0.0).write_le(&mut buf),
+            Dtype::U8 => (v as u8).write_le(out),
+            Dtype::I8 => (v as i8).write_le(out),
+            Dtype::U16 => (v as u16).write_le(out),
+            Dtype::I16 => (v as i16).write_le(out),
+            Dtype::U32 => (v as u32).write_le(out),
+            Dtype::I32 => (v as i32).write_le(out),
+            Dtype::U64 => (v as u64).write_le(out),
+            Dtype::I64 => (v as i64).write_le(out),
+            Dtype::F32 => (v as f32).write_le(out),
+            Dtype::F64 => v.write_le(out),
+            Dtype::Bool => (v != 0.0).write_le(out),
         }
     }
-    Sample::from_bytes(to, shape, Bytes::from(buf)).expect("length computed from values")
+    Sample::from_bytes(to, shape, buf.freeze()).expect("length computed from values")
 }
 
 /// One little-endian element of `dtype` (exactly `dtype.size()` bytes) as

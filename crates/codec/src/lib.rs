@@ -12,11 +12,13 @@
 //!   (the real algorithm: 4-byte-hash greedy matching, literal/match token
 //!   stream). Used for chunk compression of labels and metadata.
 //! * [`rle`] — byte run-length encoding, effective on masks.
-//! * [`synthimg`] — a synthetic lossy image codec standing in for JPEG
-//!   (see DESIGN.md substitutions): bit-depth quantization + left-neighbour
-//!   delta prediction + LZ4. It reproduces JPEG's *system-level* properties
-//!   (≈5-10× size reduction on natural-ish images, decode cost proportional
-//!   to pixel count) without binding libjpeg.
+//! * [`synthimg`] — a synthetic lossy image codec standing in for JPEG:
+//!   bit-depth quantization + left-neighbour delta prediction (packed two
+//!   residuals a byte at 4 bits or fewer) + LZ4. It reproduces JPEG's
+//!   *system-level* properties (several times smaller on natural-ish
+//!   images — 3.9× on dlbench's 32×32×3 images at the default 4 bits —
+//!   and a decode cost proportional to pixel count) without binding
+//!   libjpeg.
 //! * [`Compression`] — the registry enum stored in tensor metadata, with
 //!   self-describing magic headers so blobs can be decoded without context.
 //! * [`Frame`] — a stored blob with its header read and checked: lengths

@@ -275,7 +275,7 @@ impl<'a> Frame<'a> {
             }
             Body::Lz4(block) => lz4::decompress_into(block, out),
             Body::Rle(stream) => rle::decompress_into(stream, out),
-            Body::Image(blob, _) => synthimg::decompress_into(blob, out).map(|_| ()),
+            Body::Image(blob, header) => synthimg::decode_into(&header, blob, out),
         }
     }
 }

@@ -1,7 +1,9 @@
-//! The stored bytes of a fixed write, pinned: every chunk object and
-//! chunk encoder of three tensors, by FNV-1a-64 digest. How an append
-//! reaches the open chunk may change; where a chunk closes, what a tiled
-//! sample's tiles hold and how a blob is framed may not.
+//! The stored bytes of a fixed write, pinned: every chunk object, chunk
+//! encoder and tile encoder of three tensors, by FNV-1a-64 digest. How an
+//! append reaches the open chunk may change; where a chunk closes, what a
+//! tiled sample's tiles hold and how a blob is framed may not. A change
+//! to what the image codec writes moves `images/*` alone: `labels/*` and
+//! `emb/*` must stay as they are.
 //!
 //! The fixture crosses a chunk-full boundary in every tensor, flushes in
 //! the middle of a chunk, tiles an oversized image, appends a pre-encoded
@@ -41,11 +43,18 @@ fn image(i: u64) -> Sample {
     Sample::from_slice([16, 16, 3], &pixels).unwrap()
 }
 
-/// A 64×64×3 image of noise: its blob is past the images tensor's
-/// 8 KiB cap, so it is tiled.
+/// A 128×64×3 image of noise: its blob (two 4-bit residuals a byte) is
+/// past the images tensor's 8 KiB cap, so it is tiled. Two pixels per
+/// draw, so the draws left for the embeddings are the same as when it was
+/// 64×64×3 of one pixel a draw.
 fn noise_image(state: &mut u64) -> Sample {
-    let pixels: Vec<u8> = (0..64 * 64 * 3).map(|_| next(state) as u8).collect();
-    Sample::from_slice([64, 64, 3], &pixels).unwrap()
+    let pixels: Vec<u8> = (0..64 * 64 * 3)
+        .flat_map(|_| {
+            let draw = next(state);
+            [draw as u8, (draw >> 8) as u8]
+        })
+        .collect();
+    Sample::from_slice([128, 64, 3], &pixels).unwrap()
 }
 
 fn embedding(state: &mut u64) -> Sample {
@@ -112,8 +121,8 @@ fn fixture() -> Arc<MemoryProvider> {
     store
 }
 
-/// `<tensor>/<key>` and digest of every chunk object and chunk encoder
-/// of the three tensors, sorted.
+/// `<tensor>/<key>` and digest of every chunk object, chunk encoder and
+/// tile encoder of the three tensors, sorted.
 fn digests(store: &MemoryProvider) -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = store
         .list("")
@@ -128,7 +137,8 @@ fn digests(store: &MemoryProvider) -> Vec<(String, u64)> {
                 (dir, last.to_string())
             };
             let named = ["images", "labels", "emb"].contains(&tensor);
-            (named && (dir == "chunks" || last == "chunk_encoder")).then(|| {
+            let encoder = ["chunk_encoder", "tile_encoder"].contains(&last);
+            (named && (dir == "chunks" || encoder)).then(|| {
                 let digest = fnv1a(&store.get(&key).unwrap());
                 (format!("{tensor}/{object}"), digest)
             })
@@ -151,7 +161,7 @@ fn a_fixed_write_stores_the_pinned_bytes() {
     let ds = Dataset::open(store).unwrap();
     assert_eq!(
         ds.get_shape("images", 71).unwrap(),
-        Shape::from([64, 64, 3])
+        Shape::from([128, 64, 3])
     );
     assert_eq!(ds.get_shape("emb", 70).unwrap(), Shape::from([0]));
     let want: &[(&str, u64)] = &[
@@ -174,23 +184,24 @@ fn a_fixed_write_stores_the_pinned_bytes() {
         ("emb/chunks/000000000000000f", 0x9fdc4d0536417844),
         ("emb/chunks/0000000000000010", 0xcc3105b4a31909a9),
         ("emb/chunks/0000000000000011", 0xb717c112aacd9b38),
-        ("images/chunk_encoder", 0xb838e64755bc1b79),
-        ("images/chunks/0000000000000000", 0x5df2a413ebdc61ca),
-        ("images/chunks/0000000000000001", 0x7e663e2a2a3a1309),
-        ("images/chunks/0000000000000002", 0xf6638cc5c78cde1b),
-        ("images/chunks/0000000000000003", 0x2a1f7a55745ddb5e),
-        ("images/chunks/0000000000000004", 0xa4c239976f546e31),
-        ("images/chunks/0000000000000005", 0xb858338b196dfd7d),
-        ("images/chunks/0000000000000006", 0xf3925a342e3d9c9a),
-        ("images/chunks/0000000000000007", 0x46f832fabfadfa63),
-        ("images/chunks/0000000000000008", 0xd95a33b36948a6e2),
-        ("images/chunks/0000000000000009", 0xa49395363122c924),
-        ("images/chunks/000000000000000a", 0xbac2b79801ea6a5d),
-        ("images/chunks/000000000000000b", 0x90cbb2652cd7d8a8),
-        ("images/chunks/000000000000000c", 0xe38e5756eea4e66f),
-        ("images/chunks/000000000000000d", 0xb1e6380ef90566cd),
-        ("images/chunks/000000000000000e", 0x9d1fa1ad44b6c532),
-        ("images/chunks/000000000000000f", 0xe245e8a277d3f1eb),
+        ("images/chunk_encoder", 0xd4a35854cc7a6169),
+        ("images/chunks/0000000000000000", 0x5ba16ed4c21165ec),
+        ("images/chunks/0000000000000001", 0xe6402063584ad7b9),
+        ("images/chunks/0000000000000002", 0x26ec0c453384d741),
+        ("images/chunks/0000000000000003", 0xaf511ad1ed58184d),
+        ("images/chunks/0000000000000004", 0x159f1680e7dece21),
+        ("images/chunks/0000000000000005", 0xd3119727bb329092),
+        ("images/chunks/0000000000000006", 0xf3d610be99db83f9),
+        ("images/chunks/0000000000000007", 0xbe926a7f876617bc),
+        ("images/chunks/0000000000000008", 0x47850ef55d3e1014),
+        ("images/chunks/0000000000000009", 0x233a25007eb2fd2a),
+        ("images/chunks/000000000000000a", 0x875c0d95e6fe2250),
+        ("images/chunks/000000000000000b", 0xd65f7f68c838805c),
+        ("images/chunks/000000000000000c", 0xda1eaaefdec08459),
+        ("images/chunks/000000000000000d", 0xb983be76670541d1),
+        ("images/chunks/000000000000000e", 0x0f0ad9f6f0e166bc),
+        ("images/chunks/000000000000000f", 0xdd76748d2206e097),
+        ("images/tile_encoder", 0xe7f0ab9fe8e55fed),
         ("labels/chunk_encoder", 0x44b0d5b1b2c84099),
         ("labels/chunks/0000000000000000", 0x67a551aa455d6b86),
         ("labels/chunks/0000000000000001", 0x4ca12e20caf841e2),

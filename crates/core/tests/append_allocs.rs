@@ -1,5 +1,6 @@
 //! Allocations of the write path: an appended row through
-//! `Dataset::extend_rows`, a `Row` clone, and a pre-encoded append. Its
+//! `Dataset::extend_rows`, a `Row` clone, and a pre-encoded append; and
+//! of the image decode a read of one of those rows runs. Its
 //! own test binary: the counting allocator is global, but it counts per
 //! thread, so tests running beside each other do not disturb their
 //! counts.
@@ -9,6 +10,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use deeplake_codec::Compression;
 use deeplake_core::chunk_cache::ChunkCache;
 use deeplake_core::dataset::TensorOptions;
 use deeplake_core::tensor_store::TensorStore;
@@ -149,4 +151,25 @@ fn an_encoded_append_does_not_allocate_its_decoded_size() {
     appended.unwrap();
     assert!(bytes < DECODED, "{bytes} bytes allocated");
     assert_eq!(store.get(0).unwrap().shape(), &Shape::from([1024, 1024, 3]));
+}
+
+/// An image decode allocates its output and nothing else: a packed
+/// plane is expanded inside the output, whatever the image's size, and a
+/// one-residual-a-byte plane (8 bits) lands in it directly.
+#[test]
+fn an_image_decode_allocates_only_its_output() {
+    for (side, bits) in [(32u32, 4u8), (32, 3), (32, 8), (512, 4)] {
+        let n = (side * side * 3) as usize;
+        let pixels: Vec<u8> = (0..n).map(|p| (p / 3 % 61 + p % 3 * 40) as u8).collect();
+        let blob = Compression::SynthImg { bits }
+            .compress_image(&pixels, side, side, 3)
+            .unwrap();
+        let (decoded, allocations, bytes) = counted(|| Compression::decompress_image(&blob));
+        assert_eq!(decoded.unwrap().0.len(), n);
+        assert_eq!(
+            (allocations, bytes),
+            (1, n),
+            "{side}x{side}x3 at {bits} bits"
+        );
+    }
 }

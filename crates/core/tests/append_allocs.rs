@@ -5,8 +5,6 @@
 //! thread, so tests running beside each other do not disturb their
 //! counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,52 +14,12 @@ use deeplake_core::dataset::TensorOptions;
 use deeplake_core::tensor_store::TensorStore;
 use deeplake_core::{Dataset, Row};
 use deeplake_format::TensorMeta;
+use deeplake_obs::alloc::{counted, Counting};
 use deeplake_storage::{MemoryProvider, PrefixProvider};
 use deeplake_tensor::{Dtype, Htype, Sample, Shape};
 
-struct Counting;
-
-thread_local! {
-    // const-initialised and without a destructor: safe to touch from
-    // inside the allocator
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-    BYTES.with(|n| n.set(n.get() + bytes));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counters are plain thread-local integers.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: as for `alloc` and `dealloc`
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// `(allocations, bytes allocated)` on this thread while `f` runs.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (n0, b0) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    let out = f();
-    let (n1, b1) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    (out, n1 - n0, b1 - b0)
-}
 
 /// A smooth 32×32×3 image, a class label and a 32-d embedding.
 fn row(i: u64) -> Row {
@@ -105,7 +63,7 @@ fn an_appended_row_allocates_a_few_times() {
         ds.create_tensor_opts(name, opts).unwrap();
     }
     let mut rows: Vec<Row> = (0..ROWS).map(row).collect();
-    let ((), allocations, _) = counted(|| {
+    let ((), counts) = counted(|| {
         while !rows.is_empty() {
             let batch: Vec<Row> = rows.drain(..256).collect();
             ds.extend_rows(batch).unwrap();
@@ -113,7 +71,7 @@ fn an_appended_row_allocates_a_few_times() {
         }
     });
     assert_eq!(ds.len(), ROWS);
-    let per_row = allocations as f64 / ROWS as f64;
+    let per_row = counts.allocations as f64 / ROWS as f64;
     assert!(per_row <= 3.0, "{per_row:.2} allocations per row");
 }
 
@@ -123,9 +81,9 @@ fn an_appended_row_allocates_a_few_times() {
 #[test]
 fn a_row_clone_allocates_for_its_vec_and_shapes() {
     let original = row(7);
-    let (copy, allocations, _) = counted(|| original.clone());
+    let (copy, counts) = counted(|| original.clone());
     assert_eq!(copy, original);
-    assert_eq!(allocations, 3);
+    assert_eq!(counts.allocations, 3);
 }
 
 /// A pre-encoded blob is validated and observed by its declared shape:
@@ -147,9 +105,9 @@ fn an_encoded_append_does_not_allocate_its_decoded_size() {
         "the blob fits a chunk: {}",
         blob.len()
     );
-    let (appended, _, bytes) = counted(|| store.append_encoded(blob, Shape::from([1024, 1024, 3])));
+    let (appended, counts) = counted(|| store.append_encoded(blob, Shape::from([1024, 1024, 3])));
     appended.unwrap();
-    assert!(bytes < DECODED, "{bytes} bytes allocated");
+    assert!(counts.bytes < DECODED, "{} bytes allocated", counts.bytes);
     assert_eq!(store.get(0).unwrap().shape(), &Shape::from([1024, 1024, 3]));
 }
 
@@ -164,10 +122,10 @@ fn an_image_decode_allocates_only_its_output() {
         let blob = Compression::SynthImg { bits }
             .compress_image(&pixels, side, side, 3)
             .unwrap();
-        let (decoded, allocations, bytes) = counted(|| Compression::decompress_image(&blob));
+        let (decoded, counts) = counted(|| Compression::decompress_image(&blob));
         assert_eq!(decoded.unwrap().0.len(), n);
         assert_eq!(
-            (allocations, bytes),
+            (counts.allocations, counts.bytes),
             (1, n),
             "{side}x{side}x3 at {bits} bits"
         );

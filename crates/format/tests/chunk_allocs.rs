@@ -1,40 +1,11 @@
 //! `Chunk::parse` allocates a constant number of times, whatever the
 //! record count. Its own test binary: the counting allocator is global.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use bytes::Bytes;
 use deeplake_codec::Compression;
 use deeplake_format::Chunk;
+use deeplake_obs::alloc::{counted, Counting};
 use deeplake_tensor::{Dtype, Sample};
-
-struct Counting;
-
-thread_local! {
-    // const-initialised and without a destructor: safe to touch from
-    // inside the allocator
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a plain thread-local integer.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc` and `dealloc`
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -42,11 +13,9 @@ static GLOBAL: Counting = Counting;
 /// Allocations (and reallocations) one parse of `blob` makes on this thread.
 fn parse_allocations(blob: &Bytes) -> usize {
     let blob = blob.clone();
-    let before = ALLOCATIONS.with(Cell::get);
-    let chunk = Chunk::parse(blob).expect("a serialized chunk");
-    let count = ALLOCATIONS.with(Cell::get) - before;
+    let (chunk, count) = counted(|| Chunk::parse(blob).expect("a serialized chunk"));
     assert!(chunk.sample_count() > 0);
-    count
+    count.allocations
 }
 
 fn chunk_of(n: usize, sample: impl Fn(usize) -> Sample) -> Chunk {

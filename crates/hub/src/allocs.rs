@@ -7,13 +7,12 @@
 //! The counting allocator is global to this test binary but counts per
 //! thread, so tests running beside this one do not disturb its count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::IoSlice;
 use std::sync::Arc;
 
 use deeplake_core::dataset::TensorOptions;
 use deeplake_core::Dataset;
+use deeplake_obs::alloc::{counted, Counting};
 use deeplake_remote::proto::{self, Request};
 use deeplake_storage::{DynProvider, MemoryProvider};
 use deeplake_tensor::{Dtype, Htype, Sample};
@@ -23,33 +22,6 @@ use crate::conn::{Conn, ConnShared};
 use crate::dispatch;
 use crate::hub::Shared;
 use crate::Hub;
-
-struct Counting;
-
-thread_local! {
-    // const-initialised and without a destructor: safe to touch from
-    // inside the allocator
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a plain thread-local integer.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `alloc` and `dealloc`
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -122,11 +94,12 @@ fn a_warmed_up_loop_side_hit_allocates_nothing() {
         assert_eq!(serve(&shared, &mut conn, &frame), answer);
     }
     let hits = shared.cache.stats().cache_hits();
-    let before = ALLOCATIONS.with(Cell::get);
-    for _ in 0..HITS {
-        assert_eq!(serve(&shared, &mut conn, &frame), answer);
-    }
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let ((), allocs) = counted(|| {
+        for _ in 0..HITS {
+            assert_eq!(serve(&shared, &mut conn, &frame), answer);
+        }
+    });
+    let allocations = allocs.allocations;
     assert_eq!(shared.cache.stats().cache_hits() - hits, HITS as u64);
     assert_eq!(shared.sched.load().1, 0, "every one answered on the loop");
     assert_eq!(allocations, 0, "{allocations} allocations over {HITS} hits");

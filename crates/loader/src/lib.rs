@@ -35,9 +35,11 @@
 //! one is near ([`shuffle`]). Each epoch is one plan drawn before a row
 //! is fetched — the block order and the rows' delivery order
 //! ([`shuffle::epoch_plan`]) — and one path delivers it: the consumer
-//! issues blocks to the workers as far as its credit reaches
-//! ([`scheduler`]), a block travels back as one message, and the
-//! consumer puts its rows in plan order ([`loader`]).
+//! issues blocks to the workers as far as its credit reaches, a block
+//! travels back as one message, and the consumer puts its rows in plan
+//! order. Those decisions are one socket-free state machine,
+//! [`scheduler::Epoch`], which a test drives without a thread; the
+//! [`loader`] drives it over the worker threads' channels.
 //!
 //! ```
 //! use deeplake_core::Dataset;

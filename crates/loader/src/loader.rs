@@ -5,24 +5,26 @@
 //! ([`shuffle::epoch_plan`](crate::shuffle::epoch_plan)): the blocks in
 //! epoch order — a task each, `block_rows` rows give or take half,
 //! ending on a chunk boundary where one is near — and the order their
-//! rows are delivered in. An epoch spawns `num_workers` native threads;
-//! the consumer issues them tasks in epoch order as far as its credit
-//! reaches ([`scheduler`](crate::scheduler)). A worker fetches its
-//! block's chunks in one storage call (chunk fetch + decompression
-//! happen *in the worker*, §4.6), assembles its rows, applies the user
-//! transform, and sends the whole block back as ONE message. A failing
-//! sample travels in its task's message behind the rows before it.
+//! rows are delivered in. An epoch spawns `num_workers` native threads
+//! that only run tasks: a worker fetches its block's chunks in one
+//! storage call (chunk fetch + decompression happen *in the worker*,
+//! §4.6), assembles its rows, applies the user transform, and sends the
+//! whole block back as ONE message. A failing sample travels in its
+//! task's message behind the rows before it.
 //!
-//! The consumer places each block's rows at their epoch positions and
-//! moves them on, in the plan's delivery order, as soon as the next one
-//! is there; collation moves each sample into its column of a
-//! [`Batch`]. So an epoch's order is a function of the seed and the
-//! epoch index whatever the worker count or thread timing, shuffled or
-//! not, and the rows the consumer holds undelivered never exceed the
-//! credit: the plan's reach (under `buffer_rows` shuffled, 0
-//! sequential) plus the in-flight budget plus one block per worker.
+//! Every decision of the epoch is made by its socket-free core,
+//! [`scheduler::Epoch`](crate::scheduler::Epoch): which task is issued
+//! next (in epoch order, as far as the credit reaches), where a block's
+//! rows are held, which row is delivered next (the plan's delivery
+//! order, as soon as that row is there) and where a failure surfaces.
+//! [`EpochIter`] drives it over the channels, records the instruments
+//! and collates each sample into its column of a [`Batch`]. So an
+//! epoch's order is a function of the seed and the epoch index whatever
+//! the worker count or thread timing, shuffled or not, and the rows the
+//! consumer holds undelivered never exceed the credit: the plan's reach
+//! (under `buffer_rows` shuffled, 0 sequential) plus the in-flight
+//! budget plus one block per worker.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,10 +38,10 @@ use deeplake_obs::{
 };
 
 use crate::batch::{Batch, LoadedRow};
-use crate::config::{LoaderBuilder, LoaderConfig};
+use crate::config::{LoaderBuilder, LoaderConfig, RowTransform};
 use crate::memory::MemoryEstimator;
 use crate::report::{EpochReport, LoaderObs, StageSummary, WorkerSummary};
-use crate::scheduler::{credit, task};
+use crate::scheduler::{Epoch, Step};
 use crate::shuffle::{block_ends, epoch_plan};
 use crate::Result;
 
@@ -176,10 +178,7 @@ impl DataLoader {
         let allowance = plan.reach + in_flight + workers * block_rows;
         let tasks = plan.ends.len();
 
-        self.obs
-            .stages
-            .schedule
-            .record(sched_t.elapsed().as_nanos() as u64);
+        self.obs.stages.schedule.record_duration(sched_t.elapsed());
         let root = TraceContext::root();
         let spans: Arc<Mutex<Vec<SpanRecord>>> = Arc::new(Mutex::new(Vec::new()));
         let sent = Arc::new(AtomicU64::new(0));
@@ -199,6 +198,7 @@ impl DataLoader {
             let tx = tx.clone();
             let w = WorkerObs {
                 obs: self.obs.clone(),
+                root,
                 spans: spans.clone(),
                 sent: sent.clone(),
                 busy: self.obs.registry.counter(&worker_busy_name(w_idx)),
@@ -207,93 +207,16 @@ impl DataLoader {
             handles.push(std::thread::spawn(move || {
                 while let Ok(task) = task_rx.recv() {
                     let rows = &order[task.clone()];
-                    let busy_t = Instant::now();
-                    // a panic (in a user transform, say) fails the task
-                    // instead of leaving its rows missing for good
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        // Every storage call of this task runs under one
-                        // child span of the epoch root; a served hub
-                        // reads it from the wire and parents its own
-                        // span tree under it.
-                        let fetch_ctx = root.child();
-                        // ONE storage call covers every chunk this task
-                        // touches (§3.5 scatter-gather). A chunk the call
-                        // could not deliver is retried by
-                        // `PrefetchedChunks::get` on the single-key path,
-                        // so a sample that cannot be read fails with the
-                        // error `Dataset::get` reports for it.
-                        let fetch_t = Instant::now();
-                        let prefetched = with_current(fetch_ctx, || {
-                            dataset.prefetch_chunks(&tensor_names, rows)
-                        });
-                        let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
-                        let mut loaded: Vec<LoadedRow> = Vec::with_capacity(rows.len());
-                        let failure: Option<String> = match prefetched {
-                            Ok(pf) => {
-                                let decode_t = Instant::now();
-                                let failure = rows.iter().find_map(|&row_idx| {
-                                    let mut samples = Vec::with_capacity(tensor_names.len());
-                                    for name in tensor_names.iter() {
-                                        match pf.get(&dataset, name, row_idx) {
-                                            Ok(sample) => samples.push(sample),
-                                            Err(e) => {
-                                                return Some(format!(
-                                                    "fetch {name}[{row_idx}]: {e}"
-                                                ))
-                                            }
-                                        }
-                                    }
-                                    loaded.push(LoadedRow {
-                                        names: tensor_names.clone(),
-                                        samples,
-                                    });
-                                    None
-                                });
-                                // Stage samples land the moment the stage
-                                // finishes — before the send — so a
-                                // consumer dropping mid-epoch loses none.
-                                let stages = &w.obs.stages;
-                                stages.fetch.record(pf.fetch_ns());
-                                stages
-                                    .decode
-                                    .record(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
-                                failure
-                            }
-                            Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
-                        };
-                        w.span("fetch", fetch_ctx.span_id, root.span_id, fetch_span_ns);
-                        let loaded: Vec<LoadedRow> = match &transform {
-                            Some(f) => {
-                                let t = Instant::now();
-                                let mut names = tensor_names.clone();
-                                let out = loaded
-                                    .into_iter()
-                                    .map(|row| LoadedRow::from_row(f(row.into_row()), &mut names))
-                                    .collect();
-                                w.obs.stages.transform.record(t.elapsed().as_nanos() as u64);
-                                out
-                            }
-                            None => loaded,
-                        };
-                        (loaded, failure)
-                    }));
-                    let (rows, failure) = run.unwrap_or_else(|_| {
-                        let panicked = format!("task at position {} panicked", task.start);
-                        (Vec::new(), Some(panicked))
-                    });
-                    w.task_done(busy_t.elapsed().as_nanos() as u64);
-                    // the rows before a failing sample travel with the
-                    // failure
-                    let rows_sent = rows.len() as u64;
-                    let message = TaskRows {
-                        task,
-                        rows,
-                        failure,
-                    };
-                    if tx.send(message).is_err() {
+                    let done =
+                        run_task(&dataset, &tensor_names, task, rows, transform.as_ref(), &w);
+                    // queued before the consumer can take them off (a
+                    // send that fails is settled by the epoch's drop)
+                    let queued = done.rows.len() as u64;
+                    w.obs.queue_depth.add(queued as i64);
+                    w.sent.fetch_add(queued, Ordering::Relaxed);
+                    if tx.send(done).is_err() {
                         return; // consumer hung up
                     }
-                    w.sent(rows_sent);
                 }
             }));
         }
@@ -302,20 +225,10 @@ impl DataLoader {
         let mut epoch = EpochIter {
             rx,
             tasks: Some(task_tx),
-            ends: plan.ends,
-            issued: 0,
-            allowance,
             handles,
-            slots: plan.delivery.iter().map(|_| None).collect(),
-            delivery: plan.delivery,
-            next_out: 0,
-            failures: Vec::new(),
-            pending: VecDeque::new(),
+            epoch: Epoch::new(plan.ends, plan.delivery, allowance),
             batch_size: self.config.batch_size,
             drop_last: self.config.drop_last,
-            upstream_done: false,
-            failure: None,
-            failed: false,
             started: Instant::now(),
             obs: self.obs.clone(),
             base,
@@ -331,6 +244,94 @@ impl DataLoader {
     }
 }
 
+/// Run one task: fetch the chunks of its `rows` (epoch positions
+/// `task`) in one storage call, assemble the rows and apply the user
+/// transform. A sample that cannot be read fails the task after the
+/// rows before it; a panic (in a user transform, say) fails it with no
+/// rows, instead of leaving its rows missing for good.
+fn run_task(
+    dataset: &Dataset,
+    tensor_names: &Arc<Vec<String>>,
+    task: Range<usize>,
+    rows: &[u64],
+    transform: Option<&RowTransform>,
+    w: &WorkerObs,
+) -> TaskRows {
+    let busy_t = Instant::now();
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        // Every storage call of this task runs under one child span of
+        // the epoch root; a served hub reads it from the wire and
+        // parents its own span tree under it.
+        let fetch_ctx = w.root.child();
+        // ONE storage call covers every chunk this task touches (§3.5
+        // scatter-gather). A chunk the call could not deliver is retried
+        // by `PrefetchedChunks::get` on the single-key path, so a sample
+        // that cannot be read fails with the error `Dataset::get`
+        // reports for it.
+        let fetch_t = Instant::now();
+        let prefetched = with_current(fetch_ctx, || dataset.prefetch_chunks(tensor_names, rows));
+        let fetch_span_ns = fetch_t.elapsed().as_nanos() as u64;
+        let mut loaded: Vec<LoadedRow> = Vec::with_capacity(rows.len());
+        let failure: Option<String> = match prefetched {
+            Ok(pf) => {
+                let decode_t = Instant::now();
+                let failure = rows.iter().find_map(|&row_idx| {
+                    let mut samples = Vec::with_capacity(tensor_names.len());
+                    for name in tensor_names.iter() {
+                        match pf.get(dataset, name, row_idx) {
+                            Ok(sample) => samples.push(sample),
+                            Err(e) => return Some(format!("fetch {name}[{row_idx}]: {e}")),
+                        }
+                    }
+                    loaded.push(LoadedRow {
+                        names: tensor_names.clone(),
+                        samples,
+                    });
+                    None
+                });
+                // Stage samples land the moment the stage finishes —
+                // before the send — so a consumer dropping mid-epoch
+                // loses none.
+                let stages = &w.obs.stages;
+                stages.fetch.record(pf.fetch_ns());
+                stages
+                    .decode
+                    .record(pf.decode_ns() + decode_t.elapsed().as_nanos() as u64);
+                failure
+            }
+            Err(e) => Some(format!("fetch {} rows: {e}", rows.len())),
+        };
+        w.spans.lock().unwrap().push(SpanRecord {
+            name: "fetch".into(),
+            span_id: fetch_ctx.span_id,
+            parent_span: w.root.span_id,
+            dur_ns: fetch_span_ns,
+        });
+        if let Some(f) = transform {
+            let t = Instant::now();
+            let mut names = tensor_names.clone();
+            loaded = loaded
+                .into_iter()
+                .map(|row| LoadedRow::from_row(f(row.into_row()), &mut names))
+                .collect();
+            w.obs.stages.transform.record_duration(t.elapsed());
+        }
+        (loaded, failure)
+    }));
+    let (rows, failure) = run.unwrap_or_else(|_| {
+        let panicked = format!("task at position {} panicked", task.start);
+        (Vec::new(), Some(panicked))
+    });
+    // busy time excludes the send: blocking there is backpressure
+    w.busy.add(busy_t.elapsed().as_nanos() as u64);
+    w.tasks.inc();
+    TaskRows {
+        task,
+        rows,
+        failure,
+    }
+}
+
 fn worker_busy_name(worker: usize) -> String {
     format!("loader.worker.{worker}.busy_ns")
 }
@@ -343,34 +344,12 @@ fn worker_tasks_name(worker: usize) -> String {
 /// thread.
 struct WorkerObs {
     obs: LoaderObs,
+    /// The epoch's root: each task fetches under a child span of it.
+    root: TraceContext,
     spans: Arc<Mutex<Vec<SpanRecord>>>,
     sent: Arc<AtomicU64>,
     busy: Counter,
     tasks: Counter,
-}
-
-impl WorkerObs {
-    fn span(&self, name: &'static str, span_id: u64, parent_span: u64, dur_ns: u64) {
-        self.spans.lock().unwrap().push(SpanRecord {
-            name: name.into(),
-            span_id,
-            parent_span,
-            dur_ns,
-        });
-    }
-
-    /// Busy time excludes send-block: that is backpressure, not work.
-    fn task_done(&self, busy_ns: u64) {
-        self.busy.add(busy_ns);
-        self.tasks.inc();
-    }
-
-    /// A task's message is in (or through) the channel: `rows` more rows
-    /// are queued.
-    fn sent(&self, rows: u64) {
-        self.obs.queue_depth.add(rows as i64);
-        self.sent.fetch_add(rows, Ordering::Relaxed);
-    }
 }
 
 /// What a worker sends for one task: its rows in epoch order — all of
@@ -397,55 +376,36 @@ pub struct LoaderStats {
 impl LoaderStats {
     /// Delivered rows per second.
     pub fn rows_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.rows as f64 / secs
-        }
+        self.per_sec(self.rows as f64)
     }
 
     /// Delivered megabytes per second.
     pub fn mb_per_sec(&self) -> f64 {
+        self.per_sec(self.bytes as f64 / 1_000_000.0)
+    }
+
+    fn per_sec(&self, n: f64) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
-            self.bytes as f64 / 1_000_000.0 / secs
+            n / secs
         }
     }
 }
 
-/// Iterator over one epoch's batches.
+/// Iterator over one epoch's batches: a driver of the epoch's
+/// [`Epoch`] over the worker threads' channels, which records the
+/// loader's instruments and collates.
 pub struct EpochIter {
     rx: Receiver<TaskRows>,
-    /// Where tasks go to the workers, until the last one is issued.
+    /// Where tasks go to the workers, until the epoch is over.
     tasks: Option<Sender<Range<usize>>>,
-    /// One past the last epoch position of each block: one task each.
-    ends: Vec<usize>,
-    /// Tasks issued so far, in epoch order.
-    issued: usize,
-    /// How far past the next row to deliver a task may start: the
-    /// plan's reach + the in-flight budget + a block per worker.
-    allowance: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Rows received and not yet delivered, by epoch position.
-    slots: Vec<Option<LoadedRow>>,
-    /// The plan's delivery order: epoch positions.
-    delivery: Vec<usize>,
-    /// Rows delivered so far: `delivery[next_out]` is the next one.
-    next_out: usize,
-    /// Epoch positions failed tasks did not deliver, with the failure.
-    failures: Vec<(Range<usize>, String)>,
-    /// Delivered rows waiting to be collated.
-    pending: VecDeque<LoadedRow>,
+    /// What is issued, held, delivered and failed.
+    epoch: Epoch<LoadedRow>,
     batch_size: usize,
     drop_last: bool,
-    upstream_done: bool,
-    /// A task's failure, surfaced once delivery reaches a row the task
-    /// did not deliver and the full batches before it are out.
-    failure: Option<String>,
-    failed: bool,
     started: Instant,
     /// The loader's instruments — the only place this epoch records.
     obs: LoaderObs,
@@ -543,61 +503,72 @@ impl EpochIter {
         }
     }
 
-    /// Place a task's rows at their epoch positions, deliver what the
-    /// plan now can, and issue the tasks the credit reaches.
-    fn absorb(&mut self, done: TaskRows) {
-        let task = done.task;
-        if let Some(message) = done.failure {
-            let gap = task.start + done.rows.len()..task.end;
-            self.failures.push((gap, message));
-        }
-        for (slot, row) in self.slots[task.start..].iter_mut().zip(done.rows) {
-            *slot = Some(row);
-        }
-        while let Some(&pos) = self.delivery.get(self.next_out) {
-            let Some(row) = self.slots[pos].take() else {
-                if let Some(i) = self.failures.iter().position(|(gap, _)| gap.contains(&pos)) {
-                    self.failure = Some(self.failures.swap_remove(i).1);
-                }
-                break;
-            };
-            self.pending.push_back(row);
-            self.next_out += 1;
-        }
-        self.issue();
-    }
-
-    /// Send the workers every task the credit reaches; once the last is
-    /// sent, hang up so they exit when the queue is empty.
+    /// Send the workers every task the credit reaches.
     fn issue(&mut self) {
         let Some(tasks) = &self.tasks else { return };
-        let due = credit(&self.ends, self.next_out + self.allowance);
-        for i in self.issued..due {
+        while let Some(task) = self.epoch.issue() {
             // the workers outlive the sender: it cannot fail
-            let _ = tasks.send(task(&self.ends, i));
-        }
-        self.issued = due;
-        if due == self.ends.len() {
-            self.tasks = None;
+            let _ = tasks.send(task);
         }
     }
 
-    fn pop_batch(&mut self) -> Option<Batch> {
-        let ready = self.pending.len() >= self.batch_size
-            || (self.upstream_done && !self.pending.is_empty() && !self.drop_last);
-        if !ready {
-            if self.upstream_done && self.drop_last && self.pending.len() < self.batch_size {
-                self.pending.clear();
+    /// Wait for a task's rows — `None` once every worker has left — as
+    /// one `loader.queue_wait_ns` sample.
+    fn receive(&mut self) -> Option<TaskRows> {
+        let wait_t = Instant::now();
+        let received = self.rx.recv().ok();
+        self.obs.stages.queue_wait.record_duration(wait_t.elapsed());
+        received
+    }
+
+    /// The next batch: the epoch's rows in delivery order until it is
+    /// full, receiving a task's rows whenever the next row has not
+    /// arrived. A failure ends the epoch after the full batches before
+    /// it; so does the end of the plan, after its partial batch unless
+    /// `drop_last`.
+    fn advance(&mut self) -> Option<Result<Batch>> {
+        let mut rows = Vec::with_capacity(self.batch_size);
+        while rows.len() < self.batch_size {
+            match self.epoch.step() {
+                Step::Row(row) => rows.push(row),
+                Step::Wait => {
+                    // the rows delivered since the last receive may have
+                    // brought the next row's task within the credit
+                    self.issue();
+                    let done = self
+                        .receive()
+                        .expect("a worker holds the sender while a task is outstanding");
+                    let n = done.rows.len() as u64;
+                    self.obs.queue_depth.add(-(n as i64));
+                    self.recvd += n;
+                    self.epoch.complete(done.task, done.rows, done.failure);
+                }
+                Step::Failed(message) => {
+                    self.tasks = None;
+                    return Some(Err(CoreError::Corrupt(format!(
+                        "loader worker failed: {message}"
+                    ))));
+                }
+                Step::Done => {
+                    // every task is in: hang up, and the receive that
+                    // finds the channel closed waits for the workers to
+                    // leave
+                    if self.tasks.take().is_some() {
+                        self.receive();
+                    }
+                    if rows.is_empty() || self.drop_last {
+                        return None;
+                    }
+                    break;
+                }
             }
-            return None;
         }
-        let take = self.batch_size.min(self.pending.len());
+        // the workers run on while the batch is collated and consumed
+        self.issue();
         let collate_t = Instant::now();
-        let batch = Batch::collate_loaded(self.pending.drain(..take));
+        let batch = Batch::collate_loaded(rows.into_iter());
         let obs = &self.obs;
-        obs.stages
-            .collate
-            .record(collate_t.elapsed().as_nanos() as u64);
+        obs.stages.collate.record_duration(collate_t.elapsed());
         let rows_n = batch.len() as u64;
         let bytes_n = batch.nbytes() as u64;
         obs.rows.add(rows_n);
@@ -606,44 +577,7 @@ impl EpochIter {
         obs.rows_rate.add(rows_n);
         obs.batches_rate.add(1);
         obs.bytes_rate.add(bytes_n);
-        Some(batch)
-    }
-
-    fn advance(&mut self) -> Option<Result<Batch>> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(batch) = self.pop_batch() {
-                return Some(Ok(batch));
-            }
-            if let Some(message) = self.failure.take() {
-                self.failed = true;
-                return Some(Err(CoreError::Corrupt(format!(
-                    "loader worker failed: {message}"
-                ))));
-            }
-            if self.upstream_done {
-                return None;
-            }
-            let wait_t = Instant::now();
-            let received = self.rx.recv();
-            self.obs
-                .stages
-                .queue_wait
-                .record(wait_t.elapsed().as_nanos() as u64);
-            match received {
-                Ok(task) => {
-                    let rows = task.rows.len() as u64;
-                    self.obs.queue_depth.add(-(rows as i64));
-                    self.recvd += rows;
-                    self.absorb(task);
-                }
-                // every task ran: the plan is delivered, or stopped at a
-                // failure
-                Err(_) => self.upstream_done = true,
-            }
-        }
+        Some(Ok(batch))
     }
 }
 
@@ -655,10 +589,7 @@ impl Iterator for EpochIter {
         // gap. Recorded against queue_wait by the attribution rule: a
         // consumer away longer than it waits means the pipeline kept up.
         if let Some(t) = self.resumed_at.take() {
-            self.obs
-                .stages
-                .consumer_gap
-                .record(t.elapsed().as_nanos() as u64);
+            self.obs.stages.consumer_gap.record_duration(t.elapsed());
         }
         let out = self.advance();
         self.resumed_at = Some(Instant::now());
@@ -937,6 +868,39 @@ mod tests {
         let err = epoch.next().expect("the failure").unwrap_err().to_string();
         assert!(err.contains("task at position 32 panicked"), "{err}");
         assert!(epoch.next().is_none());
+    }
+
+    /// A task is a function call: on the calling thread it returns its
+    /// rows in epoch order, or no rows and the failure when the
+    /// transform panics.
+    #[test]
+    fn a_task_runs_inline() {
+        let ds = labels_dataset(40);
+        let names = Arc::new(vec!["labels".to_string()]);
+        let obs = LoaderObs::new();
+        let w = WorkerObs {
+            obs: obs.clone(),
+            root: TraceContext::root(),
+            spans: Arc::default(),
+            sent: Arc::default(),
+            busy: obs.registry.counter(&worker_busy_name(0)),
+            tasks: obs.registry.counter(&worker_tasks_name(0)),
+        };
+        let rows: Vec<u64> = (8..16).rev().collect();
+        let done = run_task(&ds, &names, 8..16, &rows, None, &w);
+        assert_eq!((done.task, done.failure), (8..16, None));
+        let labels: Vec<i32> = done
+            .rows
+            .iter()
+            .map(|row| row.samples[0].get_f64(0).unwrap() as i32)
+            .collect();
+        assert_eq!(labels, (8..16).rev().collect::<Vec<_>>());
+
+        let panics: RowTransform = Arc::new(|_| panic!("a transform that panics"));
+        let done = run_task(&ds, &names, 8..16, &rows, Some(&panics), &w);
+        assert!(done.rows.is_empty());
+        assert_eq!(done.failure.as_deref(), Some("task at position 8 panicked"));
+        assert_eq!(w.tasks.get(), 2);
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub(crate) struct LoaderObs {
     /// Rows sitting in the bounded prefetch channel
     /// (`loader.queue_depth`). The channel carries one message per task
     /// and the stand-in has no `len()`: a worker adds its task's rows
-    /// once the send went through, the consumer subtracts them on
-    /// receive, and a mid-epoch drop settles the residue.
+    /// just before it sends them, so a live scrape never reads below
+    /// zero, the consumer subtracts them on receive, and a mid-epoch
+    /// drop settles the residue (a send that failed included).
     pub queue_depth: Gauge,
     pub epochs: Counter,
     pub rows: Counter,

@@ -2,39 +2,14 @@
 //! (workers, consumer, collate). Its own test binary: the counting
 //! allocator is global.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use deeplake_codec::Compression;
 use deeplake_core::dataset::{Dataset, TensorOptions};
 use deeplake_loader::DataLoader;
+use deeplake_obs::alloc::Counting;
 use deeplake_storage::MemoryProvider;
 use deeplake_tensor::{Htype, Sample};
-
-struct Counting;
-
-// Relaxed: a statistic, read after the epoch's threads are joined.
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a plain atomic integer.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `alloc` and `dealloc`
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -81,11 +56,11 @@ fn an_epoch_allocates_a_handful_of_times_per_row() {
         .build()
         .unwrap();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = Counting::total();
     let mut epoch = loader.epoch();
     let rows: usize = epoch.by_ref().map(|b| b.unwrap().len()).sum();
     drop(epoch); // joins the worker
-    let per_row = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ROWS as f64;
+    let per_row = Counting::total().since(before).allocations as f64 / ROWS as f64;
     assert_eq!(rows as u64, ROWS);
     eprintln!("{per_row:.2} allocations per delivered row");
     assert!(per_row <= 7.0, "{per_row:.2} allocations per delivered row");

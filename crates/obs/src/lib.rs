@@ -39,6 +39,9 @@
 //!   rejections, node deaths, …) with wall-clock timestamps and trace
 //!   ids — the "what happened in the last minute" answer histograms
 //!   cannot give.
+//! * **Allocation counts** — [`alloc::Counting`] is a global allocator
+//!   that test and bench binaries install to count allocations and
+//!   their bytes, per thread and in total.
 //!
 //! A [`MetricsRegistry::snapshot`] freezes everything into a
 //! [`MetricsSnapshot`] — plain owned values, safe to serialize (the
@@ -58,6 +61,7 @@
 //! [`WindowedHistogram`] emits per-window snapshot entries under
 //! `.w1` / `.w10` / `.w60` suffixes (`hub.query_ns.w10`).
 
+pub mod alloc;
 mod events;
 mod hist;
 mod registry;
